@@ -336,6 +336,22 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
 
 
+def _attach_negative_points(argv: list[str]) -> list[str]:
+    """Rewrite `--point -1/3` as `--point=-1/3`.
+
+    argparse reads a token starting with '-' as an option unless it looks
+    like a decimal number, so a negative rational after `--point` would be
+    rejected as a missing value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _scenario_overrides(args) -> dict:
     keys = ("target_point", "construction", "depth", "n_max", "m_max", "s_max",
             "p", "c", "out_dir", "seed")
@@ -397,7 +413,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", dest="out_dir")
     p_verify.add_argument("--inject-corruption", default=None, help=argparse.SUPPRESS)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_points(
+        sys.argv[1:] if argv is None else list(argv)))
 
     if args.command == "kernel-check":
         caps = Caps(kernel_n_max=args.n_max, lower_bound_n_max=args.lower_n_max,

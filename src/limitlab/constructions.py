@@ -353,9 +353,7 @@ def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
             continue
         n = (s - 1) // 2
         intervals = enumerate_intervals(test, n, s)
-        f = PiecewiseLinear.zero()
-        for iv in intervals:
-            f = f + tent(iv)
+        f = PiecewiseLinear.sum(tent(iv) for iv in intervals)
         l1 = f.l1_norm()
         total_len = sum((iv.length for iv in intervals), Fraction(0))
         stage_measure = test.stage(n).measure()

@@ -16,12 +16,43 @@ from typing import Callable, Iterable
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
 
 
-def _atoms(points: list[Fraction]):
-    """Point atoms and open gap atoms over a sorted breakpoint list."""
-    for i, x in enumerate(points):
-        yield RationalInterval(x, x)
-        if i + 1 < len(points):
-            yield RationalInterval(x, points[i + 1], False, False)
+# Merges run over atoms of a sorted breakpoint list: atom 2i is the point
+# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  A piece covers
+# a contiguous range of atoms, found from its endpoints through a
+# {breakpoint: i} index, so a merge fills per-atom values in one pass over
+# the pieces and never evaluates a function at a point.
+
+
+def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
+    """First and last atom (inclusive) covered by an interval."""
+    return (2 * index[iv.lo] + (0 if iv.lo_closed else 1),
+            2 * index[iv.hi] - (0 if iv.hi_closed else 1))
+
+
+def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Merged breakpoints and each function's value on every atom."""
+    points = sorted({x for f in fns for iv, _ in f.pieces for x in (iv.lo, iv.hi)})
+    index = {x: i for i, x in enumerate(points)}
+    columns = []
+    for f in fns:
+        values = [Fraction(0)] * (2 * len(points) - 1)
+        for iv, v in f.pieces:
+            lo, hi = _atom_span(iv, index)
+            values[lo:hi + 1] = [v] * (hi + 1 - lo)
+        columns.append(values)
+    return points, columns
+
+
+def _from_atoms(points: list[Fraction], values: list[Fraction]) -> "StepFunction":
+    """The canonical step function taking `values[k]` on atom k."""
+    pieces = []
+    for k, v in enumerate(values):
+        if v:
+            i = k // 2
+            atom = (RationalInterval(points[i], points[i]) if k % 2 == 0 else
+                    RationalInterval(points[i], points[i + 1], False, False))
+            pieces.append((atom, v))
+    return StepFunction(tuple(_fuse(pieces)))
 
 
 @dataclass(frozen=True)
@@ -55,21 +86,27 @@ class StepFunction:
 
         Pointwise-correct including at region boundaries: the real line is
         split into atoms at every region endpoint, each atom scores the sum
-        of weights of the regions containing it.
+        of weights of the regions containing it (a difference array over
+        the atoms, one entry per part endpoint).
         """
         terms = [(frac(w), u) for w, u in terms]
         points = sorted({
             x for _, u in terms for p in u.parts for x in (p.lo, p.hi)
         })
-        if not points:
-            return StepFunction.zero()
-        pieces = []
-        for atom in _atoms(points):
-            probe = atom.lo if atom.is_point else atom.midpoint
-            value = sum((w for w, u in terms if u.contains(probe)), Fraction(0))
-            if value:
-                pieces.append((atom, value))
-        return StepFunction(tuple(_fuse(pieces)))
+        index = {x: i for i, x in enumerate(points)}
+        steps = [Fraction(0)] * (2 * len(points))
+        for w, u in terms:
+            for part in u.parts:
+                lo, hi = _atom_span(part, index)
+                steps[lo] += w
+                steps[hi + 1] -= w
+        values = []
+        value = Fraction(0)
+        for step in steps[:-1]:
+            if step:
+                value += step
+            values.append(value)
+        return _from_atoms(points, values)
 
     # ------------------------------------------------------------------
     # pointwise and exact aggregates
@@ -122,16 +159,8 @@ class StepFunction:
     # algebra
 
     def _combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
-        points = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        if not points:
-            return StepFunction.zero()
-        pieces = []
-        for atom in _atoms(points):
-            probe = atom.lo if atom.is_point else atom.midpoint
-            value = op(self.eval(probe), other.eval(probe))
-            if value:
-                pieces.append((atom, value))
-        return StepFunction(tuple(_fuse(pieces)))
+        points, (mine, theirs) = _sweep(self, other)
+        return _from_atoms(points, [op(a, b) for a, b in zip(mine, theirs)])
 
     def __add__(self, other):
         return self._combine(other, lambda a, b: a + b)
@@ -155,12 +184,8 @@ class StepFunction:
 
     def pointwise_le(self, other: "StepFunction") -> bool:
         """Exact check that self <= other everywhere."""
-        points = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        for atom in _atoms(points):
-            probe = atom.lo if atom.is_point else atom.midpoint
-            if self.eval(probe) > other.eval(probe):
-                return False
-        return True
+        _, (mine, theirs) = _sweep(self, other)
+        return all(a <= b for a, b in zip(mine, theirs))
 
     def exceedance_region(self, threshold_sq: Fraction) -> IntervalUnion:
         """Exact region where value^2 > threshold_sq (i.e. |value| > sqrt)."""
@@ -272,15 +297,39 @@ class PiecewiseLinear:
         verts.append((self.vertices[-1][0], abs(self.vertices[-1][1])))
         return PiecewiseLinear(tuple(verts))
 
-    def _resampled(self, xs: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-        return [(x, self.eval(x)) for x in xs]
+    @staticmethod
+    def sum(functions: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
+        """Exact sum of any number of functions in one sweep.
+
+        Each function contributes its slope change at each of its vertices;
+        walking the union of all vertices in order and integrating the
+        accumulated slope gives the exact sum there.  The vertex set is that
+        union, trimmed once at the ends; a left fold of `+` gives the same
+        function, at times with fewer vertices where zero runs were trimmed.
+        """
+        kinks: dict = {}
+        for f in functions:
+            slope = Fraction(0)
+            for (x0, y0), (x1, y1) in f.segments():
+                after = (y1 - y0) / (x1 - x0)
+                kinks[x0] = kinks.get(x0, 0) + after - slope
+                slope = after
+            if f.vertices:
+                x = f.vertices[-1][0]
+                kinks[x] = kinks.get(x, 0) - slope
+        verts = []
+        value = slope = Fraction(0)
+        prev = None
+        for x in sorted(kinks):
+            if prev is not None:
+                value += slope * (x - prev)
+            verts.append((x, value))
+            slope += kinks[x]
+            prev = x
+        return _trimmed(verts)
 
     def _combine(self, other: "PiecewiseLinear", sign: int) -> "PiecewiseLinear":
-        xs = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        if not xs:
-            return PiecewiseLinear.zero()
-        verts = [(x, self.eval(x) + sign * other.eval(x)) for x in xs]
-        return PiecewiseLinear(tuple(verts)).trimmed()
+        return PiecewiseLinear.sum((self, other if sign > 0 else other.scale(-1)))
 
     def __add__(self, other):
         return self._combine(other, +1)
@@ -296,14 +345,7 @@ class PiecewiseLinear:
 
     def trimmed(self) -> "PiecewiseLinear":
         """Drop redundant zero vertices at the ends (keep one per side)."""
-        verts = list(self.vertices)
-        while len(verts) > 2 and verts[0][1] == 0 and verts[1][1] == 0:
-            verts.pop(0)
-        while len(verts) > 2 and verts[-1][1] == 0 and verts[-2][1] == 0:
-            verts.pop()
-        if len(verts) <= 1 or all(y == 0 for _, y in verts):
-            return PiecewiseLinear.zero()
-        return PiecewiseLinear(tuple(verts))
+        return _trimmed(self.vertices)
 
     def window_integral(self, lo, hi) -> Fraction:
         lo, hi = (frac(lo) if not isinstance(lo, float) else Fraction(lo),
@@ -321,3 +363,15 @@ class PiecewiseLinear:
 
     def to_json(self) -> list:
         return [[frac_str(x), frac_str(y)] for x, y in self.vertices]
+
+
+def _trimmed(verts) -> PiecewiseLinear:
+    """The function on `verts` without redundant zero vertices at the ends."""
+    lo, hi = 0, len(verts)
+    while hi - lo > 2 and verts[lo][1] == 0 and verts[lo + 1][1] == 0:
+        lo += 1
+    while hi - lo > 2 and verts[hi - 1][1] == 0 and verts[hi - 2][1] == 0:
+        hi -= 1
+    if hi - lo <= 1 or all(y == 0 for _, y in verts[lo:hi]):
+        return PiecewiseLinear.zero()
+    return PiecewiseLinear(tuple(verts[lo:hi]))

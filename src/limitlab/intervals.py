@@ -13,6 +13,7 @@ Everything here is immutable and pure; values can be shared freely.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -147,14 +148,10 @@ class IntervalUnion:
         return sum((p.length for p in self.parts), Fraction(0))
 
     def contains(self, x: RationalLike) -> bool:
-        x = frac(x)
-        key = (x, 0)
-        for part in self.parts:
-            if part._start() > key:
-                return False
-            if key <= part._end():
-                return True
-        return False
+        key = (frac(x), 0)
+        # the only candidate is the last part starting at or before x
+        i = bisect_right(self.parts, key, key=RationalInterval._start) - 1
+        return i >= 0 and key <= self.parts[i]._end()
 
     def hull(self) -> RationalInterval | None:
         """Smallest closed interval containing the union, None if empty."""

@@ -71,6 +71,17 @@ def test_bad_point_is_usage_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_negative_point_value_is_accepted(tmp_path):
+    spaced, joined = tmp_path / "a", tmp_path / "b"
+    args = ["build", "--construction", "schnorr-poisson", "--m-max", "4"]
+    assert main(args + ["--point", "-1/3", "--out", str(spaced)]) == 0
+    assert main(args + ["--point=-1/3", "--out", str(joined)]) == 0
+    for name in ("step_construction.json", "verification_report.json"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    report = json.loads((spaced / "verification_report.json").read_text())
+    assert report["target_point"] == "-1/3"
+
+
 def test_unknown_config_field_is_usage_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"construction": "fourier", "knob": 3}))

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab.constructions import tent
 from limitlab.functions import PiecewiseLinear, StepFunction
-from limitlab.intervals import IntervalUnion, RationalInterval
+from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 
 
 class TestStepFunction:
@@ -134,3 +135,151 @@ class TestPiecewiseLinear:
         z = PiecewiseLinear.zero()
         assert z.is_zero and z.l1_norm() == 0 and z.eval(1) == 0
         assert (z + tent(RationalInterval(0, 1))).l1_norm() == Fraction(3, 4)
+
+
+# ----------------------------------------------------------------------
+# oracle properties: every merge against pointwise `eval` at each atom
+#
+# Endpoints come from a coarse grid so that shared, touching and half-open
+# endpoints, point pieces and cancelling weights are all common.
+
+grid_st = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+weight_st = st.sampled_from([Fraction(w) for w in (-2, -1, "-1/2", "1/2", 1, 2)])
+
+
+@st.composite
+def region_st(draw):
+    ivs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted((draw(grid_st), draw(grid_st)))
+        if a == b:
+            ivs.append(RationalInterval(a, a))
+        else:
+            ivs.append(RationalInterval(a, b, draw(st.booleans()), draw(st.booleans())))
+    return normalize(ivs)
+
+
+@st.composite
+def terms_st(draw):
+    terms = draw(st.lists(st.tuples(weight_st, region_st()), max_size=4))
+    if terms:
+        # repeat some terms with the opposite weight so they cancel to zero
+        for w, u in draw(st.lists(st.sampled_from(terms), max_size=2)):
+            terms.append((-w, u))
+    return terms
+
+
+step_st = terms_st().map(StepFunction.from_weighted_regions)
+
+
+@st.composite
+def pl_st(draw):
+    xs = sorted(set(draw(st.lists(grid_st, max_size=6))))
+    inner = [draw(st.sampled_from([-2, -1, 0, Fraction(1, 2), 1, 3])) for _ in xs[2:]]
+    ys = ([0] + inner + [0])[:len(xs)]
+    return PiecewiseLinear(tuple(zip(xs, ys)))
+
+
+def atom_probes(points):
+    """Each breakpoint, each gap midpoint, and one point beyond either end."""
+    points = sorted(set(points))
+    if not points:
+        return [Fraction(0)]
+    probes = [points[0] - 1, points[-1] + 1]
+    for a, b in zip(points, points[1:]):
+        probes += [a, (a + b) / 2]
+    return probes + [points[-1]]
+
+
+def region_points(u):
+    return [x for p in u.parts for x in (p.lo, p.hi)]
+
+
+def assert_canonical(f):
+    """Sorted, disjoint, nonzero pieces with no two that could fuse."""
+    assert all(v != 0 for _, v in f.pieces)
+    for (a, v), (b, w) in zip(f.pieces, f.pieces[1:]):
+        assert a.hi < b.lo or (a.hi == b.lo and not (a.hi_closed and b.lo_closed))
+        touching = a.hi == b.lo and (a.hi_closed or b.lo_closed)
+        assert not (touching and v == w)
+
+
+@given(terms_st())
+@settings(max_examples=200, deadline=None)
+def test_weighted_regions_match_oracle(terms):
+    f = StepFunction.from_weighted_regions(terms)
+    assert_canonical(f)
+    points = [x for _, u in terms for x in region_points(u)] + f.breakpoints()
+    for x in atom_probes(points):
+        assert f.eval(x) == sum((w for w, u in terms if u.contains(x)), Fraction(0))
+
+
+@given(step_st, step_st)
+@settings(max_examples=200, deadline=None)
+def test_add_sub_match_oracle(f, g):
+    total, diff = f + g, f - g
+    assert_canonical(total)
+    assert_canonical(diff)
+    points = f.breakpoints() + g.breakpoints() + total.breakpoints() + diff.breakpoints()
+    for x in atom_probes(points):
+        assert total.eval(x) == f.eval(x) + g.eval(x)
+        assert diff.eval(x) == f.eval(x) - g.eval(x)
+    assert (f - f).is_zero
+
+
+@given(step_st, region_st())
+@settings(max_examples=200, deadline=None)
+def test_restrict_matches_oracle(f, region):
+    r = f.restrict(region)
+    assert_canonical(r)
+    for x in atom_probes(f.breakpoints() + region_points(region) + r.breakpoints()):
+        assert r.eval(x) == (f.eval(x) if region.contains(x) else 0)
+
+
+@given(step_st, step_st)
+@settings(max_examples=200, deadline=None)
+def test_pointwise_le_matches_oracle(f, g):
+    probes = atom_probes(f.breakpoints() + g.breakpoints())
+    assert f.pointwise_le(g) is all(f.eval(x) <= g.eval(x) for x in probes)
+    assert f.pointwise_le(f + g.abs())
+
+
+def test_merges_of_empty_inputs():
+    zero = StepFunction.zero()
+    f = StepFunction.indicator(IntervalUnion.single(0, 1, False, True), 2)
+    assert StepFunction.from_weighted_regions([]).is_zero
+    assert StepFunction.from_weighted_regions([(1, IntervalUnion.empty())]).is_zero
+    assert (zero + zero).is_zero and (zero - zero).is_zero
+    assert zero + f == f and f - zero == f
+    assert zero.restrict(IntervalUnion.single(0, 1)).is_zero
+    assert f.restrict(IntervalUnion.empty()).is_zero
+    assert zero.pointwise_le(zero) and zero.pointwise_le(f) and not f.pointwise_le(zero)
+    assert PiecewiseLinear.sum([]) == PiecewiseLinear.zero()
+    assert PiecewiseLinear.sum([PiecewiseLinear.zero()] * 3) == PiecewiseLinear.zero()
+
+
+@given(st.lists(pl_st(), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_pl_sum_matches_left_fold(fs):
+    total = PiecewiseLinear.sum(fs)
+    fold = PiecewiseLinear.zero()
+    for f in fs:
+        fold = fold + f
+    union = sorted({x for f in fs for x in f.breakpoints()})
+    # the vertex set is the union of the breakpoints, trimmed at the ends
+    xs = total.breakpoints()
+    assert not xs or union[union.index(xs[0]):union.index(xs[-1]) + 1] == xs
+    for x in atom_probes(union):
+        assert total.eval(x) == fold.eval(x) == sum((f.eval(x) for f in fs), Fraction(0))
+    assert total.integral() == fold.integral() == sum((f.integral() for f in fs), Fraction(0))
+    assert total.l1_norm() == fold.l1_norm()
+
+
+@given(pl_st(), pl_st())
+@settings(max_examples=200, deadline=None)
+def test_pl_add_sub_match_oracle(f, g):
+    total, diff = f + g, f - g
+    for x in atom_probes(f.breakpoints() + g.breakpoints()):
+        assert total.eval(x) == f.eval(x) + g.eval(x)
+        assert diff.eval(x) == f.eval(x) - g.eval(x)
+    assert (f - f).is_zero and (f - f).vertices == ()

@@ -189,6 +189,15 @@ def test_membership_consistency_of_set_ops(u, v):
         assert u.difference(v).contains(x) == (u.contains(x) and not v.contains(x))
 
 
+@given(st.lists(interval_st(), max_size=8).map(normalize), st.lists(fractions_st, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_linear_membership(u, extra):
+    # every endpoint (open and closed), every midpoint, and arbitrary points
+    probes = [x for p in u.parts for x in (p.lo, p.hi, p.midpoint)] + extra
+    for x in probes:
+        assert u.contains(x) is any(p.contains(x) for p in u.parts)
+
+
 @given(union_st)
 @settings(max_examples=100, deadline=None)
 def test_json_round_trip(u):
