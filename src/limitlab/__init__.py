@@ -10,8 +10,7 @@ from .intervals import IntervalUnion, RationalInterval, frac, normalize
 from .functions import PiecewiseLinear, StepFunction
 from .quadrature import QuadratureError, integrate
 from .trig import (ConvergenceTrace, RationalComplex, TrigPoly,
-                   convergence_trace, fourier_coefficient, l2_norm, lp_norm,
-                   partial_sum, translate)
+                   convergence_trace, fourier_coefficient, l2_norm, lp_norm)
 from .kernels import (dirichlet_eval, fejer_coeffs, fejer_eval,
                       fejer_lp_ratio, fejer_ratio_constant, poisson_eval,
                       poisson_interval_mass)

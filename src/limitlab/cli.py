@@ -1,9 +1,16 @@
 """Batch driver.
 
 Subcommands build the constructions, run traces, and execute the bound
-verification suite, writing JSON/CSV artifacts that are byte-identical for
-identical configurations.  Exit codes: 0 all checks pass, 1 verification
-failure, 2 usage/config error.
+checks, writing JSON/CSV artifacts that are byte-identical for identical
+configurations.  Exit codes: 0 no check fails, 1 verification failure,
+2 usage/config error.
+
+Every command that checks bounds runs a filter over the one table
+verify.CHECKS: verify-all and kernel-check by name, and the scenario
+commands (build, fourier-trace, poisson-trace) by "<command>:<construction>",
+on a VerifyContext built from the ScenarioConfig.  Both report layouts
+(verify-all's `checks` and a scenario's `bounds`) are rendered from the same
+CheckResult list.
 
 Configuration comes from an optional JSON file (--config) plus flags;
 flags win.  All float tolerances live in one table with per-check defaults
@@ -15,19 +22,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from . import verify
-from .constructions import (build_fourier_divergent, build_ml_poisson,
-                            build_schnorr_poisson)
-from .intervals import frac
-from .poisson import poisson_integral, radial_trace
-from .randomness import covering_test, integral_test_partial, nest_tail
-from .trig import convergence_trace
-from .verify import BETA_UNIT, Caps, DEFAULT_TOLERANCES
+from .intervals import frac, frac_str
+from .poisson import radial_trace
+from .verify import Caps, CheckResult, DEFAULT_TOLERANCES, VerifyContext
 
 CONSTRUCTIONS = ("fourier", "schnorr-poisson", "ml-poisson")
 
@@ -72,15 +74,6 @@ class ScenarioConfig:
             problems.append(f"tolerances: unknown keys {sorted(unknown)}")
         return problems
 
-    def resolved_depth(self) -> int:
-        if self.depth is not None:
-            return self.depth
-        if self.construction == "fourier":
-            return self.n_max + 1
-        if self.construction == "schnorr-poisson":
-            return self.m_max + 2
-        return max((self.s_max - 1) // 2, 1)
-
 
 def _load_config(path: str | None, overrides: dict) -> ScenarioConfig:
     data = {}
@@ -111,217 +104,87 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _entry(check_id, description, mode, ok, details, tolerance=None):
-    out = {"id": check_id, "description": description, "mode": mode,
-           "status": "pass" if ok else "fail", "details": details}
-    if tolerance is not None:
-        out["tolerance"] = tolerance
-    return out
+def _radial_csv(path: Path, trace) -> None:
+    rows = [[repr(e.y), repr(e.value),
+             "" if e.lower_bound is None else repr(e.lower_bound),
+             str(e.bound_active).lower()] for e in trace.entries]
+    _write_csv(path, ["y", "value", "lower_bound", "bound_active"], rows)
 
 
 # ----------------------------------------------------------------------
-# scenarios
+# scenarios: each writes its construction's artifacts; the checks come
+# from the table
 
 
-def _fourier_scenario(config: ScenarioConfig, out: Path, with_trace: bool):
-    point = frac(config.target_point)
-    test = covering_test(point, config.resolved_depth())
-    fc = build_fourier_divergent(test, config.p, config.c, config.n_max, point=point)
-    _write_json(out / "fourier_construction.json", fc.to_json())
-
-    entries = []
-    beta = BETA_UNIT * config.c
-    tol = config.tolerances["floor"]
-
-    cutoffs = [n for n in fc.cutoffs()]
-    entries.append(_entry(
-        "fourier.spectrum", "stage spectra inside their cutoffs", "exact",
-        all(st.g.degree <= st.cutoff for st in fc.stages),
-        {"cutoffs": cutoffs}))
-
-    qualifying = [st.n for st in fc.stages
-                  if 2.0 ** (-st.n - 1) <= math.pi / (st.cutoff + 1)]
-    stage_values = {st.n: float(st.g.eval(float(point)).real) for st in fc.stages}
-    entries.append(_entry(
-        "fourier.stage_floor", "stage values at the point reach 4C/pi^2",
-        "float", all(stage_values[n] >= beta - tol for n in qualifying),
-        {"floor": beta, "qualifying": qualifying, "values": stage_values}, tol))
-
-    norms, majors = fc.summability()
-    entries.append(_entry(
-        "fourier.summability", "norm partial sums under the measured majorant",
-        "float", all(a <= b * (1 + 1e-9) for a, b in zip(norms, majors)),
-        {"norms": norms, "majorants": majors, "constant": fc.ratio_constant}))
-
-    taus = fc.stage_polys()
-    partials = [integral_test_partial(taus, float(point), n) for n in range(1, len(taus))]
-    start = min(qualifying) if qualifying else 0
-    increments_ok = True
-    for st in fc.stages:
-        if st.n < start:
-            continue
-        lo, hi = 2 * st.n, 2 * st.n + 1
-        inc = partials[hi - 1] - (partials[lo - 1] if lo >= 1 else 0.0)
-        increments_ok = increments_ok and inc >= beta - tol
-    entries.append(_entry(
-        "integral_test.growth", "difference partial sums grow by the floor",
-        "float", increments_ok, {"partials": partials, "floor": beta}, tol))
-
+def _fourier_artifacts(ctx: VerifyContext, out: Path, with_trace: bool) -> None:
+    _write_json(out / "fourier_construction.json", ctx.fourier.to_json())
     if with_trace:
-        trace = convergence_trace(fc.final, float(point), [0] + fc.cutoffs())
-        rows = []
-        for e in trace.entries:
-            rows.append([e.cutoff, repr(e.value.real), repr(e.value.imag),
-                         "" if e.jump is None else repr(e.jump)])
+        rows = [[e.cutoff, repr(e.value.real), repr(e.value.imag),
+                 "" if e.jump is None else repr(e.jump)]
+                for e in ctx.fourier_trace.entries]
         _write_csv(out / "fourier_trace.csv",
                    ["cutoff", "value_re", "value_im", "jump"], rows)
-        jump_by_cut = {e.cutoff: e.jump for e in trace.entries}
-        ok = all(jump_by_cut[fc.stages[n].cutoff] >= beta - tol for n in qualifying)
-        # the measured jump of the truncated construction differs from the
-        # stage value because later stages also carry low frequencies;
-        # report that discrepancy instead of assuming the two are equal
-        discrepancy = {
-            str(st.n): jump_by_cut[st.cutoff] - stage_values[st.n]
-            for st in fc.stages
-        }
-        entries.append(_entry(
-            "fourier.trace_jumps", "trace jumps at qualifying cutoffs reach the floor",
-            "float", ok,
-            {"jumps": {str(e.cutoff): e.jump for e in trace.entries},
-             "floor": beta, "qualifying_cutoffs": [fc.stages[n].cutoff for n in qualifying],
-             "jump_minus_stage_value": discrepancy},
-            tol))
-    return entries
 
 
-def _schnorr_scenario(config: ScenarioConfig, out: Path, with_trace: bool):
-    point = frac(config.target_point)
-    test = nest_tail(covering_test(point, config.resolved_depth()))
-    sc = build_schnorr_poisson(test, config.m_max)
+def _step_artifacts(ctx: VerifyContext, out: Path, with_trace: bool) -> None:
+    sc = ctx.step
     _write_json(out / "step_construction.json", sc.to_json())
-
-    entries = [
-        _entry("step.mass_bound", "stage masses under their exact bounds", "exact",
-               all(st.mass <= st.mass_bound for st in sc.stages),
-               {"stages": len(sc.stages)}),
-        _entry("step.increment_bound", "stage increments strictly under their bounds",
-               "exact", all(st.increment_l1 < st.increment_bound for st in sc.stages),
-               {"stages": len(sc.stages)}),
-        _entry("step.limit_mass", "masses increase and stay at most 8", "exact",
-               all(st.mass <= 8 for st in sc.stages), {"final": str(sc.stages[-1].mass)}),
-    ]
-
     if with_trace:
-        deep = sc.stages[-1].f
-        ys = [2.0 ** -j for j in config.y_exponents]
-        trace = radial_trace(deep, float(point), ys,
-                             reference_value=float(sc.limit_value(point)))
-        rows = [[repr(e.y), repr(e.value),
-                 "" if e.lower_bound is None else repr(e.lower_bound),
-                 str(e.bound_active).lower()] for e in trace.entries]
-        _write_csv(out / "poisson_trace.csv",
-                   ["y", "value", "lower_bound", "bound_active"], rows)
-
-        tol = config.tolerances["radial_floor"]
-        k_shell = math.floor(abs(point)) + 1
-        floor = 3.0 * (2.0 - 2.0 ** -k_shell) / (5.0 * math.pi)
-        checked = []
-        ok = True
-        for e in trace.entries:
-            qualifying = [st for st in sc.stages
-                          if float(st.cover.measure()) <= e.y / 4]
-            if not qualifying:
-                continue
-            value = float(poisson_integral(qualifying[0].f, float(point), e.y))
-            checked.append({"y": e.y, "stage": qualifying[0].m, "value": value})
-            ok = ok and value >= floor - tol
-        entries.append(_entry(
-            "step.radial_floor",
-            "Poisson values at the covered point hold the K-shell floor",
-            "float", ok, {"floor": floor, "checked": checked}, tol))
-    return entries
+        _radial_csv(out / "poisson_trace.csv",
+                    radial_trace(sc.stages[-1].f, float(ctx.point), ctx.heights,
+                                 reference_value=float(sc.limit_value(ctx.point))))
 
 
-def _ml_scenario(config: ScenarioConfig, out: Path, with_trace: bool):
-    point = frac(config.target_point)
-    test = covering_test(point, config.resolved_depth())
-    tc = build_ml_poisson(test, config.s_max)
+def _tent_artifacts(ctx: VerifyContext, out: Path, with_trace: bool) -> None:
+    tc = ctx.tents
     _write_json(out / "tent_construction.json", tc.to_json())
-
-    entries = [
-        _entry("tents.l1_bound", "odd-stage L1 norms under (2n+1)/2^n", "exact",
-               all(st.l1 <= st.l1_bound for st in tc.stages if st.s % 2 == 1),
-               {"stages": len(tc.stages)}),
-        _entry("tents.flip_flop", "positive odd stages, zero even stages at the point",
-               "exact",
-               all(st.f.eval(point) > 0 if st.s % 2 == 1
-                   and any(iv.contains(point) for iv in st.intervals)
-                   else st.f.eval(point) >= 0 if st.s % 2 == 1
-                   else st.f.eval(point) == 0
-                   for st in tc.stages),
-               {"point": config.target_point}),
-    ]
-
-    rows = []
-    for st in tc.stages:
-        rows.append([st.s, f"{st.l1.numerator}/{st.l1.denominator}",
-                     f"{st.l1_bound.numerator}/{st.l1_bound.denominator}",
-                     repr(float(st.f.eval(point)))])
+    rows = [[st.s, frac_str(st.l1), frac_str(st.l1_bound),
+             repr(float(st.f.eval(ctx.point)))] for st in tc.stages]
     _write_csv(out / "tent_stages.csv",
                ["s", "l1", "l1_bound", "value_at_point"], rows)
-
     if with_trace:
         deep = next(st.f for st in reversed(tc.stages) if st.s % 2 == 1)
-        ys = [2.0 ** -j for j in config.y_exponents]
-        trace = radial_trace(deep, float(point), ys)
-        t_rows = [[repr(e.y), repr(e.value),
-                   "" if e.lower_bound is None else repr(e.lower_bound),
-                   str(e.bound_active).lower()] for e in trace.entries]
-        _write_csv(out / "poisson_trace.csv",
-                   ["y", "value", "lower_bound", "bound_active"], t_rows)
-        envelope_ok = True
-        details = []
-        for st in tc.stages:
-            if st.s % 2 == 0:
-                continue
-            y = 2.0 ** -min(config.y_exponents)
-            value = abs(float(poisson_integral(st.f, float(point), y)))
-            bound = float(st.l1) / (math.pi * y)
-            envelope_ok = envelope_ok and value <= bound + 1e-12
-            details.append({"s": st.s, "value": value, "bound": bound})
-        entries.append(_entry(
-            "tents.poisson_decay", "Poisson values under the vanishing L1 envelope",
-            "float", envelope_ok, {"checked": details}))
-    return entries
+        _radial_csv(out / "poisson_trace.csv",
+                    radial_trace(deep, float(ctx.point), ctx.heights))
 
 
-def run_scenario(config: ScenarioConfig, with_trace: bool = True) -> int:
+ARTIFACTS = {"fourier": _fourier_artifacts, "schnorr-poisson": _step_artifacts,
+             "ml-poisson": _tent_artifacts}
+
+
+def _bound_entry(r: CheckResult) -> dict:
+    entry = {"id": r.check_id, "description": r.description,
+             "mode": r.details.get("mode", "float"), "status": r.status,
+             "details": r.details}
+    if "tolerance" in r.details:
+        entry["tolerance"] = r.details["tolerance"]
+    return entry
+
+
+def run_scenario(config: ScenarioConfig, command: str) -> int:
+    """Write the artifacts of `command` (build, fourier-trace or
+    poisson-trace) and run the checks the table lists for it."""
     problems = config.validate()
     if problems:
         for p in problems:
             print(f"config error - {p}", file=sys.stderr)
         return 2
     out = Path(config.out_dir)
-    if config.construction == "fourier":
-        entries = _fourier_scenario(config, out, with_trace)
-    elif config.construction == "schnorr-poisson":
-        entries = _schnorr_scenario(config, out, with_trace)
-    else:
-        entries = _ml_scenario(config, out, with_trace)
+    ctx = VerifyContext(
+        caps=Caps(n_max=config.n_max, m_max=config.m_max, s_max=config.s_max,
+                  seed=config.seed),
+        point=frac(config.target_point), p=config.p, c=config.c, depth=config.depth,
+        tolerances=config.tolerances,
+        heights=tuple(2.0 ** -j for j in config.y_exponents))
+    ARTIFACTS[config.construction](ctx, out, command != "build")
+    results = verify.run_checks(ctx, f"{command}:{config.construction}")
     report = {
         "construction": config.construction,
         "target_point": config.target_point,
-        "overall": "pass" if all(e["status"] == "pass" for e in entries) else "fail",
-        "bounds": entries,
+        "overall": "pass" if verify.overall_pass(results) else "fail",
+        "bounds": [_bound_entry(r) for r in results],
     }
-    _write_json(out / "verification_report.json", report)
-    failed = [e["id"] for e in entries if e["status"] != "pass"]
-    if failed:
-        print("verification failure: " + ", ".join(failed), file=sys.stderr)
-        return 1
-    print(f"{config.construction}: all {len(entries)} bound checks pass "
-          f"(artifacts in {out})")
-    return 0
+    return _finish(results, out, report)
 
 
 # ----------------------------------------------------------------------
@@ -418,28 +281,18 @@ def main(argv=None) -> int:
 
     if args.command == "kernel-check":
         caps = Caps(kernel_n_max=args.n_max, lower_bound_n_max=args.lower_n_max,
-                    grid_points=args.grid, n_max=-1, m_max=-1, s_max=0, k_max=0,
-                    weak_type_count=0)
-        kernel_ids = {"fejer.coefficients", "fejer.cesaro_mean", "fejer.lower_bound",
-                      "fejer.lp_equivalence", "poisson.positivity",
-                      "poisson.sup_bound", "poisson.unit_mass",
-                      "dirichlet.partial_sum_convolution", "poisson.window_floor"}
-        results = [r for r in verify.verify_all(caps) if r.check_id in kernel_ids]
-        return _finish_verify(results, args.out_dir)
+                    grid_points=args.grid)
+        results = verify.run_checks(VerifyContext(caps), "kernel-check")
+        return _finish(results, args.out_dir, verify.report_json(results))
 
     if args.command == "weak-type-check":
-        rows = []
-        ok = True
-        for f in verify.random_test_functions(args.seed, args.count):
-            for exp in range(-3, 4):
-                report = verify.weak_type_check(f, 2.0 ** exp)
-                ok = ok and not report.violation
-                rows.append(asdict(report))
+        reports = verify.weak_type_battery(args.seed, args.count)
+        ok = not any(r.violation for r in reports)
         payload = {"overall": "pass" if ok else "fail", "count": args.count,
-                   "seed": args.seed, "reports": rows}
+                   "seed": args.seed, "reports": [asdict(r) for r in reports]}
         if args.out_dir:
             _write_json(Path(args.out_dir) / "weak_type_report.json", payload)
-        print(f"weak-type: {len(rows)} checks, "
+        print(f"weak-type: {len(reports)} checks, "
               + ("all within bound" if ok else "VIOLATION"))
         return 0 if ok else 1
 
@@ -451,7 +304,7 @@ def main(argv=None) -> int:
                     samples=args.samples, weak_type_count=args.weak_type_count,
                     seed=args.seed)
         results = verify.verify_all(caps, corrupt=args.inject_corruption)
-        return _finish_verify(results, args.out_dir)
+        return _finish(results, args.out_dir, verify.report_json(results))
 
     # scenario subcommands
     overrides = _scenario_overrides(args)
@@ -466,13 +319,13 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error - {exc}", file=sys.stderr)
         return 2
-    return run_scenario(config, with_trace=args.command != "build")
+    return run_scenario(config, args.command)
 
 
-def _finish_verify(results, out_dir) -> int:
-    payload = verify.report_json(results)
+def _finish(results: list[CheckResult], out_dir, report: dict) -> int:
+    """Write the report, print one line per check; exit 1 if any check failed."""
     if out_dir:
-        _write_json(Path(out_dir) / "verification_report.json", payload)
+        _write_json(Path(out_dir) / "verification_report.json", report)
     for r in results:
         print(f"{r.status.upper():7s} {r.check_id} [{r.module}]")
     failed = [r.check_id for r in results if r.status == "fail"]

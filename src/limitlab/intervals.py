@@ -70,9 +70,6 @@ class RationalInterval:
         x = frac(x)
         return self._start() <= (x, 0) <= self._end()
 
-    def closure(self) -> "RationalInterval":
-        return RationalInterval(self.lo, self.hi, True, True)
-
     def _start(self):
         return (self.lo, 0 if self.lo_closed else 1)
 
@@ -152,12 +149,6 @@ class IntervalUnion:
         # the only candidate is the last part starting at or before x
         i = bisect_right(self.parts, key, key=RationalInterval._start) - 1
         return i >= 0 and key <= self.parts[i]._end()
-
-    def hull(self) -> RationalInterval | None:
-        """Smallest closed interval containing the union, None if empty."""
-        if not self.parts:
-            return None
-        return RationalInterval(self.parts[0].lo, self.parts[-1].hi)
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         return self.difference(other).is_empty
@@ -251,18 +242,3 @@ def normalize(intervals: Iterable[RationalInterval]) -> IntervalUnion:
                 continue
         merged.append(iv)
     return IntervalUnion(tuple(merged))
-
-
-def measure(u: IntervalUnion) -> Fraction:
-    return u.measure()
-
-
-def set_ops(u: IntervalUnion, v: IntervalUnion, op: str) -> IntervalUnion:
-    """Dispatch union/intersection/difference by name (CLI convenience)."""
-    if op == "union":
-        return u.union(v)
-    if op == "intersection":
-        return u.intersection(v)
-    if op == "difference":
-        return u.difference(v)
-    raise ValueError(f"unknown set operation: {op!r}")

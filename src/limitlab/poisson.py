@@ -106,34 +106,29 @@ class RadialTrace:
 
 
 def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
-                 reference_value: float | None = None,
-                 certificate_samples: int = 32) -> RadialTrace:
+                 reference_value: float | None = None) -> RadialTrace:
     """Evaluate P[f](x, y) along y_seq, attaching a per-entry floor.
 
     For nonnegative data the kernel satisfies P_y(s) >= 4/(5 pi y) on
-    |s| <= y/2, so P[f](x,y) is at least 4/(5 pi y) times the mass of f on
-    the central window [x - y/2, x + y/2].  The floor is attached (and the
-    kernel inequality spot-checked on a sample grid) whenever f >= 0.
+    |s| <= y/2 (with equality at |s| = y/2; the registry check
+    poisson.window_floor covers it), so P[f](x,y) is at least 4/(5 pi y)
+    times the mass of f on the central window [x - y/2, x + y/2].  The
+    floor is attached, and enforced, whenever f >= 0.
     """
     nonneg = f.is_nonnegative()
     entries = []
     for y in y_seq:
         value = float(poisson_integral(f, x, y))
         lower = None
-        active = False
         if nonneg:
-            floor = 4.0 / (5.0 * math.pi * y)
-            ss = np.linspace(-y / 2, y / 2, certificate_samples)
-            kernel_ok = bool(np.all((y / math.pi) / (ss * ss + y * y) >= floor * (1 - 1e-12)))
             window_mass = float(f.window_integral(Fraction(x) - Fraction(y) / 2,
                                                   Fraction(x) + Fraction(y) / 2))
-            lower = floor * window_mass
-            active = kernel_ok
-            if active and value < lower - 1e-9 * max(1.0, abs(lower)):
+            lower = 4.0 / (5.0 * math.pi * y) * window_mass
+            if value < lower - 1e-9 * max(1.0, abs(lower)):
                 raise AssertionError(
                     f"Poisson value {value} under its certified floor {lower} at y={y}"
                 )
-        entries.append(RadialEntry(float(y), value, lower, active))
+        entries.append(RadialEntry(float(y), value, lower, nonneg))
     return RadialTrace(float(x), entries, reference_value)
 
 

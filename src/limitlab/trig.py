@@ -276,14 +276,6 @@ def fourier_coefficient(f, n: int):
     raise TypeError(f"no Fourier coefficients for {type(f).__name__}")
 
 
-def partial_sum(f: TrigPoly, n_cut: int) -> TrigPoly:
-    return f.partial_sum(n_cut)
-
-
-def translate(f: TrigPoly, c: float) -> TrigPoly:
-    return f.translate(c)
-
-
 def l2_norm(f: TrigPoly) -> float:
     """Exact-coefficient L2 norm: sqrt(2pi * sum |c_n|^2)."""
     return math.sqrt(TWO_PI * float(f.energy()))

@@ -1,10 +1,18 @@
-"""Registry of quantitative bound checks.
+"""The one table of quantitative bound checks.
 
-Each entry verifies one inequality or identity the constructions are built
+Each check verifies one inequality or identity the constructions are built
 around, at desk scale, and reports pass/fail with the numbers that were
 compared.  Exact rational comparisons are marked "exact" in the details;
-float comparisons state their tolerance.  verify_all runs the registry
-under size caps; a cap of 0 skips the entries that need that stage budget.
+float comparisons state their tolerance.  A check that finds nothing to
+compare under its caps or trace heights reports "skipped", never a pass.
+
+Every check is a function of one VerifyContext: the target point, p, the
+amplitude multiplier c, the test depth, the size caps (with the sampling
+seed), the tolerances and the trace heights.  The context builds each
+construction once.  Each CHECKS row lists the commands that run it, so
+verify-all, kernel-check and the scenario commands (`build`,
+`fourier-trace`, `poisson-trace`, keyed "<command>:<construction>") are
+filters over the same table: run_checks(ctx, command).
 
 The `corrupt` hook exists for negative-control testing: it perturbs one
 computed value on its way into a named check so the harness can confirm
@@ -17,19 +25,20 @@ import math
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels, quadrature
 from .constructions import (build_fourier_divergent, build_ml_poisson,
-                            build_schnorr_poisson, tent)
+                            build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval
-from .poisson import (contraction_gap, poisson_integral,
-                      poisson_integral_step, weak_type_check)
+from .poisson import contraction_gap, poisson_integral, weak_type_check
 from .randomness import (covering_test, integral_test_partial, nest_tail,
                          schnorr_test_from_poisson, simple_test_from_approx)
-from .trig import TrigPoly, l2_norm
+from .trig import TrigPoly, convergence_trace, l2_norm
 
 SQRT2 = math.sqrt(2.0)
 BETA_UNIT = 4.0 / math.pi ** 2  # divergence floor per unit amplitude
@@ -100,36 +109,54 @@ def random_test_functions(seed: int, count: int):
     return out
 
 
+@dataclass
 class VerifyContext:
-    """Shared builds for a verify_all run (each construction built once)."""
+    """Everything a check reads.  Constructions are built once, on first use.
 
-    def __init__(self, caps: Caps, corrupt: str | None = None):
-        self.caps = caps
-        self.corrupt = corrupt
-        self._cache: dict = {}
+    verify-all and kernel-check use the defaults (point 0, p = 2, c = 1, one
+    trace height 2^-10); a scenario sets the fields from its configuration.
+    A test depth of None derives it from the construction's stage cap.  The
+    sampling seed is caps.seed.
+    """
 
+    caps: Caps = field(default_factory=Caps)
+    point: Fraction = Fraction(0)
+    p: float = 2.0
+    c: int = 1
+    depth: int | None = None
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    heights: tuple = (2.0 ** -10,)
+    corrupt: str | None = None
+
+    def _depth(self, default: int) -> int:
+        return default if self.depth is None else self.depth
+
+    @cached_property
     def fourier(self):
-        if "fourier" not in self._cache:
-            test = covering_test(0, max(self.caps.n_max, 1) + 1)
-            self._cache["fourier"] = build_fourier_divergent(
-                test, p=2.0, c_mult=1, n_max=self.caps.n_max, point=0)
-        return self._cache["fourier"]
+        test = covering_test(self.point, self._depth(max(self.caps.n_max, 1) + 1))
+        return build_fourier_divergent(test, p=self.p, c_mult=self.c,
+                                       n_max=self.caps.n_max, point=self.point)
 
+    @cached_property
+    def fourier_values(self) -> dict:
+        """Stage values g_n(point), keyed by n."""
+        x = float(self.point)
+        return {st.n: float(st.g.eval(x).real) for st in self.fourier.stages}
+
+    @cached_property
+    def fourier_trace(self):
+        fc = self.fourier
+        return convergence_trace(fc.final, float(self.point), [0] + fc.cutoffs())
+
+    @cached_property
     def step(self):
-        if "step" not in self._cache:
-            test = nest_tail(covering_test(0, self.caps.m_max + 2))
-            self._cache["step"] = build_schnorr_poisson(test, self.caps.m_max)
-        return self._cache["step"]
+        test = nest_tail(covering_test(self.point, self._depth(self.caps.m_max + 2)))
+        return build_schnorr_poisson(test, self.caps.m_max)
 
-    def step_test(self):
-        # the nested family the step construction was built on
-        return nest_tail(covering_test(0, self.caps.m_max + 2))
-
+    @cached_property
     def tents(self):
-        if "tents" not in self._cache:
-            test = covering_test(0, max((self.caps.s_max - 1) // 2, 1))
-            self._cache["tents"] = build_ml_poisson(test, self.caps.s_max)
-        return self._cache["tents"]
+        test = covering_test(self.point, self._depth(max((self.caps.s_max - 1) // 2, 1)))
+        return build_ml_poisson(test, self.caps.s_max)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +183,7 @@ def _check_fejer_cesaro(ctx: VerifyContext):
     if ctx.caps.kernel_n_max < 1 or ctx.caps.grid_points < 1:
         return None
     xs = np.linspace(-math.pi, math.pi, ctx.caps.grid_points)
-    tol = DEFAULT_TOLERANCES["kernel_eval"]
+    tol = ctx.tolerances["kernel_eval"]
     dirichlet = np.cumsum(
         [kernels.dirichlet_eval(j, xs) for j in range(ctx.caps.kernel_n_max + 1)], axis=0)
     worst = 0.0
@@ -185,7 +212,7 @@ def _check_fejer_lower_bound(ctx: VerifyContext):
 def _check_fejer_lp_equivalence(ctx: VerifyContext):
     if ctx.caps.kernel_n_max < 1:
         return None
-    ratios = [kernels.fejer_lp_ratio(n, 2.0, DEFAULT_TOLERANCES["quadrature"])
+    ratios = [kernels.fejer_lp_ratio(n, 2.0, ctx.tolerances["quadrature"])
               for n in range(1, ctx.caps.kernel_n_max + 1)]
     constant = max(max(ratios), 1.0 / min(ratios))
     ok = all(1.0 / constant <= r <= constant for r in ratios)
@@ -215,7 +242,7 @@ def _check_poisson_sup_bound(ctx: VerifyContext):
 
 
 def _check_poisson_unit_mass(ctx: VerifyContext):
-    tol = DEFAULT_TOLERANCES["quadrature"]
+    tol = ctx.tolerances["quadrature"]
     rng = random.Random(ctx.caps.seed + 2)
     worst = 0.0
     for _ in range(8):
@@ -259,22 +286,23 @@ def _check_dirichlet_convolution(ctx: VerifyContext):
 # maximal-operator checks
 
 
+def weak_type_battery(seed: int, count: int) -> list:
+    """weak_type_check of each battery function at alpha = 2^-3 .. 2^3."""
+    return [weak_type_check(f, 2.0 ** exp)
+            for f in random_test_functions(seed, count) for exp in range(-3, 4)]
+
+
 def _check_weak_type(ctx: VerifyContext):
     if ctx.caps.weak_type_count < 1:
         return None
-    fns = random_test_functions(ctx.caps.seed, ctx.caps.weak_type_count)
-    worst_ratio = 0.0
-    for f in fns:
-        for exp in range(-3, 4):
-            report = weak_type_check(f, 2.0 ** exp)
-            if report.violation:
-                return False, {"alpha": 2.0 ** exp, "grid_measure": report.grid_measure,
-                               "bound": report.bound}
-            if report.bound > 0:
-                worst_ratio = max(worst_ratio,
-                                  report.grid_measure / report.bound)
-    return True, {"functions": len(fns), "alphas": "2^-3..2^3",
-                  "worst_measure_to_bound": worst_ratio}
+    reports = weak_type_battery(ctx.caps.seed, ctx.caps.weak_type_count)
+    for r in reports:
+        if r.violation:
+            return False, {"alpha": r.alpha, "grid_measure": r.grid_measure,
+                           "bound": r.bound}
+    worst = max((r.grid_measure / r.bound for r in reports if r.bound > 0), default=0.0)
+    return True, {"functions": ctx.caps.weak_type_count, "alphas": "2^-3..2^3",
+                  "worst_measure_to_bound": worst}
 
 
 def _check_window_floor(ctx: VerifyContext):
@@ -299,13 +327,12 @@ def _check_window_floor(ctx: VerifyContext):
 def _check_fourier_spectrum(ctx: VerifyContext):
     if ctx.caps.n_max < 0:
         return None
-    fc = ctx.fourier()
+    fc = ctx.fourier
     for st in fc.stages:
-        if any(abs(n) > st.cutoff for n in st.g.coeffs):
-            return False, {"stage": st.n, "cutoff": st.cutoff, "mode": "exact"}
-        want = (st.n + 1) ** 6
-        if st.cutoff != want:
-            return False, {"stage": st.n, "cutoff": st.cutoff, "want": want}
+        want = stage_cutoff(st.n, fc.p)
+        if st.cutoff != want or st.g.degree > st.cutoff:
+            return False, {"stage": st.n, "cutoff": st.cutoff, "want": want,
+                           "degree": st.g.degree, "mode": "exact"}
     return True, {"stages": len(fc.stages), "cutoffs": fc.cutoffs(), "mode": "exact"}
 
 
@@ -317,22 +344,23 @@ def _qualifying_stages(fc):
 def _check_fourier_stage_floor(ctx: VerifyContext):
     if ctx.caps.n_max < 0:
         return None
-    fc = ctx.fourier()
+    fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
-    tol = DEFAULT_TOLERANCES["floor"]
+    tol = ctx.tolerances["floor"]
     qualifying = _qualifying_stages(fc)
-    values = {st.n: float(st.g.eval(0.0).real) for st in fc.stages}
+    values = ctx.fourier_values
     for n in qualifying:
         if values[n] < beta - tol:
-            return False, {"stage": n, "value": values[n], "floor": beta}
-    return True, {"floor": beta, "qualifying_stages": qualifying,
-                  "stage_values": values, "tolerance": tol}
+            return False, {"stage": n, "value": values[n], "floor": beta,
+                           "tolerance": tol}
+    return True, {"floor": beta, "qualifying": qualifying, "values": values,
+                  "tolerance": tol}
 
 
 def _check_fourier_summability(ctx: VerifyContext):
     if ctx.caps.n_max < 0:
         return None
-    fc = ctx.fourier()
+    fc = ctx.fourier
     norms, majors = fc.summability()
     ok = all(a <= b * (1 + 1e-9) for a, b in zip(norms, majors))
     return ok, {"norm_partials": norms, "majorant_partials": majors,
@@ -342,31 +370,48 @@ def _check_fourier_summability(ctx: VerifyContext):
 def _check_integral_test_growth(ctx: VerifyContext):
     if ctx.caps.n_max < 1:
         return None
-    fc = ctx.fourier()
+    fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
-    tol = DEFAULT_TOLERANCES["floor"]
+    tol = ctx.tolerances["floor"]
     taus = fc.stage_polys()
-    partials = [integral_test_partial(taus, 0.0, n_terms)
+    partials = [integral_test_partial(taus, float(ctx.point), n_terms)
                 for n_terms in range(1, len(taus))]
     qualifying = _qualifying_stages(fc)
     start = min(qualifying) if qualifying else 0
-    for st in fc.stages:
-        if st.n < start:
-            continue
+    for st in fc.stages[start:]:
         # stage n contributes across tau_{2n} -> tau_{2n+1}
         lo, hi = 2 * st.n, 2 * st.n + 1
         increment = partials[hi - 1] - (partials[lo - 1] if lo >= 1 else 0.0)
         if increment < beta - tol:
-            return False, {"stage": st.n, "increment": increment, "floor": beta}
+            return False, {"stage": st.n, "increment": increment, "floor": beta,
+                           "tolerance": tol}
     monotone = all(b >= a - 1e-15 for a, b in zip(partials, partials[1:]))
     return monotone, {"partials": partials, "floor": beta,
-                      "first_checked_stage": start}
+                      "first_checked_stage": start, "tolerance": tol}
+
+
+def _check_fourier_trace_jumps(ctx: VerifyContext):
+    fc = ctx.fourier
+    beta = BETA_UNIT * fc.c_mult
+    tol = ctx.tolerances["floor"]
+    jumps = {e.cutoff: e.jump for e in ctx.fourier_trace.entries}
+    qualifying = _qualifying_stages(fc)
+    ok = all(jumps[fc.stages[n].cutoff] >= beta - tol for n in qualifying)
+    # the measured jump of the truncated construction differs from the
+    # stage value because later stages also carry low frequencies;
+    # report that discrepancy instead of assuming the two are equal
+    discrepancy = {str(st.n): jumps[st.cutoff] - ctx.fourier_values[st.n]
+                   for st in fc.stages}
+    return ok, {"jumps": {str(cut): jump for cut, jump in jumps.items()},
+                "floor": beta,
+                "qualifying_cutoffs": [fc.stages[n].cutoff for n in qualifying],
+                "jump_minus_stage_value": discrepancy, "tolerance": tol}
 
 
 def _check_integral_test_majorant(ctx: VerifyContext):
     if ctx.caps.n_max < 1:
         return None
-    fc = ctx.fourier()
+    fc = ctx.fourier
     # quadrature cost grows with the stage degree; two stages already carry
     # the inequality and keep the check fast
     taus = fc.stage_polys()[: 2 * min(ctx.caps.n_max, 2) + 2]
@@ -393,7 +438,7 @@ def _check_integral_test_majorant(ctx: VerifyContext):
 def _check_step_mass(ctx: VerifyContext):
     if ctx.caps.m_max < 0:
         return None
-    sc = ctx.step()
+    sc = ctx.step
     for st in sc.stages:
         if st.mass > st.mass_bound:
             return False, {"stage": st.m, "mass": str(st.mass),
@@ -404,7 +449,7 @@ def _check_step_mass(ctx: VerifyContext):
 def _check_step_increment(ctx: VerifyContext):
     if ctx.caps.m_max < 0:
         return None
-    sc = ctx.step()
+    sc = ctx.step
     for st in sc.stages:
         if st.increment_l1 >= st.increment_bound:
             return False, {"stage": st.m, "increment": str(st.increment_l1),
@@ -415,8 +460,7 @@ def _check_step_increment(ctx: VerifyContext):
 def _check_step_limit_mass(ctx: VerifyContext):
     if ctx.caps.m_max < 0:
         return None
-    sc = ctx.step()
-    masses = [st.mass for st in sc.stages]
+    masses = [st.mass for st in ctx.step.stages]
     increasing = all(b >= a for a, b in zip(masses, masses[1:]))
     under = all(m <= 8 for m in masses)
     return increasing and under, {
@@ -424,23 +468,32 @@ def _check_step_limit_mass(ctx: VerifyContext):
 
 
 def _check_step_radial_floor(ctx: VerifyContext):
-    if ctx.caps.m_max < 10:
+    if ctx.caps.m_max < 0:
         return None
-    sc = ctx.step()
-    y = 2.0 ** -10
-    # smallest stage whose cover fits in a quarter window
-    m = next(st.m for st in sc.stages if st.cover.measure() <= Fraction(1, 4096))
-    value = poisson_integral_step(sc.stages[m].f, 0.0, y)
-    floor = 3.0 * (2.0 - 2.0 ** -1) / (5.0 * math.pi)
-    tol = DEFAULT_TOLERANCES["radial_floor"]
-    return value >= floor - tol, {
-        "stage": m, "y": y, "value": value, "floor": floor, "tolerance": tol}
+    sc = ctx.step
+    x = float(ctx.point)
+    k_shell = math.floor(abs(ctx.point)) + 1
+    floor = 3.0 * (2.0 - 2.0 ** -k_shell) / (5.0 * math.pi)
+    tol = ctx.tolerances["radial_floor"]
+    checked = []
+    for y in ctx.heights:
+        # smallest stage whose cover fits in a quarter window
+        st = next((st for st in sc.stages if st.cover.measure() <= Fraction(y) / 4), None)
+        if st is None:
+            continue
+        value = float(poisson_integral(st.f, x, y))
+        checked.append({"y": y, "stage": st.m, "value": value})
+        if value < floor - tol:
+            return False, checked[-1] | {"floor": floor, "tolerance": tol}
+    if not checked:
+        return None
+    return True, {"floor": floor, "checked": checked, "tolerance": tol}
 
 
 def _check_ml_contraction(ctx: VerifyContext):
     if ctx.caps.m_max < 2:
         return None
-    sc = ctx.step()
+    sc = ctx.step
     fns = sc.functions()
     rng = random.Random(ctx.caps.seed + 5)
     worst = 0.0
@@ -461,7 +514,7 @@ def _check_ml_contraction(ctx: VerifyContext):
 def _check_lemma_simple_measure(ctx: VerifyContext):
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max:
         return None
-    fns = ctx.step().functions()
+    fns = ctx.step.functions()
     measures = {}
     for k in range(ctx.caps.k_max + 1):
         stage = simple_test_from_approx(fns, k)
@@ -476,7 +529,7 @@ def _check_lemma_simple_measure(ctx: VerifyContext):
 def _check_lemma_simple_stability(ctx: VerifyContext):
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max + 2:
         return None
-    fns = ctx.step().functions()
+    fns = ctx.step.functions()
     k = 1
     stage = simple_test_from_approx(fns, k)
     limit = len(fns) - 1
@@ -502,7 +555,7 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
 def _check_lemma_poisson_measure(ctx: VerifyContext):
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max:
         return None
-    fns = ctx.step().functions()
+    fns = ctx.step.functions()
     rows = {}
     for k in range(1, ctx.caps.k_max + 1):
         stage = schnorr_test_from_poisson(fns, k)
@@ -516,7 +569,7 @@ def _check_lemma_poisson_measure(ctx: VerifyContext):
 def _check_schnorr_chain(ctx: VerifyContext):
     if ctx.caps.m_max < 8 or ctx.caps.k_max < 1:
         return None
-    sc = ctx.step()
+    sc = ctx.step
     fns = sc.functions()
     limit = len(fns) - 1
     k = 1
@@ -530,7 +583,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
             samples.append((mid, float(b - a) / 2))
         if len(samples) >= 3:
             break
-    tol = DEFAULT_TOLERANCES["chain"]
+    tol = ctx.tolerances["chain"]
     rows = []
     for x, dist in samples:
         for n in range(k, min(3, (limit - 1) // 2) + 1):
@@ -559,7 +612,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
 def _check_tents_l1(ctx: VerifyContext):
     if ctx.caps.s_max < 1:
         return None
-    tc = ctx.tents()
+    tc = ctx.tents
     for st in tc.stages:
         if st.s % 2 == 1 and st.l1 > st.l1_bound:
             return False, {"stage": st.s, "l1": str(st.l1),
@@ -568,130 +621,155 @@ def _check_tents_l1(ctx: VerifyContext):
 
 
 def _check_tents_flip_flop(ctx: VerifyContext):
-    if ctx.caps.s_max < 2:
+    if ctx.caps.s_max < 1:
         return None
-    tc = ctx.tents()
+    tc = ctx.tents
     for st in tc.stages:
-        value = st.f.eval(0)
-        if st.s % 2 == 0 and value != 0:
+        value = st.f.eval(ctx.point)
+        if st.s % 2 == 0:
+            ok = value == 0
+        elif any(iv.contains(ctx.point) for iv in st.intervals):
+            ok = value > 0
+        else:
+            ok = value >= 0
+        if not ok:
             return False, {"stage": st.s, "value": str(value), "mode": "exact"}
-        if st.s % 2 == 1:
-            covered = any(iv.contains(0) for iv in st.intervals)
-            if covered and value <= 0:
-                return False, {"stage": st.s, "value": str(value), "mode": "exact"}
     return True, {"stages": len(tc.stages), "mode": "exact"}
 
 
 def _check_tents_poisson_decay(ctx: VerifyContext):
-    if ctx.caps.s_max < 2:
+    if ctx.caps.s_max < 1:
         return None
-    tc = ctx.tents()
+    tc = ctx.tents
+    x = float(ctx.point)
+    odd = [st for st in tc.stages if st.s % 2 == 1]
     rng = random.Random(ctx.caps.seed + 7)
+    probes = []
     for _ in range(20):
         st = tc.stages[rng.randint(0, len(tc.stages) - 1)]
-        x = rng.uniform(-2, 2)
-        y = 2.0 ** rng.uniform(-10, 2)
-        value = abs(float(poisson_integral(st.f, x, y)))
+        probes.append((st, x + rng.uniform(-2, 2), 2.0 ** rng.uniform(-10, 2)))
+    # every odd stage at the point, at the largest trace height
+    probes += [(st, x, max(ctx.heights)) for st in odd]
+    for st, px, y in probes:
+        value = abs(float(poisson_integral(st.f, px, y)))
         bound = float(st.l1) / (math.pi * y)
         if value > bound + 1e-12:
-            return False, {"stage": st.s, "x": x, "y": y,
+            return False, {"stage": st.s, "x": px, "y": y,
                            "value": value, "bound": bound}
-    odd_l1 = [float(st.l1) for st in tc.stages if st.s % 2 == 1]
+    odd_l1 = [float(st.l1) for st in odd]
     vanishing = all(b <= a for a, b in zip(odd_l1, odd_l1[1:]))
-    return vanishing, {"odd_stage_l1": odd_l1, "samples": 20}
+    return vanishing, {"odd_stage_l1": odd_l1, "samples": 20,
+                       "point_height": max(ctx.heights)}
 
+
+class Check(NamedTuple):
+    check_id: str
+    module: str
+    description: str
+    fn: Callable            # VerifyContext -> (ok, details), or None to skip
+    commands: tuple         # "verify-all", "kernel-check" or "<command>:<construction>"
+
+
+VERIFY = ("verify-all",)
+KERNEL = VERIFY + ("kernel-check",)
+FOURIER = VERIFY + ("build:fourier", "fourier-trace:fourier")
+STEP = VERIFY + ("build:schnorr-poisson", "poisson-trace:schnorr-poisson")
+TENTS = VERIFY + ("build:ml-poisson", "poisson-trace:ml-poisson")
 
 CHECKS = [
-    ("fejer.coefficients", "kernels",
-     "Triangular coefficients 1 - |n|/(N+1) of the Fejer kernel, exactly",
-     _check_fejer_coefficients),
-    ("fejer.cesaro_mean", "kernels",
-     "Closed form equals the mean of the first N+1 Dirichlet kernels on a grid",
-     _check_fejer_cesaro),
-    ("fejer.lower_bound", "kernels",
-     "F_N >= (4/pi^2)(N+1) on [-pi/(N+1), pi/(N+1)], strict",
-     _check_fejer_lower_bound),
-    ("fejer.lp_equivalence", "kernels",
-     "||F_N||_p stays within a fixed constant of (N+1)^(1-1/p)",
-     _check_fejer_lp_equivalence),
-    ("poisson.positivity", "kernels",
-     "P_y(x) > 0 for y > 0",
-     _check_poisson_positivity),
-    ("poisson.sup_bound", "kernels",
-     "P_y(x) <= 1/(pi y)",
-     _check_poisson_sup_bound),
-    ("poisson.unit_mass", "kernels",
-     "P_y integrates to exactly 1 over the line",
-     _check_poisson_unit_mass),
-    ("dirichlet.partial_sum_convolution", "trig",
-     "Convolving with D_N reproduces the N-th partial sum",
-     _check_dirichlet_convolution),
-    ("pmt.weak_type", "poisson",
-     "Superlevel measure of the Poisson maximal operator under (3/alpha)||f||_1",
-     _check_weak_type),
-    ("poisson.window_floor", "poisson",
-     "P_y(s) >= 4/(5 pi y) on the central window |s| <= y/2",
-     _check_window_floor),
-    ("fourier.spectrum", "counterexamples",
-     "Stage n of the divergence construction has spectrum in [-(n+1)^6, (n+1)^6]",
-     _check_fourier_spectrum),
-    ("fourier.stage_floor", "counterexamples",
-     "Stage value at the covered point is at least 4C/pi^2 at qualifying stages",
-     _check_fourier_stage_floor),
-    ("fourier.summability", "counterexamples",
-     "Partial sums of stage norms stay under the measured-constant majorant",
-     _check_fourier_summability),
-    ("integral_test.growth", "randomness_tests",
-     "Difference partial sums at the covered point grow by the stage floor",
-     _check_integral_test_growth),
-    ("integral_test.holder_majorant", "randomness_tests",
-     "Integral of the difference sum under (2pi)^((p-1)/p) times the norm sum",
-     _check_integral_test_majorant),
-    ("step.mass_bound", "counterexamples",
-     "Stage masses under (2^(m+2)-m-3)/2^(m-1), exactly",
-     _check_step_mass),
-    ("step.increment_bound", "counterexamples",
-     "Stage increments strictly under (2m+5)/2^(m+1) in L1, exactly",
-     _check_step_increment),
-    ("step.limit_mass", "counterexamples",
-     "Stage masses increase and stay at most 8, exactly",
-     _check_step_limit_mass),
-    ("step.radial_floor", "poisson",
-     "Poisson value at the covered point at least 3(2 - 2^-1)/(5 pi)",
-     _check_step_radial_floor),
-    ("ml.contraction", "poisson",
-     "Height-y Poisson gap bounded by the L1 stage gap over pi y",
-     _check_ml_contraction),
-    ("lemma_simple.measure", "randomness_tests",
-     "Pointwise-difference stages measure at most (2+sqrt2)/2^(k-1), exactly",
-     _check_lemma_simple_measure),
-    ("lemma_simple.stability", "randomness_tests",
-     "Off stage k, later stage values move at most (2+sqrt2)/2^n",
-     _check_lemma_simple_stability),
-    ("lemma_poisson.measure", "randomness_tests",
-     "Maximal-operator stages measure at most 3(sqrt2+2)/2^k, with scan slack",
-     _check_lemma_poisson_measure),
-    ("chain.schnorr_convergence", "poisson",
-     "Radial values approach boundary values within (6+2sqrt2)/2^n off the stages",
-     _check_schnorr_chain),
-    ("tents.l1_bound", "counterexamples",
-     "Odd tent stages have L1 norm at most (2n+1)/2^n, exactly",
-     _check_tents_l1),
-    ("tents.flip_flop", "counterexamples",
-     "Covered point sees positive odd-stage and zero even-stage values",
-     _check_tents_flip_flop),
-    ("tents.poisson_decay", "poisson",
-     "Poisson values of tent stages under the vanishing L1/(pi y) envelope",
-     _check_tents_poisson_decay),
+    Check("fejer.coefficients", "kernels",
+          "Triangular coefficients 1 - |n|/(N+1) of the Fejer kernel, exactly",
+          _check_fejer_coefficients, KERNEL),
+    Check("fejer.cesaro_mean", "kernels",
+          "Closed form equals the mean of the first N+1 Dirichlet kernels on a grid",
+          _check_fejer_cesaro, KERNEL),
+    Check("fejer.lower_bound", "kernels",
+          "F_N >= (4/pi^2)(N+1) on [-pi/(N+1), pi/(N+1)], strict",
+          _check_fejer_lower_bound, KERNEL),
+    Check("fejer.lp_equivalence", "kernels",
+          "||F_N||_p stays within a fixed constant of (N+1)^(1-1/p)",
+          _check_fejer_lp_equivalence, KERNEL),
+    Check("poisson.positivity", "kernels",
+          "P_y(x) > 0 for y > 0",
+          _check_poisson_positivity, KERNEL),
+    Check("poisson.sup_bound", "kernels",
+          "P_y(x) <= 1/(pi y)",
+          _check_poisson_sup_bound, KERNEL),
+    Check("poisson.unit_mass", "kernels",
+          "P_y integrates to exactly 1 over the line",
+          _check_poisson_unit_mass, KERNEL),
+    Check("dirichlet.partial_sum_convolution", "trig",
+          "Convolving with D_N reproduces the N-th partial sum",
+          _check_dirichlet_convolution, KERNEL),
+    Check("pmt.weak_type", "poisson",
+          "Superlevel measure of the Poisson maximal operator under (3/alpha)||f||_1",
+          _check_weak_type, VERIFY),
+    Check("poisson.window_floor", "poisson",
+          "P_y(s) >= 4/(5 pi y) on the central window |s| <= y/2",
+          _check_window_floor, KERNEL),
+    Check("fourier.spectrum", "counterexamples",
+          "Stage n has cutoff N_n = floor((n+1)^(2p+2)) and spectrum in [-N_n, N_n]",
+          _check_fourier_spectrum, FOURIER),
+    Check("fourier.stage_floor", "counterexamples",
+          "Stage value at the covered point is at least 4C/pi^2 at qualifying stages",
+          _check_fourier_stage_floor, FOURIER),
+    Check("fourier.summability", "counterexamples",
+          "Partial sums of stage norms stay under the measured-constant majorant",
+          _check_fourier_summability, FOURIER),
+    Check("integral_test.growth", "randomness_tests",
+          "Difference partial sums at the covered point grow by the stage floor",
+          _check_integral_test_growth, FOURIER),
+    Check("fourier.trace_jumps", "trig",
+          "Partial-sum jumps at qualifying cutoffs of the trace reach 4C/pi^2",
+          _check_fourier_trace_jumps, ("fourier-trace:fourier",)),
+    Check("integral_test.holder_majorant", "randomness_tests",
+          "Integral of the difference sum under (2pi)^((p-1)/p) times the norm sum",
+          _check_integral_test_majorant, VERIFY),
+    Check("step.mass_bound", "counterexamples",
+          "Stage masses under (2^(m+2)-m-3)/2^(m-1), exactly",
+          _check_step_mass, STEP),
+    Check("step.increment_bound", "counterexamples",
+          "Stage increments strictly under (2m+5)/2^(m+1) in L1, exactly",
+          _check_step_increment, STEP),
+    Check("step.limit_mass", "counterexamples",
+          "Stage masses increase and stay at most 8, exactly",
+          _check_step_limit_mass, STEP),
+    Check("step.radial_floor", "poisson",
+          "Poisson values at the covered point at least 3(2 - 2^-K)/(5 pi), K its shell",
+          _check_step_radial_floor, VERIFY + ("poisson-trace:schnorr-poisson",)),
+    Check("ml.contraction", "poisson",
+          "Height-y Poisson gap bounded by the L1 stage gap over pi y",
+          _check_ml_contraction, VERIFY),
+    Check("lemma_simple.measure", "randomness_tests",
+          "Pointwise-difference stages measure at most (2+sqrt2)/2^(k-1), exactly",
+          _check_lemma_simple_measure, VERIFY),
+    Check("lemma_simple.stability", "randomness_tests",
+          "Off stage k, later stage values move at most (2+sqrt2)/2^n",
+          _check_lemma_simple_stability, VERIFY),
+    Check("lemma_poisson.measure", "randomness_tests",
+          "Maximal-operator stages measure at most 3(sqrt2+2)/2^k, with scan slack",
+          _check_lemma_poisson_measure, VERIFY),
+    Check("chain.schnorr_convergence", "poisson",
+          "Radial values approach boundary values within (6+2sqrt2)/2^n off the stages",
+          _check_schnorr_chain, VERIFY),
+    Check("tents.l1_bound", "counterexamples",
+          "Odd tent stages have L1 norm at most (2n+1)/2^n, exactly",
+          _check_tents_l1, TENTS),
+    Check("tents.flip_flop", "counterexamples",
+          "Covered point sees positive odd-stage and zero even-stage values",
+          _check_tents_flip_flop, TENTS),
+    Check("tents.poisson_decay", "poisson",
+          "Tent-stage Poisson values under L1/(pi y); odd-stage L1 norms never grow",
+          _check_tents_poisson_decay, VERIFY + ("poisson-trace:ml-poisson",)),
 ]
 
 
-def verify_all(caps: Caps | None = None, corrupt: str | None = None) -> list[CheckResult]:
-    """Run every registered bound check under the given caps."""
-    caps = caps or Caps()
-    ctx = VerifyContext(caps, corrupt)
+def run_checks(ctx: VerifyContext, command: str) -> list[CheckResult]:
+    """Run, in table order, every check whose row lists `command`."""
     results = []
-    for check_id, module, description, fn in CHECKS:
+    for check_id, module, description, fn, commands in CHECKS:
+        if command not in commands:
+            continue
         try:
             outcome = fn(ctx)
         except Exception as exc:  # a crashed check is a failed check
@@ -705,6 +783,11 @@ def verify_all(caps: Caps | None = None, corrupt: str | None = None) -> list[Che
             results.append(CheckResult(check_id, module, description,
                                        "pass" if ok else "fail", details))
     return results
+
+
+def verify_all(caps: Caps | None = None, corrupt: str | None = None) -> list[CheckResult]:
+    """Run the verify-all checks under the given caps, at point 0, p = 2, c = 1."""
+    return run_checks(VerifyContext(caps or Caps(), corrupt=corrupt), "verify-all")
 
 
 def overall_pass(results: list[CheckResult]) -> bool:

@@ -8,6 +8,19 @@ import pytest
 from limitlab.cli import main
 from limitlab.verify import CHECKS
 
+VERIFY_ALL_IDS = [
+    "fejer.coefficients", "fejer.cesaro_mean", "fejer.lower_bound",
+    "fejer.lp_equivalence", "poisson.positivity", "poisson.sup_bound",
+    "poisson.unit_mass", "dirichlet.partial_sum_convolution",
+    "pmt.weak_type", "poisson.window_floor", "fourier.spectrum",
+    "fourier.stage_floor", "fourier.summability", "integral_test.growth",
+    "integral_test.holder_majorant", "step.mass_bound",
+    "step.increment_bound", "step.limit_mass", "step.radial_floor",
+    "ml.contraction", "lemma_simple.measure", "lemma_simple.stability",
+    "lemma_poisson.measure", "chain.schnorr_convergence",
+    "tents.l1_bound", "tents.flip_flop", "tents.poisson_decay",
+]
+
 FAST_VERIFY = ["--kernel-n-max", "6", "--lower-bound-n-max", "8",
                "--grid-points", "64", "--n-max", "1", "--m-max", "4",
                "--s-max", "5", "--k-max", "1", "--samples", "10",
@@ -106,7 +119,7 @@ def test_verify_all_passes_and_reports(tmp_path):
     assert main(["verify-all", *FAST_VERIFY, "--out", str(out)]) == 0
     report = json.loads((out / "verification_report.json").read_text())
     assert report["overall"] == "pass"
-    assert len(report["checks"]) == len(CHECKS)
+    assert [c["check_id"] for c in report["checks"]] == VERIFY_ALL_IDS
 
 
 def test_verify_all_default_caps_within_budget(tmp_path):
@@ -151,22 +164,12 @@ def test_weak_type_subcommand(tmp_path):
 
 
 def test_registry_ids_unique_and_complete():
-    ids = [cid for cid, _, _, _ in CHECKS]
+    ids = [check.check_id for check in CHECKS]
     assert len(ids) == len(set(ids))
-    # one entry per tracked quantitative bound
-    expected = {
-        "fejer.coefficients", "fejer.cesaro_mean", "fejer.lower_bound",
-        "fejer.lp_equivalence", "poisson.positivity", "poisson.sup_bound",
-        "poisson.unit_mass", "dirichlet.partial_sum_convolution",
-        "pmt.weak_type", "poisson.window_floor", "fourier.spectrum",
-        "fourier.stage_floor", "fourier.summability", "integral_test.growth",
-        "integral_test.holder_majorant", "step.mass_bound",
-        "step.increment_bound", "step.limit_mass", "step.radial_floor",
-        "ml.contraction", "lemma_simple.measure", "lemma_simple.stability",
-        "lemma_poisson.measure", "chain.schnorr_convergence",
-        "tents.l1_bound", "tents.flip_flop", "tents.poisson_decay",
-    }
-    assert set(ids) == expected
+    # one entry per tracked quantitative bound; verify-all runs all but the
+    # fourier-trace-only jump check, in table order
+    assert [c.check_id for c in CHECKS if "verify-all" in c.commands] == VERIFY_ALL_IDS
+    assert set(ids) == set(VERIFY_ALL_IDS) | {"fourier.trace_jumps"}
 
 
 def test_usage_error_exit_code_from_argparse():

@@ -10,7 +10,7 @@ from limitlab.constructions import (build_fourier_divergent, build_ml_poisson,
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.kernels import fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
-from limitlab.trig import TrigPoly, translate
+from limitlab.trig import TrigPoly
 
 BETA = 4 / math.pi ** 2
 
@@ -67,7 +67,7 @@ class TestFourierConstruction:
         base = fejer_coeffs(st.cutoff)
         alt = TrigPoly.zero()
         for c in st.centers:
-            alt = alt + translate(base, float(c))
+            alt = alt + base.translate(float(c))
         alt = alt.scale(1.0 / (st.cutoff + 1))
         assert alt.frequencies() == st.g.frequencies()
         for n in alt.frequencies():

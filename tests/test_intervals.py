@@ -10,8 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab.intervals import (IntervalUnion, RationalInterval, normalize,
-                                set_ops)
+from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 
 
 def grid_measure_oracle(union, lo, hi, cells=4096):
@@ -114,10 +113,8 @@ def test_difference_measure_against_grid_oracle():
 
 def test_set_ops_dispatcher():
     a, b = IntervalUnion.single(0, 1), IntervalUnion.single(1, 2)
-    assert set_ops(a, b, "union") == IntervalUnion.single(0, 2)
-    assert set_ops(a, b, "intersection") == IntervalUnion.point(1)
-    with pytest.raises(ValueError):
-        set_ops(a, b, "xor")
+    assert a.union(b) == IntervalUnion.single(0, 2)
+    assert a.intersection(b) == IntervalUnion.point(1)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,7 @@ from limitlab.functions import StepFunction
 from limitlab.intervals import IntervalUnion
 from limitlab.quadrature import integrate
 from limitlab.trig import (RationalComplex, TrigPoly, convergence_trace,
-                           fourier_coefficient, l2_norm, lp_norm, partial_sum,
-                           translate)
+                           fourier_coefficient, l2_norm, lp_norm)
 
 TWO_PI = 2 * math.pi
 
@@ -124,18 +123,18 @@ def test_linearity_exact_in_rational_mode():
 
 def test_partial_sum_of_constant():
     c = TrigPoly.constant(Fraction(5, 3))
-    assert partial_sum(c, 0) == c
+    assert c.partial_sum(0) == c
 
 
 def test_partial_sum_beyond_degree_is_identity():
     f = kernels.fejer_coeffs(4)
-    assert partial_sum(f, 4) == f
-    assert partial_sum(f, 9) == f
+    assert f.partial_sum(4) == f
+    assert f.partial_sum(9) == f
     assert f.degree == 4
 
 
 def test_truncated_fejer_coefficients():
-    got = partial_sum(kernels.fejer_coeffs(2), 1)
+    got = kernels.fejer_coeffs(2).partial_sum(1)
     want = TrigPoly.from_coeffs({-1: Fraction(2, 3), 0: Fraction(1), 1: Fraction(2, 3)})
     assert got == want
 
@@ -150,12 +149,12 @@ def test_zero_poly_degree():
 
 def test_translate_identity():
     f = kernels.fejer_coeffs(3)
-    assert translate(f, 0) is f
+    assert f.translate(0) is f
 
 
 def test_translate_moves_peak():
     f = kernels.fejer_coeffs(8)
-    g = translate(f, 0.75)
+    g = f.translate(0.75)
     assert not g.exact
     assert g.eval(0.75).real == pytest.approx(9.0, abs=1e-9)
     ts = np.linspace(-2, 2, 41)
@@ -166,14 +165,14 @@ def test_translate_preserves_l2_norm():
     rng = random.Random(13)
     f = random_poly(rng, 6)
     for c in (0.3, -1.7, 2.0):
-        assert l2_norm(translate(f, c)) == pytest.approx(l2_norm(f), rel=1e-12)
+        assert l2_norm(f.translate(c)) == pytest.approx(l2_norm(f), rel=1e-12)
 
 
 def test_translate_composition():
     rng = random.Random(17)
     f = random_poly(rng, 8)
-    lhs = translate(translate(f, 0.4), -1.1)
-    rhs = translate(f, -0.7)
+    lhs = f.translate(0.4).translate(-1.1)
+    rhs = f.translate(-0.7)
     for n in lhs.frequencies():
         assert complex(lhs.coefficient(n)) == pytest.approx(
             complex(rhs.coefficient(n)), abs=1e-12)
@@ -206,7 +205,7 @@ def test_fejer_l2_norm_parseval():
 def test_tail_energy_decreases_to_zero():
     rng = random.Random(23)
     f = random_poly(rng, 7)
-    tails = [l2_norm(f - partial_sum(f, n)) for n in range(8)]
+    tails = [l2_norm(f - f.partial_sum(n)) for n in range(8)]
     assert all(b <= a + 1e-12 for a, b in zip(tails, tails[1:]))
     assert tails[-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -219,7 +218,7 @@ def test_dirichlet_convolution_reproduces_partial_sums():
     rng = random.Random(29)
     f = random_poly(rng, 6)
     for n_cut in (0, 2, 6, 8):
-        direct = partial_sum(f, n_cut)
+        direct = f.partial_sum(n_cut)
         for t in np.linspace(-3, 3, 10):
             conv_re = integrate(
                 lambda s: np.real(kernels.dirichlet_eval(n_cut, t - s) * f.eval(s)),
@@ -266,7 +265,7 @@ def test_trace_accepts_callable_source():
 def test_json_round_trip_exact_and_float():
     exact = kernels.fejer_coeffs(3)
     assert TrigPoly.from_json(exact.to_json()) == exact
-    moved = translate(exact, 0.5)
+    moved = exact.translate(0.5)
     back = TrigPoly.from_json(moved.to_json())
     assert back.frequencies() == moved.frequencies()
     for n in moved.frequencies():
