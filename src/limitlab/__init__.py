@@ -17,7 +17,7 @@ from .kernels import (dirichlet_eval, fejer_coeffs, fejer_eval,
 from .poisson import (ContractionGap, RadialTrace, WeakTypeReport,
                       contraction_gap, maximal_estimate, poisson_integral,
                       poisson_integral_pl, poisson_integral_step,
-                      radial_trace, weak_type_check)
+                      radial_trace, superlevel_set, weak_type_check)
 from .randomness import (PoissonTestStage, TestFamily, covering_test,
                          enumerate_intervals, integral_test_partial,
                          nest_tail, schnorr_test_from_poisson,

@@ -75,11 +75,12 @@ class ScenarioConfig:
         return problems
 
 
-def _load_config(path: str | None, overrides: dict) -> ScenarioConfig:
-    data = {}
+def _load_config(path: str | None, overrides: dict, defaults: dict) -> ScenarioConfig:
+    """Defaults, then the config file, then the flags that were given."""
+    data = dict(defaults)
     if path:
         with open(path) as handle:
-            data = json.load(handle)
+            data.update(json.load(handle))
         unknown = set(data) - set(ScenarioConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"config: unknown fields {sorted(unknown)}")
@@ -308,16 +309,21 @@ def main(argv=None) -> int:
 
     # scenario subcommands
     overrides = _scenario_overrides(args)
+    defaults = {}
     if args.command == "fourier-trace":
         overrides["construction"] = "fourier"
-    if args.command == "poisson-trace" and overrides.get("construction") is None:
-        overrides["construction"] = "schnorr-poisson"
+    if args.command == "poisson-trace":
+        defaults["construction"] = "schnorr-poisson"
     if getattr(args, "y_exponents", None):
         overrides["y_exponents"] = args.y_exponents
     try:
-        config = _load_config(args.config, overrides)
+        config = _load_config(args.config, overrides, defaults)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error - {exc}", file=sys.stderr)
+        return 2
+    if args.command == "poisson-trace" and config.construction == "fourier":
+        print("config error - construction: poisson-trace needs a Poisson construction",
+              file=sys.stderr)
         return 2
     return run_scenario(config, args.command)
 

@@ -5,6 +5,12 @@ an extra logarithmic term for linear pieces.  The arctangent differences
 are computed through the cancellation-free identity so radial traces stay
 accurate down to y around 2^-30.  Everything evaluates on scalars or numpy
 arrays of x.
+
+The maximal operator max over a height grid of P[|f|](x, y) has one
+superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
+scan, edge bisection and outward dyadic rounding.  The weak-type (1,1)
+measurement here and the maximal-operator test stages in randomness both
+read their sets from it.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .functions import PiecewiseLinear, StepFunction
+from .intervals import IntervalUnion, RationalInterval, normalize
 from .kernels import stable_atan_diff
 
 DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
@@ -135,6 +142,14 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
 # ----------------------------------------------------------------------
 # maximal operator machinery
 
+PRUNE_CELL = 1.0 / 16       # width of the envelope-pruning cells
+SCAN_DENSITY = 4096         # scan points per unit length inside a window
+MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
+BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
+BISECT_MAX_ITER = 80
+ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
+EDGE_SLACK = 2 * (BISECT_TOL + 1.0 / ROUND_DEN)  # per component: two edges
+
 
 def _max_poisson_abs(f_abs, xs: np.ndarray, y_grid: Sequence[float]) -> np.ndarray:
     best = np.full(xs.shape, -np.inf)
@@ -154,57 +169,127 @@ def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
     return _ret(x, out)
 
 
+def _runs(mask: np.ndarray):
+    """(start, stop) index pairs of the maximal runs of True in mask."""
+    flips = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    return zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1))
+
+
+class SuperlevelSet(NamedTuple):
+    region: IntervalUnion     # located components, edges rounded outward
+    components: int
+    bisection_failures: int
+    scan_lo: float            # outer edges of the scanned windows (0 if none)
+    scan_hi: float
+
+
+def superlevel_set(g, alpha: float,
+                   y_grid: Sequence[float] = DEFAULT_Y_GRID) -> SuperlevelSet:
+    """Locate { x : max over y_grid of P[|g|](x, y) > alpha }.
+
+    Cells of width PRUNE_CELL are pruned where the per-piece envelope
+    min(sup, mass / (2 pi d)), valid at every height (d the distance to the
+    piece), sums to at most alpha.  Each remaining window is scanned at
+    spacing about 1/SCAN_DENSITY; both edges of every run of exceeding scan
+    points are bisected to BISECT_TOL, keeping the outer end of the bracket,
+    and rounded outward to multiples of 1/ROUND_DEN.  Each component thus
+    carries at most EDGE_SLACK of endpoint uncertainty.  A component
+    narrower than the scan spacing can be missed.  A bisection that does not
+    reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
+    `bisection_failures`.
+    """
+    g_abs = g.abs()
+    rows = []  # (a, b, sup, mass) per piece of |g|
+    if isinstance(g_abs, StepFunction):
+        for iv, v in g_abs.pieces:
+            a, b = float(iv.lo), float(iv.hi)
+            rows.append((a, b, float(v), float(v) * (b - a)))
+    else:
+        for (x0, y0), (x1, y1) in g_abs.segments():
+            if y0 or y1:
+                a, b, fa, fb = float(x0), float(x1), float(y0), float(y1)
+                rows.append((a, b, max(fa, fb), 0.5 * (fa + fb) * (b - a)))
+    if not rows:
+        return SuperlevelSet(IntervalUnion.empty(), 0, 0, 0.0, 0.0)
+
+    # prune: a cell whose envelope sum stays at or under alpha holds no point
+    # of the set, whatever the height
+    radius = sum(r[3] for r in rows) / (math.pi * alpha) + PRUNE_CELL
+    lo = min(r[0] for r in rows) - radius
+    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
+    edges = lo + PRUNE_CELL * np.arange(n_cells + 1)
+    envelope = np.zeros(n_cells)
+    for a, b, sup, mass in rows:
+        dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
+        with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
+            far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
+        envelope += np.minimum(sup, far)
+    windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
+
+    def exceeds(xs):
+        return _max_poisson_abs(g_abs, xs, y_grid) > alpha
+
+    def edge(outside, inside):
+        for _ in range(BISECT_MAX_ITER):
+            if abs(inside - outside) <= BISECT_TOL:
+                return outside, True
+            mid = 0.5 * (outside + inside)
+            if exceeds(np.array([mid]))[0]:
+                inside = mid
+            else:
+                outside = mid
+        return outside, False
+
+    parts, failures = [], 0
+    for w_lo, w_hi in windows:
+        n_pts = max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
+        xs = np.linspace(w_lo, w_hi, n_pts)
+        for s, stop in _runs(exceeds(xs)):
+            left, ok_left = (xs[0], True) if s == 0 else edge(xs[s - 1], xs[s])
+            right, ok_right = ((xs[-1], True) if stop == n_pts
+                               else edge(xs[stop], xs[stop - 1]))
+            failures += (not ok_left) + (not ok_right)
+            parts.append(RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
+                                          Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN)))
+    return SuperlevelSet(normalize(parts), len(parts), failures,
+                         windows[0][0] if windows else 0.0,
+                         windows[-1][1] if windows else 0.0)
+
+
 @dataclass
 class WeakTypeReport:
     alpha: float
     l1_norm: float
     bound: float            # (3/alpha) * ||f||_1
-    grid_measure: float
-    uncertainty: float      # one scan cell per superlevel component edge
+    grid_measure: float     # exact measure of the located superlevel set
+    uncertainty: float      # EDGE_SLACK per located component
     components: int
-    violation: bool
-    scan_lo: float
+    violation: bool         # measure over bound + uncertainty, or a failed bisection
+    scan_lo: float          # outer edges of the scanned windows (0 if none)
     scan_hi: float
-    spacing: float
+    spacing: float          # scan spacing 1/SCAN_DENSITY (0 if nothing scanned)
 
 
-def weak_type_check(f, alpha: float, scan: tuple[float, float, float] | None = None,
-                    y_grid: Sequence[float] = DEFAULT_Y_GRID) -> WeakTypeReport:
-    """Grid-measure the superlevel set of the maximal operator at alpha and
-    compare with (3/alpha)*||f||_1.
+def weak_type_check(f, alpha: float) -> WeakTypeReport:
+    """Measure the superlevel set of the maximal operator at alpha, located
+    by superlevel_set, and compare with (3/alpha)*||f||_1.
 
     A reported violation falsifies this implementation, not the underlying
-    inequality.  The default scan range covers the support plus the largest
-    radius at which total mass alone could push the maximal value over
-    alpha; the measure carries a one-cell uncertainty per component edge.
+    inequality; so does an edge bisection that ran out of steps.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     l1 = float(f.l1_norm())
-    if scan is None:
-        bounds = f.support_bounds()
-        if bounds is None:
-            return WeakTypeReport(alpha, 0.0, 3.0 * 0.0 / alpha, 0.0, 0.0, 0, False,
-                                  0.0, 0.0, 0.0)
-        margin = l1 / (math.pi * alpha) + 1.0
-        lo, hi = float(bounds[0]) - margin, float(bounds[1]) + margin
-        spacing = 2.0 ** -12
-    else:
-        lo, hi, spacing = scan
-    xs = np.arange(lo, hi + spacing, spacing)
-    exceed = _max_poisson_abs(f.abs(), xs, y_grid) > alpha
-    count = int(np.count_nonzero(exceed))
-    edges = int(np.count_nonzero(np.diff(exceed.astype(int)) != 0)) + (
-        int(exceed[0]) + int(exceed[-1]) if count else 0)
-    grid_measure = count * spacing
-    uncertainty = (edges + 1) * spacing
+    level = superlevel_set(f, alpha)
+    measure = float(level.region.measure())
+    uncertainty = level.components * EDGE_SLACK
     bound = 3.0 * l1 / alpha
     return WeakTypeReport(
         alpha=float(alpha), l1_norm=l1, bound=bound,
-        grid_measure=grid_measure, uncertainty=uncertainty,
-        components=max((edges + 1) // 2, 1 if count else 0),
-        violation=grid_measure > bound + uncertainty,
-        scan_lo=float(lo), scan_hi=float(hi), spacing=float(spacing),
+        grid_measure=measure, uncertainty=uncertainty, components=level.components,
+        violation=level.bisection_failures > 0 or measure > bound + uncertainty,
+        scan_lo=level.scan_lo, scan_hi=level.scan_hi,
+        spacing=1.0 / SCAN_DENSITY if level.scan_hi > level.scan_lo else 0.0,
     )
 
 

@@ -7,7 +7,8 @@ and its nested tail closure), enumerates closed rational sub-intervals of a
 stage deterministically, accumulates integral-test partial sums, and
 derives stages from approximation sequences in two ways: by pointwise
 exceedance of consecutive differences, and by superlevel sets of the
-Poisson maximal operator applied to consecutive differences.
+Poisson maximal operator applied to consecutive differences, which
+poisson.superlevel_set locates.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .intervals import IntervalUnion, RationalInterval, frac, normalize
 from .functions import PiecewiseLinear, StepFunction
-from .poisson import DEFAULT_Y_GRID, poisson_integral
+from .poisson import DEFAULT_Y_GRID, EDGE_SLACK, superlevel_set
 
 SQRT2 = math.sqrt(2.0)
 
@@ -241,164 +240,41 @@ class PoissonTestStage:
     stage: IntervalUnion
     measure: Fraction
     bound: float              # 3 (sqrt 2 + 2) / 2^k
-    slack: float              # grid-induced endpoint uncertainty
+    slack: float              # EDGE_SLACK per located component
     within_bound: bool
     components: int
     bisection_failures: int
     stage_range: tuple[int, int]
 
 
-def _piece_data(g):
-    """(a, b, sup, mass) float rows per piece of nonnegative data g."""
-    rows = []
-    if isinstance(g, StepFunction):
-        for iv, v in g.pieces:
-            a, b = float(iv.lo), float(iv.hi)
-            rows.append((a, b, float(v), float(v) * (b - a)))
-    else:
-        for (x0, y0), (x1, y1) in g.segments():
-            if y0 == 0 and y1 == 0:
-                continue
-            a, b = float(x0), float(x1)
-            rows.append((a, b, max(float(y0), float(y1)),
-                         0.5 * (float(y0) + float(y1)) * (b - a)))
-    return rows
-
-
-def _candidate_windows(rows, eps: float, cell: float = 1.0 / 16):
-    """Conservative cover of { sup_y P[g](., y) > eps } by cell windows.
-
-    Uses the per-piece envelope min(sup, mass / (2 pi d)), valid for every
-    height y, so pruned cells cannot contain superlevel points.
-    """
-    mass = sum(r[3] for r in rows)
-    if mass == 0 and all(r[2] == 0 for r in rows):
-        return []
-    lo = min(r[0] for r in rows) - (mass / (math.pi * eps) + cell)
-    hi = max(r[1] for r in rows) + (mass / (math.pi * eps) + cell)
-    n_cells = int(math.ceil((hi - lo) / cell))
-    edges = lo + cell * np.arange(n_cells + 1)
-    c0, c1 = edges[:-1], edges[1:]
-    ub = np.zeros(n_cells)
-    for a, b, sup, m in rows:
-        dist = np.maximum(0.0, np.maximum(a - c1, c0 - b))
-        with np.errstate(divide="ignore"):
-            env = np.where(dist > 0, m / (2 * math.pi * dist), np.inf)
-        ub += np.minimum(sup, env)
-    keep = ub > eps
-    windows = []
-    start = None
-    for idx in range(n_cells):
-        if keep[idx] and start is None:
-            start = idx
-        elif not keep[idx] and start is not None:
-            windows.append((float(edges[start]), float(edges[idx])))
-            start = None
-    if start is not None:
-        windows.append((float(edges[start]), float(edges[-1])))
-    return windows
-
-
-def _superlevel_components(g, eps: float, y_grid, scan_density: int,
-                           min_window_points: int, bisect_tol: float):
-    """Float components of { max over y_grid of P[g](., y) > eps }, g >= 0."""
-    rows = _piece_data(g)
-    if not rows:
-        return [], 0
-
-    def phi(xs):
-        best = np.full(np.shape(xs), -np.inf)
-        for y in y_grid:
-            best = np.maximum(best, poisson_integral(g, xs, float(y)))
-        return best - eps
-
-    failures = 0
-    components = []
-    for w_lo, w_hi in _candidate_windows(rows, eps):
-        n_pts = max(int((w_hi - w_lo) * scan_density), min_window_points) + 1
-        xs = np.linspace(w_lo, w_hi, n_pts)
-        vals = phi(xs)
-        mask = vals > 0
-        if not mask.any():
-            continue
-        idx = 0
-        while idx < len(xs):
-            if not mask[idx]:
-                idx += 1
-                continue
-            run_start = idx
-            while idx < len(xs) and mask[idx]:
-                idx += 1
-            run_end = idx - 1
-            if run_start == 0:
-                left = xs[0]
-            else:
-                left, ok = _bisect_edge(phi, xs[run_start - 1], xs[run_start], bisect_tol)
-                failures += 0 if ok else 1
-            if run_end == len(xs) - 1:
-                right = xs[-1]
-            else:
-                right, ok = _bisect_edge(phi, xs[run_end + 1], xs[run_end], bisect_tol)
-                failures += 0 if ok else 1
-            components.append((left, right))
-    return components, failures
-
-
-def _bisect_edge(phi, outside: float, inside: float, tol: float, max_iter: int = 80):
-    """Edge of the superlevel set between a non-exceeding and an exceeding
-    point; returns the outer end of the final bracket (a superset edge)."""
-    for _ in range(max_iter):
-        if abs(inside - outside) <= tol:
-            return outside, True
-        mid = 0.5 * (outside + inside)
-        if float(phi(np.array([mid]))[0]) > 0:
-            inside = mid
-        else:
-            outside = mid
-    return outside, False
-
-
 def schnorr_test_from_poisson(fs: Sequence, k: int,
                               y_grid=DEFAULT_Y_GRID,
-                              stage_limit: int | None = None,
-                              scan_density: int = 4096,
-                              min_window_points: int = 512,
-                              bisect_tol: float = 1e-9) -> PoissonTestStage:
+                              stage_limit: int | None = None) -> PoissonTestStage:
     """Stage U_k derived from the Poisson maximal operator: the union over
     i >= 2k of { x : max over y_grid of P[|f_i - f_{i+1}|](x, y) > 2^{-i/2} }.
 
-    Superlevel sets are located by a scanned sign search plus bisection on
-    each edge, then rounded outward to dyadic rationals, so the returned
-    stage is slightly enlarged; `slack` reports the per-edge uncertainty.
-    The geometric bound 3(sqrt 2 + 2)/2^k is checked against the exact
-    measure of the returned stage.
+    Each superlevel set comes from poisson.superlevel_set, whose components
+    are rounded outward to dyadic rationals; `slack` adds its per-component
+    endpoint uncertainty EDGE_SLACK over all components.  The geometric
+    bound 3(sqrt 2 + 2)/2^k is checked against the exact measure of the
+    returned stage.
     """
     if k < 0:
         raise ValueError("stage index must be >= 0")
     if not list(y_grid):
         raise ValueError("y_grid must be nonempty")
     limit = len(fs) - 1 if stage_limit is None else stage_limit
-    parts = []
-    failures = 0
-    n_components = 0
-    round_den = 2 ** 36
-    for i in range(2 * k, limit):
-        g = (fs[i + 1] - fs[i]).abs()
-        comps, fails = _superlevel_components(
-            g, 2.0 ** (-i / 2), y_grid, scan_density, min_window_points, bisect_tol)
-        failures += fails
-        n_components += len(comps)
-        for lo, hi in comps:
-            lo_r = Fraction(math.floor(lo * round_den), round_den)
-            hi_r = Fraction(math.ceil(hi * round_den), round_den)
-            parts.append(RationalInterval(lo_r, hi_r))
-    stage = normalize(parts)
+    levels = [superlevel_set(fs[i + 1] - fs[i], 2.0 ** (-i / 2), y_grid)
+              for i in range(2 * k, limit)]
+    stage = normalize([part for level in levels for part in level.region.parts])
     measured = stage.measure()
     bound = 3.0 * (SQRT2 + 2.0) / 2.0 ** k
-    slack = n_components * 2 * (bisect_tol + 1.0 / round_den)
+    n_components = sum(level.components for level in levels)
+    slack = n_components * EDGE_SLACK
     return PoissonTestStage(
         stage=stage, measure=measured, bound=bound, slack=slack,
         within_bound=float(measured) <= bound + slack,
-        components=n_components, bisection_failures=failures,
+        components=n_components,
+        bisection_failures=sum(level.bisection_failures for level in levels),
         stage_range=(2 * k, limit),
     )

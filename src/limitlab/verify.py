@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,8 +37,8 @@ from .constructions import (build_fourier_divergent, build_ml_poisson,
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval
 from .poisson import contraction_gap, poisson_integral, weak_type_check
-from .randomness import (covering_test, integral_test_partial, nest_tail,
-                         schnorr_test_from_poisson, simple_test_from_approx)
+from .randomness import (covering_test, nest_tail, schnorr_test_from_poisson,
+                         simple_test_from_approx)
 from .trig import TrigPoly, convergence_trace, l2_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -299,7 +300,7 @@ def _check_weak_type(ctx: VerifyContext):
     for r in reports:
         if r.violation:
             return False, {"alpha": r.alpha, "grid_measure": r.grid_measure,
-                           "bound": r.bound}
+                           "bound": r.bound, "uncertainty": r.uncertainty}
     worst = max((r.grid_measure / r.bound for r in reports if r.bound > 0), default=0.0)
     return True, {"functions": ctx.caps.weak_type_count, "alphas": "2^-3..2^3",
                   "worst_measure_to_bound": worst}
@@ -373,9 +374,10 @@ def _check_integral_test_growth(ctx: VerifyContext):
     fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
     tol = ctx.tolerances["floor"]
-    taus = fc.stage_polys()
-    partials = [integral_test_partial(taus, float(ctx.point), n_terms)
-                for n_terms in range(1, len(taus))]
+    # partial sums of |tau_{i+1} - tau_i| at the point, left to right: the
+    # same floats integral_test_partial gives for each prefix
+    values = [tau.eval(float(ctx.point)) for tau in fc.stage_polys()]
+    partials = list(accumulate(abs(b - a) for a, b in zip(values, values[1:])))
     qualifying = _qualifying_stages(fc)
     start = min(qualifying) if qualifying else 0
     for st in fc.stages[start:]:

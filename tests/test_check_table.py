@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from limitlab import verify
+from limitlab import poisson, verify
 from limitlab.cli import main
+from limitlab.intervals import IntervalUnion
+from limitlab.randomness import integral_test_partial
 
 from test_cli import FAST_VERIFY, VERIFY_ALL_IDS
 
@@ -104,6 +106,35 @@ def test_merged_check_fails_under_scenario_context(tmp_path, capsys, inflated_la
     assert [e["id"] for e in failed] == ["step.mass_bound"]
     assert failed[0]["details"]["stage"] == 6
     assert "step.mass_bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["oversized", "bisection"])
+def test_weak_type_fault_is_caught_and_named(monkeypatch, fault):
+    """A located set far over (3/alpha)||f||_1, or one with a failed edge
+    bisection, makes weak_type_check report a violation and pmt.weak_type fail."""
+    def faulty(g, alpha, y_grid=poisson.DEFAULT_Y_GRID):
+        if fault == "oversized":
+            huge = IntervalUnion.single(-10 ** 6, 10 ** 6)
+            return poisson.SuperlevelSet(huge, 1, 0, -1.0, 1.0)
+        return poisson.SuperlevelSet(IntervalUnion.empty(), 0, 1, -1.0, 1.0)
+    monkeypatch.setattr(poisson, "superlevel_set", faulty)
+    f = verify.random_test_functions(0, 1)[0]
+    assert poisson.weak_type_check(f, 1.0).violation
+    # every other check skipped or off the maximal operator
+    caps = verify.Caps(kernel_n_max=0, lower_bound_n_max=0, grid_points=0, n_max=-1,
+                       m_max=-1, s_max=0, k_max=0, samples=1, weak_type_count=1)
+    results = verify.verify_all(caps)
+    assert not verify.overall_pass(results)
+    assert [r.check_id for r in results if r.status == "fail"] == ["pmt.weak_type"]
+
+
+def test_growth_partials_equal_the_prefix_sums():
+    ctx = verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3))
+    growth = next(r for r in verify.run_checks(ctx, "build:fourier")
+                  if r.check_id == "integral_test.growth")
+    taus = ctx.fourier.stage_polys()
+    assert growth.details["partials"] == [integral_test_partial(taus, -1 / 3, n)
+                                          for n in range(1, len(taus))]
 
 
 def test_radial_floor_without_a_fitting_stage_is_skipped(tmp_path):

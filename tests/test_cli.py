@@ -79,6 +79,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(dump["stages"]) == 2  # n_max 1 from config
 
 
+def test_poisson_trace_reads_construction_from_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"construction": "ml-poisson", "s_max": 9}))
+    out = tmp_path / "o"
+    assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "tent_construction.json").exists()
+    assert not (out / "step_construction.json").exists()
+    report = json.loads((out / "verification_report.json").read_text())
+    assert report["construction"] == "ml-poisson"
+    assert [e["id"] for e in report["bounds"]] == [
+        "tents.l1_bound", "tents.flip_flop", "tents.poisson_decay"]
+    # a construction poisson-trace has no checks for is a usage error
+    config.write_text(json.dumps({"construction": "fourier"}))
+    assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 2
+
+
 def test_bad_point_is_usage_error(tmp_path):
     assert main(["poisson-trace", "--point", "one-half",
                  "--out", str(tmp_path / "o")]) == 2

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -15,8 +16,9 @@ from limitlab.kernels import poisson_eval
 from limitlab.kernels import poisson_interval_mass as kernels_mass
 from limitlab.poisson import (contraction_gap, maximal_estimate,
                               poisson_integral_pl, poisson_integral_step,
-                              radial_trace, weak_type_check)
+                              radial_trace, superlevel_set, weak_type_check)
 from limitlab.randomness import covering_test, nest_tail
+from limitlab.verify import random_test_functions
 
 
 def quad_oracle(f, x, y):
@@ -197,6 +199,39 @@ class TestWeakType:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             weak_type_check(StepFunction.zero(), 0.0)
+
+
+def grid_count_reference(f, alpha, spacing):
+    """Brute-force superlevel measure: count the points of a uniform grid,
+    offset by half a cell, over the support plus the mass radius
+    ||f||_1/(pi alpha) + 1, where the maximal estimate exceeds alpha.
+    Returns the exceeding points, the counted measure and its uncertainty of
+    one cell per component edge."""
+    lo, hi = (float(b) for b in f.support_bounds())
+    margin = float(f.l1_norm()) / (math.pi * alpha) + 1.0
+    xs = np.arange(lo - margin, hi + margin, spacing) + spacing / 2
+    exceed = maximal_estimate(f, xs) > alpha
+    edges = np.count_nonzero(np.diff(exceed.astype(int))) + exceed[0] + exceed[-1]
+    return xs[exceed], exceed.sum() * spacing, (edges + 1) * spacing
+
+
+class TestSuperlevelSet:
+    @pytest.mark.parametrize("exp", range(-3, 4))
+    def test_battery_against_grid_reference(self, exp):
+        alpha = 2.0 ** exp
+        for f in random_test_functions(11, 4):
+            level = superlevel_set(f, alpha)
+            report = weak_type_check(f, alpha)
+            assert level.bisection_failures == 0 and not report.violation
+            assert report.components == level.components == len(level.region.parts)
+            assert report.grid_measure == float(level.region.measure())
+            points, measure, cells = grid_count_reference(f, alpha, 2.0 ** -10)
+            # every exceeding grid point lies in the located set
+            los = np.array([float(p.lo) for p in level.region.parts])
+            his = np.array([float(p.hi) for p in level.region.parts])
+            idx = np.searchsorted(los, points, side="right") - 1
+            assert np.all((idx >= 0) & (points <= his[np.maximum(idx, 0)]))
+            assert abs(report.grid_measure - measure) <= cells + report.uncertainty
 
 
 class TestContractionGap:
