@@ -21,7 +21,7 @@ from .poisson import (ContractionGap, RadialTrace, WeakTypeReport,
 from .randomness import (PoissonTestStage, TestFamily, covering_test,
                          enumerate_intervals, integral_test_partial,
                          nest_tail, schnorr_test_from_poisson,
-                         simple_test_from_approx)
+                         schnorr_tests_from_poisson, simple_test_from_approx)
 from .constructions import (FourierConstruction, StepConstruction,
                             TentConstruction, build_fourier_divergent,
                             build_ml_poisson, build_schnorr_poisson, tent)

@@ -7,10 +7,14 @@ accurate down to y around 2^-30.  Everything evaluates on scalars or numpy
 arrays of x.
 
 The maximal operator max over a height grid of P[|f|](x, y) has one
+evaluator: the pieces of |f| are converted to floats once, and every height
+of the grid is evaluated in one (heights x points) array pass through the
+same closed form as poisson_integral, in blocks of EVAL_CHUNK points, so
+each value is bitwise the one a per-height call gives.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
-scan, edge bisection and outward dyadic rounding.  The weak-type (1,1)
-measurement here and the maximal-operator test stages in randomness both
-read their sets from it.
+scan, edge bisection with all edges of a set bisected together, and
+outward dyadic rounding.  The weak-type (1,1) measurement here and the
+maximal-operator test stages in randomness both read their sets from it.
 """
 
 from __future__ import annotations
@@ -38,41 +42,71 @@ def _ret(x, out):
     return float(out[0]) if out.shape == (1,) and np.isscalar(x) else out
 
 
-def poisson_integral_step(f: StepFunction, x, y: float):
-    """P[f](x, y) for a step function: sum of weighted arctan masses."""
-    if y <= 0:
-        raise ValueError("height y must be positive")
-    xs = _as_xs(x)
-    out = np.zeros_like(xs)
-    for iv, v in f.pieces:
-        a, b = float(iv.lo), float(iv.hi)
-        out += float(v) * stable_atan_diff((b - xs) / y, (a - xs) / y)
-    return _ret(x, out / math.pi)
+class _FloatPieces(NamedTuple):
+    """The pieces of a step or piecewise-linear function, converted to floats
+    once: rows (a, b, v) of a step function, or (a, b, f(a), f(b), alpha,
+    beta) with f(t) = alpha + beta t on a nonzero piecewise-linear segment."""
+
+    linear: bool
+    rows: list
 
 
-def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
-    """P[f](x, y) for a piecewise-linear function.
+def _step_pieces(f: StepFunction) -> _FloatPieces:
+    return _FloatPieces(False, [(float(iv.lo), float(iv.hi), float(v)) for iv, v in f.pieces])
 
-    On a piece where f(t) = alpha + beta t the antiderivative contributes
-    (alpha + beta x) * atan-term + (beta y / 2) * log-ratio term.
-    """
-    if y <= 0:
-        raise ValueError("height y must be positive")
-    xs = _as_xs(x)
-    out = np.zeros_like(xs)
+
+def _pl_pieces(f: PiecewiseLinear) -> _FloatPieces:
+    rows = []
     for (x0, y0), (x1, y1) in f.segments():
         if y0 == 0 and y1 == 0:
             continue
         a, b = float(x0), float(x1)
         fa, fb = float(y0), float(y1)
         beta = (fb - fa) / (b - a)
-        alpha = fa - beta * a
-        u = (b - xs) / y
-        w = (a - xs) / y
-        out += (alpha + beta * xs) * stable_atan_diff(u, w)
-        # log((u^2+1)/(w^2+1)) via log1p to survive u ~ w
-        out += 0.5 * beta * y * np.log1p((u * u - w * w) / (w * w + 1.0))
-    return _ret(x, out / math.pi)
+        rows.append((a, b, fa, fb, fa - beta * a, beta))
+    return _FloatPieces(True, rows)
+
+
+def _float_pieces(f) -> _FloatPieces:
+    if isinstance(f, StepFunction):
+        return _step_pieces(f)
+    if isinstance(f, PiecewiseLinear):
+        return _pl_pieces(f)
+    raise TypeError(f"no Poisson integral for {type(f).__name__}")
+
+
+def _closed_form(pieces: _FloatPieces, xs, y):
+    """P[f](x, y) summed piece by piece in the pieces' order; xs and y
+    broadcast against each other, so one call can cover many heights."""
+    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
+    if not pieces.linear:
+        for a, b, v in pieces.rows:
+            out += v * stable_atan_diff((b - xs) / y, (a - xs) / y)
+    else:
+        # on a piece where f(t) = alpha + beta t the antiderivative contributes
+        # (alpha + beta x) * atan-term + (beta y / 2) * log-ratio term
+        for a, b, _, _, alpha, beta in pieces.rows:
+            u = (b - xs) / y
+            w = (a - xs) / y
+            out += (alpha + beta * xs) * stable_atan_diff(u, w)
+            # log((u^2+1)/(w^2+1)) via log1p to survive u ~ w
+            out += 0.5 * beta * y * np.log1p((u * u - w * w) / (w * w + 1.0))
+    return out / math.pi
+
+
+def poisson_integral_step(f: StepFunction, x, y: float):
+    """P[f](x, y) for a step function: sum of weighted arctan masses."""
+    if y <= 0:
+        raise ValueError("height y must be positive")
+    return _ret(x, _closed_form(_step_pieces(f), _as_xs(x), y))
+
+
+def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
+    """P[f](x, y) for a piecewise-linear function, by the arctangent and
+    log-ratio closed form of each linear piece."""
+    if y <= 0:
+        raise ValueError("height y must be positive")
+    return _ret(x, _closed_form(_pl_pieces(f), _as_xs(x), y))
 
 
 def poisson_integral(f, x, y: float):
@@ -145,17 +179,34 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
 PRUNE_CELL = 1.0 / 16       # width of the envelope-pruning cells
 SCAN_DENSITY = 4096         # scan points per unit length inside a window
 MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
+EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluator
 BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
 BISECT_MAX_ITER = 80
 ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
 EDGE_SLACK = 2 * (BISECT_TOL + 1.0 / ROUND_DEN)  # per component: two edges
 
 
-def _max_poisson_abs(f_abs, xs: np.ndarray, y_grid: Sequence[float]) -> np.ndarray:
-    best = np.full(xs.shape, -np.inf)
-    for y in y_grid:
-        best = np.maximum(best, poisson_integral(f_abs, xs, float(y)))
-    return best
+def _heights(y_grid: Sequence[float]) -> np.ndarray:
+    """The height grid as a float column, ready to broadcast against points."""
+    ys = np.array([float(y) for y in y_grid]).reshape(-1, 1)
+    if np.any(ys <= 0):
+        raise ValueError("height y must be positive")
+    return ys
+
+
+def _max_over_heights(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """max over the heights ys (a column) of P[f](x, y) at every x of xs.
+
+    Each block of EVAL_CHUNK points is evaluated at all heights at once, so
+    peak memory stays at a few (heights x EVAL_CHUNK) arrays however long the
+    scan.  Every value is the one poisson_integral gives at that height.
+    """
+    flat = xs.reshape(-1)
+    out = np.empty(flat.shape)
+    for s in range(0, flat.size, EVAL_CHUNK):
+        block = _closed_form(pieces, flat[s:s + EVAL_CHUNK], ys)
+        out[s:s + EVAL_CHUNK] = np.max(block, axis=0, initial=-np.inf)
+    return out.reshape(xs.shape)
 
 
 def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
@@ -163,9 +214,7 @@ def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
     maximal operator sup_{y>0} P[|f|](x, y).  |f| is formed exactly."""
     if not list(y_grid):
         raise ValueError("y_grid must be nonempty")
-    f_abs = f.abs()
-    xs = _as_xs(x)
-    out = _max_poisson_abs(f_abs, xs, y_grid)
+    out = _max_over_heights(_float_pieces(f.abs()), _as_xs(x), _heights(y_grid))
     return _ret(x, out)
 
 
@@ -173,6 +222,26 @@ def _runs(mask: np.ndarray):
     """(start, stop) index pairs of the maximal runs of True in mask."""
     flips = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
     return zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1))
+
+
+def _bisect_edges(exceeds, outside: np.ndarray, inside: np.ndarray):
+    """Bisect every bracket (outside, inside) of a superlevel-set edge at once.
+
+    Each round first closes the brackets no wider than BISECT_TOL, then moves
+    one end of every open bracket to its midpoint, all midpoints in one
+    exceeds call.  Returns the outer ends and the number of brackets still
+    open after BISECT_MAX_ITER rounds (each a failed bisection).
+    """
+    open_ = np.arange(outside.size)
+    for _ in range(BISECT_MAX_ITER):
+        open_ = open_[np.abs(inside[open_] - outside[open_]) > BISECT_TOL]
+        if not open_.size:
+            break
+        mid = 0.5 * (outside[open_] + inside[open_])
+        hit = exceeds(mid)
+        inside[open_[hit]] = mid[hit]
+        outside[open_[~hit]] = mid[~hit]
+    return outside, open_.size
 
 
 class SuperlevelSet(NamedTuple):
@@ -187,70 +256,61 @@ def superlevel_set(g, alpha: float,
                    y_grid: Sequence[float] = DEFAULT_Y_GRID) -> SuperlevelSet:
     """Locate { x : max over y_grid of P[|g|](x, y) > alpha }.
 
-    Cells of width PRUNE_CELL are pruned where the per-piece envelope
-    min(sup, mass / (2 pi d)), valid at every height (d the distance to the
-    piece), sums to at most alpha.  Each remaining window is scanned at
-    spacing about 1/SCAN_DENSITY; both edges of every run of exceeding scan
-    points are bisected to BISECT_TOL, keeping the outer end of the bracket,
-    and rounded outward to multiples of 1/ROUND_DEN.  Each component thus
-    carries at most EDGE_SLACK of endpoint uncertainty.  A component
-    narrower than the scan spacing can be missed.  A bisection that does not
-    reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
-    `bisection_failures`.
+    The pieces of |g| are converted to floats once, and one evaluator takes
+    the max over every height of y_grid in a single (heights x points) array
+    pass, in blocks of EVAL_CHUNK points.  Cells of width PRUNE_CELL are
+    pruned where the per-piece envelope min(sup, mass / (2 pi d)), valid at
+    every height (d the distance to the piece), sums to at most alpha.  Each
+    remaining window is scanned at spacing about 1/SCAN_DENSITY.  Both edges
+    of every run of exceeding scan points are bisected to BISECT_TOL, all
+    edges of the set together with one evaluator call per step, keeping the
+    outer end of each bracket; the edges are then rounded outward to
+    multiples of 1/ROUND_DEN.  Each component thus carries at most
+    EDGE_SLACK of endpoint uncertainty.  A component narrower than the scan
+    spacing can be missed.  A bisection that does not reach BISECT_TOL
+    within BISECT_MAX_ITER steps is counted in `bisection_failures`.
     """
-    g_abs = g.abs()
-    rows = []  # (a, b, sup, mass) per piece of |g|
-    if isinstance(g_abs, StepFunction):
-        for iv, v in g_abs.pieces:
-            a, b = float(iv.lo), float(iv.hi)
-            rows.append((a, b, float(v), float(v) * (b - a)))
-    else:
-        for (x0, y0), (x1, y1) in g_abs.segments():
-            if y0 or y1:
-                a, b, fa, fb = float(x0), float(x1), float(y0), float(y1)
-                rows.append((a, b, max(fa, fb), 0.5 * (fa + fb) * (b - a)))
-    if not rows:
+    pieces = _float_pieces(g.abs())
+    if not pieces.rows:
         return SuperlevelSet(IntervalUnion.empty(), 0, 0, 0.0, 0.0)
+    if pieces.linear:
+        envelope_rows = [(a, b, max(fa, fb), 0.5 * (fa + fb) * (b - a))
+                         for a, b, fa, fb, _, _ in pieces.rows]
+    else:
+        envelope_rows = [(a, b, v, v * (b - a)) for a, b, v in pieces.rows]
 
     # prune: a cell whose envelope sum stays at or under alpha holds no point
     # of the set, whatever the height
-    radius = sum(r[3] for r in rows) / (math.pi * alpha) + PRUNE_CELL
-    lo = min(r[0] for r in rows) - radius
-    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
+    radius = sum(r[3] for r in envelope_rows) / (math.pi * alpha) + PRUNE_CELL
+    lo = min(r[0] for r in envelope_rows) - radius
+    n_cells = int(math.ceil((max(r[1] for r in envelope_rows) + radius - lo) / PRUNE_CELL))
     edges = lo + PRUNE_CELL * np.arange(n_cells + 1)
     envelope = np.zeros(n_cells)
-    for a, b, sup, mass in rows:
+    for a, b, sup, mass in envelope_rows:
         dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
         with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
         envelope += np.minimum(sup, far)
     windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
 
+    ys = _heights(y_grid)
+
     def exceeds(xs):
-        return _max_poisson_abs(g_abs, xs, y_grid) > alpha
+        return _max_over_heights(pieces, xs, ys) > alpha
 
-    def edge(outside, inside):
-        for _ in range(BISECT_MAX_ITER):
-            if abs(inside - outside) <= BISECT_TOL:
-                return outside, True
-            mid = 0.5 * (outside + inside)
-            if exceeds(np.array([mid]))[0]:
-                inside = mid
-            else:
-                outside = mid
-        return outside, False
-
-    parts, failures = [], 0
+    # one bracket per edge, left then right edge of each run; a run that
+    # reaches the end of its window gets the zero-width bracket at that end
+    outside, inside = [], []
     for w_lo, w_hi in windows:
         n_pts = max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
         xs = np.linspace(w_lo, w_hi, n_pts)
         for s, stop in _runs(exceeds(xs)):
-            left, ok_left = (xs[0], True) if s == 0 else edge(xs[s - 1], xs[s])
-            right, ok_right = ((xs[-1], True) if stop == n_pts
-                               else edge(xs[stop], xs[stop - 1]))
-            failures += (not ok_left) + (not ok_right)
-            parts.append(RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
-                                          Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN)))
+            outside += [xs[max(s - 1, 0)], xs[min(stop, n_pts - 1)]]
+            inside += [xs[s], xs[stop - 1]]
+    ends, failures = _bisect_edges(exceeds, np.array(outside), np.array(inside))
+    parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
+                              Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN))
+             for left, right in zip(ends[0::2], ends[1::2])]
     return SuperlevelSet(normalize(parts), len(parts), failures,
                          windows[0][0] if windows else 0.0,
                          windows[-1][1] if windows else 0.0)

@@ -6,9 +6,13 @@ two families the counterexample constructions need (a point-covering test
 and its nested tail closure), enumerates closed rational sub-intervals of a
 stage deterministically, accumulates integral-test partial sums, and
 derives stages from approximation sequences in two ways: by pointwise
-exceedance of consecutive differences, and by superlevel sets of the
-Poisson maximal operator applied to consecutive differences, which
-poisson.superlevel_set locates.
+exceedance of consecutive differences, with piecewise-linear crossings at
+irrational thresholds rounded outward and certified exactly, and by
+superlevel sets of the Poisson maximal operator applied to consecutive
+differences, which poisson.superlevel_set locates.  The maximal-operator
+stages U_k for several k share their superlevel sets:
+schnorr_tests_from_poisson locates each set once and builds every stage
+from that one list.
 """
 
 from __future__ import annotations
@@ -171,14 +175,22 @@ def integral_test_partial(taus, t: float, n_terms: int) -> float:
 # stages derived from approximation sequences
 
 
+ROOT_DEN = 2 ** 48     # odd-i crossings are rounded outward to this grid
+ROOT_PAD = 2.0 ** -44  # outward pad on the float crossing before rounding
+ROOT_STEPS = 64        # outward grid steps allowed to certify a crossing
+
+
 def _exceedance_parts(g, i: int) -> list[RationalInterval]:
     """Parts of { |g| > 2^{-i/2} }, exact where the data allows.
 
     Step differences are classified exactly for every i by comparing squared
     values with the rational 2^-i.  Piecewise-linear crossings at odd i have
-    irrational locations; those endpoints are rounded outward to dyadics
-    (denominator 2^48), so the returned region is a superset with an exact
-    rational measure.
+    irrational locations; each float crossing is padded by ROOT_PAD and
+    rounded outward to a multiple of 1/ROOT_DEN, then certified exactly:
+    |g|^2 <= 2^-i must hold at the rounded crossing, else it steps outward
+    by 1/ROOT_DEN, at most ROOT_STEPS times before raising.  As |g| is
+    linear on the segment, the returned region is a certified superset with
+    an exact rational measure.
     """
     threshold_sq = Fraction(1, 2 ** i)
     if isinstance(g, StepFunction):
@@ -203,12 +215,21 @@ def _exceedance_parts(g, i: int) -> list[RationalInterval]:
             root = x0 + (eps - y0) * (x1 - x0) / (y1 - y0)
         else:
             rf = float(x0) + (eps_f - float(y0)) * float(x1 - x0) / float(y1 - y0)
-            pad = 2.0 ** -44
             if above1:  # exceedance on the right of the crossing: push root left
-                root = Fraction(math.floor((rf - pad) * 2 ** 48), 2 ** 48)
+                root = Fraction(math.floor((rf - ROOT_PAD) * ROOT_DEN), ROOT_DEN)
             else:
-                root = Fraction(math.ceil((rf + pad) * 2 ** 48), 2 ** 48)
-            root = min(max(root, x0), x1)
+                root = Fraction(math.ceil((rf + ROOT_PAD) * ROOT_DEN), ROOT_DEN)
+            step = Fraction(-1 if above1 else 1, ROOT_DEN)
+            for _ in range(ROOT_STEPS):
+                root = min(max(root, x0), x1)
+                value = y0 + (y1 - y0) * (root - x0) / (x1 - x0)
+                if value * value <= threshold_sq:
+                    break
+                root += step
+            else:
+                raise RuntimeError(
+                    f"crossing of |g| = 2^(-{i}/2) on [{x0}, {x1}] not certified "
+                    f"within {ROOT_STEPS} outward steps of 1/{ROOT_DEN}")
         if above1:
             out.append(RationalInterval(root, x1, root == x0, True))
         else:
@@ -247,34 +268,52 @@ class PoissonTestStage:
     stage_range: tuple[int, int]
 
 
-def schnorr_test_from_poisson(fs: Sequence, k: int,
-                              y_grid=DEFAULT_Y_GRID,
-                              stage_limit: int | None = None) -> PoissonTestStage:
-    """Stage U_k derived from the Poisson maximal operator: the union over
-    i >= 2k of { x : max over y_grid of P[|f_i - f_{i+1}|](x, y) > 2^{-i/2} }.
+def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
+                               y_grid=DEFAULT_Y_GRID,
+                               stage_limit: int | None = None) -> list[PoissonTestStage]:
+    """Stages U_k for every k in ks, from one list of superlevel sets.
 
-    Each superlevel set comes from poisson.superlevel_set, whose components
-    are rounded outward to dyadic rationals; `slack` adds its per-component
-    endpoint uncertainty EDGE_SLACK over all components.  The geometric
-    bound 3(sqrt 2 + 2)/2^k is checked against the exact measure of the
+    U_k is the union over i >= 2k of { x : max over y_grid of
+    P[|f_i - f_{i+1}|](x, y) > 2^{-i/2} }, so the stages share their sets:
+    each i from 2 min(ks) up is located once, by poisson.superlevel_set, and
+    every stage takes the sets with i >= 2k.  The components are rounded
+    outward to dyadic rationals; `slack` adds the per-component endpoint
+    uncertainty EDGE_SLACK over all components of the stage.  The geometric
+    bound 3(sqrt 2 + 2)/2^k is checked against the exact measure of each
     returned stage.
     """
-    if k < 0:
+    ks = list(ks)
+    if any(k < 0 for k in ks):
         raise ValueError("stage index must be >= 0")
     if not list(y_grid):
         raise ValueError("y_grid must be nonempty")
+    if not ks:
+        return []
     limit = len(fs) - 1 if stage_limit is None else stage_limit
+    first = 2 * min(ks)
     levels = [superlevel_set(fs[i + 1] - fs[i], 2.0 ** (-i / 2), y_grid)
-              for i in range(2 * k, limit)]
-    stage = normalize([part for level in levels for part in level.region.parts])
-    measured = stage.measure()
-    bound = 3.0 * (SQRT2 + 2.0) / 2.0 ** k
-    n_components = sum(level.components for level in levels)
-    slack = n_components * EDGE_SLACK
-    return PoissonTestStage(
-        stage=stage, measure=measured, bound=bound, slack=slack,
-        within_bound=float(measured) <= bound + slack,
-        components=n_components,
-        bisection_failures=sum(level.bisection_failures for level in levels),
-        stage_range=(2 * k, limit),
-    )
+              for i in range(first, limit)]
+    stages = []
+    for k in ks:
+        used = levels[2 * k - first:]
+        stage = normalize([part for level in used for part in level.region.parts])
+        measured = stage.measure()
+        bound = 3.0 * (SQRT2 + 2.0) / 2.0 ** k
+        n_components = sum(level.components for level in used)
+        slack = n_components * EDGE_SLACK
+        stages.append(PoissonTestStage(
+            stage=stage, measure=measured, bound=bound, slack=slack,
+            within_bound=float(measured) <= bound + slack,
+            components=n_components,
+            bisection_failures=sum(level.bisection_failures for level in used),
+            stage_range=(2 * k, limit),
+        ))
+    return stages
+
+
+def schnorr_test_from_poisson(fs: Sequence, k: int,
+                              y_grid=DEFAULT_Y_GRID,
+                              stage_limit: int | None = None) -> PoissonTestStage:
+    """Stage U_k derived from the Poisson maximal operator: the one-stage
+    case of schnorr_tests_from_poisson."""
+    return schnorr_tests_from_poisson(fs, [k], y_grid, stage_limit)[0]

@@ -37,7 +37,7 @@ from .constructions import (build_fourier_divergent, build_ml_poisson,
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval
 from .poisson import contraction_gap, poisson_integral, weak_type_check
-from .randomness import (covering_test, nest_tail, schnorr_test_from_poisson,
+from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
                          simple_test_from_approx)
 from .trig import TrigPoly, convergence_trace, l2_norm
 
@@ -153,6 +153,13 @@ class VerifyContext:
     def step(self):
         test = nest_tail(covering_test(self.point, self._depth(self.caps.m_max + 2)))
         return build_schnorr_poisson(test, self.caps.m_max)
+
+    @cached_property
+    def poisson_stages(self) -> list:
+        """Maximal-operator stages U_1..U_{k_max} of the step construction,
+        every superlevel set located once for all of them."""
+        return schnorr_tests_from_poisson(self.step.functions(),
+                                          range(1, self.caps.k_max + 1))
 
     @cached_property
     def tents(self):
@@ -469,11 +476,35 @@ def _check_step_limit_mass(ctx: VerifyContext):
         "final_mass": str(masses[-1]), "limit_bound": 8, "mode": "exact"}
 
 
+def _shell_window_floor(sc, point: Fraction, y: float, m: int) -> float:
+    """Certified floor for P[f_m](point, y) from the point's own shell.
+
+    The point lies in the shell S = [-(K+1), K+1], K = max(0, ceil|point| - 1),
+    where the limit takes its smallest value L, read from limit_value at the
+    shell's edge away from the point; stage m carries L - 2^-m there, off its
+    cover.  The kernel is at least 4/(5 pi y) on the window W of width y
+    centred at the point, and the cover takes at most y/4 of it, so the floor
+    is 4/(5 pi y) (L - 2^-m)(|W meet S| - y/4).
+    """
+    shell = max(0, math.ceil(abs(point)) - 1) + 1
+    weight = max(sc.limit_value(-shell if point >= 0 else shell) - Fraction(1, 2 ** m), 0)
+    half = Fraction(y) / 2
+    overlap = min(point + half, shell) - max(point - half, -shell)
+    return float(4 * weight * (overlap - half / 2) / (5 * Fraction(y))) / math.pi
+
+
 def _check_step_radial_floor(ctx: VerifyContext):
+    """Poisson values of the step construction at the covered point, each at
+    the smallest stage whose cover fits a quarter of the window, stay above
+    a floor.  At |point| < 1 it is the K-shell floor 3(2 - 2^-K)/(5 pi),
+    K = 1.  Farther out the point misses shell 0, whose weight that floor
+    counts, so each height gets the shell-window floor of its stage
+    (_shell_window_floor), reported with its entry."""
     if ctx.caps.m_max < 0:
         return None
     sc = ctx.step
     x = float(ctx.point)
+    inner = abs(ctx.point) < 1
     k_shell = math.floor(abs(ctx.point)) + 1
     floor = 3.0 * (2.0 - 2.0 ** -k_shell) / (5.0 * math.pi)
     tol = ctx.tolerances["radial_floor"]
@@ -484,12 +515,17 @@ def _check_step_radial_floor(ctx: VerifyContext):
         if st is None:
             continue
         value = float(poisson_integral(st.f, x, y))
-        checked.append({"y": y, "stage": st.m, "value": value})
-        if value < floor - tol:
-            return False, checked[-1] | {"floor": floor, "tolerance": tol}
+        entry = {"y": y, "stage": st.m, "value": value}
+        bound = floor if inner else _shell_window_floor(sc, ctx.point, y, st.m)
+        if not inner:
+            entry["floor"] = bound
+        checked.append(entry)
+        if value < bound - tol:
+            return False, entry | {"floor": bound, "tolerance": tol}
     if not checked:
         return None
-    return True, {"floor": floor, "checked": checked, "tolerance": tol}
+    shared = {"floor": floor} if inner else {}
+    return True, shared | {"checked": checked, "tolerance": tol}
 
 
 def _check_ml_contraction(ctx: VerifyContext):
@@ -557,10 +593,8 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
 def _check_lemma_poisson_measure(ctx: VerifyContext):
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max:
         return None
-    fns = ctx.step.functions()
     rows = {}
-    for k in range(1, ctx.caps.k_max + 1):
-        stage = schnorr_test_from_poisson(fns, k)
+    for k, stage in enumerate(ctx.poisson_stages, start=1):
         rows[k] = {"measure": float(stage.measure), "bound": stage.bound,
                    "slack": stage.slack}
         if not stage.within_bound or stage.bisection_failures:
@@ -575,8 +609,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
     fns = sc.functions()
     limit = len(fns) - 1
     k = 1
-    blocked = simple_test_from_approx(fns, k).union(
-        schnorr_test_from_poisson(fns, k).stage)
+    blocked = simple_test_from_approx(fns, k).union(ctx.poisson_stages[k - 1].stage)
     points = sorted({x for f in fns for x in f.breakpoints() if abs(x) <= 3})
     samples = []
     for a, b in zip(points, points[1:]):

@@ -3,12 +3,14 @@ which order, that a merged check fails and is named under both kinds of
 context, and the report fields downstream readers rely on."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from limitlab import poisson, verify
+from limitlab import poisson, randomness, verify
 from limitlab.cli import main
+from limitlab.constructions import StepConstruction
 from limitlab.intervals import IntervalUnion
 from limitlab.randomness import integral_test_partial
 
@@ -49,14 +51,10 @@ def test_scenario_reports_its_ids_in_order(tmp_path, argv, ids, point):
     report = _report(out)
     assert [e["id"] for e in report["bounds"]] == ids
     # every check passes (fourier.spectrum too: the cutoff rule is
-    # floor((n+1)^(2p+2)) at every p), except one known verdict: the K-shell
-    # floor of step.radial_floor is too high at |point| >= 1 and fails at y = 1
-    known_fail = {"step.radial_floor"} if point == "44/27" else set()
-    statuses = {e["id"]: e["status"] for e in report["bounds"]}
-    assert statuses == {cid: "fail" if cid in known_fail else "pass" for cid in ids}
-    failed = bool(known_fail & set(ids))
-    assert code == (1 if failed else 0)
-    assert report["overall"] == ("fail" if failed else "pass")
+    # floor((n+1)^(2p+2)) at every p; step.radial_floor too at |point| >= 1)
+    assert {e["id"]: e["status"] for e in report["bounds"]} == dict.fromkeys(ids, "pass")
+    assert code == 0
+    assert report["overall"] == "pass"
 
 
 def test_kernel_check_reports_its_nine_ids_in_order(tmp_path):
@@ -128,6 +126,31 @@ def test_weak_type_fault_is_caught_and_named(monkeypatch, fault):
     assert [r.check_id for r in results if r.status == "fail"] == ["pmt.weak_type"]
 
 
+def test_verify_all_locates_each_superlevel_set_once(monkeypatch):
+    """The maximal-operator stages of one verify run share their superlevel
+    sets: at default caps (m_max 12, so i = 2..11) that is 10 calls."""
+    calls = []
+    locate = randomness.superlevel_set
+
+    def counted(g, alpha, y_grid=poisson.DEFAULT_Y_GRID):
+        calls.append(alpha)
+        return locate(g, alpha, y_grid)
+    monkeypatch.setattr(randomness, "superlevel_set", counted)
+    results = {r.check_id: r for r in verify.verify_all()}
+    assert len(calls) == len(set(calls)) == 10
+
+    # the same checks fed by one schnorr_test_from_poisson call per k
+    ctx = verify.VerifyContext()
+    fns = ctx.step.functions()
+    ctx.poisson_stages = [randomness.schnorr_test_from_poisson(fns, k)
+                          for k in range(1, ctx.caps.k_max + 1)]
+    for check in verify.CHECKS:
+        if check.check_id in ("lemma_poisson.measure", "chain.schnorr_convergence"):
+            ok, details = check.fn(ctx)
+            assert ok and results[check.check_id].status == "pass"
+            assert results[check.check_id].details == details
+
+
 def test_growth_partials_equal_the_prefix_sums():
     ctx = verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3))
     growth = next(r for r in verify.run_checks(ctx, "build:fourier")
@@ -135,6 +158,39 @@ def test_growth_partials_equal_the_prefix_sums():
     taus = ctx.fourier.stage_polys()
     assert growth.details["partials"] == [integral_test_partial(taus, -1 / 3, n)
                                           for n in range(1, len(taus))]
+
+
+def test_radial_floor_pushed_above_the_value_fails_and_is_named(tmp_path, capsys,
+                                                               monkeypatch):
+    # a limit value far above the construction's lifts the shell-window floor
+    # at |point| >= 1 over the Poisson value
+    monkeypatch.setattr(StepConstruction, "limit_value", lambda self, t: Fraction(64))
+    out = tmp_path / "o"
+    assert main(["poisson-trace", "--m-max", "12", "--point", "44/27",
+                 "--out", str(out)]) == 1
+    report = _report(out)
+    failed = [e for e in report["bounds"] if e["status"] == "fail"]
+    assert [e["id"] for e in failed] == ["step.radial_floor"]
+    details = failed[0]["details"]
+    assert details["value"] < details["floor"] - details["tolerance"]
+    assert "step.radial_floor" in capsys.readouterr().err
+
+
+def test_radial_floor_at_the_outer_shell_is_certified():
+    # at |point| >= 1 every entry carries the shell-window floor of its stage,
+    # which is at most 4/(5 pi y) times the exact window mass of that stage
+    ctx = verify.VerifyContext(verify.Caps(m_max=12), point=Fraction(44, 27),
+                               heights=tuple(2.0 ** -j for j in range(13)))
+    ok, details = verify._check_step_radial_floor(ctx)
+    assert ok and "floor" not in details
+    assert len(details["checked"]) == 13
+    for entry in details["checked"]:
+        y = Fraction(entry["y"])
+        mass = ctx.step.stages[entry["stage"]].f.window_integral(ctx.point - y / 2,
+                                                                  ctx.point + y / 2)
+        assert entry["floor"] <= 4 * float(mass / y) / (5 * math.pi) * (1 + 1e-12)
+        assert entry["value"] >= entry["floor"]
+    assert any(entry["floor"] > 0 for entry in details["checked"])
 
 
 def test_radial_floor_without_a_fitting_stage_is_skipped(tmp_path):

@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from limitlab import poisson
 from limitlab.constructions import build_ml_poisson, build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval
 from limitlab.kernels import poisson_eval
 from limitlab.kernels import poisson_interval_mass as kernels_mass
-from limitlab.poisson import (contraction_gap, maximal_estimate,
+from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
+                              maximal_estimate, poisson_integral,
                               poisson_integral_pl, poisson_integral_step,
                               radial_trace, superlevel_set, weak_type_check)
 from limitlab.randomness import covering_test, nest_tail
@@ -232,6 +235,110 @@ class TestSuperlevelSet:
             idx = np.searchsorted(los, points, side="right") - 1
             assert np.all((idx >= 0) & (points <= his[np.maximum(idx, 0)]))
             assert abs(report.grid_measure - measure) <= cells + report.uncertainty
+
+
+# ----------------------------------------------------------------------
+# the one evaluator and the batched bisection against per-height references
+
+
+def reference_maximal(f_abs, xs):
+    """max over DEFAULT_Y_GRID of one poisson_integral call per height."""
+    best = np.full(xs.shape, -np.inf)
+    for y in DEFAULT_Y_GRID:
+        best = np.maximum(best, poisson_integral(f_abs, xs, float(y)))
+    return best
+
+
+def per_edge_bisection(g, alpha):
+    """Reference for poisson._bisect_edges: every edge bisected alone, one
+    point at a time, through reference_maximal."""
+    g_abs = g.abs()
+
+    def bisect(exceeds, outside, inside):
+        ends, failures = [], 0
+        for out, ins in zip(outside, inside):
+            for _ in range(poisson.BISECT_MAX_ITER):
+                if abs(ins - out) <= poisson.BISECT_TOL:
+                    break
+                mid = 0.5 * (out + ins)
+                if reference_maximal(g_abs, np.array([mid]))[0] > alpha:
+                    ins = mid
+                else:
+                    out = mid
+            else:
+                failures += 1
+            ends.append(out)
+        return np.array(ends), failures
+    return bisect
+
+
+def located(level):
+    return (level.region, level.components, level.bisection_failures,
+            level.scan_lo, level.scan_hi)
+
+
+dyadic = st.integers(-48, 48).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def maximal_inputs(draw):
+    """A step function, a piecewise-linear function or a narrow tall spike,
+    with alpha in 2^-3 .. 2^3."""
+    kind = draw(st.sampled_from(["step", "pl", "spike"]))
+    if kind == "step":
+        cuts = sorted(set(draw(st.lists(dyadic, min_size=2, max_size=6))))
+        weights = [Fraction(draw(st.integers(-24, 24)), 4) for _ in cuts[1:]]
+        f = StepFunction.from_weighted_regions(
+            [(w, IntervalUnion.single(a, b)) for w, a, b in zip(weights, cuts, cuts[1:]) if w])
+    elif kind == "pl":
+        xs = sorted(set(draw(st.lists(dyadic, min_size=2, max_size=6))))
+        ys = [Fraction(draw(st.integers(-24, 24)), 4) for _ in xs[2:]]
+        f = PiecewiseLinear(tuple(zip(xs, [0, *ys, 0])))
+    else:
+        width = Fraction(1, 2 ** draw(st.integers(4, 12)))
+        lo = draw(dyadic)
+        height = Fraction(draw(st.integers(1, 64))) / (16 * width)
+        f = StepFunction.indicator(IntervalUnion.single(lo, lo + width), height)
+    return f, 2.0 ** draw(st.integers(-3, 3))
+
+
+@given(maximal_inputs())
+@settings(max_examples=40, deadline=None)
+def test_evaluator_matches_per_height_calls(inputs):
+    f, alpha = inputs
+    xs = np.linspace(-8, 8, 2 * EVAL_CHUNK + 3)  # spans three blocks
+    got = maximal_estimate(f, xs)
+    want = reference_maximal(f.abs(), xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got > alpha, want > alpha)
+
+
+@given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
+@settings(max_examples=25, deadline=None)
+def test_superlevel_set_matches_per_edge_bisection(inputs, max_iter):
+    """Equal sets, components and scan edges; with a 6-step budget the same
+    edges also fail."""
+    f, alpha = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "BISECT_MAX_ITER", max_iter)
+        got = superlevel_set(f, alpha)
+        mp.setattr(poisson, "_bisect_edges", per_edge_bisection(f, alpha))
+        want = superlevel_set(f, alpha)
+    assert located(got) == located(want)
+
+
+def test_swapped_bisection_update_is_caught(monkeypatch):
+    """Negative control: a batched bisection that moves the outside end on an
+    exceeding midpoint (inside and outside swapped) no longer matches the
+    per-edge reference."""
+    bisect = poisson._bisect_edges
+    f = random_test_functions(11, 4)[0]
+    monkeypatch.setattr(poisson, "_bisect_edges", per_edge_bisection(f, 1.0))
+    want = located(superlevel_set(f, 1.0))
+    assert want[1] > 0
+    monkeypatch.setattr(poisson, "_bisect_edges",
+                        lambda exceeds, o, i: bisect(lambda xs: ~exceeds(xs), o, i))
+    assert located(superlevel_set(f, 1.0)) != want
 
 
 class TestContractionGap:

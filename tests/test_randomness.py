@@ -4,13 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from limitlab import randomness
 from limitlab.constructions import build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.randomness import (TestFamily, covering_test,
                                  enumerate_intervals, integral_test_partial,
                                  nest_tail, schnorr_test_from_poisson,
+                                 schnorr_tests_from_poisson,
                                  simple_test_from_approx)
 from limitlab.trig import TrigPoly
 
@@ -232,7 +235,52 @@ class TestSimpleTest:
         assert mid.subset_of(stage)
 
 
+@st.composite
+def tent_differences(draw):
+    """A difference of two scaled tents on dyadic intervals, and an odd i."""
+    def scaled_tent():
+        a = Fraction(draw(st.integers(-64, 64)), 16)
+        b = a + Fraction(draw(st.integers(1, 64)), 16)
+        return tent(RationalInterval(a, b)).scale(Fraction(draw(st.integers(1, 24)), 8))
+    return scaled_tent() - scaled_tent(), 2 * draw(st.integers(0, 7)) + 1
+
+
+@given(tent_differences())
+@settings(max_examples=100, deadline=None)
+def test_odd_crossings_are_certified(inputs):
+    """Every crossing endpoint of an odd-i exceedance region satisfies
+    |g|^2 <= 2^-i exactly (so the region is a superset), and lies within
+    2^-40 of the true crossing (so the superset is tight)."""
+    g, i = inputs
+    h = g.abs()
+    threshold_sq = Fraction(1, 2 ** i)
+    vertices = {x for x, _ in h.vertices}
+    for part in randomness._exceedance_parts(g, i):
+        for end, inward in ((part.lo, 1), (part.hi, -1)):
+            if end in vertices:
+                continue
+            assert h.eval(end) ** 2 <= threshold_sq
+            assert h.eval(end + inward * Fraction(1, 2 ** 40)) ** 2 > threshold_sq
+
+
+def test_uncertified_crossing_raises(monkeypatch):
+    """A float crossing pushed inward by 2^-30 cannot be certified within
+    ROOT_STEPS outward steps of 2^-48: the exhausted budget raises."""
+    monkeypatch.setattr(randomness, "ROOT_PAD", -2.0 ** -30)
+    g = tent(RationalInterval(0, 4))
+    with pytest.raises(RuntimeError, match="not certified"):
+        randomness._exceedance_parts(g, 1)
+
+
 class TestPoissonTest:
+    def test_shared_levels_match_one_call_per_stage(self):
+        fs = step_sequence(8)
+        assert schnorr_tests_from_poisson(fs, range(4)) == [
+            schnorr_test_from_poisson(fs, k) for k in range(4)]
+        assert schnorr_tests_from_poisson(fs, [2, 1], stage_limit=6) == [
+            schnorr_test_from_poisson(fs, k, stage_limit=6) for k in (2, 1)]
+        assert schnorr_tests_from_poisson(fs, []) == []
+
     def test_identical_stages_empty(self):
         fs = [StepFunction.indicator(IntervalUnion.single(0, 1))] * 6
         result = schnorr_test_from_poisson(fs, 1)
