@@ -1,7 +1,8 @@
 """The three explicit counterexample constructions.
 
 * build_fourier_divergent: a scaled sum of translated Fejer kernels per
-  stage of a covering test; its partial-sum jumps at a covered point stay
+  stage of a covering test, held in closed form (centres, order, amplitude)
+  rather than as coefficients; its stage values at a covered point stay
   above a fixed floor while the stage norms remain summable.
 * build_schnorr_poisson: monotone step functions vanishing on the nested
   stages of a test; at a covered point the Poisson integral keeps a
@@ -21,14 +22,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .functions import PiecewiseLinear, StepFunction
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
+from .kernels import FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
-from .trig import TrigPoly, l2_norm, lp_norm
-
-MACHINE_EPS = 2.3e-16
 
 
 # ----------------------------------------------------------------------
@@ -40,12 +37,10 @@ class FourierStage:
     n: int
     cutoff: int                     # spectrum of this stage lives in [-cutoff, cutoff]
     centers: list                   # rational translation centers, one per interval
-    g: TrigPoly
-    f_even: TrigPoly                # partial construction before this stage
-    f_odd: TrigPoly                 # partial construction including this stage
+    g: FejerSum                     # C/(N+1) sum_c F_N(x - c), in closed form
     g_norm: float
     norm_majorant: float            # C * A * (2n+1) / (n+1)^(2+2/p)
-    eval_error_bound: float         # phase-rounding budget for point values
+    eval_error_bound: float         # rounding budget for point values of g and its partial sums
 
 
 @dataclass
@@ -56,18 +51,21 @@ class FourierConstruction:
     stages: list = field(default_factory=list)
 
     @property
-    def final(self) -> TrigPoly:
-        return self.stages[-1].f_odd
+    def final(self) -> FejerSum:
+        return sum((st.g for st in self.stages), FejerSum())
 
     def cutoffs(self) -> list[int]:
         return [st.cutoff for st in self.stages]
 
-    def stage_polys(self) -> list[TrigPoly]:
-        """f_0, f_1, ..., f_{2 n_max + 1} (even index: before, odd: after)."""
+    def stage_polys(self) -> list[FejerSum]:
+        """f_0, f_1, ..., f_{2 n_max + 1} (even index: before, odd: after
+        stage n), each the closed-form sum of the stages it contains."""
         out = []
+        acc = FejerSum()
         for st in self.stages:
-            out.append(st.f_even)
-            out.append(st.f_odd)
+            out.append(acc)
+            acc = acc + st.g
+            out.append(acc)
         return out
 
     def summability(self) -> tuple[list[float], list[float]]:
@@ -117,12 +115,17 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
                             point=None, norm_tol: float = 1e-9) -> FourierConstruction:
     """Stage n adds g_n = (C/(N_n+1)) sum over the first 2n+1 enumerated
     intervals I of F_{N_n} translated to the midpoint of I, with
-    N_n = floor((n+1)^(2p+2)).
+    N_n = floor((n+1)^(2p+2)).  Each stage is held in closed form
+    (kernels.FejerSum); its eval_error_bound covers point values of g_n and
+    of its partial sums at every |x| <= pi + max|c|, which takes in the
+    quadrature period and every point within 1/8 of a centre.
 
     Verified per stage, exactly where the data allows: spectrum inside
     [-N_n, N_n], and the norm against C * A * (2n+1)/(n+1)^(2+2/p) with the
-    measured ratio constant A.  When `point` is given, each stage must place
-    an enumerated interval containing it.
+    measured ratio constant A.  At p = 2 the norm is the exact coefficient
+    energy; otherwise it is quadrature on panels anchored at the centres.
+    When `point` is given, each stage must place an enumerated interval
+    containing it.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -131,11 +134,9 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
     if test.depth < n_max:
         raise ValueError(f"test family depth {test.depth} short of n_max {n_max}")
     if ratio_constant is None:
-        from .kernels import fejer_ratio_constant
         ratio_constant = fejer_ratio_constant(p)
 
     construction = FourierConstruction(p=p, c_mult=c_mult, ratio_constant=ratio_constant)
-    f_cur = TrigPoly.zero()
     for n in range(n_max + 1):
         s = 2 * n + 1
         intervals = enumerate_intervals(test, n, s)
@@ -144,32 +145,22 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
                 f"stage {n}: none of the first {s} enumerated intervals covers the point")
         centers = [iv.midpoint for iv in intervals]
         cutoff = stage_cutoff(n, p)
-
-        ms = np.arange(-cutoff, cutoff + 1)
-        weights = (1.0 - np.abs(ms) / (cutoff + 1)) * (c_mult / (cutoff + 1))
-        phases = np.zeros(len(ms), dtype=complex)
-        for c in centers:
-            phases += np.exp(-1j * ms * float(c))
-        g = TrigPoly({int(m): complex(v) for m, v in zip(ms, weights * phases) if v != 0},
-                     exact=False)
+        g = FejerSum.stage(c_mult, cutoff, centers)
         if g.degree > cutoff:
             raise AssertionError(f"stage {n}: spectrum escaped [-{cutoff}, {cutoff}]")
 
-        g_norm = l2_norm(g) if p == 2 else lp_norm(g, p, norm_tol)
+        g_norm = g.l2_norm() if p == 2 else g.lp_norm(p, norm_tol)
         majorant = c_mult * ratio_constant * (2 * n + 1) / (n + 1) ** (2.0 + 2.0 / p)
         if g_norm > majorant * (1 + 1e-9):
             raise AssertionError(
                 f"stage {n}: norm {g_norm} exceeds its majorant {majorant}")
 
-        max_center = max((abs(float(c)) for c in centers), default=0.0)
-        err = MACHINE_EPS * c_mult * s * (1.0 + cutoff * max_center)
-        f_next = f_cur + g
+        radius = math.pi + max(abs(float(c)) for c in centers)
         construction.stages.append(FourierStage(
             n=n, cutoff=cutoff, centers=centers, g=g,
-            f_even=f_cur, f_odd=f_next,
-            g_norm=g_norm, norm_majorant=majorant, eval_error_bound=err,
+            g_norm=g_norm, norm_majorant=majorant,
+            eval_error_bound=g.error_bound(radius),
         ))
-        f_cur = f_next
     return construction
 
 

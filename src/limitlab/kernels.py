@@ -1,4 +1,4 @@
-"""Dirichlet, Fejer, and Poisson kernels.
+"""Dirichlet, Fejer, and Poisson kernels, and closed-form Fejer sums.
 
 Point values come from the closed forms
 
@@ -6,15 +6,29 @@ Point values come from the closed forms
     F_N(x) = (1/(N+1)) (sin((N+1)x/2) / sin(x/2))^2
     P_y(x) = (1/pi) y / (x^2 + y^2)
 
-with the removable singularities of the trigonometric forms handled by
-falling back to the defining coefficient sums wherever |sin(x/2)| is tiny.
-Coefficient objects (fejer_coeffs) are exact rationals.
+after reducing x mod 2 pi into [-pi, pi].  Where |sin(x/2)| is tiny the
+removable singularity is handled by the second-order expansions
+
+    D_N(x) ~ (2N+1) (1 - N(N+1) x^2/6),   F_N(x) ~ (N+1) (1 - N(N+2) x^2/12),
+
+exact at x = 0, at O(1) cost per point.  kernel_eval_error states the
+rounding budget of both evaluators.  Coefficient objects (fejer_coeffs) are
+exact rationals.
+
+A FejerSum is a finite sum of weighted, translated and possibly truncated
+Fejer kernels held in closed form: its point values, partial sums and L^p
+norms cost O(number of translates) per point, never O(N).  A dense float
+coefficient array is built only on request, for spectrum and energy checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,53 +36,74 @@ from . import quadrature
 from .trig import TrigPoly
 
 SIN_HALF_FLOOR = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53
+TWO_PI = 2.0 * math.pi
 
 
 def _scalar_or_array(x, out):
     return float(out[0]) if out.shape == (1,) and np.isscalar(x) else out
 
 
+def _reduced(x) -> np.ndarray:
+    """x mod 2 pi in [-pi, pi]; arguments already in [-pi, pi] pass unchanged."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return xs - TWO_PI * np.rint(xs / TWO_PI)
+
+
 def dirichlet_eval(n_cut: int, x):
     """D_N(x) = sum_{|m| <= N} e^{imx}, evaluated as a real number."""
     if n_cut < 0:
         raise ValueError("kernel order must be >= 0")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _reduced(x)
     half = np.sin(xs / 2.0)
     safe = np.abs(half) >= SIN_HALF_FLOOR
     out = np.empty_like(xs)
     out[safe] = np.sin((n_cut + 0.5) * xs[safe]) / half[safe]
     if not safe.all():
-        out[~safe] = _dirichlet_sum(n_cut, xs[~safe])
+        near = xs[~safe]
+        out[~safe] = (2 * n_cut + 1) * (1.0 - n_cut * (n_cut + 1) * (near * near) / 6.0)
     return _scalar_or_array(x, out)
-
-
-def _dirichlet_sum(n_cut: int, xs: np.ndarray) -> np.ndarray:
-    total = np.ones_like(xs)
-    for m in range(1, n_cut + 1):
-        total += 2.0 * np.cos(m * xs)
-    return total
 
 
 def fejer_eval(n_cut: int, x):
     """F_N(x), nonnegative, equal to the mean of D_0 .. D_N."""
     if n_cut < 0:
         raise ValueError("kernel order must be >= 0")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _reduced(x)
     half = np.sin(xs / 2.0)
     safe = np.abs(half) >= SIN_HALF_FLOOR
     out = np.empty_like(xs)
     ratio = np.sin((n_cut + 1) * xs[safe] / 2.0) / half[safe]
     out[safe] = ratio * ratio / (n_cut + 1)
     if not safe.all():
-        out[~safe] = _fejer_sum(n_cut, xs[~safe])
+        near = xs[~safe]
+        out[~safe] = (n_cut + 1) * (1.0 - n_cut * (n_cut + 2) * (near * near) / 12.0)
     return _scalar_or_array(x, out)
 
 
-def _fejer_sum(n_cut: int, xs: np.ndarray) -> np.ndarray:
-    total = np.ones_like(xs)
-    for m in range(1, n_cut + 1):
-        total += 2.0 * (1.0 - m / (n_cut + 1)) * np.cos(m * xs)
-    return total
+def kernel_eval_error(n_cut: int, radius: float) -> float:
+    """Bound on |computed - exact| of dirichlet_eval(m, x) and fejer_eval(m, x)
+    for every order m <= n_cut and float |x| <= radius, against the kernel at
+    that float.  Errors already present in x are the caller's: both kernels
+    are at most 2N+1 and, by Bernstein's inequality, N(2N+1)-Lipschitz.
+
+    Three parts, each scaled by 2N+1:
+    * argument reduction: k = rint(x / 2 pi) with |k| <= radius/(2 pi) + 1/2
+      misplaces x by at most 2u(radius + 2 pi), u the unit roundoff (zero
+      for |x| <= pi), and moves the value by N times that;
+    * rounding in the closed forms (sines to 4 ulp, one product, one
+      quotient and, for F_N, the square; |x| / |sin(x/2)| <= pi on
+      [-pi, pi] keeps the rounding of the scaled argument bounded) or in
+      the expansions: in all under 64u;
+    * the expansions, used only where |x| < 4 SIN_HALF_FLOOR after
+      reduction: each cosine's alternating Taylor remainder is at most
+      (mx)^4/24, so in all at most (N x)^4 / 24.
+    """
+    u = UNIT_ROUNDOFF
+    order = 2 * n_cut + 1
+    reduction = 0.0 if radius <= math.pi else 2 * u * (radius + TWO_PI)
+    remainder = (4 * n_cut * SIN_HALF_FLOOR) ** 4 / 24.0
+    return order * (n_cut * reduction + 64 * u + remainder)
 
 
 def fejer_coeffs(n_cut: int) -> TrigPoly:
@@ -149,11 +184,175 @@ def fejer_lp_ratio(n_cut: int, p: float, tol: float = 1e-9,
     return norm / (n_cut + 1) ** (1.0 - 1.0 / p)
 
 
+@functools.cache
 def fejer_ratio_constant(p: float, n_range=range(1, 65), tol: float = 1e-9) -> float:
     """Empirical two-sided constant for the L^p norm-growth equivalence.
 
     Returns the smallest A >= 1 with A^{-1} <= ratio(N) <= A over the
-    sampled orders, where ratio(N) = ||F_N||_p / (N+1)^{1-1/p}.
+    sampled orders, where ratio(N) = ||F_N||_p / (N+1)^{1-1/p}.  The value
+    is a pure function of its arguments and is computed once per process.
     """
     ratios = [fejer_lp_ratio(n, p, tol) for n in n_range]
     return max(max(ratios), 1.0 / min(ratios), 1.0)
+
+
+# ----------------------------------------------------------------------
+# closed-form sums of translated Fejer kernels
+
+EVAL_CHUNK = 1 << 16      # (points x translates) evaluated per block
+PANEL_WIDTH = 2.0         # quadrature panels at most this many pi/(K+1) wide
+
+
+class FejerTerm(NamedTuple):
+    """w * sum_c S_M F_N(x - c): order N, cutoff M (M >= N keeps every frequency)."""
+
+    weight: float
+    order: int
+    centers: tuple
+    cutoff: int
+
+    @property
+    def degree(self) -> int:
+        return min(self.order, self.cutoff)
+
+
+def _term_values(term: FejerTerm, ts: np.ndarray) -> np.ndarray:
+    """One term at the points ts.  Below its order the partial sum is
+    S_M F_N = D_M - (M+1)/(N+1) (D_M - F_M)."""
+    w, n, centers, m = term
+    cs = np.asarray(centers, dtype=float)
+    out = np.empty(ts.shape)
+    step = max(1, EVAL_CHUNK // len(cs))
+    for lo in range(0, len(ts), step):
+        d = ts[lo:lo + step, None] - cs[None, :]
+        if m >= n:
+            k = fejer_eval(n, d)
+        else:
+            dm = dirichlet_eval(m, d)
+            k = dm - (m + 1) / (n + 1) * (dm - fejer_eval(m, d))
+        out[lo:lo + step] = w * k.sum(axis=1)
+    return out
+
+
+@dataclass(frozen=True)
+class FejerSum:
+    """x -> sum over terms of w * sum_c S_M F_N(x - c), held in closed form.
+
+    A Fourier stage C/(N+1) sum_c F_N(x - c) is one term (FejerSum.stage);
+    sums of stages concatenate terms, and partial_sum lowers every cutoff.
+    Point values cost O(translates) through fejer_eval and dirichlet_eval;
+    the dense coefficient array exists only for spectrum and energy checks.
+    """
+
+    terms: tuple = ()
+
+    @staticmethod
+    def stage(amplitude: float, order: int, centers) -> "FejerSum":
+        """C/(N+1) sum_c F_N(x - c) over the (float) centres c."""
+        if order < 0 or not centers:
+            raise ValueError("a stage needs order >= 0 and at least one centre")
+        return FejerSum((FejerTerm(amplitude / (order + 1), order,
+                                   tuple(float(c) for c in centers), order),))
+
+    def __add__(self, other: "FejerSum") -> "FejerSum":
+        return FejerSum(self.terms + other.terms)
+
+    def partial_sum(self, n_cut: int) -> "FejerSum":
+        """Restriction to frequencies |m| <= n_cut."""
+        if n_cut < 0:
+            raise ValueError("cutoff must be >= 0")
+        return FejerSum(tuple(t._replace(cutoff=min(t.cutoff, n_cut)) for t in self.terms))
+
+    def eval(self, t):
+        """Real value at a scalar or 1-d array of reals; terms add left to
+        right, so a sum's value extends the value of each of its prefixes."""
+        scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros(ts.shape)
+        for term in self.terms:
+            out = out + _term_values(term, ts)
+        return float(out[0]) if scalar else out
+
+    # ------------------------------------------------------------------
+    # dense coefficients: spectrum and energy only
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Float coefficients of e^{imx} for m = -K..K, K the largest kept
+        frequency: w (1 - |m|/(N+1)) sum_c e^{-imc} per term."""
+        size = max((t.degree for t in self.terms), default=0)
+        out = np.zeros(2 * size + 1, dtype=complex)
+        for term in self.terms:
+            k = term.degree
+            ms = np.arange(-k, k + 1)
+            phases = np.zeros(len(ms), dtype=complex)
+            for c in term.centers:
+                phases += np.exp(-1j * ms * c)
+            out[size - k:size + k + 1] += (1.0 - np.abs(ms) / (term.order + 1)) * term.weight * phases
+        out.flags.writeable = False   # shared by every caller of the cache
+        return out
+
+    @property
+    def degree(self) -> int:
+        """Largest |m| with a nonzero dense coefficient; 0 for the zero sum."""
+        nonzero = np.flatnonzero(self.coefficients)
+        size = len(self.coefficients) // 2
+        return int(np.max(np.abs(nonzero - size))) if nonzero.size else 0
+
+    def l2_norm(self) -> float:
+        """sqrt(2 pi sum |c_m|^2) from the dense coefficients."""
+        c = self.coefficients
+        return math.sqrt(TWO_PI * float(np.sum(c.real * c.real + c.imag * c.imag)))
+
+    # ------------------------------------------------------------------
+    # quadrature and error budget
+
+    def panel_edges(self) -> np.ndarray:
+        """Edges of one period [-pi, pi]: every centre (mod 2 pi) is an edge,
+        so no kernel peak straddles a panel, and no panel is wider than
+        PANEL_WIDTH pi/(K+1), K the largest kept frequency, so every lobe of
+        width 2 pi/(K+1) is resolved before the first doubling."""
+        width = PANEL_WIDTH * math.pi / (max(t.degree for t in self.terms) + 1)
+        centers = np.concatenate([np.asarray(t.centers) for t in self.terms])
+        anchors = np.unique(np.concatenate(
+            [[-math.pi, math.pi], np.clip(_reduced(centers), -math.pi, math.pi)]))
+        edges = [anchors[:1]]
+        for a, b in zip(anchors, anchors[1:]):
+            edges.append(np.linspace(a, b, math.ceil((b - a) / width) + 1)[1:])
+        return np.concatenate(edges)
+
+    def lp_norm(self, p: float, tol: float = 1e-10) -> float:
+        """(integral over one period of |f|^p)^(1/p), by quadrature on
+        panel_edges; a budget exhausted before two successive doublings agree
+        within tol raises QuadratureError."""
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if not self.terms:
+            return 0.0
+        integral = quadrature.integrate_partition(
+            lambda xs: np.abs(self.eval(xs)) ** p, self.panel_edges(), tol=tol)
+        return integral ** (1.0 / p)
+
+    def error_bound(self, radius: float) -> float:
+        """Bound on |eval(x) - f(x)| for every real x with |x| <= radius given
+        as its nearest float, for this sum and every partial sum of it.
+
+        Per term of order N with s centres, reach = radius + max|c|: the
+        float conversions of x and c and their difference misplace each
+        kernel argument by at most 2u reach, which moves the value by
+        N(2N+1) times that; kernel_eval_error(N, reach) bounds each kernel
+        value; S_M F_N = D_M - t (D_M - F_M) adds 8u(2N+1); summing the s
+        translates and scaling by w adds (s+2)u(2N+1) per translate.  Every
+        kernel value is at most 2N+1, so each addition of a term to the
+        running total adds u times the largest possible total.
+        """
+        u = UNIT_ROUNDOFF
+        total = size = 0.0
+        for w, n, centers, _ in self.terms:
+            s = len(centers)
+            reach = radius + max(abs(c) for c in centers)
+            per_translate = ((2 * n + 1) * (2 * n * u * reach + 8 * u + (s + 2) * u)
+                             + kernel_eval_error(n, reach))
+            total += w * s * per_translate
+            size += w * s * (2 * n + 1)
+        return total + len(self.terms) * u * size

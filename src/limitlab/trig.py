@@ -1,11 +1,14 @@
-"""Trigonometric polynomials with exact coefficients.
+"""Trigonometric polynomials with exact coefficients, partial-sum traces.
 
 A TrigPoly is a finite map from integer frequencies n to coefficients of
 e^{int}.  Coefficients are exact complex rationals while possible; the
 `exact` flag records when an operation (translation by a non-zero amount)
 has forced them to floats.  Analysis integrals use e^{-int}, so that the
 n-th coefficient of e^{int} is 1 and truncation at the degree reproduces
-the polynomial.
+the polynomial.  TrigPoly serves the exact kernel identities and small
+reference polynomials; the Fourier construction's stages are closed-form
+sums of Fejer kernels (kernels.FejerSum), whose point values cost
+O(translates) rather than O(degree).  convergence_trace reads either kind.
 """
 
 from __future__ import annotations
@@ -337,7 +340,8 @@ def convergence_trace(source, t: float, checkpoints: Sequence[int]) -> Convergen
     """Record partial-sum values at the given cutoffs, with consecutive jumps.
 
     `source` is either a TrigPoly (checkpoints index its partial sums) or a
-    callable mapping a cutoff to the polynomial to evaluate at that stage.
+    callable mapping a cutoff to anything with `eval` at that stage, such
+    as kernels.FejerSum.partial_sum.
     """
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):

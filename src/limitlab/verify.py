@@ -39,15 +39,16 @@ from .intervals import IntervalUnion, RationalInterval
 from .poisson import contraction_gap, poisson_integral, weak_type_check
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
                          simple_test_from_approx)
-from .trig import TrigPoly, convergence_trace, l2_norm
+from .trig import TrigPoly, convergence_trace
 
 SQRT2 = math.sqrt(2.0)
 BETA_UNIT = 4.0 / math.pi ** 2  # divergence floor per unit amplitude
+PI_BELOW = Fraction(333, 106)   # < pi < 355/113
 
 DEFAULT_TOLERANCES = {
     "kernel_eval": 1e-9,       # closed form vs coefficient sum
     "quadrature": 1e-9,        # controlled-error integration
-    "floor": 1e-9,             # stage floors at covered points
+    "floor": 1e-9,             # partial-sum jumps at qualifying trace cutoffs
     "radial_floor": 1e-6,      # Poisson lower bounds along traces
     "chain": 1e-6,             # combined convergence-chain slack
 }
@@ -142,12 +143,13 @@ class VerifyContext:
     def fourier_values(self) -> dict:
         """Stage values g_n(point), keyed by n."""
         x = float(self.point)
-        return {st.n: float(st.g.eval(x).real) for st in self.fourier.stages}
+        return {st.n: st.g.eval(x) for st in self.fourier.stages}
 
     @cached_property
     def fourier_trace(self):
         fc = self.fourier
-        return convergence_trace(fc.final, float(self.point), [0] + fc.cutoffs())
+        return convergence_trace(fc.final.partial_sum, float(self.point),
+                                 [0] + fc.cutoffs())
 
     @cached_property
     def step(self):
@@ -344,25 +346,43 @@ def _check_fourier_spectrum(ctx: VerifyContext):
     return True, {"stages": len(fc.stages), "cutoffs": fc.cutoffs(), "mode": "exact"}
 
 
-def _qualifying_stages(fc):
+def _covered_stages(fc, point: Fraction) -> list[int]:
+    """Stages with a centre c at |point - c| <= pi/(N+1), decided exactly:
+    |point - c|(N+1) <= 333/106 < pi certifies it.  Such a stage's value
+    is at least C/(N+1) F_N(point - c) >= 4C/pi^2, since no term is
+    negative.  A distance past 333/106 is not certified, so its stage is not
+    counted, and a stage with every distance past 355/113 > pi is certainly
+    uncovered."""
+    return [st.n for st in fc.stages
+            if any(abs(point - c) * (st.cutoff + 1) <= PI_BELOW for c in st.centers)]
+
+
+def _jump_stages(fc):
+    """Stages with 2^-(n+1) <= pi/(N+1), the rule fourier.trace_jumps keeps;
+    it admits stage 0 only.  Exact coverage would admit every stage, but a
+    later cutoff's jump in the truncated trace can fall under the floor,
+    because the low frequencies of later stages leak into it."""
     return [st.n for st in fc.stages
             if 2.0 ** (-st.n - 1) <= math.pi / (st.cutoff + 1)]
 
 
 def _check_fourier_stage_floor(ctx: VerifyContext):
+    """At every covered stage, g_n(point) >= 4C/pi^2 - eval_error_bound."""
     if ctx.caps.n_max < 0:
         return None
     fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
-    tol = ctx.tolerances["floor"]
-    qualifying = _qualifying_stages(fc)
+    qualifying = _covered_stages(fc, ctx.point)
+    if not qualifying:
+        return None
     values = ctx.fourier_values
     for n in qualifying:
-        if values[n] < beta - tol:
+        err = fc.stages[n].eval_error_bound
+        if values[n] < beta - err:
             return False, {"stage": n, "value": values[n], "floor": beta,
-                           "tolerance": tol}
+                           "tolerance": err}
     return True, {"floor": beta, "qualifying": qualifying, "values": values,
-                  "tolerance": tol}
+                  "tolerance": max(fc.stages[n].eval_error_bound for n in qualifying)}
 
 
 def _check_fourier_summability(ctx: VerifyContext):
@@ -380,23 +400,33 @@ def _check_integral_test_growth(ctx: VerifyContext):
         return None
     fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
-    tol = ctx.tolerances["floor"]
-    # partial sums of |tau_{i+1} - tau_i| at the point, left to right: the
-    # same floats integral_test_partial gives for each prefix
-    values = [tau.eval(float(ctx.point)) for tau in fc.stage_polys()]
+    # tau_{2n} and tau_{2n+1} = tau_{2n} + g_n at the point, from the cached
+    # stage values added left to right: the same floats the closed-form
+    # prefix sums and integral_test_partial give
+    values = [0.0]
+    for st in fc.stages:
+        values.append(values[-1] + ctx.fourier_values[st.n])
+        values.append(values[-1])
+    values = values[:-1]
     partials = list(accumulate(abs(b - a) for a, b in zip(values, values[1:])))
-    qualifying = _qualifying_stages(fc)
-    start = min(qualifying) if qualifying else 0
-    for st in fc.stages[start:]:
-        # stage n contributes across tau_{2n} -> tau_{2n+1}
-        lo, hi = 2 * st.n, 2 * st.n + 1
+    qualifying = _covered_stages(fc, ctx.point)
+    slacks = []
+    for n in qualifying:
+        # stage n contributes across tau_{2n} -> tau_{2n+1}; besides g_n's own
+        # budget, the sums forming tau and the partials round by at most 8u
+        # times the partial sum
+        lo, hi = 2 * n, 2 * n + 1
         increment = partials[hi - 1] - (partials[lo - 1] if lo >= 1 else 0.0)
-        if increment < beta - tol:
-            return False, {"stage": st.n, "increment": increment, "floor": beta,
-                           "tolerance": tol}
+        slack = (fc.stages[n].eval_error_bound
+                 + 8 * kernels.UNIT_ROUNDOFF * partials[hi - 1])
+        slacks.append(slack)
+        if increment < beta - slack:
+            return False, {"stage": n, "increment": increment, "floor": beta,
+                           "tolerance": slack}
     monotone = all(b >= a - 1e-15 for a, b in zip(partials, partials[1:]))
     return monotone, {"partials": partials, "floor": beta,
-                      "first_checked_stage": start, "tolerance": tol}
+                      "first_checked_stage": min(qualifying, default=None),
+                      "tolerance": max(slacks, default=0.0)}
 
 
 def _check_fourier_trace_jumps(ctx: VerifyContext):
@@ -404,7 +434,7 @@ def _check_fourier_trace_jumps(ctx: VerifyContext):
     beta = BETA_UNIT * fc.c_mult
     tol = ctx.tolerances["floor"]
     jumps = {e.cutoff: e.jump for e in ctx.fourier_trace.entries}
-    qualifying = _qualifying_stages(fc)
+    qualifying = _jump_stages(fc)
     ok = all(jumps[fc.stages[n].cutoff] >= beta - tol for n in qualifying)
     # the measured jump of the truncated construction differs from the
     # stage value because later stages also carry low frequencies;
@@ -421,23 +451,20 @@ def _check_integral_test_majorant(ctx: VerifyContext):
     if ctx.caps.n_max < 1:
         return None
     fc = ctx.fourier
-    # quadrature cost grows with the stage degree; two stages already carry
-    # the inequality and keep the check fast
-    taus = fc.stage_polys()[: 2 * min(ctx.caps.n_max, 2) + 2]
-    diffs = [taus[i + 1] - taus[i] for i in range(len(taus) - 1)]
-    nonzero = [d for d in diffs if d.coeffs]
-
-    def integrand(ts):
-        total = np.zeros(np.shape(ts))
-        for d in nonzero:
-            total = total + np.abs(np.real(d.eval(ts)))
-        return total
-
-    integral = quadrature.integrate(integrand, -math.pi, math.pi, tol=1e-6)
-    majorant = math.sqrt(2 * math.pi) * sum(l2_norm(d) for d in diffs)
-    return integral <= majorant + 1e-6, {
-        "integral": integral, "holder_majorant": majorant, "p": 2.0,
-        "stages_integrated": len(taus) - 1}
+    # the differences tau_{i+1} - tau_i of the first 2k+2 stage sums are
+    # g_0..g_k at odd i and 0 at even i; two stages already carry the
+    # inequality
+    stages = fc.stages[: min(ctx.caps.n_max, 2) + 1]
+    tol = 1e-6
+    integral = sum(st.g.lp_norm(1.0, tol / len(stages)) for st in stages)
+    # every F_N >= 0, so the integral of |g_n| is 2 pi times its mean C s/(N+1)
+    exact = sum(2 * math.pi * fc.c_mult * len(st.centers) / (st.cutoff + 1)
+                for st in stages)
+    majorant = math.sqrt(2 * math.pi) * sum(st.g.l2_norm() for st in stages)
+    ok = integral <= majorant + tol and abs(integral - exact) <= tol
+    return ok, {"integral": integral, "exact_integral": exact,
+                "holder_majorant": majorant, "p": 2.0,
+                "stages_integrated": 2 * len(stages) - 1}
 
 
 # ----------------------------------------------------------------------
@@ -580,10 +607,11 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
         if stage.contains(x):
             continue
         checked += 1
+        values = {i: fns[i].eval(x) for i in range(2 * k, limit + 1)}
         for n in range(k, (limit - 1) // 2 + 1):
-            base = fns[2 * n].eval(x)
+            base = values[2 * n]
             for i in range(2 * n, limit + 1):
-                diff = abs(fns[i].eval(x) - base)
+                diff = abs(values[i] - base)
                 if not _le_sqrt2_bound(diff, 2, 1, n):
                     return False, {"x": str(x), "n": n, "i": i,
                                    "difference": str(diff), "mode": "exact"}

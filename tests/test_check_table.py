@@ -2,8 +2,10 @@
 which order, that a merged check fails and is named under both kinds of
 context, and the report fields downstream readers rely on."""
 
+import dataclasses
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ import pytest
 from limitlab import poisson, randomness, verify
 from limitlab.cli import main
 from limitlab.constructions import StepConstruction
+from limitlab.functions import StepFunction
 from limitlab.intervals import IntervalUnion
+from limitlab.kernels import FejerSum
 from limitlab.randomness import integral_test_partial
 
 from test_cli import FAST_VERIFY, VERIFY_ALL_IDS
@@ -212,8 +216,9 @@ def test_report_fields_read_downstream(tmp_path):
     for entry in report["bounds"]:
         assert {"id", "status", "mode", "description", "details"} <= set(entry)
     floor = next(e for e in report["bounds"] if e["id"] == "fourier.stage_floor")
-    assert floor["tolerance"] == verify.DEFAULT_TOLERANCES["floor"]
     stages = json.loads((out / "fourier_construction.json").read_text())["stages"]
+    assert floor["tolerance"] == max(stages[n]["eval_error_bound"]
+                                     for n in floor["details"]["qualifying"])
     assert sorted(floor["details"]["values"]) == sorted(str(st["n"]) for st in stages)
 
     out = tmp_path / "v"
@@ -221,3 +226,86 @@ def test_report_fields_read_downstream(tmp_path):
     report = _report(out)
     assert report["overall"] == "pass"
     assert all({"check_id", "status"} <= set(c) for c in report["checks"])
+
+
+@pytest.mark.parametrize("budgets_under,code", [(2.0, 1), (0.5, 0)])
+def test_stage_value_under_the_floor_fails_and_names_the_stage(tmp_path, capsys,
+                                                              monkeypatch, budgets_under,
+                                                              code):
+    # stage 1's value pushed under (or just inside) 4C/pi^2 minus its budget
+    real = verify.VerifyContext.fourier_values.func
+
+    def pushed(self):
+        values = real(self)
+        err = self.fourier.stages[1].eval_error_bound
+        values[1] = verify.BETA_UNIT * self.c - budgets_under * err
+        return values
+
+    monkeypatch.setattr(verify.VerifyContext, "fourier_values", property(pushed))
+    out = tmp_path / "o"
+    assert main(["build", "--construction", "fourier", "--n-max", "2", "--point", "-1/3",
+                 "--out", str(out)]) == code
+    failed = {e["id"]: e["details"] for e in _report(out)["bounds"] if e["status"] == "fail"}
+    if code == 0:
+        assert failed == {}
+        return
+    assert sorted(failed) == ["fourier.stage_floor", "integral_test.growth"]
+    assert all(details["stage"] == 1 for details in failed.values())
+    floor = failed["fourier.stage_floor"]
+    assert floor["value"] < floor["floor"] - floor["tolerance"]
+    assert "fourier.stage_floor, integral_test.growth" in capsys.readouterr().err
+
+
+def test_coverage_is_decided_exactly():
+    ctx = verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3))
+    fc = ctx.fourier
+    assert verify._covered_stages(fc, ctx.point) == [0, 1, 2]
+    st = fc.stages[2]
+    scale = st.cutoff + 1
+    for distance, covered in ((verify.PI_BELOW, True),
+                              ((verify.PI_BELOW + Fraction(355, 113)) / 2, False),
+                              (Fraction(355, 113), False),
+                              (Fraction(4), False)):
+        fc.stages[2] = dataclasses.replace(st, centers=[ctx.point + distance / scale])
+        assert (2 in verify._covered_stages(fc, ctx.point)) is covered
+    # an uncovered stage is left out of the floor, not failed
+    ok, details = verify._check_fourier_stage_floor(ctx)
+    assert ok and details["qualifying"] == [0, 1]
+
+
+def test_corrupted_centre_fails_and_is_named():
+    # stage 1's function built around centres 1/2 away from its record's
+    ctx = verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3))
+    st = ctx.fourier.stages[1]
+    moved = FejerSum.stage(1, st.cutoff, [c + Fraction(1, 2) for c in st.centers])
+    ctx.fourier.stages[1] = dataclasses.replace(st, g=moved)
+    results = {r.check_id: r for r in verify.run_checks(ctx, "build:fourier")}
+    for check_id in ("fourier.stage_floor", "integral_test.growth"):
+        assert results[check_id].status == "fail"
+        assert results[check_id].details["stage"] == 1
+
+
+def test_holder_majorant_cross_checks_the_exact_integral(monkeypatch):
+    t0 = time.perf_counter()
+    ok, details = verify._check_integral_test_majorant(verify.VerifyContext())
+    assert time.perf_counter() - t0 < 0.5
+    assert ok and details["stages_integrated"] == 5
+    assert details["integral"] == pytest.approx(details["exact_integral"], abs=1e-6)
+    # a quadrature off by 0.1% is caught by the exact integral
+    real = FejerSum.lp_norm
+    monkeypatch.setattr(FejerSum, "lp_norm",
+                        lambda self, p, tol=1e-10: 1.001 * real(self, p, tol))
+    ok, details = verify._check_integral_test_majorant(verify.VerifyContext())
+    assert not ok
+
+
+def test_stability_evaluates_each_stage_once_per_point(monkeypatch):
+    ctx = verify.VerifyContext()
+    limit = len(ctx.step.functions()) - 1
+    real = StepFunction.eval
+    calls = []
+    monkeypatch.setattr(StepFunction, "eval",
+                        lambda self, x: calls.append(x) or real(self, x))
+    ok, details = verify._check_lemma_simple_stability(ctx)
+    assert ok and details["points"] == 100
+    assert len(calls) == details["points"] * (limit + 1 - 2 * details["stage_k"])

@@ -192,3 +192,11 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_fourier_trace_p3_second_stage_is_fast(tmp_path):
+    # cutoff 3^8 = 6561 at stage 2; the coefficient-dict stages took minutes
+    t0 = time.perf_counter()
+    assert main(["fourier-trace", "--p", "3", "--n-max", "2", "--point=41/64",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - t0 < 10.0

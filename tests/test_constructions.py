@@ -3,12 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from limitlab.constructions import (build_fourier_divergent, build_ml_poisson,
                                     build_schnorr_poisson, stage_cutoff, tent)
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
-from limitlab.kernels import fejer_coeffs
+from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
 from limitlab.trig import TrigPoly
 
@@ -41,8 +42,10 @@ class TestFourierConstruction:
 
     def test_spectrum_containment_exact(self, fourier):
         for st in fourier.stages:
-            assert st.g.coeffs
-            assert all(abs(n) <= st.cutoff for n in st.g.coeffs)
+            coeffs = st.g.coefficients
+            frequencies = np.flatnonzero(coeffs) - len(coeffs) // 2
+            assert frequencies.size
+            assert all(abs(n) <= st.cutoff for n in frequencies)
 
     def test_stage_floor_at_covered_point(self, fourier):
         for st in fourier.stages:
@@ -54,12 +57,13 @@ class TestFourierConstruction:
 
     def test_stage_accumulation(self, fourier):
         polys = fourier.stage_polys()
-        assert polys[0] == TrigPoly.zero()
+        assert polys[0] == FejerSum()
         for n, st in enumerate(fourier.stages):
-            assert polys[2 * n + 1] is st.f_odd
+            # f_{2n+1} is f_{2n} plus this stage
+            assert polys[2 * n + 1] == polys[2 * n] + st.g
             # f_{2n+2} = f_{2n+1}: even stages add nothing
             if 2 * n + 2 < len(polys):
-                assert polys[2 * n + 2] is st.f_odd
+                assert polys[2 * n + 2] is polys[2 * n + 1]
 
     def test_stage_against_translate_route(self, fourier):
         # independent construction of g_1 through coefficient translation
@@ -69,10 +73,12 @@ class TestFourierConstruction:
         for c in st.centers:
             alt = alt + base.translate(float(c))
         alt = alt.scale(1.0 / (st.cutoff + 1))
-        assert alt.frequencies() == st.g.frequencies()
+        coeffs = st.g.coefficients
+        offset = len(coeffs) // 2
+        assert alt.frequencies() == list(np.flatnonzero(coeffs) - offset)
         for n in alt.frequencies():
             assert complex(alt.coefficient(n)) == pytest.approx(
-                complex(st.g.coefficient(n)), abs=1e-12)
+                complex(coeffs[n + offset]), abs=1e-12)
 
     def test_coverage_enforced(self):
         with pytest.raises(ValueError, match="covers"):

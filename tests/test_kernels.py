@@ -1,8 +1,10 @@
 """Kernel evaluation against independent oracles.
 
 Oracles: direct complex-exponential summation for the Dirichlet kernel,
-exact coefficient sums (Parseval) for Fejer norms, and scipy adaptive
-quadrature for Poisson interval masses.
+the defining cosine sums for both kernels near their removable
+singularities, exact coefficient sums (Parseval) for Fejer norms, the
+coefficient route fejer_coeffs(N).translate(c) for closed-form Fejer sums,
+and scipy adaptive quadrature for Poisson interval masses.
 """
 
 import cmath
@@ -11,10 +13,36 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from limitlab import kernels
+from limitlab.constructions import build_fourier_divergent
+from limitlab.kernels import FejerSum, kernel_eval_error
 from limitlab.quadrature import QuadratureError
+from limitlab.randomness import covering_test
+from limitlab.trig import TrigPoly
+
+U = 2.0 ** -53
+
+
+def _dirichlet_sum(n_cut, xs):
+    """Oracle: D_N(x) = 1 + 2 sum_{m=1}^{N} cos(mx)."""
+    ms = np.arange(1, n_cut + 1)
+    return 1.0 + 2.0 * np.sum(np.cos(np.outer(ms, xs)), axis=0)
+
+
+def _fejer_sum(n_cut, xs):
+    """Oracle: F_N(x) = 1 + 2 sum_{m=1}^{N} (1 - m/(N+1)) cos(mx)."""
+    ms = np.arange(1, n_cut + 1)
+    weights = 1.0 - ms / (n_cut + 1)
+    return 1.0 + 2.0 * np.sum(weights[:, None] * np.cos(np.outer(ms, xs)), axis=0)
+
+
+def _sum_rounding(n_cut, xs):
+    """Rounding of the oracles: each phase m x is off by u N |x|, each cosine
+    by 2u, and the pairwise sum of 2N+1 terms of size <= 1 by u log2(N)."""
+    return 2 * U * (n_cut + 1) * (n_cut * np.abs(xs) + 4 + math.log2(n_cut + 2))
 
 
 class TestDirichlet:
@@ -66,6 +94,130 @@ class TestFejer:
             mass = integrate(lambda x: kernels.fejer_eval(n, x),
                              -math.pi, math.pi, tol=1e-10) / (2 * math.pi)
             assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+# points where |sin(x/2)| < SIN_HALF_FLOOR after reduction mod 2 pi, and
+# points just outside that set, near 0 and near +-2 pi, +-4 pi
+FALLBACK_POINTS = np.array(
+    [0.0, 1e-15, -1e-12, 3e-9, -1.99e-8, 2.01e-8, -5e-8,
+     2 * math.pi, -2 * math.pi, 2 * math.pi + 1e-9, -2 * math.pi + 1.5e-8,
+     4 * math.pi - 5e-9, 4 * math.pi + 3e-8])
+
+
+class TestSingularityFallback:
+    @pytest.mark.parametrize("n_cut", [0, 1, 7, 64, 729, 4096, 15625, 46656])
+    def test_against_coefficient_sums(self, n_cut):
+        xs = FALLBACK_POINTS
+        radius = float(np.max(np.abs(xs)))
+        budget = kernel_eval_error(n_cut, radius) + _sum_rounding(n_cut, xs)
+        # the kernels are N(2N+1)-Lipschitz and the oracle's phases see the
+        # float 2 pi multiples, so both sides evaluate at the same floats
+        assert np.all(np.abs(kernels.fejer_eval(n_cut, xs) - _fejer_sum(n_cut, xs)) <= budget)
+        assert np.all(np.abs(kernels.dirichlet_eval(n_cut, xs)
+                             - _dirichlet_sum(n_cut, xs)) <= budget)
+
+    def test_exact_at_the_peaks(self):
+        for n_cut in (0, 5, 46656, 10 ** 9):
+            for x in (0.0, 2 * math.pi, -4 * math.pi):
+                assert kernels.fejer_eval(n_cut, x) == n_cut + 1
+                assert kernels.dirichlet_eval(n_cut, x) == 2 * n_cut + 1
+
+    def test_expansion_inside_the_floor(self):
+        # second-order expansions, against the oracle within the remainder
+        n_cut, x = 46656, 1e-8
+        fejer = (n_cut + 1) * (1 - n_cut * (n_cut + 2) * x * x / 12)
+        assert kernels.fejer_eval(n_cut, x) == pytest.approx(fejer, rel=1e-15)
+        assert abs(fejer - _fejer_sum(n_cut, np.array([x]))[0]) <= (
+            kernel_eval_error(n_cut, x) + _sum_rounding(n_cut, x))
+
+    def test_arguments_reduce_mod_two_pi(self):
+        xs = np.linspace(-math.pi, math.pi, 41)
+        for n_cut in (3, 64):
+            for shift in (-2, 1, 3):
+                moved = xs + shift * 2 * math.pi
+                err = kernel_eval_error(n_cut, float(np.max(np.abs(moved))))
+                lipschitz = n_cut * (2 * n_cut + 1) * 8 * U * float(np.max(np.abs(moved)))
+                assert np.all(np.abs(kernels.fejer_eval(n_cut, moved)
+                                     - kernels.fejer_eval(n_cut, xs)) <= 2 * err + lipschitz)
+
+
+def _translate_route(amplitude, order, centers):
+    """Oracle: the stage built from translated exact Fejer coefficients."""
+    base = kernels.fejer_coeffs(order)
+    alt = TrigPoly.zero()
+    for c in centers:
+        alt = alt + base.translate(float(c))
+    return alt.scale(amplitude / (order + 1))
+
+
+centers_strategy = st.lists(
+    st.builds(Fraction, st.integers(-512, 512), st.sampled_from([64, 128, 256])),
+    min_size=1, max_size=5)
+
+
+class TestFejerSum:
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(0, 300), centers=centers_strategy,
+           amplitude=st.integers(1, 4), cut=st.integers(0, 400),
+           where=st.floats(-1, 1), at_center=st.booleans())
+    def test_against_translate_route(self, order, centers, amplitude, cut, where,
+                                     at_center):
+        g = FejerSum.stage(amplitude, order, centers)
+        ref = _translate_route(amplitude, order, centers)
+        radius = math.pi + max(abs(float(c)) for c in centers)
+        budget = g.error_bound(radius)
+        x = float(centers[0]) if at_center else where * radius
+        assert abs(g.eval(x) - ref.eval(x).real) <= budget
+        # partial sums below and above the order
+        for m in (cut, min(cut, order), order + cut):
+            assert abs(g.partial_sum(m).eval(x) - ref.partial_sum(m).eval(x).real) <= budget
+        # dense coefficients against the translated ones
+        coeffs = g.coefficients
+        assert len(coeffs) == 2 * order + 1 and g.degree <= order
+        want = np.array([complex(ref.coefficient(n)) for n in range(-order, order + 1)])
+        assert np.all(np.abs(coeffs - want) <= budget / (2 * order + 1))
+
+    def test_sums_and_partial_sums_add_terms(self):
+        a = FejerSum.stage(1, 4, [Fraction(1, 8)])
+        b = FejerSum.stage(2, 9, [Fraction(0), Fraction(-1, 4)])
+        xs = np.linspace(-3, 3, 7)
+        assert np.array_equal((a + b).eval(xs), a.eval(xs) + b.eval(xs))
+        assert np.array_equal((a + b).partial_sum(6).eval(xs),
+                              a.eval(xs) + b.partial_sum(6).eval(xs))
+        # S_0 of a stage is its mean C s/(N+1)
+        assert (a + b).partial_sum(0).eval(0.3) == pytest.approx(1 / 5 + 2 * 2 / 10)
+        assert FejerSum().eval(1.0) == 0.0 and FejerSum().degree == 0
+
+    def test_panel_edges_anchor_every_centre(self):
+        g = FejerSum.stage(1, 729, [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 1)])
+        edges = g.panel_edges()
+        assert edges[0] == -math.pi and edges[-1] == math.pi
+        assert np.max(np.diff(edges)) <= kernels.PANEL_WIDTH * math.pi / 730 * (1 + 1e-12)
+        for c in (1 / 3, -3.5 + 2 * math.pi, 5 - 2 * math.pi):
+            assert np.min(np.abs(edges - c)) <= 1e-15
+
+
+# every stage the benchmark workloads build: p = 2 up to n = 5
+# (N = 46656), p = 3 up to n = 2, p = 1.5 up to n = 2
+WORKLOAD_STAGES = [(2.0, 5), (3.0, 2), (1.5, 2)]
+
+
+@pytest.mark.parametrize("p,n_max", WORKLOAD_STAGES)
+def test_guarded_quadrature_matches_exact_energy(p, n_max):
+    fc = build_fourier_divergent(covering_test(Fraction(41, 64), n_max + 1), p=p,
+                                 c_mult=1, n_max=n_max)
+    for st in fc.stages:
+        assert st.g.lp_norm(2.0, tol=1e-10) == pytest.approx(st.g.l2_norm(), rel=1e-9)
+
+
+def test_plain_doubling_misses_the_peaks():
+    # the reason for the anchored panels: from one panel, uniform doubling
+    # agrees with itself long before it resolves peaks of width pi/(N+1)
+    from limitlab.quadrature import integrate
+    g = FejerSum.stage(1, 46656, [Fraction(1, 3)])
+    plain = integrate(lambda xs: g.eval(xs) ** 2, -math.pi, math.pi, tol=1e-9)
+    assert plain < 0.5 * g.l2_norm() ** 2
+    assert g.lp_norm(2.0, tol=1e-9) == pytest.approx(g.l2_norm(), rel=1e-9)
 
 
 class TestFejerCoefficients:
@@ -152,3 +304,11 @@ class TestFejerLpRatio:
     def test_budget_breach_reported(self):
         with pytest.raises(QuadratureError):
             kernels.fejer_lp_ratio(64, 2.0, tol=1e-12, max_panels=8)
+
+    def test_ratio_constant_is_computed_once(self, monkeypatch):
+        kernels.fejer_ratio_constant(2.0, n_range=range(1, 5))
+        calls = []
+        monkeypatch.setattr(kernels, "fejer_lp_ratio",
+                            lambda *a, **k: calls.append(a) or 1.0)
+        kernels.fejer_ratio_constant(2.0, n_range=range(1, 5))
+        assert calls == []
