@@ -120,10 +120,11 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
     of its partial sums at every |x| <= pi + max|c|, which takes in the
     quadrature period and every point within 1/8 of a centre.
 
-    Verified per stage, exactly where the data allows: spectrum inside
-    [-N_n, N_n], and the norm against C * A * (2n+1)/(n+1)^(2+2/p) with the
-    measured ratio constant A.  At p = 2 the norm is the exact coefficient
-    energy; otherwise it is quadrature on panels anchored at the centres.
+    The spectrum stays inside [-N_n, N_n] by construction: the stage's one
+    term has order N_n.  Verified per stage: the norm against
+    C * A * (2n+1)/(n+1)^(2+2/p) with the measured ratio constant A.  At
+    p = 2 the norm is the exact coefficient energy; otherwise it is
+    quadrature on panels anchored at the centres.
     When `point` is given, each stage must place an enumerated interval
     containing it.
     """
@@ -146,8 +147,6 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
         centers = [iv.midpoint for iv in intervals]
         cutoff = stage_cutoff(n, p)
         g = FejerSum.stage(c_mult, cutoff, centers)
-        if g.degree > cutoff:
-            raise AssertionError(f"stage {n}: spectrum escaped [-{cutoff}, {cutoff}]")
 
         g_norm = g.l2_norm() if p == 2 else g.lp_norm(p, norm_tol)
         majorant = c_mult * ratio_constant * (2 * n + 1) / (n + 1) ** (2.0 + 2.0 / p)

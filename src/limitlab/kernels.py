@@ -190,7 +190,10 @@ def fejer_ratio_constant(p: float, n_range=range(1, 65), tol: float = 1e-9) -> f
 
     Returns the smallest A >= 1 with A^{-1} <= ratio(N) <= A over the
     sampled orders, where ratio(N) = ||F_N||_p / (N+1)^{1-1/p}.  The value
-    is a pure function of its arguments and is computed once per process.
+    is a pure function of its arguments, so it is cached: the cache pays
+    off only when one process builds several constructions with the same
+    p (perfbench's in-process jobs, a test session); one CLI command
+    builds once and computes it once either way.
     """
     ratios = [fejer_lp_ratio(n, p, tol) for n in n_range]
     return max(max(ratios), 1.0 / min(ratios), 1.0)
@@ -280,7 +283,7 @@ class FejerSum:
     def coefficients(self) -> np.ndarray:
         """Float coefficients of e^{imx} for m = -K..K, K the largest kept
         frequency: w (1 - |m|/(N+1)) sum_c e^{-imc} per term."""
-        size = max((t.degree for t in self.terms), default=0)
+        size = self.degree
         out = np.zeros(2 * size + 1, dtype=complex)
         for term in self.terms:
             k = term.degree
@@ -294,10 +297,8 @@ class FejerSum:
 
     @property
     def degree(self) -> int:
-        """Largest |m| with a nonzero dense coefficient; 0 for the zero sum."""
-        nonzero = np.flatnonzero(self.coefficients)
-        size = len(self.coefficients) // 2
-        return int(np.max(np.abs(nonzero - size))) if nonzero.size else 0
+        """Largest frequency any term keeps, min(N, M); 0 for the zero sum."""
+        return max((t.degree for t in self.terms), default=0)
 
     def l2_norm(self) -> float:
         """sqrt(2 pi sum |c_m|^2) from the dense coefficients."""
@@ -312,7 +313,7 @@ class FejerSum:
         so no kernel peak straddles a panel, and no panel is wider than
         PANEL_WIDTH pi/(K+1), K the largest kept frequency, so every lobe of
         width 2 pi/(K+1) is resolved before the first doubling."""
-        width = PANEL_WIDTH * math.pi / (max(t.degree for t in self.terms) + 1)
+        width = PANEL_WIDTH * math.pi / (self.degree + 1)
         centers = np.concatenate([np.asarray(t.centers) for t in self.terms])
         anchors = np.unique(np.concatenate(
             [[-math.pi, math.pi], np.clip(_reduced(centers), -math.pi, math.pi)]))

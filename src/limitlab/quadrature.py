@@ -37,6 +37,28 @@ def _composite(f, edges: np.ndarray, order: int) -> float:
     return float(np.sum(vals @ weights * halfs))
 
 
+def _refine(f, edges: np.ndarray, tol: float, order: int, max_doublings: int) -> float:
+    """Split every panel between `edges` into 2^k equal parts, k = 1, 2, ...,
+    until two successive estimates agree within tol; QuadratureError after
+    max_doublings splits.  Split edges follow np.linspace's formula, so one
+    panel [a, b] is split exactly as np.linspace(a, b, 2^k + 1)."""
+    prev = _composite(f, edges, order)
+    widths = np.diff(edges)[:, None]
+    delta = float("nan")
+    for k in range(1, max_doublings + 1):
+        parts = 2 ** k
+        fine = np.arange(parts) * (widths / parts) + edges[:-1, None]
+        cur = _composite(f, np.append(fine.ravel(), edges[-1]), order)
+        delta = abs(cur - prev)
+        if delta < tol:
+            return cur
+        prev = cur
+    raise QuadratureError(
+        f"no convergence on [{edges[0]}, {edges[-1]}] with {2 ** max_doublings} "
+        f"panels per starting panel (last delta {delta:.3e}, tol {tol:.3e})"
+    )
+
+
 def integrate(f, a: float, b: float, *, tol: float = 1e-10, order: int = 12,
               max_panels: int = 1 << 15) -> float:
     """Integrate a vectorized callable over [a, b] to absolute tolerance tol.
@@ -47,41 +69,22 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-10, order: int = 12,
     """
     if a == b:
         return 0.0
-    panels = 1
-    prev = _composite(f, np.linspace(a, b, panels + 1), order)
-    while panels < max_panels:
-        panels *= 2
-        cur = _composite(f, np.linspace(a, b, panels + 1), order)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence on [{a}, {b}] with {max_panels} panels "
-        f"(last delta {abs(cur - prev):.3e}, tol {tol:.3e})"
-    )
+    return _refine(f, np.array([a, b], dtype=float), tol, order,
+                   (max_panels - 1).bit_length())
 
 
-def integrate_partition(f, edges, *, tol: float = 1e-10, order: int = 12,
-                        max_doublings: int = 8) -> float:
+PARTITION_DOUBLINGS = 8   # integrate_partition splits each panel at most 2^8 ways
+
+
+def integrate_partition(f, edges, *, tol: float = 1e-10) -> float:
     """Integrate a vectorized callable over [edges[0], edges[-1]] starting
-    from the panels between consecutive `edges`.
+    from the panels between consecutive `edges`, with integrate's rule.
 
     Every panel is split into 2^k equal parts, k = 1, 2, ..., until two
     successive estimates agree within the absolute tolerance tol; after
-    max_doublings splits QuadratureError is raised.
+    PARTITION_DOUBLINGS splits QuadratureError is raised.
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing, at least two")
-    prev = _composite(f, edges, order)
-    for k in range(1, max_doublings + 1):
-        parts = 2 ** k
-        fine = edges[:-1, None] + np.diff(edges)[:, None] * (np.arange(parts) / parts)
-        cur = _composite(f, np.append(fine.ravel(), edges[-1]), order)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence on [{edges[0]}, {edges[-1]}] after {max_doublings} doublings "
-        f"of {len(edges) - 1} panels (last delta {abs(cur - prev):.3e}, tol {tol:.3e})"
-    )
+    return _refine(f, edges, tol, 12, PARTITION_DOUBLINGS)

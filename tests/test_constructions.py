@@ -58,9 +58,13 @@ class TestFourierConstruction:
     def test_stage_accumulation(self, fourier):
         polys = fourier.stage_polys()
         assert polys[0] == FejerSum()
+        xs = np.array([0.0, 0.3, -1.0, 2.5])      # the covered point and three others
+        running = np.zeros(len(xs))
         for n, st in enumerate(fourier.stages):
-            # f_{2n+1} is f_{2n} plus this stage
-            assert polys[2 * n + 1] == polys[2 * n] + st.g
+            # f_{2n+1}(x) = g_0(x) + ... + g_n(x); evaluation adds terms left
+            # to right, so the values agree exactly
+            running = running + st.g.eval(xs)
+            assert np.array_equal(polys[2 * n + 1].eval(xs), running)
             # f_{2n+2} = f_{2n+1}: even stages add nothing
             if 2 * n + 2 < len(polys):
                 assert polys[2 * n + 2] is polys[2 * n + 1]
