@@ -9,8 +9,8 @@ those constructions come with.
 from .intervals import IntervalUnion, RationalInterval, frac, normalize
 from .functions import PiecewiseLinear, StepFunction
 from .quadrature import QuadratureError, integrate
-from .trig import (ConvergenceTrace, RationalComplex, TrigPoly,
-                   convergence_trace, fourier_coefficient, l2_norm, lp_norm)
+from .trig import (ConvergenceTrace, TrigPoly, convergence_trace,
+                   fourier_coefficient, l2_norm, lp_norm)
 from .kernels import (FejerSum, dirichlet_eval, fejer_coeffs, fejer_eval,
                       fejer_lp_ratio, fejer_ratio_constant, poisson_eval,
                       poisson_interval_mass)

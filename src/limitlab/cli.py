@@ -23,7 +23,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import verify
@@ -229,9 +229,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_kernel = sub.add_parser("kernel-check", help="kernel identity battery")
-    p_kernel.add_argument("--n-max", type=int, default=64)
-    p_kernel.add_argument("--lower-n-max", type=int, default=200)
-    p_kernel.add_argument("--grid", type=int, default=1000)
+    p_kernel.add_argument("--n-max", type=int, default=Caps.kernel_n_max)
+    p_kernel.add_argument("--lower-n-max", type=int, default=Caps.lower_bound_n_max)
+    p_kernel.add_argument("--grid", type=int, default=Caps.grid_points)
     p_kernel.add_argument("--out", dest="out_dir")
 
     p_build = sub.add_parser("build", help="build a construction, dump its stages")
@@ -269,11 +269,9 @@ def main(argv=None) -> int:
     p_weak.add_argument("--out", dest="out_dir")
 
     p_verify = sub.add_parser("verify-all", help="run the full bound registry")
-    for name, default in (("kernel-n-max", 64), ("lower-bound-n-max", 200),
-                          ("grid-points", 1000), ("n-max", 3), ("m-max", 12),
-                          ("s-max", 21), ("k-max", 3), ("samples", 200),
-                          ("weak-type-count", 6), ("seed", 0)):
-        p_verify.add_argument(f"--{name}", type=int, default=default)
+    for cap in fields(Caps):
+        p_verify.add_argument(f"--{cap.name.replace('_', '-')}", type=int,
+                              default=cap.default)
     p_verify.add_argument("--out", dest="out_dir")
     p_verify.add_argument("--inject-corruption", default=None, help=argparse.SUPPRESS)
 
@@ -298,12 +296,7 @@ def main(argv=None) -> int:
         return 0 if ok else 1
 
     if args.command == "verify-all":
-        caps = Caps(kernel_n_max=args.kernel_n_max,
-                    lower_bound_n_max=args.lower_bound_n_max,
-                    grid_points=args.grid_points, n_max=args.n_max,
-                    m_max=args.m_max, s_max=args.s_max, k_max=args.k_max,
-                    samples=args.samples, weak_type_count=args.weak_type_count,
-                    seed=args.seed)
+        caps = Caps(**{cap.name: getattr(args, cap.name) for cap in fields(Caps)})
         results = verify.verify_all(caps, corrupt=args.inject_corruption)
         return _finish(results, args.out_dir, verify.report_json(results))
 

@@ -111,8 +111,7 @@ def stage_cutoff(n: int, p: float) -> int:
 
 
 def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
-                            ratio_constant: float | None = None,
-                            point=None, norm_tol: float = 1e-9) -> FourierConstruction:
+                            point=None) -> FourierConstruction:
     """Stage n adds g_n = (C/(N_n+1)) sum over the first 2n+1 enumerated
     intervals I of F_{N_n} translated to the midpoint of I, with
     N_n = floor((n+1)^(2p+2)).  Each stage is held in closed form
@@ -124,7 +123,7 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
     term has order N_n.  Verified per stage: the norm against
     C * A * (2n+1)/(n+1)^(2+2/p) with the measured ratio constant A.  At
     p = 2 the norm is the exact coefficient energy; otherwise it is
-    quadrature on panels anchored at the centres.
+    quadrature to tolerance 1e-9 on panels anchored at the centres.
     When `point` is given, each stage must place an enumerated interval
     containing it.
     """
@@ -134,9 +133,7 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
         raise ValueError("the amplitude multiplier must be a positive integer")
     if test.depth < n_max:
         raise ValueError(f"test family depth {test.depth} short of n_max {n_max}")
-    if ratio_constant is None:
-        ratio_constant = fejer_ratio_constant(p)
-
+    ratio_constant = fejer_ratio_constant(p)
     construction = FourierConstruction(p=p, c_mult=c_mult, ratio_constant=ratio_constant)
     for n in range(n_max + 1):
         s = 2 * n + 1
@@ -148,7 +145,7 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
         cutoff = stage_cutoff(n, p)
         g = FejerSum.stage(c_mult, cutoff, centers)
 
-        g_norm = g.l2_norm() if p == 2 else g.lp_norm(p, norm_tol)
+        g_norm = g.l2_norm() if p == 2 else g.lp_norm(p, tol=1e-9)
         majorant = c_mult * ratio_constant * (2 * n + 1) / (n + 1) ** (2.0 + 2.0 / p)
         if g_norm > majorant * (1 + 1e-9):
             raise AssertionError(

@@ -343,10 +343,6 @@ class PiecewiseLinear:
             return PiecewiseLinear.zero()
         return PiecewiseLinear(tuple((x, w * y) for x, y in self.vertices))
 
-    def trimmed(self) -> "PiecewiseLinear":
-        """Drop redundant zero vertices at the ends (keep one per side)."""
-        return _trimmed(self.vertices)
-
     def window_integral(self, lo, hi) -> Fraction:
         lo, hi = (frac(lo) if not isinstance(lo, float) else Fraction(lo),
                   frac(hi) if not isinstance(hi, float) else Fraction(hi))

@@ -10,6 +10,8 @@ oscillation) the caller knows and a uniform start could miss entirely.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -17,38 +19,38 @@ class QuadratureError(RuntimeError):
     """Raised when the panel budget is exhausted before convergence."""
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+ORDER = 12   # Gauss-Legendre nodes per panel
 
 
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
+@functools.cache
+def _nodes() -> tuple[np.ndarray, np.ndarray]:
+    # on first use, so that importing the package does not load numpy.polynomial
+    return np.polynomial.legendre.leggauss(ORDER)
 
 
-def _composite(f, edges: np.ndarray, order: int) -> float:
-    nodes, weights = _nodes(order)
+def _composite(f, edges: np.ndarray) -> float:
+    nodes, weights = _nodes()
     panels = len(edges) - 1
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
-    # all evaluation points at once: shape (panels, order)
+    # all evaluation points at once: shape (panels, ORDER)
     xs = mids[:, None] + halfs[:, None] * nodes[None, :]
-    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(panels, order)
+    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(panels, ORDER)
     return float(np.sum(vals @ weights * halfs))
 
 
-def _refine(f, edges: np.ndarray, tol: float, order: int, max_doublings: int) -> float:
+def _refine(f, edges: np.ndarray, tol: float, max_doublings: int) -> float:
     """Split every panel between `edges` into 2^k equal parts, k = 1, 2, ...,
     until two successive estimates agree within tol; QuadratureError after
     max_doublings splits.  Split edges follow np.linspace's formula, so one
     panel [a, b] is split exactly as np.linspace(a, b, 2^k + 1)."""
-    prev = _composite(f, edges, order)
+    prev = _composite(f, edges)
     widths = np.diff(edges)[:, None]
     delta = float("nan")
     for k in range(1, max_doublings + 1):
         parts = 2 ** k
         fine = np.arange(parts) * (widths / parts) + edges[:-1, None]
-        cur = _composite(f, np.append(fine.ravel(), edges[-1]), order)
+        cur = _composite(f, np.append(fine.ravel(), edges[-1]))
         delta = abs(cur - prev)
         if delta < tol:
             return cur
@@ -59,9 +61,10 @@ def _refine(f, edges: np.ndarray, tol: float, order: int, max_doublings: int) ->
     )
 
 
-def integrate(f, a: float, b: float, *, tol: float = 1e-10, order: int = 12,
+def integrate(f, a: float, b: float, *, tol: float = 1e-10,
               max_panels: int = 1 << 15) -> float:
-    """Integrate a vectorized callable over [a, b] to absolute tolerance tol.
+    """Integrate a vectorized callable over [a, b] to absolute tolerance tol,
+    with ORDER Gauss-Legendre nodes per panel.
 
     `f` must accept a 1-d numpy array and return values of the same shape.
     Raises QuadratureError if successive halvings still disagree at the
@@ -69,8 +72,7 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-10, order: int = 12,
     """
     if a == b:
         return 0.0
-    return _refine(f, np.array([a, b], dtype=float), tol, order,
-                   (max_panels - 1).bit_length())
+    return _refine(f, np.array([a, b], dtype=float), tol, (max_panels - 1).bit_length())
 
 
 PARTITION_DOUBLINGS = 8   # integrate_partition splits each panel at most 2^8 ways
@@ -87,4 +89,4 @@ def integrate_partition(f, edges, *, tol: float = 1e-10) -> float:
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing, at least two")
-    return _refine(f, edges, tol, 12, PARTITION_DOUBLINGS)
+    return _refine(f, edges, tol, PARTITION_DOUBLINGS)

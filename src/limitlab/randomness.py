@@ -81,18 +81,18 @@ class TestFamily:
         )
 
 
-def covering_test(x, depth: int, exponent_offset: int = 2) -> TestFamily:
+def covering_test(x, depth: int) -> TestFamily:
     """Nested test whose stage k is the open interval of measure exactly
-    2^-(k+offset) centered at x, for k = 0..depth."""
+    2^-(k+2) centered at x, for k = 0..depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x = frac(x)
     stages = []
     for k in range(depth + 1):
-        h = Fraction(1, 2 ** (k + exponent_offset + 1))
+        h = Fraction(1, 2 ** (k + 3))
         stages.append(IntervalUnion.single(x - h, x + h, False, False))
     return TestFamily(tuple(stages), kind="schnorr",
-                      bound_exponent=exponent_offset, nested=True)
+                      bound_exponent=2, nested=True)
 
 
 def nest_tail(family: TestFamily) -> TestFamily:
@@ -237,7 +237,7 @@ def _exceedance_parts(g, i: int) -> list[RationalInterval]:
     return out
 
 
-def simple_test_from_approx(fs: Sequence, k: int, stage_limit: int | None = None) -> IntervalUnion:
+def simple_test_from_approx(fs: Sequence, k: int) -> IntervalUnion:
     """Stage k of the pointwise-difference test: the union over i >= 2k of
     the regions where |f_i - f_{i+1}| exceeds 2^{-i/2}.
 
@@ -247,9 +247,8 @@ def simple_test_from_approx(fs: Sequence, k: int, stage_limit: int | None = None
     """
     if k < 0:
         raise ValueError("stage index must be >= 0")
-    limit = len(fs) - 1 if stage_limit is None else stage_limit
     parts = []
-    for i in range(2 * k, limit):
+    for i in range(2 * k, len(fs) - 1):
         parts.extend(_exceedance_parts(fs[i + 1] - fs[i], i))
     return normalize(parts)
 
@@ -269,8 +268,7 @@ class PoissonTestStage:
 
 
 def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
-                               y_grid=DEFAULT_Y_GRID,
-                               stage_limit: int | None = None) -> list[PoissonTestStage]:
+                               y_grid=DEFAULT_Y_GRID) -> list[PoissonTestStage]:
     """Stages U_k for every k in ks, from one list of superlevel sets.
 
     U_k is the union over i >= 2k of { x : max over y_grid of
@@ -289,7 +287,7 @@ def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
         raise ValueError("y_grid must be nonempty")
     if not ks:
         return []
-    limit = len(fs) - 1 if stage_limit is None else stage_limit
+    limit = len(fs) - 1
     first = 2 * min(ks)
     levels = [superlevel_set(fs[i + 1] - fs[i], 2.0 ** (-i / 2), y_grid)
               for i in range(first, limit)]
@@ -312,8 +310,7 @@ def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
 
 
 def schnorr_test_from_poisson(fs: Sequence, k: int,
-                              y_grid=DEFAULT_Y_GRID,
-                              stage_limit: int | None = None) -> PoissonTestStage:
+                              y_grid=DEFAULT_Y_GRID) -> PoissonTestStage:
     """Stage U_k derived from the Poisson maximal operator: the one-stage
     case of schnorr_tests_from_poisson."""
-    return schnorr_tests_from_poisson(fs, [k], y_grid, stage_limit)[0]
+    return schnorr_tests_from_poisson(fs, [k], y_grid)[0]

@@ -1,14 +1,16 @@
-"""Trigonometric polynomials with exact coefficients, partial-sum traces.
+"""Small trigonometric polynomials for kernel identities, and partial-sum traces.
 
 A TrigPoly is a finite map from integer frequencies n to coefficients of
-e^{int}.  Coefficients are exact complex rationals while possible; the
-`exact` flag records when an operation (translation by a non-zero amount)
-has forced them to floats.  Analysis integrals use e^{-int}, so that the
-n-th coefficient of e^{int} is 1 and truncation at the degree reproduces
-the polynomial.  TrigPoly serves the exact kernel identities and small
-reference polynomials; the Fourier construction's stages are closed-form
-sums of Fejer kernels (kernels.FejerSum), whose point values cost
-O(translates) rather than O(degree).  convergence_trace reads either kind.
+e^{int}.  In exact mode the coefficients are real Fractions (the Fejer
+coefficients of kernels.fejer_coeffs are); float mode holds complex
+coefficients, and translation by a non-zero amount switches to it.
+Analysis integrals use e^{-int}, so that the n-th coefficient of e^{int} is
+1 and truncation at the degree reproduces the polynomial.  TrigPoly serves
+the exact Fejer coefficient check, the Dirichlet convolution check and
+reference polynomials in tests; the Fourier construction's stages are
+closed-form sums of Fejer kernels (kernels.FejerSum), whose point values
+cost O(translates) rather than O(degree).  convergence_trace reads the
+partial sums of either kind.
 """
 
 from __future__ import annotations
@@ -17,86 +19,27 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import quadrature
 from .functions import StepFunction
-from .intervals import frac, frac_str
+from .intervals import frac
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", frac(self.re))
-        object.__setattr__(self, "im", frac(self.im))
-
-    def __add__(self, other):
-        other = _as_rc(other)
-        return RationalComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = _as_rc(other)
-        return RationalComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _as_rc(other)
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def energy(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, other):
-        if isinstance(other, RationalComplex):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __str__(self):
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
-
-
-def _as_rc(value) -> RationalComplex:
-    if isinstance(value, RationalComplex):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalComplex(frac(value))
-    raise TypeError(f"cannot use {type(value).__name__} in exact arithmetic")
-
-
-CoeffLike = Union[RationalComplex, Fraction, int, complex, float]
+def _rational(value) -> Fraction:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot use {type(value).__name__} in exact arithmetic")
+    return frac(value)
 
 
 @dataclass(frozen=True, eq=False)
 class TrigPoly:
-    """Finite frequency->coefficient map; exact or float coefficient mode."""
+    """Finite frequency->coefficient map: Fraction coefficients in exact
+    mode, complex floats otherwise."""
 
     coeffs: dict
     exact: bool = True
@@ -105,10 +48,7 @@ class TrigPoly:
     def from_coeffs(mapping: dict, exact: bool = True) -> "TrigPoly":
         out = {}
         for n, c in mapping.items():
-            if exact:
-                c = c if isinstance(c, RationalComplex) else _as_rc(c)
-            else:
-                c = complex(c)
+            c = _rational(c) if exact else complex(c)
             if c:
                 out[int(n)] = c
         return TrigPoly(out, exact)
@@ -118,7 +58,7 @@ class TrigPoly:
         return TrigPoly({}, True)
 
     @staticmethod
-    def constant(c: CoeffLike) -> "TrigPoly":
+    def constant(c) -> "TrigPoly":
         exact = not isinstance(c, (complex, float))
         return TrigPoly.from_coeffs({0: c}, exact)
 
@@ -135,7 +75,7 @@ class TrigPoly:
     def coefficient(self, n: int):
         if n in self.coeffs:
             return self.coeffs[n]
-        return RationalComplex(Fraction(0)) if self.exact else 0j
+        return Fraction(0) if self.exact else 0j
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         ns = np.array(self.frequencies(), dtype=float)
@@ -189,21 +129,16 @@ class TrigPoly:
         out: dict = {}
         for src in (self, other):
             for n, c in src.coeffs.items():
-                c = c if exact else complex(c)
-                out[n] = out.get(n, RationalComplex(Fraction(0)) if exact else 0j) + c
+                out[n] = out.get(n, 0) + (c if exact else complex(c))
         return TrigPoly({n: c for n, c in out.items() if c}, exact)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + other.scale(-1)
 
-    def scale(self, w: CoeffLike) -> "TrigPoly":
+    def scale(self, w) -> "TrigPoly":
         exact = self.exact and not isinstance(w, (complex, float))
-        if exact:
-            w = _as_rc(w)
-            out = {n: c * w for n, c in self.coeffs.items()}
-        else:
-            w = complex(w)
-            out = {n: complex(c) * w for n, c in self.coeffs.items()}
+        w = _rational(w) if exact else complex(w)
+        out = {n: c * w for n, c in self.coeffs.items()}
         return TrigPoly({n: c for n, c in out.items() if c}, exact)
 
     def __mul__(self, w):
@@ -214,33 +149,8 @@ class TrigPoly:
     def energy(self):
         """sum |c_n|^2, exact Fraction in exact mode, float otherwise."""
         if self.exact:
-            return sum((c.energy() for c in self.coeffs.values()), Fraction(0))
+            return sum((c * c for c in self.coeffs.values()), Fraction(0))
         return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    # ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.exact:
-            return {
-                str(n): [frac_str(c.re), frac_str(c.im)]
-                for n, c in sorted(self.coeffs.items())
-            }
-        return {
-            str(n): [c.real, c.imag] for n, c in sorted(self.coeffs.items())
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "TrigPoly":
-        if not data:
-            return TrigPoly.zero()
-        exact = isinstance(next(iter(data.values()))[0], str)
-        out = {}
-        for n, (re, im) in data.items():
-            if exact:
-                out[int(n)] = RationalComplex(frac(re), frac(im))
-            else:
-                out[int(n)] = complex(re, im)
-        return TrigPoly(out, exact)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -284,8 +194,7 @@ def l2_norm(f: TrigPoly) -> float:
     return math.sqrt(TWO_PI * float(f.energy()))
 
 
-def lp_norm(f: TrigPoly, p: float, tol: float = 1e-10,
-            max_panels: int = 1 << 15) -> float:
+def lp_norm(f: TrigPoly, p: float, tol: float = 1e-10) -> float:
     """L^p norm on [-pi, pi] by controlled-error quadrature of |f|^p.
 
     For p == 2 the result is cross-checked against the exact coefficient
@@ -298,8 +207,7 @@ def lp_norm(f: TrigPoly, p: float, tol: float = 1e-10,
     def integrand(x):
         return np.abs(f.eval(x)) ** p
 
-    raw = quadrature.integrate(integrand, -math.pi, math.pi, tol=tol,
-                               max_panels=max_panels)
+    raw = quadrature.integrate(integrand, -math.pi, math.pi, tol=tol)
     value = raw ** (1.0 / p)
     if p == 2:
         reference = l2_norm(f)
@@ -319,7 +227,7 @@ class TraceEntry:
 
 @dataclass
 class ConvergenceTrace:
-    """Partial-sum values of a polynomial source at increasing cutoffs."""
+    """Partial-sum values at one point, at increasing cutoffs."""
 
     point: float
     entries: list = field(default_factory=list)
@@ -336,24 +244,20 @@ class ConvergenceTrace:
         return [e.value for e in self.entries]
 
 
-def convergence_trace(source, t: float, checkpoints: Sequence[int]) -> ConvergenceTrace:
+def convergence_trace(partial_sum: Callable, t: float,
+                      checkpoints: Sequence[int]) -> ConvergenceTrace:
     """Record partial-sum values at the given cutoffs, with consecutive jumps.
 
-    `source` is either a TrigPoly (checkpoints index its partial sums) or a
-    callable mapping a cutoff to anything with `eval` at that stage, such
-    as kernels.FejerSum.partial_sum.
+    `partial_sum` maps a cutoff to anything with `eval` at that stage, such
+    as TrigPoly.partial_sum or kernels.FejerSum.partial_sum of one object.
     """
     checkpoints = list(checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    if isinstance(source, TrigPoly):
-        provider: Callable[[int], TrigPoly] = source.partial_sum
-    else:
-        provider = source
     entries = []
     prev = None
     for n_cut in checkpoints:
-        value = provider(n_cut).eval(float(t))
+        value = partial_sum(n_cut).eval(float(t))
         jump = None if prev is None else abs(value - prev)
         entries.append(TraceEntry(n_cut, value, jump))
         prev = value

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+from limitlab import verify
 from limitlab.cli import main
-from limitlab.verify import CHECKS
+from limitlab.verify import CHECKS, Caps
 
 VERIFY_ALL_IDS = [
     "fejer.coefficients", "fejer.cesaro_mean", "fejer.lower_bound",
@@ -166,9 +167,21 @@ def test_corruption_injection_is_caught_and_named(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     report = json.loads((tmp_path / "o" / "verification_report.json").read_text())
-    failed = [c["check_id"] for c in report["checks"] if c["status"] == "fail"]
-    assert failed == ["fejer.coefficients"]
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failed] == ["fejer.coefficients"]
+    # exact coefficients are plain Fractions, rendered as such
+    assert failed[0]["details"] == {"order": 0, "frequency": 1, "got": "1/1000",
+                                    "want": "0", "mode": "exact"}
     assert "fejer.coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-all", "kernel-check"])
+def test_flag_defaults_are_the_caps_defaults(command, monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "run_checks",
+                        lambda ctx, command: seen.append(ctx.caps) or [])
+    assert main([command]) == 0
+    assert seen == [Caps()]
 
 
 def test_weak_type_subcommand(tmp_path):

@@ -226,7 +226,7 @@ class TestSimpleTest:
         # endpoints within the dyadic rounding error
         fs = [PiecewiseLinear.zero(), PiecewiseLinear.zero(),
               tent(RationalInterval(0, 4))]
-        stage = simple_test_from_approx(fs, 0, stage_limit=2)
+        stage = simple_test_from_approx(fs[:3], 0)
         eps = 2.0 ** -0.5
         true_lo, true_hi = eps, 4 - eps  # tent ramps have slope +-1
         assert stage.parts[0].lo <= Fraction(true_lo) <= stage.parts[0].lo + Fraction(1, 2 ** 40)
@@ -277,8 +277,8 @@ class TestPoissonTest:
         fs = step_sequence(8)
         assert schnorr_tests_from_poisson(fs, range(4)) == [
             schnorr_test_from_poisson(fs, k) for k in range(4)]
-        assert schnorr_tests_from_poisson(fs, [2, 1], stage_limit=6) == [
-            schnorr_test_from_poisson(fs, k, stage_limit=6) for k in (2, 1)]
+        assert schnorr_tests_from_poisson(fs[:7], [2, 1]) == [
+            schnorr_test_from_poisson(fs[:7], k) for k in (2, 1)]
         assert schnorr_tests_from_poisson(fs, []) == []
 
     def test_identical_stages_empty(self):
@@ -307,5 +307,5 @@ class TestPoissonTest:
         bump = StepFunction.indicator(
             IntervalUnion.single(Fraction(-1, 8), Fraction(1, 8)), Fraction(8))
         fs = [StepFunction.zero(), bump]
-        result = schnorr_test_from_poisson(fs, 0, stage_limit=1)
+        result = schnorr_test_from_poisson(fs[:2], 0)
         assert result.stage.contains(0)

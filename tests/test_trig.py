@@ -12,16 +12,15 @@ from limitlab import kernels
 from limitlab.functions import StepFunction
 from limitlab.intervals import IntervalUnion
 from limitlab.quadrature import integrate
-from limitlab.trig import (RationalComplex, TrigPoly, convergence_trace,
-                           fourier_coefficient, l2_norm, lp_norm)
+from limitlab.trig import (TrigPoly, convergence_trace, fourier_coefficient,
+                           l2_norm, lp_norm)
 
 TWO_PI = 2 * math.pi
 
 
 def random_poly(rng, degree, exact=False):
     if exact:
-        coeffs = {n: RationalComplex(Fraction(rng.randint(-8, 8), rng.randint(1, 8)),
-                                     Fraction(rng.randint(-8, 8), rng.randint(1, 8)))
+        coeffs = {n: Fraction(rng.randint(-8, 8), rng.randint(1, 8))
                   for n in range(-degree, degree + 1)}
         return TrigPoly.from_coeffs(coeffs, exact=True)
     coeffs = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -112,9 +111,18 @@ def test_linearity_exact_in_rational_mode():
     a, b = Fraction(2, 3), Fraction(-5, 7)
     combo = f.scale(a) + g.scale(b)
     for n in range(-7, 8):
-        want = RationalComplex(Fraction(0)) + a * fourier_coefficient(f, n) \
-            + b * fourier_coefficient(g, n)
-        assert fourier_coefficient(combo, n) == want
+        want = a * fourier_coefficient(f, n) + b * fourier_coefficient(g, n)
+        got = fourier_coefficient(combo, n)
+        assert type(got) is Fraction and got == want
+
+
+def test_exact_mode_rejects_float_and_complex_coefficients():
+    for bad in (0.5, 1 + 0j, np.float64(0.5)):
+        with pytest.raises(TypeError, match="exact arithmetic"):
+            TrigPoly.from_coeffs({0: bad}, exact=True)
+    assert TrigPoly.from_coeffs({0: 0.5}, exact=False).coefficient(0) == 0.5
+    scaled = kernels.fejer_coeffs(2).scale(0.5)
+    assert not scaled.exact and scaled.coefficient(2) == pytest.approx(1 / 6)
 
 
 # ----------------------------------------------------------------------
@@ -235,20 +243,20 @@ def test_dirichlet_convolution_reproduces_partial_sums():
 
 def test_trace_constant_beyond_degree():
     f = kernels.fejer_coeffs(3)
-    trace = convergence_trace(f, 0.9, [3, 5, 9, 20])
+    trace = convergence_trace(f.partial_sum, 0.9, [3, 5, 9, 20])
     assert trace.jumps() == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_trace_single_checkpoint_is_mean_value():
     f = TrigPoly.from_coeffs({0: Fraction(7, 2), 1: 1, -1: 1})
-    trace = convergence_trace(f, 1.234, [0])
+    trace = convergence_trace(f.partial_sum, 1.234, [0])
     assert trace.entries[0].value == pytest.approx(3.5)
     assert trace.entries[0].jump is None
 
 
 def test_trace_requires_increasing_checkpoints():
     with pytest.raises(ValueError):
-        convergence_trace(TrigPoly.zero(), 0.0, [3, 3])
+        convergence_trace(TrigPoly.zero().partial_sum, 0.0, [3, 3])
 
 
 def test_trace_accepts_callable_source():
@@ -256,17 +264,3 @@ def test_trace_accepts_callable_source():
     trace = convergence_trace(source, 0.0, [1, 2, 4])
     assert [e.value.real for e in trace.entries] == [1, 2, 4]
     assert trace.jumps() == [1.0, 2.0]
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def test_json_round_trip_exact_and_float():
-    exact = kernels.fejer_coeffs(3)
-    assert TrigPoly.from_json(exact.to_json()) == exact
-    moved = exact.translate(0.5)
-    back = TrigPoly.from_json(moved.to_json())
-    assert back.frequencies() == moved.frequencies()
-    for n in moved.frequencies():
-        assert complex(back.coefficient(n)) == complex(moved.coefficient(n))
