@@ -9,11 +9,19 @@ only enter downstream, in kernel integration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
+
+
+def _point(t) -> Fraction:
+    """An evaluation point as an exact Fraction.  A float point is taken at
+    its exact binary value; everything else goes through frac, which refuses
+    floats as exact data."""
+    return Fraction(t) if isinstance(t, float) else frac(t)
 
 
 # Merges run over atoms of a sorted breakpoint list: atom 2i is the point
@@ -112,7 +120,7 @@ class StepFunction:
     # pointwise and exact aggregates
 
     def eval(self, t) -> Fraction:
-        t = frac(t) if not isinstance(t, float) else Fraction(t)
+        t = _point(t)
         for iv, v in self.pieces:
             if iv.contains(t):
                 return v
@@ -129,16 +137,29 @@ class StepFunction:
     def sup_norm(self) -> Fraction:
         return max((abs(v) for _, v in self.pieces), default=Fraction(0))
 
-    def window_integral(self, lo, hi) -> Fraction:
-        """Exact integral over [lo, hi] (closedness is measure-irrelevant)."""
-        lo, hi = frac(lo) if not isinstance(lo, float) else Fraction(lo), \
-                 frac(hi) if not isinstance(hi, float) else Fraction(hi)
-        total = Fraction(0)
+    def cumulative(self, ts) -> list[Fraction]:
+        """Exact integral of f over (-inf, t] for each t of ts.
+
+        One prefix-sum table over the pieces per call; each t is located by
+        bisection and adds one partial piece (closedness is measure-irrelevant).
+        """
+        los = [iv.lo for iv, _ in self.pieces]
+        prefix = [Fraction(0)]
         for iv, v in self.pieces:
-            a, b = max(iv.lo, lo), min(iv.hi, hi)
-            if a < b:
-                total += v * (b - a)
-        return total
+            prefix.append(prefix[-1] + v * iv.length)
+        out = []
+        for t in map(_point, ts):
+            k = bisect_right(los, t)
+            if k == 0:
+                out.append(Fraction(0))
+            else:
+                iv, v = self.pieces[k - 1]
+                out.append(prefix[k - 1] + v * (min(t, iv.hi) - iv.lo))
+        return out
+
+    def window_integral(self, lo, hi) -> Fraction:
+        """Exact integral over [lo, hi]: the difference of two cumulative values."""
+        return _window(self, lo, hi)
 
     @property
     def is_zero(self) -> bool:
@@ -241,7 +262,7 @@ class PiecewiseLinear:
         return PiecewiseLinear(())
 
     def eval(self, t) -> Fraction:
-        t = frac(t) if not isinstance(t, float) else Fraction(t)
+        t = _point(t)
         verts = self.vertices
         if not verts or t <= verts[0][0] or t >= verts[-1][0]:
             # endpoints carry y == 0, so <=/>= is exact here
@@ -343,22 +364,46 @@ class PiecewiseLinear:
             return PiecewiseLinear.zero()
         return PiecewiseLinear(tuple((x, w * y) for x, y in self.vertices))
 
-    def window_integral(self, lo, hi) -> Fraction:
-        lo, hi = (frac(lo) if not isinstance(lo, float) else Fraction(lo),
-                  frac(hi) if not isinstance(hi, float) else Fraction(hi))
-        if not self.vertices or hi <= lo:
-            return Fraction(0)
-        total = Fraction(0)
+    def cumulative(self, ts) -> list[Fraction]:
+        """Exact integral of f over (-inf, t] for each t of ts.
+
+        One prefix-sum table over the segments per call; each t is located
+        by bisection and adds the trapezoid of one partial segment.
+        """
+        verts = self.vertices
+        xs = [x for x, _ in verts]
+        prefix = [Fraction(0)]
         for (x0, y0), (x1, y1) in self.segments():
-            a, b = max(x0, lo), min(x1, hi)
-            if a < b:
-                ya = y0 + (y1 - y0) * (a - x0) / (x1 - x0)
-                yb = y0 + (y1 - y0) * (b - x0) / (x1 - x0)
-                total += (ya + yb) * (b - a) / 2
-        return total
+            prefix.append(prefix[-1] + (y0 + y1) * (x1 - x0) / 2)
+        out = []
+        for t in map(_point, ts):
+            k = bisect_right(xs, t)
+            if k == 0:
+                out.append(Fraction(0))
+            elif k == len(xs):
+                out.append(prefix[-1])
+            else:
+                (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+                yt = y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+                out.append(prefix[k - 1] + (y0 + yt) * (t - x0) / 2)
+        return out
+
+    def window_integral(self, lo, hi) -> Fraction:
+        """Exact integral over [lo, hi]: the difference of two cumulative values."""
+        return _window(self, lo, hi)
 
     def to_json(self) -> list:
         return [[frac_str(x), frac_str(y)] for x, y in self.vertices]
+
+
+def _window(f, lo, hi) -> Fraction:
+    """Exact integral of a step or piecewise-linear f over [lo, hi], 0 when
+    hi <= lo."""
+    lo, hi = _point(lo), _point(hi)
+    if hi <= lo:
+        return Fraction(0)
+    below, above = f.cumulative((lo, hi))
+    return above - below
 
 
 def _trimmed(verts) -> PiecewiseLinear:

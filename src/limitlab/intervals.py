@@ -22,8 +22,15 @@ RationalLike = Union[Fraction, int, str]
 
 
 def frac(value: RationalLike) -> Fraction:
-    """Coerce ints and 'p/q' strings to Fraction (Fractions pass through)."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """Coerce ints and 'p/q' strings to Fraction (Fractions pass through).
+
+    Floats raise TypeError: a float's binary expansion is not exact data.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"cannot use float {value!r} as exact rational data")
+    return Fraction(value)
 
 
 def frac_str(value: Fraction) -> str:

@@ -10,7 +10,9 @@ The maximal operator max over a height grid of P[|f|](x, y) has one
 evaluator: the pieces of |f| are converted to floats once, and every height
 of the grid is evaluated in one (heights x points) array pass through the
 same closed form as poisson_integral, in blocks of EVAL_CHUNK points, so
-each value is bitwise the one a per-height call gives.  It has one
+each value is bitwise the one a per-height call gives.  A radial trace
+evaluates all its heights the same way, at its one point, and reads its
+exact window masses from one cumulative table.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
 outward dyadic rounding.  The weak-type (1,1) measurement here and the
@@ -89,9 +91,24 @@ def _closed_form(pieces: _FloatPieces, xs, y):
             u = (b - xs) / y
             w = (a - xs) / y
             out += (alpha + beta * xs) * stable_atan_diff(u, w)
-            # log((u^2+1)/(w^2+1)) via log1p to survive u ~ w
-            out += 0.5 * beta * y * np.log1p((u * u - w * w) / (w * w + 1.0))
+            out += 0.5 * beta * y * _log_ratio(u, w)
     return out / math.pi
+
+
+def _log_ratio(u, w):
+    """log((u^2+1)/(w^2+1)), via log1p to survive u ~ w.
+
+    Where w^2 swamps the +1 and u^2 is small beside it (x at or next to an
+    end of the piece, at heights near 2^-27 and below), the log1p argument
+    rounds to exactly -1; there the two logarithms are taken apart, in place
+    of log1p's -inf.
+    """
+    ratio = (u * u - w * w) / (w * w + 1.0)
+    swamped = ratio == -1.0
+    if not swamped.any():
+        return np.log1p(ratio)
+    return np.where(swamped, np.log1p(u * u) - np.log1p(w * w),
+                    np.log1p(np.where(swamped, 0.0, ratio)))
 
 
 def poisson_integral_step(f: StepFunction, x, y: float):
@@ -155,15 +172,23 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
     poisson.window_floor covers it), so P[f](x,y) is at least 4/(5 pi y)
     times the mass of f on the central window [x - y/2, x + y/2].  The
     floor is attached, and enforced, whenever f >= 0.
+
+    The pieces are converted to floats once and every height is evaluated
+    in one (heights x 1) pass of the closed form, so each value is bitwise
+    the one poisson_integral gives.  The window masses are exact, read from
+    one f.cumulative call over all window ends.
     """
+    values = _closed_form(_float_pieces(f), _as_xs(x), _heights(y_seq))[:, 0]
     nonneg = f.is_nonnegative()
+    if nonneg:
+        ends = f.cumulative([Fraction(x) + side * Fraction(y) / 2
+                             for y in y_seq for side in (-1, 1)])
     entries = []
-    for y in y_seq:
-        value = float(poisson_integral(f, x, y))
+    for j, y in enumerate(y_seq):
+        value = float(values[j])
         lower = None
         if nonneg:
-            window_mass = float(f.window_integral(Fraction(x) - Fraction(y) / 2,
-                                                  Fraction(x) + Fraction(y) / 2))
+            window_mass = float(ends[2 * j + 1] - ends[2 * j])
             lower = 4.0 / (5.0 * math.pi * y) * window_mass
             if value < lower - 1e-9 * max(1.0, abs(lower)):
                 raise AssertionError(

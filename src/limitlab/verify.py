@@ -523,17 +523,12 @@ def _shell_window_floor(sc, point: Fraction, y: float, m: int) -> float:
 def _check_step_radial_floor(ctx: VerifyContext):
     """Poisson values of the step construction at the covered point, each at
     the smallest stage whose cover fits a quarter of the window, stay above
-    a floor.  At |point| < 1 it is the K-shell floor 3(2 - 2^-K)/(5 pi),
-    K = 1.  Farther out the point misses shell 0, whose weight that floor
-    counts, so each height gets the shell-window floor of its stage
-    (_shell_window_floor), reported with its entry."""
+    the shell-window floor of that stage (_shell_window_floor), reported
+    with each entry."""
     if ctx.caps.m_max < 0:
         return None
     sc = ctx.step
     x = float(ctx.point)
-    inner = abs(ctx.point) < 1
-    k_shell = math.floor(abs(ctx.point)) + 1
-    floor = 3.0 * (2.0 - 2.0 ** -k_shell) / (5.0 * math.pi)
     tol = ctx.tolerances["radial_floor"]
     checked = []
     for y in ctx.heights:
@@ -541,18 +536,14 @@ def _check_step_radial_floor(ctx: VerifyContext):
         st = next((st for st in sc.stages if st.cover.measure() <= Fraction(y) / 4), None)
         if st is None:
             continue
-        value = float(poisson_integral(st.f, x, y))
-        entry = {"y": y, "stage": st.m, "value": value}
-        bound = floor if inner else _shell_window_floor(sc, ctx.point, y, st.m)
-        if not inner:
-            entry["floor"] = bound
+        entry = {"y": y, "stage": st.m, "value": float(poisson_integral(st.f, x, y)),
+                 "floor": _shell_window_floor(sc, ctx.point, y, st.m)}
         checked.append(entry)
-        if value < bound - tol:
-            return False, entry | {"floor": bound, "tolerance": tol}
+        if entry["value"] < entry["floor"] - tol:
+            return False, entry | {"tolerance": tol}
     if not checked:
         return None
-    shared = {"floor": floor} if inner else {}
-    return True, shared | {"checked": checked, "tolerance": tol}
+    return True, {"checked": checked, "tolerance": tol}
 
 
 def _check_ml_contraction(ctx: VerifyContext):
@@ -798,7 +789,7 @@ CHECKS = [
           "Stage masses increase and stay at most 8, exactly",
           _check_step_limit_mass, STEP),
     Check("step.radial_floor", "poisson",
-          "Poisson values at the covered point at least 3(2 - 2^-K)/(5 pi), K its shell",
+          "Poisson values at the covered point at least the shell-window floor of their stage",
           _check_step_radial_floor, VERIFY + ("poisson-trace:schnorr-poisson",)),
     Check("ml.contraction", "poisson",
           "Height-y Poisson gap bounded by the L1 stage gap over pi y",

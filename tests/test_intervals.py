@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab.intervals import IntervalUnion, RationalInterval, normalize
+from limitlab.functions import PiecewiseLinear, StepFunction
+from limitlab.intervals import IntervalUnion, RationalInterval, frac, normalize
+from limitlab.randomness import covering_test
 
 
 def grid_measure_oracle(union, lo, hi, cells=4096):
@@ -208,3 +210,16 @@ def test_invalid_intervals_rejected():
         RationalInterval(1, 1, True, False)
     with pytest.raises(ValueError):
         IntervalUnion((RationalInterval(0, 2), RationalInterval(1, 3)))
+
+
+def test_floats_are_refused_as_exact_data():
+    # 0.1 would silently become 3602879701896397/36028797018963968
+    f = StepFunction.indicator(IntervalUnion.single(0, 1))
+    for build in (lambda: frac(0.1), lambda: covering_test(0.1, 1),
+                  lambda: f.scale(0.1), lambda: RationalInterval(0.1, 1)):
+        with pytest.raises(TypeError):
+            build()
+    # evaluating at a float point stays legal, at its exact binary value
+    assert f.eval(0.5) == 1 and f.eval(1.5) == 0
+    assert PiecewiseLinear(((0, 0), (1, 1), (2, 0))).eval(0.5) == Fraction(1, 2)
+    assert f.window_integral(0.25, 0.5) == Fraction(1, 4)

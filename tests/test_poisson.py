@@ -126,6 +126,12 @@ class TestPiecewiseLinearIntegral:
         for j in (20, 25, 30):
             v = poisson_integral_pl(t, 0.5, 2.0 ** -j)
             assert v == pytest.approx(1.0, abs=1e-5)
+        # at the vertices too, where below about 2^-27 the log1p argument of
+        # the neighbouring piece rounds to -1
+        for x in (0.0, 0.25, 0.75, 1.0):
+            for j in (27, 28, 30):
+                v = poisson_integral_pl(t, x, 2.0 ** -j)
+                assert v == pytest.approx(float(t.eval(x)), abs=1e-6)
 
 
 class TestRadialTrace:
@@ -156,6 +162,12 @@ class TestRadialTrace:
         f = StepFunction.indicator(IntervalUnion.single(0, 1))
         with pytest.raises(ValueError):
             radial_trace(f, 0.0, [0.5, 0.5])
+
+    def test_empty_and_nonpositive_heights(self):
+        f = StepFunction.indicator(IntervalUnion.single(0, 1))
+        assert radial_trace(f, 0.5, []).entries == []
+        with pytest.raises(ValueError):
+            radial_trace(f, 0.5, [1.0, 0.0])
 
 
 class TestMaximalEstimate:
@@ -339,6 +351,70 @@ def test_swapped_bisection_update_is_caught(monkeypatch):
     monkeypatch.setattr(poisson, "_bisect_edges",
                         lambda exceeds, o, i: bisect(lambda xs: ~exceeds(xs), o, i))
     assert located(superlevel_set(f, 1.0)) != want
+
+
+def reference_window_mass(f, lo, hi):
+    """The O(pieces) window loop radial_trace made per height before it read
+    its window masses from one cumulative table."""
+    total = Fraction(0)
+    if isinstance(f, StepFunction):
+        for iv, v in f.pieces:
+            a, b = max(iv.lo, lo), min(iv.hi, hi)
+            if a < b:
+                total += v * (b - a)
+        return total
+    for (x0, y0), (x1, y1) in f.segments():
+        a, b = max(x0, lo), min(x1, hi)
+        if a < b:
+            ya = y0 + (y1 - y0) * (a - x0) / (x1 - x0)
+            yb = y0 + (y1 - y0) * (b - x0) / (x1 - x0)
+            total += (ya + yb) * (b - a) / 2
+    return total
+
+
+@st.composite
+def trace_inputs(draw):
+    """Signed or nonnegative data, x at or within 2^-40 .. 2^-1 of a
+    breakpoint, and decreasing heights down to 2^-30."""
+    f, _ = draw(maximal_inputs())
+    if draw(st.booleans()):
+        f = f.abs()
+    anchor = float(draw(st.sampled_from(f.breakpoints() or [Fraction(0)])))
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 40))
+    exps = draw(st.lists(st.floats(-3, 30), min_size=1, max_size=8))
+    return f, anchor + offset, sorted({2.0 ** -e for e in exps}, reverse=True)
+
+
+@given(trace_inputs())
+@settings(max_examples=60, deadline=None)
+def test_radial_trace_matches_per_height_calls(inputs):
+    """Every entry is bitwise the per-height poisson_integral value, and its
+    floor the one the per-height window loop gives."""
+    f, x, ys = inputs
+    trace = radial_trace(f, x, ys)
+    assert [e.y for e in trace.entries] == ys
+    for e, y in zip(trace.entries, ys):
+        assert e.value.hex() == float(poisson_integral(f, x, y)).hex()
+        lo, hi = Fraction(x) - Fraction(y) / 2, Fraction(x) + Fraction(y) / 2
+        mass = reference_window_mass(f, lo, hi)
+        assert f.window_integral(lo, hi) == mass and f.window_integral(hi, lo) == 0
+        assert e.bound_active == f.is_nonnegative()
+        if e.bound_active:
+            assert e.lower_bound == 4.0 / (5.0 * math.pi * y) * float(mass)
+        else:
+            assert e.lower_bound is None
+
+
+@pytest.mark.parametrize("f", [StepFunction.indicator(IntervalUnion.single(-1, 1), 2),
+                               tent(RationalInterval(-1, 1))])
+def test_overstated_window_mass_breaks_the_floor(monkeypatch, f):
+    """Negative control: a cumulative table that adds mass 8 to every window
+    lifts the floor over 2 >= sup f >= the Poisson value, and the trace raises."""
+    cumulative = type(f).cumulative
+    monkeypatch.setattr(type(f), "cumulative",
+                        lambda self, ts: [c + 8 * k for k, c in enumerate(cumulative(self, ts))])
+    with pytest.raises(AssertionError, match="under its certified floor"):
+        radial_trace(f, 0.0, [1.0, 0.5])
 
 
 class TestContractionGap:
