@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
@@ -119,9 +120,18 @@ class StepFunction:
     # ------------------------------------------------------------------
     # pointwise and exact aggregates
 
+    @cached_property
+    def _starts(self) -> list[Fraction]:
+        """Left ends of the pieces, in order, for bisection."""
+        return [iv.lo for iv, _ in self.pieces]
+
     def eval(self, t) -> Fraction:
+        """f(t), from the last piece starting at or before t or the one before
+        it: that one holds t when it ends closed at t and the last piece is
+        open at t, or is the point piece [t, t]."""
         t = _point(t)
-        for iv, v in self.pieces:
+        k = bisect_right(self._starts, t)
+        for iv, v in self.pieces[max(k - 2, 0):k]:
             if iv.contains(t):
                 return v
         return Fraction(0)
@@ -143,13 +153,12 @@ class StepFunction:
         One prefix-sum table over the pieces per call; each t is located by
         bisection and adds one partial piece (closedness is measure-irrelevant).
         """
-        los = [iv.lo for iv, _ in self.pieces]
         prefix = [Fraction(0)]
         for iv, v in self.pieces:
             prefix.append(prefix[-1] + v * iv.length)
         out = []
         for t in map(_point, ts):
-            k = bisect_right(los, t)
+            k = bisect_right(self._starts, t)
             if k == 0:
                 out.append(Fraction(0))
             else:

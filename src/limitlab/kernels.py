@@ -132,16 +132,24 @@ def stable_atan_diff(u, v):
     For u*v > 0 the identity arctan(u) - arctan(v) = arctan((u-v)/(1+uv))
     applies with no branch correction and keeps full precision even when
     both arguments are huge (as along radial traces with y -> 0).
+
+    Each element takes one branch: the identity's quotient and arctan are
+    computed only where u*v > 0, the two plain arctans only elsewhere (so
+    never a division at u*v = -1).  Every value is bitwise the one of
+    computing both branches and selecting.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    same_sign = u * v > 0
-    denom = np.where(same_sign, 1.0 + u * v, 1.0)  # dummy where unused
-    return np.where(
-        same_sign,
-        np.arctan((u - v) / denom),
-        np.arctan(u) - np.arctan(v),
-    )
+    uv = np.asarray(u * v)  # 0-d inputs give scalars: keep arrays to write into
+    same_sign = uv > 0
+    other = ~same_sign
+    out = np.asarray(u - v)
+    np.add(uv, 1.0, out=uv)
+    np.divide(out, uv, where=same_sign, out=out)
+    np.arctan(out, where=same_sign, out=out)
+    np.arctan(u, where=other, out=out)
+    np.subtract(out, np.arctan(v, where=other, out=uv), where=other, out=out)
+    return out
 
 
 def poisson_interval_mass(y: float, a: float, b: float) -> float:

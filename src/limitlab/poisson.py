@@ -15,8 +15,12 @@ evaluates all its heights the same way, at its one point, and reads its
 exact window masses from one cumulative table.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
-outward dyadic rounding.  The weak-type (1,1) measurement here and the
-maximal-operator test stages in randomness both read their sets from it.
+outward dyadic rounding.  The sign scan only asks whether the max exceeds
+alpha, so it decides each point at the first height of the grid and takes
+the remaining heights in one pass over the undecided points only; the
+bisection, a few midpoints a round, takes every height in one pass.  The
+weak-type (1,1) measurement here and the maximal-operator test stages in
+randomness both read their sets from it.
 """
 
 from __future__ import annotations
@@ -219,6 +223,12 @@ def _heights(y_grid: Sequence[float]) -> np.ndarray:
     return ys
 
 
+def _block_max(pieces: _FloatPieces, block: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """max over the heights ys (a column, possibly empty) of P[f](x, y) at
+    every x of block, in one (heights x points) pass."""
+    return np.max(_closed_form(pieces, block, ys), axis=0, initial=-np.inf)
+
+
 def _max_over_heights(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """max over the heights ys (a column) of P[f](x, y) at every x of xs.
 
@@ -229,8 +239,28 @@ def _max_over_heights(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray) -> n
     flat = xs.reshape(-1)
     out = np.empty(flat.shape)
     for s in range(0, flat.size, EVAL_CHUNK):
-        block = _closed_form(pieces, flat[s:s + EVAL_CHUNK], ys)
-        out[s:s + EVAL_CHUNK] = np.max(block, axis=0, initial=-np.inf)
+        out[s:s + EVAL_CHUNK] = _block_max(pieces, flat[s:s + EVAL_CHUNK], ys)
+    return out.reshape(xs.shape)
+
+
+def _exceeds(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
+    """_max_over_heights(pieces, xs, ys) > alpha, deciding each point as soon
+    as one height exceeds.
+
+    Each block of EVAL_CHUNK points is evaluated at the first height of ys;
+    the points that exceed there are decided, and only the others are
+    evaluated at the remaining heights, in one (heights x points) pass.
+    Every value compared is the one _max_over_heights computes, so the
+    answer is the same point for point.
+    """
+    flat = xs.reshape(-1)
+    out = np.empty(flat.shape, dtype=bool)
+    for s in range(0, flat.size, EVAL_CHUNK):
+        block = flat[s:s + EVAL_CHUNK]
+        hit = _block_max(pieces, block, ys[:1]) > alpha
+        open_ = np.flatnonzero(~hit)
+        hit[open_] = _block_max(pieces, block[open_], ys[1:]) > alpha
+        out[s:s + EVAL_CHUNK] = hit
     return out.reshape(xs.shape)
 
 
@@ -281,19 +311,23 @@ def superlevel_set(g, alpha: float,
                    y_grid: Sequence[float] = DEFAULT_Y_GRID) -> SuperlevelSet:
     """Locate { x : max over y_grid of P[|g|](x, y) > alpha }.
 
-    The pieces of |g| are converted to floats once, and one evaluator takes
-    the max over every height of y_grid in a single (heights x points) array
-    pass, in blocks of EVAL_CHUNK points.  Cells of width PRUNE_CELL are
-    pruned where the per-piece envelope min(sup, mass / (2 pi d)), valid at
-    every height (d the distance to the piece), sums to at most alpha.  Each
-    remaining window is scanned at spacing about 1/SCAN_DENSITY.  Both edges
-    of every run of exceeding scan points are bisected to BISECT_TOL, all
-    edges of the set together with one evaluator call per step, keeping the
-    outer end of each bracket; the edges are then rounded outward to
-    multiples of 1/ROUND_DEN.  Each component thus carries at most
-    EDGE_SLACK of endpoint uncertainty.  A component narrower than the scan
-    spacing can be missed.  A bisection that does not reach BISECT_TOL
-    within BISECT_MAX_ITER steps is counted in `bisection_failures`.
+    The pieces of |g| are converted to floats once.  Cells of width
+    PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
+    (2 pi d)), valid at every height (d the distance to the piece), sums to
+    at most alpha.  Each remaining window is scanned at spacing about
+    1/SCAN_DENSITY by _exceeds: every scan point is evaluated at the first
+    height of y_grid, and only the points that do not exceed alpha there
+    go on to the remaining heights, in one (heights x points) pass per
+    block of EVAL_CHUNK points.  Both edges of every run of exceeding scan
+    points are bisected to BISECT_TOL, all edges of the set together with
+    one pass over every height per step, keeping the outer end of each
+    bracket; the edges are then rounded outward to multiples of
+    1/ROUND_DEN.  Every comparison with alpha is made on the value
+    poisson_integral gives at that point and height.  Each component thus
+    carries at most EDGE_SLACK of endpoint uncertainty.  A component
+    narrower than the scan spacing can be missed.  A bisection that does
+    not reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
+    `bisection_failures`.
     """
     pieces = _float_pieces(g.abs())
     if not pieces.rows:
@@ -320,19 +354,18 @@ def superlevel_set(g, alpha: float,
 
     ys = _heights(y_grid)
 
-    def exceeds(xs):
-        return _max_over_heights(pieces, xs, ys) > alpha
-
     # one bracket per edge, left then right edge of each run; a run that
     # reaches the end of its window gets the zero-width bracket at that end
     outside, inside = [], []
     for w_lo, w_hi in windows:
         n_pts = max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
         xs = np.linspace(w_lo, w_hi, n_pts)
-        for s, stop in _runs(exceeds(xs)):
+        for s, stop in _runs(_exceeds(pieces, xs, ys, alpha)):
             outside += [xs[max(s - 1, 0)], xs[min(stop, n_pts - 1)]]
             inside += [xs[s], xs[stop - 1]]
-    ends, failures = _bisect_edges(exceeds, np.array(outside), np.array(inside))
+    # a bisection round has only a few midpoints: one pass over every height
+    ends, failures = _bisect_edges(lambda mid: _max_over_heights(pieces, mid, ys) > alpha,
+                                   np.array(outside), np.array(inside))
     parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
                               Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN))
              for left, right in zip(ends[0::2], ends[1::2])]

@@ -638,12 +638,13 @@ def _check_schnorr_chain(ctx: VerifyContext):
         if len(samples) >= 3:
             break
     tol = ctx.tolerances["chain"]
+    gaps = {i: (fns[i + 1] - fns[i]).abs() for i in range(2 * k, limit)}
     rows = []
     for x, dist in samples:
         for n in range(k, min(3, (limit - 1) // 2) + 1):
             y_exp = max(0, math.ceil(-math.log2(math.pi * dist * 2.0 ** -n / 8.0)))
             y = 2.0 ** -min(y_exp, 12)
-            tail = sum(float(poisson_integral((fns[i + 1] - fns[i]).abs(), float(x), y))
+            tail = sum(float(poisson_integral(gaps[i], float(x), y))
                        for i in range(2 * n, limit))
             local = abs(float(poisson_integral(fns[2 * n], float(x), y))
                         - float(fns[2 * n].eval(x)))

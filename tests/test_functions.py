@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitlab.constructions import tent
 from limitlab.functions import PiecewiseLinear, StepFunction
@@ -242,6 +242,30 @@ def test_pointwise_le_matches_oracle(f, g):
     probes = atom_probes(f.breakpoints() + g.breakpoints())
     assert f.pointwise_le(g) is all(f.eval(x) <= g.eval(x) for x in probes)
     assert f.pointwise_le(f + g.abs())
+
+
+def linear_scan_eval(f, t):
+    """Reference for StepFunction.eval: the first piece, in order, holding t
+    (a float t taken at its exact binary value)."""
+    t = Fraction(t)
+    return next((v for iv, v in f.pieces if iv.contains(t)), Fraction(0))
+
+
+point_then_open = StepFunction.from_weighted_regions([
+    (1, IntervalUnion.single(0, 0)), (2, IntervalUnion.single(0, 1, False, True)),
+    (-1, IntervalUnion.single(1, 2, False, False))])
+
+
+@given(step_st, st.lists(st.floats(-4, 4), max_size=4))
+@example(point_then_open, [0.0, 1.0, 5e-324])
+@settings(max_examples=200, deadline=None)
+def test_eval_by_bisection_matches_linear_scan(f, floats):
+    """Breakpoints (point pieces among them), gap midpoints, and floats at,
+    next to and between the breakpoints."""
+    breaks = [float(x) for x in f.breakpoints()]
+    nudged = [np.nextafter(x, side) for x in breaks for side in (-np.inf, np.inf)]
+    for t in atom_probes(f.breakpoints()) + breaks + [float(x) for x in nudged] + floats:
+        assert f.eval(t) == linear_scan_eval(f, t)
 
 
 def test_merges_of_empty_inputs():

@@ -280,6 +280,57 @@ class TestPoissonMass:
         assert kernels.poisson_interval_mass(1.0, 0.0, math.inf) == pytest.approx(0.5, abs=1e-15)
 
 
+def select_atan_diff(u, v):
+    """Reference for stable_atan_diff: both branches on every element, then
+    np.where selects (the formula before each element took one branch)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    same_sign = u * v > 0
+    denom = np.where(same_sign, 1.0 + u * v, 1.0)  # dummy where unused
+    return np.where(same_sign, np.arctan((u - v) / denom), np.arctan(u) - np.arctan(v))
+
+
+# signed magnitudes 2^-40 .. 2^40 with full mantissas, and the values where the
+# branches meet: zeros, +-1 (so u v = -1 exactly) and reciprocal powers of two
+atan_arg = st.one_of(
+    st.floats(min_value=2.0 ** -40, max_value=2.0 ** 40).flatmap(
+        lambda m: st.sampled_from([m, -m])),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** 30, -(2.0 ** -30), 3.0, -1.0 / 3.0]))
+
+
+@st.composite
+def atan_inputs(draw):
+    """u and v as Python floats, 0-d arrays, or arrays of broadcasting shapes."""
+    form = draw(st.sampled_from(["scalar", "0-d", "same", "broadcast"]))
+    if form in ("scalar", "0-d"):
+        u, v = draw(atan_arg), draw(atan_arg)
+        return (u, v) if form == "scalar" else (np.array(u), np.array(v))
+    n = draw(st.integers(1, 40))
+    u = np.array(draw(st.lists(atan_arg, min_size=n, max_size=n)))
+    if form == "same":
+        return u, np.array(draw(st.lists(atan_arg, min_size=n, max_size=n)))
+    rows = draw(st.integers(1, 5))
+    return u, np.array(draw(st.lists(atan_arg, min_size=rows, max_size=rows))).reshape(-1, 1)
+
+
+@given(atan_inputs())
+@settings(max_examples=300, deadline=None)
+def test_one_branch_atan_diff_matches_select(inputs):
+    u, v = inputs
+    got, want = kernels.stable_atan_diff(u, v), select_atan_diff(u, v)
+    assert type(got) is type(want) and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_atan_diff_at_uv_minus_one_divides_by_nothing():
+    u = np.array([1.0, 2.0 ** 30, 0.5, 3.0])
+    v = np.array([-1.0, -(2.0 ** -30), -2.0, 2.0])
+    with np.errstate(all="raise"):
+        got = kernels.stable_atan_diff(u, v)
+    assert got.tobytes() == select_atan_diff(u, v).tobytes()
+    assert got[0] == math.pi / 2
+
+
 class TestFejerLpRatio:
     def test_order_zero(self):
         for p in (1.5, 2.0, 3.0):

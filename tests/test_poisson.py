@@ -325,6 +325,40 @@ def test_evaluator_matches_per_height_calls(inputs):
     assert np.array_equal(got > alpha, want > alpha)
 
 
+def exceeds_mismatches(exceeds, f, alpha, grid):
+    """Points of a three-block scan where exceeds(pieces of |f|, xs, heights,
+    alpha) differs from maximal_estimate(f, xs, grid) > alpha."""
+    xs = np.linspace(-8, 8, 2 * EVAL_CHUNK + 3)
+    got = exceeds(poisson._float_pieces(f.abs()), xs, poisson._heights(grid), alpha)
+    return np.flatnonzero(got != (maximal_estimate(f, xs, grid) > alpha))
+
+
+@given(maximal_inputs(), st.permutations(DEFAULT_Y_GRID), st.integers(1, len(DEFAULT_Y_GRID)))
+@settings(max_examples=40, deadline=None)
+def test_exceeds_matches_maximal_estimate(inputs, grid, size):
+    """The first-height decision and the pass over the undecided points give
+    the answer of the full max, point for point, for any grid order."""
+    f, alpha = inputs
+    assert exceeds_mismatches(poisson._exceeds, f, alpha, grid[:size]).size == 0
+
+
+def first_height_only(pieces, xs, ys, alpha):
+    """_exceeds with the undecided points dropped after the first height."""
+    return poisson._max_over_heights(pieces, xs, ys[:1]) > alpha
+
+
+def test_dropping_undecided_points_is_caught(monkeypatch):
+    """Negative control: a spike of mass 1/8 and width 2^-10 stays under
+    alpha = 1 at height 1 but exceeds it at the lower heights, so an _exceeds
+    that stops after the first height misses those points, and the located
+    set loses its component."""
+    f = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
+    assert exceeds_mismatches(first_height_only, f, 1.0, DEFAULT_Y_GRID).size > 0
+    assert superlevel_set(f, 1.0).components == 1
+    monkeypatch.setattr(poisson, "_exceeds", first_height_only)
+    assert superlevel_set(f, 1.0).components == 0
+
+
 @given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
 @settings(max_examples=25, deadline=None)
 def test_superlevel_set_matches_per_edge_bisection(inputs, max_iter):
