@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator, Sequence
 
-from .functions import PiecewiseLinear, StepFunction
+from .functions import PiecewiseLinear, StepFunction, _sweep
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
 from .kernels import FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
@@ -214,13 +215,38 @@ class StepConstruction:
         }
 
 
-def _step_stage_function(test: TestFamily, m: int) -> StepFunction:
-    terms = []
-    cover = test.stage(m)
-    for k in range(m + 1):
-        shell = IntervalUnion.single(-(k + 1), k + 1)
-        terms.append((Fraction(1, 2 ** k), shell.difference(cover)))
-    return StepFunction.from_weighted_regions(terms)
+def _step_stages(stages: Sequence[IntervalUnion]) -> Iterator[StepFunction]:
+    """f_m = sum_{k <= m} 2^-k * indicator(shell_k minus stages[m]) for each m,
+    with shell_k = [-k-1, k+1].
+
+    Built incrementally: H_m = H_{m-1} + 2^-m * indicator(shell_m) is the sum
+    without the stage removed, and since H_m vanishes outside shell_m,
+    f_m = H_m restricted to shell_m minus stages[m].  This holds for any
+    sequence of stages, nested or not.
+    """
+    h = StepFunction.zero()
+    for m, stage in enumerate(stages):
+        shell = IntervalUnion.single(-(m + 1), m + 1)
+        h = h + StepFunction.indicator(shell, Fraction(1, 2 ** m))
+        yield h.restrict(shell.difference(stage))
+
+
+def _stage_bounds(f_cur: StepFunction, f_next: StepFunction,
+                  stage: IntervalUnion) -> tuple[Fraction, Fraction, bool, bool]:
+    """Exact integral of f_cur, ||f_next - f_cur||_1, whether f_cur <= f_next
+    everywhere, and whether f_cur vanishes on the stage, all read from one
+    sweep over the atoms of the three functions."""
+    points, (cur, nxt, inside) = _sweep(f_cur, f_next, StepFunction.indicator(stage))
+    mass = increment = Fraction(0)
+    for k in range(1, len(cur), 2):
+        a, b = cur[k], nxt[k]
+        if a or b:
+            width = points[k // 2 + 1] - points[k // 2]
+            mass += a * width
+            increment += abs(b - a) * width
+    monotone = all(a <= b for a, b in zip(cur, nxt))
+    vanishes = not any(a for a, s in zip(cur, inside) if s)
+    return mass, increment, monotone, vanishes
 
 
 def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
@@ -229,7 +255,9 @@ def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
     Requires a nested family with measures at most 2^-(m+1) (one past the
     plain geometric guarantee, as produced by nest_tail).  Every recorded
     bound is an exact rational comparison: stage mass, increment L1 norm,
-    monotonicity, and vanishing on the stage.
+    monotonicity, and vanishing on the stage.  The stages come from the
+    recurrence of _step_stages, and each stage's four bounds from one sweep
+    (_stage_bounds).
     """
     if not test.nested:
         raise ValueError("the step construction needs a nested test family")
@@ -239,24 +267,24 @@ def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
         raise ValueError(f"test family depth {test.depth} short of m_max+1 = {m_max + 1}")
 
     construction = StepConstruction()
-    f_cur = _step_stage_function(test, 0)
-    for m in range(m_max + 1):
-        f_next = _step_stage_function(test, m + 1)
-        mass = f_cur.integral()
+    fns = _step_stages(test.stages[:m_max + 2])
+    f_cur = next(fns)
+    for m, f_next in enumerate(fns):
+        cover = test.stage(m)
+        mass, increment, monotone, vanishes = _stage_bounds(f_cur, f_next, cover)
         mass_bound = Fraction(2 * (2 ** (m + 2) - m - 3), 2 ** m)
         if mass > mass_bound:
             raise AssertionError(f"stage {m}: mass {mass} exceeds {mass_bound}")
-        increment = (f_next - f_cur).l1_norm()
         increment_bound = Fraction(2 * m + 5, 2 ** (m + 1))
         if increment >= increment_bound:
             raise AssertionError(
                 f"stage {m}: increment {increment} not below {increment_bound}")
-        if not f_cur.pointwise_le(f_next):
+        if not monotone:
             raise AssertionError(f"stage {m}: monotonicity failed")
-        if not f_cur.restrict(test.stage(m)).is_zero:
+        if not vanishes:
             raise AssertionError(f"stage {m}: function does not vanish on its stage")
         construction.stages.append(StepStage(
-            m=m, cover=test.stage(m), f=f_cur,
+            m=m, cover=cover, f=f_cur,
             mass=mass, mass_bound=mass_bound,
             increment_l1=increment, increment_bound=increment_bound,
         ))

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, Iterable
 
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
@@ -26,22 +27,38 @@ def _point(t) -> Fraction:
 
 
 # Merges run over atoms of a sorted breakpoint list: atom 2i is the point
-# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  A piece covers
-# a contiguous range of atoms, found from its endpoints through a
-# {breakpoint: i} index, so a merge fills per-atom values in one pass over
-# the pieces and never evaluates a function at a point.
+# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  Breakpoints
+# are indexed by their (numerator, denominator) pair, which is canonical (a
+# Fraction is in lowest terms with a positive denominator) and hashes in C,
+# where Fraction.__hash__ takes a modular inverse on every call.  A piece
+# covers a contiguous range of atoms, found from its endpoints through that
+# index, so a merge fills per-atom values in one pass over the pieces and
+# never evaluates a function at a point.  The result has one interval per
+# maximal run of equal nonzero atom values, which is the canonical form.
+
+
+def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict]:
+    """The sorted distinct breakpoints of xs and a {(numerator, denominator):
+    position} map.  The distinct values keep their first-seen order, so the
+    sorted runs of each input stay runs for the sort."""
+    distinct = {x.as_integer_ratio(): x for x in xs}
+    points = sorted(distinct.values())
+    return points, {x.as_integer_ratio(): i for i, x in enumerate(points)}
 
 
 def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
     """First and last atom (inclusive) covered by an interval."""
-    return (2 * index[iv.lo] + (0 if iv.lo_closed else 1),
-            2 * index[iv.hi] - (0 if iv.hi_closed else 1))
+    return (2 * index[iv.lo.as_integer_ratio()] + (0 if iv.lo_closed else 1),
+            2 * index[iv.hi.as_integer_ratio()] - (0 if iv.hi_closed else 1))
+
+
+def _endpoints(f: "StepFunction") -> Iterable[Fraction]:
+    return (x for iv, _ in f.pieces for x in (iv.lo, iv.hi))
 
 
 def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]]]:
     """Merged breakpoints and each function's value on every atom."""
-    points = sorted({x for f in fns for iv, _ in f.pieces for x in (iv.lo, iv.hi)})
-    index = {x: i for i, x in enumerate(points)}
+    points, index = _index(x for f in fns for x in _endpoints(f))
     columns = []
     for f in fns:
         values = [Fraction(0)] * (2 * len(points) - 1)
@@ -53,15 +70,20 @@ def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]]]:
 
 
 def _from_atoms(points: list[Fraction], values: list[Fraction]) -> "StepFunction":
-    """The canonical step function taking `values[k]` on atom k."""
+    """The canonical step function taking `values[k]` on atom k: one interval
+    per maximal run of equal nonzero values, the runs found on the values'
+    (numerator, denominator) pairs."""
     pieces = []
-    for k, v in enumerate(values):
-        if v:
-            i = k // 2
-            atom = (RationalInterval(points[i], points[i]) if k % 2 == 0 else
-                    RationalInterval(points[i], points[i + 1], False, False))
-            pieces.append((atom, v))
-    return StepFunction(tuple(_fuse(pieces)))
+    start = 0
+    for (numerator, _), run in groupby(v.as_integer_ratio() for v in values):
+        end = start + sum(1 for _ in run)
+        if numerator:
+            # atoms start .. end-1: even atoms are points, odd ones open gaps
+            pieces.append((RationalInterval(points[start // 2], points[end // 2],
+                                            start % 2 == 0, end % 2 == 1),
+                           values[start]))
+        start = end
+    return StepFunction(tuple(pieces))
 
 
 @dataclass(frozen=True)
@@ -99,10 +121,7 @@ class StepFunction:
         the atoms, one entry per part endpoint).
         """
         terms = [(frac(w), u) for w, u in terms]
-        points = sorted({
-            x for _, u in terms for p in u.parts for x in (p.lo, p.hi)
-        })
-        index = {x: i for i, x in enumerate(points)}
+        points, index = _index(x for _, u in terms for p in u.parts for x in (p.lo, p.hi))
         steps = [Fraction(0)] * (2 * len(points))
         for w, u in terms:
             for part in u.parts:
@@ -183,7 +202,7 @@ class StepFunction:
         return self.pieces[0][0].lo, self.pieces[-1][0].hi
 
     def breakpoints(self) -> list[Fraction]:
-        return sorted({x for iv, _ in self.pieces for x in (iv.lo, iv.hi)})
+        return _index(_endpoints(self))[0]
 
     # ------------------------------------------------------------------
     # algebra
@@ -270,16 +289,22 @@ class PiecewiseLinear:
     def zero() -> "PiecewiseLinear":
         return PiecewiseLinear(())
 
+    @cached_property
+    def _xs(self) -> list[Fraction]:
+        """Vertex x coordinates, in order, for bisection."""
+        return [x for x, _ in self.vertices]
+
     def eval(self, t) -> Fraction:
+        """f(t) on the segment found by bisection over the vertex xs; at a
+        vertex that is the segment starting there, which gives its y."""
         t = _point(t)
         verts = self.vertices
         if not verts or t <= verts[0][0] or t >= verts[-1][0]:
             # endpoints carry y == 0, so <=/>= is exact here
             return Fraction(0)
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        return Fraction(0)
+        k = bisect_right(self._xs, t)
+        (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
     __call__ = eval
 
@@ -294,10 +319,13 @@ class PiecewiseLinear:
     def integral(self) -> Fraction:
         total = Fraction(0)
         for (x0, y0), (x1, y1) in self.segments():
-            total += (y0 + y1) * (x1 - x0) / 2
+            if y0 or y1:
+                total += (y0 + y1) * (x1 - x0) / 2
         return total
 
     def l1_norm(self) -> Fraction:
+        if self.is_nonnegative():
+            return self.integral()
         return self.abs().integral()
 
     def sup_norm(self) -> Fraction:
@@ -337,24 +365,25 @@ class PiecewiseLinear:
         union, trimmed once at the ends; a left fold of `+` gives the same
         function, at times with fewer vertices where zero runs were trimmed.
         """
-        kinks: dict = {}
+        functions = list(functions)
+        points, index = _index(x for f in functions for x in f._xs)
+        kinks = [0] * len(points)
         for f in functions:
             slope = Fraction(0)
             for (x0, y0), (x1, y1) in f.segments():
                 after = (y1 - y0) / (x1 - x0)
-                kinks[x0] = kinks.get(x0, 0) + after - slope
+                kinks[index[x0.as_integer_ratio()]] += after - slope
                 slope = after
             if f.vertices:
-                x = f.vertices[-1][0]
-                kinks[x] = kinks.get(x, 0) - slope
+                kinks[index[f.vertices[-1][0].as_integer_ratio()]] -= slope
         verts = []
         value = slope = Fraction(0)
         prev = None
-        for x in sorted(kinks):
-            if prev is not None:
+        for x, kink in zip(points, kinks):
+            if slope:
                 value += slope * (x - prev)
             verts.append((x, value))
-            slope += kinks[x]
+            slope += kink
             prev = x
         return _trimmed(verts)
 
@@ -380,7 +409,7 @@ class PiecewiseLinear:
         by bisection and adds the trapezoid of one partial segment.
         """
         verts = self.vertices
-        xs = [x for x, _ in verts]
+        xs = self._xs
         prefix = [Fraction(0)]
         for (x0, y0), (x1, y1) in self.segments():
             prefix.append(prefix[-1] + (y0 + y1) * (x1 - x0) / 2)

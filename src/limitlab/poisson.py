@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +136,19 @@ def poisson_integral(f, x, y: float):
     if isinstance(f, PiecewiseLinear):
         return poisson_integral_pl(f, x, y)
     raise TypeError(f"no Poisson integral for {type(f).__name__}")
+
+
+def poisson_evaluator(f) -> Callable[[float, float], float]:
+    """(x, y) -> P[f](x, y) at a scalar point, with the pieces of f converted
+    to floats once for every call; each value is bitwise the one
+    poisson_integral(f, x, y) gives."""
+    pieces = _float_pieces(f)
+
+    def at(x: float, y: float) -> float:
+        if y <= 0:
+            raise ValueError("height y must be positive")
+        return float(_closed_form(pieces, _as_xs(x), y)[0])
+    return at
 
 
 # ----------------------------------------------------------------------

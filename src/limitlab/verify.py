@@ -36,7 +36,8 @@ from .constructions import (build_fourier_divergent, build_ml_poisson,
                             build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval
-from .poisson import contraction_gap, poisson_integral, weak_type_check
+from .poisson import (contraction_gap, poisson_evaluator, poisson_integral,
+                      weak_type_check)
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
                          simple_test_from_approx)
 from .trig import TrigPoly, convergence_trace
@@ -638,14 +639,13 @@ def _check_schnorr_chain(ctx: VerifyContext):
         if len(samples) >= 3:
             break
     tol = ctx.tolerances["chain"]
-    gaps = {i: (fns[i + 1] - fns[i]).abs() for i in range(2 * k, limit)}
+    gaps = {i: poisson_evaluator((fns[i + 1] - fns[i]).abs()) for i in range(2 * k, limit)}
     rows = []
     for x, dist in samples:
         for n in range(k, min(3, (limit - 1) // 2) + 1):
             y_exp = max(0, math.ceil(-math.log2(math.pi * dist * 2.0 ** -n / 8.0)))
             y = 2.0 ** -min(y_exp, 12)
-            tail = sum(float(poisson_integral(gaps[i], float(x), y))
-                       for i in range(2 * n, limit))
+            tail = sum(gaps[i](float(x), y) for i in range(2 * n, limit))
             local = abs(float(poisson_integral(fns[2 * n], float(x), y))
                         - float(fns[2 * n].eval(x)))
             stability = abs(float(fns[limit].eval(x) - fns[2 * n].eval(x)))

@@ -1,5 +1,6 @@
 """Driver behavior: artifacts, determinism, exit codes, report structure."""
 
+import hashlib
 import json
 import time
 
@@ -68,6 +69,35 @@ def test_build_writes_dump_without_trace(tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "step_construction.json").exists()
     assert not (out / "poisson_trace.csv").exists()
+
+
+# sha256 of every artifact of the two largest baseline builds: a faster exact
+# merge or stage recurrence must leave every byte of them in place
+PINNED_BUILDS = {
+    ("schnorr-poisson", "--m-max", "60"): {
+        "step_construction.json":
+            "7751092c94f26bdd7168ea51daafb9162dd13e961d774551e3014c0f3ae77b55",
+        "verification_report.json":
+            "d8787ea34a6462cd1f3a795d23300eb5257acb16b9a437b5755722cb05ff2e7f",
+    },
+    ("ml-poisson", "--s-max", "81"): {
+        "tent_construction.json":
+            "bb1b739cc6aa740ab5a77e5990906ab1e9b7f190db43d39f7634fd6efdd20907",
+        "tent_stages.csv":
+            "09f438dcda23896f0b4755b7254ebb13852e29c9fd6e254cdf298104090c55e2",
+        "verification_report.json":
+            "403946a32c95b5adaa69143c73a8d8744c4236dd04b7c269008776c61f8e1893",
+    },
+}
+
+
+@pytest.mark.parametrize("construction, flag, size", sorted(PINNED_BUILDS))
+def test_large_build_artifacts_are_pinned(tmp_path, construction, flag, size):
+    out = tmp_path / "o"
+    assert main(["build", "--construction", construction, flag, size,
+                 "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == PINNED_BUILDS[construction, flag, size]
 
 
 def test_config_file_with_flag_override(tmp_path):

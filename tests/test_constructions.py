@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from limitlab.constructions import (build_fourier_divergent, build_ml_poisson,
-                                    build_schnorr_poisson, stage_cutoff, tent)
+from limitlab import constructions
+from limitlab.constructions import (_stage_bounds, _step_stages, build_fourier_divergent,
+                                    build_ml_poisson, build_schnorr_poisson, stage_cutoff,
+                                    tent)
+from limitlab.functions import StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
@@ -168,6 +172,115 @@ class TestStepConstruction:
     def test_depth_shortfall(self):
         with pytest.raises(ValueError, match="depth"):
             build_schnorr_poisson(nest_tail(covering_test(0, 3)), m_max=5)
+
+
+def step_stage_function(stages, m: int) -> StepFunction:
+    """The direct definition of stage m, kept as the oracle for _step_stages:
+    sum_{k <= m} 2^-k * indicator([-k-1, k+1] minus stages[m])."""
+    terms = []
+    for k in range(m + 1):
+        shell = IntervalUnion.single(-(k + 1), k + 1)
+        terms.append((Fraction(1, 2 ** k), shell.difference(stages[m])))
+    return StepFunction.from_weighted_regions(terms)
+
+
+# Endpoints on a quarter grid over [-4, 4], so stage parts straddle, touch
+# and share the shell ends, with open and closed ends and point parts.
+grid_st = st.integers(-16, 16).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def region_st(draw, max_parts=4):
+    ivs = []
+    for _ in range(draw(st.integers(0, max_parts))):
+        a, b = sorted((draw(grid_st), draw(grid_st)))
+        if a == b:
+            ivs.append(RationalInterval(a, a))
+        else:
+            ivs.append(RationalInterval(a, b, draw(st.booleans()), draw(st.booleans())))
+    return normalize(ivs)
+
+
+@st.composite
+def nested_stages_st(draw):
+    """Stage 0 a union of several parts, each later stage the previous one
+    cut down by a fresh region."""
+    stages = [draw(region_st())]
+    for _ in range(draw(st.integers(0, 4))):
+        stages.append(stages[-1].intersection(draw(region_st(max_parts=3)) | draw(region_st(1))))
+    return stages
+
+
+@given(nested_stages_st())
+@settings(max_examples=200, deadline=None)
+def test_incremental_stages_match_direct_definition(stages):
+    fns = list(_step_stages(stages))
+    assert fns == [step_stage_function(stages, m) for m in range(len(stages))]
+    for m, (f, g) in enumerate(zip(fns, fns[1:])):
+        mass, increment, monotone, vanishes = _stage_bounds(f, g, stages[m])
+        assert mass == f.integral()
+        assert increment == (g - f).l1_norm()
+        assert monotone and vanishes
+
+
+step_st = st.lists(st.tuples(st.sampled_from([Fraction(w) for w in (-1, "1/2", 1, 2)]),
+                             region_st()), max_size=3).map(StepFunction.from_weighted_regions)
+
+
+@given(step_st, step_st, region_st())
+@settings(max_examples=200, deadline=None)
+def test_swept_stage_bounds_match_merges(f, g, stage):
+    """Every one of the four bounds, on pairs that need not be monotone nor
+    vanish on the stage."""
+    mass, increment, monotone, vanishes = _stage_bounds(f, g, stage)
+    assert mass == f.integral()
+    assert increment == (g - f).l1_norm()
+    assert monotone is f.pointwise_le(g)
+    assert vanishes is f.restrict(stage).is_zero
+
+
+class TestStepBuildAssertions:
+    """Negative controls: one stage of the sequence is perturbed on its way
+    into build_schnorr_poisson and exactly the intended assertion fires.
+    Stage 0 of the family is (-1/8, 1/8) and stage 1 is (-1/16, 1/16);
+    f_0 = 1 and f_1 = 3/2 on [-1, 1] outside stage 0."""
+
+    @staticmethod
+    def build_with(monkeypatch, index, delta):
+        original = constructions._step_stages
+
+        def perturbed(stages):
+            for m, f in enumerate(original(stages)):
+                yield f + delta if m == index else f
+
+        monkeypatch.setattr(constructions, "_step_stages", perturbed)
+        return build_schnorr_poisson(nest_tail(covering_test(0, 6)), m_max=4)
+
+    def test_unperturbed_sequence_builds(self, monkeypatch):
+        assert len(self.build_with(monkeypatch, 0, StepFunction.zero()).stages) == 5
+
+    def test_inflated_value_breaks_the_mass_bound(self, monkeypatch):
+        bump = StepFunction.indicator(IntervalUnion.single(2, 3))
+        with pytest.raises(AssertionError, match="stage 0: mass 11/4 exceeds 2"):
+            self.build_with(monkeypatch, 0, bump)
+
+    def test_inflated_value_breaks_the_increment_bound(self, monkeypatch):
+        bump = StepFunction.indicator(IntervalUnion.single(5, 7))
+        with pytest.raises(AssertionError, match="stage 0: increment 65/16 not below 5/2"):
+            self.build_with(monkeypatch, 1, bump)
+
+    def test_dip_between_stages_breaks_monotonicity(self, monkeypatch):
+        # f_1 drops to 1/2 under f_0 = 1 on a short interval: the mass of f_0
+        # and |f_1 - f_0| stay put
+        dip = StepFunction.indicator(IntervalUnion.single(Fraction(1, 2), Fraction(513, 1024)), -1)
+        with pytest.raises(AssertionError, match="stage 0: monotonicity failed"):
+            self.build_with(monkeypatch, 1, dip)
+
+    def test_bump_on_the_cover_breaks_vanishing(self, monkeypatch):
+        # a point of stage 0 outside stage 1: no mass, and f_1 = 3/2 there
+        bump = StepFunction.indicator(IntervalUnion.point(Fraction(1, 10)))
+        with pytest.raises(AssertionError, match="stage 0: function does not vanish"):
+            self.build_with(monkeypatch, 0, bump)
 
 
 class TestTentConstruction:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from limitlab.constructions import tent
-from limitlab.functions import PiecewiseLinear, StepFunction
+from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _fuse
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 
 
@@ -268,6 +268,26 @@ def test_eval_by_bisection_matches_linear_scan(f, floats):
         assert f.eval(t) == linear_scan_eval(f, t)
 
 
+@given(st.lists(grid_st, min_size=1, max_size=6, unique=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_run_length_atoms_match_fused_atom_pieces(points, data):
+    """One interval per run of equal nonzero atom values is the same
+    canonical function as one interval per atom fused afterwards."""
+    points = sorted(points)
+    values = data.draw(st.lists(st.sampled_from([0, 0, 1, 1, -1, "1/2"]).map(Fraction),
+                                min_size=2 * len(points) - 1, max_size=2 * len(points) - 1))
+    atoms = []
+    for k, v in enumerate(values):
+        i = k // 2
+        atom = (RationalInterval(points[i], points[i]) if k % 2 == 0 else
+                RationalInterval(points[i], points[i + 1], False, False))
+        if v:
+            atoms.append((atom, v))
+    f = _from_atoms(points, values)
+    assert f.pieces == tuple(_fuse(atoms))
+    assert_canonical(f)
+
+
 def test_merges_of_empty_inputs():
     zero = StepFunction.zero()
     f = StepFunction.indicator(IntervalUnion.single(0, 1, False, True), 2)
@@ -299,6 +319,27 @@ def test_pl_sum_matches_left_fold(fs):
     assert total.l1_norm() == fold.l1_norm()
 
 
+def linear_scan_pl_eval(f, t):
+    """Reference for PiecewiseLinear.eval: the first segment, in order,
+    holding t (a float t taken at its exact binary value)."""
+    t = Fraction(t)
+    for (x0, y0), (x1, y1) in f.segments():
+        if x0 <= t <= x1:
+            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    return Fraction(0)
+
+
+@given(pl_st(), st.lists(st.floats(-4, 4), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_pl_eval_by_bisection_matches_linear_scan(f, floats):
+    """Vertices, segment midpoints, points beyond the ends, and floats at,
+    next to and between the vertices."""
+    xs = [float(x) for x in f.breakpoints()]
+    nudged = [np.nextafter(x, side) for x in xs for side in (-np.inf, np.inf)]
+    for t in atom_probes(f.breakpoints()) + xs + [float(x) for x in nudged] + floats:
+        assert f.eval(t) == linear_scan_pl_eval(f, t)
+
+
 @given(pl_st(), pl_st())
 @settings(max_examples=200, deadline=None)
 def test_pl_add_sub_match_oracle(f, g):
@@ -307,3 +348,5 @@ def test_pl_add_sub_match_oracle(f, g):
         assert total.eval(x) == f.eval(x) + g.eval(x)
         assert diff.eval(x) == f.eval(x) - g.eval(x)
     assert (f - f).is_zero and (f - f).vertices == ()
+    for h in (f, g, total, diff):
+        assert h.l1_norm() == h.abs().integral()

@@ -17,7 +17,7 @@ from limitlab.intervals import IntervalUnion, RationalInterval
 from limitlab.kernels import poisson_eval
 from limitlab.kernels import poisson_interval_mass as kernels_mass
 from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
-                              maximal_estimate, poisson_integral,
+                              maximal_estimate, poisson_evaluator, poisson_integral,
                               poisson_integral_pl, poisson_integral_step,
                               radial_trace, superlevel_set, weak_type_check)
 from limitlab.randomness import covering_test, nest_tail
@@ -422,13 +422,17 @@ def trace_inputs(draw):
 @given(trace_inputs())
 @settings(max_examples=60, deadline=None)
 def test_radial_trace_matches_per_height_calls(inputs):
-    """Every entry is bitwise the per-height poisson_integral value, and its
-    floor the one the per-height window loop gives."""
+    """Every entry, and every value of poisson_evaluator, is bitwise the
+    per-height poisson_integral value, and each floor the one the per-height
+    window loop gives."""
     f, x, ys = inputs
     trace = radial_trace(f, x, ys)
+    at = poisson_evaluator(f)
     assert [e.y for e in trace.entries] == ys
+    with pytest.raises(ValueError, match="positive"):
+        at(x, 0.0)
     for e, y in zip(trace.entries, ys):
-        assert e.value.hex() == float(poisson_integral(f, x, y)).hex()
+        assert e.value.hex() == at(x, y).hex() == float(poisson_integral(f, x, y)).hex()
         lo, hi = Fraction(x) - Fraction(y) / 2, Fraction(x) + Fraction(y) / 2
         mass = reference_window_mass(f, lo, hi)
         assert f.window_integral(lo, hi) == mass and f.window_integral(hi, lo) == 0
