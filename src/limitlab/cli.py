@@ -13,8 +13,7 @@ on a VerifyContext built from the ScenarioConfig.  Both report layouts
 CheckResult list.
 
 Configuration comes from an optional JSON file (--config) plus flags;
-flags win.  All float tolerances live in one table with per-check defaults
-(verify.DEFAULT_TOLERANCES), overridable through the config file.
+flags win.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 from . import verify
 from .intervals import frac, frac_str
 from .poisson import radial_trace
-from .verify import Caps, CheckResult, DEFAULT_TOLERANCES, VerifyContext
+from .verify import Caps, CheckResult, VerifyContext
 
 CONSTRUCTIONS = ("fourier", "schnorr-poisson", "ml-poisson")
 
@@ -47,7 +46,6 @@ class ScenarioConfig:
     y_exponents: list = field(default_factory=lambda: list(range(0, 21)))
     out_dir: str = "limitlab-out"
     seed: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def validate(self) -> list[str]:
         problems = []
@@ -69,9 +67,9 @@ class ScenarioConfig:
             problems.append(f"depth: must be positive, got {self.depth}")
         if not self.y_exponents:
             problems.append("y_exponents: must be nonempty")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            problems.append(f"tolerances: unknown keys {sorted(unknown)}")
+        if any(b <= a for a, b in zip(self.y_exponents, self.y_exponents[1:])):
+            problems.append(
+                f"y_exponents: must be strictly increasing, got {self.y_exponents}")
         return problems
 
 
@@ -85,11 +83,7 @@ def _load_config(path: str | None, overrides: dict, defaults: dict) -> ScenarioC
         if unknown:
             raise ValueError(f"config: unknown fields {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    config = ScenarioConfig(**data)
-    base = dict(DEFAULT_TOLERANCES)
-    base.update(config.tolerances)
-    config.tolerances = base
-    return config
+    return ScenarioConfig(**data)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -132,8 +126,7 @@ def _step_artifacts(ctx: VerifyContext, out: Path, with_trace: bool) -> None:
     _write_json(out / "step_construction.json", sc.to_json())
     if with_trace:
         _radial_csv(out / "poisson_trace.csv",
-                    radial_trace(sc.stages[-1].f, float(ctx.point), ctx.heights,
-                                 reference_value=float(sc.limit_value(ctx.point))))
+                    radial_trace(sc.stages[-1].f, float(ctx.point), ctx.heights))
 
 
 def _tent_artifacts(ctx: VerifyContext, out: Path, with_trace: bool) -> None:
@@ -175,7 +168,6 @@ def run_scenario(config: ScenarioConfig, command: str) -> int:
         caps=Caps(n_max=config.n_max, m_max=config.m_max, s_max=config.s_max,
                   seed=config.seed),
         point=frac(config.target_point), p=config.p, c=config.c, depth=config.depth,
-        tolerances=config.tolerances,
         heights=tuple(2.0 ** -j for j in config.y_exponents))
     ARTIFACTS[config.construction](ctx, out, command != "build")
     results = verify.run_checks(ctx, f"{command}:{config.construction}")
@@ -285,6 +277,10 @@ def main(argv=None) -> int:
         return _finish(results, args.out_dir, verify.report_json(results))
 
     if args.command == "weak-type-check":
+        if args.count < 1:
+            print(f"config error - count: must be positive, got {args.count}",
+                  file=sys.stderr)
+            return 2
         reports = verify.weak_type_battery(args.seed, args.count)
         ok = not any(r.violation for r in reports)
         payload = {"overall": "pass" if ok else "fail", "count": args.count,

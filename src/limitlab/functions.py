@@ -224,7 +224,8 @@ class StepFunction:
         return StepFunction(tuple((iv, w * v) for iv, v in self.pieces))
 
     def abs(self) -> "StepFunction":
-        return StepFunction(tuple(_fuse([(iv, abs(v)) for iv, v in self.pieces])))
+        points, (values,) = _sweep(self)
+        return _from_atoms(points, [abs(v) for v in values])
 
     def restrict(self, region: IntervalUnion) -> "StepFunction":
         """The function times the exact indicator of `region`."""
@@ -247,22 +248,6 @@ class StepFunction:
              "value": frac_str(v)}
             for iv, v in self.pieces
         ]
-
-
-def _fuse(pieces):
-    """Fuse runs of adjacent pieces with equal value into single intervals."""
-    fused = []
-    for iv, v in pieces:
-        if fused:
-            last_iv, last_v = fused[-1]
-            if last_v == v and iv._start() <= (last_iv._end()[0], last_iv._end()[1] + 1):
-                fused[-1] = (
-                    RationalInterval(last_iv.lo, iv.hi, last_iv.lo_closed, iv.hi_closed),
-                    v,
-                )
-                continue
-        fused.append((iv, v))
-    return fused
 
 
 @dataclass(frozen=True)

@@ -218,13 +218,6 @@ class IntervalUnion:
             for p in self.parts
         ]
 
-    @staticmethod
-    def from_json(data: list) -> "IntervalUnion":
-        return normalize(
-            RationalInterval(frac(d["lo"]), frac(d["hi"]), d["lo_closed"], d["hi_closed"])
-            for d in data
-        )
-
     def __str__(self):
         if not self.parts:
             return "{}"

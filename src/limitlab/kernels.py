@@ -40,13 +40,19 @@ UNIT_ROUNDOFF = 2.0 ** -53
 TWO_PI = 2.0 * math.pi
 
 
+def _as_xs(x) -> np.ndarray:
+    """A scalar or array of points as a float array of at least one dimension."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def _scalar_or_array(x, out):
+    """A float when the caller passed a scalar x, else the array out."""
     return float(out[0]) if out.shape == (1,) and np.isscalar(x) else out
 
 
 def _reduced(x) -> np.ndarray:
     """x mod 2 pi in [-pi, pi]; arguments already in [-pi, pi] pass unchanged."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _as_xs(x)
     return xs - TWO_PI * np.rint(xs / TWO_PI)
 
 
@@ -121,7 +127,7 @@ def poisson_eval(y: float, x):
     """P_y(x) for y > 0; positive, symmetric, peaked at 1/(pi y)."""
     if y <= 0:
         raise ValueError("Poisson kernel height y must be positive")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = _as_xs(x)
     out = (y / math.pi) / (xs * xs + y * y)
     return _scalar_or_array(x, out)
 
@@ -278,7 +284,7 @@ class FejerSum:
         """Real value at a scalar or 1-d array of reals; terms add left to
         right, so a sum's value extends the value of each of its prefixes."""
         scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = _as_xs(t)
         out = np.zeros(ts.shape)
         for term in self.terms:
             out = out + _term_values(term, ts)

@@ -34,18 +34,10 @@ import numpy as np
 
 from .functions import PiecewiseLinear, StepFunction
 from .intervals import IntervalUnion, RationalInterval, normalize
-from .kernels import stable_atan_diff
+from .kernels import _as_xs, _scalar_or_array, stable_atan_diff
 
 DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
 DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
-
-
-def _as_xs(x):
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def _ret(x, out):
-    return float(out[0]) if out.shape == (1,) and np.isscalar(x) else out
 
 
 class _FloatPieces(NamedTuple):
@@ -119,7 +111,7 @@ def poisson_integral_step(f: StepFunction, x, y: float):
     """P[f](x, y) for a step function: sum of weighted arctan masses."""
     if y <= 0:
         raise ValueError("height y must be positive")
-    return _ret(x, _closed_form(_step_pieces(f), _as_xs(x), y))
+    return _scalar_or_array(x, _closed_form(_step_pieces(f), _as_xs(x), y))
 
 
 def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
@@ -127,7 +119,7 @@ def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
     log-ratio closed form of each linear piece."""
     if y <= 0:
         raise ValueError("height y must be positive")
-    return _ret(x, _closed_form(_pl_pieces(f), _as_xs(x), y))
+    return _scalar_or_array(x, _closed_form(_pl_pieces(f), _as_xs(x), y))
 
 
 def poisson_integral(f, x, y: float):
@@ -169,19 +161,14 @@ class RadialTrace:
 
     x: float
     entries: list = field(default_factory=list)
-    reference_value: float | None = None
 
     def __post_init__(self):
         ys = [e.y for e in self.entries]
         if any(b >= a for a, b in zip(ys, ys[1:])):
             raise ValueError("heights must be strictly decreasing")
 
-    def values(self) -> list[float]:
-        return [e.value for e in self.entries]
 
-
-def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
-                 reference_value: float | None = None) -> RadialTrace:
+def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialTrace:
     """Evaluate P[f](x, y) along y_seq, attaching a per-entry floor.
 
     For nonnegative data the kernel satisfies P_y(s) >= 4/(5 pi y) on
@@ -212,7 +199,7 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ,
                     f"Poisson value {value} under its certified floor {lower} at y={y}"
                 )
         entries.append(RadialEntry(float(y), value, lower, nonneg))
-    return RadialTrace(float(x), entries, reference_value)
+    return RadialTrace(float(x), entries)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +270,7 @@ def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
     if not list(y_grid):
         raise ValueError("y_grid must be nonempty")
     out = _max_over_heights(_float_pieces(f.abs()), _as_xs(x), _heights(y_grid))
-    return _ret(x, out)
+    return _scalar_or_array(x, out)
 
 
 def _runs(mask: np.ndarray):

@@ -36,14 +36,11 @@ class TestFamily:
     __test__ = False  # domain object, not a pytest class
 
     stages: tuple
-    kind: str = "ml"
     bound_exponent: int = 0
     nested: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        if self.kind not in ("ml", "schnorr"):
-            raise ValueError(f"unknown test kind {self.kind!r}")
         if self.bound_exponent < 0:
             raise ValueError("bound exponent must be >= 0")
         for k, stage in enumerate(self.stages):
@@ -65,21 +62,6 @@ class TestFamily:
     def covers(self, x) -> bool:
         return all(stage.contains(x) for stage in self.stages)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound_exponent": self.bound_exponent,
-            "nested": self.nested,
-            "stages": [stage.to_json() for stage in self.stages],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "TestFamily":
-        return TestFamily(
-            tuple(IntervalUnion.from_json(s) for s in data["stages"]),
-            data["kind"], data["bound_exponent"], data["nested"],
-        )
-
 
 def covering_test(x, depth: int) -> TestFamily:
     """Nested test whose stage k is the open interval of measure exactly
@@ -91,8 +73,7 @@ def covering_test(x, depth: int) -> TestFamily:
     for k in range(depth + 1):
         h = Fraction(1, 2 ** (k + 3))
         stages.append(IntervalUnion.single(x - h, x + h, False, False))
-    return TestFamily(tuple(stages), kind="schnorr",
-                      bound_exponent=2, nested=True)
+    return TestFamily(tuple(stages), bound_exponent=2, nested=True)
 
 
 def nest_tail(family: TestFamily) -> TestFamily:
@@ -113,8 +94,8 @@ def nest_tail(family: TestFamily) -> TestFamily:
         acc = acc.union(stage)
         tails.append(acc)
     tails.reverse()
-    return TestFamily(tuple(tails), kind=family.kind,
-                      bound_exponent=family.bound_exponent - 1, nested=True)
+    return TestFamily(tuple(tails), bound_exponent=family.bound_exponent - 1,
+                      nested=True)
 
 
 def _part_subinterval(part: RationalInterval, j: int) -> RationalInterval:

@@ -240,9 +240,6 @@ class ConvergenceTrace:
     def jumps(self) -> list[float]:
         return [e.jump for e in self.entries if e.jump is not None]
 
-    def values(self) -> list[complex]:
-        return [e.value for e in self.entries]
-
 
 def convergence_trace(partial_sum: Callable, t: float,
                       checkpoints: Sequence[int]) -> ConvergenceTrace:

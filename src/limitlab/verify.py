@@ -8,11 +8,11 @@ compare under its caps or trace heights reports "skipped", never a pass.
 
 Every check is a function of one VerifyContext: the target point, p, the
 amplitude multiplier c, the test depth, the size caps (with the sampling
-seed), the tolerances and the trace heights.  The context builds each
-construction once.  Each CHECKS row lists the commands that run it, so
-verify-all, kernel-check and the scenario commands (`build`,
-`fourier-trace`, `poisson-trace`, keyed "<command>:<construction>") are
-filters over the same table: run_checks(ctx, command).
+seed) and the trace heights.  The context builds each construction once.
+Each CHECKS row lists the commands that run it, so verify-all, kernel-check
+and the scenario commands (`build`, `fourier-trace`, `poisson-trace`, keyed
+"<command>:<construction>") are filters over the same table:
+run_checks(ctx, command).
 
 The `corrupt` hook exists for negative-control testing: it perturbs one
 computed value on its way into a named check so the harness can confirm
@@ -45,19 +45,14 @@ from .trig import TrigPoly, convergence_trace
 SQRT2 = math.sqrt(2.0)
 BETA_UNIT = 4.0 / math.pi ** 2  # divergence floor per unit amplitude
 PI_BELOW = Fraction(333, 106)   # < pi < 355/113
-
-DEFAULT_TOLERANCES = {
-    "kernel_eval": 1e-9,       # closed form vs coefficient sum
-    "quadrature": 1e-9,        # controlled-error integration
-    "floor": 1e-9,             # partial-sum jumps at qualifying trace cutoffs
-    "radial_floor": 1e-6,      # Poisson lower bounds along traces
-    "chain": 1e-6,             # combined convergence-chain slack
-}
+QUAD_TOL = 1e-9                 # controlled-error integration
 
 
 @dataclass
 class Caps:
-    """Size limits for a verify_all run; 0 disables the checks needing it."""
+    """Size limits for a verify_all run.  A cap below 1 disables the checks
+    needing it, except n_max and m_max: stages count from 0, so their stage
+    checks stop only below 0.  At least one sample is always drawn."""
 
     kernel_n_max: int = 64
     lower_bound_n_max: int = 200
@@ -127,7 +122,6 @@ class VerifyContext:
     p: float = 2.0
     c: int = 1
     depth: int | None = None
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     heights: tuple = (2.0 ** -10,)
     corrupt: str | None = None
 
@@ -194,7 +188,7 @@ def _check_fejer_cesaro(ctx: VerifyContext):
     if ctx.caps.kernel_n_max < 1 or ctx.caps.grid_points < 1:
         return None
     xs = np.linspace(-math.pi, math.pi, ctx.caps.grid_points)
-    tol = ctx.tolerances["kernel_eval"]
+    tol = 1e-9  # closed form vs the Dirichlet mean
     dirichlet = np.cumsum(
         [kernels.dirichlet_eval(j, xs) for j in range(ctx.caps.kernel_n_max + 1)], axis=0)
     worst = 0.0
@@ -223,7 +217,7 @@ def _check_fejer_lower_bound(ctx: VerifyContext):
 def _check_fejer_lp_equivalence(ctx: VerifyContext):
     if ctx.caps.kernel_n_max < 1:
         return None
-    ratios = [kernels.fejer_lp_ratio(n, 2.0, ctx.tolerances["quadrature"])
+    ratios = [kernels.fejer_lp_ratio(n, 2.0, QUAD_TOL)
               for n in range(1, ctx.caps.kernel_n_max + 1)]
     constant = max(max(ratios), 1.0 / min(ratios))
     ok = all(1.0 / constant <= r <= constant for r in ratios)
@@ -253,7 +247,6 @@ def _check_poisson_sup_bound(ctx: VerifyContext):
 
 
 def _check_poisson_unit_mass(ctx: VerifyContext):
-    tol = ctx.tolerances["quadrature"]
     rng = random.Random(ctx.caps.seed + 2)
     worst = 0.0
     for _ in range(8):
@@ -262,7 +255,7 @@ def _check_poisson_unit_mass(ctx: VerifyContext):
         if full != 1.0:
             return False, {"y": y, "full_line_mass": full, "mode": "exact-limit"}
         body = quadrature.integrate(lambda x: kernels.poisson_eval(y, x),
-                                    -50.0 * y, 50.0 * y, tol=tol)
+                                    -50.0 * y, 50.0 * y, tol=QUAD_TOL)
         tail = 1.0 - kernels.poisson_interval_mass(y, -50.0 * y, 50.0 * y)
         worst = max(worst, abs(body + tail - 1.0))
     return worst < 1e-8, {"worst_abs_error": worst, "tolerance": 1e-8}
@@ -433,7 +426,7 @@ def _check_integral_test_growth(ctx: VerifyContext):
 def _check_fourier_trace_jumps(ctx: VerifyContext):
     fc = ctx.fourier
     beta = BETA_UNIT * fc.c_mult
-    tol = ctx.tolerances["floor"]
+    tol = 1e-9
     jumps = {e.cutoff: e.jump for e in ctx.fourier_trace.entries}
     qualifying = _jump_stages(fc)
     ok = all(jumps[fc.stages[n].cutoff] >= beta - tol for n in qualifying)
@@ -530,7 +523,7 @@ def _check_step_radial_floor(ctx: VerifyContext):
         return None
     sc = ctx.step
     x = float(ctx.point)
-    tol = ctx.tolerances["radial_floor"]
+    tol = 1e-6
     checked = []
     for y in ctx.heights:
         # smallest stage whose cover fits in a quarter window
@@ -638,19 +631,19 @@ def _check_schnorr_chain(ctx: VerifyContext):
             samples.append((mid, float(b - a) / 2))
         if len(samples) >= 3:
             break
-    tol = ctx.tolerances["chain"]
+    tol = 1e-6
+    ns = range(k, min(3, (limit - 1) // 2) + 1)
     gaps = {i: poisson_evaluator((fns[i + 1] - fns[i]).abs()) for i in range(2 * k, limit)}
+    poisson_at = {i: poisson_evaluator(fns[i]) for i in [2 * n for n in ns] + [limit]}
     rows = []
     for x, dist in samples:
-        for n in range(k, min(3, (limit - 1) // 2) + 1):
+        for n in ns:
             y_exp = max(0, math.ceil(-math.log2(math.pi * dist * 2.0 ** -n / 8.0)))
             y = 2.0 ** -min(y_exp, 12)
             tail = sum(gaps[i](float(x), y) for i in range(2 * n, limit))
-            local = abs(float(poisson_integral(fns[2 * n], float(x), y))
-                        - float(fns[2 * n].eval(x)))
+            local = abs(poisson_at[2 * n](float(x), y) - float(fns[2 * n].eval(x)))
             stability = abs(float(fns[limit].eval(x) - fns[2 * n].eval(x)))
-            total = abs(float(poisson_integral(fns[limit], float(x), y))
-                        - float(fns[limit].eval(x)))
+            total = abs(poisson_at[limit](float(x), y) - float(fns[limit].eval(x)))
             budget = (6 + 2 * SQRT2) / 2.0 ** n
             rows.append({"x": str(x), "n": n, "y": y, "total": total,
                          "budget": budget, "tail": tail, "local": local,

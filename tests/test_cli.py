@@ -144,8 +144,20 @@ def test_negative_point_value_is_accepted(tmp_path):
 
 def test_unknown_config_field_is_usage_error(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"construction": "fourier", "knob": 3}))
-    assert main(["build", "--config", str(config)]) == 2
+    for extra in ({"knob": 3}, {"tolerances": {"chain": 1e-3}}):
+        config.write_text(json.dumps({"construction": "fourier", **extra}))
+        assert main(["build", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("exponents", [[3, 1], [2, 2]])
+def test_unordered_y_exponents_are_usage_errors(tmp_path, exponents):
+    out = tmp_path / "o"
+    flags = ["--y-exponents", *map(str, exponents)]
+    assert main(["poisson-trace", *flags, "--out", str(out)]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"y_exponents": exponents}))
+    assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_invalid_p_is_usage_error(tmp_path):
@@ -220,6 +232,14 @@ def test_weak_type_subcommand(tmp_path):
     report = json.loads((tmp_path / "o" / "weak_type_report.json").read_text())
     assert report["overall"] == "pass"
     assert len(report["reports"]) == 2 * 7
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_weak_type_count_below_one_is_usage_error(tmp_path, count, capsys):
+    out = tmp_path / "o"
+    assert main(["weak-type-check", "--count", count, "--out", str(out)]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_registry_ids_unique_and_complete():

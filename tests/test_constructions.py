@@ -165,7 +165,7 @@ class TestStepConstruction:
         scattered = TestFamily(
             tuple(IntervalUnion.single(Fraction(k, 2), Fraction(k, 2) + Fraction(1, 2 ** (k + 2)))
                   for k in range(6)),
-            kind="schnorr", bound_exponent=2, nested=False)
+            bound_exponent=2, nested=False)
         with pytest.raises(ValueError, match="nested"):
             build_schnorr_poisson(scattered, 3)
 

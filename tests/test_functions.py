@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from limitlab.constructions import tent
-from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _fuse
+from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 
 
@@ -268,6 +268,21 @@ def test_eval_by_bisection_matches_linear_scan(f, floats):
         assert f.eval(t) == linear_scan_eval(f, t)
 
 
+def fuse_pieces(pieces):
+    """Oracle: fuse runs of adjacent pieces with equal value into single
+    intervals, one neighbour at a time."""
+    fused = []
+    for iv, v in pieces:
+        if fused:
+            last_iv, last_v = fused[-1]
+            if last_v == v and iv._start() <= (last_iv._end()[0], last_iv._end()[1] + 1):
+                fused[-1] = (
+                    RationalInterval(last_iv.lo, iv.hi, last_iv.lo_closed, iv.hi_closed), v)
+                continue
+        fused.append((iv, v))
+    return fused
+
+
 @given(st.lists(grid_st, min_size=1, max_size=6, unique=True), st.data())
 @settings(max_examples=200, deadline=None)
 def test_run_length_atoms_match_fused_atom_pieces(points, data):
@@ -284,8 +299,17 @@ def test_run_length_atoms_match_fused_atom_pieces(points, data):
         if v:
             atoms.append((atom, v))
     f = _from_atoms(points, values)
-    assert f.pieces == tuple(_fuse(atoms))
+    assert f.pieces == tuple(fuse_pieces(atoms))
     assert_canonical(f)
+
+
+@given(step_st)
+@settings(max_examples=200, deadline=None)
+def test_abs_matches_fused_pieces_and_pointwise_abs(f):
+    g = f.abs()
+    assert g.pieces == tuple(fuse_pieces([(iv, abs(v)) for iv, v in f.pieces]))
+    for x in atom_probes(f.breakpoints()):
+        assert g.eval(x) == abs(f.eval(x))
 
 
 def test_merges_of_empty_inputs():

@@ -197,12 +197,6 @@ def test_contains_matches_linear_membership(u, extra):
         assert u.contains(x) is any(p.contains(x) for p in u.parts)
 
 
-@given(union_st)
-@settings(max_examples=100, deadline=None)
-def test_json_round_trip(u):
-    assert IntervalUnion.from_json(u.to_json()) == u
-
-
 def test_invalid_intervals_rejected():
     with pytest.raises(ValueError):
         RationalInterval(1, 0)

@@ -54,23 +54,18 @@ class TestCoveringTest:
     def test_family_measure_bounds_enforced(self):
         fat = IntervalUnion.single(0, 10)
         with pytest.raises(ValueError):
-            TestFamily((fat,), kind="ml", bound_exponent=0)
+            TestFamily((fat,), bound_exponent=0)
 
     def test_nesting_enforced(self):
         a = IntervalUnion.single(0, Fraction(1, 2))
         b = IntervalUnion.single(1, Fraction(5, 4))  # not inside a
         with pytest.raises(ValueError):
-            TestFamily((a, b), kind="ml", bound_exponent=0, nested=True)
-
-    def test_json_round_trip(self):
-        fam = covering_test(Fraction(1, 3), 4)
-        assert TestFamily.from_json(fam.to_json()) == fam
+            TestFamily((a, b), bound_exponent=0, nested=True)
 
 
 class TestNestTail:
     def test_single_stage_unchanged(self):
-        fam = TestFamily((IntervalUnion.single(0, Fraction(1, 2)),),
-                         kind="schnorr", bound_exponent=1)
+        fam = TestFamily((IntervalUnion.single(0, Fraction(1, 2)),), bound_exponent=1)
         assert nest_tail(fam) == fam
 
     def test_tail_measures(self):
@@ -84,7 +79,7 @@ class TestNestTail:
             IntervalUnion.single(Fraction(k, 3), Fraction(k, 3) + Fraction(1, 2 ** (k + 2)))
             for k in range(4)
         ]
-        fam = TestFamily(tuple(stages), kind="schnorr", bound_exponent=2)
+        fam = TestFamily(tuple(stages), bound_exponent=2)
         tails = nest_tail(fam)
         assert tails.nested
         for n in range(3):
@@ -94,7 +89,7 @@ class TestNestTail:
     def test_needs_slack(self):
         fam = TestFamily(
             (IntervalUnion.single(0, 1), IntervalUnion.single(0, Fraction(1, 2))),
-            kind="ml", bound_exponent=0)
+            bound_exponent=0)
         with pytest.raises(ValueError):
             nest_tail(fam)
 
@@ -124,14 +119,14 @@ class TestEnumerateIntervals:
             assert enumerate_intervals(fam, n, 1)[0].contains(x)
 
     def test_empty_stage_is_an_error(self):
-        fam = TestFamily((IntervalUnion.empty(),), kind="ml", bound_exponent=0)
+        fam = TestFamily((IntervalUnion.empty(),), bound_exponent=0)
         with pytest.raises(ValueError):
             enumerate_intervals(fam, 0, 1)
 
     def test_round_robin_over_parts(self):
         u = normalize([RationalInterval(0, Fraction(1, 16), False, False),
                        RationalInterval(1, Fraction(17, 16), False, False)])
-        fam = TestFamily((u,), kind="ml", bound_exponent=0)
+        fam = TestFamily((u,), bound_exponent=0)
         ivs = enumerate_intervals(fam, 0, 4)
         assert ivs[0].lo < 1 and ivs[1].lo >= 1 and ivs[2].lo < 1
 
