@@ -13,64 +13,98 @@ on a VerifyContext built from the ScenarioConfig.  Both report layouts
 CheckResult list.
 
 Configuration comes from an optional JSON file (--config) plus flags;
-flags win.
+flags win.  ScenarioConfig declares each scenario setting once: its JSON
+type, its default and the values it accepts.  SCENARIOS names the settings
+each scenario command takes as flags.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 from . import verify
 from .intervals import frac, frac_str
 from .poisson import radial_trace
 from .verify import Caps, CheckResult, VerifyContext
 
-CONSTRUCTIONS = ("fourier", "schnorr-poisson", "ml-poisson")
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value has a field's type: an int passes for a float,
+    a bool never for a number."""
+    item = get_args(kind)
+    if item:
+        return isinstance(value, list) and all(_has_type(v, item[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
 
 
 @dataclass
 class ScenarioConfig:
-    target_point: str = "0/1"
+    """The scenario settings.  Each field's type is the JSON type its value
+    must have; its flag is its name with dashes unless the metadata says
+    otherwise."""
+
+    target_point: str = field(default="0/1", metadata={
+        "flag": "--point", "help": "target point as a rational 'p/q'"})
     construction: str = "fourier"
-    depth: int | None = None       # derived from the stage cap when omitted
     n_max: int = 3
     m_max: int = 24
     s_max: int = 41
     p: float = 2.0
     c: int = 1
-    y_exponents: list = field(default_factory=lambda: list(range(0, 21)))
-    out_dir: str = "limitlab-out"
+    y_exponents: list[int] = field(default_factory=lambda: list(range(0, 21)))
+    out_dir: str = field(default="limitlab-out", metadata={
+        "flag": "--out", "help": "output directory"})
     seed: int = 0
 
     def validate(self) -> list[str]:
-        problems = []
+        problems = [f"{f.name}: must be {f.type if get_args(f.type) else f.type.__name__}, "
+                    f"got {getattr(self, f.name)!r}"
+                    for f in fields(self) if not _has_type(getattr(self, f.name), f.type)]
+        if problems:
+            return problems
         try:
             frac(self.target_point)
         except (ValueError, ZeroDivisionError):
             problems.append(f"target_point: not a rational: {self.target_point!r}")
-        if self.construction not in CONSTRUCTIONS:
+        if self.construction not in ARTIFACTS:
             problems.append(
-                f"construction: {self.construction!r} not one of {CONSTRUCTIONS}")
-        if self.construction == "fourier" and self.p <= 1:
+                f"construction: {self.construction!r} not one of {tuple(ARTIFACTS)}")
+        if not math.isfinite(self.p):
+            problems.append(f"p: must be finite, got {self.p}")
+        elif self.construction == "fourier" and self.p <= 1:
             problems.append(f"p: must exceed 1 for Fourier scenarios, got {self.p}")
-        if self.c < 1:
-            problems.append(f"c: must be a positive integer, got {self.c}")
-        for name in ("n_max", "m_max", "s_max"):
+        for name in ("c", "n_max", "m_max", "s_max"):
             if getattr(self, name) < 1:
                 problems.append(f"{name}: must be positive, got {getattr(self, name)}")
-        if self.depth is not None and self.depth < 1:
-            problems.append(f"depth: must be positive, got {self.depth}")
         if not self.y_exponents:
             problems.append("y_exponents: must be nonempty")
         if any(b <= a for a, b in zip(self.y_exponents, self.y_exponents[1:])):
             problems.append(
                 f"y_exponents: must be strictly increasing, got {self.y_exponents}")
+        outside = [j for j in self.y_exponents if not -1023 <= j <= 1074]
+        if outside:
+            problems.append(f"y_exponents: 2^-j is a positive finite float only for "
+                            f"j in -1023..1074, got {outside}")
         return problems
+
+
+# scenario command -> (its help, the ScenarioConfig fields it takes as flags)
+SCENARIOS = {
+    "build": ("build a construction, dump its stages",
+              ("target_point", "construction", "n_max", "m_max", "s_max", "p", "c",
+               "out_dir", "seed")),
+    "fourier-trace": ("partial-sum trace of the Fourier construction",
+                      ("target_point", "n_max", "p", "c", "out_dir", "seed")),
+    "poisson-trace": ("radial trace of a Poisson construction",
+                      ("target_point", "construction", "m_max", "s_max", "y_exponents",
+                       "out_dir", "seed")),
+}
 
 
 def _load_config(path: str | None, overrides: dict, defaults: dict) -> ScenarioConfig:
@@ -79,9 +113,9 @@ def _load_config(path: str | None, overrides: dict, defaults: dict) -> ScenarioC
     if path:
         with open(path) as handle:
             data.update(json.load(handle))
-        unknown = set(data) - set(ScenarioConfig.__dataclass_fields__)
+        unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
         if unknown:
-            raise ValueError(f"config: unknown fields {sorted(unknown)}")
+            raise ValueError(f"{', '.join(sorted(unknown))}: not a scenario setting")
     data.update({k: v for k, v in overrides.items() if v is not None})
     return ScenarioConfig(**data)
 
@@ -167,7 +201,7 @@ def run_scenario(config: ScenarioConfig, command: str) -> int:
     ctx = VerifyContext(
         caps=Caps(n_max=config.n_max, m_max=config.m_max, s_max=config.s_max,
                   seed=config.seed),
-        point=frac(config.target_point), p=config.p, c=config.c, depth=config.depth,
+        point=frac(config.target_point), p=config.p, c=config.c,
         heights=tuple(2.0 ** -j for j in config.y_exponents))
     ARTIFACTS[config.construction](ctx, out, command != "build")
     results = verify.run_checks(ctx, f"{command}:{config.construction}")
@@ -182,14 +216,6 @@ def run_scenario(config: ScenarioConfig, command: str) -> int:
 
 # ----------------------------------------------------------------------
 # argument parsing
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--point", dest="target_point",
-                        help="target point as a rational 'p/q'")
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def _attach_negative_points(argv: list[str]) -> list[str]:
@@ -208,12 +234,6 @@ def _attach_negative_points(argv: list[str]) -> list[str]:
     return out
 
 
-def _scenario_overrides(args) -> dict:
-    keys = ("target_point", "construction", "depth", "n_max", "m_max", "s_max",
-            "p", "c", "out_dir", "seed")
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="limitlab",
@@ -226,33 +246,16 @@ def main(argv=None) -> int:
     p_kernel.add_argument("--grid", type=int, default=Caps.grid_points)
     p_kernel.add_argument("--out", dest="out_dir")
 
-    p_build = sub.add_parser("build", help="build a construction, dump its stages")
-    p_build.add_argument("--construction", choices=CONSTRUCTIONS, default=None)
-    p_build.add_argument("--depth", type=int, default=None)
-    p_build.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_build.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_build.add_argument("--s-max", dest="s_max", type=int, default=None)
-    p_build.add_argument("--p", type=float, default=None)
-    p_build.add_argument("--c", type=int, default=None)
-    _add_common(p_build)
-
-    p_ftrace = sub.add_parser("fourier-trace",
-                              help="partial-sum trace of the Fourier construction")
-    p_ftrace.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_ftrace.add_argument("--depth", type=int, default=None)
-    p_ftrace.add_argument("--p", type=float, default=None)
-    p_ftrace.add_argument("--c", type=int, default=None)
-    _add_common(p_ftrace)
-
-    p_ptrace = sub.add_parser("poisson-trace",
-                              help="radial trace of a Poisson construction")
-    p_ptrace.add_argument("--construction",
-                          choices=("schnorr-poisson", "ml-poisson"), default=None)
-    p_ptrace.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_ptrace.add_argument("--s-max", dest="s_max", type=int, default=None)
-    p_ptrace.add_argument("--depth", type=int, default=None)
-    p_ptrace.add_argument("--y-exponents", type=int, nargs="+", default=None)
-    _add_common(p_ptrace)
+    for command, (help_text, names) in SCENARIOS.items():
+        p_scenario = sub.add_parser(command, help=help_text)
+        p_scenario.add_argument("--config", help="JSON config file; flags override it")
+        for f in fields(ScenarioConfig):
+            if f.name in names:
+                item = get_args(f.type)
+                p_scenario.add_argument(
+                    f.metadata.get("flag", "--" + f.name.replace("_", "-")), dest=f.name,
+                    type=item[0] if item else f.type, nargs="+" if item else None,
+                    help=f.metadata.get("help"))
 
     p_weak = sub.add_parser("weak-type-check",
                             help="maximal-operator superlevel measures vs (3/a)||f||_1")
@@ -297,14 +300,12 @@ def main(argv=None) -> int:
         return _finish(results, args.out_dir, verify.report_json(results))
 
     # scenario subcommands
-    overrides = _scenario_overrides(args)
+    overrides = {name: getattr(args, name) for name in SCENARIOS[args.command][1]}
     defaults = {}
     if args.command == "fourier-trace":
         overrides["construction"] = "fourier"
     if args.command == "poisson-trace":
         defaults["construction"] = "schnorr-poisson"
-    if getattr(args, "y_exponents", None):
-        overrides["y_exponents"] = args.y_exponents
     try:
         config = _load_config(args.config, overrides, defaults)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

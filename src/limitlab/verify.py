@@ -7,8 +7,8 @@ float comparisons state their tolerance.  A check that finds nothing to
 compare under its caps or trace heights reports "skipped", never a pass.
 
 Every check is a function of one VerifyContext: the target point, p, the
-amplitude multiplier c, the test depth, the size caps (with the sampling
-seed) and the trace heights.  The context builds each construction once.
+amplitude multiplier c, the size caps (with the sampling seed) and the
+trace heights.  The context builds each construction once.
 Each CHECKS row lists the commands that run it, so verify-all, kernel-check
 and the scenario commands (`build`, `fourier-trace`, `poisson-trace`, keyed
 "<command>:<construction>") are filters over the same table:
@@ -113,24 +113,20 @@ class VerifyContext:
 
     verify-all and kernel-check use the defaults (point 0, p = 2, c = 1, one
     trace height 2^-10); a scenario sets the fields from its configuration.
-    A test depth of None derives it from the construction's stage cap.  The
-    sampling seed is caps.seed.
+    Each construction reads a covering test as deep as its stage cap needs.
+    The sampling seed is caps.seed.
     """
 
     caps: Caps = field(default_factory=Caps)
     point: Fraction = Fraction(0)
     p: float = 2.0
     c: int = 1
-    depth: int | None = None
     heights: tuple = (2.0 ** -10,)
     corrupt: str | None = None
 
-    def _depth(self, default: int) -> int:
-        return default if self.depth is None else self.depth
-
     @cached_property
     def fourier(self):
-        test = covering_test(self.point, self._depth(max(self.caps.n_max, 1) + 1))
+        test = covering_test(self.point, max(self.caps.n_max, 1) + 1)
         return build_fourier_divergent(test, p=self.p, c_mult=self.c,
                                        n_max=self.caps.n_max, point=self.point)
 
@@ -148,7 +144,7 @@ class VerifyContext:
 
     @cached_property
     def step(self):
-        test = nest_tail(covering_test(self.point, self._depth(self.caps.m_max + 2)))
+        test = nest_tail(covering_test(self.point, self.caps.m_max + 2))
         return build_schnorr_poisson(test, self.caps.m_max)
 
     @cached_property
@@ -160,7 +156,7 @@ class VerifyContext:
 
     @cached_property
     def tents(self):
-        test = covering_test(self.point, self._depth(max((self.caps.s_max - 1) // 2, 1)))
+        test = covering_test(self.point, max((self.caps.s_max - 1) // 2, 1))
         return build_ml_poisson(test, self.caps.s_max)
 
 
@@ -490,11 +486,12 @@ def _check_step_increment(ctx: VerifyContext):
 def _check_step_limit_mass(ctx: VerifyContext):
     if ctx.caps.m_max < 0:
         return None
+    bound = ctx.step.limit_mass_bound
     masses = [st.mass for st in ctx.step.stages]
     increasing = all(b >= a for a, b in zip(masses, masses[1:]))
-    under = all(m <= 8 for m in masses)
+    under = all(m <= bound for m in masses)
     return increasing and under, {
-        "final_mass": str(masses[-1]), "limit_bound": 8, "mode": "exact"}
+        "final_mass": str(masses[-1]), "limit_bound": bound, "mode": "exact"}
 
 
 def _shell_window_floor(sc, point: Fraction, y: float, m: int) -> float:

@@ -31,7 +31,7 @@ FAST_VERIFY = ["--kernel-n-max", "6", "--lower-bound-n-max", "8",
 
 def test_fourier_trace_artifacts_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["fourier-trace", "--point", "0/1", "--n-max", "2", "--depth", "3"]
+    args = ["fourier-trace", "--point", "0/1", "--n-max", "2"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("fourier_construction.json", "fourier_trace.csv",
@@ -103,7 +103,7 @@ def test_large_build_artifacts_are_pinned(tmp_path, construction, flag, size):
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"construction": "fourier", "n_max": 1,
-                                  "target_point": "0/1", "depth": 2}))
+                                  "target_point": "0/1"}))
     out = tmp_path / "o"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 0
     dump = json.loads((out / "fourier_construction.json").read_text())
@@ -160,8 +160,63 @@ def test_unordered_y_exponents_are_usage_errors(tmp_path, exponents):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exponents", [[0, 1075], [-1100, 0]])
+def test_heights_that_are_not_positive_floats_are_usage_errors(tmp_path, exponents):
+    # 2^-1075 rounds to 0.0 and 2^1100 overflows
+    out = tmp_path / "o"
+    flags = ["--y-exponents", *map(str, exponents)]
+    assert main(["poisson-trace", *flags, "--out", str(out)]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"y_exponents": exponents}))
+    assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_invalid_p_is_usage_error(tmp_path):
     assert main(["fourier-trace", "--p", "0.5", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_non_finite_p_is_usage_error(tmp_path, p, capsys):
+    out = tmp_path / "o"
+    assert main(["fourier-trace", "--p", repr(p), "--out", str(out)]) == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"construction": "ml-poisson", "p": p}))
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("config error - p:") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"n_max": "3"}, {"y_exponents": 5}, {"p": "2"}, {"target_point": 3},
+    {"seed": 1.5}, {"y_exponents": [0, True]}, {"c": True}, {"p": None},
+])
+def test_wrong_typed_config_value_is_usage_error(tmp_path, setting, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting))
+    out = tmp_path / "o"
+    assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 2
+    (name,) = setting
+    assert f"config error - {name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_int_config_value_passes_for_a_float(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"construction": "fourier", "n_max": 1, "p": 2}))
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_depth_is_not_a_setting(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--depth", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth": 3}))
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert "config error - depth:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_check_passes(tmp_path):
