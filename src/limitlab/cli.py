@@ -43,6 +43,15 @@ def _has_type(value, kind) -> bool:
         value, (int, float) if kind is float else kind)
 
 
+# Trace heights 2^-j with |j| <= EXPONENT_LIMIT at points |x| <= 2^POINT_EXPONENT_LIMIT
+# keep the Poisson closed forms finite: the step pieces lie within m_max + 1
+# of 0 and the tents within 1 of the point, so the ratios |t - x|/y stay
+# under 2^902 for steps and under 2^501 for tents, whose squares the form
+# takes; the window floor 4/(5 pi y) stays finite too.
+EXPONENT_LIMIT = 500
+POINT_EXPONENT_LIMIT = 400
+
+
 @dataclass
 class ScenarioConfig:
     """The scenario settings.  Each field's type is the JSON type its value
@@ -69,7 +78,9 @@ class ScenarioConfig:
         if problems:
             return problems
         try:
-            frac(self.target_point)
+            if abs(frac(self.target_point)) > 2 ** POINT_EXPONENT_LIMIT:
+                problems.append(f"target_point: must be at most 2^{POINT_EXPONENT_LIMIT} "
+                                f"in magnitude, got {self.target_point}")
         except (ValueError, ZeroDivisionError):
             problems.append(f"target_point: not a rational: {self.target_point!r}")
         if self.construction not in ARTIFACTS:
@@ -87,10 +98,10 @@ class ScenarioConfig:
         if any(b <= a for a, b in zip(self.y_exponents, self.y_exponents[1:])):
             problems.append(
                 f"y_exponents: must be strictly increasing, got {self.y_exponents}")
-        outside = [j for j in self.y_exponents if not -1023 <= j <= 1074]
+        outside = [j for j in self.y_exponents if not -EXPONENT_LIMIT <= j <= EXPONENT_LIMIT]
         if outside:
-            problems.append(f"y_exponents: 2^-j is a positive finite float only for "
-                            f"j in -1023..1074, got {outside}")
+            problems.append(f"y_exponents: the Poisson closed forms stay finite only for "
+                            f"j in -{EXPONENT_LIMIT}..{EXPONENT_LIMIT}, got {outside}")
         return problems
 
 

@@ -16,8 +16,12 @@ exact window masses from one cumulative table.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
 outward dyadic rounding.  The sign scan only asks whether the max exceeds
-alpha, so it decides each point at the first height of the grid and takes
-the remaining heights in one pass over the undecided points only; the
+alpha, so it takes as few heights per point as the point needs: every
+point at the tallest height; a point at distance at least that height from
+every piece is decided there, since the kernel grows with the height below
+the distance, unless its value lies within twice the stated evaluation
+budget poisson_eval_error of alpha; the other points at the lowest height,
+and the points still undecided at the remaining heights in one pass.  The
 bisection, a few midpoints a round, takes every height in one pass.  The
 weak-type (1,1) measurement here and the maximal-operator test stages in
 randomness both read their sets from it.
@@ -34,7 +38,7 @@ import numpy as np
 
 from .functions import PiecewiseLinear, StepFunction
 from .intervals import IntervalUnion, RationalInterval, normalize
-from .kernels import _as_xs, _scalar_or_array, stable_atan_diff
+from .kernels import UNIT_ROUNDOFF, _as_xs, _scalar_or_array, stable_atan_diff
 
 DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
 DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
@@ -43,7 +47,8 @@ DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 class _FloatPieces(NamedTuple):
     """The pieces of a step or piecewise-linear function, converted to floats
     once: rows (a, b, v) of a step function, or (a, b, f(a), f(b), alpha,
-    beta) with f(t) = alpha + beta t on a nonzero piecewise-linear segment."""
+    beta) with f(t) = alpha + beta t on a nonzero piecewise-linear segment.
+    Rows come in increasing order and overlap at most in an endpoint."""
 
     linear: bool
     rows: list
@@ -89,6 +94,87 @@ def _closed_form(pieces: _FloatPieces, xs, y):
             out += (alpha + beta * xs) * stable_atan_diff(u, w)
             out += 0.5 * beta * y * _log_ratio(u, w)
     return out / math.pi
+
+
+UNDERFLOW = 2.0 ** -1000    # per-row allowance for intermediates that underflow
+REACH_LIMIT = 2.0 ** 500    # largest |t - x| / y the budget admits
+
+
+def poisson_eval_error(pieces: _FloatPieces, xs, y) -> np.ndarray:
+    """Bound on |_closed_form(pieces, x, y) - P[f](x, y)| at every x of xs
+    (broadcast against y), P[f] the exact Poisson integral of the function
+    the float rows stand for: v on [a, b] for a step row, the straight line
+    through (a, f(a)) and (b, f(b)) for a piecewise-linear one.  It is
+    +inf where no finite bound is derived.
+
+    u is the unit roundoff, n the number of rows, U = (b - x)/y and
+    W = (a - x)/y; np.arctan and np.log1p are taken to be within 4 ulp.
+    * U and W are formed with two roundings each, and atan has slope
+      1/(1 + U^2) <= 1/(2|U|), so the two atans move by 2.2u at most.  The
+      identity branch of stable_atan_diff rounds its quotient by 4.1u
+      relative, which moves its arctan by 2.1u; each arctan is within
+      8u; the other branch's difference rounds by 2u.  So the computed
+      S = atan U - atan W is within 20.2u of the exact one, and |S| <= pi.
+    * Step rows: v S rounds once more, so each term is within 23.4u |v|.
+      Summing n terms of size at most pi |v| adds (n - 1)u times their
+      total, and the final division by the rounded pi adds 2.1u of it.
+      The budget is u (32 + 4n) sum |v| / pi.
+    * PL rows are evaluated in the cancelling form (alpha + beta x) S +
+      (beta y/2) L with L = log((1 + U^2)/(1 + W^2)).  beta = (f(b) -
+      f(a))/(b - a) rounds by 3.01u relative and alpha = f(a) - beta a then
+      carries 5.03u |beta a|, so alpha + beta x is within 6.1u A, where
+      A = |f(a)| + |beta|(|a| + |x|); the |beta||x| part is the cancellation.
+      With S's error the first term is within 42.6u A, and it is at most
+      pi A.  For L: the squares, difference and quotient that give the
+      log1p argument r are within rho (1 + r), with rho = 6u (U^2 + W^2) /
+      (U^2 + 1); where rho <= 1/4, log1p is within 2 rho plus its 8u
+      relative rounding, and the rounding of U and W moves L by 8.1u.
+      |L| <= Lb = |U^2 - W^2| / (min(U^2, W^2) + 1), since |log(A/B)| <=
+      |A - B| / min(A, B).  So the second term is within (|beta| y/2)
+      (9u + 13.5u Lb + 2.02 rho) and is at most (|beta| y/2)(1 + Lb).  The
+      2n terms sum with (2n - 1)u of their total, and the division by pi
+      adds 2.1u.  Per row the budget is
+      (u (48 + 8n) A + (|beta| y/2) (u (16 + 3n)(1 + Lb) + 3 rho)) / pi,
+      and +inf where rho > 1/4: that covers the branch of _log_ratio that
+      takes the two logarithms apart, which runs only where rho >= 1.
+    * The constants above hold to first order in u; the slack in them
+      covers the second-order terms and the rounding of this formula.  An
+      intermediate that underflows is covered by UNDERFLOW per row, and
+      the budget is +inf wherever some |t - x|/y exceeds REACH_LIMIT, past
+      which squares and products may overflow.
+    """
+    u = UNIT_ROUNDOFF
+    xs = np.asarray(xs, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast_shapes(xs.shape, y.shape)
+    n = len(pieces.rows)
+    if not n:
+        return np.zeros(shape)
+    lo = min(r[0] for r in pieces.rows)
+    hi = max(r[1] for r in pieces.rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) / y
+        bad = ~(reach <= REACH_LIMIT)
+        if not pieces.linear:
+            weight = sum(abs(v) for _, _, v in pieces.rows)
+            out = np.full(shape, (u * (32 + 4 * n) * weight + UNDERFLOW * n * weight) / math.pi)
+        else:
+            out = np.zeros(shape)
+            for a, b, fa, _, _, beta in pieces.rows:
+                big_u = (b - xs) / y
+                big_w = (a - xs) / y
+                u2, w2 = big_u * big_u, big_w * big_w
+                rho = 6 * u * (u2 + w2) / (u2 + 1.0)
+                bound_l = np.abs(u2 - w2) / (np.minimum(u2, w2) + 1.0)
+                size = abs(fa) + abs(beta) * (abs(a) + np.abs(xs))
+                half_slope = 0.5 * abs(beta) * y
+                out += (u * (48 + 8 * n) * size
+                        + half_slope * (u * (16 + 3 * n) * (1.0 + bound_l) + 3 * rho)
+                        + UNDERFLOW * (size + half_slope))
+                bad |= ~(rho <= 0.25)
+            out /= math.pi
+        out[bad | np.isnan(out)] = np.inf
+    return out
 
 
 def _log_ratio(u, w):
@@ -243,23 +329,65 @@ def _max_over_heights(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray) -> n
     return out.reshape(xs.shape)
 
 
-def _exceeds(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
-    """_max_over_heights(pieces, xs, ys) > alpha, deciding each point as soon
-    as one height exceeds.
+def _far(starts: np.ndarray, ends: np.ndarray, xs: np.ndarray, reach: float) -> np.ndarray:
+    """Which points of xs are certified at distance >= reach from every row
+    [start, end] (rows sorted and disjoint, as in _FloatPieces): the nearest
+    row on each side is found by searchsorted, and a rounded difference is
+    compared strictly, since rounding, being monotone, never takes a
+    difference under the float reach past it."""
+    if not starts.size:
+        return np.ones(xs.shape, dtype=bool)
+    i = np.searchsorted(starts, xs, side="right")
+    left = np.where(i > 0, xs - ends[np.maximum(i - 1, 0)], np.inf)
+    right = np.where(i < starts.size, starts[np.minimum(i, starts.size - 1)] - xs, np.inf)
+    return (left > reach) & (right > reach)
 
-    Each block of EVAL_CHUNK points is evaluated at the first height of ys;
-    the points that exceed there are decided, and only the others are
-    evaluated at the remaining heights, in one (heights x points) pass.
-    Every value compared is the one _max_over_heights computes, so the
-    answer is the same point for point.
+
+def _exceeds(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
+    """_max_over_heights(pieces, xs, ys) > alpha, point for point, with as
+    few heights evaluated as the point needs.
+
+    Each block of EVAL_CHUNK points is evaluated at the tallest height
+    y_max, and the points that exceed alpha there are decided.  For y <= d
+    <= |x - t| the kernel y/(pi((x - t)^2 + y^2)) is nondecreasing in y, so
+    on nonnegative rows P[f](x, y) at a point at distance d >= y_max from
+    every row (a far point, _far) is largest at y_max.  With E the larger
+    of poisson_eval_error at the lowest and the tallest height, which
+    bounds the error at every height of the grid there (each term of the
+    budget grows with y for y <= d, and its +inf guards are tightest at
+    the lowest height), a far point whose value at y_max is at most
+    alpha - 2E has no computed value over alpha at any height, and is
+    decided "no"; the threshold is rounded down.  A far point within 2E of
+    alpha, and every other point, is evaluated next at the lowest height,
+    and the points still undecided at the remaining heights, in one
+    (heights x points) pass.  Every value compared with alpha is the one
+    _max_over_heights computes.
     """
     flat = xs.reshape(-1)
     out = np.empty(flat.shape, dtype=bool)
+    top, bottom = int(np.argmax(ys)), int(np.argmin(ys))
+    others = ys[[j for j in range(len(ys)) if j not in (top, bottom)]]
+    y_max = float(ys[top, 0])
+    nonneg = all(min(r[2:4] if pieces.linear else r[2:3]) >= 0 for r in pieces.rows)
+    starts = np.array([r[0] for r in pieces.rows])
+    ends = np.array([r[1] for r in pieces.rows])
     for s in range(0, flat.size, EVAL_CHUNK):
         block = flat[s:s + EVAL_CHUNK]
-        hit = _block_max(pieces, block, ys[:1]) > alpha
+        value = _closed_form(pieces, block, ys[top:top + 1])[0]
+        hit = value > alpha
         open_ = np.flatnonzero(~hit)
-        hit[open_] = _block_max(pieces, block[open_], ys[1:]) > alpha
+        if nonneg and open_.size:
+            decided = _far(starts, ends, block[open_], y_max)
+            far = open_[decided]
+            if far.size:
+                budget = np.max(poisson_eval_error(pieces, block[far], ys[[bottom, top]]), axis=0)
+                decided[decided] = value[far] <= np.nextafter(alpha - 2 * budget, -np.inf)
+                open_ = open_[~decided]
+        if bottom != top and open_.size:
+            hit[open_] = _closed_form(pieces, block[open_], ys[bottom:bottom + 1])[0] > alpha
+            open_ = open_[~hit[open_]]
+        if others.size and open_.size:
+            hit[open_] = _block_max(pieces, block[open_], others) > alpha
         out[s:s + EVAL_CHUNK] = hit
     return out.reshape(xs.shape)
 
@@ -315,19 +443,23 @@ def superlevel_set(g, alpha: float,
     PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
     (2 pi d)), valid at every height (d the distance to the piece), sums to
     at most alpha.  Each remaining window is scanned at spacing about
-    1/SCAN_DENSITY by _exceeds: every scan point is evaluated at the first
-    height of y_grid, and only the points that do not exceed alpha there
-    go on to the remaining heights, in one (heights x points) pass per
-    block of EVAL_CHUNK points.  Both edges of every run of exceeding scan
-    points are bisected to BISECT_TOL, all edges of the set together with
-    one pass over every height per step, keeping the outer end of each
-    bracket; the edges are then rounded outward to multiples of
-    1/ROUND_DEN.  Every comparison with alpha is made on the value
-    poisson_integral gives at that point and height.  Each component thus
-    carries at most EDGE_SLACK of endpoint uncertainty.  A component
-    narrower than the scan spacing can be missed.  A bisection that does
-    not reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
-    `bisection_failures`.
+    1/SCAN_DENSITY by _exceeds, block by block of EVAL_CHUNK points: every
+    scan point is evaluated at the tallest height of y_grid; a point at
+    distance at least that height from every piece and at least twice
+    poisson_eval_error under alpha there is decided "no" (below the
+    distance the kernel grows with the height); every other point not yet
+    over alpha is evaluated at the lowest height, and the points still
+    undecided at the remaining heights in one pass.  Both edges of every
+    run of exceeding scan points are bisected to BISECT_TOL, all edges of
+    the set together with one pass over every height per step, keeping the
+    outer end of each bracket; the edges are then rounded outward to
+    multiples of 1/ROUND_DEN.  Every comparison with alpha is made on the
+    value poisson_integral gives at that point and height, and a point
+    decided without some height has no value over alpha there.  Each
+    component thus carries at most EDGE_SLACK of endpoint uncertainty.  A
+    component narrower than the scan spacing can be missed.  A bisection
+    that does not reach BISECT_TOL within BISECT_MAX_ITER steps is counted
+    in `bisection_failures`.
     """
     pieces = _float_pieces(g.abs())
     if not pieces.rows:

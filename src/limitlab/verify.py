@@ -324,16 +324,69 @@ def _check_window_floor(ctx: VerifyContext):
 # Fourier construction checks
 
 
+def _dense_sum_error(g, x: float) -> float:
+    """Bound on |sum_m c_m e^{imx} - g(x)| for the coefficients c_m of
+    g.coefficients summed in floats, against the exact sum of the same
+    terms at the float x; the check adds g.eval's own budget.
+
+    Per term of weight w, order N, s centres and kept degree K, with u the
+    unit roundoff, r = max|c| and sin and cos within 4 ulp: each phase
+    e^{-imc} has its argument m c rounded by u K r and is within 6u; the s
+    phases add up with 2su each; the factor (1 - |m|/(N+1)) w and the
+    product add 4u relative.  So each c_m, at most w s, is within
+    w s u (K r + 2s + 10).  The sum pairs m with -m (_dense_value): each
+    cos(mx) and sin(mx) is within u K |x| + 4u, each pair and product adds
+    4u relative, and the K + 1 paired terms, each at most twice the size
+    of a product, sum with 2(2K + 1)u of the products' total; several
+    terms add one more u (2K+1) w s each.
+    """
+    u = kernels.UNIT_ROUNDOFF
+    total = 0.0
+    for term in g.terms:
+        k, s = term.degree, len(term.centers)
+        r = max(abs(c) for c in term.centers)
+        size = (2 * k + 1) * abs(term.weight) * s
+        total += size * u * (k * (r + abs(x)) + 2 * s + 19 + 2 * (2 * k + 1) + len(g.terms))
+    return total
+
+
+def _dense_value(coefficients: np.ndarray, x: float) -> complex:
+    """sum_m c_m e^{imx} over the array of c_{-K}..c_K, each m paired with
+    -m: c_0 + sum_{m >= 1} (c_m + c_-m) cos(mx) + i (c_m - c_-m) sin(mx),
+    so only the K + 1 angles m >= 0 take a cosine and a sine."""
+    k = (len(coefficients) - 1) // 2
+    up, down = coefficients[k + 1:], coefficients[:k][::-1]
+    angles = np.arange(1, k + 1) * x
+    return complex(coefficients[k] + np.sum((up + down) * np.cos(angles))
+                   + 1j * np.sum((up - down) * np.sin(angles)))
+
+
 def _check_fourier_spectrum(ctx: VerifyContext):
+    """Each stage's cutoff is the formula's, exactly, and the dense
+    coefficients of its spectrum, summed at the point, give the closed-form
+    value there within g.eval's budget plus the sum's (_dense_sum_error)."""
     if ctx.caps.n_max < 0:
         return None
     fc = ctx.fourier
+    x = float(ctx.point)
+    worst = tolerance = 0.0
     for st in fc.stages:
         want = stage_cutoff(st.n, fc.p)
-        if st.cutoff != want or st.g.degree > st.cutoff:
+        coefficients = st.g.coefficients
+        if ctx.corrupt == "fourier-spectrum" and st.n == 0:
+            coefficients = coefficients[1:-1]   # the spectrum cut by one frequency
+        k = (len(coefficients) - 1) // 2
+        dense = _dense_value(coefficients, x)
+        value = st.g.eval(x)
+        tol = st.eval_error_bound + _dense_sum_error(st.g, x)
+        gap = max(abs(dense.real - value), abs(dense.imag))
+        worst, tolerance = max(worst, gap / tol), max(tolerance, tol)
+        if st.cutoff != want or gap > tol:
             return False, {"stage": st.n, "cutoff": st.cutoff, "want": want,
-                           "degree": st.g.degree, "mode": "exact"}
-    return True, {"stages": len(fc.stages), "cutoffs": fc.cutoffs(), "mode": "exact"}
+                           "spectrum": [-k, k], "dense_value": dense.real,
+                           "value": value, "gap": gap, "tolerance": tol}
+    return True, {"stages": len(fc.stages), "cutoffs": fc.cutoffs(),
+                  "worst_gap_to_tolerance": worst, "tolerance": tolerance}
 
 
 def _covered_stages(fc, point: Fraction) -> list[int]:

@@ -55,7 +55,8 @@ def test_scenario_reports_its_ids_in_order(tmp_path, argv, ids, point):
     report = _report(out)
     assert [e["id"] for e in report["bounds"]] == ids
     # every check passes (fourier.spectrum too: the cutoff rule is
-    # floor((n+1)^(2p+2)) at every p; step.radial_floor too at |point| >= 1)
+    # floor((n+1)^(2p+2)) at every p, and the dense spectrum sums to the
+    # closed-form value at every point; step.radial_floor too at |point| >= 1)
     assert {e["id"]: e["status"] for e in report["bounds"]} == dict.fromkeys(ids, "pass")
     assert code == 0
     assert report["overall"] == "pass"
@@ -283,6 +284,23 @@ def test_corrupted_centre_fails_and_is_named():
     for check_id in ("fourier.stage_floor", "integral_test.growth"):
         assert results[check_id].status == "fail"
         assert results[check_id].details["stage"] == 1
+
+
+def test_cut_spectrum_fails_and_is_named(tmp_path):
+    """fourier.spectrum sums each stage's dense coefficients at the point
+    against the closed form, well inside its budget; with stage 0's
+    outermost frequencies cut by the corrupt hook (negative control) it
+    fails there, and only it."""
+    ok, details = verify._check_fourier_spectrum(
+        verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3)))
+    assert ok and details["worst_gap_to_tolerance"] < 1e-2
+    out = tmp_path / "o"
+    assert main(["verify-all", *FAST_VERIFY, "--inject-corruption", "fourier-spectrum",
+                 "--out", str(out)]) == 1
+    failed = [c for c in _report(out)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failed] == ["fourier.spectrum"]
+    assert failed[0]["details"]["stage"] == 0 and failed[0]["details"]["spectrum"] == [0, 0]
+    assert failed[0]["details"]["gap"] > 1e6 * failed[0]["details"]["tolerance"]
 
 
 def test_holder_majorant_cross_checks_the_exact_integral(monkeypatch):

@@ -1,8 +1,11 @@
 """Driver behavior: artifacts, determinism, exit codes, report structure."""
 
+import csv
 import hashlib
 import json
+import math
 import time
+import warnings
 
 import pytest
 
@@ -170,6 +173,32 @@ def test_heights_that_are_not_positive_floats_are_usage_errors(tmp_path, exponen
     config.write_text(json.dumps({"y_exponents": exponents}))
     assert main(["poisson-trace", "--config", str(config), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("construction", ["schnorr-poisson", "ml-poisson"])
+def test_trace_heights_past_the_finite_range_are_usage_errors(tmp_path, construction, capsys):
+    """2^1023 and 2^-1074 are floats, but the closed forms overflow there and
+    wrote nan rows; the edges of the admitted range give finite rows with no
+    floating-point warning, at a point far from the step data too."""
+    out = tmp_path / "o"
+    base = ["poisson-trace", "--construction", construction, "--m-max", "6", "--s-max", "11"]
+    bad = ["--y-exponents", "-1023", "-30", "0", "30", "1074"]
+    assert main([*base, *bad, "--out", str(out)]) == 2
+    assert "config error - y_exponents:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*base, "--point", str(2 ** 400 + 1), "--out", str(out)]) == 2
+    assert "config error - target_point:" in capsys.readouterr().err
+    for point in ("0/1", "1000", "-7/2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*base, "--point", point, "--y-exponents", "-500", "0", "500",
+                         "--out", str(out)])
+        assert code == 0
+        with open(out / "poisson_trace.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row[k])) for row in rows
+                   for k in ("y", "value", "lower_bound"))
 
 
 def test_invalid_p_is_usage_error(tmp_path):

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,21 +326,61 @@ def test_evaluator_matches_per_height_calls(inputs):
     assert np.array_equal(got > alpha, want > alpha)
 
 
+SCAN = np.linspace(-32, 32, 4 * EVAL_CHUNK + 5)  # five blocks, far points at both ends
+
+
 def exceeds_mismatches(exceeds, f, alpha, grid):
-    """Points of a three-block scan where exceeds(pieces of |f|, xs, heights,
-    alpha) differs from maximal_estimate(f, xs, grid) > alpha."""
-    xs = np.linspace(-8, 8, 2 * EVAL_CHUNK + 3)
-    got = exceeds(poisson._float_pieces(f.abs()), xs, poisson._heights(grid), alpha)
-    return np.flatnonzero(got != (maximal_estimate(f, xs, grid) > alpha))
+    """Points of a five-block scan out to +-32 where exceeds(pieces of |f|,
+    xs, heights, alpha) differs from maximal_estimate(f, xs, grid) > alpha."""
+    got = exceeds(poisson._float_pieces(f.abs()), SCAN, poisson._heights(grid), alpha)
+    return np.flatnonzero(got != (maximal_estimate(f, SCAN, grid) > alpha))
 
 
-@given(maximal_inputs(), st.permutations(DEFAULT_Y_GRID), st.integers(1, len(DEFAULT_Y_GRID)))
-@settings(max_examples=40, deadline=None)
-def test_exceeds_matches_maximal_estimate(inputs, grid, size):
-    """The first-height decision and the pass over the undecided points give
-    the answer of the full max, point for point, for any grid order."""
+@st.composite
+def height_grids(draw):
+    """A reordered prefix of the dyadic default grid, or heights in
+    2^-12 .. 2^2 that need not be dyadic, possibly with two of them within
+    2^-30 of each other."""
+    kind = draw(st.sampled_from(["dyadic", "float", "close"]))
+    if kind == "dyadic":
+        grid = draw(st.permutations(DEFAULT_Y_GRID))
+        return list(grid[:draw(st.integers(1, len(grid)))])
+    grid = draw(st.lists(st.floats(-12, 2).map(lambda e: 2.0 ** e), min_size=1, max_size=12))
+    if kind == "close":
+        y = draw(st.sampled_from(grid))
+        grid.insert(draw(st.integers(0, len(grid))),
+                    y + 2.0 ** -draw(st.integers(31, 40)))
+    return grid
+
+
+def far_top_value(f, grid, pick):
+    """The computed value at the tallest height of a scan point certified
+    far from every piece of |f|, chosen by pick in [0, 1); None if no scan
+    point is far."""
+    pieces = poisson._float_pieces(f.abs())
+    y_max = float(max(grid))
+    starts = np.array([r[0] for r in pieces.rows])
+    ends = np.array([r[1] for r in pieces.rows])
+    far = SCAN[poisson._far(starts, ends, SCAN, y_max)]
+    if not far.size:
+        return None
+    x = far[int(pick * far.size)]
+    return float(poisson._closed_form(pieces, np.array([x]), y_max)[0])
+
+
+@given(maximal_inputs(), height_grids(), st.none() | st.floats(0, 1, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_exceeds_matches_maximal_estimate(inputs, grid, pick):
+    """The tallest-height decision, the far-point rule, the lowest height and
+    the pass over the still undecided points give the answer of the full
+    max, point for point, for any grid and order.  With pick set, alpha is
+    a far point's own value at the tallest height, so that point lies
+    within 2E of alpha and goes through every height."""
     f, alpha = inputs
-    assert exceeds_mismatches(poisson._exceeds, f, alpha, grid[:size]).size == 0
+    value = None if pick is None else far_top_value(f, grid, pick)
+    if value is not None:
+        alpha = value
+    assert exceeds_mismatches(poisson._exceeds, f, alpha, grid).size == 0
 
 
 def first_height_only(pieces, xs, ys, alpha):
@@ -357,6 +398,64 @@ def test_dropping_undecided_points_is_caught(monkeypatch):
     assert superlevel_set(f, 1.0).components == 1
     monkeypatch.setattr(poisson, "_exceeds", first_height_only)
     assert superlevel_set(f, 1.0).components == 0
+
+
+def test_half_reach_far_rule_is_caught(monkeypatch):
+    """Negative control: the same spike at alpha = 1/32.  At distance 0.55
+    its value is 0.0306 at height 1 but 0.036 at height 1/2, so an _exceeds
+    that calls a point far at distance y_max/2 decides such points "no"
+    wrongly."""
+    f = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
+    assert exceeds_mismatches(poisson._exceeds, f, 1 / 32, DEFAULT_Y_GRID).size == 0
+    far = poisson._far
+    monkeypatch.setattr(poisson, "_far",
+                        lambda starts, ends, xs, reach: far(starts, ends, xs, reach / 2))
+    assert exceeds_mismatches(poisson._exceeds, f, 1 / 32, DEFAULT_Y_GRID).size > 0
+
+
+def test_far_points_take_one_height(monkeypatch):
+    """On nonnegative data, points at distance >= y_max from every piece and
+    clearly under alpha are evaluated at the tallest height only; signed
+    rows never take the far rule."""
+    evaluated = []
+    closed_form = poisson._closed_form
+
+    def counted(pieces, xs, y):
+        evaluated.append(np.size(xs) * np.size(y))
+        return closed_form(pieces, xs, y)
+    monkeypatch.setattr(poisson, "_closed_form", counted)
+    f = StepFunction.indicator(IntervalUnion.single(-1, 1), 2)
+    xs = np.linspace(3, 40, 1000)
+    ys = poisson._heights(DEFAULT_Y_GRID)
+    assert not poisson._exceeds(poisson._float_pieces(f), xs, ys, 0.5).any()
+    assert sum(evaluated) == xs.size
+    evaluated.clear()
+    poisson._exceeds(poisson._float_pieces(f.scale(-1)), xs, ys, 0.5)
+    assert sum(evaluated) == xs.size * len(DEFAULT_Y_GRID)
+
+
+def test_far_point_within_the_budget_takes_every_height(monkeypatch):
+    """Right of a tent, at heights 1 and 1 - 2^-48, the exact value is larger
+    at height 1, but at points just over distance 1 the computed value at
+    the lower height can round several ulp above the tallest one.  With
+    alpha one ulp above such a point's tallest-height value, the point lies
+    within 2E of alpha, goes through every height and is found to exceed;
+    with the budget taken as 0 (negative control) the far rule decides it
+    "no" and the answer no longer matches the full max."""
+    pieces = poisson._float_pieces(tent(RationalInterval(Fraction(7, 8), 1)).scale(Fraction(1, 2)))
+    ys = poisson._heights([1.0, 1 - 2.0 ** -48])
+    xs = 2 + np.arange(1, 4097) * 2.0 ** -20
+    top, lower = poisson._closed_form(pieces, xs, ys)
+    inverted = np.flatnonzero(lower > np.nextafter(top, np.inf))
+    assert inverted.size
+    x, alpha = xs[inverted[:1]], np.nextafter(top[inverted[0]], np.inf)
+    assert poisson._far(np.array([r[0] for r in pieces.rows]),
+                        np.array([r[1] for r in pieces.rows]), x, 1.0)[0]
+    assert poisson._max_over_heights(pieces, x, ys)[0] > alpha
+    assert poisson._exceeds(pieces, x, ys, alpha)[0]
+    monkeypatch.setattr(poisson, "poisson_eval_error",
+                        lambda pieces, xs, y: np.zeros(np.broadcast_shapes(xs.shape, y.shape)))
+    assert not poisson._exceeds(pieces, x, ys, alpha)[0]
 
 
 @given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
@@ -385,6 +484,83 @@ def test_swapped_bisection_update_is_caught(monkeypatch):
     monkeypatch.setattr(poisson, "_bisect_edges",
                         lambda exceeds, o, i: bisect(lambda xs: ~exceeds(xs), o, i))
     assert located(superlevel_set(f, 1.0)) != want
+
+
+# ----------------------------------------------------------------------
+# the evaluation budget against a 50-digit oracle on the same float rows
+
+
+def mp_poisson(pieces, x, y):
+    """The Poisson integral of the function the float rows stand for, at
+    50 digits: v on [a, b] for a step row, the line through (a, f(a)) and
+    (b, f(b)), in local coordinates, for a piecewise-linear one."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        total = mpmath.mpf(0)
+        for row in pieces.rows:
+            a, b = mpmath.mpf(row[0]), mpmath.mpf(row[1])
+            big_u, big_w = (b - x) / y, (a - x) / y
+            atan_term = mpmath.atan(big_u) - mpmath.atan(big_w)
+            if not pieces.linear:
+                total += mpmath.mpf(row[2]) * atan_term
+                continue
+            fa, fb = mpmath.mpf(row[2]), mpmath.mpf(row[3])
+            slope = (fb - fa) / (b - a)
+            total += ((fa + slope * (x - a)) * atan_term
+                      + slope * y / 2 * mpmath.log((1 + big_u ** 2) / (1 + big_w ** 2)))
+        return total / mpmath.pi
+
+
+def budget_gap(f, x, y):
+    """(|_closed_form - oracle|, poisson_eval_error) at one point and height."""
+    pieces = poisson._float_pieces(f)
+    got = float(poisson._closed_form(pieces, np.array([x]), y)[0])
+    budget = float(poisson.poisson_eval_error(pieces, np.array([x]), y)[0])
+    return abs(mpmath.mpf(got) - mp_poisson(pieces, x, y)), budget
+
+
+@st.composite
+def budget_inputs(draw):
+    """Signed step or piecewise-linear data with pieces 2^-48 .. 7 wide and
+    slopes up to about 2^54, a point at, next to or away from a
+    breakpoint, and a height in 2^-12 .. 2^0."""
+    cuts = [Fraction(draw(st.integers(-48, 48)), 16)]
+    for _ in range(draw(st.integers(2, 6))):
+        cuts.append(cuts[-1] + Fraction(draw(st.integers(1, 7)), 2 ** draw(st.integers(0, 48))))
+    values = [Fraction(draw(st.integers(-64, 64)), 8) for _ in cuts]
+    if draw(st.booleans()):
+        f = PiecewiseLinear(tuple(zip(cuts, [0, *values[1:-1], 0])))
+    else:
+        f = StepFunction.from_weighted_regions(
+            [(v, IntervalUnion.single(a, b)) for v, a, b in zip(values, cuts, cuts[1:]) if v])
+    anchor = float(draw(st.sampled_from(cuts)))
+    x = draw(st.sampled_from([anchor, anchor + 2.0 ** -draw(st.integers(1, 40)),
+                              anchor - 2.0 ** -draw(st.integers(1, 40)),
+                              draw(st.floats(-8, 8))]))
+    return f, x, 2.0 ** draw(st.floats(-12, 0))
+
+
+@given(budget_inputs())
+@settings(max_examples=150, deadline=None)
+def test_eval_error_bounds_the_closed_form(inputs):
+    """|_closed_form - exact| <= poisson_eval_error, the exact integral of the
+    same float rows taken at 50 digits."""
+    f, x, y = inputs
+    gap, budget = budget_gap(f, x, y)
+    assert gap <= budget
+
+
+def test_eval_error_covers_the_cancelling_tent_form():
+    """Stage 73 of the ml-poisson construction at s_max 81 (point 0), at the
+    probe where tents.poisson_decay fails: tents as narrow as 7.1e-15 with
+    slopes near 6e14, where the alpha/beta form gives -6.9e-4 for a value of
+    1.7e-12.  The budget covers that error; scaled by 2^-20 it does not
+    (negative control)."""
+    stage = build_ml_poisson(covering_test(0, 40), s_max=81).stages[73]
+    gap, budget = budget_gap(stage.f, -0.7660727035922625, 0.8666469551621341)
+    assert gap > 6.9e-4
+    assert gap <= budget
+    assert gap > budget * 2.0 ** -20
 
 
 def reference_window_mass(f, lo, hi):
