@@ -1,18 +1,20 @@
 """Poisson integrals of step and piecewise-linear boundary data.
 
-All integrals here are closed-form: arctangent terms for constant pieces,
-an extra logarithmic term for linear pieces.  The arctangent differences
-are computed through the cancellation-free identity so radial traces stay
-accurate down to y around 2^-30.  Everything evaluates on scalars or numpy
-arrays of x.
+Both kinds of data have one float form: the rows (a, b, f(a), f(b), alpha,
+beta) of _rows, with f(t) = alpha + beta t on [a, b], a step piece being a
+zero-slope row.  All integrals here are closed-form, one row at a time: an
+arctangent term for every row, and an extra logarithmic term for a row of
+nonzero slope.  The arctangent differences are computed through the
+cancellation-free identity so radial traces stay accurate down to y around
+2^-30.  Everything evaluates on scalars or numpy arrays of x.
 
 The maximal operator max over a height grid of P[|f|](x, y) has one
-evaluator: the pieces of |f| are converted to floats once, and every height
-of the grid is evaluated in one (heights x points) array pass through the
-same closed form as poisson_integral, in blocks of EVAL_CHUNK points, so
-each value is bitwise the one a per-height call gives.  A radial trace
-evaluates all its heights the same way, at its one point, and reads its
-exact window masses from one cumulative table.  It has one
+evaluator: the pieces of |f| are converted to float rows once, and every
+height of the grid is evaluated in one (heights x points) array pass
+through the same closed form as poisson_integral, in blocks of EVAL_CHUNK
+points, so each value is bitwise the one a per-height call gives.  A
+radial trace evaluates all its heights the same way, at its one point, and
+reads its exact window masses from one cumulative table.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
 outward dyadic rounding.  The sign scan only asks whether the max exceeds
@@ -44,55 +46,46 @@ DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
 DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 
 
-class _FloatPieces(NamedTuple):
-    """The pieces of a step or piecewise-linear function, converted to floats
-    once: rows (a, b, v) of a step function, or (a, b, f(a), f(b), alpha,
-    beta) with f(t) = alpha + beta t on a nonzero piecewise-linear segment.
-    Rows come in increasing order and overlap at most in an endpoint."""
-
-    linear: bool
-    rows: list
-
-
-def _step_pieces(f: StepFunction) -> _FloatPieces:
-    return _FloatPieces(False, [(float(iv.lo), float(iv.hi), float(v)) for iv, v in f.pieces])
-
-
-def _pl_pieces(f: PiecewiseLinear) -> _FloatPieces:
+def _rows(f) -> list:
+    """The pieces of f as float rows (a, b, f(a), f(b), alpha, beta), with
+    f(t) = alpha + beta t on [a, b].  A step piece of value v is the
+    zero-slope row (a, b, v, v, v, 0.0); a nonzero piecewise-linear segment
+    takes beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats,
+    so a plateau is a zero-slope row too.  Rows come in increasing order and
+    overlap at most in an endpoint."""
     rows = []
-    for (x0, y0), (x1, y1) in f.segments():
-        if y0 == 0 and y1 == 0:
-            continue
-        a, b = float(x0), float(x1)
-        fa, fb = float(y0), float(y1)
-        beta = (fb - fa) / (b - a)
-        rows.append((a, b, fa, fb, fa - beta * a, beta))
-    return _FloatPieces(True, rows)
-
-
-def _float_pieces(f) -> _FloatPieces:
     if isinstance(f, StepFunction):
-        return _step_pieces(f)
-    if isinstance(f, PiecewiseLinear):
-        return _pl_pieces(f)
-    raise TypeError(f"no Poisson integral for {type(f).__name__}")
-
-
-def _closed_form(pieces: _FloatPieces, xs, y):
-    """P[f](x, y) summed piece by piece in the pieces' order; xs and y
-    broadcast against each other, so one call can cover many heights."""
-    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
-    if not pieces.linear:
-        for a, b, v in pieces.rows:
-            out += v * stable_atan_diff((b - xs) / y, (a - xs) / y)
+        for iv, v in f.pieces:
+            v = float(v)
+            rows.append((float(iv.lo), float(iv.hi), v, v, v, 0.0))
+    elif isinstance(f, PiecewiseLinear):
+        for (x0, y0), (x1, y1) in f.segments():
+            if y0 == 0 and y1 == 0:
+                continue
+            a, b = float(x0), float(x1)
+            fa, fb = float(y0), float(y1)
+            beta = (fb - fa) / (b - a)
+            rows.append((a, b, fa, fb, fa - beta * a, beta))
     else:
-        # on a piece where f(t) = alpha + beta t the antiderivative contributes
-        # (alpha + beta x) * atan-term + (beta y / 2) * log-ratio term
-        for a, b, _, _, alpha, beta in pieces.rows:
-            u = (b - xs) / y
-            w = (a - xs) / y
-            out += (alpha + beta * xs) * stable_atan_diff(u, w)
-            out += 0.5 * beta * y * _log_ratio(u, w)
+        raise TypeError(f"no Poisson integral for {type(f).__name__}")
+    return rows
+
+
+def _closed_form(rows, xs, y):
+    """P[f](x, y) summed row by row in the rows' order; xs and y broadcast
+    against each other, so one call can cover many heights.  On a row where
+    f(t) = alpha + beta t the antiderivative contributes (alpha + beta x) *
+    atan-term + (beta y / 2) * log-ratio term; a zero-slope row contributes
+    alpha * atan-term, and no log-ratio term forms."""
+    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
+    for a, b, _, _, alpha, beta in rows:
+        u = (b - xs) / y
+        w = (a - xs) / y
+        if not beta:
+            out += alpha * stable_atan_diff(u, w)
+            continue
+        out += (alpha + beta * xs) * stable_atan_diff(u, w)
+        out += 0.5 * beta * y * _log_ratio(u, w)
     return out / math.pi
 
 
@@ -100,12 +93,11 @@ UNDERFLOW = 2.0 ** -1000    # per-row allowance for intermediates that underflow
 REACH_LIMIT = 2.0 ** 500    # largest |t - x| / y the budget admits
 
 
-def poisson_eval_error(pieces: _FloatPieces, xs, y) -> np.ndarray:
-    """Bound on |_closed_form(pieces, x, y) - P[f](x, y)| at every x of xs
+def poisson_eval_error(rows, xs, y) -> np.ndarray:
+    """Bound on |_closed_form(rows, x, y) - P[f](x, y)| at every x of xs
     (broadcast against y), P[f] the exact Poisson integral of the function
-    the float rows stand for: v on [a, b] for a step row, the straight line
-    through (a, f(a)) and (b, f(b)) for a piecewise-linear one.  It is
-    +inf where no finite bound is derived.
+    the float rows stand for: on each row, the straight line through
+    (a, f(a)) and (b, f(b)).  It is +inf where no finite bound is derived.
 
     u is the unit roundoff, n the number of rows, U = (b - x)/y and
     W = (a - x)/y; np.arctan and np.log1p are taken to be within 4 ulp.
@@ -115,28 +107,27 @@ def poisson_eval_error(pieces: _FloatPieces, xs, y) -> np.ndarray:
       relative, which moves its arctan by 2.1u; each arctan is within
       8u; the other branch's difference rounds by 2u.  So the computed
       S = atan U - atan W is within 20.2u of the exact one, and |S| <= pi.
-    * Step rows: v S rounds once more, so each term is within 23.4u |v|.
-      Summing n terms of size at most pi |v| adds (n - 1)u times their
-      total, and the final division by the rounded pi adds 2.1u of it.
-      The budget is u (32 + 4n) sum |v| / pi.
-    * PL rows are evaluated in the cancelling form (alpha + beta x) S +
-      (beta y/2) L with L = log((1 + U^2)/(1 + W^2)).  beta = (f(b) -
+    * A row contributes (alpha + beta x) S, plus (beta y/2) L with
+      L = log((1 + U^2)/(1 + W^2)) where beta != 0.  beta = (f(b) -
       f(a))/(b - a) rounds by 3.01u relative and alpha = f(a) - beta a then
       carries 5.03u |beta a|, so alpha + beta x is within 6.1u A, where
       A = |f(a)| + |beta|(|a| + |x|); the |beta||x| part is the cancellation.
       With S's error the first term is within 42.6u A, and it is at most
-      pi A.  For L: the squares, difference and quotient that give the
-      log1p argument r are within rho (1 + r), with rho = 6u (U^2 + W^2) /
+      pi A.  At slope 0 (a step piece or a plateau) alpha = f(a) exactly,
+      A = |f(a)|, and no log term forms.
+    * For L: the squares, difference and quotient that give the log1p
+      argument r are within rho (1 + r), with rho = 6u (U^2 + W^2) /
       (U^2 + 1); where rho <= 1/4, log1p is within 2 rho plus its 8u
       relative rounding, and the rounding of U and W moves L by 8.1u.
       |L| <= Lb = |U^2 - W^2| / (min(U^2, W^2) + 1), since |log(A/B)| <=
       |A - B| / min(A, B).  So the second term is within (|beta| y/2)
-      (9u + 13.5u Lb + 2.02 rho) and is at most (|beta| y/2)(1 + Lb).  The
-      2n terms sum with (2n - 1)u of their total, and the division by pi
-      adds 2.1u.  Per row the budget is
+      (9u + 13.5u Lb + 2.02 rho) and is at most (|beta| y/2)(1 + Lb).
+    * At most 2n terms sum with (2n - 1)u of their total, and the division
+      by pi adds 2.1u.  Per row the budget is
       (u (48 + 8n) A + (|beta| y/2) (u (16 + 3n)(1 + Lb) + 3 rho)) / pi,
-      and +inf where rho > 1/4: that covers the branch of _log_ratio that
-      takes the two logarithms apart, which runs only where rho >= 1.
+      which at slope 0 is the scalar u (48 + 8n) |f(a)| / pi; it is +inf
+      where rho > 1/4 on a sloped row: that covers the branch of _log_ratio
+      that takes the two logarithms apart, which runs only where rho >= 1.
     * The constants above hold to first order in u; the slack in them
       covers the second-order terms and the rounding of this formula.  An
       intermediate that underflows is covered by UNDERFLOW per row, and
@@ -147,32 +138,31 @@ def poisson_eval_error(pieces: _FloatPieces, xs, y) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(xs.shape, y.shape)
-    n = len(pieces.rows)
+    n = len(rows)
     if not n:
         return np.zeros(shape)
-    lo = min(r[0] for r in pieces.rows)
-    hi = max(r[1] for r in pieces.rows)
+    lo = min(r[0] for r in rows)
+    hi = max(r[1] for r in rows)
+    flat = sum(abs(fa) for _, _, fa, _, _, beta in rows if not beta)
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) / y
         bad = ~(reach <= REACH_LIMIT)
-        if not pieces.linear:
-            weight = sum(abs(v) for _, _, v in pieces.rows)
-            out = np.full(shape, (u * (32 + 4 * n) * weight + UNDERFLOW * n * weight) / math.pi)
-        else:
-            out = np.zeros(shape)
-            for a, b, fa, _, _, beta in pieces.rows:
-                big_u = (b - xs) / y
-                big_w = (a - xs) / y
-                u2, w2 = big_u * big_u, big_w * big_w
-                rho = 6 * u * (u2 + w2) / (u2 + 1.0)
-                bound_l = np.abs(u2 - w2) / (np.minimum(u2, w2) + 1.0)
-                size = abs(fa) + abs(beta) * (abs(a) + np.abs(xs))
-                half_slope = 0.5 * abs(beta) * y
-                out += (u * (48 + 8 * n) * size
-                        + half_slope * (u * (16 + 3 * n) * (1.0 + bound_l) + 3 * rho)
-                        + UNDERFLOW * (size + half_slope))
-                bad |= ~(rho <= 0.25)
-            out /= math.pi
+        out = np.full(shape, (u * (48 + 8 * n) + UNDERFLOW) * flat)
+        for a, b, fa, _, _, beta in rows:
+            if not beta:
+                continue
+            big_u = (b - xs) / y
+            big_w = (a - xs) / y
+            u2, w2 = big_u * big_u, big_w * big_w
+            rho = 6 * u * (u2 + w2) / (u2 + 1.0)
+            bound_l = np.abs(u2 - w2) / (np.minimum(u2, w2) + 1.0)
+            size = abs(fa) + abs(beta) * (abs(a) + np.abs(xs))
+            half_slope = 0.5 * abs(beta) * y
+            out += (u * (48 + 8 * n) * size
+                    + half_slope * (u * (16 + 3 * n) * (1.0 + bound_l) + 3 * rho)
+                    + UNDERFLOW * (size + half_slope))
+            bad |= ~(rho <= 0.25)
+        out /= math.pi
         out[bad | np.isnan(out)] = np.inf
     return out
 
@@ -197,7 +187,7 @@ def poisson_integral_step(f: StepFunction, x, y: float):
     """P[f](x, y) for a step function: sum of weighted arctan masses."""
     if y <= 0:
         raise ValueError("height y must be positive")
-    return _scalar_or_array(x, _closed_form(_step_pieces(f), _as_xs(x), y))
+    return _scalar_or_array(x, _closed_form(_rows(f), _as_xs(x), y))
 
 
 def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
@@ -205,7 +195,7 @@ def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
     log-ratio closed form of each linear piece."""
     if y <= 0:
         raise ValueError("height y must be positive")
-    return _scalar_or_array(x, _closed_form(_pl_pieces(f), _as_xs(x), y))
+    return _scalar_or_array(x, _closed_form(_rows(f), _as_xs(x), y))
 
 
 def poisson_integral(f, x, y: float):
@@ -218,14 +208,14 @@ def poisson_integral(f, x, y: float):
 
 def poisson_evaluator(f) -> Callable[[float, float], float]:
     """(x, y) -> P[f](x, y) at a scalar point, with the pieces of f converted
-    to floats once for every call; each value is bitwise the one
+    to float rows once for every call; each value is bitwise the one
     poisson_integral(f, x, y) gives."""
-    pieces = _float_pieces(f)
+    rows = _rows(f)
 
     def at(x: float, y: float) -> float:
         if y <= 0:
             raise ValueError("height y must be positive")
-        return float(_closed_form(pieces, _as_xs(x), y)[0])
+        return float(_closed_form(rows, _as_xs(x), y)[0])
     return at
 
 
@@ -263,12 +253,12 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
     times the mass of f on the central window [x - y/2, x + y/2].  The
     floor is attached, and enforced, whenever f >= 0.
 
-    The pieces are converted to floats once and every height is evaluated
-    in one (heights x 1) pass of the closed form, so each value is bitwise
-    the one poisson_integral gives.  The window masses are exact, read from
-    one f.cumulative call over all window ends.
+    The pieces are converted to float rows once and every height is
+    evaluated in one (heights x 1) pass of the closed form, so each value is
+    bitwise the one poisson_integral gives.  The window masses are exact,
+    read from one f.cumulative call over all window ends.
     """
-    values = _closed_form(_float_pieces(f), _as_xs(x), _heights(y_seq))[:, 0]
+    values = _closed_form(_rows(f), _as_xs(x), _heights(y_seq))[:, 0]
     nonneg = f.is_nonnegative()
     if nonneg:
         ends = f.cumulative([Fraction(x) + side * Fraction(y) / 2
@@ -309,29 +299,26 @@ def _heights(y_grid: Sequence[float]) -> np.ndarray:
     return ys
 
 
-def _block_max(pieces: _FloatPieces, block: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _max_over_heights(rows, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """max over the heights ys (a column, possibly empty) of P[f](x, y) at
-    every x of block, in one (heights x points) pass."""
-    return np.max(_closed_form(pieces, block, ys), axis=0, initial=-np.inf)
+    every x of xs.
 
-
-def _max_over_heights(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """max over the heights ys (a column) of P[f](x, y) at every x of xs.
-
-    Each block of EVAL_CHUNK points is evaluated at all heights at once, so
-    peak memory stays at a few (heights x EVAL_CHUNK) arrays however long the
-    scan.  Every value is the one poisson_integral gives at that height.
+    Each block of EVAL_CHUNK points is evaluated at all heights at once, in
+    one (heights x points) pass, so peak memory stays at a few (heights x
+    EVAL_CHUNK) arrays however long the scan.  Every value is the one
+    poisson_integral gives at that height.
     """
     flat = xs.reshape(-1)
     out = np.empty(flat.shape)
     for s in range(0, flat.size, EVAL_CHUNK):
-        out[s:s + EVAL_CHUNK] = _block_max(pieces, flat[s:s + EVAL_CHUNK], ys)
+        out[s:s + EVAL_CHUNK] = np.max(_closed_form(rows, flat[s:s + EVAL_CHUNK], ys),
+                                       axis=0, initial=-np.inf)
     return out.reshape(xs.shape)
 
 
 def _far(starts: np.ndarray, ends: np.ndarray, xs: np.ndarray, reach: float) -> np.ndarray:
     """Which points of xs are certified at distance >= reach from every row
-    [start, end] (rows sorted and disjoint, as in _FloatPieces): the nearest
+    [start, end] (rows sorted and disjoint, as _rows gives them): the nearest
     row on each side is found by searchsorted, and a rounded difference is
     compared strictly, since rounding, being monotone, never takes a
     difference under the float reach past it."""
@@ -343,8 +330,8 @@ def _far(starts: np.ndarray, ends: np.ndarray, xs: np.ndarray, reach: float) -> 
     return (left > reach) & (right > reach)
 
 
-def _exceeds(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
-    """_max_over_heights(pieces, xs, ys) > alpha, point for point, with as
+def _exceeds(rows, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
+    """_max_over_heights(rows, xs, ys) > alpha, point for point, with as
     few heights evaluated as the point needs.
 
     Each block of EVAL_CHUNK points is evaluated at the tallest height
@@ -368,26 +355,26 @@ def _exceeds(pieces: _FloatPieces, xs: np.ndarray, ys: np.ndarray, alpha: float)
     top, bottom = int(np.argmax(ys)), int(np.argmin(ys))
     others = ys[[j for j in range(len(ys)) if j not in (top, bottom)]]
     y_max = float(ys[top, 0])
-    nonneg = all(min(r[2:4] if pieces.linear else r[2:3]) >= 0 for r in pieces.rows)
-    starts = np.array([r[0] for r in pieces.rows])
-    ends = np.array([r[1] for r in pieces.rows])
+    nonneg = all(min(r[2], r[3]) >= 0 for r in rows)
+    starts = np.array([r[0] for r in rows])
+    ends = np.array([r[1] for r in rows])
     for s in range(0, flat.size, EVAL_CHUNK):
         block = flat[s:s + EVAL_CHUNK]
-        value = _closed_form(pieces, block, ys[top:top + 1])[0]
+        value = _closed_form(rows, block, ys[top:top + 1])[0]
         hit = value > alpha
         open_ = np.flatnonzero(~hit)
         if nonneg and open_.size:
             decided = _far(starts, ends, block[open_], y_max)
             far = open_[decided]
             if far.size:
-                budget = np.max(poisson_eval_error(pieces, block[far], ys[[bottom, top]]), axis=0)
+                budget = np.max(poisson_eval_error(rows, block[far], ys[[bottom, top]]), axis=0)
                 decided[decided] = value[far] <= np.nextafter(alpha - 2 * budget, -np.inf)
                 open_ = open_[~decided]
         if bottom != top and open_.size:
-            hit[open_] = _closed_form(pieces, block[open_], ys[bottom:bottom + 1])[0] > alpha
+            hit[open_] = _closed_form(rows, block[open_], ys[bottom:bottom + 1])[0] > alpha
             open_ = open_[~hit[open_]]
         if others.size and open_.size:
-            hit[open_] = _block_max(pieces, block[open_], others) > alpha
+            hit[open_] = _max_over_heights(rows, block[open_], others) > alpha
         out[s:s + EVAL_CHUNK] = hit
     return out.reshape(xs.shape)
 
@@ -397,7 +384,7 @@ def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
     maximal operator sup_{y>0} P[|f|](x, y).  |f| is formed exactly."""
     if not list(y_grid):
         raise ValueError("y_grid must be nonempty")
-    out = _max_over_heights(_float_pieces(f.abs()), _as_xs(x), _heights(y_grid))
+    out = _max_over_heights(_rows(f.abs()), _as_xs(x), _heights(y_grid))
     return _scalar_or_array(x, out)
 
 
@@ -439,7 +426,8 @@ def superlevel_set(g, alpha: float,
                    y_grid: Sequence[float] = DEFAULT_Y_GRID) -> SuperlevelSet:
     """Locate { x : max over y_grid of P[|g|](x, y) > alpha }.
 
-    The pieces of |g| are converted to floats once.  Cells of width
+    alpha must be positive and y_grid nonempty, else ValueError.  The
+    pieces of |g| are converted to float rows once.  Cells of width
     PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
     (2 pi d)), valid at every height (d the distance to the piece), sums to
     at most alpha.  Each remaining window is scanned at spacing about
@@ -461,30 +449,29 @@ def superlevel_set(g, alpha: float,
     that does not reach BISECT_TOL within BISECT_MAX_ITER steps is counted
     in `bisection_failures`.
     """
-    pieces = _float_pieces(g.abs())
-    if not pieces.rows:
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    ys = _heights(y_grid)
+    if not ys.size:
+        raise ValueError("y_grid must be nonempty")
+    rows = _rows(g.abs())
+    if not rows:
         return SuperlevelSet(IntervalUnion.empty(), 0, 0, 0.0, 0.0)
-    if pieces.linear:
-        envelope_rows = [(a, b, max(fa, fb), 0.5 * (fa + fb) * (b - a))
-                         for a, b, fa, fb, _, _ in pieces.rows]
-    else:
-        envelope_rows = [(a, b, v, v * (b - a)) for a, b, v in pieces.rows]
 
     # prune: a cell whose envelope sum stays at or under alpha holds no point
     # of the set, whatever the height
-    radius = sum(r[3] for r in envelope_rows) / (math.pi * alpha) + PRUNE_CELL
-    lo = min(r[0] for r in envelope_rows) - radius
-    n_cells = int(math.ceil((max(r[1] for r in envelope_rows) + radius - lo) / PRUNE_CELL))
+    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, _, _ in rows]
+    radius = sum(masses) / (math.pi * alpha) + PRUNE_CELL
+    lo = min(r[0] for r in rows) - radius
+    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
     edges = lo + PRUNE_CELL * np.arange(n_cells + 1)
     envelope = np.zeros(n_cells)
-    for a, b, sup, mass in envelope_rows:
+    for (a, b, fa, fb, _, _), mass in zip(rows, masses):
         dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
         with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
-        envelope += np.minimum(sup, far)
+        envelope += np.minimum(max(fa, fb), far)
     windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
-
-    ys = _heights(y_grid)
 
     # one bracket per edge, left then right edge of each run; a run that
     # reaches the end of its window gets the zero-width bracket at that end
@@ -492,11 +479,11 @@ def superlevel_set(g, alpha: float,
     for w_lo, w_hi in windows:
         n_pts = max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
         xs = np.linspace(w_lo, w_hi, n_pts)
-        for s, stop in _runs(_exceeds(pieces, xs, ys, alpha)):
+        for s, stop in _runs(_exceeds(rows, xs, ys, alpha)):
             outside += [xs[max(s - 1, 0)], xs[min(stop, n_pts - 1)]]
             inside += [xs[s], xs[stop - 1]]
     # a bisection round has only a few midpoints: one pass over every height
-    ends, failures = _bisect_edges(lambda mid: _max_over_heights(pieces, mid, ys) > alpha,
+    ends, failures = _bisect_edges(lambda mid: _max_over_heights(rows, mid, ys) > alpha,
                                    np.array(outside), np.array(inside))
     parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
                               Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN))
@@ -527,8 +514,6 @@ def weak_type_check(f, alpha: float) -> WeakTypeReport:
     A reported violation falsifies this implementation, not the underlying
     inequality; so does an edge bisection that ran out of steps.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     l1 = float(f.l1_norm())
     level = superlevel_set(f, alpha)
     measure = float(level.region.measure())

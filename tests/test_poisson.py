@@ -15,7 +15,7 @@ from limitlab import poisson
 from limitlab.constructions import build_ml_poisson, build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval
-from limitlab.kernels import poisson_eval
+from limitlab.kernels import poisson_eval, stable_atan_diff
 from limitlab.kernels import poisson_interval_mass as kernels_mass
 from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
                               maximal_estimate, poisson_evaluator, poisson_integral,
@@ -250,6 +250,24 @@ class TestSuperlevelSet:
             assert abs(report.grid_measure - measure) <= cells + report.uncertainty
 
 
+@pytest.mark.parametrize("alpha, grid, match", [
+    (0.0, DEFAULT_Y_GRID, "alpha must be positive"),
+    (-1.0, DEFAULT_Y_GRID, "alpha must be positive"),
+    (math.nan, DEFAULT_Y_GRID, "alpha must be positive"),
+    (1.0, [], "y_grid must be nonempty"),
+])
+def test_superlevel_set_checks_its_inputs(alpha, grid, match):
+    """alpha <= 0 (where {M > alpha} would be the whole line), a NaN alpha
+    and an empty grid are rejected with a ValueError that names the input,
+    by superlevel_set and so by weak_type_check."""
+    f = StepFunction.indicator(IntervalUnion.single(-1, 1))
+    with pytest.raises(ValueError, match=match):
+        superlevel_set(f, alpha, grid)
+    if grid:
+        with pytest.raises(ValueError, match=match):
+            weak_type_check(f, alpha)
+
+
 # ----------------------------------------------------------------------
 # the one evaluator and the batched bisection against per-height references
 
@@ -330,9 +348,9 @@ SCAN = np.linspace(-32, 32, 4 * EVAL_CHUNK + 5)  # five blocks, far points at bo
 
 
 def exceeds_mismatches(exceeds, f, alpha, grid):
-    """Points of a five-block scan out to +-32 where exceeds(pieces of |f|,
+    """Points of a five-block scan out to +-32 where exceeds(rows of |f|,
     xs, heights, alpha) differs from maximal_estimate(f, xs, grid) > alpha."""
-    got = exceeds(poisson._float_pieces(f.abs()), SCAN, poisson._heights(grid), alpha)
+    got = exceeds(poisson._rows(f.abs()), SCAN, poisson._heights(grid), alpha)
     return np.flatnonzero(got != (maximal_estimate(f, SCAN, grid) > alpha))
 
 
@@ -357,15 +375,15 @@ def far_top_value(f, grid, pick):
     """The computed value at the tallest height of a scan point certified
     far from every piece of |f|, chosen by pick in [0, 1); None if no scan
     point is far."""
-    pieces = poisson._float_pieces(f.abs())
+    rows = poisson._rows(f.abs())
     y_max = float(max(grid))
-    starts = np.array([r[0] for r in pieces.rows])
-    ends = np.array([r[1] for r in pieces.rows])
+    starts = np.array([r[0] for r in rows])
+    ends = np.array([r[1] for r in rows])
     far = SCAN[poisson._far(starts, ends, SCAN, y_max)]
     if not far.size:
         return None
     x = far[int(pick * far.size)]
-    return float(poisson._closed_form(pieces, np.array([x]), y_max)[0])
+    return float(poisson._closed_form(rows, np.array([x]), y_max)[0])
 
 
 @given(maximal_inputs(), height_grids(), st.none() | st.floats(0, 1, exclude_max=True))
@@ -383,9 +401,9 @@ def test_exceeds_matches_maximal_estimate(inputs, grid, pick):
     assert exceeds_mismatches(poisson._exceeds, f, alpha, grid).size == 0
 
 
-def first_height_only(pieces, xs, ys, alpha):
+def first_height_only(rows, xs, ys, alpha):
     """_exceeds with the undecided points dropped after the first height."""
-    return poisson._max_over_heights(pieces, xs, ys[:1]) > alpha
+    return poisson._max_over_heights(rows, xs, ys[:1]) > alpha
 
 
 def test_dropping_undecided_points_is_caught(monkeypatch):
@@ -420,17 +438,17 @@ def test_far_points_take_one_height(monkeypatch):
     evaluated = []
     closed_form = poisson._closed_form
 
-    def counted(pieces, xs, y):
+    def counted(rows, xs, y):
         evaluated.append(np.size(xs) * np.size(y))
-        return closed_form(pieces, xs, y)
+        return closed_form(rows, xs, y)
     monkeypatch.setattr(poisson, "_closed_form", counted)
     f = StepFunction.indicator(IntervalUnion.single(-1, 1), 2)
     xs = np.linspace(3, 40, 1000)
     ys = poisson._heights(DEFAULT_Y_GRID)
-    assert not poisson._exceeds(poisson._float_pieces(f), xs, ys, 0.5).any()
+    assert not poisson._exceeds(poisson._rows(f), xs, ys, 0.5).any()
     assert sum(evaluated) == xs.size
     evaluated.clear()
-    poisson._exceeds(poisson._float_pieces(f.scale(-1)), xs, ys, 0.5)
+    poisson._exceeds(poisson._rows(f.scale(-1)), xs, ys, 0.5)
     assert sum(evaluated) == xs.size * len(DEFAULT_Y_GRID)
 
 
@@ -442,20 +460,20 @@ def test_far_point_within_the_budget_takes_every_height(monkeypatch):
     within 2E of alpha, goes through every height and is found to exceed;
     with the budget taken as 0 (negative control) the far rule decides it
     "no" and the answer no longer matches the full max."""
-    pieces = poisson._float_pieces(tent(RationalInterval(Fraction(7, 8), 1)).scale(Fraction(1, 2)))
+    rows = poisson._rows(tent(RationalInterval(Fraction(7, 8), 1)).scale(Fraction(1, 2)))
     ys = poisson._heights([1.0, 1 - 2.0 ** -48])
     xs = 2 + np.arange(1, 4097) * 2.0 ** -20
-    top, lower = poisson._closed_form(pieces, xs, ys)
+    top, lower = poisson._closed_form(rows, xs, ys)
     inverted = np.flatnonzero(lower > np.nextafter(top, np.inf))
     assert inverted.size
     x, alpha = xs[inverted[:1]], np.nextafter(top[inverted[0]], np.inf)
-    assert poisson._far(np.array([r[0] for r in pieces.rows]),
-                        np.array([r[1] for r in pieces.rows]), x, 1.0)[0]
-    assert poisson._max_over_heights(pieces, x, ys)[0] > alpha
-    assert poisson._exceeds(pieces, x, ys, alpha)[0]
+    assert poisson._far(np.array([r[0] for r in rows]),
+                        np.array([r[1] for r in rows]), x, 1.0)[0]
+    assert poisson._max_over_heights(rows, x, ys)[0] > alpha
+    assert poisson._exceeds(rows, x, ys, alpha)[0]
     monkeypatch.setattr(poisson, "poisson_eval_error",
-                        lambda pieces, xs, y: np.zeros(np.broadcast_shapes(xs.shape, y.shape)))
-    assert not poisson._exceeds(pieces, x, ys, alpha)[0]
+                        lambda rows, xs, y: np.zeros(np.broadcast_shapes(xs.shape, y.shape)))
+    assert not poisson._exceeds(rows, x, ys, alpha)[0]
 
 
 @given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
@@ -487,25 +505,95 @@ def test_swapped_bisection_update_is_caught(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# one float-row form against a two-branch reference
+
+
+def reference_closed_form(f, xs, y):
+    """A closed form with two row formats: rows (a, b, v) of a step
+    function summed as v * atan-term, and on every nonzero
+    piecewise-linear segment, plateaus included, the alpha/beta rows with
+    the log-ratio term added."""
+    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
+    if isinstance(f, StepFunction):
+        for iv, v in f.pieces:
+            a, b = float(iv.lo), float(iv.hi)
+            out += float(v) * stable_atan_diff((b - xs) / y, (a - xs) / y)
+        return out / math.pi
+    for (x0, y0), (x1, y1) in f.segments():
+        if y0 == 0 and y1 == 0:
+            continue
+        a, b = float(x0), float(x1)
+        fa, fb = float(y0), float(y1)
+        beta = (fb - fa) / (b - a)
+        alpha = fa - beta * a
+        u = (b - xs) / y
+        w = (a - xs) / y
+        out += (alpha + beta * xs) * stable_atan_diff(u, w)
+        out += 0.5 * beta * y * poisson._log_ratio(u, w)
+    return out / math.pi
+
+
+def repeating_values(draw, count, den):
+    """count values k/den, |k| <= 8 den, each equal to the one before it
+    half of the time."""
+    values = []
+    for _ in range(count):
+        if values and draw(st.booleans()):
+            values.append(values[-1])
+        else:
+            values.append(Fraction(draw(st.integers(-8 * den, 8 * den)), den))
+    return values
+
+
+@st.composite
+def row_form_inputs(draw):
+    """Step data, or piecewise-linear data with plateau segments; points at
+    or within 2^-60 .. 2^-1 of a breakpoint; a column of heights
+    2^-40 .. 2^20."""
+    cuts = sorted(set(draw(st.lists(dyadic, min_size=2, max_size=8))))
+    values = repeating_values(draw, len(cuts), 4)
+    if draw(st.booleans()):
+        f = PiecewiseLinear(tuple(zip(cuts, [0, *values[1:-1], 0])))
+    else:
+        f = StepFunction.from_weighted_regions(
+            [(v, IntervalUnion.single(a, b)) for v, a, b in zip(values, cuts, cuts[1:]) if v])
+    xs = [float(draw(st.sampled_from(cuts)))
+          + draw(st.sampled_from([0.0, 1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 60))
+          for _ in range(draw(st.integers(1, 6)))]
+    exps = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=6))
+    return f, np.array(xs), np.array([2.0 ** -j for j in exps]).reshape(-1, 1)
+
+
+@given(row_form_inputs())
+@settings(max_examples=80, deadline=None)
+def test_rows_match_the_two_branch_closed_form(inputs):
+    """A step piece as the zero-slope row (a, b, v, v, v, 0.0), and a
+    plateau without its log-ratio term, give every value bitwise as the
+    two-branch reference does, at several heights in one call."""
+    f, xs, ys = inputs
+    got = poisson._closed_form(poisson._rows(f), xs, ys)
+    want = reference_closed_form(f, xs, ys)
+    assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+
+
+# ----------------------------------------------------------------------
 # the evaluation budget against a 50-digit oracle on the same float rows
 
 
-def mp_poisson(pieces, x, y):
+def mp_poisson(rows, x, y):
     """The Poisson integral of the function the float rows stand for, at
-    50 digits: v on [a, b] for a step row, the line through (a, f(a)) and
-    (b, f(b)), in local coordinates, for a piecewise-linear one."""
+    50 digits: on each row the line through (a, f(a)) and (b, f(b)), in
+    local coordinates; where f(a) = f(b), the constant f(a), which also
+    covers the point rows a = b of a step function."""
     with mpmath.workdps(50):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         total = mpmath.mpf(0)
-        for row in pieces.rows:
+        for row in rows:
             a, b = mpmath.mpf(row[0]), mpmath.mpf(row[1])
             big_u, big_w = (b - x) / y, (a - x) / y
             atan_term = mpmath.atan(big_u) - mpmath.atan(big_w)
-            if not pieces.linear:
-                total += mpmath.mpf(row[2]) * atan_term
-                continue
             fa, fb = mpmath.mpf(row[2]), mpmath.mpf(row[3])
-            slope = (fb - fa) / (b - a)
+            slope = (fb - fa) / (b - a) if fb != fa else 0
             total += ((fa + slope * (x - a)) * atan_term
                       + slope * y / 2 * mpmath.log((1 + big_u ** 2) / (1 + big_w ** 2)))
         return total / mpmath.pi
@@ -513,21 +601,22 @@ def mp_poisson(pieces, x, y):
 
 def budget_gap(f, x, y):
     """(|_closed_form - oracle|, poisson_eval_error) at one point and height."""
-    pieces = poisson._float_pieces(f)
-    got = float(poisson._closed_form(pieces, np.array([x]), y)[0])
-    budget = float(poisson.poisson_eval_error(pieces, np.array([x]), y)[0])
-    return abs(mpmath.mpf(got) - mp_poisson(pieces, x, y)), budget
+    rows = poisson._rows(f)
+    got = float(poisson._closed_form(rows, np.array([x]), y)[0])
+    budget = float(poisson.poisson_eval_error(rows, np.array([x]), y)[0])
+    return abs(mpmath.mpf(got) - mp_poisson(rows, x, y)), budget
 
 
 @st.composite
 def budget_inputs(draw):
-    """Signed step or piecewise-linear data with pieces 2^-48 .. 7 wide and
-    slopes up to about 2^54, a point at, next to or away from a
-    breakpoint, and a height in 2^-12 .. 2^0."""
+    """Signed step or piecewise-linear data with pieces 2^-48 .. 7 wide,
+    slopes up to about 2^54 and repeated values (plateaus, zero-slope
+    rows), a point at, next to or away from a breakpoint, and a height in
+    2^-12 .. 2^0."""
     cuts = [Fraction(draw(st.integers(-48, 48)), 16)]
     for _ in range(draw(st.integers(2, 6))):
         cuts.append(cuts[-1] + Fraction(draw(st.integers(1, 7)), 2 ** draw(st.integers(0, 48))))
-    values = [Fraction(draw(st.integers(-64, 64)), 8) for _ in cuts]
+    values = repeating_values(draw, len(cuts), 8)
     if draw(st.booleans()):
         f = PiecewiseLinear(tuple(zip(cuts, [0, *values[1:-1], 0])))
     else:
