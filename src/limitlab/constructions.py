@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .functions import PiecewiseLinear, StepFunction, _sweep
+from .functions import PiecewiseLinear, StepFunction, _on_grid, _sweep
 from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
 from .kernels import FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
@@ -235,15 +235,15 @@ def _stage_bounds(f_cur: StepFunction, f_next: StepFunction,
                   stage: IntervalUnion) -> tuple[Fraction, Fraction, bool, bool]:
     """Exact integral of f_cur, ||f_next - f_cur||_1, whether f_cur <= f_next
     everywhere, and whether f_cur vanishes on the stage, all read from one
-    sweep over the atoms of the three functions."""
-    points, (cur, nxt, inside) = _sweep(f_cur, f_next, StepFunction.indicator(stage))
-    mass = increment = Fraction(0)
-    for k in range(1, len(cur), 2):
-        a, b = cur[k], nxt[k]
-        if a or b:
-            width = points[k // 2 + 1] - points[k // 2]
-            mass += a * width
-            increment += abs(b - a) * width
+    sweep over the atoms of the three functions.  Gap widths and atom values
+    are taken on integer grids (functions._on_grid), so mass and increment
+    are each one Fraction over Dv Dx."""
+    _, (cur, nxt, inside), (dx, xs) = _sweep(f_cur, f_next, StepFunction.indicator(stage))
+    dv, values = _on_grid(cur + nxt)
+    cur, nxt = values[:len(cur)], values[len(cur):]
+    gaps = [(a, b, x1 - x0) for a, b, x0, x1 in zip(cur[1::2], nxt[1::2], xs, xs[1:])]
+    mass = Fraction(sum(a * w for a, _, w in gaps), dv * dx)
+    increment = Fraction(sum(abs(b - a) * w for a, b, w in gaps), dv * dx)
     monotone = all(a <= b for a, b in zip(cur, nxt))
     vanishes = not any(a for a, s in zip(cur, inside) if s)
     return mass, increment, monotone, vanishes

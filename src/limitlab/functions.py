@@ -9,6 +9,7 @@ only enter downstream, in kernel integration.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,24 +27,44 @@ def _point(t) -> Fraction:
     return Fraction(t) if isinstance(t, float) else frac(t)
 
 
+# Exact routines work on an integer grid: a list of rationals is written as
+# integer numerators over D, the lcm of their denominators (every denominator
+# must divide D for the numerators to be exact).  Sums, differences, products
+# and comparisons then run on Python ints in C, and each output value is one
+# Fraction(numerator, denominator) built at the end; Fractions are canonical,
+# so the result is the same exact number that per-step Fraction arithmetic
+# gives.
+#
 # Merges run over atoms of a sorted breakpoint list: atom 2i is the point
-# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  Breakpoints
-# are indexed by their (numerator, denominator) pair, which is canonical (a
-# Fraction is in lowest terms with a positive denominator) and hashes in C,
-# where Fraction.__hash__ takes a modular inverse on every call.  A piece
-# covers a contiguous range of atoms, found from its endpoints through that
-# index, so a merge fills per-atom values in one pass over the pieces and
-# never evaluates a function at a point.  The result has one interval per
-# maximal run of equal nonzero atom values, which is the canonical form.
+# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  The distinct
+# breakpoints are found by their (numerator, denominator) pair, which is
+# canonical (a Fraction is in lowest terms with a positive denominator) and
+# hashes in C, and sorted on their grid numerators, so the sort compares ints
+# and never Fractions.  A piece covers a contiguous range of atoms, found from
+# its endpoints through the pair index, so a merge fills per-atom values in
+# one pass over the pieces and never evaluates a function at a point.  The
+# result has one interval per maximal run of equal nonzero atom values, which
+# is the canonical form.
 
 
-def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict]:
-    """The sorted distinct breakpoints of xs and a {(numerator, denominator):
-    position} map.  The distinct values keep their first-seen order, so the
-    sorted runs of each input stay runs for the sort."""
+def _on_grid(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The values' common denominator D (the lcm of their denominators) and
+    each value's integer numerator over D, in order: value == numerator / D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*{q for _, q in ratios})
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict, tuple[int, list[int]]]:
+    """The sorted distinct breakpoints of xs, a {(numerator, denominator):
+    position} map, and their grid (D, numerators over D in sorted order).
+    The distinct values keep their first-seen order, so the sorted runs of
+    each input stay runs for the sort."""
     distinct = {x.as_integer_ratio(): x for x in xs}
-    points = sorted(distinct.values())
-    return points, {x.as_integer_ratio(): i for i, x in enumerate(points)}
+    d, keys = _on_grid(distinct.values())
+    order = sorted(zip(keys, distinct))  # (key, pair): the keys are distinct ints
+    index = {pair: i for i, (_, pair) in enumerate(order)}
+    return [distinct[pair] for _, pair in order], index, (d, [k for k, _ in order])
 
 
 def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
@@ -56,9 +77,11 @@ def _endpoints(f: "StepFunction") -> Iterable[Fraction]:
     return (x for iv, _ in f.pieces for x in (iv.lo, iv.hi))
 
 
-def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Merged breakpoints and each function's value on every atom."""
-    points, index = _index(x for f in fns for x in _endpoints(f))
+def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]],
+                                          tuple[int, list[int]]]:
+    """Merged breakpoints, each function's value on every atom, and the grid
+    of the breakpoints."""
+    points, index, grid = _index(x for f in fns for x in _endpoints(f))
     columns = []
     for f in fns:
         values = [Fraction(0)] * (2 * len(points) - 1)
@@ -66,7 +89,7 @@ def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]]]:
             lo, hi = _atom_span(iv, index)
             values[lo:hi + 1] = [v] * (hi + 1 - lo)
         columns.append(values)
-    return points, columns
+    return points, columns, grid
 
 
 def _from_atoms(points: list[Fraction], values: list[Fraction]) -> "StepFunction":
@@ -121,7 +144,7 @@ class StepFunction:
         the atoms, one entry per part endpoint).
         """
         terms = [(frac(w), u) for w, u in terms]
-        points, index = _index(x for _, u in terms for p in u.parts for x in (p.lo, p.hi))
+        points, index, _ = _index(x for _, u in terms for p in u.parts for x in (p.lo, p.hi))
         steps = [Fraction(0)] * (2 * len(points))
         for w, u in terms:
             for part in u.parts:
@@ -208,7 +231,7 @@ class StepFunction:
     # algebra
 
     def _combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
-        points, (mine, theirs) = _sweep(self, other)
+        points, (mine, theirs), _ = _sweep(self, other)
         return _from_atoms(points, [op(a, b) for a, b in zip(mine, theirs)])
 
     def __add__(self, other):
@@ -224,7 +247,7 @@ class StepFunction:
         return StepFunction(tuple((iv, w * v) for iv, v in self.pieces))
 
     def abs(self) -> "StepFunction":
-        points, (values,) = _sweep(self)
+        points, (values,), _ = _sweep(self)
         return _from_atoms(points, [abs(v) for v in values])
 
     def restrict(self, region: IntervalUnion) -> "StepFunction":
@@ -234,7 +257,7 @@ class StepFunction:
 
     def pointwise_le(self, other: "StepFunction") -> bool:
         """Exact check that self <= other everywhere."""
-        _, (mine, theirs) = _sweep(self, other)
+        _, (mine, theirs), _ = _sweep(self, other)
         return all(a <= b for a, b in zip(mine, theirs))
 
     def exceedance_region(self, threshold_sq: Fraction) -> IntervalUnion:
@@ -302,11 +325,13 @@ class PiecewiseLinear:
         return list(zip(self.vertices, self.vertices[1:]))
 
     def integral(self) -> Fraction:
-        total = Fraction(0)
-        for (x0, y0), (x1, y1) in self.segments():
-            if y0 or y1:
-                total += (y0 + y1) * (x1 - x0) / 2
-        return total
+        """Sum of the trapezoids (y0 + y1)(x1 - x0)/2, on the grids of the
+        vertex xs and ys: one Fraction over 2 Dx Dy."""
+        dx, xs = _on_grid(self._xs)
+        dy, ys = _on_grid(y for _, y in self.vertices)
+        total = sum((y0 + y1) * (x1 - x0)
+                    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+        return Fraction(total, 2 * dx * dy)
 
     def l1_norm(self) -> Fraction:
         if self.is_nonnegative():
@@ -350,26 +375,35 @@ class PiecewiseLinear:
         union, trimmed once at the ends; a left fold of `+` gives the same
         function, at times with fewer vertices where zero runs were trimmed.
         """
-        functions = list(functions)
-        points, index = _index(x for f in functions for x in f._xs)
+        vertices = [v for f in functions for v in f.vertices]
+        points, index, (_, xs) = _index(x for x, _ in vertices)
+        dy, ys = _on_grid(y for _, y in vertices)
+        at = [index[x.as_integer_ratio()] for x, _ in vertices]
+        # On the grids the slope from vertex i0 to i1 is (rise/run) Dx/Dy for
+        # integers rise and run; it starts at i0 and stops at i1 as the reduced
+        # ratio a/b.  Neighbours from two functions join a last vertex to a
+        # first, both at y = 0, so they are skipped as flat.
+        changes = []
+        for i0, i1, y0, y1 in zip(at, at[1:], ys, ys[1:]):
+            if y1 != y0:
+                rise, run = y1 - y0, xs[i1] - xs[i0]
+                g = math.gcd(rise, run)
+                changes.append((i0, i1, rise // g, run // g))
+        # kinks over one slope denominator M: the walk adds slope * (grid
+        # step), so the value at each vertex is an integer over M Dy
+        m = math.lcm(*{b for *_, b in changes})
         kinks = [0] * len(points)
-        for f in functions:
-            slope = Fraction(0)
-            for (x0, y0), (x1, y1) in f.segments():
-                after = (y1 - y0) / (x1 - x0)
-                kinks[index[x0.as_integer_ratio()]] += after - slope
-                slope = after
-            if f.vertices:
-                kinks[index[f.vertices[-1][0].as_integer_ratio()]] -= slope
+        for i0, i1, a, b in changes:
+            kink = a * (m // b)
+            kinks[i0] += kink
+            kinks[i1] -= kink
         verts = []
-        value = slope = Fraction(0)
-        prev = None
-        for x, kink in zip(points, kinks):
-            if slope:
-                value += slope * (x - prev)
-            verts.append((x, value))
+        value = slope = prev = 0
+        for x, key, kink in zip(points, xs, kinks):
+            value += slope * (key - prev)
+            verts.append((x, Fraction(value, m * dy)))
             slope += kink
-            prev = x
+            prev = key
         return _trimmed(verts)
 
     def _combine(self, other: "PiecewiseLinear", sign: int) -> "PiecewiseLinear":

@@ -74,7 +74,9 @@ def test_build_writes_dump_without_trace(tmp_path):
     assert not (out / "poisson_trace.csv").exists()
 
 
-# sha256 of every artifact of the two largest baseline builds: a faster exact
+# sha256 of every artifact of the two largest baseline builds, and of two builds
+# at a point with an odd denominator, where the exact merges meet breakpoints
+# and values whose common denominator is no power of two: a faster exact
 # merge or stage recurrence must leave every byte of them in place
 PINNED_BUILDS = {
     ("schnorr-poisson", "--m-max", "60"): {
@@ -91,16 +93,29 @@ PINNED_BUILDS = {
         "verification_report.json":
             "403946a32c95b5adaa69143c73a8d8744c4236dd04b7c269008776c61f8e1893",
     },
+    ("schnorr-poisson", "--m-max", "32", "--point=12345/65537"): {
+        "step_construction.json":
+            "ff1c10907c77bdf921e352edd65634ec2161b8c587534f556a41a05bfe9cfc49",
+        "verification_report.json":
+            "0aecdc06d25f16cd7192c5a6a948681c850048ae0eed8fb7f960dc1d0583c41e",
+    },
+    ("ml-poisson", "--s-max", "37", "--point=12345/65537"): {
+        "tent_construction.json":
+            "4aac317300de62626bb2725aba7c8cc8d75caa0fe3702568c71933ba6fea7d39",
+        "tent_stages.csv":
+            "74027223e3bd37e6c329badd08e24b26df3f902dd33a38544a3d6977631c7501",
+        "verification_report.json":
+            "6bb26a18f1f533c7ed781245b09d549e23a63b1730f5ce2f0e84fdbae32afa09",
+    },
 }
 
 
-@pytest.mark.parametrize("construction, flag, size", sorted(PINNED_BUILDS))
-def test_large_build_artifacts_are_pinned(tmp_path, construction, flag, size):
+@pytest.mark.parametrize("args", sorted(PINNED_BUILDS), ids="-".join)
+def test_large_build_artifacts_are_pinned(tmp_path, args):
     out = tmp_path / "o"
-    assert main(["build", "--construction", construction, flag, size,
-                 "--out", str(out)]) == 0
+    assert main(["build", "--construction", *args, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == PINNED_BUILDS[construction, flag, size]
+    assert digests == PINNED_BUILDS[args]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -11,7 +11,7 @@ from limitlab import constructions
 from limitlab.constructions import (_stage_bounds, _step_stages, build_fourier_divergent,
                                     build_ml_poisson, build_schnorr_poisson, stage_cutoff,
                                     tent)
-from limitlab.functions import StepFunction
+from limitlab.functions import StepFunction, _sweep
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
@@ -190,10 +190,10 @@ grid_st = st.integers(-16, 16).map(lambda k: Fraction(k, 4))
 
 
 @st.composite
-def region_st(draw, max_parts=4):
+def region_st(draw, max_parts=4, points=grid_st):
     ivs = []
     for _ in range(draw(st.integers(0, max_parts))):
-        a, b = sorted((draw(grid_st), draw(grid_st)))
+        a, b = sorted((draw(points), draw(points)))
         if a == b:
             ivs.append(RationalInterval(a, a))
         else:
@@ -237,6 +237,51 @@ def test_swept_stage_bounds_match_merges(f, g, stage):
     assert increment == (g - f).l1_norm()
     assert monotone is f.pointwise_le(g)
     assert vanishes is f.restrict(stage).is_zero
+
+
+def fraction_stage_bounds(f_cur, f_next, stage):
+    """Reference for _stage_bounds: the same sweep, with each gap width and
+    each mass and increment term in Fractions."""
+    points, (cur, nxt, inside), _ = _sweep(f_cur, f_next, StepFunction.indicator(stage))
+    mass = increment = Fraction(0)
+    for k in range(1, len(cur), 2):
+        a, b = cur[k], nxt[k]
+        if a or b:
+            width = points[k // 2 + 1] - points[k // 2]
+            mass += a * width
+            increment += abs(b - a) * width
+    monotone = all(a <= b for a, b in zip(cur, nxt))
+    vanishes = not any(a for a, s in zip(cur, inside) if s)
+    return mass, increment, monotone, vanishes
+
+
+@st.composite
+def off_grid_bounds_st(draw):
+    """f, g and a stage on breakpoints c + k/2^j for one rational c with an
+    odd denominator up to 2^20, with weights of denominators 3, 5, 7 and
+    2^40: their grids need the lcm of the denominators, where the quarter
+    grid above has a power of two."""
+    q = 2 * draw(st.integers(0, 2 ** 19 - 1)) + 1
+    c = Fraction(draw(st.integers(-2 * q, 2 * q)), q)
+    points = st.builds(lambda k, j: c + Fraction(k, 2 ** j),
+                       st.integers(-16, 16), st.integers(0, 4))
+    weights = st.builds(Fraction, st.integers(-20, 20).filter(bool),
+                        st.sampled_from([1, 3, 5, 7, 2 ** 40]))
+    f, g = (StepFunction.from_weighted_regions(draw(st.lists(
+        st.tuples(weights, region_st(points=points)), max_size=3))) for _ in range(2))
+    return f, g, draw(region_st(points=points))
+
+
+@given(off_grid_bounds_st())
+@settings(max_examples=300, deadline=None)
+def test_grid_stage_bounds_match_fraction_form(case):
+    f, g, stage = case
+    assert _stage_bounds(f, g, stage) == fraction_stage_bounds(f, g, stage)
+    # f cut to zero on the stage vanishes there, and adding |g| keeps it monotone
+    cut = f - f.restrict(stage)
+    bounds = _stage_bounds(cut, cut + g.abs(), stage)
+    assert bounds == fraction_stage_bounds(cut, cut + g.abs(), stage)
+    assert bounds[2:] == (True, True)
 
 
 class TestStepBuildAssertions:

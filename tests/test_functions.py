@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from limitlab.constructions import tent
-from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms
+from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _index, _trimmed
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 
 
@@ -374,3 +374,107 @@ def test_pl_add_sub_match_oracle(f, g):
     assert (f - f).is_zero and (f - f).vertices == ()
     for h in (f, g, total, diff):
         assert h.l1_norm() == h.abs().integral()
+
+
+# ----------------------------------------------------------------------
+# the integer-grid routines against their per-step Fraction forms
+#
+# The grids above are dyadic, where every common denominator is a power of two
+# and so the largest one.  Here breakpoints are c + k/2^j for one rational c
+# per example, with an odd denominator up to 2^20, and values have mixed
+# denominators 3, 5, 7 and 2^40, so a grid needs the lcm of its denominators.
+
+
+def fraction_pl_sum(functions):
+    """Reference for PiecewiseLinear.sum: the slope of each segment, the kink
+    at each vertex and the walk over the sorted union of the vertices, all in
+    Fractions."""
+    functions = list(functions)
+    points = sorted({x for f in functions for x in f.breakpoints()})
+    index = {x: i for i, x in enumerate(points)}
+    kinks = [0] * len(points)
+    for f in functions:
+        slope = Fraction(0)
+        for (x0, y0), (x1, y1) in f.segments():
+            after = (y1 - y0) / (x1 - x0)
+            kinks[index[x0]] += after - slope
+            slope = after
+        if f.vertices:
+            kinks[index[f.vertices[-1][0]]] -= slope
+    verts = []
+    value = slope = Fraction(0)
+    prev = None
+    for x, kink in zip(points, kinks):
+        if slope:
+            value += slope * (x - prev)
+        verts.append((x, value))
+        slope += kink
+        prev = x
+    return _trimmed(verts)
+
+
+def fraction_pl_integral(f):
+    """Reference for PiecewiseLinear.integral: the trapezoids in Fractions."""
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in f.segments():
+        if y0 or y1:
+            total += (y0 + y1) * (x1 - x0) / 2
+    return total
+
+
+@st.composite
+def offset_st(draw):
+    q = 2 * draw(st.integers(0, 2 ** 19 - 1)) + 1
+    return Fraction(draw(st.integers(-2 * q, 2 * q)), q)
+
+
+mixed_value_st = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 3, 5, 7, 2 ** 40]))
+
+
+@st.composite
+def off_grid_pl_st(draw, points):
+    xs = sorted(set(draw(st.lists(points, max_size=7))))
+    ys = ([0] + [draw(mixed_value_st) for _ in xs[2:]] + [0])[:len(xs)]
+    return PiecewiseLinear(tuple(zip(xs, ys)))
+
+
+@st.composite
+def off_grid_pls_st(draw):
+    c = draw(offset_st())
+    points = st.builds(lambda k, j: c + Fraction(k, 2 ** j),
+                       st.integers(-12, 12), st.integers(0, 4))
+    return draw(st.lists(off_grid_pl_st(points), max_size=5))
+
+
+def test_index_sorts_mixed_denominators_on_their_lcm_grid():
+    xs = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5), Fraction(0), Fraction(-1)]
+    points, index, (d, keys) = _index(xs)
+    assert points == [-1, Fraction(-2, 7), 0, Fraction(1, 5), Fraction(1, 3)]
+    assert index == {x.as_integer_ratio(): i for i, x in enumerate(points)}
+    assert (d, keys) == (105, [-105, -30, 0, 21, 35])
+
+
+def test_sum_of_tents_with_mixed_denominators():
+    t1, t2 = (tent(RationalInterval(Fraction(a), Fraction(b)))
+              for a, b in (("1/3", "1/2"), ("2/5", "7/10")))
+    total = PiecewiseLinear.sum([t1, t2])
+    expected = (("1/3", 0), ("3/8", 1), ("2/5", 1), ("11/24", "16/9"),
+                ("19/40", "8/5"), ("1/2", 1), ("5/8", 1), ("7/10", 0))
+    assert total.vertices == tuple((Fraction(x), Fraction(y)) for x, y in expected)
+    fold = PiecewiseLinear.zero() + t1 + t2
+    assert total == fold
+    for x in atom_probes(total.breakpoints()):
+        assert total.eval(x) == t1.eval(x) + t2.eval(x)
+    assert total.integral() == t1.integral() + t2.integral() == Fraction(3, 4) * Fraction(7, 15)
+
+
+@given(off_grid_pls_st())
+@settings(max_examples=300, deadline=None)
+def test_grid_sum_and_integral_match_fraction_forms(fs):
+    total = PiecewiseLinear.sum(fs)
+    assert total.vertices == fraction_pl_sum(fs).vertices
+    for f in fs + [total]:
+        assert f.integral() == fraction_pl_integral(f)
+        assert f.l1_norm() == fraction_pl_integral(f.abs())
+    if len(fs) >= 2:
+        assert (fs[0] - fs[1]).vertices == fraction_pl_sum([fs[0], fs[1].scale(-1)]).vertices
