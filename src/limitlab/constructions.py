@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .functions import PiecewiseLinear, StepFunction, _on_grid, _sweep
-from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
+from .functions import PiecewiseLinear, StepFunction
+from .intervals import (IntervalUnion, RationalInterval, _on_grid, _ones, _sweep, frac,
+                        frac_str, normalize)
 from .kernels import FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
 
@@ -235,10 +236,10 @@ def _stage_bounds(f_cur: StepFunction, f_next: StepFunction,
                   stage: IntervalUnion) -> tuple[Fraction, Fraction, bool, bool]:
     """Exact integral of f_cur, ||f_next - f_cur||_1, whether f_cur <= f_next
     everywhere, and whether f_cur vanishes on the stage, all read from one
-    sweep over the atoms of the three functions.  Gap widths and atom values
-    are taken on integer grids (functions._on_grid), so mass and increment
-    are each one Fraction over Dv Dx."""
-    _, (cur, nxt, inside), (dx, xs) = _sweep(f_cur, f_next, StepFunction.indicator(stage))
+    sweep over the atoms of the two functions and the stage.  Gap widths and
+    atom values are taken on integer grids (intervals._on_grid), so mass and
+    increment are each one Fraction over Dv Dx."""
+    _, (cur, nxt, inside), (dx, xs) = _sweep(f_cur.pieces, f_next.pieces, _ones(stage.parts))
     dv, values = _on_grid(cur + nxt)
     cur, nxt = values[:len(cur)], values[len(cur):]
     gaps = [(a, b, x1 - x0) for a, b, x0, x1 in zip(cur[1::2], nxt[1::2], xs, xs[1:])]

@@ -4,7 +4,8 @@ Both kinds carry exact rational data: step functions are weighted finite
 unions of rational intervals (closedness respected pointwise), piecewise
 linear functions are continuous with rational vertices.  Integrals, L1
 norms, and pointwise evaluations at rational arguments are exact; floats
-only enter downstream, in kernel integration.
+only enter downstream, in kernel integration.  Step-function merges and the
+PL grids run on the atom kernel of `intervals`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from typing import Callable, Iterable
 
-from .intervals import IntervalUnion, RationalInterval, frac, frac_str, normalize
+from .intervals import (IntervalUnion, _atom_span, _index, _on_grid, _ones, _runs,
+                        _sweep, frac, frac_str, normalize)
 
 
 def _point(t) -> Fraction:
@@ -27,86 +28,10 @@ def _point(t) -> Fraction:
     return Fraction(t) if isinstance(t, float) else frac(t)
 
 
-# Exact routines work on an integer grid: a list of rationals is written as
-# integer numerators over D, the lcm of their denominators (every denominator
-# must divide D for the numerators to be exact).  Sums, differences, products
-# and comparisons then run on Python ints in C, and each output value is one
-# Fraction(numerator, denominator) built at the end; Fractions are canonical,
-# so the result is the same exact number that per-step Fraction arithmetic
-# gives.
-#
-# Merges run over atoms of a sorted breakpoint list: atom 2i is the point
-# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  The distinct
-# breakpoints are found by their (numerator, denominator) pair, which is
-# canonical (a Fraction is in lowest terms with a positive denominator) and
-# hashes in C, and sorted on their grid numerators, so the sort compares ints
-# and never Fractions.  A piece covers a contiguous range of atoms, found from
-# its endpoints through the pair index, so a merge fills per-atom values in
-# one pass over the pieces and never evaluates a function at a point.  The
-# result has one interval per maximal run of equal nonzero atom values, which
-# is the canonical form.
-
-
-def _on_grid(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """The values' common denominator D (the lcm of their denominators) and
-    each value's integer numerator over D, in order: value == numerator / D."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*{q for _, q in ratios})
-    return d, [p * (d // q) for p, q in ratios]
-
-
-def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict, tuple[int, list[int]]]:
-    """The sorted distinct breakpoints of xs, a {(numerator, denominator):
-    position} map, and their grid (D, numerators over D in sorted order).
-    The distinct values keep their first-seen order, so the sorted runs of
-    each input stay runs for the sort."""
-    distinct = {x.as_integer_ratio(): x for x in xs}
-    d, keys = _on_grid(distinct.values())
-    order = sorted(zip(keys, distinct))  # (key, pair): the keys are distinct ints
-    index = {pair: i for i, (_, pair) in enumerate(order)}
-    return [distinct[pair] for _, pair in order], index, (d, [k for k, _ in order])
-
-
-def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
-    """First and last atom (inclusive) covered by an interval."""
-    return (2 * index[iv.lo.as_integer_ratio()] + (0 if iv.lo_closed else 1),
-            2 * index[iv.hi.as_integer_ratio()] - (0 if iv.hi_closed else 1))
-
-
-def _endpoints(f: "StepFunction") -> Iterable[Fraction]:
-    return (x for iv, _ in f.pieces for x in (iv.lo, iv.hi))
-
-
-def _sweep(*fns: "StepFunction") -> tuple[list[Fraction], list[list[Fraction]],
-                                          tuple[int, list[int]]]:
-    """Merged breakpoints, each function's value on every atom, and the grid
-    of the breakpoints."""
-    points, index, grid = _index(x for f in fns for x in _endpoints(f))
-    columns = []
-    for f in fns:
-        values = [Fraction(0)] * (2 * len(points) - 1)
-        for iv, v in f.pieces:
-            lo, hi = _atom_span(iv, index)
-            values[lo:hi + 1] = [v] * (hi + 1 - lo)
-        columns.append(values)
-    return points, columns, grid
-
-
-def _from_atoms(points: list[Fraction], values: list[Fraction]) -> "StepFunction":
-    """The canonical step function taking `values[k]` on atom k: one interval
-    per maximal run of equal nonzero values, the runs found on the values'
-    (numerator, denominator) pairs."""
-    pieces = []
-    start = 0
-    for (numerator, _), run in groupby(v.as_integer_ratio() for v in values):
-        end = start + sum(1 for _ in run)
-        if numerator:
-            # atoms start .. end-1: even atoms are points, odd ones open gaps
-            pieces.append((RationalInterval(points[start // 2], points[end // 2],
-                                            start % 2 == 0, end % 2 == 1),
-                           values[start]))
-        start = end
-    return StepFunction(tuple(pieces))
+def _from_atoms(points: list[Fraction], values: list) -> "StepFunction":
+    """The canonical step function taking `values[k]` on atom k of `points`
+    (the atoms of intervals._runs)."""
+    return StepFunction(tuple(_runs(points, values)))
 
 
 @dataclass(frozen=True)
@@ -225,13 +150,13 @@ class StepFunction:
         return self.pieces[0][0].lo, self.pieces[-1][0].hi
 
     def breakpoints(self) -> list[Fraction]:
-        return _index(_endpoints(self))[0]
+        return _index(x for iv, _ in self.pieces for x in (iv.lo, iv.hi))[0]
 
     # ------------------------------------------------------------------
     # algebra
 
     def _combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
-        points, (mine, theirs), _ = _sweep(self, other)
+        points, (mine, theirs), _ = _sweep(self.pieces, other.pieces)
         return _from_atoms(points, [op(a, b) for a, b in zip(mine, theirs)])
 
     def __add__(self, other):
@@ -247,17 +172,17 @@ class StepFunction:
         return StepFunction(tuple((iv, w * v) for iv, v in self.pieces))
 
     def abs(self) -> "StepFunction":
-        points, (values,), _ = _sweep(self)
+        points, (values,), _ = _sweep(self.pieces)
         return _from_atoms(points, [abs(v) for v in values])
 
     def restrict(self, region: IntervalUnion) -> "StepFunction":
         """The function times the exact indicator of `region`."""
-        return self._combine(StepFunction.indicator(region),
-                             lambda a, ind: a if ind else Fraction(0))
+        points, (values, inside), _ = _sweep(self.pieces, _ones(region.parts))
+        return _from_atoms(points, [v if ind else 0 for v, ind in zip(values, inside)])
 
     def pointwise_le(self, other: "StepFunction") -> bool:
         """Exact check that self <= other everywhere."""
-        _, (mine, theirs), _ = _sweep(self, other)
+        _, (mine, theirs), _ = _sweep(self.pieces, other.pieces)
         return all(a <= b for a, b in zip(mine, theirs))
 
     def exceedance_region(self, threshold_sq: Fraction) -> IntervalUnion:

@@ -1,4 +1,5 @@
-"""Exact arithmetic on finite unions of rational intervals.
+"""Exact arithmetic on finite unions of rational intervals, and the one
+atom kernel that every exact merge in limitlab runs on.
 
 Endpoints are `fractions.Fraction` and open/closed flags are tracked through
 every operation, so pointwise membership questions have exact answers and
@@ -8,15 +9,23 @@ endpoint whose closedness would let two parts fuse).  Canonical form makes
 equality structural: two unions describe the same point set if and only if
 their part tuples are equal.
 
+The kernel (`_index`, `_sweep`, `_runs`) splits the line at the merged
+breakpoints into atoms and writes each input's value on every atom.  A set
+operation is one sweep over 0/1 columns (normalize, union, intersection,
+difference); the step-function algebra in `functions` sweeps the pieces'
+values through the same kernel.
+
 Everything here is immutable and pure; values can be shared freely.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import groupby
+from typing import Iterable, Iterator, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -40,8 +49,8 @@ def frac_str(value: Fraction) -> str:
 
 # Endpoints are ordered as (position, epsilon) pairs.  A start endpoint has
 # epsilon 0 (closed) or +1 (open); an end endpoint has epsilon 0 (closed) or
-# -1 (open).  A point x lies in a part iff start <= (x, 0) <= end.  This is
-# the standard trick that makes sweep merges and gap computations exact.
+# -1 (open).  A point x lies in a part iff start <= (x, 0) <= end.  Membership
+# and the canonical-form check read these keys; merges run on atoms (below).
 
 
 @dataclass(frozen=True)
@@ -92,17 +101,6 @@ class RationalInterval:
 def _succ(end_key):
     # next endpoint slot after an end key: (x,-1) -> (x,0) -> (x,+1)
     return (end_key[0], end_key[1] + 1)
-
-
-def _pred(start_key):
-    # previous endpoint slot before a start key: (x,1) -> (x,0) -> (x,-1)
-    return (start_key[0], start_key[1] - 1)
-
-
-def _from_keys(start_key, end_key) -> RationalInterval:
-    lo, se = start_key
-    hi, ee = end_key
-    return RationalInterval(lo, hi, se == 0, ee == 0)
 
 
 @dataclass(frozen=True)
@@ -167,38 +165,12 @@ class IntervalUnion:
         return normalize(self.parts + other.parts)
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        i = j = 0
-        a, b = self.parts, other.parts
-        while i < len(a) and j < len(b):
-            start = max(a[i]._start(), b[j]._start())
-            end = min(a[i]._end(), b[j]._end())
-            if start <= end:
-                out.append(_from_keys(start, end))
-            if a[i]._end() <= b[j]._end():
-                i += 1
-            else:
-                j += 1
-        return IntervalUnion(tuple(out))
+        points, (mine, theirs), _ = _sweep(_ones(self.parts), _ones(other.parts))
+        return _from_columns(points, [a & b for a, b in zip(mine, theirs)])
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for part in self.parts:
-            cursor = part._start()
-            end = part._end()
-            for sub in other.parts:
-                if sub._start() > end:
-                    break
-                if sub._end() < cursor:
-                    continue
-                if sub._start() > cursor:
-                    out.append(_from_keys(cursor, _pred(sub._start())))
-                cursor = max(cursor, _succ(sub._end()))
-                if cursor > end:
-                    break
-            if cursor <= end:
-                out.append(_from_keys(cursor, end))
-        return IntervalUnion(tuple(out))
+        points, (mine, theirs), _ = _sweep(_ones(self.parts), _ones(other.parts))
+        return _from_columns(points, [a > b for a, b in zip(mine, theirs)])
 
     __or__ = union
     __and__ = intersection
@@ -225,20 +197,101 @@ class IntervalUnion:
 
 
 def normalize(intervals: Iterable[RationalInterval]) -> IntervalUnion:
-    """Canonical union of arbitrary intervals.
+    """Canonical union of arbitrary intervals: the atoms some interval covers.
 
-    Sorts by start endpoint and fuses any pair that overlaps or touches with
-    compatible closedness, e.g. [0,1) + [1,2] fuses but [0,1) + (1,2] does
-    not.  Membership semantics are preserved exactly.
+    Touching parts fuse when their closedness joins them, e.g. [0,1) + [1,2]
+    fuses but [0,1) + (1,2] does not.  Membership semantics are preserved
+    exactly.
     """
-    ivs = sorted(intervals, key=lambda iv: (iv._start(), iv._end()))
-    merged: list[RationalInterval] = []
-    for iv in ivs:
-        if merged:
-            last = merged[-1]
-            if iv._start() <= _succ(last._end()):
-                if iv._end() > last._end():
-                    merged[-1] = _from_keys(last._start(), iv._end())
-                continue
-        merged.append(iv)
-    return IntervalUnion(tuple(merged))
+    points, (covered,), _ = _sweep(_ones(intervals))
+    return _from_columns(points, covered)
+
+
+def _ones(intervals: Iterable[RationalInterval]) -> list[tuple[RationalInterval, int]]:
+    """The intervals as pieces of value 1, for a sweep of their indicator."""
+    return [(iv, 1) for iv in intervals]
+
+
+def _from_columns(points: list[Fraction], column: list) -> IntervalUnion:
+    """The canonical union of the atoms with a nonzero `column` value."""
+    return IntervalUnion(tuple(iv for iv, _ in _runs(points, column)))
+
+
+# ----------------------------------------------------------------------
+# the atom kernel
+#
+# Exact routines work on an integer grid: a list of rationals is written as
+# integer numerators over D, the lcm of their denominators (every denominator
+# must divide D for the numerators to be exact).  Sums, differences, products
+# and comparisons then run on Python ints in C, and each output value is one
+# Fraction(numerator, denominator) built at the end; Fractions are canonical,
+# so the result is the same exact number that per-step Fraction arithmetic
+# gives.
+#
+# Merges run over atoms of a sorted breakpoint list: atom 2i is the point
+# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  The distinct
+# breakpoints are found by their (numerator, denominator) pair, which is
+# canonical (a Fraction is in lowest terms with a positive denominator) and
+# hashes in C, and sorted on their grid numerators, so the sort compares ints
+# and never Fractions.  A piece covers a contiguous range of atoms, found from
+# its endpoints through the pair index, so a merge fills per-atom values in
+# one pass over the pieces and never evaluates a function at a point.  The
+# result has one interval per maximal run of equal nonzero atom values, which
+# is the canonical form.
+
+
+def _on_grid(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The values' common denominator D (the lcm of their denominators) and
+    each value's integer numerator over D, in order: value == numerator / D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*{q for _, q in ratios})
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict, tuple[int, list[int]]]:
+    """The sorted distinct breakpoints of xs, a {(numerator, denominator):
+    position} map, and their grid (D, numerators over D in sorted order).
+    The distinct values keep their first-seen order, so the sorted runs of
+    each input stay runs for the sort."""
+    distinct = {x.as_integer_ratio(): x for x in xs}
+    d, keys = _on_grid(distinct.values())
+    order = sorted(zip(keys, distinct))  # (key, pair): the keys are distinct ints
+    index = {pair: i for i, (_, pair) in enumerate(order)}
+    return [distinct[pair] for _, pair in order], index, (d, [k for k, _ in order])
+
+
+def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
+    """First and last atom (inclusive) covered by an interval."""
+    return (2 * index[iv.lo.as_integer_ratio()] + (0 if iv.lo_closed else 1),
+            2 * index[iv.hi.as_integer_ratio()] - (0 if iv.hi_closed else 1))
+
+
+def _sweep(*piece_lists) -> tuple[list[Fraction], list[list], tuple[int, list[int]]]:
+    """Merged breakpoints of lists of (interval, value) pieces, each list's
+    value on every atom (0 off its pieces, the last piece's value where
+    pieces overlap), and the grid of the breakpoints."""
+    points, index, grid = _index(x for pieces in piece_lists
+                                 for iv, _ in pieces for x in (iv.lo, iv.hi))
+    columns = []
+    for pieces in piece_lists:
+        values = [0] * (2 * len(points) - 1)
+        for iv, v in pieces:
+            lo, hi = _atom_span(iv, index)
+            values[lo:hi + 1] = [v] * (hi + 1 - lo)
+        columns.append(values)
+    return points, columns, grid
+
+
+def _runs(points: list[Fraction], values: list) -> Iterator[tuple[RationalInterval, object]]:
+    """One (interval, value) per maximal run of equal nonzero atom values
+    `values[k]` on atom k, the runs found on the values' (numerator,
+    denominator) pairs."""
+    start = 0
+    for (numerator, _), run in groupby(v.as_integer_ratio() for v in values):
+        end = start + sum(1 for _ in run)
+        if numerator:
+            # atoms start .. end-1: even atoms are points, odd ones open gaps
+            yield (RationalInterval(points[start // 2], points[end // 2],
+                                    start % 2 == 0, end % 2 == 1),
+                   values[start])
+        start = end

@@ -111,6 +111,36 @@ def test_merged_check_fails_under_scenario_context(tmp_path, capsys, inflated_la
     assert "step.mass_bound" in capsys.readouterr().err
 
 
+def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
+    """contraction_gap raises when |P[f_m] - P[f_n]|(x, y) exceeds
+    ||f_m - f_n||_1/(pi y), and the check table turns the raise into a fail.
+    Here the Poisson values of the deepest step stage are shifted by twice
+    the largest such bound, plus one."""
+    build = verify.build_schnorr_poisson
+    built = []
+
+    def recorded(test, m_max):
+        built.append(build(test, m_max))
+        return built[-1]
+
+    integral = poisson.poisson_integral
+
+    def shifted(f, x, y):
+        fns = built[-1].functions()
+        if f is not fns[-1]:
+            return integral(f, x, y)
+        widest = max(float((fns[-1] - g).l1_norm()) for g in fns)
+        return integral(f, x, y) + 2 * widest / (math.pi * y) + 1
+
+    monkeypatch.setattr(verify, "build_schnorr_poisson", recorded)
+    monkeypatch.setattr(poisson, "poisson_integral", shifted)
+    out = tmp_path / "o"
+    assert main(["verify-all", *FAST_VERIFY, "--out", str(out)]) == 1
+    failed = [c for c in _report(out)["checks"] if c["status"] == "fail"]
+    assert [c["check_id"] for c in failed] == ["ml.contraction"]
+    assert "contraction violated" in failed[0]["details"]["error"]
+
+
 @pytest.mark.parametrize("fault", ["oversized", "bisection"])
 def test_weak_type_fault_is_caught_and_named(monkeypatch, fault):
     """A located set far over (3/alpha)||f||_1, or one with a failed edge

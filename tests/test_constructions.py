@@ -11,8 +11,8 @@ from limitlab import constructions
 from limitlab.constructions import (_stage_bounds, _step_stages, build_fourier_divergent,
                                     build_ml_poisson, build_schnorr_poisson, stage_cutoff,
                                     tent)
-from limitlab.functions import StepFunction, _sweep
-from limitlab.intervals import IntervalUnion, RationalInterval, normalize
+from limitlab.functions import StepFunction
+from limitlab.intervals import IntervalUnion, RationalInterval, _ones, _sweep, normalize
 from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
 from limitlab.trig import TrigPoly
@@ -242,7 +242,7 @@ def test_swept_stage_bounds_match_merges(f, g, stage):
 def fraction_stage_bounds(f_cur, f_next, stage):
     """Reference for _stage_bounds: the same sweep, with each gap width and
     each mass and increment term in Fractions."""
-    points, (cur, nxt, inside), _ = _sweep(f_cur, f_next, StepFunction.indicator(stage))
+    points, (cur, nxt, inside), _ = _sweep(f_cur.pieces, f_next.pieces, _ones(stage.parts))
     mass = increment = Fraction(0)
     for k in range(1, len(cur), 2):
         a, b = cur[k], nxt[k]

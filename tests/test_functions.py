@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from limitlab.constructions import tent
-from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _index, _trimmed
-from limitlab.intervals import IntervalUnion, RationalInterval, normalize
+from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _trimmed
+from limitlab.intervals import IntervalUnion, RationalInterval, _index, normalize
 
 
 class TestStepFunction:

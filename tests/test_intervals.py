@@ -8,10 +8,11 @@ are checked as rational equalities via hypothesis.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from limitlab.functions import PiecewiseLinear, StepFunction
-from limitlab.intervals import IntervalUnion, RationalInterval, frac, normalize
+from limitlab import intervals
+from limitlab.intervals import IntervalUnion, RationalInterval, _succ, frac, normalize
 from limitlab.randomness import covering_test
 
 
@@ -179,9 +180,11 @@ def test_normalize_idempotent_and_membership_preserving(intervals):
 @given(union_st, union_st)
 @settings(max_examples=200, deadline=None)
 def test_membership_consistency_of_set_ops(u, v):
-    probes = {p.lo for p in u.parts} | {p.hi for p in v.parts} | \
-             {p.midpoint for p in u.parts} | {p.midpoint for p in v.parts} | \
-             {Fraction(0), Fraction(17, 3)}
+    """Every endpoint of both unions, the midpoint of every gap between
+    consecutive breakpoints, and two points that may lie outside both."""
+    points = sorted({x for p in u.parts + v.parts for x in (p.lo, p.hi)})
+    probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])] + \
+        [Fraction(0), Fraction(17, 3)]
     for x in probes:
         assert u.union(v).contains(x) == (u.contains(x) or v.contains(x))
         assert u.intersection(v).contains(x) == (u.contains(x) and v.contains(x))
@@ -195,6 +198,133 @@ def test_contains_matches_linear_membership(u, extra):
     probes = [x for p in u.parts for x in (p.lo, p.hi, p.midpoint)] + extra
     for x in probes:
         assert u.contains(x) is any(p.contains(x) for p in u.parts)
+
+
+# ----------------------------------------------------------------------
+# the atom kernel against the (position, epsilon)-key sweeps it replaced
+#
+# Each endpoint is a key (x, e): a start has e = 0 (closed) or +1 (open), an
+# end e = 0 (closed) or -1 (open), and x lies in a part iff start <= (x, 0) <=
+# end.  The references sort and fuse, walk two pointers and nest two loops on
+# those keys, with no atoms and no grid.
+
+
+def _pred(start_key):
+    # previous endpoint slot before a start key: (x,1) -> (x,0) -> (x,-1)
+    return (start_key[0], start_key[1] - 1)
+
+
+def _from_keys(start_key, end_key) -> RationalInterval:
+    lo, se = start_key
+    hi, ee = end_key
+    return RationalInterval(lo, hi, se == 0, ee == 0)
+
+
+def key_sweep_normalize(ivs):
+    """Reference for normalize: sort by start key and fuse each interval that
+    starts at or before the slot after the last merged end."""
+    merged = []
+    for iv in sorted(ivs, key=lambda iv: (iv._start(), iv._end())):
+        if merged and iv._start() <= _succ(merged[-1]._end()):
+            if iv._end() > merged[-1]._end():
+                merged[-1] = _from_keys(merged[-1]._start(), iv._end())
+            continue
+        merged.append(iv)
+    return IntervalUnion(tuple(merged))
+
+
+def key_sweep_intersection(u, v):
+    """Reference for intersection: two pointers over the sorted parts."""
+    out = []
+    i = j = 0
+    a, b = u.parts, v.parts
+    while i < len(a) and j < len(b):
+        start = max(a[i]._start(), b[j]._start())
+        end = min(a[i]._end(), b[j]._end())
+        if start <= end:
+            out.append(_from_keys(start, end))
+        if a[i]._end() <= b[j]._end():
+            i += 1
+        else:
+            j += 1
+    return IntervalUnion(tuple(out))
+
+
+def key_sweep_difference(u, v):
+    """Reference for difference: each part of u less every part of v."""
+    out = []
+    for part in u.parts:
+        cursor, end = part._start(), part._end()
+        for sub in v.parts:
+            if sub._start() > end:
+                break
+            if sub._end() < cursor:
+                continue
+            if sub._start() > cursor:
+                out.append(_from_keys(cursor, _pred(sub._start())))
+            cursor = max(cursor, _succ(sub._end()))
+            if cursor > end:
+                break
+        if cursor <= end:
+            out.append(_from_keys(cursor, end))
+    return IntervalUnion(tuple(out))
+
+
+def kernel_mismatches(a, b):
+    """The set operations on which the atom kernel and the key sweeps differ
+    structurally, for two lists of raw intervals."""
+    u, v = normalize(iter(a)), normalize(x for x in b)
+    pairs = {
+        "normalize": (u, key_sweep_normalize(a)),
+        "normalize b": (v, key_sweep_normalize(b)),
+        "union": (u.union(v), key_sweep_normalize(u.parts + v.parts)),
+        "intersection": (u.intersection(v), key_sweep_intersection(u, v)),
+        "difference": (u.difference(v), key_sweep_difference(u, v)),
+        "difference b": (v.difference(u), key_sweep_difference(v, u)),
+    }
+    return [name for name, (got, want) in pairs.items() if got != want]
+
+
+@st.composite
+def endpoint_st(draw):
+    """Denominators 3, 5, 7, 2^40 or an odd q in [2^15, 2^20]."""
+    q = draw(st.sampled_from([3, 5, 7, 2 ** 40])
+             | st.integers(2 ** 14, 2 ** 19 - 1).map(lambda k: 2 * k + 1))
+    return Fraction(draw(st.integers(-4 * q, 4 * q)), q)
+
+
+@st.composite
+def shared_endpoint_intervals_st(draw):
+    """Two lists of intervals on one small pool of endpoints, so parts share
+    endpoints; equal ends give point intervals, the others mixed closedness."""
+    pool = draw(st.lists(endpoint_st(), min_size=1, max_size=6))
+
+    def interval(a, b, lo_closed, hi_closed):
+        lo, hi = min(a, b), max(a, b)
+        if lo == hi:
+            return RationalInterval(lo, hi)
+        return RationalInterval(lo, hi, lo_closed, hi_closed)
+
+    ivs = st.lists(st.builds(interval, st.sampled_from(pool), st.sampled_from(pool),
+                             st.booleans(), st.booleans()), max_size=6)
+    return draw(ivs), draw(ivs)
+
+
+@given(shared_endpoint_intervals_st())
+@settings(max_examples=400, deadline=None)
+def test_atom_kernel_matches_key_sweeps(case):
+    assert kernel_mismatches(*case) == []
+
+
+def test_kernel_ignoring_closedness_fails_the_property(monkeypatch):
+    """Negative control: atom spans that take every endpoint as closed."""
+    def closed_span(iv, index):
+        return (2 * index[iv.lo.as_integer_ratio()], 2 * index[iv.hi.as_integer_ratio()])
+
+    monkeypatch.setattr(intervals, "_atom_span", closed_span)
+    case = find(shared_endpoint_intervals_st(), lambda c: bool(kernel_mismatches(*c)),
+                settings=settings(max_examples=400, database=None))
+    assert kernel_mismatches(*case)
 
 
 def test_invalid_intervals_rejected():
