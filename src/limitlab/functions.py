@@ -6,6 +6,15 @@ linear functions are continuous with rational vertices.  Integrals, L1
 norms, and pointwise evaluations at rational arguments are exact; floats
 only enter downstream, in kernel integration.  Step-function merges and the
 PL grids run on the atom kernel of `intervals`.
+
+Both kinds also have one exact row form, `rows`: one (interval, f(lo),
+f(hi)) per nonzero piece, in order, f linear on the interval.  A step piece
+of value v is the zero-slope row (interval, v, v) with its own closedness; a
+piecewise-linear segment is the closed [x0, x1] with its two vertex values.
+Readers that only need "a line on each interval" (cumulative tables, the
+Poisson layer's float rows, exceedance stages) read the rows and never ask
+which kind they hold.  The exact builds (PL sums, integrals, stage bounds)
+stay on the vertices and never form the rows.
 """
 
 from __future__ import annotations
@@ -14,11 +23,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Iterable
 
-from .intervals import (IntervalUnion, _atom_span, _index, _on_grid, _ones, _runs,
-                        _sweep, frac, frac_str, normalize)
+from .intervals import (IntervalUnion, RationalInterval, _index, _on_grid, _ones,
+                        _runs, _sweep, frac, frac_str, normalize)
 
 
 def _point(t) -> Fraction:
@@ -26,6 +36,37 @@ def _point(t) -> Fraction:
     its exact binary value; everything else goes through frac, which refuses
     floats as exact data."""
     return Fraction(t) if isinstance(t, float) else frac(t)
+
+
+def _cumulative(f, ts) -> list[Fraction]:
+    """Exact integral of f over (-inf, t] for each t of ts, f a step or
+    piecewise-linear function.
+
+    One prefix table over the rows per call, each row adding its mean height
+    times its width; each t is located by bisection over the rows' starts
+    and adds one partial row [lo, t] the same way (closedness is
+    measure-irrelevant).  A zero-slope row's mean is its value, so a step
+    row costs one product.
+    """
+    rows = f.rows
+    prefix = [Fraction(0)]
+    for iv, fa, fb in rows:
+        prefix.append(prefix[-1] + (fa if fa == fb else (fa + fb) / 2) * iv.length)
+    starts = [iv.lo for iv, _, _ in rows]
+    out = []
+    for t in map(_point, ts):
+        k = bisect_right(starts, t)
+        if k == 0:
+            out.append(Fraction(0))
+            continue
+        iv, fa, fb = rows[k - 1]
+        if t >= iv.hi:
+            out.append(prefix[k])
+            continue
+        width = t - iv.lo
+        mean = fa if fa == fb else fa + (fb - fa) * width / (2 * iv.length)
+        out.append(prefix[k - 1] + mean * width)
+    return out
 
 
 def _from_atoms(points: list[Fraction], values: list) -> "StepFunction":
@@ -63,26 +104,14 @@ class StepFunction:
     def from_weighted_regions(terms: Iterable[tuple]) -> "StepFunction":
         """Exact linear combination sum_k w_k * indicator(U_k).
 
-        Pointwise-correct including at region boundaries: the real line is
-        split into atoms at every region endpoint, each atom scores the sum
-        of weights of the regions containing it (a difference array over
-        the atoms, one entry per part endpoint).
+        Pointwise-correct including at region boundaries: one sweep writes
+        each term's weight on the atoms its region covers (a union's parts
+        are disjoint, so nothing is overwritten), and each atom sums its
+        column entries; one term's column is taken as it is.
         """
         terms = [(frac(w), u) for w, u in terms]
-        points, index, _ = _index(x for _, u in terms for p in u.parts for x in (p.lo, p.hi))
-        steps = [Fraction(0)] * (2 * len(points))
-        for w, u in terms:
-            for part in u.parts:
-                lo, hi = _atom_span(part, index)
-                steps[lo] += w
-                steps[hi + 1] -= w
-        values = []
-        value = Fraction(0)
-        for step in steps[:-1]:
-            if step:
-                value += step
-            values.append(value)
-        return _from_atoms(points, values)
+        points, columns, _ = _sweep(*([(part, w) for part in u.parts] for w, u in terms))
+        return _from_atoms(points, [reduce(add, atom) for atom in zip(*columns)])
 
     # ------------------------------------------------------------------
     # pointwise and exact aggregates
@@ -114,24 +143,12 @@ class StepFunction:
     def sup_norm(self) -> Fraction:
         return max((abs(v) for _, v in self.pieces), default=Fraction(0))
 
-    def cumulative(self, ts) -> list[Fraction]:
-        """Exact integral of f over (-inf, t] for each t of ts.
+    @cached_property
+    def rows(self) -> tuple:
+        """The exact row form: (interval, v, v) per piece."""
+        return tuple((iv, v, v) for iv, v in self.pieces)
 
-        One prefix-sum table over the pieces per call; each t is located by
-        bisection and adds one partial piece (closedness is measure-irrelevant).
-        """
-        prefix = [Fraction(0)]
-        for iv, v in self.pieces:
-            prefix.append(prefix[-1] + v * iv.length)
-        out = []
-        for t in map(_point, ts):
-            k = bisect_right(self._starts, t)
-            if k == 0:
-                out.append(Fraction(0))
-            else:
-                iv, v = self.pieces[k - 1]
-                out.append(prefix[k - 1] + v * (min(t, iv.hi) - iv.lo))
-        return out
+    cumulative = _cumulative
 
     def window_integral(self, lo, hi) -> Fraction:
         """Exact integral over [lo, hi]: the difference of two cumulative values."""
@@ -346,29 +363,14 @@ class PiecewiseLinear:
             return PiecewiseLinear.zero()
         return PiecewiseLinear(tuple((x, w * y) for x, y in self.vertices))
 
-    def cumulative(self, ts) -> list[Fraction]:
-        """Exact integral of f over (-inf, t] for each t of ts.
+    @cached_property
+    def rows(self) -> tuple:
+        """The exact row form: (closed [x0, x1], y0, y1) per segment that is
+        not zero throughout."""
+        return tuple((RationalInterval(x0, x1), y0, y1)
+                     for (x0, y0), (x1, y1) in self.segments() if y0 or y1)
 
-        One prefix-sum table over the segments per call; each t is located
-        by bisection and adds the trapezoid of one partial segment.
-        """
-        verts = self.vertices
-        xs = self._xs
-        prefix = [Fraction(0)]
-        for (x0, y0), (x1, y1) in self.segments():
-            prefix.append(prefix[-1] + (y0 + y1) * (x1 - x0) / 2)
-        out = []
-        for t in map(_point, ts):
-            k = bisect_right(xs, t)
-            if k == 0:
-                out.append(Fraction(0))
-            elif k == len(xs):
-                out.append(prefix[-1])
-            else:
-                (x0, y0), (x1, y1) = verts[k - 1], verts[k]
-                yt = y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-                out.append(prefix[k - 1] + (y0 + yt) * (t - x0) / 2)
-        return out
+    cumulative = _cumulative
 
     def window_integral(self, lo, hi) -> Fraction:
         """Exact integral over [lo, hi]: the difference of two cumulative values."""

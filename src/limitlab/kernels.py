@@ -161,14 +161,15 @@ def stable_atan_diff(u, v):
 def poisson_interval_mass(y: float, a: float, b: float) -> float:
     """Exact-antiderivative mass (1/pi)(arctan(b/y) - arctan(a/y)).
 
-    Accepts infinite endpoints; the full-line mass is exactly 1.
+    Accepts infinite endpoints; the full-line mass is exactly 1, and an
+    interval from one infinity to the same infinity has mass 0.
     """
     if y <= 0:
         raise ValueError("Poisson kernel height y must be positive")
     if a > b:
         raise ValueError("interval endpoints out of order")
     if math.isinf(a) and math.isinf(b):
-        return 1.0
+        return float(a < b)
     if math.isinf(b):
         return 0.5 - math.atan(a / y) / math.pi
     if math.isinf(a):

@@ -1,12 +1,13 @@
 """Poisson integrals of step and piecewise-linear boundary data.
 
-Both kinds of data have one float form: the rows (a, b, f(a), f(b), alpha,
-beta) of _rows, with f(t) = alpha + beta t on [a, b], a step piece being a
-zero-slope row.  All integrals here are closed-form, one row at a time: an
-arctangent term for every row, and an extra logarithmic term for a row of
-nonzero slope.  The arctangent differences are computed through the
-cancellation-free identity so radial traces stay accurate down to y around
-2^-30.  Everything evaluates on scalars or numpy arrays of x.
+Both kinds of data have one float form: _rows rounds the exact rows of
+functions (one (interval, f(lo), f(hi)) per nonzero piece, a step piece
+being the zero-slope row) to (a, b, f(a), f(b), alpha, beta), with f(t) =
+alpha + beta t on [a, b].  All integrals here are closed-form, one row at
+a time: an arctangent term for every row, and an extra logarithmic term
+for a row of nonzero slope.  The arctangent differences are computed
+through the cancellation-free identity so radial traces stay accurate down
+to y around 2^-30.  Everything evaluates on scalars or numpy arrays of x.
 
 The maximal operator max over a height grid of P[|f|](x, y) has one
 evaluator: the pieces of |f| are converted to float rows once, and every
@@ -47,27 +48,23 @@ DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 
 
 def _rows(f) -> list:
-    """The pieces of f as float rows (a, b, f(a), f(b), alpha, beta), with
-    f(t) = alpha + beta t on [a, b].  A step piece of value v is the
-    zero-slope row (a, b, v, v, v, 0.0); a nonzero piecewise-linear segment
-    takes beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats,
-    so a plateau is a zero-slope row too.  Rows come in increasing order and
-    overlap at most in an endpoint."""
-    rows = []
-    if isinstance(f, StepFunction):
-        for iv, v in f.pieces:
-            v = float(v)
-            rows.append((float(iv.lo), float(iv.hi), v, v, v, 0.0))
-    elif isinstance(f, PiecewiseLinear):
-        for (x0, y0), (x1, y1) in f.segments():
-            if y0 == 0 and y1 == 0:
-                continue
-            a, b = float(x0), float(x1)
-            fa, fb = float(y0), float(y1)
-            beta = (fb - fa) / (b - a)
-            rows.append((a, b, fa, fb, fa - beta * a, beta))
-    else:
+    """The exact rows of f (functions: one (interval, f(lo), f(hi)) per
+    nonzero piece) as float rows (a, b, f(a), f(b), alpha, beta), with
+    f(t) = alpha + beta t on [a, b].  A row whose exact ends are equal (a
+    step piece, a plateau) takes beta = 0.0, so alpha = f(a); any other row
+    takes beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats.
+    Rows come in increasing order and overlap at most in an endpoint."""
+    if not isinstance(f, (StepFunction, PiecewiseLinear)):
         raise TypeError(f"no Poisson integral for {type(f).__name__}")
+    rows = []
+    for iv, ya, yb in f.rows:
+        a, b = float(iv.lo), float(iv.hi)
+        fa = fb = float(ya)
+        beta = 0.0
+        if ya != yb:
+            fb = float(yb)
+            beta = (fb - fa) / (b - a)
+        rows.append((a, b, fa, fb, fa - beta * a, beta))
     return rows
 
 
@@ -539,8 +536,8 @@ def contraction_gap(f_stages: Sequence, x: float, y: float, n: int) -> Contracti
 
     The bound is (1/(pi y)) * ||f_m - f_n||_1 computed exactly; the kernel
     sup bound 1/(pi y) makes the Poisson integral a contraction from L1 to
-    values at fixed height.  A gap beyond the bound is an implementation
-    failure and raises.
+    values at fixed height.  Comparing the two is the caller's part (the
+    check ml.contraction).
     """
     if y <= 0:
         raise ValueError("height y must be positive")
@@ -550,6 +547,4 @@ def contraction_gap(f_stages: Sequence, x: float, y: float, n: int) -> Contracti
     deep = stages[-1]
     gap = abs(float(poisson_integral(deep, x, y)) - float(poisson_integral(stages[n], x, y)))
     bound = float((deep - stages[n]).l1_norm()) / (math.pi * y)
-    if gap > bound + 1e-9:
-        raise AssertionError(f"contraction violated: gap {gap} > bound {bound}")
     return ContractionGap(gap, bound)

@@ -6,7 +6,9 @@ two families the counterexample constructions need (a point-covering test
 and its nested tail closure), enumerates closed rational sub-intervals of a
 stage deterministically, accumulates integral-test partial sums, and
 derives stages from approximation sequences in two ways: by pointwise
-exceedance of consecutive differences, with piecewise-linear crossings at
+exceedance of consecutive differences, read off the exact rows of their
+absolute values (functions: one (interval, f(lo), f(hi)) per nonzero
+piece, a step piece being the zero-slope row), with crossings at
 irrational thresholds rounded outward and certified exactly, and by
 superlevel sets of the Poisson maximal operator applied to consecutive
 differences, which poisson.superlevel_set locates.  The maximal-operator
@@ -162,36 +164,38 @@ ROOT_STEPS = 64        # outward grid steps allowed to certify a crossing
 
 
 def _exceedance_parts(g, i: int) -> list[RationalInterval]:
-    """Parts of { |g| > 2^{-i/2} }, exact where the data allows.
+    """Parts of { |g| > 2^{-i/2} }, exact where the data allows, one loop
+    over the exact rows of |g| (functions: one (interval, |g|(lo), |g|(hi))
+    per nonzero piece, |g| linear on the interval).
 
-    Step differences are classified exactly for every i by comparing squared
-    values with the rational 2^-i.  Piecewise-linear crossings at odd i have
-    irrational locations; each float crossing is padded by ROOT_PAD and
-    rounded outward to a multiple of 1/ROOT_DEN, then certified exactly:
-    |g|^2 <= 2^-i must hold at the rounded crossing, else it steps outward
-    by 1/ROOT_DEN, at most ROOT_STEPS times before raising.  As |g| is
-    linear on the segment, the returned region is a certified superset with
-    an exact rational measure.
+    Each row end is classified exactly for every i by comparing its squared
+    value with the rational 2^-i.  A row whose two ends both exceed is kept
+    whole, with its own interval and closedness; a step row (slope 0) is
+    either kept whole or dropped.  A crossing row meets the threshold once:
+    at even i the crossing is rational and exact.  At odd i it is
+    irrational; each float crossing is padded by ROOT_PAD and rounded
+    outward to a multiple of 1/ROOT_DEN, then certified exactly: |g|^2 <=
+    2^-i must hold at the rounded crossing, else it steps outward by
+    1/ROOT_DEN, at most ROOT_STEPS times before raising.  As |g| is linear
+    on the row, the returned region is a certified superset with an exact
+    rational measure.  The parts are in order but not normalized.
     """
-    threshold_sq = Fraction(1, 2 ** i)
-    if isinstance(g, StepFunction):
-        return list(g.exceedance_region(threshold_sq).parts)
-    if not isinstance(g, PiecewiseLinear):
+    if not isinstance(g, (StepFunction, PiecewiseLinear)):
         raise TypeError(f"no exceedance region for {type(g).__name__}")
-
-    h = g.abs()
+    threshold_sq = Fraction(1, 2 ** i)
     exact = i % 2 == 0
     eps = Fraction(1, 2 ** (i // 2)) if exact else None
     eps_f = 2.0 ** (-i / 2)
     out = []
-    for (x0, y0), (x1, y1) in h.segments():
+    for iv, y0, y1 in g.abs().rows:
         above0 = y0 * y0 > threshold_sq
         above1 = y1 * y1 > threshold_sq
         if not above0 and not above1:
             continue
         if above0 and above1:
-            out.append(RationalInterval(x0, x1))
+            out.append(iv)
             continue
+        x0, x1 = iv.lo, iv.hi
         if exact:
             root = x0 + (eps - y0) * (x1 - x0) / (y1 - y0)
         else:

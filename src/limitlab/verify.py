@@ -596,12 +596,16 @@ def _check_ml_contraction(ctx: VerifyContext):
     sc = ctx.step
     fns = sc.functions()
     rng = random.Random(ctx.caps.seed + 5)
+    tol = 1e-9
     worst = 0.0
     for _ in range(20):
         x = rng.uniform(-3, 3)
         y = 2.0 ** rng.uniform(-12, 2)
         n = rng.randint(0, len(fns) - 1)
-        gap = contraction_gap(fns, x, y, n)  # raises on violation
+        gap = contraction_gap(fns, x, y, n)
+        if gap.gap > gap.bound + tol:
+            return False, {"x": x, "y": y, "stage": n, "gap": gap.gap,
+                           "bound": gap.bound, "tolerance": tol}
         if gap.bound:
             worst = max(worst, gap.gap / gap.bound)
     return True, {"pairs": 20, "worst_gap_to_bound": worst}

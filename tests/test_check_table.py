@@ -112,10 +112,11 @@ def test_merged_check_fails_under_scenario_context(tmp_path, capsys, inflated_la
 
 
 def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
-    """contraction_gap raises when |P[f_m] - P[f_n]|(x, y) exceeds
-    ||f_m - f_n||_1/(pi y), and the check table turns the raise into a fail.
-    Here the Poisson values of the deepest step stage are shifted by twice
-    the largest such bound, plus one."""
+    """ml.contraction fails by itself at the first pair where |P[f_m] -
+    P[f_n]|(x, y) exceeds ||f_m - f_n||_1/(pi y) + 1e-9, and names the pair,
+    the stage, the gap, the bound and the tolerance.  Here the Poisson
+    values of the deepest step stage are shifted by twice the largest such
+    bound, plus one."""
     build = verify.build_schnorr_poisson
     built = []
 
@@ -138,7 +139,10 @@ def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
     assert main(["verify-all", *FAST_VERIFY, "--out", str(out)]) == 1
     failed = [c for c in _report(out)["checks"] if c["status"] == "fail"]
     assert [c["check_id"] for c in failed] == ["ml.contraction"]
-    assert "contraction violated" in failed[0]["details"]["error"]
+    details = failed[0]["details"]
+    assert set(details) == {"x", "y", "stage", "gap", "bound", "tolerance"}
+    assert details["gap"] > details["bound"] + details["tolerance"]
+    assert details["tolerance"] == 1e-9
 
 
 @pytest.mark.parametrize("fault", ["oversized", "bisection"])

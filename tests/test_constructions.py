@@ -36,6 +36,14 @@ def tents():
     return build_ml_poisson(covering_test(0, 6), s_max=13)
 
 
+def test_exact_builds_do_not_form_rows():
+    """Builds stay on pieces and vertices (PL sums, integrals, L1 norms,
+    stage bounds); the row form is for its readers only."""
+    fns = (build_schnorr_poisson(nest_tail(covering_test(0, 6)), m_max=5).functions()
+           + build_ml_poisson(covering_test(0, 4), s_max=9).functions())
+    assert not any("rows" in vars(f) for f in fns)
+
+
 class TestFourierConstruction:
     def test_cutoff_formula(self):
         assert stage_cutoff(0, 2.0) == 1

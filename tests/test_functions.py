@@ -1,5 +1,6 @@
 """Step and piecewise-linear function algebra, all comparisons exact."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -478,3 +479,96 @@ def test_grid_sum_and_integral_match_fraction_forms(fs):
         assert f.l1_norm() == fraction_pl_integral(f.abs())
     if len(fs) >= 2:
         assert (fs[0] - fs[1]).vertices == fraction_pl_sum([fs[0], fs[1].scale(-1)]).vertices
+
+
+# ----------------------------------------------------------------------
+# one exact row form against the per-kind cumulative tables
+#
+# Step data comes from step_st (point pieces, open and half-open ends);
+# piecewise-linear data repeats values, so plateaus are common, and mixes
+# denominators 3 and 2^60 in, so some neighbouring values differ by less
+# than a float ulp.
+
+
+@st.composite
+def plateau_pl_st(draw):
+    xs = sorted(set(draw(st.lists(grid_st, max_size=7))))
+    values = [0]
+    for _ in xs[2:]:
+        if draw(st.booleans()):
+            values.append(values[-1])
+        else:
+            values.append(draw(st.sampled_from(
+                [-2, -1, 0, Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 60), 1, 3])))
+    return PiecewiseLinear(tuple(zip(xs, (values + [0])[:len(xs)])))
+
+
+row_data_st = st.one_of(step_st, plateau_pl_st())
+
+
+def step_cumulative(f, ts):
+    """StepFunction.cumulative as it was per kind: one prefix table of v *
+    length over the pieces, one partial piece per t."""
+    prefix = [Fraction(0)]
+    for iv, v in f.pieces:
+        prefix.append(prefix[-1] + v * iv.length)
+    out = []
+    for t in ts:
+        t = Fraction(t)
+        k = bisect_right(f._starts, t)
+        if k == 0:
+            out.append(Fraction(0))
+        else:
+            iv, v = f.pieces[k - 1]
+            out.append(prefix[k - 1] + v * (min(t, iv.hi) - iv.lo))
+    return out
+
+
+def pl_cumulative(f, ts):
+    """PiecewiseLinear.cumulative as it was per kind: one prefix table of
+    trapezoids over every segment, zero runs included, and the trapezoid of
+    one partial segment per t."""
+    verts, xs = f.vertices, f._xs
+    prefix = [Fraction(0)]
+    for (x0, y0), (x1, y1) in f.segments():
+        prefix.append(prefix[-1] + (y0 + y1) * (x1 - x0) / 2)
+    out = []
+    for t in ts:
+        t = Fraction(t)
+        k = bisect_right(xs, t)
+        if k == 0:
+            out.append(Fraction(0))
+        elif k == len(xs):
+            out.append(prefix[-1])
+        else:
+            (x0, y0), (x1, y1) = verts[k - 1], verts[k]
+            yt = y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+            out.append(prefix[k - 1] + (y0 + yt) * (t - x0) / 2)
+    return out
+
+
+@given(row_data_st, st.lists(st.floats(-4, 4), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_cumulative_over_rows_matches_per_kind_tables(f, floats):
+    """Every breakpoint, gap midpoint and point beyond the ends, and floats
+    at their exact binary values: the same Fractions."""
+    ts = atom_probes(f.breakpoints()) + floats
+    reference = step_cumulative if isinstance(f, StepFunction) else pl_cumulative
+    assert f.cumulative(ts) == reference(f, ts)
+
+
+@given(row_data_st)
+@settings(max_examples=200, deadline=None)
+def test_rows_are_the_nonzero_pieces_as_lines(f):
+    """One row per nonzero piece, in order: a step piece keeps its interval
+    and carries its value at both ends; a PL row is the closed segment
+    with its vertex values, f linear between them."""
+    if isinstance(f, StepFunction):
+        assert f.rows == tuple((iv, v, v) for iv, v in f.pieces)
+        return
+    segments = [s for s in f.segments() if s[0][1] or s[1][1]]
+    assert [(iv.lo, fa, iv.hi, fb) for iv, fa, fb in f.rows] == [
+        (x0, y0, x1, y1) for (x0, y0), (x1, y1) in segments]
+    for iv, fa, fb in f.rows:
+        assert iv.lo_closed and iv.hi_closed
+        assert f.eval(iv.midpoint) == (fa + fb) / 2

@@ -279,6 +279,15 @@ class TestPoissonMass:
     def test_half_line(self):
         assert kernels.poisson_interval_mass(1.0, 0.0, math.inf) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("y", [2.0 ** -30, 1.0, 2.0 ** 30])
+    @pytest.mark.parametrize("a,b,mass", [(math.inf, math.inf, 0.0),
+                                          (-math.inf, -math.inf, 0.0),
+                                          (-math.inf, math.inf, 1.0)])
+    def test_infinite_endpoints(self, y, a, b, mass):
+        """Only (-inf, inf) is the full line; from an infinity to the same
+        infinity the interval is empty."""
+        assert kernels.poisson_interval_mass(y, a, b) == mass
+
 
 def select_atan_diff(u, v):
     """Reference for stable_atan_diff: both branches on every element, then

@@ -24,6 +24,8 @@ from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
 from limitlab.randomness import covering_test, nest_tail
 from limitlab.verify import random_test_functions
 
+from test_functions import row_data_st
+
 
 def quad_oracle(f, x, y):
     """Adaptive quadrature of P_y(x - t) f(t), split at the breakpoints."""
@@ -574,6 +576,42 @@ def test_rows_match_the_two_branch_closed_form(inputs):
     got = poisson._closed_form(poisson._rows(f), xs, ys)
     want = reference_closed_form(f, xs, ys)
     assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+
+
+def two_branch_rows(f):
+    """The float rows as _rows formed them per kind, before both kinds read
+    the exact rows: a step piece as (a, b, v, v, v, 0.0), every nonzero
+    piecewise-linear segment, plateaus included, with beta = (f(b) -
+    f(a))/(b - a) and alpha = f(a) - beta a in floats."""
+    rows = []
+    if isinstance(f, StepFunction):
+        for iv, v in f.pieces:
+            v = float(v)
+            rows.append((float(iv.lo), float(iv.hi), v, v, v, 0.0))
+        return rows
+    for (x0, y0), (x1, y1) in f.segments():
+        if y0 == 0 and y1 == 0:
+            continue
+        a, b = float(x0), float(x1)
+        fa, fb = float(y0), float(y1)
+        beta = (fb - fa) / (b - a)
+        rows.append((a, b, fa, fb, fa - beta * a, beta))
+    return rows
+
+
+@given(row_data_st)
+@settings(max_examples=300, deadline=None)
+def test_float_rows_from_exact_rows_match_two_branch_rows(f):
+    """Step data with point pieces and open ends, PL data with plateaus
+    and with ends equal only as floats: every row bitwise the same."""
+    def hexed(rows):
+        return [[v.hex() for v in row] for row in rows]
+    assert hexed(poisson._rows(f)) == hexed(two_branch_rows(f))
+
+
+def test_rows_refuse_other_data():
+    with pytest.raises(TypeError, match="no Poisson integral"):
+        poisson._rows(IntervalUnion.single(0, 1))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from limitlab import randomness
 from limitlab.constructions import build_schnorr_poisson, tent
@@ -16,6 +16,8 @@ from limitlab.randomness import (TestFamily, covering_test,
                                  schnorr_tests_from_poisson,
                                  simple_test_from_approx)
 from limitlab.trig import TrigPoly
+
+from test_functions import row_data_st
 
 
 def le_sqrt2(q: Fraction, a: int, b: int, exp: int) -> bool:
@@ -265,6 +267,83 @@ def test_uncertified_crossing_raises(monkeypatch):
     g = tent(RationalInterval(0, 4))
     with pytest.raises(RuntimeError, match="not certified"):
         randomness._exceedance_parts(g, 1)
+
+
+def two_branch_exceedance_parts(g, i):
+    """_exceedance_parts as it was per kind: a step function's exceedance
+    region by squared piece values, and a piecewise-linear function's by
+    the segments of |g|, crossings rounded and certified as today."""
+    threshold_sq = Fraction(1, 2 ** i)
+    if isinstance(g, StepFunction):
+        return list(normalize(iv for iv, v in g.pieces if v * v > threshold_sq).parts)
+    exact = i % 2 == 0
+    eps = Fraction(1, 2 ** (i // 2)) if exact else None
+    eps_f = 2.0 ** (-i / 2)
+    out = []
+    for (x0, y0), (x1, y1) in g.abs().segments():
+        above0 = y0 * y0 > threshold_sq
+        above1 = y1 * y1 > threshold_sq
+        if not above0 and not above1:
+            continue
+        if above0 and above1:
+            out.append(RationalInterval(x0, x1))
+            continue
+        if exact:
+            root = x0 + (eps - y0) * (x1 - x0) / (y1 - y0)
+        else:
+            rf = float(x0) + (eps_f - float(y0)) * float(x1 - x0) / float(y1 - y0)
+            den = randomness.ROOT_DEN
+            if above1:
+                root = Fraction(math.floor((rf - randomness.ROOT_PAD) * den), den)
+            else:
+                root = Fraction(math.ceil((rf + randomness.ROOT_PAD) * den), den)
+            step = Fraction(-1 if above1 else 1, den)
+            for _ in range(randomness.ROOT_STEPS):
+                root = min(max(root, x0), x1)
+                value = y0 + (y1 - y0) * (root - x0) / (x1 - x0)
+                if value * value <= threshold_sq:
+                    break
+                root += step
+            else:
+                raise RuntimeError("not certified")
+        if above1:
+            out.append(RationalInterval(root, x1, root == x0, True))
+        else:
+            out.append(RationalInterval(x0, root, True, root == x1))
+    return out
+
+
+exceedance_inputs = st.tuples(row_data_st, st.integers(0, 4))
+
+
+def same_exceedance(inputs):
+    """The row loop and the two-branch reference give the same region at
+    the even i = 2j and the odd i = 2j + 1."""
+    g, j = inputs
+    return all(normalize(randomness._exceedance_parts(g, i))
+               == normalize(two_branch_exceedance_parts(g, i)) for i in (2 * j, 2 * j + 1))
+
+
+@given(exceedance_inputs)
+@settings(max_examples=300, deadline=None)
+def test_exceedance_rows_match_two_branch_parts(inputs):
+    assert same_exceedance(inputs)
+
+
+def test_closed_step_rows_fail_the_exceedance_property(monkeypatch):
+    """Negative control: rows that take every step piece as closed put the
+    open ends of exceeding pieces into the region, and the property finds
+    such a function."""
+    monkeypatch.setattr(StepFunction, "rows", property(lambda self: tuple(
+        (RationalInterval(iv.lo, iv.hi), v, v) for iv, v in self.pieces)))
+    g, _ = find(exceedance_inputs, lambda inputs: not same_exceedance(inputs),
+                settings=settings(max_examples=2000, database=None))
+    assert any(not (iv.lo_closed and iv.hi_closed) for iv, _ in g.pieces)
+
+
+def test_exceedance_refuses_other_data():
+    with pytest.raises(TypeError, match="no exceedance region"):
+        randomness._exceedance_parts(IntervalUnion.single(0, 1), 0)
 
 
 class TestPoissonTest:
