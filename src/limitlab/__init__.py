@@ -15,13 +15,15 @@ from .kernels import (FejerSum, dirichlet_eval, fejer_coeffs, fejer_eval,
                       fejer_lp_ratio, fejer_ratio_constant, poisson_eval,
                       poisson_interval_mass)
 from .poisson import (ContractionGap, RadialTrace, WeakTypeReport,
-                      contraction_gap, maximal_estimate, poisson_integral,
-                      poisson_integral_pl, poisson_integral_step,
-                      radial_trace, superlevel_set, weak_type_check)
+                      contraction_gap, contraction_gaps, maximal_estimate,
+                      poisson_integral, poisson_integral_pl,
+                      poisson_integral_step, radial_trace, superlevel_set,
+                      weak_type_check)
 from .randomness import (PoissonTestStage, TestFamily, covering_test,
                          enumerate_intervals, integral_test_partial,
                          nest_tail, schnorr_test_from_poisson,
-                         schnorr_tests_from_poisson, simple_test_from_approx)
+                         schnorr_tests_from_poisson, simple_test_from_approx,
+                         simple_tests_from_approx)
 from .constructions import (FourierConstruction, StepConstruction,
                             TentConstruction, build_fourier_divergent,
                             build_ml_poisson, build_schnorr_poisson, tent)

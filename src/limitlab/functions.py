@@ -38,21 +38,28 @@ def _point(t) -> Fraction:
     return Fraction(t) if isinstance(t, float) else frac(t)
 
 
+def _prefix_table(f) -> tuple[list, list]:
+    """The starts of f's rows, for bisection, and its prefix table: entry k
+    is the exact integral of f over its first k rows, each row adding its
+    mean height times its width.  A zero-slope row's mean is its value, so a
+    step row costs one product."""
+    prefix = [Fraction(0)]
+    for iv, fa, fb in f.rows:
+        prefix.append(prefix[-1] + (fa if fa == fb else (fa + fb) / 2) * iv.length)
+    return [iv.lo for iv, _, _ in f.rows], prefix
+
+
 def _cumulative(f, ts) -> list[Fraction]:
     """Exact integral of f over (-inf, t] for each t of ts, f a step or
     piecewise-linear function.
 
-    One prefix table over the rows per call, each row adding its mean height
-    times its width; each t is located by bisection over the rows' starts
-    and adds one partial row [lo, t] the same way (closedness is
-    measure-irrelevant).  A zero-slope row's mean is its value, so a step
-    row costs one product.
+    The prefix table over the rows is built once per function
+    (_prefix_table, cached as f._prefix); each t is located by bisection
+    over the rows' starts and adds one partial row [lo, t] the same way
+    (closedness is measure-irrelevant).
     """
     rows = f.rows
-    prefix = [Fraction(0)]
-    for iv, fa, fb in rows:
-        prefix.append(prefix[-1] + (fa if fa == fb else (fa + fb) / 2) * iv.length)
-    starts = [iv.lo for iv, _, _ in rows]
+    starts, prefix = f._prefix
     out = []
     for t in map(_point, ts):
         k = bisect_right(starts, t)
@@ -148,6 +155,7 @@ class StepFunction:
         """The exact row form: (interval, v, v) per piece."""
         return tuple((iv, v, v) for iv, v in self.pieces)
 
+    _prefix = cached_property(_prefix_table)
     cumulative = _cumulative
 
     def window_integral(self, lo, hi) -> Fraction:
@@ -370,6 +378,7 @@ class PiecewiseLinear:
         return tuple((RationalInterval(x0, x1), y0, y1)
                      for (x0, y0), (x1, y1) in self.segments() if y0 or y1)
 
+    _prefix = cached_property(_prefix_table)
     cumulative = _cumulative
 
     def window_integral(self, lo, hi) -> Fraction:

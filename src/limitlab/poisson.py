@@ -3,11 +3,17 @@
 Both kinds of data have one float form: _rows rounds the exact rows of
 functions (one (interval, f(lo), f(hi)) per nonzero piece, a step piece
 being the zero-slope row) to (a, b, f(a), f(b), alpha, beta), with f(t) =
-alpha + beta t on [a, b].  All integrals here are closed-form, one row at
-a time: an arctangent term for every row, and an extra logarithmic term
-for a row of nonzero slope.  The arctangent differences are computed
-through the cancellation-free identity so radial traces stay accurate down
-to y around 2^-30.  Everything evaluates on scalars or numpy arrays of x.
+alpha + beta t on [a, b].  All integrals here are closed-form, summed in
+row order: an arctangent term for every row, and an extra logarithmic term
+for a row of nonzero slope.  The rows are evaluated in blocks, as many to a
+numpy pass as fit in EVAL_CHUNK elements of the (heights x points) grid, so
+a value at a single point costs one pass, while a grid too large for
+BLOCK_MIN_ROWS rows a pass, such as a scan block, goes row by row; the
+terms are added one after another in row order either way, so every value
+is bitwise the row-by-row sum.  The arctangent
+differences are computed through the cancellation-free identity so radial
+traces stay accurate down to y around 2^-30.  Everything evaluates on
+scalars or numpy arrays of x.
 
 The maximal operator max over a height grid of P[|f|](x, y) has one
 evaluator: the pieces of |f| are converted to float rows once, and every
@@ -15,7 +21,8 @@ height of the grid is evaluated in one (heights x points) array pass
 through the same closed form as poisson_integral, in blocks of EVAL_CHUNK
 points, so each value is bitwise the one a per-height call gives.  A
 radial trace evaluates all its heights the same way, at its one point, and
-reads its exact window masses from one cumulative table.  It has one
+reads its exact window masses from the function's cumulative table, which
+is built once per function.  It has one
 superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
 outward dyadic rounding.  The sign scan only asks whether the max exceeds
@@ -69,21 +76,67 @@ def _rows(f) -> list:
 
 
 def _closed_form(rows, xs, y):
-    """P[f](x, y) summed row by row in the rows' order; xs and y broadcast
+    """P[f](x, y) summed term by term in the rows' order; xs and y broadcast
     against each other, so one call can cover many heights.  On a row where
     f(t) = alpha + beta t the antiderivative contributes (alpha + beta x) *
     atan-term + (beta y / 2) * log-ratio term; a zero-slope row contributes
-    alpha * atan-term, and no log-ratio term forms."""
-    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
-    for a, b, _, _, alpha, beta in rows:
+    alpha * atan-term, and no log-ratio term forms.
+
+    The rows go in blocks, as many to a numpy pass as fit in EVAL_CHUNK
+    elements of the broadcast grid: every row in one pass at a single
+    point.  Where fewer than BLOCK_MIN_ROWS rows fit (a grid of more than
+    EVAL_CHUNK / BLOCK_MIN_ROWS elements, such as a scan block), the
+    element work outweighs the numpy calls a block saves, and the rows go
+    one at a time.  A block's zero-slope and sloped rows are evaluated
+    apart, its terms are placed in the slots _term_slots gives, after the
+    sum so far, and one sequential accumulation adds them in that order, so
+    every value is bitwise the one of adding row by row.
+    """
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(y))
+    out = np.zeros(shape)
+    per_pass = EVAL_CHUNK // max(math.prod(shape), 1)
+    if per_pass < BLOCK_MIN_ROWS:
+        for a, b, _, _, alpha, beta in rows:
+            u = (b - xs) / y
+            w = (a - xs) / y
+            if not beta:
+                out += alpha * stable_atan_diff(u, w)
+                continue
+            out += (alpha + beta * xs) * stable_atan_diff(u, w)
+            out += 0.5 * beta * y * _log_ratio(u, w)
+        return out / math.pi
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    column = (-1,) + (1,) * len(shape)
+    for s in range(0, len(table), per_pass):
+        block = table[s:s + per_pass]
+        a, b, alpha, beta = (block[:, j].reshape(column) for j in (0, 1, 4, 5))
+        sloped = block[:, 5] != 0
+        flat = ~sloped
         u = (b - xs) / y
         w = (a - xs) / y
-        if not beta:
-            out += alpha * stable_atan_diff(u, w)
-            continue
-        out += (alpha + beta * xs) * stable_atan_diff(u, w)
-        out += 0.5 * beta * y * _log_ratio(u, w)
+        atan = stable_atan_diff(u, w)
+        atan_slot, log_slot = _term_slots(sloped)
+        terms = np.empty((1 + len(block) + len(log_slot),) + shape)
+        terms[0] = out
+        terms[atan_slot[flat]] = alpha[flat] * atan[flat]
+        if log_slot.size:
+            lift = beta[sloped]
+            terms[atan_slot[sloped]] = (alpha[sloped] + lift * xs) * atan[sloped]
+            terms[log_slot] = 0.5 * lift * y * _log_ratio(u[sloped], w[sloped])
+        # slot after slot; accumulate walks the grid element by element,
+        # which stays cheap on these small grids
+        out = np.add.accumulate(terms, axis=0)[-1]
     return out / math.pi
+
+
+def _term_slots(sloped: np.ndarray):
+    """Where a block's terms go in its running sum, given which of its rows
+    are sloped: slot 0 holds the sum of the earlier blocks, then each row's
+    arctangent term in row order, a sloped row's log-ratio term in the slot
+    right after it.  Returns the arctangent slots of all rows and the
+    log-ratio slots of the sloped ones."""
+    atan_slot = np.arange(1, sloped.size + 1) + np.cumsum(sloped) - sloped
+    return atan_slot, atan_slot[sloped] + 1
 
 
 UNDERFLOW = 2.0 ** -1000    # per-row allowance for intermediates that underflow
@@ -258,7 +311,8 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
     values = _closed_form(_rows(f), _as_xs(x), _heights(y_seq))[:, 0]
     nonneg = f.is_nonnegative()
     if nonneg:
-        ends = f.cumulative([Fraction(x) + side * Fraction(y) / 2
+        at = Fraction(x)
+        ends = f.cumulative([at + side * Fraction(y) / 2
                              for y in y_seq for side in (-1, 1)])
     entries = []
     for j, y in enumerate(y_seq):
@@ -281,7 +335,9 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
 PRUNE_CELL = 1.0 / 16       # width of the envelope-pruning cells
 SCAN_DENSITY = 4096         # scan points per unit length inside a window
 MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
-EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluator
+EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluator,
+                            # and (rows x grid elements) per pass of _closed_form
+BLOCK_MIN_ROWS = 8          # fewest rows a blocked pass takes, else row by row
 BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
 BISECT_MAX_ITER = 80
 ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
@@ -531,20 +587,38 @@ class ContractionGap:
     bound: float
 
 
+def contraction_gaps(f_stages: Sequence, probes) -> list[ContractionGap]:
+    """contraction_gap at every (x, y, n) of probes, on the same stages:
+    each stage evaluated is converted to float rows once (poisson_evaluator),
+    and each ||f_m - f_n||_1 is computed once, for all probes that use it."""
+    stages = list(f_stages)
+    deep = len(stages) - 1
+    evaluators, norms, out = {}, {}, []
+
+    def value(i, x, y):
+        if i not in evaluators:
+            evaluators[i] = poisson_evaluator(stages[i])
+        return evaluators[i](x, y)
+
+    for x, y, n in probes:
+        if y <= 0:
+            raise ValueError("height y must be positive")
+        if not 0 <= n <= deep:
+            raise ValueError("stage index out of range")
+        if n not in norms:
+            norms[n] = float((stages[deep] - stages[n]).l1_norm())
+        out.append(ContractionGap(abs(value(deep, x, y) - value(n, x, y)),
+                                  norms[n] / (math.pi * y)))
+    return out
+
+
 def contraction_gap(f_stages: Sequence, x: float, y: float, n: int) -> ContractionGap:
     """|P[f_m](x,y) - P[f_n](x,y)| for the deepest stage m, with its bound.
 
     The bound is (1/(pi y)) * ||f_m - f_n||_1 computed exactly; the kernel
     sup bound 1/(pi y) makes the Poisson integral a contraction from L1 to
     values at fixed height.  Comparing the two is the caller's part (the
-    check ml.contraction).
+    check ml.contraction, which reads contraction_gaps).  Each value is
+    bitwise the one poisson_integral gives.
     """
-    if y <= 0:
-        raise ValueError("height y must be positive")
-    stages = list(f_stages)
-    if not 0 <= n < len(stages):
-        raise ValueError("stage index out of range")
-    deep = stages[-1]
-    gap = abs(float(poisson_integral(deep, x, y)) - float(poisson_integral(stages[n], x, y)))
-    bound = float((deep - stages[n]).l1_norm()) / (math.pi * y)
-    return ContractionGap(gap, bound)
+    return contraction_gaps(f_stages, [(x, y, n)])[0]

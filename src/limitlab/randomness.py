@@ -11,10 +11,11 @@ absolute values (functions: one (interval, f(lo), f(hi)) per nonzero
 piece, a step piece being the zero-slope row), with crossings at
 irrational thresholds rounded outward and certified exactly, and by
 superlevel sets of the Poisson maximal operator applied to consecutive
-differences, which poisson.superlevel_set locates.  The maximal-operator
-stages U_k for several k share their superlevel sets:
-schnorr_tests_from_poisson locates each set once and builds every stage
-from that one list.
+differences, which poisson.superlevel_set locates.  Both kinds of stage
+for several k share their work: simple_tests_from_approx forms each
+consecutive difference and its exceedance parts once, and
+schnorr_tests_from_poisson locates each superlevel set once, and each
+builds every stage from that one list.
 """
 
 from __future__ import annotations
@@ -222,20 +223,32 @@ def _exceedance_parts(g, i: int) -> list[RationalInterval]:
     return out
 
 
-def simple_test_from_approx(fs: Sequence, k: int) -> IntervalUnion:
-    """Stage k of the pointwise-difference test: the union over i >= 2k of
-    the regions where |f_i - f_{i+1}| exceeds 2^{-i/2}.
+def simple_tests_from_approx(fs: Sequence, ks: Sequence[int]) -> list[IntervalUnion]:
+    """Stage k of the pointwise-difference test for every k in ks: the union
+    over i >= 2k of the regions where |f_i - f_{i+1}| exceeds 2^{-i/2}.
 
-    Off this stage, consecutive-difference telescoping gives the geometric
+    The stages share their regions: each consecutive difference from i =
+    2 min(ks) up is formed, and its exceedance parts found, once, and every
+    stage takes the parts with i >= 2k.
+
+    Off stage k, consecutive-difference telescoping gives the geometric
     stability bound |f_i(x) - f_{2n}(x)| <= (2 + sqrt 2)/2^n for n >= k and
     every implemented i >= 2n.
     """
-    if k < 0:
+    ks = list(ks)
+    if any(k < 0 for k in ks):
         raise ValueError("stage index must be >= 0")
-    parts = []
-    for i in range(2 * k, len(fs) - 1):
-        parts.extend(_exceedance_parts(fs[i + 1] - fs[i], i))
-    return normalize(parts)
+    if not ks:
+        return []
+    first = 2 * min(ks)
+    parts = [_exceedance_parts(fs[i + 1] - fs[i], i) for i in range(first, len(fs) - 1)]
+    return [normalize([p for level in parts[2 * k - first:] for p in level]) for k in ks]
+
+
+def simple_test_from_approx(fs: Sequence, k: int) -> IntervalUnion:
+    """Stage k of the pointwise-difference test: the one-stage case of
+    simple_tests_from_approx."""
+    return simple_tests_from_approx(fs, [k])[0]
 
 
 @dataclass

@@ -8,7 +8,9 @@ compare under its caps or trace heights reports "skipped", never a pass.
 
 Every check is a function of one VerifyContext: the target point, p, the
 amplitude multiplier c, the size caps (with the sampling seed) and the
-trace heights.  The context builds each construction once.
+trace heights.  The context builds each construction once, and each list
+of derived stages that several checks read (the pointwise-difference and
+the maximal-operator stages of the step construction) once.
 Each CHECKS row lists the commands that run it, so verify-all, kernel-check
 and the scenario commands (`build`, `fourier-trace`, `poisson-trace`, keyed
 "<command>:<construction>") are filters over the same table:
@@ -36,10 +38,10 @@ from .constructions import (build_fourier_divergent, build_ml_poisson,
                             build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval
-from .poisson import (contraction_gap, poisson_evaluator, poisson_integral,
+from .poisson import (contraction_gaps, poisson_evaluator, poisson_integral,
                       weak_type_check)
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
-                         simple_test_from_approx)
+                         simple_tests_from_approx)
 from .trig import TrigPoly, convergence_trace
 
 SQRT2 = math.sqrt(2.0)
@@ -146,6 +148,13 @@ class VerifyContext:
     def step(self):
         test = nest_tail(covering_test(self.point, self.caps.m_max + 2))
         return build_schnorr_poisson(test, self.caps.m_max)
+
+    @cached_property
+    def simple_stages(self) -> list:
+        """Pointwise-difference stages 0..k_max of the step construction,
+        each consecutive difference's exceedance parts found once for all."""
+        return simple_tests_from_approx(self.step.functions(),
+                                        range(self.caps.k_max + 1))
 
     @cached_property
     def poisson_stages(self) -> list:
@@ -593,22 +602,22 @@ def _check_step_radial_floor(ctx: VerifyContext):
 def _check_ml_contraction(ctx: VerifyContext):
     if ctx.caps.m_max < 2:
         return None
-    sc = ctx.step
-    fns = sc.functions()
+    fns = ctx.step.functions()
     rng = random.Random(ctx.caps.seed + 5)
     tol = 1e-9
-    worst = 0.0
+    probes = []
     for _ in range(20):
         x = rng.uniform(-3, 3)
         y = 2.0 ** rng.uniform(-12, 2)
-        n = rng.randint(0, len(fns) - 1)
-        gap = contraction_gap(fns, x, y, n)
+        probes.append((x, y, rng.randint(0, len(fns) - 1)))
+    worst = 0.0
+    for (x, y, n), gap in zip(probes, contraction_gaps(fns, probes)):
         if gap.gap > gap.bound + tol:
             return False, {"x": x, "y": y, "stage": n, "gap": gap.gap,
                            "bound": gap.bound, "tolerance": tol}
         if gap.bound:
             worst = max(worst, gap.gap / gap.bound)
-    return True, {"pairs": 20, "worst_gap_to_bound": worst}
+    return True, {"pairs": len(probes), "worst_gap_to_bound": worst}
 
 
 # ----------------------------------------------------------------------
@@ -618,10 +627,8 @@ def _check_ml_contraction(ctx: VerifyContext):
 def _check_lemma_simple_measure(ctx: VerifyContext):
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max:
         return None
-    fns = ctx.step.functions()
     measures = {}
-    for k in range(ctx.caps.k_max + 1):
-        stage = simple_test_from_approx(fns, k)
+    for k, stage in enumerate(ctx.simple_stages):
         m = stage.measure()
         measures[k] = str(m)
         if not _le_sqrt2_bound(m, 2, 1, k - 1):
@@ -631,11 +638,16 @@ def _check_lemma_simple_measure(ctx: VerifyContext):
 
 
 def _check_lemma_simple_stability(ctx: VerifyContext):
+    """At sample points off stage 1, |f_i - f_2n| <= (2 + sqrt 2)/2^n for
+    every n >= 1 and i >= 2n, exactly.  Each stage is evaluated once a
+    point; the largest |f_i - f_2n| over i, read from suffix extremes of
+    the values, is tested first, and only when it fails are the i scanned
+    in order for the first failing one."""
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max + 2:
         return None
     fns = ctx.step.functions()
     k = 1
-    stage = simple_test_from_approx(fns, k)
+    stage = ctx.simple_stages[k]
     limit = len(fns) - 1
     rng = random.Random(ctx.caps.seed + 6)
     checked = 0
@@ -647,8 +659,15 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
             continue
         checked += 1
         values = {i: fns[i].eval(x) for i in range(2 * k, limit + 1)}
+        top, bottom = {}, {}    # max and min of the values at i and later
+        high = low = values[limit]
+        for i in range(limit, 2 * k - 1, -1):
+            high, low = max(high, values[i]), min(low, values[i])
+            top[i], bottom[i] = high, low
         for n in range(k, (limit - 1) // 2 + 1):
             base = values[2 * n]
+            if _le_sqrt2_bound(max(top[2 * n] - base, base - bottom[2 * n]), 2, 1, n):
+                continue
             for i in range(2 * n, limit + 1):
                 diff = abs(values[i] - base)
                 if not _le_sqrt2_bound(diff, 2, 1, n):
@@ -676,7 +695,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
     fns = sc.functions()
     limit = len(fns) - 1
     k = 1
-    blocked = simple_test_from_approx(fns, k).union(ctx.poisson_stages[k - 1].stage)
+    blocked = ctx.simple_stages[k].union(ctx.poisson_stages[k - 1].stage)
     points = sorted({x for f in fns for x in f.breakpoints() if abs(x) <= 3})
     samples = []
     for a, b in zip(points, points[1:]):

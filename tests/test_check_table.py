@@ -3,12 +3,16 @@ which order, that a merged check fails and is named under both kinds of
 context, and the report fields downstream readers rely on."""
 
 import dataclasses
+import functools
 import json
 import math
+import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitlab import poisson, randomness, verify
 from limitlab.cli import main
@@ -115,8 +119,9 @@ def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
     """ml.contraction fails by itself at the first pair where |P[f_m] -
     P[f_n]|(x, y) exceeds ||f_m - f_n||_1/(pi y) + 1e-9, and names the pair,
     the stage, the gap, the bound and the tolerance.  Here the Poisson
-    values of the deepest step stage are shifted by twice the largest such
-    bound, plus one."""
+    values of the deepest step stage, read through the evaluators that
+    poisson.contraction_gaps forms once a stage, are shifted by twice the
+    largest such bound, plus one."""
     build = verify.build_schnorr_poisson
     built = []
 
@@ -124,17 +129,18 @@ def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
         built.append(build(test, m_max))
         return built[-1]
 
-    integral = poisson.poisson_integral
+    evaluator = poisson.poisson_evaluator
 
-    def shifted(f, x, y):
+    def shifted(f):
+        at = evaluator(f)
         fns = built[-1].functions()
         if f is not fns[-1]:
-            return integral(f, x, y)
+            return at
         widest = max(float((fns[-1] - g).l1_norm()) for g in fns)
-        return integral(f, x, y) + 2 * widest / (math.pi * y) + 1
+        return lambda x, y: at(x, y) + 2 * widest / (math.pi * y) + 1
 
     monkeypatch.setattr(verify, "build_schnorr_poisson", recorded)
-    monkeypatch.setattr(poisson, "poisson_integral", shifted)
+    monkeypatch.setattr(poisson, "poisson_evaluator", shifted)
     out = tmp_path / "o"
     assert main(["verify-all", *FAST_VERIFY, "--out", str(out)]) == 1
     failed = [c for c in _report(out)["checks"] if c["status"] == "fail"]
@@ -349,6 +355,111 @@ def test_holder_majorant_cross_checks_the_exact_integral(monkeypatch):
                         lambda self, p, tol=1e-10: 1.001 * real(self, p, tol))
     ok, details = verify._check_integral_test_majorant(verify.VerifyContext())
     assert not ok
+
+
+def test_verify_all_finds_each_exceedance_region_once(monkeypatch):
+    """The pointwise-difference stages of one verify run share their
+    exceedance parts: at default caps (m_max 12, so i = 0..11) that is 12
+    calls, one per consecutive difference."""
+    calls = []
+    parts = randomness._exceedance_parts
+
+    def counted(g, i):
+        calls.append(i)
+        return parts(g, i)
+    monkeypatch.setattr(randomness, "_exceedance_parts", counted)
+    results = verify.verify_all()
+    assert sorted(calls) == list(range(12))
+    assert verify.overall_pass(results)
+
+
+@pytest.mark.parametrize("k,region,check_id", [
+    (1, IntervalUnion.empty(), "lemma_simple.stability"),
+    (3, IntervalUnion.single(-8, 8), "lemma_simple.measure"),
+])
+def test_simple_stage_fault_fails_its_check(monkeypatch, k, region, check_id):
+    """Negative controls for the pointwise-difference stages under verify-all
+    at default caps.  Stage 1 dropped: off the empty set the stage values
+    move by more than (2 + sqrt 2)/2^n at a sampled point, and
+    lemma_simple.stability fails naming the point, n and i.  Stage 3
+    widened to [-8, 8]: measure 16 > (2 + sqrt 2)/4, and
+    lemma_simple.measure fails naming k.  No other check fails."""
+    real = verify.VerifyContext.simple_stages.func
+
+    def faulted(self):
+        stages = real(self)
+        stages[k] = region
+        return stages
+    monkeypatch.setattr(verify.VerifyContext, "simple_stages", property(faulted))
+    failed = [r for r in verify.verify_all() if r.status == "fail"]
+    assert [r.check_id for r in failed] == [check_id]
+    details = failed[0].details
+    if check_id == "lemma_simple.measure":
+        assert details["k"] == 3 and details["measure"] == "16"
+        return
+    n, i = details["n"], details["i"]
+    assert 2 * n <= i and not verify._le_sqrt2_bound(Fraction(details["difference"]), 2, 1, n)
+    x = Fraction(details["x"])
+    fns = verify.VerifyContext().step.functions()
+    assert abs(fns[i].eval(x) - fns[2 * n].eval(x)) == Fraction(details["difference"])
+
+
+def all_pairs_stability(ctx):
+    """lemma_simple.stability as it was: at each sample point off stage 1,
+    every (n, i) pair tested exactly, in order."""
+    fns = ctx.step.functions()
+    k = 1
+    stage = ctx.simple_stages[k]
+    limit = len(fns) - 1
+    rng = random.Random(ctx.caps.seed + 6)
+    checked = 0
+    attempts = 0
+    while checked < 100 and attempts < 2000:
+        attempts += 1
+        x = Fraction(rng.randint(-3 * 64, 3 * 64), 64)
+        if stage.contains(x):
+            continue
+        checked += 1
+        values = {i: fns[i].eval(x) for i in range(2 * k, limit + 1)}
+        for n in range(k, (limit - 1) // 2 + 1):
+            base = values[2 * n]
+            for i in range(2 * n, limit + 1):
+                diff = abs(values[i] - base)
+                if not verify._le_sqrt2_bound(diff, 2, 1, n):
+                    return False, {"x": str(x), "n": n, "i": i,
+                                   "difference": str(diff), "mode": "exact"}
+    return True, {"points": checked, "stage_k": k, "mode": "exact"}
+
+
+@functools.lru_cache(maxsize=1)
+def default_step_functions():
+    return tuple(verify.VerifyContext().step.functions())
+
+
+bump_st = st.tuples(st.integers(2, 12), st.integers(-3 * 64, 3 * 64), st.integers(1, 64),
+                    st.sampled_from([Fraction(1, 64), Fraction(1, 4), Fraction(1), Fraction(-3)]))
+
+
+@given(seed=st.integers(0, 2 ** 16), bumps=st.lists(bump_st, max_size=3), stale=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_stability_matches_the_all_pairs_loop(seed, bumps, stale):
+    """The step stages with bumps added on dyadic windows, stage 1 taken
+    from the bumped stages (the lemma holds off it) or from the unbumped
+    ones (violations off it): the same verdict and details as testing
+    every (n, i) pair."""
+    base = list(default_step_functions())
+    fns = list(base)
+    for i, lo, width, value in bumps:
+        window = IntervalUnion.single(Fraction(lo, 64), Fraction(lo + width, 64))
+        fns[i] = fns[i] + StepFunction.indicator(window, value)
+    ctx = verify.VerifyContext(verify.Caps(seed=seed))
+    ctx.step = SimpleNamespace(functions=lambda: fns)
+    ctx.simple_stages = randomness.simple_tests_from_approx(base if stale else fns,
+                                                            range(ctx.caps.k_max + 1))
+    got = verify._check_lemma_simple_stability(ctx)
+    assert got == all_pairs_stability(ctx)
+    if not stale:
+        assert got[0]
 
 
 def test_stability_evaluates_each_stage_once_per_point(monkeypatch):

@@ -558,6 +558,18 @@ def test_cumulative_over_rows_matches_per_kind_tables(f, floats):
 
 
 @given(row_data_st)
+@settings(max_examples=50, deadline=None)
+def test_prefix_table_is_built_once_per_function(f):
+    """The first cumulative call builds the prefix table and caches it on the
+    function, like rows; later calls read the same table."""
+    assert "_prefix" not in vars(f)
+    first = f.cumulative(f.breakpoints())
+    table = vars(f)["_prefix"]
+    assert f.cumulative(f.breakpoints()) == first
+    assert vars(f)["_prefix"] is table and len(table[1]) == len(f.rows) + 1
+
+
+@given(row_data_st)
 @settings(max_examples=200, deadline=None)
 def test_rows_are_the_nonzero_pieces_as_lines(f):
     """One row per nonzero piece, in order: a step piece keeps its interval

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 from scipy.integrate import quad
 
 from limitlab import poisson
@@ -18,9 +18,10 @@ from limitlab.intervals import IntervalUnion, RationalInterval
 from limitlab.kernels import poisson_eval, stable_atan_diff
 from limitlab.kernels import poisson_interval_mass as kernels_mass
 from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
-                              maximal_estimate, poisson_evaluator, poisson_integral,
-                              poisson_integral_pl, poisson_integral_step,
-                              radial_trace, superlevel_set, weak_type_check)
+                              contraction_gaps, maximal_estimate, poisson_evaluator,
+                              poisson_integral, poisson_integral_pl,
+                              poisson_integral_step, radial_trace, superlevel_set,
+                              weak_type_check)
 from limitlab.randomness import covering_test, nest_tail
 from limitlab.verify import random_test_functions
 
@@ -615,6 +616,105 @@ def test_rows_refuse_other_data():
 
 
 # ----------------------------------------------------------------------
+# rows in blocks against the per-row loop
+
+
+def per_row_closed_form(rows, xs, y):
+    """_closed_form as it was before rows went in blocks: one row at a time,
+    each term added to the sum as it forms."""
+    out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
+    for a, b, _, _, alpha, beta in rows:
+        u = (b - xs) / y
+        w = (a - xs) / y
+        if not beta:
+            out += alpha * stable_atan_diff(u, w)
+            continue
+        out += (alpha + beta * xs) * stable_atan_diff(u, w)
+        out += 0.5 * beta * y * poisson._log_ratio(u, w)
+    return out / math.pi
+
+
+MAX_ROWS = 60
+
+# (heights, points) of the grid, and how many rows a pass takes there: a
+# scalar height (0) at one point, a column of heights at one point, or
+# heights x points; "row by row" grids fit fewer than BLOCK_MIN_ROWS rows a
+# pass and take the per-row loop
+BLOCK_GRIDS = [((0, 1), "all"), ((24, 1), "all"), ((4, 8), "all"),
+               ((200, 1), "several"), ((10, 20), "several"),
+               ((300, 1), "row by row"), ((1500, 1), "row by row"),
+               ((13, 300), "row by row")]
+
+
+@st.composite
+def float_rows(draw):
+    """12 to MAX_ROWS float rows as _rows forms them, each on a dyadic
+    interval: zero-slope rows (a step piece or a plateau) and sloped rows
+    side by side."""
+    rows = []
+    for _ in range(draw(st.integers(12, MAX_ROWS))):
+        lo = draw(dyadic)
+        a, b = float(lo), float(lo + Fraction(draw(st.integers(1, 32)), 8))
+        fa = draw(st.integers(-32, 32)) / 4
+        fb = fa if draw(st.booleans()) else draw(st.integers(-32, 32)) / 4
+        beta = (fb - fa) / (b - a)
+        rows.append((a, b, fa, fb, fa - beta * a, beta))
+    return rows
+
+
+@st.composite
+def blocked_cases(draw, heights, points):
+    """Mixed float rows; points at or within 2^-60 .. 2^-1 of a row end,
+    then evenly spaced; heights from 2^-40 .. 2^20, a scalar if heights is
+    0 and else a column."""
+    rows = draw(float_rows())
+    near = [draw(st.sampled_from(rows))[draw(st.integers(0, 1))]
+            + draw(st.sampled_from([0.0, 1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 60))
+            for _ in range(min(points, 6))]
+    xs = np.concatenate([near, np.linspace(-7, 7, points - len(near))])
+    top, bottom = sorted(draw(st.lists(st.integers(-20, 40), min_size=2, max_size=2)))
+    if not heights:
+        return rows, xs, 2.0 ** -top
+    return rows, xs, (2.0 ** -np.linspace(top, bottom, heights)).reshape(-1, 1)
+
+
+def bitwise_equal(case) -> bool:
+    rows, xs, y = case
+    got, want = poisson._closed_form(rows, xs, y), per_row_closed_form(rows, xs, y)
+    return got.shape == want.shape and all(
+        a.hex() == b.hex() for a, b in zip(got.ravel(), want.ravel()))
+
+
+@pytest.mark.parametrize("grid,per_pass", BLOCK_GRIDS,
+                         ids=[f"{h}x{n}-{p}" for (h, n), p in BLOCK_GRIDS])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_blocked_rows_match_the_per_row_loop(grid, per_pass, data):
+    """Every row in one pass, several blocks of rows, or row by row: each
+    value bitwise the per-row loop's, on mixed zero-slope and sloped rows."""
+    heights, points = grid
+    rows_a_pass = EVAL_CHUNK // (max(heights, 1) * points)
+    assert {"row by row": rows_a_pass < poisson.BLOCK_MIN_ROWS,
+            "several": poisson.BLOCK_MIN_ROWS <= rows_a_pass < 12,
+            "all": rows_a_pass >= MAX_ROWS}[per_pass]
+    assert bitwise_equal(data.draw(blocked_cases(heights, points)))
+
+
+def test_log_terms_before_arctan_terms_break_the_bits(monkeypatch):
+    """Negative control: a blocked form that adds a block's log-ratio terms
+    before its arctangent terms no longer gives the per-row loop's bits."""
+    def logs_first(sloped):
+        n_log = int(np.count_nonzero(sloped))
+        return n_log + 1 + np.arange(sloped.size), 1 + np.arange(n_log)
+    monkeypatch.setattr(poisson, "_term_slots", logs_first)
+    # any counterexample will do, so it is not shrunk
+    rows, _, _ = find(blocked_cases(0, 1), lambda case: not bitwise_equal(case),
+                      settings=settings(max_examples=2000, database=None,
+                                        phases=[Phase.generate]))
+    assert any(row[5] for row in rows)
+
+
+# ----------------------------------------------------------------------
 # the evaluation budget against a 50-digit oracle on the same float rows
 
 
@@ -788,3 +888,28 @@ class TestContractionGap:
             for n in (0, 3):
                 gap = contraction_gap(fns, 0.2, y, n)
                 assert gap.gap <= gap.bound + 1e-9
+
+    def test_shared_stages_match_per_pair_values(self):
+        """contraction_gaps, each stage converted and each L1 gap computed
+        once, gives bitwise the gap poisson_integral gives pair by pair and
+        the bound of the exact L1 norm, on step and tent stages."""
+        step = build_schnorr_poisson(nest_tail(covering_test(0, 8)), m_max=6).functions()
+        tents = build_ml_poisson(covering_test(0, 5), s_max=11).functions()
+        rng = random.Random(5)
+        for fns in (step, tents):
+            probes = [(rng.uniform(-3, 3), 2.0 ** rng.uniform(-12, 2),
+                       rng.randint(0, len(fns) - 1)) for _ in range(20)]
+            for (x, y, n), gap in zip(probes, contraction_gaps(fns, probes)):
+                want = abs(float(poisson_integral(fns[-1], x, y))
+                           - float(poisson_integral(fns[n], x, y)))
+                bound = float((fns[-1] - fns[n]).l1_norm()) / (math.pi * y)
+                assert (gap.gap.hex(), gap.bound.hex()) == (want.hex(), bound.hex())
+                assert contraction_gap(fns, x, y, n) == gap
+
+    @pytest.mark.parametrize("probe,match", [((0.0, 0.0, 0), "positive"),
+                                             ((0.0, 1.0, 2), "out of range"),
+                                             ((0.0, 1.0, -1), "out of range")])
+    def test_bad_probes_are_refused(self, probe, match):
+        fns = [StepFunction.zero(), StepFunction.indicator(IntervalUnion.single(0, 1))]
+        with pytest.raises(ValueError, match=match):
+            contraction_gaps(fns, [(0.5, 1.0, 0), probe])

@@ -14,10 +14,10 @@ from limitlab.randomness import (TestFamily, covering_test,
                                  enumerate_intervals, integral_test_partial,
                                  nest_tail, schnorr_test_from_poisson,
                                  schnorr_tests_from_poisson,
-                                 simple_test_from_approx)
+                                 simple_test_from_approx, simple_tests_from_approx)
 from limitlab.trig import TrigPoly
 
-from test_functions import row_data_st
+from test_functions import plateau_pl_st, row_data_st, step_st
 
 
 def le_sqrt2(q: Fraction, a: int, b: int, exp: int) -> bool:
@@ -230,6 +230,34 @@ class TestSimpleTest:
         assert stage.parts[-1].hi - Fraction(1, 2 ** 40) <= Fraction(true_hi) <= stage.parts[-1].hi
         mid = IntervalUnion.single(1, 3)
         assert mid.subset_of(stage)
+
+
+def per_stage_simple_test(fs, k):
+    """simple_test_from_approx as it was: its own pass over the differences
+    from i = 2k up, each formed and scanned again for every k."""
+    parts = []
+    for i in range(2 * k, len(fs) - 1):
+        parts.extend(randomness._exceedance_parts(fs[i + 1] - fs[i], i))
+    return normalize(parts)
+
+
+@given(st.one_of(st.lists(step_st, min_size=1, max_size=7),
+                 st.lists(plateau_pl_st(), min_size=1, max_size=7)),
+       st.lists(st.integers(0, 4), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_shared_stages_match_per_stage_passes(fs, ks):
+    """Stages for several k, in any order and with repeats, from one list of
+    exceedance parts: each the region a pass of its own gives."""
+    want = [per_stage_simple_test(fs, k) for k in ks]
+    assert simple_tests_from_approx(fs, ks) == want
+    assert [simple_test_from_approx(fs, k) for k in ks] == want
+
+
+def test_shared_stages_check_their_indices():
+    fs = [StepFunction.zero()] * 3
+    assert simple_tests_from_approx(fs, []) == []
+    with pytest.raises(ValueError, match="stage index"):
+        simple_tests_from_approx(fs, [1, -1])
 
 
 @st.composite
