@@ -279,7 +279,8 @@ def main(argv=None) -> int:
         p_verify.add_argument(f"--{cap.name.replace('_', '-')}", type=int,
                               default=cap.default)
     p_verify.add_argument("--out", dest="out_dir")
-    p_verify.add_argument("--inject-corruption", default=None, help=argparse.SUPPRESS)
+    p_verify.add_argument("--inject-corruption", default=None, choices=verify.CORRUPTIONS,
+                          help=argparse.SUPPRESS)
 
     args = parser.parse_args(_attach_negative_points(
         sys.argv[1:] if argv is None else list(argv)))

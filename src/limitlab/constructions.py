@@ -328,15 +328,6 @@ class TentConstruction:
     def functions(self) -> list[PiecewiseLinear]:
         return [st.f for st in self.stages]
 
-    def increment_partial_sums(self) -> list[Fraction]:
-        """Exact partial sums of ||f_s - f_{s+1}||_1 over implemented stages."""
-        out = []
-        acc = Fraction(0)
-        for a, b in zip(self.stages, self.stages[1:]):
-            acc += (a.f - b.f).l1_norm()
-            out.append(acc)
-        return out
-
     def to_json(self) -> dict:
         return {
             "stages": [

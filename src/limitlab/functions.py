@@ -28,7 +28,7 @@ from operator import add
 from typing import Callable, Iterable
 
 from .intervals import (IntervalUnion, RationalInterval, _index, _on_grid, _ones,
-                        _runs, _sweep, frac, frac_str, normalize)
+                        _runs, _sweep, frac, normalize)
 
 
 def _point(t) -> Fraction:
@@ -214,14 +214,6 @@ class StepFunction:
         """Exact region where value^2 > threshold_sq (i.e. |value| > sqrt)."""
         return normalize(iv for iv, v in self.pieces if v * v > threshold_sq)
 
-    def to_json(self) -> list:
-        return [
-            {"lo": frac_str(iv.lo), "hi": frac_str(iv.hi),
-             "lo_closed": iv.lo_closed, "hi_closed": iv.hi_closed,
-             "value": frac_str(v)}
-            for iv, v in self.pieces
-        ]
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -384,9 +376,6 @@ class PiecewiseLinear:
     def window_integral(self, lo, hi) -> Fraction:
         """Exact integral over [lo, hi]: the difference of two cumulative values."""
         return _window(self, lo, hi)
-
-    def to_json(self) -> list:
-        return [[frac_str(x), frac_str(y)] for x, y in self.vertices]
 
 
 def _window(f, lo, hi) -> Fraction:

@@ -130,11 +130,6 @@ class IntervalUnion:
         return IntervalUnion(())
 
     @staticmethod
-    def point(x: RationalLike) -> "IntervalUnion":
-        x = frac(x)
-        return IntervalUnion((RationalInterval(x, x),))
-
-    @staticmethod
     def single(lo, hi, lo_closed=True, hi_closed=True) -> "IntervalUnion":
         return IntervalUnion((RationalInterval(frac(lo), frac(hi), lo_closed, hi_closed),))
 

@@ -56,35 +56,33 @@ def _reduced(x) -> np.ndarray:
     return xs - TWO_PI * np.rint(xs / TWO_PI)
 
 
-def dirichlet_eval(n_cut: int, x):
-    """D_N(x) = sum_{|m| <= N} e^{imx}, evaluated as a real number."""
+def _kernel(n_cut: int, x, rate: float, finish, near):
+    """A kernel of order n_cut at x reduced into [-pi, pi]: the closed form
+    finish(sin(rate t) / sin(t/2)) where |sin(t/2)| >= SIN_HALF_FLOOR, the
+    expansion near(t) elsewhere.  The quotient is one expression on fresh
+    slices, so numpy reuses their buffers for its temporaries."""
     if n_cut < 0:
         raise ValueError("kernel order must be >= 0")
     xs = _reduced(x)
     half = np.sin(xs / 2.0)
     safe = np.abs(half) >= SIN_HALF_FLOOR
     out = np.empty_like(xs)
-    out[safe] = np.sin((n_cut + 0.5) * xs[safe]) / half[safe]
+    out[safe] = finish(np.sin(rate * xs[safe]) / half[safe])
     if not safe.all():
-        near = xs[~safe]
-        out[~safe] = (2 * n_cut + 1) * (1.0 - n_cut * (n_cut + 1) * (near * near) / 6.0)
+        out[~safe] = near(xs[~safe])
     return _scalar_or_array(x, out)
+
+
+def dirichlet_eval(n_cut: int, x):
+    """D_N(x) = sum_{|m| <= N} e^{imx}, evaluated as a real number."""
+    return _kernel(n_cut, x, n_cut + 0.5, lambda r: r,
+                   lambda t: (2 * n_cut + 1) * (1.0 - n_cut * (n_cut + 1) * (t * t) / 6.0))
 
 
 def fejer_eval(n_cut: int, x):
     """F_N(x), nonnegative, equal to the mean of D_0 .. D_N."""
-    if n_cut < 0:
-        raise ValueError("kernel order must be >= 0")
-    xs = _reduced(x)
-    half = np.sin(xs / 2.0)
-    safe = np.abs(half) >= SIN_HALF_FLOOR
-    out = np.empty_like(xs)
-    ratio = np.sin((n_cut + 1) * xs[safe] / 2.0) / half[safe]
-    out[safe] = ratio * ratio / (n_cut + 1)
-    if not safe.all():
-        near = xs[~safe]
-        out[~safe] = (n_cut + 1) * (1.0 - n_cut * (n_cut + 2) * (near * near) / 12.0)
-    return _scalar_or_array(x, out)
+    return _kernel(n_cut, x, (n_cut + 1) / 2.0, lambda r: r * r / (n_cut + 1),
+                   lambda t: (n_cut + 1) * (1.0 - n_cut * (n_cut + 2) * (t * t) / 12.0))
 
 
 def kernel_eval_error(n_cut: int, radius: float) -> float:

@@ -62,9 +62,6 @@ class TestFamily:
     def stage(self, k: int) -> IntervalUnion:
         return self.stages[k]
 
-    def covers(self, x) -> bool:
-        return all(stage.contains(x) for stage in self.stages)
-
 
 def covering_test(x, depth: int) -> TestFamily:
     """Nested test whose stage k is the open interval of measure exactly

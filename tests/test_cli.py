@@ -316,6 +316,18 @@ def test_corruption_injection_is_caught_and_named(tmp_path, capsys):
     assert "fejer.coefficients" in capsys.readouterr().err
 
 
+def test_unknown_corruption_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A misspelled fault exits 2 before any check runs, so a negative control
+    cannot pass on an uncorrupted run."""
+    monkeypatch.setattr(verify, "verify_all", lambda *a, **k: pytest.fail("checks ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--inject-corruption", "no-such-fault",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "fejer-coeffs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["verify-all", "kernel-check"])
 def test_flag_defaults_are_the_caps_defaults(command, monkeypatch):
     seen = []

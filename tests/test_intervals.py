@@ -117,7 +117,7 @@ def test_difference_measure_against_grid_oracle():
 def test_set_ops_dispatcher():
     a, b = IntervalUnion.single(0, 1), IntervalUnion.single(1, 2)
     assert a.union(b) == IntervalUnion.single(0, 2)
-    assert a.intersection(b) == IntervalUnion.point(1)
+    assert a.intersection(b) == IntervalUnion.single(1, 1)
 
 
 # ----------------------------------------------------------------------

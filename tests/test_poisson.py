@@ -790,6 +790,16 @@ def test_eval_error_covers_the_cancelling_tent_form():
     assert gap > budget * 2.0 ** -20
 
 
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                   reason="a PL segment narrower than a float ulp at its position "
+                          "makes b - a zero in the float rows")
+def test_tent_narrower_than_an_ulp_at_its_position():
+    f = tent(RationalInterval(Fraction(1), 1 + Fraction(1, 2 ** 60)))
+    # at distance 0 and height 1/2 the tent acts as its mass at its midpoint
+    want = float(f.l1_norm()) * poisson_eval(0.5, 0.0)
+    assert poisson_integral(f, 1.0, 0.5) == pytest.approx(want, rel=1e-9)
+
+
 def reference_window_mass(f, lo, hi):
     """The O(pieces) window loop radial_trace made per height before it read
     its window masses from one cumulative table."""

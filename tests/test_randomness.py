@@ -40,7 +40,7 @@ class TestCoveringTest:
     def test_membership_every_stage(self):
         x = Fraction(3, 7)
         fam = covering_test(x, 6)
-        assert fam.covers(x)
+        assert fam.depth == 6
         for k in range(7):
             assert fam.stage(k).contains(x)
 
