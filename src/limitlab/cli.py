@@ -20,6 +20,7 @@ each scenario command takes as flags.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -245,7 +246,10 @@ def _attach_negative_points(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of every subcommand, built on the first call of main,
+    not at import, and reused by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="limitlab",
         description="build divergence constructions, trace limits, verify bounds")
@@ -281,8 +285,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", dest="out_dir")
     p_verify.add_argument("--inject-corruption", default=None, choices=verify.CORRUPTIONS,
                           help=argparse.SUPPRESS)
+    return parser
 
-    args = parser.parse_args(_attach_negative_points(
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_attach_negative_points(
         sys.argv[1:] if argv is None else list(argv)))
 
     if args.command == "kernel-check":

@@ -232,6 +232,18 @@ class FejerTerm(NamedTuple):
         return min(self.order, self.cutoff)
 
 
+def _phase_sums(k: int, centers) -> np.ndarray:
+    """sum_c e^{-imc} for m = 0..k, each phase formed in one shared buffer;
+    the buffers are gone by the time the caller writes its full-length
+    array."""
+    turn = -1j * np.arange(0, k + 1)
+    out = np.zeros(k + 1, dtype=complex)
+    phase = np.empty(k + 1, dtype=complex)
+    for c in centers:
+        out += np.exp(np.multiply(turn, c, out=phase), out=phase)
+    return out
+
+
 def _term_values(term: FejerTerm, ts: np.ndarray) -> np.ndarray:
     """One term at the points ts.  Below its order the partial sum is
     S_M F_N = D_M - (M+1)/(N+1) (D_M - F_M)."""
@@ -295,16 +307,26 @@ class FejerSum:
     @cached_property
     def coefficients(self) -> np.ndarray:
         """Float coefficients of e^{imx} for m = -K..K, K the largest kept
-        frequency: w (1 - |m|/(N+1)) sum_c e^{-imc} per term."""
+        frequency: w (1 - |m|/(N+1)) sum_c e^{-imc} per term.
+
+        Each term is real, so c_{-m} = conj(c_m): the phases are taken for
+        m = 0..k only (_phase_sums), scaled, and mirrored.  The mirror is
+        bitwise what the two-sided sum gives: (-1j m) c has a zero real part
+        and the angle -m c, which rounds to exactly the negation of m c;
+        complex exp of (+-0, +-t) is (cos t, +-sin t), so each phase of -m is
+        the conjugate of that of m, and so are their sums; the scale is even
+        in m.  Where a product differs only in the sign of a zero, adding it
+        into `out`, which starts at +0, gives +0 either way.  The phases
+        stay complex exp: float cos and sin may take other (SIMD) routes
+        with other bits."""
         size = self.degree
         out = np.zeros(2 * size + 1, dtype=complex)
         for term in self.terms:
             k = term.degree
-            ms = np.arange(-k, k + 1)
-            phases = np.zeros(len(ms), dtype=complex)
-            for c in term.centers:
-                phases += np.exp(-1j * ms * c)
-            out[size - k:size + k + 1] += (1.0 - np.abs(ms) / (term.order + 1)) * term.weight * phases
+            half = _phase_sums(k, term.centers)
+            half *= (1.0 - np.arange(0, k + 1) / (term.order + 1)) * term.weight
+            out[size:size + k + 1] += half
+            out[size - k:size] += np.conj(half, out=half)[:0:-1]
         out.flags.writeable = False   # shared by every caller of the cache
         return out
 

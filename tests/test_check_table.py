@@ -11,16 +11,18 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitlab import kernels, poisson, randomness, verify
+from limitlab import kernels, poisson, quadrature, randomness, verify
 from limitlab.cli import main
 from limitlab.constructions import StepConstruction
 from limitlab.functions import StepFunction
 from limitlab.intervals import IntervalUnion
 from limitlab.kernels import FejerSum
 from limitlab.randomness import integral_test_partial
+from limitlab.trig import TrigPoly
 
 from test_cli import FAST_VERIFY, VERIFY_ALL_IDS
 
@@ -567,6 +569,72 @@ def test_nan_kernel_values_fail_every_row_that_reads_them(monkeypatch):
         "fejer.cesaro_mean", "fejer.lower_bound", "fejer.lp_equivalence",
         "poisson.positivity", "poisson.sup_bound", "poisson.unit_mass",
         "poisson.window_floor"]
+
+
+# the rows that compare a Fejer-sum or Poisson value with a floor or bound
+NAN_ROWS = ["fourier.spectrum", "fourier.stage_floor", "step.radial_floor",
+            "ml.contraction", "chain.schnorr_convergence", "tents.poisson_decay"]
+
+
+@pytest.fixture(scope="module")
+def nan_verify_all():
+    """verify-all with every Poisson value and every FejerSum value NaN, at
+    the FAST_VERIFY caps but m_max 12, where step.radial_floor and
+    chain.schnorr_convergence run too."""
+    real = FejerSum.eval
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (poisson, verify):
+            mp.setattr(module, "poisson_evaluator", lambda f: lambda x, y: math.nan)
+        mp.setattr(verify, "poisson_integral", lambda f, x, y: math.nan)
+        mp.setattr(FejerSum, "eval", lambda self, t: real(self, t) * math.nan)
+        caps = verify.Caps(kernel_n_max=6, lower_bound_n_max=8, grid_points=64, n_max=1,
+                           m_max=12, s_max=5, k_max=1, samples=10, weak_type_count=1)
+        return {r.check_id: r for r in verify.verify_all(caps)}
+
+
+@pytest.mark.parametrize("check_id", NAN_ROWS)
+def test_nan_values_fail_the_rows_that_compare_them(nan_verify_all, check_id):
+    """Each comparison reads `not value <= bound`, so a NaN value fails the
+    row, and the failure reports the NaN."""
+    result = nan_verify_all[check_id]
+    assert result.status == "fail"
+    assert any(isinstance(v, float) and math.isnan(v) for v in result.details.values())
+
+
+def two_integral_convolution_error(seed):
+    """Reference for dirichlet.partial_sum_convolution: the real and the
+    imaginary integral each evaluate D_N(t - s) p(s) on their own."""
+    rng = random.Random(seed + 3)
+    worst = 0.0
+    for _ in range(5):
+        degree = rng.randint(1, 8)
+        coeffs = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for n in range(-degree, degree + 1)}
+        poly = TrigPoly.from_coeffs(coeffs, exact=False)
+        n_cut = rng.randint(0, 8)
+        for _ in range(3):
+            t = rng.uniform(-math.pi, math.pi)
+            direct = poly.partial_sum(n_cut).eval(t)
+            parts = [quadrature.integrate(
+                lambda s: part(kernels.dirichlet_eval(n_cut, t - s) * poly.eval(s)),
+                -math.pi, math.pi, tol=1e-10) / (2 * math.pi) for part in (np.real, np.imag)]
+            worst = max(worst, abs(complex(*parts) - direct))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_dirichlet_convolution_evaluates_each_node_array_once(monkeypatch, seed):
+    """Both integrals share one product per node array: half the D_N calls
+    of integrating each part on its own (120 at seed 7), the same error."""
+    want = two_integral_convolution_error(seed)
+    real = kernels.dirichlet_eval
+    calls = []
+    monkeypatch.setattr(kernels, "dirichlet_eval",
+                        lambda n, x: calls.append(len(x)) or real(n, x))
+    ok, details = verify._check_dirichlet_convolution(
+        verify.VerifyContext(verify.Caps(seed=seed)))
+    assert ok and details["worst_abs_error"] == want
+    assert len(calls) == {0: 57, 7: 60}[seed]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -110,12 +110,59 @@ PINNED_BUILDS = {
 }
 
 
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 @pytest.mark.parametrize("args", sorted(PINNED_BUILDS), ids="-".join)
 def test_large_build_artifacts_are_pinned(tmp_path, args):
     out = tmp_path / "o"
     assert main(["build", "--construction", *args, "--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == PINNED_BUILDS[args]
+    assert _digests(out) == PINNED_BUILDS[args]
+
+
+# The Fourier artifacts at p = 2, 1.5 and 3: every stage's energy comes from
+# FejerSum.coefficients (and, at p != 2, fourier.spectrum sums them), so a
+# change to that kernel that moves one bit of a coefficient shows here.
+PINNED_FOURIER = {
+    ("fourier-trace", "--n-max", "5", "--point=41/64"): {
+        "fourier_construction.json":
+            "059c6483b61ab203fd5a36e39217a7eb755b12c1351031e4919429084c1ca334",
+        "fourier_trace.csv":
+            "e69356974213c2e008642a3586cfb962b8cb0abed6a74cd80a6ab3132220ee09",
+        "verification_report.json":
+            "117c78fb5f9d03e019ddcb01df53205ada0dc5c2c17d0100475afdddd6740530",
+    },
+    ("fourier-trace", "--p", "1.5", "--n-max", "2", "--point=41/64"): {
+        "fourier_construction.json":
+            "f37de466612d46778214e1df3a34f683aca239cda68b6f8e80ae93e58f152c47",
+        "fourier_trace.csv":
+            "48be0034afbade84389160662f57a08eac70ba23924b8237f6055744fbd252de",
+        "verification_report.json":
+            "576c3979cd1f76c6d5fa64faaa459e391b2bb6497339f1a8213dba90d230869d",
+    },
+    ("fourier-trace", "--p", "3", "--n-max", "1"): {
+        "fourier_construction.json":
+            "21da591c5b77cf08a7ad85348ece42c4ae17627bd4cf74af28485a13ba306024",
+        "fourier_trace.csv":
+            "a3dc74663d7c7eefa92a0bb4f805f8320bc932c9b1be67c253ee4d10cb5d4de4",
+        "verification_report.json":
+            "5ed0779e6a29f039669ea9803cbfe5843e96ff38da4e1511cc8b7612ddbb43f6",
+    },
+    ("build", "--construction", "fourier", "--n-max", "3"): {
+        "fourier_construction.json":
+            "9a67abb6e24ecf2fd77b593b9566b3aed02d0fbdd0395b67a05e26da2eaddcde",
+        "verification_report.json":
+            "47b5a17a8e4e4ef8e284905642eca0d1e95d7f3d3a88e1e45a230a33f1168a72",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_FOURIER), ids="-".join)
+def test_fourier_artifacts_are_pinned(tmp_path, args):
+    out = tmp_path / "o"
+    assert main([*args, "--out", str(out)]) == 0
+    assert _digests(out) == PINNED_FOURIER[args]
 
 
 def test_config_file_with_flag_override(tmp_path):

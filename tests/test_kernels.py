@@ -8,12 +8,14 @@ and scipy adaptive quadrature for Poisson interval masses.
 """
 
 import cmath
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 from scipy.integrate import quad
 
 from limitlab import kernels
@@ -155,6 +157,45 @@ centers_strategy = st.lists(
     min_size=1, max_size=5)
 
 
+def two_sided_coefficients(g):
+    """Reference for FejerSum.coefficients: each term's phases taken for
+    every m = -k..k, with no mirror."""
+    size = g.degree
+    out = np.zeros(2 * size + 1, dtype=complex)
+    for term in g.terms:
+        k = term.degree
+        ms = np.arange(-k, k + 1)
+        phases = np.zeros(len(ms), dtype=complex)
+        for c in term.centers:
+            phases += np.exp(-1j * ms * c)
+        out[size - k:size + k + 1] += (1.0 - np.abs(ms) / (term.order + 1)) * term.weight * phases
+    return out
+
+
+def bitwise_two_sided(g):
+    return np.array_equal(g.coefficients.view(np.int64),
+                          two_sided_coefficients(g).view(np.int64))
+
+
+float_centers = st.lists(
+    st.one_of(st.sampled_from([0.0, math.pi, -math.pi]),
+              st.floats(-2.0 ** 20, 2.0 ** 20)),
+    min_size=1, max_size=9)
+
+
+@st.composite
+def fejer_sums(draw):
+    """Sums of one to four stages of orders 0..3000, sometimes cut below
+    the largest order."""
+    stages = draw(st.lists(st.builds(FejerSum.stage, st.floats(2.0 ** -4, 16.0),
+                                     st.integers(0, 3000), float_centers),
+                           min_size=1, max_size=4))
+    g = functools.reduce(operator.add, stages)
+    if draw(st.booleans()):
+        g = g.partial_sum(draw(st.integers(0, g.degree)))
+    return g
+
+
 class TestFejerSum:
     @settings(max_examples=40, deadline=None)
     @given(order=st.integers(0, 300), centers=centers_strategy,
@@ -187,6 +228,21 @@ class TestFejerSum:
         # S_0 of a stage is its mean C s/(N+1)
         assert (a + b).partial_sum(0).eval(0.3) == pytest.approx(1 / 5 + 2 * 2 / 10)
         assert FejerSum().eval(1.0) == 0.0 and FejerSum().degree == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=fejer_sums())
+    def test_mirrored_coefficients_are_bitwise_the_two_sided_sum(self, g):
+        assert not g.coefficients.flags.writeable
+        assert bitwise_two_sided(g)
+
+    def test_mirror_without_conjugate_breaks_the_property(self, monkeypatch):
+        """Negative control: with np.conj the identity, the mirrored half
+        has the wrong sign of sin(mc), and the property finds a sum it
+        fails on."""
+        monkeypatch.setattr(np, "conj", lambda a, out=None: a)
+        bad = find(fejer_sums(), lambda g: not bitwise_two_sided(g),
+                   settings=settings(database=None))
+        assert bad.degree >= 1
 
     def test_panel_edges_anchor_every_centre(self):
         g = FejerSum.stage(1, 729, [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 1)])
