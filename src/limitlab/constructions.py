@@ -19,13 +19,14 @@ records plus closed-form limit accessors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .functions import PiecewiseLinear, StepFunction
-from .intervals import (IntervalUnion, RationalInterval, _on_grid, _ones, _sweep, frac,
-                        frac_str, normalize)
+from .functions import PiecewiseLinear, StepFunction, _sum_vertices
+from .intervals import (IntervalUnion, RationalInterval, _grid_points, _on_grid, _ones,
+                        _sweep, frac, frac_str, normalize)
 from .kernels import FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
 
@@ -220,16 +221,33 @@ def _step_stages(stages: Sequence[IntervalUnion]) -> Iterator[StepFunction]:
     """f_m = sum_{k <= m} 2^-k * indicator(shell_k minus stages[m]) for each m,
     with shell_k = [-k-1, k+1].
 
-    Built incrementally: H_m = H_{m-1} + 2^-m * indicator(shell_m) is the sum
-    without the stage removed, and since H_m vanishes outside shell_m,
-    f_m = H_m restricted to shell_m minus stages[m].  This holds for any
-    sequence of stages, nested or not.
+    Written from the closed form of H_m = sum_{k <= m} 2^-k 1[shell_k], the
+    sum without the stage removed: a staircase that takes 2^{1-k} - 2^-m on
+    the steps [-(k+1), -k) and (k, k+1] for k = 1..m, and 2 - 2^-m on
+    [-1, 1] (k = 0).  Its values fall strictly with k, so these 2m + 1
+    pieces are its canonical form.  The step intervals are built once and
+    shared by every stage; f_m is H_m off stages[m], so only the pieces that
+    meet the stage's hull are cut, each by one difference with the stage.
+    This holds for any sequence of stages, nested or not.
     """
-    h = StepFunction.zero()
+    top = len(stages) - 1
+    # the steps of the deepest staircase, left to right, with their shell
+    # index k, and the integer ends between them
+    steps = ([(RationalInterval(-(k + 1), -k, True, False), k) for k in range(top, 0, -1)]
+             + [(RationalInterval(-1, 1), 0)]
+             + [(RationalInterval(k, k + 1, False, True), k) for k in range(1, top + 1)])
+    ends = list(range(-(top + 1), 0)) + list(range(1, top + 2))
     for m, stage in enumerate(stages):
-        shell = IntervalUnion.single(-(m + 1), m + 1)
-        h = h + StepFunction.indicator(shell, Fraction(1, 2 ** m))
-        yield h.restrict(shell.difference(stage))
+        values = [Fraction(2 ** (m + 1 - k) - 1, 2 ** m) for k in range(m + 1)]
+        first, last = top - m, top + m + 1  # stage m's steps
+        pieces = [(iv, values[k]) for iv, k in steps[first:last]]
+        if stage.parts:
+            # the steps whose closures meet the stage's closed hull
+            i0 = max(bisect_left(ends, stage.parts[0].lo, first, last + 1) - 1, first) - first
+            i1 = min(bisect_right(ends, stage.parts[-1].hi, first, last + 1), last) - first
+            pieces[i0:i1] = [(part, v) for iv, v in pieces[i0:i1]
+                             for part in IntervalUnion((iv,)).difference(stage).parts]
+        yield StepFunction(tuple(pieces))
 
 
 def _stage_bounds(f_cur: StepFunction, f_next: StepFunction,
@@ -257,8 +275,9 @@ def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
     plain geometric guarantee, as produced by nest_tail).  Every recorded
     bound is an exact rational comparison: stage mass, increment L1 norm,
     monotonicity, and vanishing on the stage.  The stages come from the
-    recurrence of _step_stages, and each stage's four bounds from one sweep
-    (_stage_bounds).
+    closed-form staircase of _step_stages, and each stage's four bounds from
+    one independent sweep (_stage_bounds), so the build checks what it
+    builds.
     """
     if not test.nested:
         raise ValueError("the step construction needs a nested test family")
@@ -297,19 +316,27 @@ def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
 # tent construction (flip-flop stages with vanishing L1 norms)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _tent_vertices(interval: RationalInterval) -> tuple:
+    """The four vertices of the tent on [a, b], at the quarters 0, 1, 3 and
+    4 of the interval.  The inner two are taken on the interval's integer
+    grid (intervals._on_grid): with a = p/D and b = q/D they are
+    (4p + c (q - p))/4D for c = 1, 3, one Fraction each."""
+    a, b = interval.lo, interval.hi
+    if a >= b:
+        raise ValueError("tent needs a non-degenerate interval")
+    d, (p, q) = _on_grid((a, b))
+    rise, fall = _grid_points(4 * p, q - p, 4 * d, (1, 3))
+    return (a, _ZERO), (rise, _ONE), (fall, _ONE), (b, _ZERO)
+
+
 def tent(interval: RationalInterval) -> PiecewiseLinear:
     """The unit plateau bump on [a, b]: ramps up over the first quarter,
     holds 1 over the middle half, ramps down over the last quarter.
     Exact L1 norm 3(b-a)/4."""
-    a, b = interval.lo, interval.hi
-    if a >= b:
-        raise ValueError("tent needs a non-degenerate interval")
-    return PiecewiseLinear((
-        (a, Fraction(0)),
-        ((3 * a + b) / 4, Fraction(1)),
-        ((a + 3 * b) / 4, Fraction(1)),
-        (b, Fraction(0)),
-    ))
+    return PiecewiseLinear(_tent_vertices(interval))
 
 
 @dataclass
@@ -344,7 +371,9 @@ class TentConstruction:
 
 def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
     """Even stages are 0; stage s = 2n+1 sums tents over the first s
-    enumerated intervals of test stage n.
+    enumerated intervals of test stage n.  The tents' vertex lists
+    (_tent_vertices) go straight into the PL sum's kernel
+    (functions._sum_vertices), so a stage forms one PiecewiseLinear.
 
     Exact per odd stage: the L1 norm is at most the total enumerated length,
     which is at most (2n+1) times the stage measure, hence at most
@@ -360,7 +389,7 @@ def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
             continue
         n = (s - 1) // 2
         intervals = enumerate_intervals(test, n, s)
-        f = PiecewiseLinear.sum(tent(iv) for iv in intervals)
+        f = _sum_vertices([v for iv in intervals for v in _tent_vertices(iv)])
         l1 = f.l1_norm()
         total_len = sum((iv.length for iv in intervals), Fraction(0))
         stage_measure = test.stage(n).measure()

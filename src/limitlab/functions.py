@@ -309,44 +309,11 @@ class PiecewiseLinear:
 
     @staticmethod
     def sum(functions: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
-        """Exact sum of any number of functions in one sweep.
-
-        Each function contributes its slope change at each of its vertices;
-        walking the union of all vertices in order and integrating the
-        accumulated slope gives the exact sum there.  The vertex set is that
-        union, trimmed once at the ends; a left fold of `+` gives the same
-        function, at times with fewer vertices where zero runs were trimmed.
-        """
-        vertices = [v for f in functions for v in f.vertices]
-        points, index, (_, xs) = _index(x for x, _ in vertices)
-        dy, ys = _on_grid(y for _, y in vertices)
-        at = [index[x.as_integer_ratio()] for x, _ in vertices]
-        # On the grids the slope from vertex i0 to i1 is (rise/run) Dx/Dy for
-        # integers rise and run; it starts at i0 and stops at i1 as the reduced
-        # ratio a/b.  Neighbours from two functions join a last vertex to a
-        # first, both at y = 0, so they are skipped as flat.
-        changes = []
-        for i0, i1, y0, y1 in zip(at, at[1:], ys, ys[1:]):
-            if y1 != y0:
-                rise, run = y1 - y0, xs[i1] - xs[i0]
-                g = math.gcd(rise, run)
-                changes.append((i0, i1, rise // g, run // g))
-        # kinks over one slope denominator M: the walk adds slope * (grid
-        # step), so the value at each vertex is an integer over M Dy
-        m = math.lcm(*{b for *_, b in changes})
-        kinks = [0] * len(points)
-        for i0, i1, a, b in changes:
-            kink = a * (m // b)
-            kinks[i0] += kink
-            kinks[i1] -= kink
-        verts = []
-        value = slope = prev = 0
-        for x, key, kink in zip(points, xs, kinks):
-            value += slope * (key - prev)
-            verts.append((x, Fraction(value, m * dy)))
-            slope += kink
-            prev = key
-        return _trimmed(verts)
+        """Exact sum of any number of functions in one sweep (_sum_vertices
+        over their vertex lists, one after another); a left fold of `+` gives
+        the same function, at times with fewer vertices where zero runs were
+        trimmed."""
+        return _sum_vertices([v for f in functions for v in f.vertices])
 
     def _combine(self, other: "PiecewiseLinear", sign: int) -> "PiecewiseLinear":
         return PiecewiseLinear.sum((self, other if sign > 0 else other.scale(-1)))
@@ -376,6 +343,47 @@ class PiecewiseLinear:
     def window_integral(self, lo, hi) -> Fraction:
         """Exact integral over [lo, hi]: the difference of two cumulative values."""
         return _window(self, lo, hi)
+
+
+def _sum_vertices(vertices: list) -> PiecewiseLinear:
+    """The sum of the functions whose vertex lists (x, y), each with x
+    strictly increasing and y = 0 at both ends, are joined one after another
+    in `vertices`.
+
+    Each function contributes its slope change at each of its vertices;
+    walking the union of all vertices in order and integrating the
+    accumulated slope gives the exact sum there.  The vertex set is that
+    union, trimmed once at the ends.
+    """
+    points, index, (_, xs) = _index(x for x, _ in vertices)
+    dy, ys = _on_grid(y for _, y in vertices)
+    at = [index[x.as_integer_ratio()] for x, _ in vertices]
+    # On the grids the slope from vertex i0 to i1 is (rise/run) Dx/Dy for
+    # integers rise and run; it starts at i0 and stops at i1 as the reduced
+    # ratio a/b.  Neighbours from two functions join a last vertex to a
+    # first, both at y = 0, so they are skipped as flat.
+    changes = []
+    for i0, i1, y0, y1 in zip(at, at[1:], ys, ys[1:]):
+        if y1 != y0:
+            rise, run = y1 - y0, xs[i1] - xs[i0]
+            g = math.gcd(rise, run)
+            changes.append((i0, i1, rise // g, run // g))
+    # kinks over one slope denominator M: the walk adds slope * (grid
+    # step), so the value at each vertex is an integer over M Dy
+    m = math.lcm(*{b for *_, b in changes})
+    kinks = [0] * len(points)
+    for i0, i1, a, b in changes:
+        kink = a * (m // b)
+        kinks[i0] += kink
+        kinks[i1] -= kink
+    verts = []
+    value = slope = prev = 0
+    for x, key, kink in zip(points, xs, kinks):
+        value += slope * (key - prev)
+        verts.append((x, Fraction(value, m * dy)))
+        slope += kink
+        prev = key
+    return _trimmed(verts)
 
 
 def _window(f, lo, hi) -> Fraction:

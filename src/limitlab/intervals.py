@@ -63,12 +63,15 @@ class RationalInterval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("a degenerate interval must be closed on both ends")
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", frac(self.lo))
+            object.__setattr__(self, "hi", frac(self.hi))
+        # one comparison in the common case lo < hi
+        if not self.lo < self.hi:
+            if self.lo > self.hi:
+                raise ValueError(f"interval endpoints out of order: {self}")
+            if not (self.lo_closed and self.hi_closed):
+                raise ValueError("a degenerate interval must be closed on both ends")
 
     @property
     def length(self) -> Fraction:
@@ -241,6 +244,12 @@ def _on_grid(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*{q for _, q in ratios})
     return d, [p * (d // q) for p, q in ratios]
+
+
+def _grid_points(base: int, step: int, d: int, counts: Iterable[int]) -> list[Fraction]:
+    """The points (base + c step) / D for each c of counts, one Fraction
+    each: whole steps along a line of the integer grid over D."""
+    return [Fraction(base + c * step, d) for c in counts]
 
 
 def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict, tuple[int, list[int]]]:

@@ -20,10 +20,13 @@ evaluator: the pieces of |f| are converted to float rows once, and every
 height of the grid is evaluated in one (heights x points) array pass
 through the same closed form as poisson_integral, in blocks of EVAL_CHUNK
 points, so each value is bitwise the one a per-height call gives.  A
-radial trace evaluates all its heights the same way, at its one point, and
-reads its exact window masses from the function's cumulative table, which
-is built once per function.  It has one
-superlevel-set routine, superlevel_set: envelope pruning, a windowed sign
+radial trace evaluates all its heights the same way, at its one point.
+Its exact window masses come from the function's cumulative table, built
+once per function, for the windows that reach past the linear piece of f
+holding the point (a row, or a gap where f is 0) and for the widest one
+inside it; a window inside that piece has the mass f(x) y, so the
+narrower ones scale the widest one's mass.  It has one superlevel-set
+routine, superlevel_set: envelope pruning, a windowed sign
 scan, edge bisection with all edges of a set bisected together, and
 outward dyadic rounding.  The sign scan only asks whether the max exceeds
 alpha, so it takes as few heights per point as the point needs: every
@@ -40,6 +43,7 @@ randomness both read their sets from it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -305,28 +309,66 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
 
     The pieces are converted to float rows once and every height is
     evaluated in one (heights x 1) pass of the closed form, so each value is
-    bitwise the one poisson_integral gives.  The window masses are exact,
-    read from one f.cumulative call over all window ends.
+    bitwise the one poisson_integral gives.  The window masses are exact:
+    the piece of f that holds x is located once, the windows inside it
+    scale the widest one's mass, and only that one and the windows past the
+    piece read f.cumulative (_window_masses).
     """
     values = _closed_form(_rows(f), _as_xs(x), _heights(y_seq))[:, 0]
     nonneg = f.is_nonnegative()
     if nonneg:
-        at = Fraction(x)
-        ends = f.cumulative([at + side * Fraction(y) / 2
-                             for y in y_seq for side in (-1, 1)])
+        masses = _window_masses(f, Fraction(x), [Fraction(y) for y in y_seq])
     entries = []
     for j, y in enumerate(y_seq):
         value = float(values[j])
         lower = None
         if nonneg:
-            window_mass = float(ends[2 * j + 1] - ends[2 * j])
-            lower = 4.0 / (5.0 * math.pi * y) * window_mass
+            lower = 4.0 / (5.0 * math.pi * y) * masses[j]
             if value < lower - 1e-9 * max(1.0, abs(lower)):
                 raise AssertionError(
                     f"Poisson value {value} under its certified floor {lower} at y={y}"
                 )
         entries.append(RadialEntry(float(y), value, lower, nonneg))
     return RadialTrace(float(x), entries)
+
+
+def _window_masses(f, at: Fraction, heights: list[Fraction]) -> list[float]:
+    """The exact mass of f on each window [at - y/2, at + y/2], rounded once
+    to a float.
+
+    The windows nest as y falls.  On the linear piece of f that holds `at`,
+    a row or a gap between rows (where f is 0), a window centred at `at` has
+    the mass f(at) y, so the windows inside that piece scale the mass of the
+    first of them (the widest, as y falls) by y; every mass thus still
+    comes from the cumulative table.  The piece is located once, and only
+    the windows past it and that first one read f.cumulative, in one call.
+    A point on a row end lies in no one piece, and every window reads
+    f.cumulative.
+    """
+    rows = f.rows
+    k = bisect_right(rows, at, key=lambda row: row[0].lo)  # rows starting at or before at
+    if k and at < rows[k - 1][0].hi:
+        lo, hi = rows[k - 1][0].lo, rows[k - 1][0].hi
+    else:
+        lo = rows[k - 1][0].hi if k else -math.inf
+        hi = rows[k][0].lo if k < len(rows) else math.inf
+    widest = 2 * min(at - lo, hi - at)  # 0 on a row end, where no window fits
+    fits = [y <= widest for y in heights]
+    inner = [y for y, fit in zip(heights, fits) if fit][:1]
+    read = [y for y, fit in zip(heights, fits) if not fit] + inner
+    ends = f.cumulative([at + side * y / 2 for y in read for side in (-1, 1)])
+    exact = [above - below for below, above in zip(ends[::2], ends[1::2])]
+    if inner:
+        (p, q), (c, d) = exact.pop().as_integer_ratio(), inner[0].as_integer_ratio()
+    exact = iter(exact)
+    masses = []
+    for y, fit in zip(heights, fits):
+        if fit:
+            a, b = y.as_integer_ratio()
+            masses.append(p * a * d / (q * b * c))  # one rounding, as float(Fraction)
+        else:
+            masses.append(float(next(exact)))
+    return masses
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import IntervalUnion, RationalInterval, frac, normalize
+from .intervals import (IntervalUnion, RationalInterval, _grid_points, _on_grid, frac,
+                        normalize)
 from .functions import PiecewiseLinear, StepFunction
 from .poisson import DEFAULT_Y_GRID, EDGE_SLACK, superlevel_set
 
@@ -81,6 +82,8 @@ def nest_tail(family: TestFamily) -> TestFamily:
 
     The output is nested by construction and its measures satisfy the
     geometric tail bound, which costs one exponent of the input guarantee.
+    The tail union of a nested family is its first stage, so a nested input
+    keeps its own stages.
     """
     if not family.stages:
         raise ValueError("family must have at least one stage")
@@ -88,6 +91,9 @@ def nest_tail(family: TestFamily) -> TestFamily:
         return family
     if family.bound_exponent == 0:
         raise ValueError("tail nesting needs at least one exponent of slack")
+    if family.nested:
+        return TestFamily(family.stages, bound_exponent=family.bound_exponent - 1,
+                          nested=True)
     tails = []
     acc = IntervalUnion.empty()
     for stage in reversed(family.stages):
@@ -98,27 +104,20 @@ def nest_tail(family: TestFamily) -> TestFamily:
                       nested=True)
 
 
-def _part_subinterval(part: RationalInterval, j: int) -> RationalInterval:
-    """j-th closed dyadic sub-interval of a maximal part.
-
-    j = 0 is the middle half of the whole part; later j walk the dyadic
-    refinement levels left to right, taking the middle half of each cell.
-    Every result lies strictly inside the part, so it is a valid closed
-    sub-interval even of an open part.
-    """
-    if part.is_point:
-        return RationalInterval(part.lo, part.lo)
-    level = (j + 1).bit_length() - 1
-    pos = j - (2 ** level - 1)
-    cell_len = part.length / 2 ** level
-    cell_lo = part.lo + cell_len * pos
-    return RationalInterval(cell_lo + cell_len / 4, cell_lo + 3 * cell_len / 4)
-
-
 def enumerate_intervals(family: TestFamily, n: int, s: int) -> list[RationalInterval]:
     """First s intervals of the canonical enumeration of closed rational
     sub-intervals of stage n: round-robin over maximal parts left to right,
-    refining each part by dyadic subdivision."""
+    refining each part by dyadic subdivision.
+
+    The j-th interval of a part is the middle half of its j-th dyadic cell:
+    j = 0 is the middle half of the whole part, and later j walk the
+    refinement levels left to right.  Every result lies strictly inside the
+    part, so it is a valid closed sub-interval even of an open part; a point
+    part gives the point.  The ends are eighths 2 and 6 of the cell, taken
+    on the part's integer grid (intervals._on_grid): with lo = a/D and
+    hi - lo = w/D, eighth e of the cell at level l and position p is
+    (2^(l+3) a + (8p + e) w) / (2^(l+3) D), one Fraction per end.
+    """
     if not 0 <= n <= family.depth:
         raise ValueError(f"stage index {n} outside 0..{family.depth}")
     if s < 1:
@@ -126,10 +125,21 @@ def enumerate_intervals(family: TestFamily, n: int, s: int) -> list[RationalInte
     parts = family.stage(n).parts
     if not parts:
         raise ValueError(f"stage {n} is empty")
+    grids = []
+    for part in parts[:s]:
+        d, (a, b) = _on_grid((part.lo, part.hi))
+        grids.append((a, b - a, d))
     out = []
     for r in range(s):
-        part = parts[r % len(parts)]
-        out.append(_part_subinterval(part, r // len(parts)))
+        i, j = r % len(parts), r // len(parts)
+        a, w, d = grids[i]
+        if not w:
+            out.append(RationalInterval(parts[i].lo, parts[i].lo))
+            continue
+        level = (j + 1).bit_length() - 1
+        # eighth 0 of the cell at position j + 1 - 2^level, over 2^(level+3) D
+        cell = (a << (level + 3)) + 8 * w * (j + 1 - (1 << level))
+        out.append(RationalInterval(*_grid_points(cell, w, d << (level + 3), (2, 6))))
     return out
 
 

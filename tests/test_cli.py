@@ -74,10 +74,10 @@ def test_build_writes_dump_without_trace(tmp_path):
     assert not (out / "poisson_trace.csv").exists()
 
 
-# sha256 of every artifact of the two largest baseline builds, and of two builds
+# sha256 of every artifact of the two largest baseline builds, and of four builds
 # at a point with an odd denominator, where the exact merges meet breakpoints
 # and values whose common denominator is no power of two: a faster exact
-# merge or stage recurrence must leave every byte of them in place
+# merge or stage construction must leave every byte of them in place
 PINNED_BUILDS = {
     ("schnorr-poisson", "--m-max", "60"): {
         "step_construction.json":
@@ -106,6 +106,20 @@ PINNED_BUILDS = {
             "74027223e3bd37e6c329badd08e24b26df3f902dd33a38544a3d6977631c7501",
         "verification_report.json":
             "6bb26a18f1f533c7ed781245b09d549e23a63b1730f5ce2f0e84fdbae32afa09",
+    },
+    ("schnorr-poisson", "--m-max", "120", "--point=12345/65537"): {
+        "step_construction.json":
+            "37d5cec47acc5ef0d72ac8b3b3293e780a54d8f5e1bc2de8f808323eea3860d2",
+        "verification_report.json":
+            "d80f35b2597c8fafb1bb8ba5249b2147849f7dd60de2616c4e7f798a5d2fd6a3",
+    },
+    ("ml-poisson", "--s-max", "161", "--point=12345/65537"): {
+        "tent_construction.json":
+            "5cc5e40dc7110e78a2a4a05d6632e017e6b0d84637897e1d87f059306f8231c0",
+        "tent_stages.csv":
+            "23720e489d2265eb93327cfa941071c72cd14ddcdf7e7100307dec2358cfef1b",
+        "verification_report.json":
+            "bcc522103c0566a10da7f4ceda04d388a2c101736d9d1c6ecb7958fd42b8bd8b",
     },
 }
 
@@ -163,6 +177,38 @@ def test_fourier_artifacts_are_pinned(tmp_path, args):
     out = tmp_path / "o"
     assert main([*args, "--out", str(out)]) == 0
     assert _digests(out) == PINNED_FOURIER[args]
+
+
+# The README's two poisson-trace commands at a point with an odd
+# denominator: the radial trace's exact window masses (lower_bound column)
+# and every stage function they read must keep every byte.
+PINNED_TRACES = {
+    ("schnorr-poisson", "--point=12345/65537", "--m-max", "24"): {
+        "poisson_trace.csv":
+            "a95f42f98ea3d679a4553ea0cdac3a11c8159acf2452ba94ac1fe80f877259f7",
+        "step_construction.json":
+            "b8fd5567c0f6844743a657760fc2c99241c0ae9e0dbd7805c98355d24557fa2c",
+        "verification_report.json":
+            "c9c6b410a20d80f037eca2f42371516b703405a39ae4207a18a002e378003a08",
+    },
+    ("ml-poisson", "--point=12345/65537", "--s-max", "41"): {
+        "poisson_trace.csv":
+            "6b4f407ddfc9088d9ade987d8f8478ea435ba22da66e283b4782d50bc13893ce",
+        "tent_construction.json":
+            "8395c04dd4cee7db949e0e38feca4cb38ee8782ccd9e7edf2531dff32f5e6648",
+        "tent_stages.csv":
+            "565fceb096af9df36881e78a96da8e3d9552c4196f141d6f5942ffee29a27e4a",
+        "verification_report.json":
+            "31deb984e4f56a9d9f451e8d619b179747b1924b8252e78575449cb1f51f7937",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_TRACES), ids="-".join)
+def test_poisson_trace_artifacts_are_pinned(tmp_path, args):
+    out = tmp_path / "o"
+    assert main(["poisson-trace", "--construction", *args, "--out", str(out)]) == 0
+    assert _digests(out) == PINNED_TRACES[args]
 
 
 def test_config_file_with_flag_override(tmp_path):

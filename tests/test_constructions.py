@@ -192,6 +192,17 @@ def step_stage_function(stages, m: int) -> StepFunction:
     return StepFunction.from_weighted_regions(terms)
 
 
+def recurrence_stages(stages):
+    """The three-sweep recurrence _step_stages replaced, kept as an oracle:
+    H_m = H_{m-1} + 2^-m indicator(shell_m), then f_m = H_m restricted to
+    shell_m minus stages[m]."""
+    h = StepFunction.zero()
+    for m, stage in enumerate(stages):
+        shell = IntervalUnion.single(-(m + 1), m + 1)
+        h = h + StepFunction.indicator(shell, Fraction(1, 2 ** m))
+        yield h.restrict(shell.difference(stage))
+
+
 # Endpoints on a quarter grid over [-4, 4], so stage parts straddle, touch
 # and share the shell ends, with open and closed ends and point parts.
 grid_st = st.integers(-16, 16).map(lambda k: Fraction(k, 4))
@@ -219,16 +230,28 @@ def nested_stages_st(draw):
     return stages
 
 
-@given(nested_stages_st())
+# Ends on a third grid over [-7, 7]: parts reach past the shells of the first
+# stages and fall inside those of the last.
+wide_grid_st = st.integers(-21, 21).map(lambda k: Fraction(k, 3))
+
+free_stages_st = st.lists(region_st(points=wide_grid_st), min_size=1, max_size=7)
+
+
+@given(st.one_of(nested_stages_st(), free_stages_st))
 @settings(max_examples=200, deadline=None)
 def test_incremental_stages_match_direct_definition(stages):
+    """The closed-form staircase gives every stage of any sequence, nested
+    or not, as the direct definition and the three-sweep recurrence do."""
     fns = list(_step_stages(stages))
     assert fns == [step_stage_function(stages, m) for m in range(len(stages))]
+    assert fns == list(recurrence_stages(stages))
     for m, (f, g) in enumerate(zip(fns, fns[1:])):
         mass, increment, monotone, vanishes = _stage_bounds(f, g, stages[m])
         assert mass == f.integral()
         assert increment == (g - f).l1_norm()
-        assert monotone and vanishes
+        assert vanishes
+        if stages[m + 1].subset_of(stages[m]):
+            assert monotone
 
 
 step_st = st.lists(st.tuples(st.sampled_from([Fraction(w) for w in (-1, "1/2", 1, 2)]),

@@ -856,6 +856,60 @@ def test_radial_trace_matches_per_height_calls(inputs):
             assert e.lower_bound is None
 
 
+@st.composite
+def window_mass_inputs(draw):
+    """Step or piecewise-linear data, signed or not; x on a breakpoint,
+    within 2^-40 .. 2^-1 of one, or off the support; heights in any order."""
+    f = draw(row_data_st)
+    if draw(st.booleans()):
+        f = f.abs()
+    points = f.breakpoints() or [Fraction(0)]
+    where = draw(st.sampled_from(["on", "near", "off"]))
+    x = float(draw(st.sampled_from(points)))
+    if where == "near":
+        x += draw(st.sampled_from([1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 40))
+    elif where == "off":
+        x = float(draw(st.sampled_from([points[0] - 1, points[-1] + 1])))
+        x += draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-20, 4))
+    exps = draw(st.lists(st.floats(-3, 30), min_size=1, max_size=8))
+    return f, x, [2.0 ** -e for e in exps]
+
+
+@given(window_mass_inputs())
+@settings(max_examples=150, deadline=None)
+def test_window_masses_match_cumulative_differences(inputs):
+    """Every window mass is the float of its f.cumulative difference, signed
+    data included; the trace attaches those masses' floors to nonnegative
+    data and no floor to signed data."""
+    f, x, ys = inputs
+    at = Fraction(x)
+    want = []
+    for y in ys:
+        below, above = f.cumulative((at - Fraction(y) / 2, at + Fraction(y) / 2))
+        want.append(float(above - below))
+    assert poisson._window_masses(f, at, [Fraction(y) for y in ys]) == want
+    heights = sorted(set(ys), reverse=True)
+    for e in radial_trace(f, x, heights).entries:
+        if f.is_nonnegative():
+            assert e.lower_bound == 4.0 / (5.0 * math.pi * e.y) * want[ys.index(e.y)]
+        else:
+            assert e.lower_bound is None
+
+
+@pytest.mark.parametrize("x,reads", [(0.25, 2), (0.0, 31), (1.0, 31), (3.0, 1), (-0.5, 1)])
+def test_only_windows_past_the_piece_read_the_cumulative_table(monkeypatch, x, reads):
+    """On the indicator of [0, 1] at the default heights: at 1/4 the window
+    y = 1 reaches past the row and y = 1/2 is the widest inside it; on a
+    row end every window reads the table; off the support one window does."""
+    f = StepFunction.indicator(IntervalUnion.single(0, 1))
+    seen = []
+    cumulative = StepFunction.cumulative
+    monkeypatch.setattr(StepFunction, "cumulative",
+                        lambda self, ts: seen.append(len(ts)) or cumulative(self, ts))
+    radial_trace(f, x)
+    assert seen == [2 * reads]
+
+
 @pytest.mark.parametrize("f", [StepFunction.indicator(IntervalUnion.single(-1, 1), 2),
                                tent(RationalInterval(-1, 1))])
 def test_overstated_window_mass_breaks_the_floor(monkeypatch, f):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from limitlab import randomness
-from limitlab.constructions import build_schnorr_poisson, tent
+from limitlab.constructions import _tent_vertices, build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.randomness import (TestFamily, covering_test,
@@ -95,6 +95,22 @@ class TestNestTail:
         with pytest.raises(ValueError):
             nest_tail(fam)
 
+    def test_nested_input_keeps_its_stages(self):
+        """A nested family's tail unions are its own stages, so the shortcut
+        gives the stages the unions give, with one exponent less."""
+        def stage(k):
+            near = RationalInterval(Fraction(-1, 2 ** (k + 3)), Fraction(1, 2 ** (k + 4)))
+            far = RationalInterval(Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2 ** (k + 5)),
+                                   False, k % 2 == 0)
+            return normalize([near, far])
+        stages = [stage(k) for k in range(6)]
+        fam = TestFamily(tuple(stages), bound_exponent=1, nested=True)
+        unions = [normalize([p for stage in stages[n:] for p in stage.parts])
+                  for n in range(len(stages))]
+        tails = nest_tail(fam)
+        assert tails.stages == tuple(unions) == fam.stages
+        assert tails.nested and tails.bound_exponent == 0
+
 
 class TestEnumerateIntervals:
     def test_containment_exact(self):
@@ -131,6 +147,80 @@ class TestEnumerateIntervals:
         fam = TestFamily((u,), bound_exponent=0)
         ivs = enumerate_intervals(fam, 0, 4)
         assert ivs[0].lo < 1 and ivs[1].lo >= 1 and ivs[2].lo < 1
+
+
+def part_subinterval(part: RationalInterval, j: int) -> RationalInterval:
+    """The j-th interval of a part in Fraction arithmetic, kept as the oracle
+    for enumerate_intervals' grid form: the middle half of the j-th dyadic
+    cell, walking the refinement levels left to right."""
+    if part.is_point:
+        return RationalInterval(part.lo, part.lo)
+    level = (j + 1).bit_length() - 1
+    pos = j - (2 ** level - 1)
+    cell_len = part.length / 2 ** level
+    cell_lo = part.lo + cell_len * pos
+    return RationalInterval(cell_lo + cell_len / 4, cell_lo + 3 * cell_len / 4)
+
+
+def tent_vertices(iv: RationalInterval) -> tuple:
+    """The tent's vertices in Fraction arithmetic, the oracle for the grid form."""
+    a, b = iv.lo, iv.hi
+    return ((a, 0), ((3 * a + b) / 4, 1), ((a + 3 * b) / 4, 1), (b, 0))
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A one-stage family whose parts have ends with odd denominators up to
+    2^20 (open or closed, point parts among them) inside [0, 1], and a
+    count that reaches j up to 2^10 on the first part."""
+    ends = set()
+    for _ in range(draw(st.integers(1, 4))):
+        q = 2 * draw(st.integers(0, 2 ** 19)) + 1
+        ends.add(Fraction(draw(st.integers(0, q)), q))
+    ends = sorted(ends)
+    ivs = []
+    for a, b in zip(ends, ends[1:] + ends[-1:]):
+        if a == b or draw(st.integers(0, 3)) == 0:
+            ivs.append(RationalInterval(a, a))
+        else:
+            ivs.append(RationalInterval(a, b, draw(st.booleans()), draw(st.booleans())))
+    stage = normalize(ivs)
+    j_max = draw(st.one_of(st.integers(0, 8), st.integers(0, 2 ** 10)))
+    return TestFamily((stage,), bound_exponent=0), len(stage.parts) * j_max + 1
+
+
+def enumeration_mismatch(case) -> bool:
+    fam, s = case
+    parts = fam.stage(0).parts
+    want = [part_subinterval(parts[r % len(parts)], r // len(parts)) for r in range(s)]
+    return enumerate_intervals(fam, 0, s) != want
+
+
+@given(enumeration_cases())
+@settings(max_examples=150, deadline=None)
+def test_grid_enumeration_matches_fraction_form(case):
+    """Intervals and tent vertices are == their Fraction forms; a point part
+    gives the point, which has no tent."""
+    assert not enumeration_mismatch(case)
+    fam, s = case
+    ivs = enumerate_intervals(fam, 0, s)
+    for iv in ivs[:32] + ivs[32:][-32:]:  # the shallowest and the deepest
+        if iv.is_point:
+            with pytest.raises(ValueError, match="tent needs a non-degenerate interval"):
+                tent(iv)
+            continue
+        assert _tent_vertices(iv) == tent(iv).vertices == tent_vertices(iv)
+
+
+def test_enumeration_shifted_by_one_eighth_cell_is_caught(monkeypatch):
+    """Negative control: ends one eighth-cell step to the right (eighths 3
+    and 7 of the cell) differ from the oracle on a drawn case."""
+    grid_points = randomness._grid_points
+    monkeypatch.setattr(randomness, "_grid_points", lambda base, step, d, counts: grid_points(
+        base, step, d, [c + 1 for c in counts]))
+    fam, _ = find(enumeration_cases(), enumeration_mismatch,
+                  settings=settings(max_examples=400, database=None))
+    assert any(not part.is_point for part in fam.stage(0).parts)
 
 
 # ----------------------------------------------------------------------
