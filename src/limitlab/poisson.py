@@ -26,24 +26,32 @@ once per function, for the windows that reach past the linear piece of f
 holding the point (a row, or a gap where f is 0) and for the widest one
 inside it; a window inside that piece has the mass f(x) y, so the
 narrower ones scale the widest one's mass.  It has one superlevel-set
-routine, superlevel_set: envelope pruning, a windowed sign
-scan, edge bisection with all edges of a set bisected together, and
-outward dyadic rounding.  The sign scan only asks whether the max exceeds
-alpha, so it takes as few heights per point as the point needs: every
-point at the tallest height; a point at distance at least that height from
-every piece is decided there, since the kernel grows with the height below
-the distance, unless its value lies within twice the stated evaluation
-budget poisson_eval_error of alpha; the other points at the lowest height,
-and the points still undecided at the remaining heights in one pass.  The
-bisection, a few midpoints a round, takes every height in one pass.  The
-weak-type (1,1) measurement here and the maximal-operator test stages in
-randomness both read their sets from it.
+routine, superlevel_set: envelope pruning, a windowed sign scan, edge
+bisection with all edges of a set bisected together, and outward dyadic
+rounding.  The scan spends evaluations only where a value can come out
+on either side of alpha.  _span_error bounds poisson_eval_error by one
+number E over a stretch of points and the whole height grid.  A set with
+sup |g| <= alpha - 2E is empty, since P[|g|] <= sup |g|, and is not
+scanned.  Off the hull of the pieces the max over heights rises toward
+the hull, so a monotone search, a few dozen probes a pass, decides each
+side's points from the probes over or under alpha by 2E, and leaves only
+the points within 3E of alpha open.  The open points and those inside the
+hull take as few heights as they need: every point at the tallest
+height; a point at distance at least that height from every piece is
+decided there, since the kernel grows with the height below the
+distance, unless its value lies within twice poisson_eval_error of
+alpha; the other points at the lowest height, and the points still
+undecided at the remaining heights in one pass.  The bisection takes
+every height in one pass, and a tree of BISECT_DEPTH rounds of midpoints
+a pass, replayed round by round.  Every decision is the one the full max
+at that point gives.  The weak-type (1,1) measurement here and the
+maximal-operator test stages in randomness both read their sets from it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -221,6 +229,74 @@ def poisson_eval_error(rows, xs, y) -> np.ndarray:
     return out
 
 
+def _span_error(rows, lo: float, hi: float, ys: np.ndarray) -> float:
+    """One bound on poisson_eval_error(rows, x, y) for every x of [lo, hi]
+    and every height y of ys (a column); +inf where none is derived.
+
+    Term by term, in the names of poisson_eval_error:
+    * The zero-slope rows' part (u (48 + 8n) + UNDERFLOW) |f(a)| is the same
+      at every x and y.
+    * A sloped row's A = |f(a)| + |beta| (|a| + |x|) is largest at the end
+      of [lo, hi] farther from 0.
+    * Its half-slope |beta| y/2 multiplies Lb, so the two are bounded
+      together, height by height.  With w = b - a and d the distance from
+      x to the row, |U^2 - W^2| = w |a + b - 2x| / y^2, which is w (2d + w)
+      / y^2 outside the row and at most w^2 / y^2 inside it, while
+      min(U^2, W^2) >= d^2 / y^2; so Lb <= w (2d + w) / (d^2 + y^2).  That
+      grows with d up to d* = 2 y^2 / (w + sqrt(w^2 + 4 y^2)) and falls
+      past it, so over the distances [d_lo, d_hi] that [lo, hi] spans its
+      sup is its value at d* clipped to them (_log_ratio_sup).
+    * rho = 6u (U^2 + W^2) / (U^2 + 1) <= 6u (2 + Lb): the ratio is at most
+      2 where |U| >= |W|, and 1 + W^2 / (U^2 + 1) <= 2 + Lb otherwise.  So
+      3 rho <= 18u (2 + Lb).  The bound is +inf where 6u (2 + Lb) passes
+      1/8 (poisson_eval_error gives up past 1/4), and where some |t - x| / y
+      may pass REACH_LIMIT / 2.
+    * Every term is nonnegative.  The float evaluation of both formulas
+      rounds each term and each sum by (2n + 20)u relative at most, and the
+      cancellation in U^2 - W^2 moves the computed Lb by at most 6u (2 +
+      Lb); a factor 1 + (8n + 64)u on the total covers all three.
+    """
+    u = UNIT_ROUNDOFF
+    n = len(rows)
+    if not n:
+        return 0.0
+    y = ys.reshape(-1)
+    y_min = float(y.min())
+    row_lo = min(r[0] for r in rows)
+    row_hi = max(r[1] for r in rows)
+    reach = max(abs(lo - row_lo), abs(hi - row_lo), abs(lo - row_hi), abs(hi - row_hi)) / y_min
+    if not reach <= REACH_LIMIT / 2:
+        return math.inf
+    flat = sum(abs(fa) for _, _, fa, _, _, beta in rows if not beta)
+    total = (u * (48 + 8 * n) + UNDERFLOW) * flat
+    sloped = [(a, b, fa, beta) for a, b, fa, _, _, beta in rows if beta]
+    if sloped:
+        a, b, fa, beta = np.array(sloped).T
+        slope = np.abs(beta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d_lo = np.maximum(0.0, np.maximum(a - hi, lo - b))
+            d_hi = np.maximum(0.0, np.maximum(a - lo, hi - b))
+            bound_l = _log_ratio_sup((b - a)[:, None], d_lo[:, None], d_hi[:, None], y)
+            if not 6 * u * (2.0 + float(bound_l.max())) <= 0.125:
+                return math.inf
+            # the size terms at every height, then per height the half-slope
+            # terms: (|beta| y/2)(u (52 + 3n) + UNDERFLOW + u (34 + 3n) Lb)
+            size = np.abs(fa) + slope * (np.abs(a) + max(abs(lo), abs(hi)))
+            total += (u * (48 + 8 * n) + UNDERFLOW) * float(size.sum())
+            total += float((0.5 * y * (float(slope.sum()) * (u * (52 + 3 * n) + UNDERFLOW)
+                                       + u * (34 + 3 * n) * (slope @ bound_l))).max())
+    out = total / math.pi * (1 + (8 * n + 64) * u)
+    return out if math.isfinite(out) else math.inf
+
+
+def _log_ratio_sup(w, d_lo, d_hi, y):
+    """sup of w (2d + w) / (d^2 + y^2) over the distances d of [d_lo, d_hi],
+    broadcast over rows and heights: the value at the maximiser d* = 2 y^2
+    / (w + sqrt(w^2 + 4 y^2)) clipped to the interval (_span_error)."""
+    d = np.minimum(np.maximum(2 * y * y / (w + np.sqrt(w * w + 4 * y * y)), d_lo), d_hi)
+    return w * (2 * d + w) / (d * d + y * y)
+
+
 def _log_ratio(u, w):
     """log((u^2+1)/(w^2+1)), via log1p to survive u ~ w.
 
@@ -277,7 +353,7 @@ def poisson_evaluator(f) -> Callable[[float, float], float]:
 # radial traces
 
 
-@dataclass
+@dataclass(slots=True)  # a trace holds one per height, so no per-entry dict
 class RadialEntry:
     y: float
     value: float
@@ -382,6 +458,8 @@ EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluat
 BLOCK_MIN_ROWS = 8          # fewest rows a blocked pass takes, else row by row
 BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
 BISECT_MAX_ITER = 80
+BISECT_DEPTH = 4            # bisection rounds a pass of _bisect_edges evaluates ahead
+SEARCH_PROBES = 32          # probes a pass in each open gap of _monotone_split
 ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
 EDGE_SLACK = 2 * (BISECT_TOL + 1.0 / ROUND_DEN)  # per component: two edges
 
@@ -492,21 +570,162 @@ def _runs(mask: np.ndarray):
 def _bisect_edges(exceeds, outside: np.ndarray, inside: np.ndarray):
     """Bisect every bracket (outside, inside) of a superlevel-set edge at once.
 
-    Each round first closes the brackets no wider than BISECT_TOL, then moves
-    one end of every open bracket to its midpoint, all midpoints in one
-    exceeds call.  Returns the outer ends and the number of brackets still
-    open after BISECT_MAX_ITER rounds (each a failed bisection).
+    Each round closes the brackets no wider than BISECT_TOL, then moves one
+    end of every open bracket to its midpoint.  The rounds go BISECT_DEPTH
+    at a time: one exceeds call takes, for every open bracket, the
+    midpoints of every bracket the next rounds can reach (_tree), and
+    _replay walks them round by round, closing test included, so the ends
+    are bitwise those of one midpoint a round.  Returns the outer ends and
+    the number of brackets still open after BISECT_MAX_ITER rounds (each a
+    failed bisection).
     """
     open_ = np.arange(outside.size)
-    for _ in range(BISECT_MAX_ITER):
+    rounds = BISECT_MAX_ITER
+    while rounds:
         open_ = open_[np.abs(inside[open_] - outside[open_]) > BISECT_TOL]
         if not open_.size:
             break
-        mid = 0.5 * (outside[open_] + inside[open_])
-        hit = exceeds(mid)
+        depth = min(BISECT_DEPTH, rounds)
+        mids, wide = _tree(outside[open_], inside[open_], depth)
+        hits = np.zeros(mids.shape, dtype=bool)
+        hits[wide] = exceeds(mids[wide])
+        open_ = _replay(outside, inside, open_, mids, hits)
+        rounds -= depth
+    return outside, open_.size
+
+
+def _tree(outside: np.ndarray, inside: np.ndarray, depth: int):
+    """The midpoints of every bracket that depth rounds of bisection can pass
+    through from (outside, inside), one row a bracket in heap order (node k
+    has the children 2k + 1, after an exceeding midpoint, and 2k + 2), each
+    formed as the bisection forms it, and which of those brackets are wider
+    than BISECT_TOL: only their midpoints can be used."""
+    lo = np.empty((outside.size, 2 ** depth - 1))
+    hi = np.empty_like(lo)
+    mids = np.empty_like(lo)
+    lo[:, 0], hi[:, 0] = outside, inside
+    for level in range(depth):
+        s, e = 2 ** level - 1, 2 ** (level + 1) - 1
+        mids[:, s:e] = 0.5 * (lo[:, s:e] + hi[:, s:e])
+        if level + 1 < depth:
+            lo[:, 2 * s + 1:2 * e + 1:2], hi[:, 2 * s + 1:2 * e + 1:2] = lo[:, s:e], mids[:, s:e]
+            lo[:, 2 * s + 2:2 * e + 1:2], hi[:, 2 * s + 2:2 * e + 1:2] = mids[:, s:e], hi[:, s:e]
+    return mids, np.abs(hi - lo) > BISECT_TOL
+
+
+def _replay(outside: np.ndarray, inside: np.ndarray, open_: np.ndarray,
+            mids: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Run the rounds of _tree's midpoints on the brackets open_ (all open
+    at the first round), moving their ends in place: each later round first
+    closes the brackets no wider than BISECT_TOL.  Returns the brackets
+    moved in the last round."""
+    width = mids.shape[1]
+    at = np.arange(open_.size) * width  # each bracket's root in the flat tree
+    node = np.zeros(open_.size, dtype=int)
+    mids, hits = mids.ravel(), hits.ravel()
+    for level in range((width + 1).bit_length() - 1):
+        if level:
+            keep = np.abs(inside[open_] - outside[open_]) > BISECT_TOL
+            open_, at, node = open_[keep], at[keep], node[keep]
+        mid, hit = mids[at + node], hits[at + node]
         inside[open_[hit]] = mid[hit]
         outside[open_[~hit]] = mid[~hit]
-    return outside, open_.size
+        node = 2 * node + 2 - hit
+    return open_
+
+
+def _exterior(xs: np.ndarray, lo: float, hi: float):
+    """Slices of the sorted points xs: those at or left of lo, in increasing
+    order, and those at or right of hi (and right of lo), in decreasing
+    order.  Off [lo, hi], the hull of the rows, the exact max over heights
+    of P[f] (f >= 0) rises along each: the kernel P_y(t - x) grows as x
+    nears t."""
+    k_left = int(np.searchsorted(xs, lo, side="right"))
+    k_right = max(int(np.searchsorted(xs, hi, side="left")), k_left)
+    return slice(0, k_left), slice(xs.size - 1, k_right - 1 if k_right else None, -1)
+
+
+def _monotone_split(rows, ys: np.ndarray, alpha: float, stretches) -> list:
+    """For each (points, E) of stretches, points along which the exact max
+    over heights M of P[rows] is nondecreasing and E a bound on the
+    evaluation error there (_span_error), returns (lo, hi): every point
+    before lo has computed max at most alpha, and every point from hi on
+    over alpha.
+
+    The computed max M~ is within E of M.  A point with M~ <= alpha - 2E
+    has M <= alpha - E, so every point before it has M~ <= alpha; a point
+    with M~ > alpha + 2E has M > alpha + E, so every point after it has
+    M~ > alpha.  Each pass probes every open gap (_probes), all stretches
+    and every height in one pass of _max_over_heights.  When no gap is
+    left, points[lo:hi] lie between two probes whose M is within 3E of
+    alpha.  A stretch with E = +inf is not searched.
+    """
+    searches = [[0, points.size, []] for points, _ in stretches]
+    while True:
+        probes = [_probes(*search) if math.isfinite(e) else []
+                  for search, (_, e) in zip(searches, stretches)]
+        if not any(probes):
+            return [(lo, hi) for lo, hi, _ in searches]
+        got = _max_over_heights(
+            rows, np.concatenate([points[p] for (points, _), p in zip(stretches, probes)]), ys)
+        at = 0
+        for search, picked, (_, e) in zip(searches, probes, stretches):
+            if not picked:
+                continue
+            values = got[at:at + len(picked)]
+            at += len(picked)
+            picked = np.array(picked)
+            under = picked[values <= np.nextafter(alpha - 2 * e, -np.inf)]
+            over = picked[values > np.nextafter(alpha + 2 * e, np.inf)]
+            search[0] = max(search[0], int(under.max(initial=-1)) + 1)
+            search[1] = min(search[1], int(over.min(initial=search[1])))
+            search[2] = sorted(search[2] + picked.tolist())
+
+
+def _probes(lo: int, hi: int, seen: list) -> list:
+    """The next probes of a monotone search whose certified ends are lo and
+    hi and which has probed the sorted indices seen: up to SEARCH_PROBES
+    evenly in each open gap, from lo to the first probe after it and from
+    the last probe before hi to hi (one gap while no probe lies between)."""
+    k, j = bisect_left(seen, lo), bisect_left(seen, hi)
+    first = min(seen[k], hi) if k < len(seen) else hi
+    last = max(seen[j - 1], lo - 1) if j else lo - 1
+    picks = set()
+    for s, e in ((lo, first), (last + 1, hi)):
+        if e - s > SEARCH_PROBES:
+            picks.update(s + t * (e - s) // (SEARCH_PROBES + 1) for t in range(1, SEARCH_PROBES + 1))
+        else:
+            picks.update(range(s, e))
+    return sorted(picks)
+
+
+def _scan_hits(rows, scans: list, ys: np.ndarray, alpha: float) -> list:
+    """_exceeds(rows, xs, ys, alpha) for the scan points xs of every window,
+    with the points off the hull of the rows decided by _monotone_split
+    where it can: each window's stretch on either side (_exterior) is
+    searched with its own budget _span_error, all stretches together, and
+    only the points it leaves open and the points inside the hull go to
+    _exceeds."""
+    hull_lo, hull_hi = min(r[0] for r in rows), max(r[1] for r in rows)
+    sides = [_exterior(xs, hull_lo, hull_hi) for xs in scans]
+    stretches = []
+    for xs, pair in zip(scans, sides):
+        for side in pair:
+            points = xs[side]
+            ends = sorted((points[0], points[-1])) if points.size else None
+            stretches.append((points, _span_error(rows, *ends, ys) if ends else math.inf))
+    splits = iter(_monotone_split(rows, ys, alpha, stretches))
+    hits = []
+    for xs, pair in zip(scans, sides):
+        hit = np.zeros(xs.size, dtype=bool)
+        open_ = np.ones(xs.size, dtype=bool)
+        for side, (lo, hi) in zip(pair, splits):
+            hit[side][hi:] = True
+            open_[side] = False
+            open_[side][lo:hi] = True
+        hit[open_] = _exceeds(rows, xs[open_], ys, alpha)
+        hits.append(hit)
+    return hits
 
 
 class SuperlevelSet(NamedTuple):
@@ -525,24 +744,30 @@ def superlevel_set(g, alpha: float,
     pieces of |g| are converted to float rows once.  Cells of width
     PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
     (2 pi d)), valid at every height (d the distance to the piece), sums to
-    at most alpha.  Each remaining window is scanned at spacing about
-    1/SCAN_DENSITY by _exceeds, block by block of EVAL_CHUNK points: every
-    scan point is evaluated at the tallest height of y_grid; a point at
+    at most alpha.  The remaining windows hold scan points at spacing about
+    1/SCAN_DENSITY.  If sup |g| <= alpha - 2E, E a bound on the evaluation
+    error at every scan point and height (_span_error), no point can
+    exceed alpha, since P[|g|] <= sup |g|, and none is evaluated.  Else
+    the points left and right of the hull of the pieces, where the max
+    over heights rises toward the hull, go to a monotone search with a
+    margin of twice such a bound over each stretch (_monotone_split), and
+    the points it leaves open, with the points inside the hull, to
+    _exceeds: every point at the tallest height of y_grid; a point at
     distance at least that height from every piece and at least twice
     poisson_eval_error under alpha there is decided "no" (below the
     distance the kernel grows with the height); every other point not yet
-    over alpha is evaluated at the lowest height, and the points still
-    undecided at the remaining heights in one pass.  Both edges of every
-    run of exceeding scan points are bisected to BISECT_TOL, all edges of
-    the set together with one pass over every height per step, keeping the
-    outer end of each bracket; the edges are then rounded outward to
+    over alpha at the lowest height, and the points still undecided at the
+    remaining heights in one pass.  Both edges of every run of exceeding
+    scan points are bisected to BISECT_TOL, all edges of the set together,
+    BISECT_DEPTH rounds a pass over every height (_bisect_edges), keeping
+    the outer end of each bracket; the edges are then rounded outward to
     multiples of 1/ROUND_DEN.  Every comparison with alpha is made on the
-    value poisson_integral gives at that point and height, and a point
-    decided without some height has no value over alpha there.  Each
-    component thus carries at most EDGE_SLACK of endpoint uncertainty.  A
-    component narrower than the scan spacing can be missed.  A bisection
-    that does not reach BISECT_TOL within BISECT_MAX_ITER steps is counted
-    in `bisection_failures`.
+    value poisson_integral gives at that point and height, or certified by
+    the budget to come out as that comparison would.  Each component thus
+    carries at most EDGE_SLACK of endpoint uncertainty.  A component
+    narrower than the scan spacing can be missed.  A bisection that does
+    not reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
+    `bisection_failures`.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -567,17 +792,21 @@ def superlevel_set(g, alpha: float,
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
         envelope += np.minimum(max(fa, fb), far)
     windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
+    scans = [np.linspace(w_lo, w_hi, max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1)
+             for w_lo, w_hi in windows]
+    if windows:  # P[|g|] <= sup |g|: no computed value reaches alpha
+        budget = _span_error(rows, windows[0][0], windows[-1][1], ys)
+        if max(max(r[2], r[3]) for r in rows) <= np.nextafter(alpha - 2 * budget, -np.inf):
+            scans = []
 
     # one bracket per edge, left then right edge of each run; a run that
     # reaches the end of its window gets the zero-width bracket at that end
     outside, inside = [], []
-    for w_lo, w_hi in windows:
-        n_pts = max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
-        xs = np.linspace(w_lo, w_hi, n_pts)
-        for s, stop in _runs(_exceeds(rows, xs, ys, alpha)):
-            outside += [xs[max(s - 1, 0)], xs[min(stop, n_pts - 1)]]
+    for xs, hit in zip(scans, _scan_hits(rows, scans, ys, alpha)):
+        for s, stop in _runs(hit):
+            outside += [xs[max(s - 1, 0)], xs[min(stop, xs.size - 1)]]
             inside += [xs[s], xs[stop - 1]]
-    # a bisection round has only a few midpoints: one pass over every height
+    # a bisection round has only a few midpoints: a tree of them a pass
     ends, failures = _bisect_edges(lambda mid: _max_over_heights(rows, mid, ys) > alpha,
                                    np.array(outside), np.array(inside))
     parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),

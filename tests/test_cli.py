@@ -211,6 +211,43 @@ def test_poisson_trace_artifacts_are_pinned(tmp_path, args):
     assert _digests(out) == PINNED_TRACES[args]
 
 
+# The maximal operator's reports: the README weak-type battery, the cheapest
+# and the costliest three-function battery of the poisson-scan benchmark's
+# seed-15485863 pool, and verify-all at default caps and at direction 5's
+# caps, whose reports carry pmt.weak_type and lemma_poisson.measure.  Every
+# superlevel set they read must keep every bit of its edges.
+PINNED_MAXIMAL = {
+    ("weak-type-check", "--count", "20", "--seed", "0"): {
+        "weak_type_report.json":
+            "b2b3c08d6f3fe7c465610c1b83d6cec8f6fe5e8ae7e4f45ecb7d7d8affb9e890",
+    },
+    ("weak-type-check", "--count", "3", "--seed", "789373"): {
+        "weak_type_report.json":
+            "0a9b30120441ed89950bff3192ce9f9098da75f8dba7fc28a4485c5c11ccca69",
+    },
+    ("weak-type-check", "--count", "3", "--seed", "623416"): {
+        "weak_type_report.json":
+            "e489d3c3970f0b62b15412c5066b9b09cccf44c989fd49269859033a1aef8ee6",
+    },
+    ("verify-all",): {
+        "verification_report.json":
+            "3144a239fb9f1a3d6c664e11e0b9af9bd46d26237da0863f910acf0589a0764a",
+    },
+    ("verify-all", "--n-max", "7", "--m-max", "60", "--s-max", "51", "--k-max", "6",
+     "--weak-type-count", "20", "--samples", "1000"): {
+        "verification_report.json":
+            "0285928c189c126329d5ca065d35753f55a668788c685f0fe80ff2ba4a5b6811",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_MAXIMAL), ids="-".join)
+def test_maximal_operator_reports_are_pinned(tmp_path, args):
+    out = tmp_path / "o"
+    assert main([*args, "--out", str(out)]) == 0
+    assert _digests(out) == PINNED_MAXIMAL[args]
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"construction": "fourier", "n_max": 1,
