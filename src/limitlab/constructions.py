@@ -375,9 +375,10 @@ def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
     (_tent_vertices) go straight into the PL sum's kernel
     (functions._sum_vertices), so a stage forms one PiecewiseLinear.
 
-    Exact per odd stage: the L1 norm is at most the total enumerated length,
-    which is at most (2n+1) times the stage measure, hence at most
-    (2n+1)/2^n; and every tent support sits inside the stage."""
+    Exact per odd stage: the L1 norm is at most the total enumerated length
+    (summed on the ends' integer grid), which is at most (2n+1) times the
+    stage measure, hence at most (2n+1)/2^n; and every tent support sits
+    inside the stage."""
     need = (s_max - 1) // 2
     if test.depth < need:
         raise ValueError(f"test family depth {test.depth} short of stage {need}")
@@ -391,7 +392,9 @@ def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
         intervals = enumerate_intervals(test, n, s)
         f = _sum_vertices([v for iv in intervals for v in _tent_vertices(iv)])
         l1 = f.l1_norm()
-        total_len = sum((iv.length for iv in intervals), Fraction(0))
+        # the summed lengths on the ends' integer grid: one Fraction over D
+        d, ends = _on_grid(x for iv in intervals for x in (iv.lo, iv.hi))
+        total_len = Fraction(sum(ends[1::2]) - sum(ends[0::2]), d)
         stage_measure = test.stage(n).measure()
         l1_bound = Fraction(2 * n + 1, 2 ** n)
         if not (l1 <= total_len <= (2 * n + 1) * stage_measure <= l1_bound):

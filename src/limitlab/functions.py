@@ -150,6 +150,17 @@ class StepFunction:
     def sup_norm(self) -> Fraction:
         return max((abs(v) for _, v in self.pieces), default=Fraction(0))
 
+    def l1_distance(self, other: "StepFunction") -> Fraction:
+        """Exact ||self - other||_1 from one sweep of the two functions, the
+        atom values and gap widths taken on integer grids
+        (intervals._on_grid): one Fraction over Dv Dx, and no difference
+        function is formed."""
+        _, (mine, theirs), (dx, xs) = _sweep(self.pieces, other.pieces)
+        dv, values = _on_grid(mine + theirs)
+        mine, theirs = values[:len(mine)], values[len(mine):]
+        return Fraction(sum(abs(b - a) * (x1 - x0) for a, b, x0, x1
+                            in zip(mine[1::2], theirs[1::2], xs, xs[1:])), dv * dx)
+
     @cached_property
     def rows(self) -> tuple:
         """The exact row form: (interval, v, v) per piece."""
@@ -279,6 +290,10 @@ class PiecewiseLinear:
         if self.is_nonnegative():
             return self.integral()
         return self.abs().integral()
+
+    def l1_distance(self, other: "PiecewiseLinear") -> Fraction:
+        """Exact ||self - other||_1."""
+        return (self - other).l1_norm()
 
     def sup_norm(self) -> Fraction:
         return max((abs(y) for _, y in self.vertices), default=Fraction(0))

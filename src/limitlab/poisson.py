@@ -336,16 +336,18 @@ def poisson_integral(f, x, y: float):
     raise TypeError(f"no Poisson integral for {type(f).__name__}")
 
 
-def poisson_evaluator(f) -> Callable[[float, float], float]:
-    """(x, y) -> P[f](x, y) at a scalar point, with the pieces of f converted
-    to float rows once for every call; each value is bitwise the one
-    poisson_integral(f, x, y) gives."""
+def poisson_evaluator(f) -> Callable:
+    """(x, y) -> P[f](x, y), with the pieces of f converted to float rows
+    once for every call.  At a scalar point the value is a float; arrays of
+    points x and heights y of one shape give the array of values at the
+    pairs (x_j, y_j), in one pass of the closed form.  Each value is
+    bitwise the one poisson_integral(f, x_j, y_j) gives."""
     rows = _rows(f)
 
-    def at(x: float, y: float) -> float:
-        if y <= 0:
+    def at(x, y):
+        if np.any(np.asarray(y) <= 0):
             raise ValueError("height y must be positive")
-        return float(_closed_form(rows, _as_xs(x), y)[0])
+        return _scalar_or_array(x, _closed_form(rows, _as_xs(x), y))
     return at
 
 
@@ -859,28 +861,33 @@ class ContractionGap:
 
 
 def contraction_gaps(f_stages: Sequence, probes) -> list[ContractionGap]:
-    """contraction_gap at every (x, y, n) of probes, on the same stages:
-    each stage evaluated is converted to float rows once (poisson_evaluator),
-    and each ||f_m - f_n||_1 is computed once, for all probes that use it."""
-    stages = list(f_stages)
+    """contraction_gap at every (x, y, n) of probes, on the same stages.
+
+    The deepest stage is evaluated at every probe in one call, and each
+    stage n at its own probes in one call (poisson_evaluator on arrays).
+    Each ||f_m - f_n||_1 is computed once, for all probes that use it, by
+    l1_distance: for step stages one sweep of the two, on integer grids.
+    """
+    stages, probes = list(f_stages), list(probes)
     deep = len(stages) - 1
-    evaluators, norms, out = {}, {}, []
-
-    def value(i, x, y):
-        if i not in evaluators:
-            evaluators[i] = poisson_evaluator(stages[i])
-        return evaluators[i](x, y)
-
-    for x, y, n in probes:
+    for _, y, n in probes:
         if y <= 0:
             raise ValueError("height y must be positive")
         if not 0 <= n <= deep:
             raise ValueError("stage index out of range")
-        if n not in norms:
-            norms[n] = float((stages[deep] - stages[n]).l1_norm())
-        out.append(ContractionGap(abs(value(deep, x, y) - value(n, x, y)),
-                                  norms[n] / (math.pi * y)))
-    return out
+    if not probes:
+        return []
+    xs = np.array([x for x, _, _ in probes], dtype=float)
+    ys = np.array([y for _, y, _ in probes], dtype=float)
+    ns = np.array([n for _, _, n in probes])
+    top = poisson_evaluator(stages[deep])(xs, ys)
+    values, norms = np.empty(len(probes)), {}
+    for n in dict.fromkeys(ns.tolist()):
+        mine = ns == n
+        values[mine] = poisson_evaluator(stages[n])(xs[mine], ys[mine])
+        norms[n] = float(stages[deep].l1_distance(stages[n]))
+    return [ContractionGap(float(abs(t - v)), norms[n] / (math.pi * y))
+            for t, v, (_, y, n) in zip(top, values, probes)]
 
 
 def contraction_gap(f_stages: Sequence, x: float, y: float, n: int) -> ContractionGap:

@@ -37,7 +37,7 @@ from . import kernels, quadrature
 from .constructions import (build_fourier_divergent, build_ml_poisson,
                             build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
-from .intervals import IntervalUnion, RationalInterval
+from .intervals import IntervalUnion, RationalInterval, _index, _on_grid, _sweep
 from .poisson import (contraction_gaps, poisson_evaluator, poisson_integral,
                       weak_type_check)
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
@@ -622,6 +622,10 @@ def _check_step_radial_floor(ctx: VerifyContext):
 
 
 def _check_ml_contraction(ctx: VerifyContext):
+    """At 20 random probes (x, y, n), |P[f_m] - P[f_n]|(x, y) <= ||f_m -
+    f_n||_1/(pi y) for the deepest stage m, within 1e-9.  The gaps come
+    from poisson.contraction_gaps: the deepest stage read at all probes in
+    one call, each stage n at its own probes, each L1 distance exact."""
     if ctx.caps.m_max < 2:
         return None
     fns = ctx.step.functions()
@@ -659,12 +663,31 @@ def _check_lemma_simple_measure(ctx: VerifyContext):
     return True, {"measures": measures, "mode": "exact"}
 
 
+def _stage_values(fns, points: list[Fraction]) -> list[list]:
+    """Each function's exact values at the sorted distinct points, read off
+    one sweep of the points' atoms against its pieces (intervals._sweep):
+    a point's value is the one on its own atom, closedness respected."""
+    marks = [(RationalInterval(x, x), 1) for x in points]
+    out = []
+    for f in fns:
+        _, (at, values), _ = _sweep(marks, f.pieces)
+        out.append([v for v, mark in zip(values, at) if mark])
+    return out
+
+
 def _check_lemma_simple_stability(ctx: VerifyContext):
     """At sample points off stage 1, |f_i - f_2n| <= (2 + sqrt 2)/2^n for
-    every n >= 1 and i >= 2n, exactly.  Each stage is evaluated once a
-    point; the largest |f_i - f_2n| over i, read from suffix extremes of
-    the values, is tested first, and only when it fails are the i scanned
-    in order for the first failing one."""
+    every n >= 1 and i >= 2n, exactly.
+
+    Stage-1 membership is decided once per distinct drawn point, and each
+    stage's values at the sorted distinct points come from one sweep
+    (_stage_values), so no stage is evaluated point by point.  All values
+    go on one integer grid over D (intervals._on_grid), where the bound on
+    a difference of numerators reads t = diff 2^n - 2D <= 0 or t^2 <= 2D^2.
+    Per point the largest |f_i - f_2n| over i, read from suffix extremes,
+    is tested first, and only when it fails are the i scanned in order for
+    the first failing one.  Each verdict is decided once per distinct
+    point, and the first failing point in draw order is reported."""
     if ctx.caps.k_max < 1 or ctx.caps.m_max < 2 * ctx.caps.k_max + 2:
         return None
     fns = ctx.step.functions()
@@ -672,30 +695,49 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
     stage = ctx.simple_stages[k]
     limit = len(fns) - 1
     rng = random.Random(ctx.caps.seed + 6)
-    checked = 0
+    off, drawn = {}, []     # numerator over 64 -> off the stage; accepted draws
     attempts = 0
-    while checked < 100 and attempts < 2000:
+    while len(drawn) < 100 and attempts < 2000:
         attempts += 1
-        x = Fraction(rng.randint(-3 * 64, 3 * 64), 64)
-        if stage.contains(x):
-            continue
-        checked += 1
-        values = {i: fns[i].eval(x) for i in range(2 * k, limit + 1)}
-        top, bottom = {}, {}    # max and min of the values at i and later
-        high = low = values[limit]
-        for i in range(limit, 2 * k - 1, -1):
-            high, low = max(high, values[i]), min(low, values[i])
-            top[i], bottom[i] = high, low
+        r = rng.randint(-3 * 64, 3 * 64)
+        if r not in off:
+            off[r] = not stage.contains(Fraction(r, 64))
+        if off[r]:
+            drawn.append(r)
+    points = sorted(set(drawn))
+    # f_2k..f_limit at each point, in point order, on one grid over D
+    by_point = zip(*_stage_values(fns[2 * k:], [Fraction(r, 64) for r in points]))
+    d, grid = _on_grid(v for values in by_point for v in values)
+    width = limit + 1 - 2 * k
+
+    def within(diff: int, n: int) -> bool:
+        t = diff * 2 ** n - 2 * d
+        return t <= 0 or t * t <= 2 * d * d
+
+    def first_failure(values):
+        """The first (n, i, |f_i - f_2n| over D) that breaks the bound, or None;
+        values[i - 2k] is the numerator of f_i."""
+        top = list(accumulate(reversed(values), max))[::-1]
+        bottom = list(accumulate(reversed(values), min))[::-1]
         for n in range(k, (limit - 1) // 2 + 1):
-            base = values[2 * n]
-            if _le_sqrt2_bound(max(top[2 * n] - base, base - bottom[2 * n]), 2, 1, n):
+            j = 2 * n - 2 * k
+            base = values[j]
+            if within(max(top[j] - base, base - bottom[j]), n):
                 continue
             for i in range(2 * n, limit + 1):
-                diff = abs(values[i] - base)
-                if not _le_sqrt2_bound(diff, 2, 1, n):
-                    return False, {"x": str(x), "n": n, "i": i,
-                                   "difference": str(diff), "mode": "exact"}
-    return True, {"points": checked, "stage_k": k, "mode": "exact"}
+                diff = abs(values[i - 2 * k] - base)
+                if not within(diff, n):
+                    return n, i, diff
+        return None
+
+    verdicts = {r: first_failure(grid[j * width:(j + 1) * width])
+                for j, r in enumerate(points)}
+    for r in drawn:
+        if verdicts[r] is not None:
+            n, i, diff = verdicts[r]
+            return False, {"x": str(Fraction(r, 64)), "n": n, "i": i,
+                           "difference": str(Fraction(diff, d)), "mode": "exact"}
+    return True, {"points": len(drawn), "stage_k": k, "mode": "exact"}
 
 
 def _check_lemma_poisson_measure(ctx: VerifyContext):
@@ -711,6 +753,16 @@ def _check_lemma_poisson_measure(ctx: VerifyContext):
 
 
 def _check_schnorr_chain(ctx: VerifyContext):
+    """At up to three points off stage 1 of both lemma tests, for n = 1..3,
+    the radial value at height y = 2^-e (e the least with y <= pi dist
+    2^-n / 8, at most 12) is within (6 + 2 sqrt 2)/2^n of the limit
+    stage's boundary value; each row also reports the chain's parts: the
+    tail of the consecutive gaps, the local term at stage 2n and the
+    exact stability term.  Every Poisson value is read in one array pass
+    per function over all (x, y) rows (poisson_evaluator on arrays),
+    bitwise the per-point values; each exact value is read once a point,
+    and the sample points come from one sort of every stage's breakpoints
+    on an integer grid."""
     if ctx.caps.m_max < 8 or ctx.caps.k_max < 1:
         return None
     sc = ctx.step
@@ -718,7 +770,9 @@ def _check_schnorr_chain(ctx: VerifyContext):
     limit = len(fns) - 1
     k = 1
     blocked = ctx.simple_stages[k].union(ctx.poisson_stages[k - 1].stage)
-    points = sorted({x for f in fns for x in f.breakpoints() if abs(x) <= 3})
+    # every stage's breakpoints, sorted on one integer grid (intervals._index)
+    ends = (x for f in fns for iv, _ in f.pieces for x in (iv.lo, iv.hi))
+    points = [x for x in _index(ends)[0] if abs(x) <= 3]
     samples = []
     for a, b in zip(points, points[1:]):
         mid = (a + b) / 2
@@ -728,23 +782,29 @@ def _check_schnorr_chain(ctx: VerifyContext):
             break
     tol = 1e-6
     ns = range(k, min(3, (limit - 1) // 2) + 1)
-    gaps = {i: poisson_evaluator((fns[i + 1] - fns[i]).abs()) for i in range(2 * k, limit)}
-    poisson_at = {i: poisson_evaluator(fns[i]) for i in [2 * n for n in ns] + [limit]}
-    rows = []
+    grid = []
     for x, dist in samples:
         for n in ns:
             y_exp = max(0, math.ceil(-math.log2(math.pi * dist * 2.0 ** -n / 8.0)))
-            y = 2.0 ** -min(y_exp, 12)
-            tail = sum(gaps[i](float(x), y) for i in range(2 * n, limit))
-            local = abs(poisson_at[2 * n](float(x), y) - float(fns[2 * n].eval(x)))
-            stability = abs(float(fns[limit].eval(x) - fns[2 * n].eval(x)))
-            total = abs(poisson_at[limit](float(x), y) - float(fns[limit].eval(x)))
-            budget = (6 + 2 * SQRT2) / 2.0 ** n
-            rows.append({"x": str(x), "n": n, "y": y, "total": total,
-                         "budget": budget, "tail": tail, "local": local,
-                         "stability": stability})
-            if not total <= budget + tol:
-                return False, rows[-1]
+            grid.append((x, n, 2.0 ** -min(y_exp, 12)))
+    xs = np.array([float(x) for x, _, _ in grid])
+    ys = np.array([y for _, _, y in grid])
+    gaps = {i: poisson_evaluator((fns[i + 1] - fns[i]).abs())(xs, ys)
+            for i in range(2 * k, limit)}
+    poisson_at = {i: poisson_evaluator(fns[i])(xs, ys) for i in [2 * n for n in ns] + [limit]}
+    exact = {(x, i): fns[i].eval(x) for x, _ in samples for i in poisson_at}
+    rows = []
+    for r, (x, n, y) in enumerate(grid):
+        tail = float(sum(gaps[i][r] for i in range(2 * n, limit)))
+        local = float(abs(poisson_at[2 * n][r] - float(exact[x, 2 * n])))
+        stability = abs(float(exact[x, limit] - exact[x, 2 * n]))
+        total = float(abs(poisson_at[limit][r] - float(exact[x, limit])))
+        budget = (6 + 2 * SQRT2) / 2.0 ** n
+        rows.append({"x": str(x), "n": n, "y": y, "total": total,
+                     "budget": budget, "tail": tail, "local": local,
+                     "stability": stability})
+        if not total <= budget + tol:
+            return False, rows[-1]
     return True, {"samples": rows, "tolerance": tol}
 
 

@@ -442,9 +442,25 @@ def all_pairs_stability(ctx):
     return True, {"points": checked, "stage_k": k, "mode": "exact"}
 
 
-@functools.lru_cache(maxsize=1)
-def default_step_functions():
-    return tuple(verify.VerifyContext().step.functions())
+@functools.lru_cache(maxsize=2)
+def step_functions(m_max):
+    return tuple(verify.VerifyContext(verify.Caps(m_max=m_max)).step.functions())
+
+
+def stability_case(m_max, seed, bumps, stale):
+    """The step stages up to m_max with bumps added on dyadic windows, stage
+    1 taken from the bumped stages or from the unbumped ones: the check's
+    result against the all-pairs loop's."""
+    base = list(step_functions(m_max))
+    fns = list(base)
+    for i, lo, width, value in bumps:
+        window = IntervalUnion.single(Fraction(lo, 64), Fraction(lo + width, 64))
+        fns[i] = fns[i] + StepFunction.indicator(window, value)
+    ctx = verify.VerifyContext(verify.Caps(m_max=m_max, seed=seed))
+    ctx.step = SimpleNamespace(functions=lambda: fns)
+    ctx.simple_stages = randomness.simple_tests_from_approx(base if stale else fns,
+                                                            range(ctx.caps.k_max + 1))
+    return verify._check_lemma_simple_stability(ctx), all_pairs_stability(ctx)
 
 
 bump_st = st.tuples(st.integers(2, 12), st.integers(-3 * 64, 3 * 64), st.integers(1, 64),
@@ -458,31 +474,89 @@ def test_stability_matches_the_all_pairs_loop(seed, bumps, stale):
     from the bumped stages (the lemma holds off it) or from the unbumped
     ones (violations off it): the same verdict and details as testing
     every (n, i) pair."""
-    base = list(default_step_functions())
-    fns = list(base)
-    for i, lo, width, value in bumps:
-        window = IntervalUnion.single(Fraction(lo, 64), Fraction(lo + width, 64))
-        fns[i] = fns[i] + StepFunction.indicator(window, value)
-    ctx = verify.VerifyContext(verify.Caps(seed=seed))
-    ctx.step = SimpleNamespace(functions=lambda: fns)
-    ctx.simple_stages = randomness.simple_tests_from_approx(base if stale else fns,
-                                                            range(ctx.caps.k_max + 1))
-    got = verify._check_lemma_simple_stability(ctx)
-    assert got == all_pairs_stability(ctx)
+    got, want = stability_case(12, seed, bumps, stale)
+    assert got == want
     if not stale:
         assert got[0]
 
 
-def test_stability_evaluates_each_stage_once_per_point(monkeypatch):
+deep_bump_st = st.tuples(st.integers(2, 24), st.integers(-3 * 64, 3 * 64), st.integers(1, 64),
+                         st.sampled_from([Fraction(1, 2 ** 30), Fraction(1, 3),
+                                          Fraction(-1, 64), Fraction(2)]))
+
+
+@given(seed=st.integers(0, 2 ** 16), bumps=st.lists(deep_bump_st, max_size=3),
+       stale=st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_stability_matches_the_all_pairs_loop_at_m_max_24(seed, bumps, stale):
+    """The same on the stages up to m_max 24, whose values have
+    denominators up to 2^24, with bumps of 2^-30 and of 1/3, so the
+    check's one grid over D mixes in denominators no stage has."""
+    got, want = stability_case(24, seed, bumps, stale)
+    assert got == want
+    if not stale:
+        assert got[0]
+
+
+@pytest.mark.parametrize("value,ok", [(Fraction(170710, 100000), True),
+                                      (Fraction(170711, 100000), False)])
+def test_stability_bound_is_exact_at_its_irrational_edge(value, ok):
+    """|f_3 - f_2| = value at every sample point, one step either side of
+    (2 + sqrt 2)/2 = 1.7071067...: the check's integer test on the grid
+    over D (here with factors 2 and 5) passes the lower and fails the
+    upper, as the all-pairs loop does."""
+    zero = StepFunction.zero()
+    fns = [zero, zero, zero, StepFunction.indicator(IntervalUnion.single(-3, 3), value), zero]
+    ctx = verify.VerifyContext(verify.Caps(m_max=4, k_max=1))
+    ctx.step = SimpleNamespace(functions=lambda: fns)
+    ctx.simple_stages = [IntervalUnion.empty()] * 2
+    got = verify._check_lemma_simple_stability(ctx)
+    assert got == all_pairs_stability(ctx)
+    assert got[0] is ok
+
+
+def test_stability_makes_no_eval_call(monkeypatch):
+    """lemma_simple.stability reads every stage value off one sweep per
+    stage: no StepFunction.eval call, and still 100 points checked."""
     ctx = verify.VerifyContext()
-    limit = len(ctx.step.functions()) - 1
-    real = StepFunction.eval
+    ctx.step, ctx.simple_stages    # built before eval is watched
     calls = []
+    real = StepFunction.eval
     monkeypatch.setattr(StepFunction, "eval",
                         lambda self, x: calls.append(x) or real(self, x))
     ok, details = verify._check_lemma_simple_stability(ctx)
     assert ok and details["points"] == 100
-    assert len(calls) == details["points"] * (limit + 1 - 2 * details["stage_k"])
+    assert calls == []
+
+
+def test_limit_stage_fault_fails_schnorr_chain(monkeypatch):
+    """Negative control for chain.schnorr_convergence at default caps: the
+    limit stage's Poisson values, as the check's one array read over all
+    (x, y) rows sees them, lifted by 8.  |P[f] - f| then exceeds every
+    budget (6 + 2 sqrt 2)/2^n, since the stage values lie in [0, 2].  The
+    check fails by itself at its first row, naming x and n."""
+    build = verify.build_schnorr_poisson
+    built = []
+
+    def recorded(test, m_max):
+        built.append(build(test, m_max))
+        return built[-1]
+
+    evaluator = verify.poisson_evaluator
+
+    def lifted(f):
+        at = evaluator(f)
+        if f is not built[-1].functions()[-1]:
+            return at
+        return lambda x, y: at(x, y) + 8.0
+
+    monkeypatch.setattr(verify, "build_schnorr_poisson", recorded)
+    monkeypatch.setattr(verify, "poisson_evaluator", lifted)
+    failed = [r for r in verify.verify_all() if r.status == "fail"]
+    assert [r.check_id for r in failed] == ["chain.schnorr_convergence"]
+    details = failed[0].details
+    assert details["n"] == 1 and Fraction(details["x"]) == Fraction(-5, 2)
+    assert details["total"] > details["budget"] + 1e-6
 
 
 def _last_odd_l1_bound_under_its_norm(tc):
@@ -584,7 +658,7 @@ def nan_verify_all():
     real = FejerSum.eval
     with pytest.MonkeyPatch.context() as mp:
         for module in (poisson, verify):
-            mp.setattr(module, "poisson_evaluator", lambda f: lambda x, y: math.nan)
+            mp.setattr(module, "poisson_evaluator", lambda f: lambda x, y: x * math.nan)
         mp.setattr(verify, "poisson_integral", lambda f, x, y: math.nan)
         mp.setattr(FejerSum, "eval", lambda self, t: real(self, t) * math.nan)
         caps = verify.Caps(kernel_n_max=6, lower_bound_n_max=8, grid_points=64, n_max=1,

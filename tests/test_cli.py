@@ -31,6 +31,12 @@ FAST_VERIFY = ["--kernel-n-max", "6", "--lower-bound-n-max", "8",
                "--s-max", "5", "--k-max", "1", "--samples", "10",
                "--weak-type-count", "1"]
 
+# the verify-all benchmark's caps (VERIFY_CAPS of perfbench/workloads.py)
+VERIFY_CAPS = ["--n-max", "1", "--m-max", "10", "--s-max", "11", "--k-max", "1",
+               "--weak-type-count", "1", "--kernel-n-max", "16",
+               "--lower-bound-n-max", "50", "--grid-points", "200",
+               "--samples", "50"]
+
 
 def test_fourier_trace_artifacts_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -213,9 +219,11 @@ def test_poisson_trace_artifacts_are_pinned(tmp_path, args):
 
 # The maximal operator's reports: the README weak-type battery, the cheapest
 # and the costliest three-function battery of the poisson-scan benchmark's
-# seed-15485863 pool, and verify-all at default caps and at direction 5's
-# caps, whose reports carry pmt.weak_type and lemma_poisson.measure.  Every
-# superlevel set they read must keep every bit of its edges.
+# seed-15485863 pool, and verify-all at default caps, at direction 5's caps
+# and at the verify-all benchmark's caps (VERIFY_CAPS) for the first job
+# seeds of its seed-0 and seed-15485863 pools, whose reports carry
+# pmt.weak_type and lemma_poisson.measure.  Every superlevel set they read
+# must keep every bit of its edges, and every value the step checks read.
 PINNED_MAXIMAL = {
     ("weak-type-check", "--count", "20", "--seed", "0"): {
         "weak_type_report.json":
@@ -237,6 +245,14 @@ PINNED_MAXIMAL = {
      "--weak-type-count", "20", "--samples", "1000"): {
         "verification_report.json":
             "0285928c189c126329d5ca065d35753f55a668788c685f0fe80ff2ba4a5b6811",
+    },
+    ("verify-all", "--seed", "425055", *VERIFY_CAPS): {
+        "verification_report.json":
+            "bf4775dc2752d620a40d73d959c2a3c77fef8f17e25625496cc6d444235758f9",
+    },
+    ("verify-all", "--seed", "345762", *VERIFY_CAPS): {
+        "verification_report.json":
+            "8398a556b938415afb66de7037defffbc97df731dd239a7cdd63ac915a5dc5c5",
     },
 }
 

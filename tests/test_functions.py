@@ -228,6 +228,12 @@ def test_add_sub_match_oracle(f, g):
     assert (f - f).is_zero
 
 
+@given(step_st, step_st)
+@settings(max_examples=200, deadline=None)
+def test_l1_distance_matches_the_difference_norm(f, g):
+    assert f.l1_distance(g) == g.l1_distance(f) == (f - g).l1_norm()
+
+
 @given(step_st, region_st())
 @settings(max_examples=200, deadline=None)
 def test_restrict_matches_oracle(f, region):

@@ -25,7 +25,7 @@ from limitlab.poisson import (DEFAULT_Y_GRID, EVAL_CHUNK, contraction_gap,
 from limitlab.randomness import covering_test, nest_tail
 from limitlab.verify import random_test_functions
 
-from test_functions import row_data_st
+from test_functions import row_data_st, step_st
 
 
 def quad_oracle(f, x, y):
@@ -1072,15 +1072,18 @@ def trace_inputs(draw):
 @given(trace_inputs())
 @settings(max_examples=60, deadline=None)
 def test_radial_trace_matches_per_height_calls(inputs):
-    """Every entry, and every value of poisson_evaluator, is bitwise the
-    per-height poisson_integral value, and each floor the one the per-height
-    window loop gives."""
+    """Every entry, and every value of poisson_evaluator, at the point or
+    in one array of (x, y) pairs, is bitwise the per-height
+    poisson_integral value, and each floor the one the per-height window
+    loop gives."""
     f, x, ys = inputs
     trace = radial_trace(f, x, ys)
     at = poisson_evaluator(f)
     assert [e.y for e in trace.entries] == ys
     with pytest.raises(ValueError, match="positive"):
         at(x, 0.0)
+    column = at(np.full(len(ys), x), np.array(ys))
+    assert [v.hex() for v in column] == [e.value.hex() for e in trace.entries]
     for e, y in zip(trace.entries, ys):
         assert e.value.hex() == at(x, y).hex() == float(poisson_integral(f, x, y)).hex()
         lo, hi = Fraction(x) - Fraction(y) / 2, Fraction(x) + Fraction(y) / 2
@@ -1159,6 +1162,34 @@ def test_overstated_window_mass_breaks_the_floor(monkeypatch, f):
         radial_trace(f, 0.0, [1.0, 0.5])
 
 
+@st.composite
+def contraction_cases(draw):
+    """One to five signed step stages and up to 20 probes (x, y, n): x
+    anywhere on [-4, 4] or on the half-integer grid the breakpoints lie on,
+    y dyadic or not in 2^-12 .. 4."""
+    stages = draw(st.lists(step_st, min_size=1, max_size=5))
+    x_st = st.one_of(st.floats(-4, 4), st.integers(-8, 8).map(lambda k: k / 2))
+    y_st = st.one_of(st.integers(-2, 12).map(lambda e: 2.0 ** -e), st.floats(2.0 ** -12, 4))
+    probes = draw(st.lists(st.tuples(x_st, y_st, st.integers(0, len(stages) - 1)),
+                           max_size=20))
+    return stages, probes
+
+
+def contraction_mismatches(case) -> list:
+    """The probes whose gap from contraction_gaps is not bitwise the
+    per-probe poisson_integral difference, or whose bound is not bitwise
+    ||f_m - f_n||_1/(pi y) from the difference function's exact L1 norm."""
+    stages, probes = case
+    bad = []
+    for (x, y, n), gap in zip(probes, contraction_gaps(stages, probes)):
+        want = abs(float(poisson_integral(stages[-1], x, y))
+                   - float(poisson_integral(stages[n], x, y)))
+        bound = float((stages[-1] - stages[n]).l1_norm()) / (math.pi * y)
+        if (gap.gap.hex(), gap.bound.hex()) != (want.hex(), bound.hex()):
+            bad.append((x, y, n))
+    return bad
+
+
 class TestContractionGap:
     def test_identical_stages(self):
         f = StepFunction.indicator(IntervalUnion.single(0, 1))
@@ -1206,6 +1237,21 @@ class TestContractionGap:
                 bound = float((fns[-1] - fns[n]).l1_norm()) / (math.pi * y)
                 assert (gap.gap.hex(), gap.bound.hex()) == (want.hex(), bound.hex())
                 assert contraction_gap(fns, x, y, n) == gap
+
+    @given(contraction_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_batched_gaps_match_per_probe_values(self, case):
+        assert contraction_mismatches(case) == []
+
+    def test_signed_l1_distance_is_caught(self, monkeypatch):
+        """Negative control: a signed integral in place of |f_m - f_n|
+        misstates some bound, and the property finds stages where it does."""
+        monkeypatch.setattr(StepFunction, "l1_distance",
+                            lambda self, other: (self - other).integral())
+        stages, _ = find(contraction_cases(), contraction_mismatches,
+                         settings=settings(max_examples=1000, database=None,
+                                           phases=[Phase.generate]))
+        assert any(v < 0 for f in stages for g in stages for _, v in (f - g).pieces)
 
     @pytest.mark.parametrize("probe,match", [((0.0, 0.0, 0), "positive"),
                                              ((0.0, 1.0, 2), "out of range"),
