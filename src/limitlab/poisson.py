@@ -37,13 +37,11 @@ the hull, so a monotone search, a few dozen probes a pass, decides each
 side's points from the probes over or under alpha by 2E, and leaves only
 the points within 3E of alpha open.  The open points and those inside the
 hull take as few heights as they need: every point at the tallest
-height; a point at distance at least that height from every piece is
-decided there, since the kernel grows with the height below the
-distance, unless its value lies within twice poisson_eval_error of
-alpha; the other points at the lowest height, and the points still
-undecided at the remaining heights in one pass.  The bisection takes
-every height in one pass, and a tree of BISECT_DEPTH rounds of midpoints
-a pass, replayed round by round.  Every decision is the one the full max
+height, the points not over alpha there at the lowest height, and the
+points still undecided at the remaining heights in one pass.  A scan of
+more than SCAN_LIMIT points is refused.  The bisection takes every
+height in one pass, and a tree of BISECT_DEPTH rounds of midpoints a
+pass, replayed round by round.  Every decision is the one the full max
 at that point gives.  The weak-type (1,1) measurement here and the
 maximal-operator test stages in randomness both read their sets from it.
 """
@@ -455,6 +453,7 @@ def _window_masses(f, at: Fraction, heights: list[Fraction]) -> list[float]:
 PRUNE_CELL = 1.0 / 16       # width of the envelope-pruning cells
 SCAN_DENSITY = 4096         # scan points per unit length inside a window
 MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
+SCAN_LIMIT = 2 ** 22        # most scan points one superlevel_set call builds
 EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluator,
                             # and (rows x grid elements) per pass of _closed_form
 BLOCK_MIN_ROWS = 8          # fewest rows a blocked pass takes, else row by row
@@ -475,8 +474,8 @@ def _heights(y_grid: Sequence[float]) -> np.ndarray:
 
 
 def _max_over_heights(rows, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """max over the heights ys (a column, possibly empty) of P[f](x, y) at
-    every x of xs.
+    """max over the heights ys (a nonempty column) of P[f](x, y) at every x
+    of xs.
 
     Each block of EVAL_CHUNK points is evaluated at all heights at once, in
     one (heights x points) pass, so peak memory stays at a few (heights x
@@ -486,72 +485,27 @@ def _max_over_heights(rows, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     flat = xs.reshape(-1)
     out = np.empty(flat.shape)
     for s in range(0, flat.size, EVAL_CHUNK):
-        out[s:s + EVAL_CHUNK] = np.max(_closed_form(rows, flat[s:s + EVAL_CHUNK], ys),
-                                       axis=0, initial=-np.inf)
+        out[s:s + EVAL_CHUNK] = np.max(_closed_form(rows, flat[s:s + EVAL_CHUNK], ys), axis=0)
     return out.reshape(xs.shape)
-
-
-def _far(starts: np.ndarray, ends: np.ndarray, xs: np.ndarray, reach: float) -> np.ndarray:
-    """Which points of xs are certified at distance >= reach from every row
-    [start, end] (rows sorted and disjoint, as _rows gives them): the nearest
-    row on each side is found by searchsorted, and a rounded difference is
-    compared strictly, since rounding, being monotone, never takes a
-    difference under the float reach past it."""
-    if not starts.size:
-        return np.ones(xs.shape, dtype=bool)
-    i = np.searchsorted(starts, xs, side="right")
-    left = np.where(i > 0, xs - ends[np.maximum(i - 1, 0)], np.inf)
-    right = np.where(i < starts.size, starts[np.minimum(i, starts.size - 1)] - xs, np.inf)
-    return (left > reach) & (right > reach)
 
 
 def _exceeds(rows, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
     """_max_over_heights(rows, xs, ys) > alpha, point for point, with as
-    few heights evaluated as the point needs.
-
-    Each block of EVAL_CHUNK points is evaluated at the tallest height
-    y_max, and the points that exceed alpha there are decided.  For y <= d
-    <= |x - t| the kernel y/(pi((x - t)^2 + y^2)) is nondecreasing in y, so
-    on nonnegative rows P[f](x, y) at a point at distance d >= y_max from
-    every row (a far point, _far) is largest at y_max.  With E the larger
-    of poisson_eval_error at the lowest and the tallest height, which
-    bounds the error at every height of the grid there (each term of the
-    budget grows with y for y <= d, and its +inf guards are tightest at
-    the lowest height), a far point whose value at y_max is at most
-    alpha - 2E has no computed value over alpha at any height, and is
-    decided "no"; the threshold is rounded down.  A far point within 2E of
-    alpha, and every other point, is evaluated next at the lowest height,
-    and the points still undecided at the remaining heights, in one
-    (heights x points) pass.  Every value compared with alpha is the one
-    _max_over_heights computes.
+    few heights evaluated as the point needs: every point at the tallest
+    height, the points not over alpha there at the lowest height (if it
+    differs), and the points still undecided at the remaining heights in
+    one (heights x points) pass.  A point over alpha at some height is
+    over it in the max, so every answer is the one of the full max.
     """
-    flat = xs.reshape(-1)
-    out = np.empty(flat.shape, dtype=bool)
     top, bottom = int(np.argmax(ys)), int(np.argmin(ys))
-    others = ys[[j for j in range(len(ys)) if j not in (top, bottom)]]
-    y_max = float(ys[top, 0])
-    nonneg = all(min(r[2], r[3]) >= 0 for r in rows)
-    starts = np.array([r[0] for r in rows])
-    ends = np.array([r[1] for r in rows])
-    for s in range(0, flat.size, EVAL_CHUNK):
-        block = flat[s:s + EVAL_CHUNK]
-        value = _closed_form(rows, block, ys[top:top + 1])[0]
-        hit = value > alpha
-        open_ = np.flatnonzero(~hit)
-        if nonneg and open_.size:
-            decided = _far(starts, ends, block[open_], y_max)
-            far = open_[decided]
-            if far.size:
-                budget = np.max(poisson_eval_error(rows, block[far], ys[[bottom, top]]), axis=0)
-                decided[decided] = value[far] <= np.nextafter(alpha - 2 * budget, -np.inf)
-                open_ = open_[~decided]
-        if bottom != top and open_.size:
-            hit[open_] = _closed_form(rows, block[open_], ys[bottom:bottom + 1])[0] > alpha
+    rest = [j for j in range(len(ys)) if j not in (top, bottom)]
+    flat, open_ = xs.reshape(-1), np.arange(xs.size)
+    hit = np.zeros(xs.size, dtype=bool)
+    for group in ([top], [bottom] if bottom != top else [], rest):
+        if group and open_.size:
+            hit[open_] = _max_over_heights(rows, flat[open_], ys[group]) > alpha
             open_ = open_[~hit[open_]]
-        if others.size and open_.size:
-            hit[open_] = _max_over_heights(rows, block[open_], others) > alpha
-        out[s:s + EVAL_CHUNK] = hit
-    return out.reshape(xs.shape)
+    return hit.reshape(xs.shape)
 
 
 def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
@@ -750,17 +704,16 @@ def superlevel_set(g, alpha: float,
     1/SCAN_DENSITY.  If sup |g| <= alpha - 2E, E a bound on the evaluation
     error at every scan point and height (_span_error), no point can
     exceed alpha, since P[|g|] <= sup |g|, and none is evaluated.  Else
-    the points left and right of the hull of the pieces, where the max
-    over heights rises toward the hull, go to a monotone search with a
-    margin of twice such a bound over each stretch (_monotone_split), and
-    the points it leaves open, with the points inside the hull, to
-    _exceeds: every point at the tallest height of y_grid; a point at
-    distance at least that height from every piece and at least twice
-    poisson_eval_error under alpha there is decided "no" (below the
-    distance the kernel grows with the height); every other point not yet
-    over alpha at the lowest height, and the points still undecided at the
-    remaining heights in one pass.  Both edges of every run of exceeding
-    scan points are bisected to BISECT_TOL, all edges of the set together,
+    windows that hold more than SCAN_LIMIT points in all (alpha tiny
+    against the mass of g) raise a ValueError naming alpha, their range and
+    the count, before any scan is built.  Else the points left and right of
+    the hull of the pieces, where the max over heights rises toward the
+    hull, go to a monotone search with a margin of twice such a bound over
+    each stretch (_monotone_split), and the points it leaves open, with the
+    points inside the hull, to _exceeds: every point at the tallest height
+    of y_grid, the points not yet over alpha at the lowest height, and the
+    points still undecided at the remaining heights in one pass.  Both
+    edges of every run of exceeding scan points are bisected to BISECT_TOL, all edges of the set together,
     BISECT_DEPTH rounds a pass over every height (_bisect_edges), keeping
     the outer end of each bracket; the edges are then rounded outward to
     multiples of 1/ROUND_DEN.  Every comparison with alpha is made on the
@@ -794,12 +747,16 @@ def superlevel_set(g, alpha: float,
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
         envelope += np.minimum(max(fa, fb), far)
     windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
-    scans = [np.linspace(w_lo, w_hi, max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1)
+    sizes = [max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
              for w_lo, w_hi in windows]
     if windows:  # P[|g|] <= sup |g|: no computed value reaches alpha
         budget = _span_error(rows, windows[0][0], windows[-1][1], ys)
         if max(max(r[2], r[3]) for r in rows) <= np.nextafter(alpha - 2 * budget, -np.inf):
-            scans = []
+            sizes = []
+    if sum(sizes) > SCAN_LIMIT:
+        raise ValueError(f"alpha = {alpha!r} asks for {sum(sizes)} scan points over "
+                         f"[{windows[0][0]!r}, {windows[-1][1]!r}], over SCAN_LIMIT {SCAN_LIMIT}")
+    scans = [np.linspace(w_lo, w_hi, size) for (w_lo, w_hi), size in zip(windows, sizes)]
 
     # one bracket per edge, left then right edge of each run; a run that
     # reaches the end of its window gets the zero-width bracket at that end

@@ -78,12 +78,13 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _le_sqrt2_bound(q: Fraction, a: int, b: int, exp: int) -> bool:
-    """Exact test of q <= (a + b*sqrt 2) / 2^exp for integers a, b >= 0."""
-    t = q * Fraction(2) ** exp - a  # Fraction power keeps exp < 0 exact
-    if t <= 0:
-        return True
-    return t * t <= 2 * b * b
+def _le_sqrt2_bound(p: int, q: int, a: int, b: int, exp: int) -> bool:
+    """Exact test of p/q <= (a + b*sqrt 2) / 2^exp for integers q > 0 and
+    a, b >= 0, in integers: with p 2^exp - a q = t (both sides scaled by
+    2^-exp where exp < 0), it holds iff t <= 0 or t^2 <= 2 b^2 q^2."""
+    p, q = p << max(exp, 0), q << max(-exp, 0)
+    t = p - a * q
+    return t <= 0 or t * t <= 2 * b * b * q * q
 
 
 def random_test_functions(seed: int, count: int):
@@ -657,7 +658,7 @@ def _check_lemma_simple_measure(ctx: VerifyContext):
     for k, stage in enumerate(ctx.simple_stages):
         m = stage.measure()
         measures[k] = str(m)
-        if not _le_sqrt2_bound(m, 2, 1, k - 1):
+        if not _le_sqrt2_bound(m.numerator, m.denominator, 2, 1, k - 1):
             return False, {"k": k, "measure": str(m),
                            "bound": "(2+sqrt2)/2^(k-1)", "mode": "exact"}
     return True, {"measures": measures, "mode": "exact"}
@@ -683,7 +684,7 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
     stage's values at the sorted distinct points come from one sweep
     (_stage_values), so no stage is evaluated point by point.  All values
     go on one integer grid over D (intervals._on_grid), where the bound on
-    a difference of numerators reads t = diff 2^n - 2D <= 0 or t^2 <= 2D^2.
+    a difference of numerators is tested in integers (_le_sqrt2_bound).
     Per point the largest |f_i - f_2n| over i, read from suffix extremes,
     is tested first, and only when it fails are the i scanned in order for
     the first failing one.  Each verdict is decided once per distinct
@@ -710,10 +711,6 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
     d, grid = _on_grid(v for values in by_point for v in values)
     width = limit + 1 - 2 * k
 
-    def within(diff: int, n: int) -> bool:
-        t = diff * 2 ** n - 2 * d
-        return t <= 0 or t * t <= 2 * d * d
-
     def first_failure(values):
         """The first (n, i, |f_i - f_2n| over D) that breaks the bound, or None;
         values[i - 2k] is the numerator of f_i."""
@@ -722,11 +719,11 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
         for n in range(k, (limit - 1) // 2 + 1):
             j = 2 * n - 2 * k
             base = values[j]
-            if within(max(top[j] - base, base - bottom[j]), n):
+            if _le_sqrt2_bound(max(top[j] - base, base - bottom[j]), d, 2, 1, n):
                 continue
             for i in range(2 * n, limit + 1):
                 diff = abs(values[i - 2 * k] - base)
-                if not within(diff, n):
+                if not _le_sqrt2_bound(diff, d, 2, 1, n):
                     return n, i, diff
         return None
 
@@ -853,8 +850,15 @@ def _check_tents_poisson_decay(ctx: VerifyContext):
         probes.append((st, x + rng.uniform(-2, 2), 2.0 ** rng.uniform(-10, 2)))
     # every odd stage at the point, at the largest trace height
     probes += [(st, x, max(ctx.heights)) for st in odd]
-    for st, px, y in probes:
-        value = abs(float(poisson_integral(st.f, px, y)))
+    # one evaluator per distinct stage, its probes read as arrays
+    xs = np.array([px for _, px, _ in probes])
+    ys = np.array([y for _, _, y in probes])
+    stage_of = np.array([st.s for st, _, _ in probes])
+    values = np.empty(len(probes))
+    for st in {st.s: st for st, _, _ in probes}.values():
+        mine = stage_of == st.s
+        values[mine] = np.abs(poisson_evaluator(st.f)(xs[mine], ys[mine]))
+    for (st, px, y), value in zip(probes, values.tolist()):
         bound = float(st.l1) / (math.pi * y)
         if not value <= bound + 1e-12:
             return False, {"stage": st.s, "x": px, "y": y,

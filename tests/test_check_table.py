@@ -409,7 +409,8 @@ def test_simple_stage_fault_fails_its_check(monkeypatch, k, region, check_id):
         assert details["k"] == 3 and details["measure"] == "16"
         return
     n, i = details["n"], details["i"]
-    assert 2 * n <= i and not verify._le_sqrt2_bound(Fraction(details["difference"]), 2, 1, n)
+    assert 2 * n <= i and not verify._le_sqrt2_bound(
+        *Fraction(details["difference"]).as_integer_ratio(), 2, 1, n)
     x = Fraction(details["x"])
     fns = verify.VerifyContext().step.functions()
     assert abs(fns[i].eval(x) - fns[2 * n].eval(x)) == Fraction(details["difference"])
@@ -436,7 +437,7 @@ def all_pairs_stability(ctx):
             base = values[2 * n]
             for i in range(2 * n, limit + 1):
                 diff = abs(values[i] - base)
-                if not verify._le_sqrt2_bound(diff, 2, 1, n):
+                if not verify._le_sqrt2_bound(*diff.as_integer_ratio(), 2, 1, n):
                     return False, {"x": str(x), "n": n, "i": i,
                                    "difference": str(diff), "mode": "exact"}
     return True, {"points": checked, "stage_k": k, "mode": "exact"}
@@ -496,6 +497,22 @@ def test_stability_matches_the_all_pairs_loop_at_m_max_24(seed, bumps, stale):
     assert got == want
     if not stale:
         assert got[0]
+
+
+@given(q=st.integers(1, 10 ** 12), a=st.integers(0, 8), b=st.integers(0, 8),
+       exp=st.integers(-6, 40), step=st.integers(-2, 2))
+@settings(max_examples=300, deadline=None)
+def test_sqrt2_bound_matches_the_fraction_form(q, a, b, exp, step):
+    """The integer test of p/q <= (a + b sqrt 2)/2^exp gives the answer of
+    the Fraction form it replaced, for p within two of the largest p that
+    passes, negative exponents included."""
+    k = max(-exp, 0)
+    edge = (a * q * 2 ** k + math.isqrt(2 * b * b * q * q * 4 ** k)) >> max(exp, 0)
+    p = edge + step
+    t = Fraction(p, q) * Fraction(2) ** exp - a
+    assert verify._le_sqrt2_bound(p, q, a, b, exp) == (t <= 0 or t * t <= 2 * b * b)
+    assert verify._le_sqrt2_bound(edge, q, a, b, exp)
+    assert not verify._le_sqrt2_bound(edge + 1, q, a, b, exp)
 
 
 @pytest.mark.parametrize("value,ok", [(Fraction(170710, 100000), True),
@@ -709,6 +726,36 @@ def test_dirichlet_convolution_evaluates_each_node_array_once(monkeypatch, seed)
         verify.VerifyContext(verify.Caps(seed=seed)))
     assert ok and details["worst_abs_error"] == want
     assert len(calls) == {0: 57, 7: 60}[seed]
+
+
+def per_probe_poisson_decay(ctx):
+    """tents.poisson_decay as it was: one scalar poisson_integral call a
+    probe, in probe order."""
+    tc, x = ctx.tents, float(ctx.point)
+    odd = [st for st in tc.stages if st.s % 2 == 1]
+    rng = random.Random(ctx.caps.seed + 7)
+    probes = []
+    for _ in range(20):
+        st = tc.stages[rng.randint(0, len(tc.stages) - 1)]
+        probes.append((st, x + rng.uniform(-2, 2), 2.0 ** rng.uniform(-10, 2)))
+    probes += [(st, x, max(ctx.heights)) for st in odd]
+    for st, px, y in probes:
+        value = abs(float(poisson.poisson_integral(st.f, px, y)))
+        bound = float(st.l1) / (math.pi * y)
+        if not value <= bound + 1e-12:
+            return False, {"stage": st.s, "x": px, "y": y, "value": value, "bound": bound}
+    odd_l1 = [float(st.l1) for st in odd]
+    return all(b <= a for a, b in zip(odd_l1, odd_l1[1:])), {
+        "odd_stage_l1": odd_l1, "samples": 20, "point_height": max(ctx.heights)}
+
+
+@pytest.mark.parametrize("caps", [verify.Caps(), verify.Caps(s_max=81),
+                                  verify.Caps(s_max=41, seed=3), verify.Caps(s_max=81, seed=11)])
+def test_tents_poisson_decay_matches_the_per_probe_loop(caps):
+    """One evaluator per distinct stage, its probes read as arrays, gives
+    the scalar loop's result, the first failing probe at s_max 81 too."""
+    ctx = verify.VerifyContext(caps)
+    assert verify._check_tents_poisson_decay(ctx) == per_probe_poisson_decay(ctx)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 from scipy.integrate import quad
 
 from limitlab import poisson
@@ -374,33 +374,31 @@ def height_grids(draw):
     return grid
 
 
-def far_top_value(f, grid, pick):
-    """The computed value at the tallest height of a scan point certified
-    far from every piece of |f|, chosen by pick in [0, 1); None if no scan
-    point is far."""
-    rows = poisson._rows(f.abs())
-    y_max = float(max(grid))
-    starts = np.array([r[0] for r in rows])
-    ends = np.array([r[1] for r in rows])
-    far = SCAN[poisson._far(starts, ends, SCAN, y_max)]
-    if not far.size:
-        return None
-    x = far[int(pick * far.size)]
-    return float(poisson._closed_form(rows, np.array([x]), y_max)[0])
+def top_value(f, grid, pick):
+    """The computed value at the tallest height of the scan point chosen by
+    pick in [0, 1)."""
+    x = SCAN[int(pick * SCAN.size)]
+    return float(poisson._closed_form(poisson._rows(f.abs()), np.array([x]), float(max(grid)))[0])
+
+
+# two bumps 4 apart: the points between them lie inside the hull, farther
+# from both bumps than the tallest default height
+TWO_BUMPS = StepFunction.from_weighted_regions(
+    [(6, IntervalUnion.single(Fraction(-5, 2), -2)), (6, IntervalUnion.single(2, Fraction(5, 2)))])
 
 
 @given(maximal_inputs(), height_grids(), st.none() | st.floats(0, 1, exclude_max=True))
+@example((TWO_BUMPS, 0.125), list(DEFAULT_Y_GRID), 0.5)
 @settings(max_examples=60, deadline=None)
 def test_exceeds_matches_maximal_estimate(inputs, grid, pick):
-    """The tallest-height decision, the far-point rule, the lowest height and
-    the pass over the still undecided points give the answer of the full
-    max, point for point, for any grid and order.  With pick set, alpha is
-    a far point's own value at the tallest height, so that point lies
-    within 2E of alpha and goes through every height."""
+    """The tallest height, the lowest height and the pass over the still
+    undecided points give the answer of the full max, point for point, for
+    any grid and order.  With pick set, alpha is a scan point's own value at
+    the tallest height, so that point ties there and goes through every
+    height."""
     f, alpha = inputs
-    value = None if pick is None else far_top_value(f, grid, pick)
-    if value is not None:
-        alpha = value
+    if pick is not None:
+        alpha = top_value(f, grid, pick)
     assert exceeds_mismatches(poisson._exceeds, f, alpha, grid).size == 0
 
 
@@ -424,64 +422,6 @@ def test_dropping_undecided_points_is_caught(monkeypatch):
     assert located(superlevel_set(f, 1.0)) == want
     monkeypatch.setattr(poisson, "_exceeds", first_height_only)
     assert superlevel_set(f, 1.0).components == 0
-
-
-def test_half_reach_far_rule_is_caught(monkeypatch):
-    """Negative control: the same spike at alpha = 1/32.  At distance 0.55
-    its value is 0.0306 at height 1 but 0.036 at height 1/2, so an _exceeds
-    that calls a point far at distance y_max/2 decides such points "no"
-    wrongly."""
-    f = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
-    assert exceeds_mismatches(poisson._exceeds, f, 1 / 32, DEFAULT_Y_GRID).size == 0
-    far = poisson._far
-    monkeypatch.setattr(poisson, "_far",
-                        lambda starts, ends, xs, reach: far(starts, ends, xs, reach / 2))
-    assert exceeds_mismatches(poisson._exceeds, f, 1 / 32, DEFAULT_Y_GRID).size > 0
-
-
-def test_far_points_take_one_height(monkeypatch):
-    """On nonnegative data, points at distance >= y_max from every piece and
-    clearly under alpha are evaluated at the tallest height only; signed
-    rows never take the far rule."""
-    evaluated = []
-    closed_form = poisson._closed_form
-
-    def counted(rows, xs, y):
-        evaluated.append(np.size(xs) * np.size(y))
-        return closed_form(rows, xs, y)
-    monkeypatch.setattr(poisson, "_closed_form", counted)
-    f = StepFunction.indicator(IntervalUnion.single(-1, 1), 2)
-    xs = np.linspace(3, 40, 1000)
-    ys = poisson._heights(DEFAULT_Y_GRID)
-    assert not poisson._exceeds(poisson._rows(f), xs, ys, 0.5).any()
-    assert sum(evaluated) == xs.size
-    evaluated.clear()
-    poisson._exceeds(poisson._rows(f.scale(-1)), xs, ys, 0.5)
-    assert sum(evaluated) == xs.size * len(DEFAULT_Y_GRID)
-
-
-def test_far_point_within_the_budget_takes_every_height(monkeypatch):
-    """Right of a tent, at heights 1 and 1 - 2^-48, the exact value is larger
-    at height 1, but at points just over distance 1 the computed value at
-    the lower height can round several ulp above the tallest one.  With
-    alpha one ulp above such a point's tallest-height value, the point lies
-    within 2E of alpha, goes through every height and is found to exceed;
-    with the budget taken as 0 (negative control) the far rule decides it
-    "no" and the answer no longer matches the full max."""
-    rows = poisson._rows(tent(RationalInterval(Fraction(7, 8), 1)).scale(Fraction(1, 2)))
-    ys = poisson._heights([1.0, 1 - 2.0 ** -48])
-    xs = 2 + np.arange(1, 4097) * 2.0 ** -20
-    top, lower = poisson._closed_form(rows, xs, ys)
-    inverted = np.flatnonzero(lower > np.nextafter(top, np.inf))
-    assert inverted.size
-    x, alpha = xs[inverted[:1]], np.nextafter(top[inverted[0]], np.inf)
-    assert poisson._far(np.array([r[0] for r in rows]),
-                        np.array([r[1] for r in rows]), x, 1.0)[0]
-    assert poisson._max_over_heights(rows, x, ys)[0] > alpha
-    assert poisson._exceeds(rows, x, ys, alpha)[0]
-    monkeypatch.setattr(poisson, "poisson_eval_error",
-                        lambda rows, xs, y: np.zeros(np.broadcast_shapes(xs.shape, y.shape)))
-    assert not poisson._exceeds(rows, x, ys, alpha)[0]
 
 
 @given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
@@ -550,10 +490,13 @@ def pruned_windows(rows, alpha):
     return [(float(edges[s]), float(edges[e])) for s, e in poisson._runs(envelope > alpha)]
 
 
-def scan_of(window):
+def scan_size(window):
     w_lo, w_hi = window
-    n_pts = max(int((w_hi - w_lo) * poisson.SCAN_DENSITY), poisson.MIN_WINDOW_POINTS) + 1
-    return np.linspace(w_lo, w_hi, n_pts)
+    return max(int((w_hi - w_lo) * poisson.SCAN_DENSITY), poisson.MIN_WINDOW_POINTS) + 1
+
+
+def scan_of(window):
+    return np.linspace(*window, scan_size(window))
 
 
 def full_scan(g, alpha, grid=DEFAULT_Y_GRID):
@@ -610,17 +553,39 @@ def exterior_value(f, alpha, grid, pick):
 
 
 @given(search_inputs(), height_grids(), st.none() | st.floats(0, 1, exclude_max=True))
+@example((TWO_BUMPS, 0.125), list(DEFAULT_Y_GRID), None)
+@example((StepFunction.indicator(IntervalUnion.single(Fraction(-43, 8), 0), 6), 0.125),
+         [0.005301919242253761, 0.005301918776592474], 0.0)
 @settings(max_examples=60, deadline=None)
 def test_superlevel_set_matches_the_full_scan(inputs, grid, pick):
     """The sup cut, the monotone search off the hull and the tree bisection
     locate the set the full scan does, for any grid.  With pick set, alpha
     is the computed max of a point off the hull, so points near it sit
-    within the search's margin."""
+    within the search's margin.  Such an alpha can be tiny (2.85e-5 in the
+    second example, over 1.4e9 scan points): past SCAN_LIMIT scan points the
+    call raises a ValueError that names the count."""
     f, alpha = inputs
     value = None if pick is None else exterior_value(f, alpha, grid, pick)
     if value is not None:
         alpha = value
+    rows = poisson._rows(f.abs())
+    points = sum(map(scan_size, pruned_windows(rows, alpha))) if rows else 0
+    if points > poisson.SCAN_LIMIT:
+        with pytest.raises(ValueError, match=f"asks for {points} scan points"):
+            superlevel_set(f, alpha, grid)
+        return
     assert located(superlevel_set(f, alpha, grid)) == full_scan(f, alpha, grid)
+
+
+def test_runaway_scan_is_refused(monkeypatch):
+    """At alpha 2.85e-5 the windows of a height-6 indicator on [-43/8, 0]
+    would hold 1,477,309,185 scan points (11 GiB): superlevel_set raises
+    before it builds any scan."""
+    f = StepFunction.indicator(IntervalUnion.single(Fraction(-43, 8), 0), 6)
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(ValueError, match=r"alpha = 2.846262605340067e-05 asks for "
+                                         r"1477309185 scan points over \[-180338"):
+        superlevel_set(f, 2.846262605340067e-05, [0.005301919242253761, 0.005301918776592474])
 
 
 SPIKE = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
