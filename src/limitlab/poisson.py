@@ -30,16 +30,17 @@ routine, superlevel_set: envelope pruning, a windowed sign scan, edge
 bisection with all edges of a set bisected together, and outward dyadic
 rounding.  The scan spends evaluations only where a value can come out
 on either side of alpha.  _span_error bounds poisson_eval_error by one
-number E over a stretch of points and the whole height grid.  A set with
-sup |g| <= alpha - 2E is empty, since P[|g|] <= sup |g|, and is not
-scanned.  Off the hull of the pieces the max over heights rises toward
-the hull, so a monotone search, a few dozen probes a pass, decides each
-side's points from the probes over or under alpha by 2E, and leaves only
+number E over the scanned range and the whole height grid, once per set.
+A set with sup |g| <= alpha - 2E is empty, since P[|g|] <= sup |g|, and
+is not scanned.  The scan points of all windows form one sorted array.
+Off the hull of the pieces the max over heights rises toward the hull, so
+one monotone search, a few dozen probes a pass, decides the points on
+either side from the probes over or under alpha by 2E, and leaves only
 the points within 3E of alpha open.  The open points and those inside the
-hull take as few heights as they need: every point at the tallest
-height, the points not over alpha there at the lowest height, and the
-points still undecided at the remaining heights in one pass.  A scan of
-more than SCAN_LIMIT points is refused.  The bisection takes every
+hull go to one pass that takes as few heights as they need: every point
+at the tallest height, the points not over alpha there at the lowest
+height, and the points still undecided at the remaining heights.  A scan
+of more than SCAN_LIMIT points is refused.  The bisection takes every
 height in one pass, and a tree of BISECT_DEPTH rounds of midpoints a
 pass, replayed round by round.  Every decision is the one the full max
 at that point gives.  The weak-type (1,1) measurement here and the
@@ -230,6 +231,8 @@ def poisson_eval_error(rows, xs, y) -> np.ndarray:
 def _span_error(rows, lo: float, hi: float, ys: np.ndarray) -> float:
     """One bound on poisson_eval_error(rows, x, y) for every x of [lo, hi]
     and every height y of ys (a column); +inf where none is derived.
+    superlevel_set takes it once a set, over the scanned range, and that
+    one number serves the sup cut and both stretches of the search.
 
     Term by term, in the names of poisson_eval_error:
     * The zero-slope rows' part (u (48 + 8n) + UNDERFLOW) |f(a)| is the same
@@ -601,12 +604,13 @@ def _exterior(xs: np.ndarray, lo: float, hi: float):
     return slice(0, k_left), slice(xs.size - 1, k_right - 1 if k_right else None, -1)
 
 
-def _monotone_split(rows, ys: np.ndarray, alpha: float, stretches) -> list:
-    """For each (points, E) of stretches, points along which the exact max
-    over heights M of P[rows] is nondecreasing and E a bound on the
-    evaluation error there (_span_error), returns (lo, hi): every point
-    before lo has computed max at most alpha, and every point from hi on
-    over alpha.
+def _monotone_split(rows, ys: np.ndarray, alpha: float, budget: float, stretches) -> list:
+    """For each array of points of stretches, along which the exact max
+    over heights M of P[rows] is nondecreasing, returns (lo, hi): every
+    point before lo has computed max at most alpha, and every point from hi
+    on over alpha.  budget is one bound E on the evaluation error at every
+    point of every stretch and every height (_span_error over the scanned
+    range).
 
     The computed max M~ is within E of M.  A point with M~ <= alpha - 2E
     has M <= alpha - E, so every point before it has M~ <= alpha; a point
@@ -614,28 +618,25 @@ def _monotone_split(rows, ys: np.ndarray, alpha: float, stretches) -> list:
     M~ > alpha.  Each pass probes every open gap (_probes), all stretches
     and every height in one pass of _max_over_heights.  When no gap is
     left, points[lo:hi] lie between two probes whose M is within 3E of
-    alpha.  A stretch with E = +inf is not searched.
+    alpha.  With E = +inf nothing is searched.
     """
-    searches = [[0, points.size, []] for points, _ in stretches]
-    while True:
-        probes = [_probes(*search) if math.isfinite(e) else []
-                  for search, (_, e) in zip(searches, stretches)]
+    searches = [[0, points.size, []] for points in stretches]
+    under = np.nextafter(alpha - 2 * budget, -np.inf)
+    over = np.nextafter(alpha + 2 * budget, np.inf)
+    while math.isfinite(budget):
+        probes = [_probes(*search) for search in searches]
         if not any(probes):
-            return [(lo, hi) for lo, hi, _ in searches]
+            break
         got = _max_over_heights(
-            rows, np.concatenate([points[p] for (points, _), p in zip(stretches, probes)]), ys)
+            rows, np.concatenate([points[p] for points, p in zip(stretches, probes)]), ys)
         at = 0
-        for search, picked, (_, e) in zip(searches, probes, stretches):
-            if not picked:
-                continue
-            values = got[at:at + len(picked)]
-            at += len(picked)
-            picked = np.array(picked)
-            under = picked[values <= np.nextafter(alpha - 2 * e, -np.inf)]
-            over = picked[values > np.nextafter(alpha + 2 * e, np.inf)]
-            search[0] = max(search[0], int(under.max(initial=-1)) + 1)
-            search[1] = min(search[1], int(over.min(initial=search[1])))
+        for search, picked in zip(searches, probes):
+            values, at = got[at:at + len(picked)], at + len(picked)
+            picked = np.array(picked, dtype=int)
+            search[0] = max(search[0], int(picked[values <= under].max(initial=-1)) + 1)
+            search[1] = min(search[1], int(picked[values > over].min(initial=search[1])))
             search[2] = sorted(search[2] + picked.tolist())
+    return [(lo, hi) for lo, hi, _ in searches]
 
 
 def _probes(lo: int, hi: int, seen: list) -> list:
@@ -655,33 +656,22 @@ def _probes(lo: int, hi: int, seen: list) -> list:
     return sorted(picks)
 
 
-def _scan_hits(rows, scans: list, ys: np.ndarray, alpha: float) -> list:
-    """_exceeds(rows, xs, ys, alpha) for the scan points xs of every window,
-    with the points off the hull of the rows decided by _monotone_split
-    where it can: each window's stretch on either side (_exterior) is
-    searched with its own budget _span_error, all stretches together, and
-    only the points it leaves open and the points inside the hull go to
-    _exceeds."""
-    hull_lo, hull_hi = min(r[0] for r in rows), max(r[1] for r in rows)
-    sides = [_exterior(xs, hull_lo, hull_hi) for xs in scans]
-    stretches = []
-    for xs, pair in zip(scans, sides):
-        for side in pair:
-            points = xs[side]
-            ends = sorted((points[0], points[-1])) if points.size else None
-            stretches.append((points, _span_error(rows, *ends, ys) if ends else math.inf))
-    splits = iter(_monotone_split(rows, ys, alpha, stretches))
-    hits = []
-    for xs, pair in zip(scans, sides):
-        hit = np.zeros(xs.size, dtype=bool)
-        open_ = np.ones(xs.size, dtype=bool)
-        for side, (lo, hi) in zip(pair, splits):
-            hit[side][hi:] = True
-            open_[side] = False
-            open_[side][lo:hi] = True
-        hit[open_] = _exceeds(rows, xs[open_], ys, alpha)
-        hits.append(hit)
-    return hits
+def _scan_hits(rows, xs: np.ndarray, ys: np.ndarray, alpha: float, budget: float) -> np.ndarray:
+    """_exceeds(rows, xs, ys, alpha) for xs, the scan points of every window
+    as one sorted array.  Its stretches left and right of the hull of the
+    rows (_exterior) go to one _monotone_split with budget, one bound E over
+    the scanned range (_span_error), and the points it leaves open, with the
+    points inside the hull, to one _exceeds call."""
+    sides = _exterior(xs, min(r[0] for r in rows), max(r[1] for r in rows))
+    hit = np.zeros(xs.size, dtype=bool)
+    open_ = np.ones(xs.size, dtype=bool)
+    for side, (lo, hi) in zip(sides, _monotone_split(rows, ys, alpha, budget,
+                                                     [xs[side] for side in sides])):
+        hit[side][hi:] = True
+        open_[side] = False
+        open_[side][lo:hi] = True
+    hit[open_] = _exceeds(rows, xs[open_], ys, alpha)
+    return hit
 
 
 class SuperlevelSet(NamedTuple):
@@ -700,20 +690,24 @@ def superlevel_set(g, alpha: float,
     pieces of |g| are converted to float rows once.  Cells of width
     PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
     (2 pi d)), valid at every height (d the distance to the piece), sums to
-    at most alpha.  The remaining windows hold scan points at spacing about
-    1/SCAN_DENSITY.  If sup |g| <= alpha - 2E, E a bound on the evaluation
-    error at every scan point and height (_span_error), no point can
-    exceed alpha, since P[|g|] <= sup |g|, and none is evaluated.  Else
-    windows that hold more than SCAN_LIMIT points in all (alpha tiny
-    against the mass of g) raise a ValueError naming alpha, their range and
-    the count, before any scan is built.  Else the points left and right of
-    the hull of the pieces, where the max over heights rises toward the
-    hull, go to a monotone search with a margin of twice such a bound over
-    each stretch (_monotone_split), and the points it leaves open, with the
-    points inside the hull, to _exceeds: every point at the tallest height
-    of y_grid, the points not yet over alpha at the lowest height, and the
-    points still undecided at the remaining heights in one pass.  Both
-    edges of every run of exceeding scan points are bisected to BISECT_TOL, all edges of the set together,
+    at most alpha, EVAL_CHUNK cells a block, so that only the mask of kept
+    cells spans them all.  The remaining windows hold scan points at
+    spacing about 1/SCAN_DENSITY.  E, one bound on the evaluation error at
+    every point of the scanned range and every height (_span_error), is
+    taken once.  If sup |g| <= alpha - 2E, no point can exceed alpha, since
+    P[|g|] <= sup |g|, and none is evaluated.  Else windows that hold more
+    than SCAN_LIMIT points in all (alpha tiny against the mass of g) raise
+    a ValueError naming alpha, their range and the count, before any scan
+    is built.  Else the scan points of every window, as one sorted array,
+    go to _scan_hits: the points left and right of the hull of the pieces,
+    where the max over heights rises toward the hull, to one monotone
+    search with a margin of 2E (_monotone_split), and the points it leaves
+    open, with the points inside the hull, to one _exceeds call: every
+    point at the tallest height of y_grid, the points not yet over alpha at
+    the lowest height, and the points still undecided at the remaining
+    heights in one pass.  A set that scans no point makes neither call.
+    Both edges of every run of exceeding scan points in a window are
+    bisected to BISECT_TOL, all edges of the set together,
     BISECT_DEPTH rounds a pass over every height (_bisect_edges), keeping
     the outer end of each bracket; the edges are then rounded outward to
     multiples of 1/ROUND_DEN.  Every comparison with alpha is made on the
@@ -734,19 +728,23 @@ def superlevel_set(g, alpha: float,
         return SuperlevelSet(IntervalUnion.empty(), 0, 0, 0.0, 0.0)
 
     # prune: a cell whose envelope sum stays at or under alpha holds no point
-    # of the set, whatever the height
+    # of the set, whatever the height; EVAL_CHUNK cells a block, so only the
+    # mask spans every cell
     masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, _, _ in rows]
     radius = sum(masses) / (math.pi * alpha) + PRUNE_CELL
     lo = min(r[0] for r in rows) - radius
     n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
-    edges = lo + PRUNE_CELL * np.arange(n_cells + 1)
-    envelope = np.zeros(n_cells)
-    for (a, b, fa, fb, _, _), mass in zip(rows, masses):
-        dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
-        with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
-            far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
-        envelope += np.minimum(max(fa, fb), far)
-    windows = [(float(edges[s]), float(edges[e])) for s, e in _runs(envelope > alpha)]
+    kept = np.empty(n_cells, dtype=bool)
+    for s in range(0, n_cells, EVAL_CHUNK):
+        edges = lo + PRUNE_CELL * np.arange(s, min(s + EVAL_CHUNK, n_cells) + 1)
+        envelope = np.zeros(edges.size - 1)
+        for (a, b, fa, fb, _, _), mass in zip(rows, masses):
+            dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
+            with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
+                far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
+            envelope += np.minimum(max(fa, fb), far)
+        kept[s:s + EVAL_CHUNK] = envelope > alpha
+    windows = [(lo + PRUNE_CELL * int(s), lo + PRUNE_CELL * int(e)) for s, e in _runs(kept)]
     sizes = [max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
              for w_lo, w_hi in windows]
     if windows:  # P[|g|] <= sup |g|: no computed value reaches alpha
@@ -756,15 +754,18 @@ def superlevel_set(g, alpha: float,
     if sum(sizes) > SCAN_LIMIT:
         raise ValueError(f"alpha = {alpha!r} asks for {sum(sizes)} scan points over "
                          f"[{windows[0][0]!r}, {windows[-1][1]!r}], over SCAN_LIMIT {SCAN_LIMIT}")
-    scans = [np.linspace(w_lo, w_hi, size) for (w_lo, w_hi), size in zip(windows, sizes)]
-
-    # one bracket per edge, left then right edge of each run; a run that
-    # reaches the end of its window gets the zero-width bracket at that end
+    # one bracket per edge, left then right edge of each run in a window; a
+    # run that reaches the end of its window gets the zero-width bracket there
     outside, inside = [], []
-    for xs, hit in zip(scans, _scan_hits(rows, scans, ys, alpha)):
-        for s, stop in _runs(hit):
-            outside += [xs[max(s - 1, 0)], xs[min(stop, xs.size - 1)]]
-            inside += [xs[s], xs[stop - 1]]
+    if sizes:  # the scan points of every window as one sorted array
+        xs = np.concatenate([np.linspace(w_lo, w_hi, size)
+                             for (w_lo, w_hi), size in zip(windows, sizes)])
+        cuts = np.cumsum(sizes[:-1], dtype=int)
+        hits = np.split(_scan_hits(rows, xs, ys, alpha, budget), cuts)
+        for scan, hit in zip(np.split(xs, cuts), hits):
+            for s, stop in _runs(hit):
+                outside += [scan[max(s - 1, 0)], scan[min(stop, scan.size - 1)]]
+                inside += [scan[s], scan[stop - 1]]
     # a bisection round has only a few midpoints: a tree of them a pass
     ends, failures = _bisect_edges(lambda mid: _max_over_heights(rows, mid, ys) > alpha,
                                    np.array(outside), np.array(inside))

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from limitlab import kernels, poisson, quadrature, randomness, verify
 from limitlab.cli import main
 from limitlab.constructions import StepConstruction
-from limitlab.functions import StepFunction
+from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion
 from limitlab.kernels import FejerSum
 from limitlab.randomness import integral_test_partial
@@ -603,36 +603,104 @@ def _lp_ratio_off_at_order_3(monkeypatch):
                         lambda n, p, tol: real(n, p, tol) * (1 + 1e-6 * (n == 3)))
 
 
-KERNEL_FAST = ["--n-max", "6", "--lower-n-max", "8", "--grid", "64"]
+def _fejer_off_at_pi(monkeypatch):
+    real = kernels.fejer_eval
+    monkeypatch.setattr(kernels, "fejer_eval",
+                        lambda n, x: real(n, x) + 1e-6 * (np.abs(x) == math.pi))
 
-# check id -> (the builder verify calls, the edit of what it builds, the
-# stage the failure names); at FAST_VERIFY caps the last odd tent stage is 5
-# and the last step stage is 4
-BUILD_FAULTS = {
-    "tents.l1_bound": ("build_ml_poisson", _last_odd_l1_bound_under_its_norm, 5),
-    "tents.flip_flop": ("build_ml_poisson", _first_odd_stage_zeroed, 1),
-    "step.increment_bound": ("build_schnorr_poisson", _last_increment_at_its_bound, 4),
-    "step.limit_mass": ("build_schnorr_poisson", _last_mass_below_the_one_before, 4),
-    "fourier.summability": ("build_fourier_divergent", _stage_1_norm_over_the_majorant, 1),
+
+def _fejer_halved_at_order_8(monkeypatch):
+    real = kernels.fejer_eval
+    monkeypatch.setattr(kernels, "fejer_eval", lambda n, x: real(n, x) * (0.5 if n == 8 else 1))
+
+
+def _partial_sum_one_short(monkeypatch):
+    real = TrigPoly.partial_sum
+    monkeypatch.setattr(TrigPoly, "partial_sum", lambda self, n: real(self, n - (n > 0)))
+
+
+def _first_jump_a_tenth(monkeypatch):
+    real = verify.convergence_trace
+
+    def traced(*args):
+        trace = real(*args)
+        trace.entries[1].jump /= 10    # entry 0 has no jump
+        return trace
+    monkeypatch.setattr(verify, "convergence_trace", traced)
+
+
+def _one_bisection_failure(monkeypatch):
+    real = randomness.superlevel_set
+    levels = []
+
+    def located(*args):
+        levels.append(real(*args))
+        return levels[-1]._replace(bisection_failures=int(len(levels) == 1))
+    monkeypatch.setattr(randomness, "superlevel_set", located)
+
+
+def _tent_values_lifted(monkeypatch):
+    real = verify.poisson_evaluator
+
+    def lifted(f):
+        at = real(f)
+        return (lambda x, y: at(x, y) + 1e3) if isinstance(f, PiecewiseLinear) else at
+    monkeypatch.setattr(verify, "poisson_evaluator", lifted)
+
+
+def _build_fault(builder, edit):
+    return lambda monkeypatch: _edit_build(monkeypatch, builder, edit)
+
+
+VERIFY_FAST = ["verify-all", *FAST_VERIFY]
+KERNEL_FAST = ["kernel-check", "--n-max", "6", "--lower-n-max", "8", "--grid", "64"]
+
+# check id -> (the command run under the fault, the fault, the detail key
+# and value that name where the check fails); at FAST_VERIFY caps the last
+# odd tent stage is 5 and the last step stage 4.  A row whose failure names
+# no stage or sample names its measured error (a callable gives the
+# reference value under the fault).
+FAULTS = {
+    "tents.l1_bound": (VERIFY_FAST, _build_fault("build_ml_poisson",
+                                                 _last_odd_l1_bound_under_its_norm), "stage", 5),
+    "tents.flip_flop": (VERIFY_FAST, _build_fault("build_ml_poisson", _first_odd_stage_zeroed),
+                        "stage", 1),
+    "step.increment_bound": (VERIFY_FAST, _build_fault("build_schnorr_poisson",
+                                                       _last_increment_at_its_bound), "stage", 4),
+    "step.limit_mass": (VERIFY_FAST, _build_fault("build_schnorr_poisson",
+                                                  _last_mass_below_the_one_before), "stage", 4),
+    "fourier.summability": (VERIFY_FAST, _build_fault("build_fourier_divergent",
+                                                      _stage_1_norm_over_the_majorant),
+                            "stage", 1),
+    "fejer.lp_equivalence": (KERNEL_FAST, _lp_ratio_off_at_order_3, "order", 3),
+    "fejer.cesaro_mean": (KERNEL_FAST, _fejer_off_at_pi, "worst_abs_error", pytest.approx(1e-6)),
+    # only this row reads orders above --n-max 6
+    "fejer.lower_bound": (KERNEL_FAST, _fejer_halved_at_order_8, "order", 8),
+    "dirichlet.partial_sum_convolution": (KERNEL_FAST, _partial_sum_one_short, "worst_abs_error",
+                                          lambda: two_integral_convolution_error(0)),
+    "fourier.trace_jumps": (["fourier-trace", "--n-max", "2"], _first_jump_a_tenth,
+                            "qualifying_cutoffs", [1]),
+    # pmt.weak_type reads poisson's own superlevel_set, and stays green
+    "lemma_poisson.measure": (VERIFY_FAST, _one_bisection_failure, "k", 1),
+    # the chain evaluates step stages only, and stays green
+    "tents.poisson_decay": (VERIFY_FAST, _tent_values_lifted, "stage", 2),
 }
 
 
-@pytest.mark.parametrize("check_id", [*BUILD_FAULTS, "fejer.lp_equivalence"])
+@pytest.mark.parametrize("check_id", FAULTS)
 def test_fault_fails_only_its_check_and_names_where(tmp_path, capsys, monkeypatch, check_id):
     """Negative controls: each fault makes exactly its check fail, and the
-    failure names the stage (or, for a kernel row, the order) at fault."""
+    failure names the stage, order or cutoff at fault (or, where the row
+    reports no location, the error the fault makes)."""
     out = tmp_path / "o"
-    if check_id == "fejer.lp_equivalence":
-        _lp_ratio_off_at_order_3(monkeypatch)
-        argv, key, where = ["kernel-check", *KERNEL_FAST], "order", 3
-    else:
-        builder, edit, where = BUILD_FAULTS[check_id]
-        _edit_build(monkeypatch, builder, edit)
-        argv, key = ["verify-all", *FAST_VERIFY], "stage"
+    argv, fault, key, where = FAULTS[check_id]
+    fault(monkeypatch)
     assert main([*argv, "--out", str(out)]) == 1
-    failed = [c for c in _report(out)["checks"] if c["status"] == "fail"]
-    assert [c["check_id"] for c in failed] == [check_id]
-    assert failed[0]["details"][key] == where
+    report = _report(out)
+    rows = report["checks"] if "checks" in report else report["bounds"]  # scenario layout
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert [row.get("check_id", row.get("id")) for row in failed] == [check_id]
+    assert failed[0]["details"][key] == (where() if callable(where) else where)
     assert check_id in capsys.readouterr().err
 
 

@@ -2,8 +2,12 @@
 maximal-operator machinery built on them."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
 from scipy.integrate import quad
 
-from limitlab import poisson
+from limitlab import poisson, verify
 from limitlab.constructions import build_ml_poisson, build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
@@ -586,6 +590,74 @@ def test_runaway_scan_is_refused(monkeypatch):
     with pytest.raises(ValueError, match=r"alpha = 2.846262605340067e-05 asks for "
                                          r"1477309185 scan points over \[-180338"):
         superlevel_set(f, 2.846262605340067e-05, [0.005301919242253761, 0.005301918776592474])
+
+
+RUNAWAY = """
+from fractions import Fraction
+from limitlab.functions import StepFunction
+from limitlab.intervals import IntervalUnion
+from limitlab.poisson import superlevel_set
+f = StepFunction.indicator(IntervalUnion.single(Fraction(-43, 8), 0), 6)
+try:
+    superlevel_set(f, 2.846262605340067e-05, [0.005301919242253761, 0.005301918776592474])
+except ValueError as refused:
+    print(refused)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_runaway_scan_is_refused_in_bounded_memory():
+    """The same refusal in a child process, whose peak RSS stays under 100
+    MB: the envelope prune over the example's 5.77M cells holds one mask
+    and EVAL_CHUNK cells of floats at a time (about ten float arrays over
+    every cell took it to 471 MB).  The child reports the high-water mark
+    of its own memory map (VmHWM): its ru_maxrss, and so RUSAGE_CHILDREN,
+    starts at the peak of the process that started it."""
+    src = str(Path(poisson.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", RUNAWAY], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    message, peak_mb = done.stdout.splitlines()
+    assert message == ("alpha = 2.846262605340067e-05 asks for 1477309185 scan points over "
+                       "[-180338.29341911682, 180332.89408088318], over SCAN_LIMIT 4194304")
+    assert float(peak_mb) < 100
+
+
+def test_each_stage_runs_once_a_set(monkeypatch):
+    """Over the README weak-type battery: one _span_error at most a
+    superlevel_set call, one _monotone_split and one _exceeds call a
+    _scan_hits call, whatever the number of windows, and no _scan_hits
+    call for a set that scans nothing: neither one without a window nor
+    one the sup cut empties."""
+    calls = []
+
+    def counted(name):
+        real = getattr(poisson, name)
+
+        def wrapped(*args):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(poisson, name, wrapped)
+    for name in ("superlevel_set", "_span_error", "_scan_hits", "_monotone_split", "_exceeds"):
+        counted(name)
+    reports = verify.weak_type_battery(0, 20)
+    starts = [k for k, (name, _) in enumerate(calls) if name == "superlevel_set"]
+    assert len(starts) == len(reports) == 140
+    windows, windowless, cut = [], 0, 0
+    for report, s, e in zip(reports, starts, starts[1:] + [len(calls)]):
+        names = [name for name, _ in calls[s:e]]
+        scanned = names.count("_scan_hits")
+        assert names.count("_span_error") <= 1
+        assert names.count("_monotone_split") == names.count("_exceeds") == scanned <= 1
+        if report.scan_hi == report.scan_lo:  # no window
+            assert not scanned and "_span_error" not in names
+            windowless += 1
+        elif not scanned:  # the sup cut
+            cut += 1
+        else:
+            g, alpha = calls[s][1]
+            windows.append(len(pruned_windows(poisson._rows(g.abs()), alpha)))
+    assert (windows.count(1), windows.count(2), windowless, cut) == (80, 2, 44, 14)
 
 
 SPIKE = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
