@@ -27,12 +27,14 @@ from typing import Iterator, Sequence
 from .functions import PiecewiseLinear, StepFunction, _sum_vertices
 from .intervals import (IntervalUnion, RationalInterval, _grid_points, _on_grid, _ones,
                         _sweep, frac, frac_str, normalize)
-from .kernels import FejerSum, fejer_ratio_constant
+from .kernels import UNIT_ROUNDOFF, FejerSum, fejer_ratio_constant
 from .randomness import TestFamily, enumerate_intervals
 
 
 # ----------------------------------------------------------------------
 # Fourier-divergence construction
+
+CUTOFF_ROOT_MAX = 64   # largest denominator of 2p + 2 whose cutoff floors go exact
 
 
 @dataclass
@@ -106,11 +108,28 @@ class FourierConstruction:
 
 
 def stage_cutoff(n: int, p: float) -> int:
-    """floor((n+1)^(2p+2)), computed in exact integers when 2p+2 is one."""
-    exponent = 2.0 * p + 2.0
-    if float(exponent).is_integer():
-        return (n + 1) ** int(exponent)
-    return int(math.floor((n + 1) ** exponent))
+    """floor((n+1)^(2p+2)) for the float p, in exact integers when
+    e = 2p + 2 is an integer.
+
+    Otherwise, past n = 0 (1^e is 1), the computed power of the float
+    exponent fl(e) is within 2u relative of the exact (n+1)^fl(e) (pow
+    within one ulp), and fl(e) is within u e of e, which moves the power by
+    u e ln(n+1) relative; u is the unit roundoff.  Where an integer k lies in that band, the floor is decided
+    exactly when e = a/b with b <= CUTOFF_ROOT_MAX (k^b <= (n+1)^a) and
+    raises ValueError otherwise."""
+    exponent = 2 * Fraction(p) + 2
+    if exponent.denominator == 1 or n == 0:
+        return (n + 1) ** math.floor(exponent)
+    value = Fraction((n + 1) ** float(exponent))
+    slack = value * Fraction(2 * UNIT_ROUNDOFF * (2 + float(exponent) * math.log(n + 1)))
+    lo, hi = math.floor(value - slack), math.floor(value + slack)
+    if lo == hi:
+        return lo
+    a, b = exponent.numerator, exponent.denominator
+    if b > CUTOFF_ROOT_MAX:
+        raise ValueError(f"floor((n+1)^(2p+2)) at n = {n}, p = {p!r} is within rounding "
+                         f"of the integer {hi}")
+    return hi if hi ** b <= (n + 1) ** a else lo
 
 
 def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
@@ -125,7 +144,8 @@ def build_fourier_divergent(test: TestFamily, p: float, c_mult: int, n_max: int,
     The spectrum stays inside [-N_n, N_n] by construction: the stage's one
     term has order N_n.  Verified per stage: the norm against
     C * A * (2n+1)/(n+1)^(2+2/p) with the measured ratio constant A.  At
-    p = 2 the norm is the exact coefficient energy; otherwise it is
+    p = 2 the norm is the exact energy by Parseval, over pairs of centres
+    (FejerSum.energy); otherwise it is
     quadrature to tolerance 1e-9 on panels anchored at the centres.
     When `point` is given, each stage must place an enumerated interval
     containing it.

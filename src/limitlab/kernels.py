@@ -17,8 +17,10 @@ exact rationals.
 
 A FejerSum is a finite sum of weighted, translated and possibly truncated
 Fejer kernels held in closed form: its point values, partial sums and L^p
-norms cost O(number of translates) per point, never O(N).  A dense float
-coefficient array is built only on request, for spectrum and energy checks.
+norms cost O(number of translates) per point, never O(N).  Its energy
+(the squared L^2 norm) is a double sum over pairs of translates of the
+energy kernel W_{M,A,B} (energy_kernel), O(s^2) for s translates, with
+its budget in energy_kernel_error.  No dense coefficient array is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,16 +59,18 @@ def _reduced(x) -> np.ndarray:
 
 def _kernel(n_cut: int, x, rate: float, finish, near):
     """A kernel of order n_cut at x reduced into [-pi, pi]: the closed form
-    finish(sin(rate t) / sin(t/2)) where |sin(t/2)| >= SIN_HALF_FLOOR, the
-    expansion near(t) elsewhere.  The quotient is one expression on fresh
-    slices, so numpy reuses their buffers for its temporaries."""
+    finish(sin(rate t) / sin(t/2), at) where |sin(t/2)| >= SIN_HALF_FLOOR,
+    at() giving those t and sin(t/2) for a closed form that needs more than
+    the quotient, and the expansion near(t) elsewhere.  The quotient is one
+    expression on fresh slices, so numpy reuses their buffers for its
+    temporaries."""
     if n_cut < 0:
         raise ValueError("kernel order must be >= 0")
     xs = _reduced(x)
     half = np.sin(xs / 2.0)
     safe = np.abs(half) >= SIN_HALF_FLOOR
     out = np.empty_like(xs)
-    out[safe] = finish(np.sin(rate * xs[safe]) / half[safe])
+    out[safe] = finish(np.sin(rate * xs[safe]) / half[safe], lambda: (xs[safe], half[safe]))
     if not safe.all():
         out[~safe] = near(xs[~safe])
     return _scalar_or_array(x, out)
@@ -75,13 +78,13 @@ def _kernel(n_cut: int, x, rate: float, finish, near):
 
 def dirichlet_eval(n_cut: int, x):
     """D_N(x) = sum_{|m| <= N} e^{imx}, evaluated as a real number."""
-    return _kernel(n_cut, x, n_cut + 0.5, lambda r: r,
+    return _kernel(n_cut, x, n_cut + 0.5, lambda r, at: r,
                    lambda t: (2 * n_cut + 1) * (1.0 - n_cut * (n_cut + 1) * (t * t) / 6.0))
 
 
 def fejer_eval(n_cut: int, x):
     """F_N(x), nonnegative, equal to the mean of D_0 .. D_N."""
-    return _kernel(n_cut, x, (n_cut + 1) / 2.0, lambda r: r * r / (n_cut + 1),
+    return _kernel(n_cut, x, (n_cut + 1) / 2.0, lambda r, at: r * r / (n_cut + 1),
                    lambda t: (n_cut + 1) * (1.0 - n_cut * (n_cut + 2) * (t * t) / 12.0))
 
 
@@ -108,6 +111,83 @@ def kernel_eval_error(n_cut: int, radius: float) -> float:
     reduction = 0.0 if radius <= math.pi else 2 * u * (radius + TWO_PI)
     remainder = (4 * n_cut * SIN_HALF_FLOOR) ** 4 / 24.0
     return order * (n_cut * reduction + 64 * u + remainder)
+
+
+def _power_sums(m: int) -> tuple:
+    """P_j = sum_{|k| <= M} |k|^j for j = 0..4: exact integers, each
+    rounded once to a float."""
+    base = m * (m + 1) * (2 * m + 1)
+    return tuple(float(p) for p in (2 * m + 1, m * (m + 1), base // 3, (m * (m + 1)) ** 2 // 2,
+                                    base * (3 * m * m + 3 * m - 1) // 15))
+
+
+def energy_kernel(m: int, a: float, b: float, x):
+    """W_{M,A,B}(x) = sum_{|k| <= M} (1 - |k|/A)(1 - |k|/B) cos kx, for
+    A, B >= M + 1: the inner product of two truncated Fejer coefficient
+    triangles at the offset x between their translates.  Splitting the
+    weight into 1 - |k|(1/A + 1/B) + k^2/(AB), and with
+    sum_{|k| <= M} |k| cos kx = (M+1)(D_M - F_M),
+
+        W = D_M - (M+1)(1/A + 1/B)(D_M - F_M) - D_M''/(AB),
+
+    one pass of _kernel at the rate of D_M.  With q = D_M(x) and
+    cot = cos(x/2)/sin(x/2), differentiating sin((M + 1/2) x)/sin(x/2)
+    twice gives -D_M'' = q (M(M+1) - cot^2/2) + (M + 1/2) cot cos((M + 1/2) x)/sin(x/2).
+    Near 0 it is W_0 - x^2 W_2 / 2, W_j = sum (1 - |k|/A)(1 - |k|/B) k^j
+    from the power sums; at 0 and A = B = M + 1, W_0 = (2M^2 + 4M + 3)/(3(M+1))."""
+    rate, c1, ab = m + 0.5, 1.0 / a + 1.0 / b, a * b
+    p0, p1, p2, p3, p4 = _power_sums(m)
+
+    def closed(q, at):
+        t, half = at()
+        f = np.sin((m + 1) / 2.0 * t) / half
+        cot = np.cos(t / 2.0) / half
+        curvature = q * (m * (m + 1) - cot * cot / 2.0) + rate * cot * np.cos(rate * t) / half
+        return q - (m + 1) * c1 * (q - f * f / (m + 1)) + curvature / ab
+
+    def near(t):
+        return (p0 - c1 * p1 + p2 / ab) - (t * t) * ((p2 - c1 * p3 + p4 / ab) / 2.0)
+    return _kernel(m, x, rate, closed, near)
+
+
+def energy_kernel_error(m: int, a: float, b: float, x):
+    """Bound on |computed - exact| of energy_kernel(m, a, b, x) at each
+    float x, against W at that float (A, B >= M + 1).  With u the unit
+    roundoff, r = M + 1/2, t the reduced argument and s = |sin(t/2)|:
+
+    * argument reduction misplaces t by at most 2u(|x| + 2 pi) (zero for
+      |x| <= pi), and W is M(M+1)-Lipschitz (sum |k| over |k| <= M);
+    * where s >= SIN_HALF_FLOOR, D_M and F_M are formed as dirichlet_eval
+      and fejer_eval form them, each within (2M+1) 64u (kernel_eval_error);
+      W reads D_M with the factor 1 + (M+1)(1/A + 1/B) <= 3 and F_M with
+      at most 2.  Of -D_M'', the three products are at most 2r^3, r/s^2
+      and r/s^2 (|q| <= 2r, |cot| <= 1/s); each is rounded within 32u
+      relative, and the rounding of r t moves sin and cos by
+      u r |t| <= pi u r s (|t| <= pi s on [-pi, pi]), which in all adds
+      pi u (r^3 + r/(2 s^2) + r^2/s) <= 4u (r^3 + r/s^2); so it is within
+      72u (r^3 + r/s^2), and reaches W divided by AB.  The combination's
+      parts are at most 2M+1, 2(2M+1) and (2M+1)/3 (P_2 <= AB (2M+1)/3),
+      and its roundings add 32u(2M+1);
+    * where s is smaller, W_0 (parts at most 3(2M+1) in all) and W_2
+      (at most 3 P_2) round within 8u each, and the alternating Taylor
+      remainder is at most t^4 P_4 / 24.
+
+    The r/s^2 term is the cancellation in the closed form of -D_M'' near
+    its singularity: divided by AB >= r^2 it is at most 72u/(r s^2), so it
+    matters only for translates closer than about 1/M.
+    """
+    u = UNIT_ROUNDOFF
+    xs = _as_xs(x)
+    t = _reduced(xs)
+    s = np.abs(np.sin(t / 2.0))
+    rate = m + 0.5
+    _, _, p2, _, p4 = _power_sums(m)
+    shift = np.where(np.abs(xs) <= math.pi, 0.0, 2 * u * (np.abs(xs) + TWO_PI))
+    closed = ((5 * 64 + 32) * u * (2 * m + 1)
+              + 72 * u * (rate ** 3 + rate / np.maximum(s, SIN_HALF_FLOOR) ** 2) / (a * b))
+    near = 24 * u * ((2 * m + 1) + t * t * p2) + (t * t) ** 2 * p4 / 24.0
+    out = m * (m + 1) * shift + np.where(s >= SIN_HALF_FLOOR, closed, near)
+    return _scalar_or_array(x, out)
 
 
 def fejer_coeffs(n_cut: int) -> TrigPoly:
@@ -232,18 +312,6 @@ class FejerTerm(NamedTuple):
         return min(self.order, self.cutoff)
 
 
-def _phase_sums(k: int, centers) -> np.ndarray:
-    """sum_c e^{-imc} for m = 0..k, each phase formed in one shared buffer;
-    the buffers are gone by the time the caller writes its full-length
-    array."""
-    turn = -1j * np.arange(0, k + 1)
-    out = np.zeros(k + 1, dtype=complex)
-    phase = np.empty(k + 1, dtype=complex)
-    for c in centers:
-        out += np.exp(np.multiply(turn, c, out=phase), out=phase)
-    return out
-
-
 def _term_values(term: FejerTerm, ts: np.ndarray) -> np.ndarray:
     """One term at the points ts.  Below its order the partial sum is
     S_M F_N = D_M - (M+1)/(N+1) (D_M - F_M)."""
@@ -269,7 +337,8 @@ class FejerSum:
     A Fourier stage C/(N+1) sum_c F_N(x - c) is one term (FejerSum.stage);
     sums of stages concatenate terms, and partial_sum lowers every cutoff.
     Point values cost O(translates) through fejer_eval and dirichlet_eval;
-    the dense coefficient array exists only for spectrum and energy checks.
+    the energy costs O(translates^2) through energy_kernel, one value per
+    pair of translates, so neither ever forms the O(N) coefficients.
     """
 
     terms: tuple = ()
@@ -301,44 +370,58 @@ class FejerSum:
             out = out + _term_values(term, ts)
         return float(out[0]) if scalar else out
 
-    # ------------------------------------------------------------------
-    # dense coefficients: spectrum and energy only
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """Float coefficients of e^{imx} for m = -K..K, K the largest kept
-        frequency: w (1 - |m|/(N+1)) sum_c e^{-imc} per term.
-
-        Each term is real, so c_{-m} = conj(c_m): the phases are taken for
-        m = 0..k only (_phase_sums), scaled, and mirrored.  The mirror is
-        bitwise what the two-sided sum gives: (-1j m) c has a zero real part
-        and the angle -m c, which rounds to exactly the negation of m c;
-        complex exp of (+-0, +-t) is (cos t, +-sin t), so each phase of -m is
-        the conjugate of that of m, and so are their sums; the scale is even
-        in m.  Where a product differs only in the sign of a zero, adding it
-        into `out`, which starts at +0, gives +0 either way.  The phases
-        stay complex exp: float cos and sin may take other (SIMD) routes
-        with other bits."""
-        size = self.degree
-        out = np.zeros(2 * size + 1, dtype=complex)
-        for term in self.terms:
-            k = term.degree
-            half = _phase_sums(k, term.centers)
-            half *= (1.0 - np.arange(0, k + 1) / (term.order + 1)) * term.weight
-            out[size:size + k + 1] += half
-            out[size - k:size] += np.conj(half, out=half)[:0:-1]
-        out.flags.writeable = False   # shared by every caller of the cache
-        return out
-
     @property
     def degree(self) -> int:
         """Largest frequency any term keeps, min(N, M); 0 for the zero sum."""
         return max((t.degree for t in self.terms), default=0)
 
+    # ------------------------------------------------------------------
+    # energy: Parseval over pairs of translates
+
+    def _term_pairs(self):
+        """(multiplicity, w w', M, N+1, N'+1, offsets c - c') for each pair
+        of terms i <= j, the pair i < j counted twice, with M the smaller
+        kept degree: each contributes w w' sum_{c, c'} W_{M,N+1,N'+1}(c - c')."""
+        for i, ti in enumerate(self.terms):
+            ci = np.asarray(ti.centers, dtype=float)
+            for j, tj in enumerate(self.terms[i:], i):
+                cj = np.asarray(tj.centers, dtype=float)
+                yield (1.0 if j == i else 2.0, ti.weight * tj.weight,
+                       min(ti.degree, tj.degree), ti.order + 1.0, tj.order + 1.0,
+                       (ci[:, None] - cj[None, :]).ravel())
+
+    def energy(self) -> float:
+        """The squared L^2 norm over one period, 2 pi sum_m |c_m|^2: for
+        coefficients w (1 - |m|/(N+1)) sum_c e^{-imc} on |m| <= min(N, M)
+        per term, 2 pi sum_{i,j} w_i w_j sum_{c, c'} W_{M_ij,N_i+1,N_j+1}(c - c')."""
+        total = 0.0
+        for mult, ww, m, a, b, offsets in self._term_pairs():
+            total += mult * ww * float(np.sum(energy_kernel(m, a, b, offsets)))
+        return TWO_PI * total
+
+    def energy_error(self) -> float:
+        """Bound on |energy() - exact energy| for these float weights and
+        centres.  Per pair of terms with n offsets: each offset c - c' is
+        rounded by u |c - c'|, which moves W by M(M+1) times that;
+        energy_kernel_error bounds each W; np.sum of the n values, each at
+        most 2M+1, rounds by at most n u times their total n(2M+1).  The
+        weight products, their scaling and the running total over the P
+        pairs of terms add (P + 4)u relative, and 2 pi one more u."""
+        u = UNIT_ROUNDOFF
+        pairs = list(self._term_pairs())
+        total = size = 0.0
+        for mult, ww, m, a, b, offsets in pairs:
+            n = len(offsets)
+            err = float(np.sum(energy_kernel_error(m, a, b, offsets)
+                               + m * (m + 1) * u * np.abs(offsets)))
+            span = n * (2 * m + 1)
+            total += mult * abs(ww) * (err + n * u * span)
+            size += mult * abs(ww) * span
+        return TWO_PI * (total + (len(pairs) + 5) * u * size)
+
     def l2_norm(self) -> float:
-        """sqrt(2 pi sum |c_m|^2) from the dense coefficients."""
-        c = self.coefficients
-        return math.sqrt(TWO_PI * float(np.sum(c.real * c.real + c.imag * c.imag)))
+        """sqrt(energy()): the exact energy of the translates, by Parseval."""
+        return math.sqrt(max(self.energy(), 0.0))
 
     # ------------------------------------------------------------------
     # quadrature and error budget

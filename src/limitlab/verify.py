@@ -49,6 +49,7 @@ BETA_UNIT = 4.0 / math.pi ** 2  # divergence floor per unit amplitude
 PI_BELOW = Fraction(333, 106)   # < pi < 355/113
 QUAD_TOL = 1e-9                 # controlled-error integration
 CORRUPTIONS = ("fejer-coeffs", "fourier-spectrum")   # the faults `corrupt` knows
+BLOCK_BALANCE = 2048            # sets the frequency blocks of _dense_sum
 
 
 @dataclass
@@ -198,10 +199,15 @@ def _check_fejer_cesaro(ctx: VerifyContext):
     tol = 1e-9  # closed form vs the Dirichlet mean
     dirichlet = np.cumsum(
         [kernels.dirichlet_eval(j, xs) for j in range(ctx.caps.kernel_n_max + 1)], axis=0)
-    # np.max keeps a NaN that the builtin max would drop, so a NaN fails
-    worst = float(np.max([np.abs(kernels.fejer_eval(n_cut, xs) - dirichlet[n_cut] / (n_cut + 1))
-                          for n_cut in range(ctx.caps.kernel_n_max + 1)]))
-    return worst < tol, {"worst_abs_error": worst, "tolerance": tol}
+    errors = np.array([np.abs(kernels.fejer_eval(n_cut, xs) - dirichlet[n_cut] / (n_cut + 1))
+                       for n_cut in range(ctx.caps.kernel_n_max + 1)])
+    # np.argmax takes a NaN as the largest, where the builtin max would drop it
+    order, at = np.unravel_index(np.argmax(errors), errors.shape)
+    worst = float(errors[order, at])
+    details = {"worst_abs_error": worst, "tolerance": tol}
+    if not worst < tol:
+        return False, details | {"order": int(order), "x": float(xs[at])}
+    return True, details
 
 
 def _check_fejer_lower_bound(ctx: VerifyContext):
@@ -283,7 +289,7 @@ def _check_dirichlet_convolution(ctx: VerifyContext):
         return None
     rng = random.Random(ctx.caps.seed + 3)
     tol = 1e-8
-    worst = 0.0
+    errors, where = [], []
     for _ in range(5):
         degree = rng.randint(1, 8)
         coeffs = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -305,8 +311,14 @@ def _check_dirichlet_convolution(ctx: VerifyContext):
                                         -math.pi, math.pi, tol=1e-10) / (2 * math.pi)
             conv_im = quadrature.integrate(lambda s: np.imag(product(s)),
                                            -math.pi, math.pi, tol=1e-10) / (2 * math.pi)
-            worst = max(worst, abs(complex(conv, conv_im) - direct))
-    return worst < tol, {"worst_abs_error": worst, "tolerance": tol}
+            errors.append(abs(complex(conv, conv_im) - direct))
+            where.append({"order": n_cut, "degree": degree, "t": t})
+    # np.argmax takes a NaN as the largest, where the builtin max would drop it
+    at = int(np.argmax(errors))
+    details = {"worst_abs_error": errors[at], "tolerance": tol}
+    if not errors[at] < tol:
+        return False, details | where[at]
+    return True, details
 
 
 # ----------------------------------------------------------------------
@@ -351,47 +363,84 @@ def _check_window_floor(ctx: VerifyContext):
 # Fourier construction checks
 
 
+def _block_width(k: int, s: int) -> int:
+    """Frequencies per block of the dense sum of a term of degree k with s
+    centres: about sqrt(BLOCK_BALANCE (k+1)/s), which balances the s B
+    phases taken once per term against the numpy calls of each of the
+    (k+1)/B blocks, at most all k + 1 and at most EVAL_CHUNK // s, which
+    bounds memory."""
+    return max(1, min(k + 1, kernels.EVAL_CHUNK // s, math.isqrt(BLOCK_BALANCE * (k + 1) // s)))
+
+
+def _dense_sum(g, x: float) -> float:
+    """sum over the terms of w sum_c sum_{|m| <= K} (1 - |m|/(N+1)) e^{im(x - c)},
+    K the term's degree, summed frequency by frequency at the float x:
+    each m paired with -m as 2 cos(m t) with t = x - c.  The frequencies go
+    in blocks of width B (_block_width), m = qB + r, with all centres in one
+    (s, B) array: cos(m t) is the real part of e^{iqBt} e^{irt}, so the
+    phases of r = 0..B-1 are taken once and each block needs only the s
+    phases of qB.  The last block runs past K with weight 0.  The sums over
+    the centres are np.einsum's own loops, never a BLAS call."""
+    total = 0.0
+    for term in g.terms:
+        k, n = term.degree, term.order
+        ts = x - np.asarray(term.centers, dtype=float)
+        width = _block_width(k, len(ts))
+        turns = ts[:, None] * np.arange(width)
+        base_cos, base_sin = np.cos(turns), np.sin(turns)
+        value = 0.0
+        for lo in range(0, k + 1, width):
+            ms = np.arange(lo, lo + width)
+            weights = np.where(ms <= k, 2.0 * (1.0 - ms / (n + 1)), 0.0)
+            if lo == 0:
+                weights[0] = 1.0
+            shift = lo * ts
+            column = (np.einsum("cr,c->r", base_cos, np.cos(shift))
+                      - np.einsum("cr,c->r", base_sin, np.sin(shift)))
+            value += float(np.sum(column * weights))
+        total += term.weight * value
+    return total
+
+
 def _dense_sum_error(g, x: float) -> float:
-    """Bound on |sum_m c_m e^{imx} - g(x)| for the coefficients c_m of
-    g.coefficients summed in floats, against the exact sum of the same
+    """Bound on |_dense_sum(g, x) - sum| for the exact sum of the same
     terms at the float x; the check adds g.eval's own budget.
 
-    Per term of weight w, order N, s centres and kept degree K, with u the
-    unit roundoff, r = max|c| and sin and cos within 4 ulp: each phase
-    e^{-imc} has its argument m c rounded by u K r and is within 6u; the s
-    phases add up with 2su each; the factor (1 - |m|/(N+1)) w and the
-    product add 4u relative.  So each c_m, at most w s, is within
-    w s u (K r + 2s + 10).  The sum pairs m with -m (_dense_value): each
-    cos(mx) and sin(mx) is within u K |x| + 4u, each pair and product adds
-    4u relative, and the K + 1 paired terms, each at most twice the size
-    of a product, sum with 2(2K + 1)u of the products' total; several
-    terms add one more u (2K+1) w s each.
+    Per term of weight w, order N, s centres, degree K and block width B,
+    with Q = ceil((K+1)/B) blocks, u the unit roundoff, r = max|c| and sin
+    and cos within 4 ulp, and size = 2s(K+1), the total of the weighted
+    terms |(weight) cos(m t)|:
+    * t = x - c is rounded by u(|x| + r), and r t and qB t by u m |t|
+      together, so the angle m t is off by at most 2u K(|x| + r); with the
+      four sines and cosines and the two products, each cos(r t) cos(qB t)
+      - sin(r t) sin(qB t) is within u(2K(|x| + r) + 18), and its weight
+      (at most 2) doubles that;
+    * each einsum over the s centres adds (s - 1)u of its s terms of at
+      most 1, and their difference u of 2s: 2su of size in all;
+    * each weight is within 4u, and its product with a column (at most 2s)
+      rounds by u of 4s: 6u of size;
+    * the sum over a block and the running sum over the Q blocks add
+      (B + Q)u of the products' total, 2 size;
+    * the scale by w and the sum over the terms add one more u each.
     """
     u = kernels.UNIT_ROUNDOFF
     total = 0.0
     for term in g.terms:
         k, s = term.degree, len(term.centers)
         r = max(abs(c) for c in term.centers)
-        size = (2 * k + 1) * abs(term.weight) * s
-        total += size * u * (k * (r + abs(x)) + 2 * s + 19 + 2 * (2 * k + 1) + len(g.terms))
+        width = _block_width(k, s)
+        blocks = -(-(k + 1) // width)
+        size = 2 * (k + 1) * abs(term.weight) * s
+        total += size * u * (2 * k * (r + abs(x)) + 25 + 2 * (s + width + blocks)
+                             + len(g.terms))
     return total
 
 
-def _dense_value(coefficients: np.ndarray, x: float) -> complex:
-    """sum_m c_m e^{imx} over the array of c_{-K}..c_K, each m paired with
-    -m: c_0 + sum_{m >= 1} (c_m + c_-m) cos(mx) + i (c_m - c_-m) sin(mx),
-    so only the K + 1 angles m >= 0 take a cosine and a sine."""
-    k = (len(coefficients) - 1) // 2
-    up, down = coefficients[k + 1:], coefficients[:k][::-1]
-    angles = np.arange(1, k + 1) * x
-    return complex(coefficients[k] + np.sum((up + down) * np.cos(angles))
-                   + 1j * np.sum((up - down) * np.sin(angles)))
-
-
 def _check_fourier_spectrum(ctx: VerifyContext):
-    """Each stage's cutoff is the formula's, exactly, and the dense
-    coefficients of its spectrum, summed at the point, give the closed-form
-    value there within g.eval's budget plus the sum's (_dense_sum_error)."""
+    """Each stage's cutoff is the formula's, exactly, and its spectrum,
+    summed frequency by frequency at the point (_dense_sum), gives the
+    closed-form value there within g.eval's budget plus the sum's
+    (_dense_sum_error)."""
     if ctx.caps.n_max < 0:
         return None
     fc = ctx.fourier
@@ -399,19 +448,18 @@ def _check_fourier_spectrum(ctx: VerifyContext):
     worst = tolerance = 0.0
     for st in fc.stages:
         want = stage_cutoff(st.n, fc.p)
-        coefficients = st.g.coefficients
+        k = st.g.degree
         if ctx.corrupt == "fourier-spectrum" and st.n == 0:
-            coefficients = coefficients[1:-1]   # the spectrum cut by one frequency
-        k = (len(coefficients) - 1) // 2
-        dense = _dense_value(coefficients, x)
+            k -= 1   # the spectrum cut by one frequency
+        dense = _dense_sum(st.g.partial_sum(k), x)
         value = st.g.eval(x)
         tol = st.eval_error_bound + _dense_sum_error(st.g, x)
+        gap = abs(dense - value)
         # np.maximum keeps a NaN that the builtin max would drop
-        gap = float(np.maximum(abs(dense.real - value), abs(dense.imag)))
         worst, tolerance = float(np.maximum(worst, gap / tol)), max(tolerance, tol)
         if st.cutoff != want or not gap <= tol:
             return False, {"stage": st.n, "cutoff": st.cutoff, "want": want,
-                           "spectrum": [-k, k], "dense_value": dense.real,
+                           "spectrum": [-k, k], "dense_value": dense,
                            "value": value, "gap": gap, "tolerance": tol}
     return True, {"stages": len(fc.stages), "cutoffs": fc.cutoffs(),
                   "worst_gap_to_tolerance": worst, "tolerance": tolerance}
@@ -494,11 +542,12 @@ def _check_integral_test_growth(ctx: VerifyContext):
         slack = (fc.stages[n].eval_error_bound
                  + 8 * kernels.UNIT_ROUNDOFF * partials[hi - 1])
         slacks.append(slack)
-        if increment < beta - slack:
+        if not increment >= beta - slack:
             return False, {"stage": n, "increment": increment, "floor": beta,
                            "tolerance": slack}
-    monotone = all(b >= a - 1e-15 for a, b in zip(partials, partials[1:]))
-    return monotone, {"partials": partials, "floor": beta,
+    # running sums of |.| never fall, and a NaN stage value, of an
+    # uncovered stage too, carries into the last of them
+    return partials[-1] >= 0.0, {"partials": partials, "floor": beta,
                       "first_checked_stage": min(qualifying, default=None),
                       "tolerance": max(slacks, default=0.0)}
 

@@ -26,6 +26,7 @@ from limitlab.randomness import (covering_test, integral_test_partial,
                                  simple_test_from_approx)
 from limitlab.trig import fourier_coefficient
 from limitlab.verify import random_test_functions
+from test_kernels import two_sided_coefficients
 
 BETA = 4 / math.pi ** 2
 SQRT2 = math.sqrt(2)
@@ -101,8 +102,8 @@ def test_criterion_4_fourier_construction():
                                  n_max=3, point=0)
     spectra_ok = all(
         st.cutoff == (st.n + 1) ** 6
-        and all(abs(m) <= st.cutoff
-                for m in np.flatnonzero(st.g.coefficients) - len(st.g.coefficients) // 2)
+        and all(abs(m) <= st.cutoff for m in np.flatnonzero(two_sided_coefficients(st.g))
+                - st.g.degree)
         for st in fc.stages)
     qualifying = [st.n for st in fc.stages
                   if 2.0 ** (-st.n - 1) <= math.pi / (st.cutoff + 1)]

@@ -338,10 +338,10 @@ def test_corrupted_centre_fails_and_is_named():
 
 
 def test_cut_spectrum_fails_and_is_named(tmp_path):
-    """fourier.spectrum sums each stage's dense coefficients at the point
-    against the closed form, well inside its budget; with stage 0's
-    outermost frequencies cut by the corrupt hook (negative control) it
-    fails there, and only it."""
+    """fourier.spectrum sums each stage's spectrum frequency by frequency
+    at the point against the closed form, well inside its budget; with
+    stage 0's outermost frequencies cut by the corrupt hook (negative
+    control) it fails there, and only it."""
     ok, details = verify._check_fourier_spectrum(
         verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3)))
     assert ok and details["worst_gap_to_tolerance"] < 1e-2
@@ -352,6 +352,23 @@ def test_cut_spectrum_fails_and_is_named(tmp_path):
     assert [c["check_id"] for c in failed] == ["fourier.spectrum"]
     assert failed[0]["details"]["stage"] == 0 and failed[0]["details"]["spectrum"] == [0, 0]
     assert failed[0]["details"]["gap"] > 1e6 * failed[0]["details"]["tolerance"]
+
+
+@pytest.mark.parametrize("stage,covered", [(0, True), (1, True), (2, True), (2, False)])
+def test_nan_stage_value_fails_growth(stage, covered):
+    """A NaN stage value fails integral_test.growth: at a covered stage
+    through its increment, and at the last stage moved off the point,
+    which no increment reads, through the last partial sum."""
+    ctx = verify.VerifyContext(verify.Caps(n_max=2), point=Fraction(-1, 3))
+    if not covered:
+        st = ctx.fourier.stages[stage]
+        ctx.fourier.stages[stage] = dataclasses.replace(
+            st, centers=[ctx.point + Fraction(4, st.cutoff + 1)])
+    assert (stage in verify._covered_stages(ctx.fourier, ctx.point)) is covered
+    ctx.fourier_values = ctx.fourier_values | {stage: math.nan}
+    ok, details = verify._check_integral_test_growth(ctx)
+    assert not ok
+    assert math.isnan(details["increment"] if covered else details["partials"][-1])
 
 
 def test_holder_majorant_cross_checks_the_exact_integral(monkeypatch):
@@ -606,7 +623,7 @@ def _lp_ratio_off_at_order_3(monkeypatch):
 def _fejer_off_at_pi(monkeypatch):
     real = kernels.fejer_eval
     monkeypatch.setattr(kernels, "fejer_eval",
-                        lambda n, x: real(n, x) + 1e-6 * (np.abs(x) == math.pi))
+                        lambda n, x: real(n, x) + 1e-6 * (n == 4) * (np.abs(x) == math.pi))
 
 
 def _fejer_halved_at_order_8(monkeypatch):
@@ -657,9 +674,8 @@ KERNEL_FAST = ["kernel-check", "--n-max", "6", "--lower-n-max", "8", "--grid", "
 
 # check id -> (the command run under the fault, the fault, the detail key
 # and value that name where the check fails); at FAST_VERIFY caps the last
-# odd tent stage is 5 and the last step stage 4.  A row whose failure names
-# no stage or sample names its measured error (a callable gives the
-# reference value under the fault).
+# odd tent stage is 5 and the last step stage 4.  A callable gives the
+# reference value under the fault.
 FAULTS = {
     "tents.l1_bound": (VERIFY_FAST, _build_fault("build_ml_poisson",
                                                  _last_odd_l1_bound_under_its_norm), "stage", 5),
@@ -673,11 +689,11 @@ FAULTS = {
                                                       _stage_1_norm_over_the_majorant),
                             "stage", 1),
     "fejer.lp_equivalence": (KERNEL_FAST, _lp_ratio_off_at_order_3, "order", 3),
-    "fejer.cesaro_mean": (KERNEL_FAST, _fejer_off_at_pi, "worst_abs_error", pytest.approx(1e-6)),
+    "fejer.cesaro_mean": (KERNEL_FAST, _fejer_off_at_pi, "order", 4),
     # only this row reads orders above --n-max 6
     "fejer.lower_bound": (KERNEL_FAST, _fejer_halved_at_order_8, "order", 8),
-    "dirichlet.partial_sum_convolution": (KERNEL_FAST, _partial_sum_one_short, "worst_abs_error",
-                                          lambda: two_integral_convolution_error(0)),
+    "dirichlet.partial_sum_convolution": (KERNEL_FAST, _partial_sum_one_short, "order",
+                                          lambda: two_integral_convolution_worst(0)["order"]),
     "fourier.trace_jumps": (["fourier-trace", "--n-max", "2"], _first_jump_a_tenth,
                             "qualifying_cutoffs", [1]),
     # pmt.weak_type reads poisson's own superlevel_set, and stays green
@@ -760,11 +776,12 @@ def test_nan_values_fail_the_rows_that_compare_them(nan_verify_all, check_id):
     assert any(isinstance(v, float) and math.isnan(v) for v in result.details.values())
 
 
-def two_integral_convolution_error(seed):
+def two_integral_convolution_worst(seed):
     """Reference for dirichlet.partial_sum_convolution: the real and the
-    imaginary integral each evaluate D_N(t - s) p(s) on their own."""
+    imaginary integral each evaluate D_N(t - s) p(s) on their own; the
+    largest error and the order of the first sample that makes it."""
     rng = random.Random(seed + 3)
-    worst = 0.0
+    worst, order = 0.0, None
     for _ in range(5):
         degree = rng.randint(1, 8)
         coeffs = {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -777,15 +794,28 @@ def two_integral_convolution_error(seed):
             parts = [quadrature.integrate(
                 lambda s: part(kernels.dirichlet_eval(n_cut, t - s) * poly.eval(s)),
                 -math.pi, math.pi, tol=1e-10) / (2 * math.pi) for part in (np.real, np.imag)]
-            worst = max(worst, abs(complex(*parts) - direct))
-    return worst
+            if abs(complex(*parts) - direct) > worst:
+                worst, order = abs(complex(*parts) - direct), n_cut
+    return {"worst_abs_error": worst, "order": order}
+
+
+def test_nan_partial_sum_fails_the_convolution_row(monkeypatch):
+    """Negative control: with every direct partial sum NaN, the row fails
+    and names the first sample (a NaN error is the largest), where a
+    builtin max would drop the NaN and pass with error 0."""
+    orders = []
+    monkeypatch.setattr(TrigPoly, "partial_sum", lambda self, n: orders.append(n) or
+                        SimpleNamespace(eval=lambda t: complex(math.nan)))
+    ok, details = verify._check_dirichlet_convolution(verify.VerifyContext())
+    assert not ok and math.isnan(details["worst_abs_error"])
+    assert details["order"] == orders[0] and 1 <= details["degree"] <= 8
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_dirichlet_convolution_evaluates_each_node_array_once(monkeypatch, seed):
     """Both integrals share one product per node array: half the D_N calls
     of integrating each part on its own (120 at seed 7), the same error."""
-    want = two_integral_convolution_error(seed)
+    want = two_integral_convolution_worst(seed)["worst_abs_error"]
     real = kernels.dirichlet_eval
     calls = []
     monkeypatch.setattr(kernels, "dirichlet_eval",

@@ -141,17 +141,19 @@ def test_large_build_artifacts_are_pinned(tmp_path, args):
     assert _digests(out) == PINNED_BUILDS[args]
 
 
-# The Fourier artifacts at p = 2, 1.5 and 3: every stage's energy comes from
-# FejerSum.coefficients (and, at p != 2, fourier.spectrum sums them), so a
-# change to that kernel that moves one bit of a coefficient shows here.
+# The Fourier artifacts at p = 2, 1.5 and 3: at p = 2 every stage's energy
+# comes from the pairwise energy kernel (FejerSum.energy), and at every p
+# fourier.spectrum sums each stage's spectrum frequency by frequency at the
+# point, so a change that moves one bit of a stage norm, of that sum or of
+# its budget shows here.
 PINNED_FOURIER = {
     ("fourier-trace", "--n-max", "5", "--point=41/64"): {
         "fourier_construction.json":
-            "059c6483b61ab203fd5a36e39217a7eb755b12c1351031e4919429084c1ca334",
+            "d3f02cc6729242293a214ec05097412bcb744f6349c30261bd105520270e287a",
         "fourier_trace.csv":
             "e69356974213c2e008642a3586cfb962b8cb0abed6a74cd80a6ab3132220ee09",
         "verification_report.json":
-            "117c78fb5f9d03e019ddcb01df53205ada0dc5c2c17d0100475afdddd6740530",
+            "cc4a599ce716bd609f5e7f19880650792ec685e2c05eb43061fc246c4922f1a0",
     },
     ("fourier-trace", "--p", "1.5", "--n-max", "2", "--point=41/64"): {
         "fourier_construction.json":
@@ -159,7 +161,7 @@ PINNED_FOURIER = {
         "fourier_trace.csv":
             "48be0034afbade84389160662f57a08eac70ba23924b8237f6055744fbd252de",
         "verification_report.json":
-            "576c3979cd1f76c6d5fa64faaa459e391b2bb6497339f1a8213dba90d230869d",
+            "cc50c3ae11865160af1df366e756b3ed5d59fd416d39482ec5fcf46736dacbd6",
     },
     ("fourier-trace", "--p", "3", "--n-max", "1"): {
         "fourier_construction.json":
@@ -167,13 +169,13 @@ PINNED_FOURIER = {
         "fourier_trace.csv":
             "a3dc74663d7c7eefa92a0bb4f805f8320bc932c9b1be67c253ee4d10cb5d4de4",
         "verification_report.json":
-            "5ed0779e6a29f039669ea9803cbfe5843e96ff38da4e1511cc8b7612ddbb43f6",
+            "fd5acc5c44b2f295f95fc005de6486f8ac43e4ac9058cdbf0161f0e7321b944c",
     },
     ("build", "--construction", "fourier", "--n-max", "3"): {
         "fourier_construction.json":
-            "9a67abb6e24ecf2fd77b593b9566b3aed02d0fbdd0395b67a05e26da2eaddcde",
+            "b3c088370b399d96096987af066c6f54a005afa24db368cc2c6c3fb8beda2325",
         "verification_report.json":
-            "47b5a17a8e4e4ef8e284905642eca0d1e95d7f3d3a88e1e45a230a33f1168a72",
+            "34aaf0e40e5b12b8c489a7ff5b7f46b130e4ae68fed93d730b504dce5a29c4c4",
     },
 }
 
@@ -225,7 +227,8 @@ def test_poisson_trace_artifacts_are_pinned(tmp_path, args):
 # caps (VERIFY_CAPS) for the first job seeds of its seed-0 and
 # seed-15485863 pools, whose reports carry pmt.weak_type and
 # lemma_poisson.measure.  Every superlevel set they read must keep every
-# bit of its edges, and every value the step checks read.
+# bit of its edges, and every value the step checks read.  The verify-all
+# reports carry the Fourier rows too.
 PINNED_MAXIMAL = {
     ("weak-type-check", "--count", "20", "--seed", "0"): {
         "weak_type_report.json":
@@ -245,20 +248,20 @@ PINNED_MAXIMAL = {
     },
     ("verify-all",): {
         "verification_report.json":
-            "3144a239fb9f1a3d6c664e11e0b9af9bd46d26237da0863f910acf0589a0764a",
+            "28ba11df81551931e9e1a1e01838607823dbb763d589dadb6a3cd7aa359c171b",
     },
     ("verify-all", "--n-max", "7", "--m-max", "60", "--s-max", "51", "--k-max", "6",
      "--weak-type-count", "20", "--samples", "1000"): {
         "verification_report.json":
-            "0285928c189c126329d5ca065d35753f55a668788c685f0fe80ff2ba4a5b6811",
+            "bdaa0198e42923e35d125e402e49096d00d9ba78a1d8663c05967a2f69e1accc",
     },
     ("verify-all", "--seed", "425055", *VERIFY_CAPS): {
         "verification_report.json":
-            "bf4775dc2752d620a40d73d959c2a3c77fef8f17e25625496cc6d444235758f9",
+            "bed16514cdc12648f2e591f5410a2cabfdc39ae8c7fcf17846e1f3c0c11bb5a6",
     },
     ("verify-all", "--seed", "345762", *VERIFY_CAPS): {
         "verification_report.json":
-            "8398a556b938415afb66de7037defffbc97df731dd239a7cdd63ac915a5dc5c5",
+            "403b8fa741e58c073d19fb872b13c890d1c190da0049cc668e4b161568979e1b",
     },
 }
 

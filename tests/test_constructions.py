@@ -16,6 +16,7 @@ from limitlab.intervals import IntervalUnion, RationalInterval, _ones, _sweep, n
 from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
 from limitlab.trig import TrigPoly
+from test_kernels import two_sided_coefficients
 
 BETA = 4 / math.pi ** 2
 
@@ -52,9 +53,20 @@ class TestFourierConstruction:
         assert stage_cutoff(1, 1.5) == 32       # floor(2^5)
         assert stage_cutoff(1, 2.25) == 90      # floor(2^6.5) = floor(90.50...)
 
+    def test_cutoff_floor_within_rounding(self):
+        # 2p + 2 = 13/2: 4^6.5 = 8192 exactly, decided by 8192^2 <= 4^13
+        assert stage_cutoff(3, 2.25) == 8192
+        assert stage_cutoff(0, 1.1) == 1
+        # the float power gives 2097152.0000000014, a few ulps over 2^21, and
+        # 2p + 2 = 4.2 has no small denominator to decide the floor by
+        assert (32 ** (2 * 1.1 + 2)) - 2 ** 21 < 1e-8
+        with pytest.raises(ValueError, match="2097152"):
+            stage_cutoff(31, 1.1)
+        assert stage_cutoff(30, 1.1) == math.floor(31 ** 4.2)
+
     def test_spectrum_containment_exact(self, fourier):
         for st in fourier.stages:
-            coeffs = st.g.coefficients
+            coeffs = two_sided_coefficients(st.g)
             frequencies = np.flatnonzero(coeffs) - len(coeffs) // 2
             assert frequencies.size
             assert all(abs(n) <= st.cutoff for n in frequencies)
@@ -89,7 +101,7 @@ class TestFourierConstruction:
         for c in st.centers:
             alt = alt + base.translate(float(c))
         alt = alt.scale(1.0 / (st.cutoff + 1))
-        coeffs = st.g.coefficients
+        coeffs = two_sided_coefficients(st.g)
         offset = len(coeffs) // 2
         assert alt.frequencies() == list(np.flatnonzero(coeffs) - offset)
         for n in alt.frequencies():

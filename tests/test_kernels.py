@@ -4,7 +4,9 @@ Oracles: direct complex-exponential summation for the Dirichlet kernel,
 the defining cosine sums for both kernels near their removable
 singularities, exact coefficient sums (Parseval) for Fejer norms, the
 coefficient route fejer_coeffs(N).translate(c) for closed-form Fejer sums,
-and scipy adaptive quadrature for Poisson interval masses.
+their dense coefficients (two_sided_coefficients) for FejerSum energies,
+40-digit cosine sums for the energy kernel, and scipy adaptive quadrature
+for Poisson interval masses.
 """
 
 import cmath
@@ -13,6 +15,7 @@ import math
 import operator
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -158,8 +161,9 @@ centers_strategy = st.lists(
 
 
 def two_sided_coefficients(g):
-    """Reference for FejerSum.coefficients: each term's phases taken for
-    every m = -k..k, with no mirror."""
+    """Dense oracle: the float coefficients of e^{imx}, m = -K..K, of a
+    FejerSum, K its degree: w (1 - |m|/(N+1)) sum_c e^{-imc} per term, each
+    phase taken for every m."""
     size = g.degree
     out = np.zeros(2 * size + 1, dtype=complex)
     for term in g.terms:
@@ -172,9 +176,42 @@ def two_sided_coefficients(g):
     return out
 
 
-def bitwise_two_sided(g):
-    return np.array_equal(g.coefficients.view(np.int64),
-                          two_sided_coefficients(g).view(np.int64))
+def dense_energy(g):
+    """Oracle for FejerSum.energy: 2 pi sum |c_m|^2 over the dense coefficients."""
+    c = two_sided_coefficients(g)
+    return 2 * math.pi * float(np.sum(c.real * c.real + c.imag * c.imag))
+
+
+def dense_energy_error(g):
+    """Bound on |dense_energy(g) - exact energy|.  Each phase e^{-imc} has
+    its angle rounded by u K r (r = max|c|) and is within 8u more; s phases
+    add 2su, the scale (1 - |m|/(N+1)) w 4u, and adding the term into the
+    array u per term: so each c_m, at most S = sum |w| s, is within
+    d = sum |w| s u (K r + 2s + 12 + terms).  The 2K+1 squares are within
+    2Sd + d^2 each, and squaring, adding and summing them rounds by
+    (2K + 6)u of (2K+1) S^2; 2 pi adds u."""
+    size = sum(abs(t.weight) * len(t.centers) for t in g.terms)
+    delta = sum(abs(t.weight) * len(t.centers) * U
+                * (t.degree * max(abs(c) for c in t.centers) + 2 * len(t.centers) + 12
+                   + len(g.terms)) for t in g.terms)
+    n = 2 * g.degree + 1
+    return 2 * math.pi * n * (2 * size * delta + delta * delta
+                              + (n + 6) * U * size * size) * (1 + 2 * U)
+
+
+def energy_within_budgets(g, energy):
+    """The property: an energy of g agrees with the dense oracle within
+    the sum of FejerSum.energy_error and the oracle's own budget."""
+    return abs(energy - dense_energy(g)) <= g.energy_error() + dense_energy_error(g)
+
+
+def diagonal_energy(g):
+    """Negative control for the property: each translate's own energy
+    only, no pair of distinct translates."""
+    return 2 * math.pi * sum(
+        t.weight ** 2 * len(t.centers) * kernels.energy_kernel(t.degree, t.order + 1,
+                                                               t.order + 1, 0.0)
+        for t in g.terms)
 
 
 float_centers = st.lists(
@@ -185,10 +222,10 @@ float_centers = st.lists(
 
 @st.composite
 def fejer_sums(draw):
-    """Sums of one to four stages of orders 0..3000, sometimes cut below
+    """Sums of one to four stages of orders 0..2000, sometimes cut below
     the largest order."""
     stages = draw(st.lists(st.builds(FejerSum.stage, st.floats(2.0 ** -4, 16.0),
-                                     st.integers(0, 3000), float_centers),
+                                     st.integers(0, 2000), float_centers),
                            min_size=1, max_size=4))
     g = functools.reduce(operator.add, stages)
     if draw(st.booleans()):
@@ -212,8 +249,8 @@ class TestFejerSum:
         # partial sums below and above the order
         for m in (cut, min(cut, order), order + cut):
             assert abs(g.partial_sum(m).eval(x) - ref.partial_sum(m).eval(x).real) <= budget
-        # dense coefficients against the translated ones
-        coeffs = g.coefficients
+        # the dense oracle against the translated coefficients
+        coeffs = two_sided_coefficients(g)
         assert len(coeffs) == 2 * order + 1 and g.degree <= order
         want = np.array([complex(ref.coefficient(n)) for n in range(-order, order + 1)])
         assert np.all(np.abs(coeffs - want) <= budget / (2 * order + 1))
@@ -231,18 +268,24 @@ class TestFejerSum:
 
     @settings(max_examples=150, deadline=None)
     @given(g=fejer_sums())
-    def test_mirrored_coefficients_are_bitwise_the_two_sided_sum(self, g):
-        assert not g.coefficients.flags.writeable
-        assert bitwise_two_sided(g)
+    def test_energy_matches_the_dense_oracle(self, g):
+        assert energy_within_budgets(g, g.energy())
 
-    def test_mirror_without_conjugate_breaks_the_property(self, monkeypatch):
-        """Negative control: with np.conj the identity, the mirrored half
-        has the wrong sign of sin(mc), and the property finds a sum it
+    def test_diagonal_energy_breaks_the_property(self):
+        """Negative control: the energy of each translate alone, without
+        the pairs of distinct translates, and the property finds a sum it
         fails on."""
-        monkeypatch.setattr(np, "conj", lambda a, out=None: a)
-        bad = find(fejer_sums(), lambda g: not bitwise_two_sided(g),
+        bad = find(fejer_sums(), lambda g: not energy_within_budgets(g, diagonal_energy(g)),
                    settings=settings(database=None))
-        assert bad.degree >= 1
+        assert sum(len(t.centers) for t in bad.terms) >= 2
+
+    def test_energy_costs_one_kernel_value_per_pair_of_translates(self, monkeypatch):
+        g = FejerSum.stage(1, 4096, [0.5, -1.0, 2.0]) + FejerSum.stage(2, 46656, [0.25])
+        real, sizes = kernels.energy_kernel, []
+        monkeypatch.setattr(kernels, "energy_kernel",
+                            lambda m, a, b, x: sizes.append((m, len(x))) or real(m, a, b, x))
+        g.partial_sum(5000).energy()
+        assert sizes == [(4096, 9), (4096, 3), (5000, 1)]
 
     def test_panel_edges_anchor_every_centre(self):
         g = FejerSum.stage(1, 729, [Fraction(1, 3), Fraction(-7, 2), Fraction(5, 1)])
@@ -251,6 +294,29 @@ class TestFejerSum:
         assert np.max(np.diff(edges)) <= kernels.PANEL_WIDTH * math.pi / 730 * (1 + 1e-12)
         for c in (1 / 3, -3.5 + 2 * math.pi, 5 - 2 * math.pi):
             assert np.min(np.abs(edges - c)) <= 1e-15
+
+
+class TestEnergyKernel:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 4095, 46656, 4826809])
+    def test_stage_value_at_zero(self, n):
+        """W_{N,N+1,N+1}(0) = sum (1 - |k|/(N+1))^2 = (2N^2 + 4N + 3)/(3(N+1))."""
+        want = Fraction(2 * n * n + 4 * n + 3, 3 * (n + 1))
+        got = kernels.energy_kernel(n, n + 1, n + 1, 0.0)
+        assert abs(Fraction(got) - want) <= kernels.energy_kernel_error(n, n + 1, n + 1, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 300), extra=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+           x=st.one_of(st.floats(-50, 50), st.floats(-1e-6, 1e-6),
+                       st.sampled_from([0.0, 1e-9, 3e-8, math.pi, -math.pi, 2 * math.pi])))
+    def test_against_the_cosine_sum(self, m, extra, x):
+        """Oracle: sum_{|k| <= M} (1 - |k|/A)(1 - |k|/B) cos kx at 40 digits."""
+        a, b = m + extra[0], m + extra[1]
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            want = mpmath.fsum((1 - mpmath.mpf(abs(k)) / a) * (1 - mpmath.mpf(abs(k)) / b)
+                               * mpmath.cos(k * xm) for k in range(-m, m + 1))
+            gap = abs(mpmath.mpf(kernels.energy_kernel(m, a, b, x)) - want)
+        assert gap <= kernels.energy_kernel_error(m, a, b, x)
 
 
 # every stage the benchmark workloads build: p = 2 up to n = 5
