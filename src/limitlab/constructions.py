@@ -19,16 +19,18 @@ records plus closed-form limit accessors.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import le, mul, sub
 from typing import Iterator, Sequence
 
-from .functions import PiecewiseLinear, StepFunction, _sum_vertices
-from .intervals import (IntervalUnion, RationalInterval, _grid_points, _on_grid, _ones,
-                        _sweep, frac, frac_str, normalize)
+from .functions import (PiecewiseLinear, StepFunction, _step, _step_of_column, _sum_vertices,
+                        _widths)
+from .intervals import (IntervalUnion, RationalInterval, _from_cuts, _on_grid, _sweep, frac,
+                        frac_str)
 from .kernels import UNIT_ROUNDOFF, FejerSum, fejer_ratio_constant
-from .randomness import TestFamily, enumerate_intervals
+from .randomness import TestFamily, _enumerated, enumerate_intervals
 
 
 # ----------------------------------------------------------------------
@@ -245,46 +247,34 @@ def _step_stages(stages: Sequence[IntervalUnion]) -> Iterator[StepFunction]:
     sum without the stage removed: a staircase that takes 2^{1-k} - 2^-m on
     the steps [-(k+1), -k) and (k, k+1] for k = 1..m, and 2 - 2^-m on
     [-1, 1] (k = 0).  Its values fall strictly with k, so these 2m + 1
-    pieces are its canonical form.  The step intervals are built once and
-    shared by every stage; f_m is H_m off stages[m], so only the pieces that
-    meet the stage's hull are cut, each by one difference with the stage.
-    This holds for any sequence of stages, nested or not.
+    steps are its canonical form: on the integer grid the cuts -2(k+1) for
+    k = m..0 and 2k + 1 for k = 1..m+1, and the values (2^{m+1-k} - 1)
+    over 2^m.  f_m is H_m off stages[m]: one sweep of the staircase and the
+    stage, on the stage's grid.  This holds for any sequence of stages,
+    nested or not.
     """
-    top = len(stages) - 1
-    # the steps of the deepest staircase, left to right, with their shell
-    # index k, and the integer ends between them
-    steps = ([(RationalInterval(-(k + 1), -k, True, False), k) for k in range(top, 0, -1)]
-             + [(RationalInterval(-1, 1), 0)]
-             + [(RationalInterval(k, k + 1, False, True), k) for k in range(1, top + 1)])
-    ends = list(range(-(top + 1), 0)) + list(range(1, top + 2))
     for m, stage in enumerate(stages):
-        values = [Fraction(2 ** (m + 1 - k) - 1, 2 ** m) for k in range(m + 1)]
-        first, last = top - m, top + m + 1  # stage m's steps
-        pieces = [(iv, values[k]) for iv, k in steps[first:last]]
-        if stage.parts:
-            # the steps whose closures meet the stage's closed hull
-            i0 = max(bisect_left(ends, stage.parts[0].lo, first, last + 1) - 1, first) - first
-            i1 = min(bisect_right(ends, stage.parts[-1].hi, first, last + 1), last) - first
-            pieces[i0:i1] = [(part, v) for iv, v in pieces[i0:i1]
-                             for part in IntervalUnion((iv,)).difference(stage).parts]
-        yield StepFunction(tuple(pieces))
+        cuts = [-2 * (k + 1) for k in range(m, -1, -1)] + [2 * k + 1 for k in range(1, m + 2)]
+        values = ([2 ** (m + 1 - k) - 1 for k in range(m, -1, -1)]
+                  + [2 ** (m + 1 - k) - 1 for k in range(1, m + 1)] + [0])
+        h = _step(1, cuts, values, 2 ** m)
+        d, points, (steps, inside) = _sweep(h._input(h._dv), stage._input())
+        yield _step_of_column(d, points, [0 if s else v for v, s in zip(steps, inside)], h._dv)
 
 
 def _stage_bounds(f_cur: StepFunction, f_next: StepFunction,
                   stage: IntervalUnion) -> tuple[Fraction, Fraction, bool, bool]:
     """Exact integral of f_cur, ||f_next - f_cur||_1, whether f_cur <= f_next
     everywhere, and whether f_cur vanishes on the stage, all read from one
-    sweep over the atoms of the two functions and the stage.  Gap widths and
-    atom values are taken on integer grids (intervals._on_grid), so mass and
-    increment are each one Fraction over Dv Dx."""
-    _, (cur, nxt, inside), (dx, xs) = _sweep(f_cur.pieces, f_next.pieces, _ones(stage.parts))
-    dv, values = _on_grid(cur + nxt)
-    cur, nxt = values[:len(cur)], values[len(cur):]
-    gaps = [(a, b, x1 - x0) for a, b, x0, x1 in zip(cur[1::2], nxt[1::2], xs, xs[1:])]
-    mass = Fraction(sum(a * w for a, _, w in gaps), dv * dx)
-    increment = Fraction(sum(abs(b - a) * w for a, b, w in gaps), dv * dx)
-    monotone = all(a <= b for a, b in zip(cur, nxt))
-    vanishes = not any(a for a, s in zip(cur, inside) if s)
+    sweep over the cuts of the two functions and the stage, on their grids:
+    mass and increment are each one Fraction over Dv Dx."""
+    dv = math.lcm(f_cur._dv, f_next._dv)
+    d, points, (cur, nxt, inside) = _sweep(f_cur._input(dv), f_next._input(dv), stage._input())
+    widths = _widths(points)
+    mass = Fraction(sum(map(mul, cur, widths)), dv * d)
+    increment = Fraction(sum(map(mul, map(abs, map(sub, nxt, cur)), widths)), dv * d)
+    monotone = all(map(le, cur, nxt))
+    vanishes = not any(map(mul, cur, inside))
     return mass, increment, monotone, vanishes
 
 
@@ -336,27 +326,26 @@ def build_schnorr_poisson(test: TestFamily, m_max: int) -> StepConstruction:
 # tent construction (flip-flop stages with vanishing L1 norms)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _tent_vertices(lo: int, hi: int) -> tuple[int, int, int, int]:
+    """The four vertex xs of the tent on [lo/D, hi/D], over 4D: the quarters
+    0, 1, 3 and 4 of the interval, where the tent takes 0, 1, 1 and 0."""
+    return 4 * lo, 3 * lo + hi, lo + 3 * hi, 4 * hi
 
 
-def _tent_vertices(interval: RationalInterval) -> tuple:
-    """The four vertices of the tent on [a, b], at the quarters 0, 1, 3 and
-    4 of the interval.  The inner two are taken on the interval's integer
-    grid (intervals._on_grid): with a = p/D and b = q/D they are
-    (4p + c (q - p))/4D for c = 1, 3, one Fraction each."""
-    a, b = interval.lo, interval.hi
-    if a >= b:
+def _tents(d: int, los: list[int], his: list[int]) -> PiecewiseLinear:
+    """The sum of the tents on the intervals [lo/D, hi/D], all on one grid."""
+    if any(map(le, his, los)):
         raise ValueError("tent needs a non-degenerate interval")
-    d, (p, q) = _on_grid((a, b))
-    rise, fall = _grid_points(4 * p, q - p, 4 * d, (1, 3))
-    return (a, _ZERO), (rise, _ONE), (fall, _ONE), (b, _ZERO)
+    xs = [x for lo, hi in zip(los, his) for x in _tent_vertices(lo, hi)]
+    return _sum_vertices(4 * d, xs, 1, [0, 1, 1, 0] * len(los))
 
 
 def tent(interval: RationalInterval) -> PiecewiseLinear:
     """The unit plateau bump on [a, b]: ramps up over the first quarter,
     holds 1 over the middle half, ramps down over the last quarter.
     Exact L1 norm 3(b-a)/4."""
-    return PiecewiseLinear(_tent_vertices(interval))
+    d, (lo, hi) = _on_grid((interval.lo, interval.hi))
+    return _tents(d, [lo], [hi])
 
 
 @dataclass
@@ -365,7 +354,19 @@ class TentStage:
     f: PiecewiseLinear              # zero function at even s
     l1: Fraction                    # exact
     l1_bound: Fraction              # (2n+1)/2^n at s = 2n+1, 0 at even s
-    intervals: list = field(default_factory=list)
+    ends: tuple = (1, (), ())       # D and the enumerated intervals' lo and hi over D
+
+    @cached_property
+    def intervals(self) -> list[RationalInterval]:
+        """The enumerated intervals, formed from their grid."""
+        d, los, his = self.ends
+        return [RationalInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(los, his)]
+
+    def covers(self, x) -> bool:
+        """Whether an enumerated (closed) interval holds x, on the grid."""
+        d, los, his = self.ends
+        p, q = frac(x).as_integer_ratio()
+        return any(lo * q <= p * d <= hi * q for lo, hi in zip(los, his))
 
 
 @dataclass
@@ -382,7 +383,7 @@ class TentConstruction:
                     "s": st.s,
                     "l1": frac_str(st.l1),
                     "l1_bound": frac_str(st.l1_bound),
-                    "n_intervals": len(st.intervals),
+                    "n_intervals": len(st.ends[1]),
                 }
                 for st in self.stages
             ],
@@ -391,14 +392,15 @@ class TentConstruction:
 
 def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
     """Even stages are 0; stage s = 2n+1 sums tents over the first s
-    enumerated intervals of test stage n.  The tents' vertex lists
-    (_tent_vertices) go straight into the PL sum's kernel
-    (functions._sum_vertices), so a stage forms one PiecewiseLinear.
+    enumerated intervals of test stage n.  The intervals come on one grid
+    (randomness._enumerated) and their tents' vertices go straight into the
+    PL sum's kernel (functions._sum_vertices) on four times that grid, so a
+    stage forms one PiecewiseLinear and no interval.
 
     Exact per odd stage: the L1 norm is at most the total enumerated length
-    (summed on the ends' integer grid), which is at most (2n+1) times the
-    stage measure, hence at most (2n+1)/2^n; and every tent support sits
-    inside the stage."""
+    (summed on the ends' grid), which is at most (2n+1) times the stage
+    measure, hence at most (2n+1)/2^n; and every tent support sits inside
+    the stage."""
     need = (s_max - 1) // 2
     if test.depth < need:
         raise ValueError(f"test family depth {test.depth} short of stage {need}")
@@ -409,18 +411,17 @@ def build_ml_poisson(test: TestFamily, s_max: int) -> TentConstruction:
                 s=s, f=PiecewiseLinear.zero(), l1=Fraction(0), l1_bound=Fraction(0)))
             continue
         n = (s - 1) // 2
-        intervals = enumerate_intervals(test, n, s)
-        f = _sum_vertices([v for iv in intervals for v in _tent_vertices(iv)])
+        d, los, his = _enumerated(test, n, s)
+        f = _tents(d, los, his)
         l1 = f.l1_norm()
-        # the summed lengths on the ends' integer grid: one Fraction over D
-        d, ends = _on_grid(x for iv in intervals for x in (iv.lo, iv.hi))
-        total_len = Fraction(sum(ends[1::2]) - sum(ends[0::2]), d)
-        stage_measure = test.stage(n).measure()
+        total_len = Fraction(sum(his) - sum(los), d)
+        stage = test.stage(n)
         l1_bound = Fraction(2 * n + 1, 2 ** n)
-        if not (l1 <= total_len <= (2 * n + 1) * stage_measure <= l1_bound):
+        if not (l1 <= total_len <= (2 * n + 1) * stage.measure() <= l1_bound):
             raise AssertionError(f"stage {s}: L1 bound chain failed")
-        if not normalize(intervals).subset_of(test.stage(n)):
+        closed = [c for lo, hi in zip(los, his) for c in (2 * lo, 2 * hi + 1)]
+        if not _from_cuts(d, closed).subset_of(stage):
             raise AssertionError(f"stage {s}: enumerated intervals escape the stage")
         construction.stages.append(TentStage(
-            s=s, f=f, l1=l1, l1_bound=l1_bound, intervals=intervals))
+            s=s, f=f, l1=l1, l1_bound=l1_bound, ends=(d, los, his)))
     return construction

@@ -1,34 +1,41 @@
 """Compactly supported step functions and piecewise-linear functions.
 
-Both kinds carry exact rational data: step functions are weighted finite
-unions of rational intervals (closedness respected pointwise), piecewise
-linear functions are continuous with rational vertices.  Integrals, L1
-norms, and pointwise evaluations at rational arguments are exact; floats
-only enter downstream, in kernel integration.  Step-function merges and the
-PL grids run on the atom kernel of `intervals`.
+Both kinds carry exact rational data, held once on canonical integer grids
+(intervals: "the grid and the merge kernel"): positions as integers over
+Dx and values as integers over Dv, each D the least common denominator, so
+equality and hashing are structural.  A step function is its sorted cuts
+over Dx (closedness respected pointwise) with the value on each cut range;
+a piecewise-linear function is continuous, its vertex xs over Dx and ys
+over Dy.  Integrals, L1 norms, and pointwise evaluations at rational
+arguments are exact and run on the ints; each result is one Fraction, and
+floats only enter downstream, in kernel integration.  Step-function merges
+run on the merge kernel of `intervals`.
 
-Both kinds also have one exact row form, `rows`: one (interval, f(lo),
-f(hi)) per nonzero piece, in order, f linear on the interval.  A step piece
-of value v is the zero-slope row (interval, v, v) with its own closedness; a
-piecewise-linear segment is the closed [x0, x1] with its two vertex values.
-Readers that only need "a line on each interval" (cumulative tables, the
-Poisson layer's float rows, exceedance stages) read the rows and never ask
-which kind they hold.  The exact builds (PL sums, integrals, stage bounds)
-stay on the vertices and never form the rows.
+The Fraction views (`pieces`, `vertices`, `rows`, `segments()`,
+`breakpoints()`) are formed from the grid when first read, and the public
+constructors still accept Fraction data.  The row form `rows` is one
+(interval, f(lo), f(hi)) per nonzero piece, in order, f linear on the
+interval.  A step piece of value v is the zero-slope row (interval, v, v)
+with its own closedness; a piecewise-linear segment is the closed [x0, x1]
+with its two vertex values.  Readers that only need "a line on each
+interval" (the Poisson layer's float rows, exceedance stages) read the rows
+and never ask which kind they hold.  The exact builds (PL sums, integrals,
+stage bounds, cumulative tables) stay on the grid and never form the rows.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import add, le, mul, rshift, sub
 from typing import Callable, Iterable
 
-from .intervals import (IntervalUnion, RationalInterval, _index, _on_grid, _ones,
-                        _runs, _sweep, frac, normalize)
+from .intervals import (IntervalUnion, RationalInterval, _canonical, _cut_of, _ends_on_grid,
+                        _lcm, _least, _on_grid, _reduced, _sweep,
+                        _union_of_column, frac)
 
 
 def _point(t) -> Fraction:
@@ -38,70 +45,125 @@ def _point(t) -> Fraction:
     return Fraction(t) if isinstance(t, float) else frac(t)
 
 
-def _prefix_table(f) -> tuple[list, list]:
-    """The starts of f's rows, for bisection, and its prefix table: entry k
-    is the exact integral of f over its first k rows, each row adding its
-    mean height times its width.  A zero-slope row's mean is its value, so a
-    step row costs one product."""
-    prefix = [Fraction(0)]
-    for iv, fa, fb in f.rows:
-        prefix.append(prefix[-1] + (fa if fa == fb else (fa + fb) / 2) * iv.length)
-    return [iv.lo for iv, _, _ in f.rows], prefix
+def _prefix_table(f) -> tuple:
+    """The starts of f's grid rows (x0, x1, y0, y1), for bisection, its
+    prefix table, the rows and the grid (Dx, Dy): entry k of the table is
+    the exact integral of f over its first k rows times 2 Dx Dy, each row
+    adding (y0 + y1)(x1 - x0)."""
+    rows, dx, dy = f._grid_rows()
+    prefix = [0, *accumulate((y0 + y1) * (x1 - x0) for x0, x1, y0, y1 in rows)]
+    return [row[0] for row in rows], prefix, rows, dx, dy
 
 
 def _cumulative(f, ts) -> list[Fraction]:
     """Exact integral of f over (-inf, t] for each t of ts, f a step or
     piecewise-linear function.
 
-    The prefix table over the rows is built once per function
-    (_prefix_table, cached as f._prefix); each t is located by bisection
-    over the rows' starts and adds one partial row [lo, t] the same way
-    (closedness is measure-irrelevant).
+    The prefix table over the grid rows is built once per function
+    (_prefix_table, cached as f._prefix); each t = p/q is located by
+    bisection over the rows' starts and adds one partial row [x0, t], its
+    trapezoid on the grid, so each value is one Fraction (closedness is
+    measure-irrelevant).
     """
-    rows = f.rows
-    starts, prefix = f._prefix
+    starts, prefix, rows, dx, dy = f._prefix
+    den = 2 * dx * dy
     out = []
     for t in map(_point, ts):
-        k = bisect_right(starts, t)
+        p, q = t.as_integer_ratio()
+        k = bisect_right(starts, p * dx // q)
         if k == 0:
             out.append(Fraction(0))
             continue
-        iv, fa, fb = rows[k - 1]
-        if t >= iv.hi:
-            out.append(prefix[k])
+        x0, x1, y0, y1 = rows[k - 1]
+        width, u = x1 - x0, p * dx - x0 * q   # t - x0 is u / (Dx q)
+        if u >= width * q:
+            out.append(Fraction(prefix[k], den))
             continue
-        width = t - iv.lo
-        mean = fa if fa == fb else fa + (fb - fa) * width / (2 * iv.length)
-        out.append(prefix[k - 1] + mean * width)
+        out.append(Fraction(prefix[k - 1] * width * q * q
+                            + u * (2 * y0 * width * q + (y1 - y0) * u), den * width * q * q))
     return out
 
 
-def _from_atoms(points: list[Fraction], values: list) -> "StepFunction":
-    """The canonical step function taking `values[k]` on atom k of `points`
-    (the atoms of intervals._runs)."""
-    return StepFunction(tuple(_runs(points, values)))
+def _widths(cuts) -> list[int]:
+    """The width, over Dx, of each range between consecutive cuts."""
+    xs = list(map(rshift, cuts, repeat(1)))
+    return list(map(sub, xs[1:], xs))
 
 
-@dataclass(frozen=True)
+def _step(dx: int, cuts, values, dv: int) -> "StepFunction":
+    """The step function with canonical cuts over dx and values over dv, on
+    its least grids."""
+    f = StepFunction.__new__(StepFunction)
+    f._dx, f._cuts = _least(dx, cuts)
+    f._dv, f._vals = _reduced(dv, values)
+    return f
+
+
+def _step_of_column(dx: int, points: list[int], column, dv: int) -> "StepFunction":
+    """The canonical step function taking column[i] over dv on the range
+    from points[i] on (a kernel column, intervals._sweep)."""
+    return _step(dx, *_canonical(points, column), dv)
+
+
 class StepFunction:
     """Finitely many constant pieces on disjoint rational intervals, 0 elsewhere.
 
-    pieces: tuple of (RationalInterval, Fraction value), sorted, disjoint,
-    values nonzero.  Adjacent pieces with equal value that would fuse into a
-    single interval are fused, so the representation is canonical.
+    Held as sorted cuts over Dx and the value over Dv on each cut range; the
+    view `pieces` is a tuple of (RationalInterval, Fraction value), sorted,
+    disjoint, values nonzero, one interval per maximal run of equal values,
+    so the representation is canonical.  Built from pieces, overlapping
+    pieces add.
     """
 
-    pieces: tuple = ()
+    def __init__(self, pieces: Iterable[tuple] = ()):
+        pieces = tuple(pieces)
+        dx, cuts = _ends_on_grid(iv for iv, _ in pieces)
+        dv, values = _on_grid(frac(v) for _, v in pieces)
+        dx, points, (column,) = _sweep((dx, cuts, [j for v in values for j in (v, -v)]))
+        cuts, values = _canonical(points, column)
+        self._dx, self._cuts = _least(dx, cuts)
+        self._dv, self._vals = _reduced(dv, values)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+    @cached_property
+    def pieces(self) -> tuple:
+        """(RationalInterval, Fraction value) per nonzero cut range."""
+        dx, dv, cuts = self._dx, self._dv, self._cuts
+        xs = [Fraction(c >> 1, dx) for c in cuts]
+        return tuple((RationalInterval(xs[i], xs[i + 1], not cuts[i] & 1, bool(cuts[i + 1] & 1)),
+                      Fraction(v, dv))
+                     for i, v in enumerate(self._vals) if v)
+
+    def _input(self, dv: int) -> tuple:
+        """The function as kernel input, its values over dv (a multiple of
+        its own Dv): (Dx, cuts, the jump at each cut)."""
+        k = dv // self._dv
+        vals = self._vals if k == 1 else [v * k for v in self._vals]
+        return self._dx, self._cuts, list(map(sub, vals, chain((0,), vals)))
+
+    def _grid_rows(self) -> tuple:
+        """(x0, x1, v, v) per nonzero cut range, with the grid (Dx, Dv)."""
+        cuts = self._cuts
+        return ([(cuts[i] >> 1, cuts[i + 1] >> 1, v, v) for i, v in enumerate(self._vals) if v],
+                self._dx, self._dv)
+
+    def __eq__(self, other):
+        if not isinstance(other, StepFunction):
+            return NotImplemented
+        return (self._dx, self._cuts, self._dv, self._vals) == (
+            other._dx, other._cuts, other._dv, other._vals)
+
+    def __hash__(self):
+        return hash((self._dx, tuple(self._cuts), self._dv, tuple(self._vals)))
+
+    def __repr__(self):
+        return f"StepFunction(pieces={self.pieces!r})"
 
     # ------------------------------------------------------------------
     # construction
 
     @staticmethod
     def zero() -> "StepFunction":
-        return StepFunction(())
+        return _step(1, [], [], 1)
 
     @staticmethod
     def indicator(region: IntervalUnion, weight=1) -> "StepFunction":
@@ -112,54 +174,46 @@ class StepFunction:
         """Exact linear combination sum_k w_k * indicator(U_k).
 
         Pointwise-correct including at region boundaries: one sweep writes
-        each term's weight on the atoms its region covers (a union's parts
-        are disjoint, so nothing is overwritten), and each atom sums its
-        column entries; one term's column is taken as it is.
+        each term's weight on the cut ranges its region covers (a union's
+        parts are disjoint, so nothing is overwritten), and each range sums
+        the terms' columns; one term's column is taken as it is.
         """
         terms = [(frac(w), u) for w, u in terms]
-        points, columns, _ = _sweep(*([(part, w) for part in u.parts] for w, u in terms))
-        return _from_atoms(points, [reduce(add, atom) for atom in zip(*columns)])
+        if not terms:
+            return StepFunction.zero()
+        dv, weights = _on_grid(w for w, _ in terms)
+        d, points, columns = _sweep(*((u._d, u._cuts, [w, -w] * (len(u._cuts) // 2))
+                                      for w, (_, u) in zip(weights, terms)))
+        return _step_of_column(d, points, columns[0] if len(columns) == 1
+                               else map(sum, zip(*columns)), dv)
 
     # ------------------------------------------------------------------
     # pointwise and exact aggregates
 
-    @cached_property
-    def _starts(self) -> list[Fraction]:
-        """Left ends of the pieces, in order, for bisection."""
-        return [iv.lo for iv, _ in self.pieces]
-
     def eval(self, t) -> Fraction:
-        """f(t), from the last piece starting at or before t or the one before
-        it: that one holds t when it ends closed at t and the last piece is
-        open at t, or is the point piece [t, t]."""
-        t = _point(t)
-        k = bisect_right(self._starts, t)
-        for iv, v in self.pieces[max(k - 2, 0):k]:
-            if iv.contains(t):
-                return v
-        return Fraction(0)
+        """f(t): the value on the cut range holding t's own cut."""
+        k = bisect_right(self._cuts, _cut_of(_point(t), self._dx))
+        return Fraction(self._vals[k - 1], self._dv) if k else Fraction(0)
 
     __call__ = eval
 
     def integral(self) -> Fraction:
-        return sum((v * iv.length for iv, v in self.pieces), Fraction(0))
+        return Fraction(sum(map(mul, self._vals, _widths(self._cuts))), self._dv * self._dx)
 
     def l1_norm(self) -> Fraction:
-        return sum((abs(v) * iv.length for iv, v in self.pieces), Fraction(0))
+        return Fraction(sum(map(mul, map(abs, self._vals), _widths(self._cuts))),
+                        self._dv * self._dx)
 
     def sup_norm(self) -> Fraction:
-        return max((abs(v) for _, v in self.pieces), default=Fraction(0))
+        return Fraction(max(map(abs, self._vals), default=0), self._dv)
 
     def l1_distance(self, other: "StepFunction") -> Fraction:
-        """Exact ||self - other||_1 from one sweep of the two functions, the
-        atom values and gap widths taken on integer grids
-        (intervals._on_grid): one Fraction over Dv Dx, and no difference
-        function is formed."""
-        _, (mine, theirs), (dx, xs) = _sweep(self.pieces, other.pieces)
-        dv, values = _on_grid(mine + theirs)
-        mine, theirs = values[:len(mine)], values[len(mine):]
-        return Fraction(sum(abs(b - a) * (x1 - x0) for a, b, x0, x1
-                            in zip(mine[1::2], theirs[1::2], xs, xs[1:])), dv * dx)
+        """Exact ||self - other||_1 from one sweep of the two functions: one
+        Fraction over Dv Dx, and no difference function is formed."""
+        dv = math.lcm(self._dv, other._dv)
+        d, points, (mine, theirs) = _sweep(self._input(dv), other._input(dv))
+        return Fraction(sum(map(mul, map(abs, map(sub, theirs, mine)), _widths(points))),
+                        dv * d)
 
     @cached_property
     def rows(self) -> tuple:
@@ -175,116 +229,148 @@ class StepFunction:
 
     @property
     def is_zero(self) -> bool:
-        return not self.pieces
+        return not self._cuts
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for _, v in self.pieces)
+        return min(self._vals, default=0) >= 0
 
     def support_bounds(self) -> tuple[Fraction, Fraction] | None:
-        if not self.pieces:
+        if not self._cuts:
             return None
-        return self.pieces[0][0].lo, self.pieces[-1][0].hi
+        return Fraction(self._cuts[0] >> 1, self._dx), Fraction(self._cuts[-1] >> 1, self._dx)
 
     def breakpoints(self) -> list[Fraction]:
-        return _index(x for iv, _ in self.pieces for x in (iv.lo, iv.hi))[0]
+        return [Fraction(x, self._dx) for x in dict.fromkeys(map(rshift, self._cuts, repeat(1)))]
 
     # ------------------------------------------------------------------
     # algebra
 
     def _combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
-        points, (mine, theirs), _ = _sweep(self.pieces, other.pieces)
-        return _from_atoms(points, [op(a, b) for a, b in zip(mine, theirs)])
+        dv = math.lcm(self._dv, other._dv)
+        d, points, (mine, theirs) = _sweep(self._input(dv), other._input(dv))
+        return _step_of_column(d, points, map(op, mine, theirs), dv)
 
     def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def scale(self, w) -> "StepFunction":
         w = frac(w)
         if w == 0:
             return StepFunction.zero()
-        return StepFunction(tuple((iv, w * v) for iv, v in self.pieces))
+        p, q = w.as_integer_ratio()
+        return _step(self._dx, self._cuts, [v * p for v in self._vals], self._dv * q)
 
     def abs(self) -> "StepFunction":
-        points, (values,), _ = _sweep(self.pieces)
-        return _from_atoms(points, [abs(v) for v in values])
+        return _step_of_column(self._dx, self._cuts, map(abs, self._vals), self._dv)
 
     def restrict(self, region: IntervalUnion) -> "StepFunction":
         """The function times the exact indicator of `region`."""
-        points, (values, inside), _ = _sweep(self.pieces, _ones(region.parts))
-        return _from_atoms(points, [v if ind else 0 for v, ind in zip(values, inside)])
+        d, points, (values, inside) = _sweep(self._input(self._dv), region._input())
+        return _step_of_column(d, points, map(mul, values, inside), self._dv)
 
     def pointwise_le(self, other: "StepFunction") -> bool:
         """Exact check that self <= other everywhere."""
-        _, (mine, theirs), _ = _sweep(self.pieces, other.pieces)
-        return all(a <= b for a, b in zip(mine, theirs))
+        dv = math.lcm(self._dv, other._dv)
+        _, _, (mine, theirs) = _sweep(self._input(dv), other._input(dv))
+        return all(map(le, mine, theirs))
 
     def exceedance_region(self, threshold_sq: Fraction) -> IntervalUnion:
         """Exact region where value^2 > threshold_sq (i.e. |value| > sqrt)."""
-        return normalize(iv for iv, v in self.pieces if v * v > threshold_sq)
+        p, q = frac(threshold_sq).as_integer_ratio()
+        bound = p * self._dv * self._dv
+        return _union_of_column(self._dx, self._cuts, [v * v * q > bound for v in self._vals])
 
 
-@dataclass(frozen=True)
+def _pl(dx: int, xs, dy: int, ys) -> "PiecewiseLinear":
+    """The function on vertex xs over dx and ys over dy, on its least grids."""
+    f = PiecewiseLinear.__new__(PiecewiseLinear)
+    f._dx, f._xs = _reduced(dx, xs)
+    f._dy, f._ys = _reduced(dy, ys)
+    return f
+
+
 class PiecewiseLinear:
     """Continuous, compactly supported, piecewise linear, rational vertices.
 
-    vertices: tuple of (x, y) Fraction pairs with x strictly increasing and
-    the first and last y equal to 0.  The empty tuple is the zero function.
+    Held as vertex xs over Dx and ys over Dy; the view `vertices` is a
+    tuple of (x, y) Fraction pairs with x strictly increasing and the first
+    and last y equal to 0.  The empty tuple is the zero function.
     """
 
-    vertices: tuple = ()
-
-    def __post_init__(self):
-        verts = tuple((frac(x), frac(y)) for x, y in self.vertices)
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices: Iterable[tuple] = ()):
+        verts = tuple((frac(x), frac(y)) for x, y in vertices)
+        self._dx, self._xs = _on_grid(x for x, _ in verts)
+        self._dy, self._ys = _on_grid(y for _, y in verts)
         if verts:
-            xs = [x for x, _ in verts]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
+            if any(map(le, self._xs[1:], self._xs)):
                 raise ValueError("vertex x coordinates must be strictly increasing")
-            if verts[0][1] != 0 or verts[-1][1] != 0:
+            if self._ys[0] or self._ys[-1]:
                 raise ValueError("first and last vertex values must be 0")
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """(x, y) Fraction pairs, formed from the grid."""
+        dx, dy = self._dx, self._dy
+        return tuple((Fraction(x, dx), Fraction(y, dy)) for x, y in zip(self._xs, self._ys))
+
+    def _grid_rows(self) -> tuple:
+        """(x0, x1, y0, y1) per segment not zero throughout, with the grid
+        (Dx, Dy)."""
+        xs, ys = self._xs, self._ys
+        return ([(x0, x1, y0, y1) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]) if y0 or y1],
+                self._dx, self._dy)
+
+    def __eq__(self, other):
+        if not isinstance(other, PiecewiseLinear):
+            return NotImplemented
+        return (self._dx, self._xs, self._dy, self._ys) == (
+            other._dx, other._xs, other._dy, other._ys)
+
+    def __hash__(self):
+        return hash((self._dx, tuple(self._xs), self._dy, tuple(self._ys)))
+
+    def __repr__(self):
+        return f"PiecewiseLinear(vertices={self.vertices!r})"
 
     @staticmethod
     def zero() -> "PiecewiseLinear":
-        return PiecewiseLinear(())
-
-    @cached_property
-    def _xs(self) -> list[Fraction]:
-        """Vertex x coordinates, in order, for bisection."""
-        return [x for x, _ in self.vertices]
+        return _pl(1, [], 1, [])
 
     def eval(self, t) -> Fraction:
-        """f(t) on the segment found by bisection over the vertex xs; at a
-        vertex that is the segment starting there, which gives its y."""
-        t = _point(t)
-        verts = self.vertices
-        if not verts or t <= verts[0][0] or t >= verts[-1][0]:
+        """f(t) on the segment found by bisection over the vertex xs, as one
+        Fraction from the grid; at a vertex that is the segment starting
+        there, which gives its y."""
+        xs, ys = self._xs, self._ys
+        if not xs:
+            return Fraction(0)
+        p, q = _point(t).as_integer_ratio()
+        at = p * self._dx  # t is at / (Dx q)
+        if at <= xs[0] * q or at >= xs[-1] * q:
             # endpoints carry y == 0, so <=/>= is exact here
             return Fraction(0)
-        k = bisect_right(self._xs, t)
-        (x0, y0), (x1, y1) = verts[k - 1], verts[k]
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        k = bisect_right(xs, at // q)
+        x0, x1, y0, y1 = xs[k - 1], xs[k], ys[k - 1], ys[k]
+        return Fraction(y0 * (x1 - x0) * q + (y1 - y0) * (at - x0 * q), self._dy * (x1 - x0) * q)
 
     __call__ = eval
 
     @property
     def is_zero(self) -> bool:
-        return all(y == 0 for _, y in self.vertices)
+        return not any(self._ys)
 
     def segments(self):
         """(x0, y0, x1, y1) per linear piece, zero-valued runs included."""
         return list(zip(self.vertices, self.vertices[1:]))
 
     def integral(self) -> Fraction:
-        """Sum of the trapezoids (y0 + y1)(x1 - x0)/2, on the grids of the
-        vertex xs and ys: one Fraction over 2 Dx Dy."""
-        dx, xs = _on_grid(self._xs)
-        dy, ys = _on_grid(y for _, y in self.vertices)
-        total = sum((y0 + y1) * (x1 - x0)
-                    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
-        return Fraction(total, 2 * dx * dy)
+        """Sum of the trapezoids (y0 + y1)(x1 - x0)/2 on the grid: one
+        Fraction over 2 Dx Dy."""
+        xs, ys = self._xs, self._ys
+        return Fraction(sum(map(mul, map(add, ys, ys[1:]), map(sub, xs[1:], xs))),
+                        2 * self._dx * self._dy)
 
     def l1_norm(self) -> Fraction:
         if self.is_nonnegative():
@@ -296,39 +382,49 @@ class PiecewiseLinear:
         return (self - other).l1_norm()
 
     def sup_norm(self) -> Fraction:
-        return max((abs(y) for _, y in self.vertices), default=Fraction(0))
+        return Fraction(max(map(abs, self._ys), default=0), self._dy)
 
     def is_nonnegative(self) -> bool:
-        return all(y >= 0 for _, y in self.vertices)
+        return min(self._ys, default=0) >= 0
 
     def support_bounds(self) -> tuple[Fraction, Fraction] | None:
-        if not self.vertices or self.is_zero:
+        if self.is_zero:
             return None
-        return self.vertices[0][0], self.vertices[-1][0]
+        return Fraction(self._xs[0], self._dx), Fraction(self._xs[-1], self._dx)
 
     def breakpoints(self) -> list[Fraction]:
-        return [x for x, _ in self.vertices]
+        return [Fraction(x, self._dx) for x in self._xs]
 
     def abs(self) -> "PiecewiseLinear":
-        """Exact |f|: rational zero crossings become new vertices."""
-        if not self.vertices:
+        """Exact |f|: rational zero crossings become new vertices, on the
+        grid over Dx times the lcm of their denominators."""
+        if self.is_nonnegative():
             return self
-        verts: list[tuple[Fraction, Fraction]] = []
-        for (x0, y0), (x1, y1) in self.segments():
-            verts.append((x0, abs(y0)))
+        xs, ys = self._xs, self._ys
+        verts = []  # (numerator, denominator over Dx, |y|)
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            verts.append((x0, 1, abs(y0)))
             if (y0 < 0 < y1) or (y1 < 0 < y0):
-                root = x0 + (x1 - x0) * (-y0) / (y1 - y0)
-                verts.append((root, Fraction(0)))
-        verts.append((self.vertices[-1][0], abs(self.vertices[-1][1])))
-        return PiecewiseLinear(tuple(verts))
+                # the root x0 + (x1 - x0)(-y0)/(y1 - y0), over Dx
+                num, den = x0 * (y1 - y0) - (x1 - x0) * y0, y1 - y0
+                g = math.gcd(num, den) * (1 if den > 0 else -1)
+                verts.append((num // g, den // g, 0))
+        verts.append((xs[-1], 1, abs(ys[-1])))
+        m = _lcm(den for _, den, _ in verts)
+        return _pl(self._dx * m, [n * (m // den) for n, den, _ in verts],
+                   self._dy, [y for _, _, y in verts])
 
     @staticmethod
     def sum(functions: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
         """Exact sum of any number of functions in one sweep (_sum_vertices
-        over their vertex lists, one after another); a left fold of `+` gives
-        the same function, at times with fewer vertices where zero runs were
-        trimmed."""
-        return _sum_vertices([v for f in functions for v in f.vertices])
+        over their vertex lists, one after another, on one grid); a left
+        fold of `+` gives the same function, at times with fewer vertices
+        where zero runs were trimmed."""
+        functions = [f for f in functions if f._xs]
+        dx = _lcm(f._dx for f in functions)
+        dy = _lcm(f._dy for f in functions)
+        return _sum_vertices(dx, [x * (dx // f._dx) for f in functions for x in f._xs],
+                             dy, [y * (dy // f._dy) for f in functions for y in f._ys])
 
     def _combine(self, other: "PiecewiseLinear", sign: int) -> "PiecewiseLinear":
         return PiecewiseLinear.sum((self, other if sign > 0 else other.scale(-1)))
@@ -341,9 +437,10 @@ class PiecewiseLinear:
 
     def scale(self, w) -> "PiecewiseLinear":
         w = frac(w)
-        if w == 0 or not self.vertices:
+        if w == 0 or not self._xs:
             return PiecewiseLinear.zero()
-        return PiecewiseLinear(tuple((x, w * y) for x, y in self.vertices))
+        p, q = w.as_integer_ratio()
+        return _pl(self._dx, self._xs, self._dy * q, [y * p for y in self._ys])
 
     @cached_property
     def rows(self) -> tuple:
@@ -360,19 +457,19 @@ class PiecewiseLinear:
         return _window(self, lo, hi)
 
 
-def _sum_vertices(vertices: list) -> PiecewiseLinear:
-    """The sum of the functions whose vertex lists (x, y), each with x
-    strictly increasing and y = 0 at both ends, are joined one after another
-    in `vertices`.
+def _sum_vertices(dx: int, xs: list[int], dy: int, ys: list[int]) -> PiecewiseLinear:
+    """The sum of the functions whose vertex runs, each with x strictly
+    increasing and y = 0 at both ends, are joined one after another in xs
+    (over dx) and ys (over dy).
 
     Each function contributes its slope change at each of its vertices;
     walking the union of all vertices in order and integrating the
     accumulated slope gives the exact sum there.  The vertex set is that
     union, trimmed once at the ends.
     """
-    points, index, (_, xs) = _index(x for x, _ in vertices)
-    dy, ys = _on_grid(y for _, y in vertices)
-    at = [index[x.as_integer_ratio()] for x, _ in vertices]
+    points = sorted(set(xs))
+    index = {x: i for i, x in enumerate(points)}
+    at = list(map(index.__getitem__, xs))
     # On the grids the slope from vertex i0 to i1 is (rise/run) Dx/Dy for
     # integers rise and run; it starts at i0 and stops at i1 as the reduced
     # ratio a/b.  Neighbours from two functions join a last vertex to a
@@ -380,25 +477,25 @@ def _sum_vertices(vertices: list) -> PiecewiseLinear:
     changes = []
     for i0, i1, y0, y1 in zip(at, at[1:], ys, ys[1:]):
         if y1 != y0:
-            rise, run = y1 - y0, xs[i1] - xs[i0]
+            rise, run = y1 - y0, points[i1] - points[i0]
             g = math.gcd(rise, run)
             changes.append((i0, i1, rise // g, run // g))
     # kinks over one slope denominator M: the walk adds slope * (grid
     # step), so the value at each vertex is an integer over M Dy
-    m = math.lcm(*{b for *_, b in changes})
+    m = _lcm(b for *_, b in changes)
     kinks = [0] * len(points)
     for i0, i1, a, b in changes:
         kink = a * (m // b)
         kinks[i0] += kink
         kinks[i1] -= kink
-    verts = []
+    values = []
     value = slope = prev = 0
-    for x, key, kink in zip(points, xs, kinks):
-        value += slope * (key - prev)
-        verts.append((x, Fraction(value, m * dy)))
+    for x, kink in zip(points, kinks):
+        value += slope * (x - prev)
+        values.append(value)
         slope += kink
-        prev = key
-    return _trimmed(verts)
+        prev = x
+    return _trimmed(dx, points, m * dy, values)
 
 
 def _window(f, lo, hi) -> Fraction:
@@ -411,13 +508,14 @@ def _window(f, lo, hi) -> Fraction:
     return above - below
 
 
-def _trimmed(verts) -> PiecewiseLinear:
-    """The function on `verts` without redundant zero vertices at the ends."""
-    lo, hi = 0, len(verts)
-    while hi - lo > 2 and verts[lo][1] == 0 and verts[lo + 1][1] == 0:
+def _trimmed(dx: int, xs: list[int], dy: int, ys: list[int]) -> PiecewiseLinear:
+    """The function on vertex xs over dx and ys over dy without redundant
+    zero vertices at the ends."""
+    lo, hi = 0, len(xs)
+    while hi - lo > 2 and not ys[lo] and not ys[lo + 1]:
         lo += 1
-    while hi - lo > 2 and verts[hi - 1][1] == 0 and verts[hi - 2][1] == 0:
+    while hi - lo > 2 and not ys[hi - 1] and not ys[hi - 2]:
         hi -= 1
-    if hi - lo <= 1 or all(y == 0 for _, y in verts[lo:hi]):
+    if hi - lo <= 1 or not any(ys[lo:hi]):
         return PiecewiseLinear.zero()
-    return PiecewiseLinear(tuple(verts[lo:hi]))
+    return _pl(dx, xs[lo:hi], dy, ys[lo:hi])

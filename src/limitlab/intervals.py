@@ -1,19 +1,19 @@
 """Exact arithmetic on finite unions of rational intervals, and the one
-atom kernel that every exact merge in limitlab runs on.
+merge kernel that every exact operation in limitlab runs on.
 
-Endpoints are `fractions.Fraction` and open/closed flags are tracked through
+Endpoints are exact rationals and open/closed flags are tracked through
 every operation, so pointwise membership questions have exact answers and
-Lebesgue measure is an exact rational.  Unions are kept in a canonical form:
-parts sorted, pairwise disjoint, and not mergeable (no overlap and no shared
-endpoint whose closedness would let two parts fuse).  Canonical form makes
-equality structural: two unions describe the same point set if and only if
-their part tuples are equal.
+Lebesgue measure is an exact rational.  A union is held once, on an integer
+grid: its ends as integer cuts over D, the least common denominator of its
+endpoints (see "the grid and the merge kernel" below).  Unions are kept in a
+canonical form: parts sorted, pairwise disjoint, and not mergeable (no
+overlap and no shared endpoint whose closedness would let two parts fuse).
+On the grid that is one condition, strictly increasing cuts, and with D
+least, equality is structural: two unions describe the same point set if
+and only if their grids are equal.
 
-The kernel (`_index`, `_sweep`, `_runs`) splits the line at the merged
-breakpoints into atoms and writes each input's value on every atom.  A set
-operation is one sweep over 0/1 columns (normalize, union, intersection,
-difference); the step-function algebra in `functions` sweeps the pieces'
-values through the same kernel.
+The Fraction view `parts` (RationalInterval, Fraction endpoints) is formed
+from the grid when first read; constructors still accept Fraction data.
 
 Everything here is immutable and pure; values can be shared freely.
 """
@@ -24,8 +24,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from typing import Iterable, Iterator, Union
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, repeat
+from operator import and_, gt, le, mul, ne, or_, rshift
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -50,7 +52,7 @@ def frac_str(value: Fraction) -> str:
 # Endpoints are ordered as (position, epsilon) pairs.  A start endpoint has
 # epsilon 0 (closed) or +1 (open); an end endpoint has epsilon 0 (closed) or
 # -1 (open).  A point x lies in a part iff start <= (x, 0) <= end.  Membership
-# and the canonical-form check read these keys; merges run on atoms (below).
+# of a single interval reads these keys; unions and merges run on the grid.
 
 
 @dataclass(frozen=True)
@@ -101,36 +103,198 @@ class RationalInterval:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def _succ(end_key):
-    # next endpoint slot after an end key: (x,-1) -> (x,0) -> (x,+1)
-    return (end_key[0], end_key[1] + 1)
+# ----------------------------------------------------------------------
+# the grid and the merge kernel
+#
+# Exact data is held on integer grids: a list of rationals is written as
+# integer numerators over D, the least common denominator of the list, so
+# sums, differences, products and comparisons run on Python ints in C.  A
+# Fraction is formed only where a caller reads one (p / D, one gcd), and a
+# float as p / D, which CPython rounds correctly: bitwise float(Fraction).
+#
+# Positions with closedness are cuts: the point x = n/D covers the cut range
+# [2n, 2n + 1) and the open gap (n/D, (n + 1)/D) the range [2n + 1, 2n + 2).
+# A closed start at n is the cut 2n and an open one 2n + 1; a closed end at
+# n is 2n + 1 and an open one 2n.  An interval is the half-open cut range
+# [start, end), so a point lies in it iff start <= its cut < end, and two
+# intervals fuse iff one's end cut reaches the other's start cut.
+#
+# Step data is a sorted list of distinct cuts and the value on each range
+# [cuts[i], cuts[i + 1]) (0 past the last cut and before the first).  The
+# kernel (_sweep) takes each input as its cuts and the jump of its value at
+# each cut, scales every grid to the lcm of their D (on the builds one D
+# divides the other), merges the cuts as one sorted list of ints, and writes
+# each input's running value at every merged cut.  Canonical step data
+# (_canonical) keeps the cuts where the value changes, which is one interval
+# per maximal run of equal nonzero values, and least grids (_least) divide
+# out the common factor of D and the numerators.
 
 
-@dataclass(frozen=True)
+def _lcm(dens: Iterable[int]) -> int:
+    """The lcm of the denominators, as a balanced tree of pairwise lcms: on
+    many distinct denominators each product then has operands of equal
+    size, not one ever growing operand."""
+    level = list(set(dens))
+    while len(level) > 2:
+        level = [math.lcm(*level[i:i + 2]) for i in range(0, len(level), 2)]
+    return math.lcm(*level)
+
+
+def _on_grid(values: Iterable) -> tuple[int, list[int]]:
+    """The values' least common denominator D and each value's integer
+    numerator over D, in order: value == numerator / D.  Values are
+    Fractions or ints."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = _lcm(q for _, q in ratios)
+    return d, [p * (d // q) for p, q in ratios]
+
+
+def _rescaled(cuts, k: int):
+    """Cuts over D as cuts over k D: the position scales, the closedness bit
+    stays."""
+    if k == 1:
+        return cuts
+    return [c * k - (c & 1) * (k - 1) for c in cuts]
+
+
+def _cut_of(x: Fraction, d: int) -> int:
+    """The cut a point x covers on the grid over d: 2n at x = n/d, and the
+    gap's 2n + 1 when n/d < x < (n + 1)/d."""
+    n, r = divmod(x.numerator * d, x.denominator)
+    return 2 * n + (r != 0)
+
+
+def _sweep(*inputs) -> tuple[int, list[int], list[list]]:
+    """Merge step data given as (D, cuts, jumps): the lcm D of the grids,
+    the sorted distinct cuts over it, and each input's value on the range
+    starting at every merged cut (its jumps summed up to the cut).  Cuts
+    within one input may repeat, and their jumps then add."""
+    d = _lcm(g for g, _, _ in inputs)
+    tables = []
+    for g, cuts, jumps in inputs:
+        cuts = _rescaled(cuts, d // g)
+        at = dict(zip(cuts, jumps))
+        if len(at) < len(cuts):
+            at = {}
+            for c, j in zip(cuts, jumps):
+                at[c] = at.get(c, 0) + j
+        tables.append(at)
+    points = sorted(set().union(*tables))
+    return d, points, [list(accumulate(map(at.get, points, repeat(0)))) for at in tables]
+
+
+def _canonical(points: list[int], column) -> tuple[list[int], list]:
+    """The cuts among `points` where the running value `column` changes,
+    with the value from each of them on: canonical step data."""
+    column = list(column)
+    keep = list(map(ne, column, chain((0,), column)))
+    return list(compress(points, keep)), list(compress(column, keep))
+
+
+def _common_factor(d: int, nums: list[int]) -> int:
+    """gcd(d, *nums).  One gcd of d with a weighted sum of the numerators
+    comes first: it is a multiple of the answer, and in practice about its
+    size, so on many large numerators (mixed odd denominators) the rest are
+    gcds with a small number, not a chain of gcds that each shed one
+    denominator of a huge d."""
+    return math.gcd(math.gcd(d, sum(map(mul, nums, count(1)))), *nums)
+
+
+def _least(d: int, cuts) -> tuple[int, list[int]]:
+    """Cuts over d on the least grid: d and the positions divided by their
+    common factor."""
+    g = _common_factor(d, list(map(rshift, cuts, repeat(1))))
+    if g == 1:
+        return d, cuts
+    return d // g, [((c >> 1) // g << 1) | (c & 1) for c in cuts]
+
+
+def _reduced(d: int, nums) -> tuple[int, list[int]]:
+    """Numerators over d on the least grid: d and the numerators divided by
+    their common factor."""
+    g = _common_factor(d, nums)
+    if g == 1:
+        return d, nums
+    return d // g, [n // g for n in nums]
+
+
+def _ends_on_grid(intervals: Iterable[RationalInterval]) -> tuple[int, list[int]]:
+    """The intervals as cuts on one grid: D and start, end, start, end, ..."""
+    intervals = list(intervals)
+    ratios = [x.as_integer_ratio() for iv in intervals for x in (iv.lo, iv.hi)]
+    d = _lcm(q for _, q in ratios)
+    flags = [f for iv in intervals for f in (not iv.lo_closed, iv.hi_closed)]
+    cuts = [2 * p * (d // q) for p, q in ratios]
+    return d, [c + 1 if f else c for c, f in zip(cuts, flags)]
+
+
+def _alternating(cuts) -> list[int]:
+    """The jumps of an indicator at its start and end cuts."""
+    return [1, -1] * (len(cuts) // 2)
+
+
+def _union(d: int, cuts) -> "IntervalUnion":
+    """The union with these canonical cuts over d, on its least grid."""
+    u = IntervalUnion.__new__(IntervalUnion)
+    u._d, u._cuts = _least(d, cuts)
+    return u
+
+
+def _union_of_column(d: int, points: list[int], column) -> "IntervalUnion":
+    """The canonical union of the ranges where a 0/1 column is 1."""
+    return _union(d, _canonical(points, column)[0])
+
+
+def _from_cuts(d: int, cuts) -> "IntervalUnion":
+    """The canonical union of intervals given as (start, end) cut pairs over
+    d, in any order, overlapping or not: the cuts some interval covers."""
+    d, points, (count,) = _sweep((d, cuts, _alternating(cuts)))
+    return _union_of_column(d, points, map(bool, count))
+
+
 class IntervalUnion:
-    """Canonical finite union of RationalInterval parts."""
+    """Canonical finite union of rational intervals, held on its grid."""
 
-    parts: tuple = ()
+    def __init__(self, parts: Iterable[RationalInterval] = ()):
+        parts = tuple(parts)
+        if not all(isinstance(part, RationalInterval) for part in parts):
+            raise TypeError("parts must be RationalInterval")
+        self._d, self._cuts = _ends_on_grid(parts)
+        if any(map(le, self._cuts[1:], self._cuts)):
+            raise ValueError(
+                "parts not canonical (overlapping, touching, or unsorted); "
+                "build unions through normalize()"
+            )
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        prev = None
-        for part in self.parts:
-            if not isinstance(part, RationalInterval):
-                raise TypeError("parts must be RationalInterval")
-            if prev is not None and part._start() <= _succ(prev._end()):
-                raise ValueError(
-                    "parts not canonical (overlapping, touching, or unsorted); "
-                    "build unions through normalize()"
-                )
-            prev = part
+    @cached_property
+    def parts(self) -> tuple:
+        """The parts as RationalIntervals, formed from the grid."""
+        d, cuts = self._d, self._cuts
+        return tuple(RationalInterval(Fraction(s >> 1, d), Fraction(e >> 1, d),
+                                      not s & 1, bool(e & 1))
+                     for s, e in zip(cuts[::2], cuts[1::2]))
+
+    def _input(self) -> tuple:
+        """The union as kernel input: its indicator's (D, cuts, jumps)."""
+        return self._d, self._cuts, _alternating(self._cuts)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalUnion):
+            return NotImplemented
+        return self._d == other._d and self._cuts == other._cuts
+
+    def __hash__(self):
+        return hash((self._d, tuple(self._cuts)))
+
+    def __repr__(self):
+        return f"IntervalUnion(parts={self.parts!r})"
 
     # ------------------------------------------------------------------
     # construction
 
     @staticmethod
     def empty() -> "IntervalUnion":
-        return IntervalUnion(())
+        return _union(1, [])
 
     @staticmethod
     def single(lo, hi, lo_closed=True, hi_closed=True) -> "IntervalUnion":
@@ -141,34 +305,36 @@ class IntervalUnion:
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self._cuts
 
     def measure(self) -> Fraction:
-        """Exact Lebesgue measure: the sum of part lengths."""
-        return sum((p.length for p in self.parts), Fraction(0))
+        """Exact Lebesgue measure: the sum of part lengths, over D."""
+        cuts = self._cuts
+        return Fraction(sum(e >> 1 for e in cuts[1::2]) - sum(s >> 1 for s in cuts[::2]),
+                        self._d)
 
     def contains(self, x: RationalLike) -> bool:
-        key = (frac(x), 0)
-        # the only candidate is the last part starting at or before x
-        i = bisect_right(self.parts, key, key=RationalInterval._start) - 1
-        return i >= 0 and key <= self.parts[i]._end()
+        # x lies in a part iff an odd number of cuts are at or before its own
+        return bisect_right(self._cuts, _cut_of(frac(x), self._d)) % 2 == 1
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        return self.difference(other).is_empty
+        _, _, (mine, theirs) = _sweep(self._input(), other._input())
+        return not any(map(gt, mine, theirs))
 
     # ------------------------------------------------------------------
     # set operations (all exact, all canonical)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return normalize(self.parts + other.parts)
+        d, points, (mine, theirs) = _sweep(self._input(), other._input())
+        return _union_of_column(d, points, map(or_, mine, theirs))
 
     def intersection(self, other: "IntervalUnion") -> "IntervalUnion":
-        points, (mine, theirs), _ = _sweep(_ones(self.parts), _ones(other.parts))
-        return _from_columns(points, [a & b for a, b in zip(mine, theirs)])
+        d, points, (mine, theirs) = _sweep(self._input(), other._input())
+        return _union_of_column(d, points, map(and_, mine, theirs))
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        points, (mine, theirs), _ = _sweep(_ones(self.parts), _ones(other.parts))
-        return _from_columns(points, [a > b for a, b in zip(mine, theirs)])
+        d, points, (mine, theirs) = _sweep(self._input(), other._input())
+        return _union_of_column(d, points, map(gt, mine, theirs))
 
     __or__ = union
     __and__ = intersection
@@ -189,113 +355,16 @@ class IntervalUnion:
         ]
 
     def __str__(self):
-        if not self.parts:
+        if not self._cuts:
             return "{}"
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
 
 
 def normalize(intervals: Iterable[RationalInterval]) -> IntervalUnion:
-    """Canonical union of arbitrary intervals: the atoms some interval covers.
+    """Canonical union of arbitrary intervals: the cuts some interval covers.
 
     Touching parts fuse when their closedness joins them, e.g. [0,1) + [1,2]
     fuses but [0,1) + (1,2] does not.  Membership semantics are preserved
     exactly.
     """
-    points, (covered,), _ = _sweep(_ones(intervals))
-    return _from_columns(points, covered)
-
-
-def _ones(intervals: Iterable[RationalInterval]) -> list[tuple[RationalInterval, int]]:
-    """The intervals as pieces of value 1, for a sweep of their indicator."""
-    return [(iv, 1) for iv in intervals]
-
-
-def _from_columns(points: list[Fraction], column: list) -> IntervalUnion:
-    """The canonical union of the atoms with a nonzero `column` value."""
-    return IntervalUnion(tuple(iv for iv, _ in _runs(points, column)))
-
-
-# ----------------------------------------------------------------------
-# the atom kernel
-#
-# Exact routines work on an integer grid: a list of rationals is written as
-# integer numerators over D, the lcm of their denominators (every denominator
-# must divide D for the numerators to be exact).  Sums, differences, products
-# and comparisons then run on Python ints in C, and each output value is one
-# Fraction(numerator, denominator) built at the end; Fractions are canonical,
-# so the result is the same exact number that per-step Fraction arithmetic
-# gives.
-#
-# Merges run over atoms of a sorted breakpoint list: atom 2i is the point
-# points[i], atom 2i+1 the open gap (points[i], points[i+1]).  The distinct
-# breakpoints are found by their (numerator, denominator) pair, which is
-# canonical (a Fraction is in lowest terms with a positive denominator) and
-# hashes in C, and sorted on their grid numerators, so the sort compares ints
-# and never Fractions.  A piece covers a contiguous range of atoms, found from
-# its endpoints through the pair index, so a merge fills per-atom values in
-# one pass over the pieces and never evaluates a function at a point.  The
-# result has one interval per maximal run of equal nonzero atom values, which
-# is the canonical form.
-
-
-def _on_grid(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """The values' common denominator D (the lcm of their denominators) and
-    each value's integer numerator over D, in order: value == numerator / D."""
-    ratios = [v.as_integer_ratio() for v in values]
-    d = math.lcm(*{q for _, q in ratios})
-    return d, [p * (d // q) for p, q in ratios]
-
-
-def _grid_points(base: int, step: int, d: int, counts: Iterable[int]) -> list[Fraction]:
-    """The points (base + c step) / D for each c of counts, one Fraction
-    each: whole steps along a line of the integer grid over D."""
-    return [Fraction(base + c * step, d) for c in counts]
-
-
-def _index(xs: Iterable[Fraction]) -> tuple[list[Fraction], dict, tuple[int, list[int]]]:
-    """The sorted distinct breakpoints of xs, a {(numerator, denominator):
-    position} map, and their grid (D, numerators over D in sorted order).
-    The distinct values keep their first-seen order, so the sorted runs of
-    each input stay runs for the sort."""
-    distinct = {x.as_integer_ratio(): x for x in xs}
-    d, keys = _on_grid(distinct.values())
-    order = sorted(zip(keys, distinct))  # (key, pair): the keys are distinct ints
-    index = {pair: i for i, (_, pair) in enumerate(order)}
-    return [distinct[pair] for _, pair in order], index, (d, [k for k, _ in order])
-
-
-def _atom_span(iv: RationalInterval, index: dict) -> tuple[int, int]:
-    """First and last atom (inclusive) covered by an interval."""
-    return (2 * index[iv.lo.as_integer_ratio()] + (0 if iv.lo_closed else 1),
-            2 * index[iv.hi.as_integer_ratio()] - (0 if iv.hi_closed else 1))
-
-
-def _sweep(*piece_lists) -> tuple[list[Fraction], list[list], tuple[int, list[int]]]:
-    """Merged breakpoints of lists of (interval, value) pieces, each list's
-    value on every atom (0 off its pieces, the last piece's value where
-    pieces overlap), and the grid of the breakpoints."""
-    points, index, grid = _index(x for pieces in piece_lists
-                                 for iv, _ in pieces for x in (iv.lo, iv.hi))
-    columns = []
-    for pieces in piece_lists:
-        values = [0] * (2 * len(points) - 1)
-        for iv, v in pieces:
-            lo, hi = _atom_span(iv, index)
-            values[lo:hi + 1] = [v] * (hi + 1 - lo)
-        columns.append(values)
-    return points, columns, grid
-
-
-def _runs(points: list[Fraction], values: list) -> Iterator[tuple[RationalInterval, object]]:
-    """One (interval, value) per maximal run of equal nonzero atom values
-    `values[k]` on atom k, the runs found on the values' (numerator,
-    denominator) pairs."""
-    start = 0
-    for (numerator, _), run in groupby(v.as_integer_ratio() for v in values):
-        end = start + sum(1 for _ in run)
-        if numerator:
-            # atoms start .. end-1: even atoms are points, odd ones open gaps
-            yield (RationalInterval(points[start // 2], points[end // 2],
-                                    start % 2 == 0, end % 2 == 1),
-                   values[start])
-        start = end
+    return _from_cuts(*_ends_on_grid(intervals))

@@ -68,19 +68,22 @@ DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 def _rows(f) -> list:
     """The exact rows of f (functions: one (interval, f(lo), f(hi)) per
     nonzero piece) as float rows (a, b, f(a), f(b), alpha, beta), with
-    f(t) = alpha + beta t on [a, b].  A row whose exact ends are equal (a
-    step piece, a plateau) takes beta = 0.0, so alpha = f(a); any other row
-    takes beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats.
+    f(t) = alpha + beta t on [a, b].  The ends and values are read off f's
+    grid as p / D, which rounds correctly, so each is bitwise the float of
+    its Fraction.  A row whose exact ends are equal (a step piece, a
+    plateau) takes beta = 0.0, so alpha = f(a); any other row takes
+    beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats.
     Rows come in increasing order and overlap at most in an endpoint."""
     if not isinstance(f, (StepFunction, PiecewiseLinear)):
         raise TypeError(f"no Poisson integral for {type(f).__name__}")
+    grid, dx, dy = f._grid_rows()
     rows = []
-    for iv, ya, yb in f.rows:
-        a, b = float(iv.lo), float(iv.hi)
-        fa = fb = float(ya)
+    for x0, x1, y0, y1 in grid:
+        a, b = x0 / dx, x1 / dx
+        fa = fb = y0 / dy
         beta = 0.0
-        if ya != yb:
-            fb = float(yb)
+        if y0 != y1:
+            fb = y1 / dy
             beta = (fb - fa) / (b - a)
         rows.append((a, b, fa, fb, fa - beta * a, beta))
     return rows

@@ -20,13 +20,13 @@ builds every stage from that one list.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intervals import (IntervalUnion, RationalInterval, _grid_points, _on_grid, frac,
-                        normalize)
+from .intervals import IntervalUnion, RationalInterval, _union, frac, normalize
 from .functions import PiecewiseLinear, StepFunction
 from .poisson import DEFAULT_Y_GRID, EDGE_SLACK, superlevel_set
 
@@ -66,14 +66,16 @@ class TestFamily:
 
 def covering_test(x, depth: int) -> TestFamily:
     """Nested test whose stage k is the open interval of measure exactly
-    2^-(k+2) centered at x, for k = 0..depth."""
+    2^-(k+2) centered at x, for k = 0..depth, written on its grid: with
+    x = p/q and D = lcm(q, 2^(k+3)), the ends are (p D/q -+ D/2^(k+3))/D."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x = frac(x)
+    p, q = frac(x).as_integer_ratio()
     stages = []
     for k in range(depth + 1):
-        h = Fraction(1, 2 ** (k + 3))
-        stages.append(IntervalUnion.single(x - h, x + h, False, False))
+        d = math.lcm(q, 2 ** (k + 3))
+        centre, h = p * (d // q), d >> (k + 3)
+        stages.append(_union(d, [2 * (centre - h) + 1, 2 * (centre + h)]))
     return TestFamily(tuple(stages), bound_exponent=2, nested=True)
 
 
@@ -83,7 +85,9 @@ def nest_tail(family: TestFamily) -> TestFamily:
     The output is nested by construction and its measures satisfy the
     geometric tail bound, which costs one exponent of the input guarantee.
     The tail union of a nested family is its first stage, so a nested input
-    keeps its own stages.
+    keeps its own stages, and is not validated again: its own checks
+    (measure <= 2^-(k+e), nesting) imply the output's weaker bound
+    2^-(k+e-1).
     """
     if not family.stages:
         raise ValueError("family must have at least one stage")
@@ -92,8 +96,9 @@ def nest_tail(family: TestFamily) -> TestFamily:
     if family.bound_exponent == 0:
         raise ValueError("tail nesting needs at least one exponent of slack")
     if family.nested:
-        return TestFamily(family.stages, bound_exponent=family.bound_exponent - 1,
-                          nested=True)
+        tail = copy.copy(family)
+        object.__setattr__(tail, "bound_exponent", family.bound_exponent - 1)
+        return tail
     tails = []
     acc = IntervalUnion.empty()
     for stage in reversed(family.stages):
@@ -104,43 +109,53 @@ def nest_tail(family: TestFamily) -> TestFamily:
                       nested=True)
 
 
-def enumerate_intervals(family: TestFamily, n: int, s: int) -> list[RationalInterval]:
-    """First s intervals of the canonical enumeration of closed rational
-    sub-intervals of stage n: round-robin over maximal parts left to right,
-    refining each part by dyadic subdivision.
+EIGHTHS = (2, 6)   # an enumerated interval is the middle half of its cell
 
-    The j-th interval of a part is the middle half of its j-th dyadic cell:
-    j = 0 is the middle half of the whole part, and later j walk the
-    refinement levels left to right.  Every result lies strictly inside the
-    part, so it is a valid closed sub-interval even of an open part; a point
-    part gives the point.  The ends are eighths 2 and 6 of the cell, taken
-    on the part's integer grid (intervals._on_grid): with lo = a/D and
-    hi - lo = w/D, eighth e of the cell at level l and position p is
-    (2^(l+3) a + (8p + e) w) / (2^(l+3) D), one Fraction per end.
+
+def _enumerated(family: TestFamily, n: int, s: int) -> tuple[int, list[int], list[int]]:
+    """The first s intervals of enumerate_intervals on one grid: D and
+    their lo and hi numerators over D.
+
+    With the stage on its grid over d, a part from a/d to (a + w)/d, and L
+    the deepest level the s intervals reach, eighth e of the cell at level
+    l and position j is (2^(L+3) a + (8j + e) w 2^(L-l)) / (2^(L+3) d).
     """
     if not 0 <= n <= family.depth:
         raise ValueError(f"stage index {n} outside 0..{family.depth}")
     if s < 1:
         raise ValueError("must request at least one interval")
-    parts = family.stage(n).parts
-    if not parts:
+    stage = family.stage(n)
+    if stage.is_empty:
         raise ValueError(f"stage {n} is empty")
-    grids = []
-    for part in parts[:s]:
-        d, (a, b) = _on_grid((part.lo, part.hi))
-        grids.append((a, b - a, d))
-    out = []
+    cuts = stage._cuts
+    parts = [(lo >> 1, (hi >> 1) - (lo >> 1)) for lo, hi in zip(cuts[::2], cuts[1::2])]
+    top = ((s - 1) // len(parts) + 1).bit_length() - 1
+    d = stage._d << (top + 3)
+    ends = ([], [])
     for r in range(s):
-        i, j = r % len(parts), r // len(parts)
-        a, w, d = grids[i]
-        if not w:
-            out.append(RationalInterval(parts[i].lo, parts[i].lo))
-            continue
-        level = (j + 1).bit_length() - 1
-        # eighth 0 of the cell at position j + 1 - 2^level, over 2^(level+3) D
-        cell = (a << (level + 3)) + 8 * w * (j + 1 - (1 << level))
-        out.append(RationalInterval(*_grid_points(cell, w, d << (level + 3), (2, 6))))
-    return out
+        a, w = parts[r % len(parts)]
+        j = r // len(parts) + 1
+        level = j.bit_length() - 1
+        cell = (a << (top + 3)) + ((8 * w * (j - (1 << level))) << (top - level))
+        for out, eighth in zip(ends, EIGHTHS):
+            out.append(cell + ((eighth * w) << (top - level)))
+    return d, ends[0], ends[1]
+
+
+def enumerate_intervals(family: TestFamily, n: int, s: int) -> list[RationalInterval]:
+    """First s intervals of the canonical enumeration of closed rational
+    sub-intervals of stage n: round-robin over maximal parts left to right,
+    refining each part by dyadic subdivision.
+
+    The j-th interval of a part is the middle half of its j-th dyadic cell
+    (eighths 2 and 6 of the cell, EIGHTHS): j = 0 is the middle half of the
+    whole part, and later j walk the refinement levels left to right.
+    Every result lies strictly inside the part, so it is a valid closed
+    sub-interval even of an open part; a point part gives the point.  The
+    ends are formed from their grid (_enumerated), one Fraction each.
+    """
+    d, los, his = _enumerated(family, n, s)
+    return [RationalInterval(Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(los, his)]
 
 
 def integral_test_partial(taus, t: float, n_terms: int) -> float:
@@ -230,13 +245,15 @@ def _exceedance_parts(g, i: int) -> list[RationalInterval]:
     return out
 
 
-def simple_tests_from_approx(fs: Sequence, ks: Sequence[int]) -> list[IntervalUnion]:
+def simple_tests_from_approx(fs: Sequence, ks: Sequence[int],
+                             diffs: Sequence | None = None) -> list[IntervalUnion]:
     """Stage k of the pointwise-difference test for every k in ks: the union
     over i >= 2k of the regions where |f_i - f_{i+1}| exceeds 2^{-i/2}.
 
     The stages share their regions: each consecutive difference from i =
-    2 min(ks) up is formed, and its exceedance parts found, once, and every
-    stage takes the parts with i >= 2k.
+    2 min(ks) up is formed (or read from `diffs`, the differences of fs
+    formed once for every reader), and its exceedance parts found, once,
+    and every stage takes the parts with i >= 2k.
 
     Off stage k, consecutive-difference telescoping gives the geometric
     stability bound |f_i(x) - f_{2n}(x)| <= (2 + sqrt 2)/2^n for n >= k and
@@ -248,7 +265,7 @@ def simple_tests_from_approx(fs: Sequence, ks: Sequence[int]) -> list[IntervalUn
     if not ks:
         return []
     first = 2 * min(ks)
-    parts = [_exceedance_parts(fs[i + 1] - fs[i], i) for i in range(first, len(fs) - 1)]
+    parts = [_exceedance_parts(_difference(fs, diffs, i), i) for i in range(first, len(fs) - 1)]
     return [normalize([p for level in parts[2 * k - first:] for p in level]) for k in ks]
 
 
@@ -272,18 +289,24 @@ class PoissonTestStage:
     stage_range: tuple[int, int]
 
 
-def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
-                               y_grid=DEFAULT_Y_GRID) -> list[PoissonTestStage]:
+def _difference(fs: Sequence, diffs: Sequence | None, i: int):
+    """f_{i+1} - f_i, read from diffs when they were formed already."""
+    return fs[i + 1] - fs[i] if diffs is None else diffs[i]
+
+
+def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int], y_grid=DEFAULT_Y_GRID,
+                               diffs: Sequence | None = None) -> list[PoissonTestStage]:
     """Stages U_k for every k in ks, from one list of superlevel sets.
 
     U_k is the union over i >= 2k of { x : max over y_grid of
     P[|f_i - f_{i+1}|](x, y) > 2^{-i/2} }, so the stages share their sets:
     each i from 2 min(ks) up is located once, by poisson.superlevel_set, and
-    every stage takes the sets with i >= 2k.  The components are rounded
-    outward to dyadic rationals; `slack` adds the per-component endpoint
-    uncertainty EDGE_SLACK over all components of the stage.  The geometric
-    bound 3(sqrt 2 + 2)/2^k is checked against the exact measure of each
-    returned stage.
+    every stage takes the sets with i >= 2k (each difference read from
+    `diffs`, the differences of fs formed once for every reader, when
+    given).  The components are rounded outward to dyadic rationals; `slack`
+    adds the per-component endpoint uncertainty EDGE_SLACK over all
+    components of the stage.  The geometric bound 3(sqrt 2 + 2)/2^k is
+    checked against the exact measure of each returned stage.
     """
     ks = list(ks)
     if any(k < 0 for k in ks):
@@ -294,7 +317,7 @@ def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int],
         return []
     limit = len(fs) - 1
     first = 2 * min(ks)
-    levels = [superlevel_set(fs[i + 1] - fs[i], 2.0 ** (-i / 2), y_grid)
+    levels = [superlevel_set(_difference(fs, diffs, i), 2.0 ** (-i / 2), y_grid)
               for i in range(first, limit)]
     stages = []
     for k in ks:

@@ -37,7 +37,7 @@ from . import kernels, quadrature
 from .constructions import (build_fourier_divergent, build_ml_poisson,
                             build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
-from .intervals import IntervalUnion, RationalInterval, _index, _on_grid, _sweep
+from .intervals import IntervalUnion, RationalInterval, _lcm, _sweep
 from .poisson import (contraction_gaps, poisson_evaluator, poisson_integral,
                       weak_type_check)
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
@@ -153,18 +153,27 @@ class VerifyContext:
         return build_schnorr_poisson(test, self.caps.m_max)
 
     @cached_property
+    def step_differences(self) -> list:
+        """f_{i+1} - f_i of the step construction, formed once for the two
+        lemma tests and the chain check."""
+        fns = self.step.functions()
+        return [b - a for a, b in zip(fns, fns[1:])]
+
+    @cached_property
     def simple_stages(self) -> list:
         """Pointwise-difference stages 0..k_max of the step construction,
         each consecutive difference's exceedance parts found once for all."""
         return simple_tests_from_approx(self.step.functions(),
-                                        range(self.caps.k_max + 1))
+                                        range(self.caps.k_max + 1),
+                                        diffs=self.step_differences)
 
     @cached_property
     def poisson_stages(self) -> list:
         """Maximal-operator stages U_1..U_{k_max} of the step construction,
         every superlevel set located once for all of them."""
         return schnorr_tests_from_poisson(self.step.functions(),
-                                          range(1, self.caps.k_max + 1))
+                                          range(1, self.caps.k_max + 1),
+                                          diffs=self.step_differences)
 
     @cached_property
     def tents(self):
@@ -713,16 +722,19 @@ def _check_lemma_simple_measure(ctx: VerifyContext):
     return True, {"measures": measures, "mode": "exact"}
 
 
-def _stage_values(fns, points: list[Fraction]) -> list[list]:
-    """Each function's exact values at the sorted distinct points, read off
-    one sweep of the points' atoms against its pieces (intervals._sweep):
-    a point's value is the one on its own atom, closedness respected."""
-    marks = [(RationalInterval(x, x), 1) for x in points]
+def _stage_values(fns, points: list[int], d: int) -> tuple[int, list[list[int]]]:
+    """Each function's exact values at the sorted distinct points n/d, on
+    one value grid: its D and, per function, the numerators over D.  They
+    are read off one sweep of the points' own cuts against the function
+    (intervals._sweep): a point's value is the one on its cut range,
+    closedness respected."""
+    marks = [c for n in points for c in (2 * n, 2 * n + 1)]
+    dv = _lcm(f._dv for f in fns)
     out = []
     for f in fns:
-        _, (at, values), _ = _sweep(marks, f.pieces)
+        _, _, (at, values) = _sweep((d, marks, [1, -1] * len(points)), f._input(dv))
         out.append([v for v, mark in zip(values, at) if mark])
-    return out
+    return dv, out
 
 
 def _check_lemma_simple_stability(ctx: VerifyContext):
@@ -732,8 +744,8 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
     Stage-1 membership is decided once per distinct drawn point, and each
     stage's values at the sorted distinct points come from one sweep
     (_stage_values), so no stage is evaluated point by point.  All values
-    go on one integer grid over D (intervals._on_grid), where the bound on
-    a difference of numerators is tested in integers (_le_sqrt2_bound).
+    come on one integer grid over D, where the bound on a difference of
+    numerators is tested in integers (_le_sqrt2_bound).
     Per point the largest |f_i - f_2n| over i, read from suffix extremes,
     is tested first, and only when it fails are the i scanned in order for
     the first failing one.  Each verdict is decided once per distinct
@@ -756,8 +768,8 @@ def _check_lemma_simple_stability(ctx: VerifyContext):
             drawn.append(r)
     points = sorted(set(drawn))
     # f_2k..f_limit at each point, in point order, on one grid over D
-    by_point = zip(*_stage_values(fns[2 * k:], [Fraction(r, 64) for r in points]))
-    d, grid = _on_grid(v for values in by_point for v in values)
+    d, values = _stage_values(fns[2 * k:], points, 64)
+    grid = [v for at_point in zip(*values) for v in at_point]
     width = limit + 1 - 2 * k
 
     def first_failure(values):
@@ -808,7 +820,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
     per function over all (x, y) rows (poisson_evaluator on arrays),
     bitwise the per-point values; each exact value is read once a point,
     and the sample points come from one sort of every stage's breakpoints
-    on an integer grid."""
+    on their common grid."""
     if ctx.caps.m_max < 8 or ctx.caps.k_max < 1:
         return None
     sc = ctx.step
@@ -816,14 +828,15 @@ def _check_schnorr_chain(ctx: VerifyContext):
     limit = len(fns) - 1
     k = 1
     blocked = ctx.simple_stages[k].union(ctx.poisson_stages[k - 1].stage)
-    # every stage's breakpoints, sorted on one integer grid (intervals._index)
-    ends = (x for f in fns for iv, _ in f.pieces for x in (iv.lo, iv.hi))
-    points = [x for x in _index(ends)[0] if abs(x) <= 3]
+    # every stage's breakpoints, sorted on their common grid over D
+    d = _lcm(f._dx for f in fns)
+    points = sorted({(c >> 1) * (d // f._dx) for f in fns for c in f._cuts})
+    points = [x for x in points if abs(x) <= 3 * d]
     samples = []
     for a, b in zip(points, points[1:]):
-        mid = (a + b) / 2
-        if not blocked.contains(mid) and b - a > Fraction(1, 64):
-            samples.append((mid, float(b - a) / 2))
+        mid = Fraction(a + b, 2 * d)
+        if not blocked.contains(mid) and 64 * (b - a) > d:
+            samples.append((mid, float(Fraction(b - a, d)) / 2))
         if len(samples) >= 3:
             break
     tol = 1e-6
@@ -835,7 +848,7 @@ def _check_schnorr_chain(ctx: VerifyContext):
             grid.append((x, n, 2.0 ** -min(y_exp, 12)))
     xs = np.array([float(x) for x, _, _ in grid])
     ys = np.array([y for _, _, y in grid])
-    gaps = {i: poisson_evaluator((fns[i + 1] - fns[i]).abs())(xs, ys)
+    gaps = {i: poisson_evaluator(ctx.step_differences[i].abs())(xs, ys)
             for i in range(2 * k, limit)}
     poisson_at = {i: poisson_evaluator(fns[i])(xs, ys) for i in [2 * n for n in ns] + [limit]}
     exact = {(x, i): fns[i].eval(x) for x, _ in samples for i in poisson_at}
@@ -877,7 +890,7 @@ def _check_tents_flip_flop(ctx: VerifyContext):
         value = st.f.eval(ctx.point)
         if st.s % 2 == 0:
             ok = value == 0
-        elif any(iv.contains(ctx.point) for iv in st.intervals):
+        elif st.covers(ctx.point):
             ok = value > 0
         else:
             ok = value >= 0

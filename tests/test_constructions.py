@@ -12,7 +12,7 @@ from limitlab.constructions import (_stage_bounds, _step_stages, build_fourier_d
                                     build_ml_poisson, build_schnorr_poisson, stage_cutoff,
                                     tent)
 from limitlab.functions import StepFunction
-from limitlab.intervals import IntervalUnion, RationalInterval, _ones, _sweep, normalize
+from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.kernels import FejerSum, fejer_coeffs
 from limitlab.randomness import covering_test, integral_test_partial, nest_tail
 from limitlab.trig import TrigPoly
@@ -283,18 +283,24 @@ def test_swept_stage_bounds_match_merges(f, g, stage):
 
 
 def fraction_stage_bounds(f_cur, f_next, stage):
-    """Reference for _stage_bounds: the same sweep, with each gap width and
-    each mass and increment term in Fractions."""
-    points, (cur, nxt, inside), _ = _sweep(f_cur.pieces, f_next.pieces, _ones(stage.parts))
+    """Reference for _stage_bounds in Fractions: the values at every merged
+    breakpoint and gap midpoint (the pieces' own intervals decide which
+    value a point takes), each gap width and each mass and increment term."""
+    def value(f, x):
+        return next((v for iv, v in f.pieces if iv.contains(x)), Fraction(0))
+
+    points = sorted({x for f in (f_cur, f_next) for iv, _ in f.pieces for x in (iv.lo, iv.hi)}
+                    | {x for p in stage.parts for x in (p.lo, p.hi)})
+    atoms = [(x, Fraction(0)) for x in points]
+    atoms += [((a + b) / 2, b - a) for a, b in zip(points, points[1:])]
     mass = increment = Fraction(0)
-    for k in range(1, len(cur), 2):
-        a, b = cur[k], nxt[k]
-        if a or b:
-            width = points[k // 2 + 1] - points[k // 2]
-            mass += a * width
-            increment += abs(b - a) * width
-    monotone = all(a <= b for a, b in zip(cur, nxt))
-    vanishes = not any(a for a, s in zip(cur, inside) if s)
+    monotone = vanishes = True
+    for x, width in atoms:
+        a, b = value(f_cur, x), value(f_next, x)
+        mass += a * width
+        increment += abs(b - a) * width
+        monotone &= a <= b
+        vanishes &= not (a and any(p.contains(x) for p in stage.parts))
     return mass, increment, monotone, vanishes
 
 

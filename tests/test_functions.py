@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from limitlab.constructions import tent
-from limitlab.functions import PiecewiseLinear, StepFunction, _from_atoms, _trimmed
-from limitlab.intervals import IntervalUnion, RationalInterval, _index, normalize
+from limitlab import intervals
+from limitlab.functions import PiecewiseLinear, StepFunction, _step_of_column
+from limitlab.intervals import IntervalUnion, RationalInterval, _on_grid, _sweep, normalize
 
 
 class TestStepFunction:
@@ -294,7 +295,9 @@ def fuse_pieces(pieces):
 @settings(max_examples=200, deadline=None)
 def test_run_length_atoms_match_fused_atom_pieces(points, data):
     """One interval per run of equal nonzero atom values is the same
-    canonical function as one interval per atom fused afterwards."""
+    canonical function as one interval per atom fused afterwards.  Atom 2i
+    is the point points[i] and atom 2i+1 the open gap after it; on the grid
+    they are the cut ranges from 2n and from 2n + 1, for points[i] = n/D."""
     points = sorted(points)
     values = data.draw(st.lists(st.sampled_from([0, 0, 1, 1, -1, "1/2"]).map(Fraction),
                                 min_size=2 * len(points) - 1, max_size=2 * len(points) - 1))
@@ -305,7 +308,9 @@ def test_run_length_atoms_match_fused_atom_pieces(points, data):
                 RationalInterval(points[i], points[i + 1], False, False))
         if v:
             atoms.append((atom, v))
-    f = _from_atoms(points, values)
+    d, ns = _on_grid(points)
+    dv, vs = _on_grid(values)
+    f = _step_of_column(d, [c for n in ns for c in (2 * n, 2 * n + 1)], vs + [0], dv)
     assert f.pieces == tuple(fuse_pieces(atoms))
     assert_canonical(f)
 
@@ -392,6 +397,19 @@ def test_pl_add_sub_match_oracle(f, g):
 # denominators 3, 5, 7 and 2^40, so a grid needs the lcm of its denominators.
 
 
+def fraction_trimmed(verts):
+    """The function on Fraction `verts` without redundant zero vertices at
+    the ends."""
+    lo, hi = 0, len(verts)
+    while hi - lo > 2 and verts[lo][1] == 0 and verts[lo + 1][1] == 0:
+        lo += 1
+    while hi - lo > 2 and verts[hi - 1][1] == 0 and verts[hi - 2][1] == 0:
+        hi -= 1
+    if hi - lo <= 1 or all(y == 0 for _, y in verts[lo:hi]):
+        return PiecewiseLinear.zero()
+    return PiecewiseLinear(tuple(verts[lo:hi]))
+
+
 def fraction_pl_sum(functions):
     """Reference for PiecewiseLinear.sum: the slope of each segment, the kink
     at each vertex and the walk over the sorted union of the vertices, all in
@@ -417,7 +435,7 @@ def fraction_pl_sum(functions):
         verts.append((x, value))
         slope += kink
         prev = x
-    return _trimmed(verts)
+    return fraction_trimmed(verts)
 
 
 def fraction_pl_integral(f):
@@ -454,11 +472,13 @@ def off_grid_pls_st(draw):
 
 
 def test_index_sorts_mixed_denominators_on_their_lcm_grid():
+    """The kernel merges inputs on their own grids as sorted cuts over the
+    lcm of the grids; each point x = n/D is the cut 2n."""
     xs = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 5), Fraction(0), Fraction(-1)]
-    points, index, (d, keys) = _index(xs)
-    assert points == [-1, Fraction(-2, 7), 0, Fraction(1, 5), Fraction(1, 3)]
-    assert index == {x.as_integer_ratio(): i for i, x in enumerate(points)}
-    assert (d, keys) == (105, [-105, -30, 0, 21, 35])
+    assert _on_grid(xs) == (105, [35, -30, 21, 0, -105])
+    d, points, columns = _sweep(*((x.denominator, [2 * x.numerator], [1]) for x in xs))
+    assert (d, points) == (105, [2 * n for n in (-105, -30, 0, 21, 35)])
+    assert columns[1] == [0, 1, 1, 1, 1] and columns[4] == [1, 1, 1, 1, 1]
 
 
 def test_sum_of_tents_with_mixed_denominators():
@@ -521,7 +541,7 @@ def step_cumulative(f, ts):
     out = []
     for t in ts:
         t = Fraction(t)
-        k = bisect_right(f._starts, t)
+        k = bisect_right([iv.lo for iv, _ in f.pieces], t)
         if k == 0:
             out.append(Fraction(0))
         else:
@@ -534,7 +554,7 @@ def pl_cumulative(f, ts):
     """PiecewiseLinear.cumulative as it was per kind: one prefix table of
     trapezoids over every segment, zero runs included, and the trapezoid of
     one partial segment per t."""
-    verts, xs = f.vertices, f._xs
+    verts, xs = f.vertices, f.breakpoints()
     prefix = [Fraction(0)]
     for (x0, y0), (x1, y1) in f.segments():
         prefix.append(prefix[-1] + (y0 + y1) * (x1 - x0) / 2)
@@ -590,3 +610,162 @@ def test_rows_are_the_nonzero_pieces_as_lines(f):
     for iv, fa, fb in f.rows:
         assert iv.lo_closed and iv.hi_closed
         assert f.eval(iv.midpoint) == (fa + fb) / 2
+
+
+# ----------------------------------------------------------------------
+# the grid form against a Fraction oracle
+#
+# Every function is held on integer grids; the oracle below keeps the pieces
+# and vertices as Fractions and computes each operation on them, atom by
+# atom, with no grid.  Breakpoints are c + k/2^j for an offset c with an odd
+# denominator up to 2^20, one offset per operand, so two operands' grids
+# need the lcm of both; values have denominators 2^j, 3, 5, 7 and odd q up
+# to 2^20.
+
+
+def fraction_value(pieces, x):
+    """The value of Fraction pieces at x: the piece that holds x, or 0."""
+    return next((v for iv, v in pieces if iv.contains(x)), Fraction(0))
+
+
+def fraction_pieces(points, value):
+    """Canonical Fraction pieces of the step function taking value(x) on
+    each atom of the points: every point and every open gap between two."""
+    points = sorted(set(points))
+    atoms = [(RationalInterval(x, x), x) for x in points]
+    atoms += [(RationalInterval(a, b, False, False), (a + b) / 2)
+              for a, b in zip(points, points[1:])]
+    atoms.sort(key=lambda atom: atom[0]._start())
+    return tuple(fuse_pieces([(iv, value(rep)) for iv, rep in atoms if value(rep)]))
+
+
+def fraction_integral(pieces, weigh=lambda v: v):
+    return sum((weigh(v) * iv.length for iv, v in pieces), Fraction(0))
+
+
+def fraction_pl_abs(f):
+    """|f| on Fraction vertices, a zero crossing inserted as a vertex."""
+    verts = f.vertices
+    out = []
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        out.append((x0, abs(y0)))
+        if (y0 < 0 < y1) or (y1 < 0 < y0):
+            out.append((x0 + (x1 - x0) * (-y0) / (y1 - y0), Fraction(0)))
+    out += [(x, abs(y)) for x, y in verts[-1:]]
+    return PiecewiseLinear(tuple(out))
+
+
+def fraction_negated(f):
+    return PiecewiseLinear(tuple((x, -y) for x, y in f.vertices))
+
+
+odd_value_st = st.builds(Fraction, st.integers(-2 ** 21, 2 ** 21).filter(bool),
+                         st.integers(0, 2 ** 19 - 1).map(lambda k: 2 * k + 1))
+grid_value_st = st.one_of(
+    st.builds(Fraction, st.integers(-20, 20).filter(bool),
+              st.sampled_from([1, 2, 4, 2 ** 10, 3, 5, 7, 2 ** 40])),
+    odd_value_st)
+
+
+def offset_points_st(c):
+    return st.builds(lambda k, j: c + Fraction(k, 2 ** j), st.integers(-12, 12),
+                     st.integers(0, 4))
+
+
+@st.composite
+def mixed_step_st(draw):
+    points = offset_points_st(draw(offset_st()))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        ivs = []
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = sorted((draw(points), draw(points)))
+            ivs.append(RationalInterval(a, a) if a == b else
+                       RationalInterval(a, b, draw(st.booleans()), draw(st.booleans())))
+        terms.append((draw(grid_value_st), normalize(ivs)))
+    return StepFunction.from_weighted_regions(terms)
+
+
+@st.composite
+def mixed_pl_st(draw):
+    xs = sorted(set(draw(st.lists(offset_points_st(draw(offset_st())), max_size=6))))
+    ys = ([0] + [draw(st.just(0) | grid_value_st) for _ in xs[2:]] + [0])[:len(xs)]
+    return PiecewiseLinear(tuple(zip(xs, ys)))
+
+
+def step_grid_mismatches(f, g, region, w):
+    """The operations on which the grid form and the Fraction oracle differ."""
+    fp, gp = f.pieces, g.pieces
+    ends = [x for pieces in (fp, gp) for iv, _ in pieces for x in (iv.lo, iv.hi)]
+    ends += [x for p in region.parts for x in (p.lo, p.hi)]
+    ts = atom_probes(ends)
+    total = fraction_pieces(ends, lambda x: fraction_value(fp, x) + fraction_value(gp, x))
+    diff = fraction_pieces(ends, lambda x: fraction_value(fp, x) - fraction_value(gp, x))
+    inside = fraction_pieces(ends, lambda x: fraction_value(fp, x)
+                             if any(p.contains(x) for p in region.parts) else 0)
+    checks = {
+        "+": ((f + g).pieces, total),
+        "-": ((f - g).pieces, diff),
+        "abs": (f.abs().pieces, fraction_pieces(ends, lambda x: abs(fraction_value(fp, x)))),
+        "restrict": (f.restrict(region).pieces, inside),
+        "scale": (f.scale(w).pieces, tuple((iv, w * v) for iv, v in fp) if w else ()),
+        "eval": ([f.eval(t) for t in ts], [fraction_value(fp, t) for t in ts]),
+        "integral": (f.integral(), fraction_integral(fp)),
+        "l1_norm": (f.l1_norm(), fraction_integral(fp, abs)),
+        "l1_distance": (f.l1_distance(g), fraction_integral(diff, abs)),
+        "cumulative": (f.cumulative(ts), [fraction_integral(
+            [(RationalInterval(iv.lo, min(t, iv.hi)), v) for iv, v in fp if iv.lo <= t])
+            for t in ts]),
+        "==/hash": ((f + g == StepFunction(total), hash(f + g) == hash(StepFunction(total)),
+                     (f - g) + g == f), (True, True, True)),
+    }
+    return [name for name, (grid, oracle) in checks.items() if grid != oracle]
+
+
+def pl_grid_mismatches(f, g, w):
+    """The operations on which the grid form and the Fraction oracle differ."""
+    ts = atom_probes(f.breakpoints() + g.breakpoints())
+    total = fraction_pl_sum([f, g])
+    diff = fraction_pl_sum([f, fraction_negated(g)])
+    checks = {
+        "sum": (PiecewiseLinear.sum([f, g, f]).vertices, fraction_pl_sum([f, g, f]).vertices),
+        "+": ((f + g).vertices, total.vertices),
+        "-": ((f - g).vertices, diff.vertices),
+        "abs": (f.abs().vertices, fraction_pl_abs(f).vertices),
+        "scale": (f.scale(w).vertices,
+                  tuple((x, w * y) for x, y in f.vertices) if w and f.vertices else ()),
+        "eval": ([f.eval(t) for t in ts], [linear_scan_pl_eval(f, t) for t in ts]),
+        "integral": (f.integral(), fraction_pl_integral(f)),
+        "l1_norm": (f.l1_norm(), fraction_pl_integral(fraction_pl_abs(f))),
+        "l1_distance": (f.l1_distance(g), fraction_pl_integral(fraction_pl_abs(diff))),
+        "cumulative": (f.cumulative(ts), pl_cumulative(f, ts)),
+        "==/hash": ((f + g == total, hash(f + g) == hash(total)), (True, True)),
+    }
+    return [name for name, (grid, oracle) in checks.items() if grid != oracle]
+
+
+@given(mixed_step_st(), mixed_step_st(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_step_grid_form_matches_fraction_oracle(f, g, data):
+    region = data.draw(st.sampled_from([g.exceedance_region(Fraction(0)),
+                                        IntervalUnion.empty()]))
+    w = data.draw(st.just(Fraction(0)) | grid_value_st)
+    assert step_grid_mismatches(f, g, region, w) == []
+
+
+@given(mixed_pl_st(), mixed_pl_st(), st.just(Fraction(0)) | grid_value_st)
+@settings(max_examples=150, deadline=None)
+def test_pl_grid_form_matches_fraction_oracle(f, g, w):
+    assert pl_grid_mismatches(f, g, w) == []
+
+
+def test_grid_scaled_by_a_wrong_factor_fails_the_property(monkeypatch):
+    """Negative control: a merge that scales an operand's grid by one more
+    than the lcm asks for."""
+    rescaled = intervals._rescaled
+    monkeypatch.setattr(intervals, "_rescaled",
+                        lambda cuts, k: rescaled(cuts, k + 1) if k > 1 else cuts)
+    f, g = find(st.tuples(mixed_step_st(), mixed_step_st()),
+                lambda fg: bool(step_grid_mismatches(*fg, IntervalUnion.empty(), Fraction(1))),
+                settings=settings(max_examples=400, database=None))
+    assert step_grid_mismatches(f, g, IntervalUnion.empty(), Fraction(1))

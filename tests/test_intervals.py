@@ -12,7 +12,7 @@ from hypothesis import find, given, settings, strategies as st
 
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab import intervals
-from limitlab.intervals import IntervalUnion, RationalInterval, _succ, frac, normalize
+from limitlab.intervals import IntervalUnion, RationalInterval, frac, normalize
 from limitlab.randomness import covering_test
 
 
@@ -201,12 +201,17 @@ def test_contains_matches_linear_membership(u, extra):
 
 
 # ----------------------------------------------------------------------
-# the atom kernel against the (position, epsilon)-key sweeps it replaced
+# the merge kernel against (position, epsilon)-key sweeps
 #
 # Each endpoint is a key (x, e): a start has e = 0 (closed) or +1 (open), an
 # end e = 0 (closed) or -1 (open), and x lies in a part iff start <= (x, 0) <=
 # end.  The references sort and fuse, walk two pointers and nest two loops on
 # those keys, with no atoms and no grid.
+
+
+def _succ(end_key):
+    # next endpoint slot after an end key: (x,-1) -> (x,0) -> (x,+1)
+    return (end_key[0], end_key[1] + 1)
 
 
 def _pred(start_key):
@@ -317,11 +322,12 @@ def test_atom_kernel_matches_key_sweeps(case):
 
 
 def test_kernel_ignoring_closedness_fails_the_property(monkeypatch):
-    """Negative control: atom spans that take every endpoint as closed."""
-    def closed_span(iv, index):
-        return (2 * index[iv.lo.as_integer_ratio()], 2 * index[iv.hi.as_integer_ratio()])
+    """Negative control: cuts that take every endpoint as closed."""
+    def closed_cuts(ivs):
+        d, ends = intervals._on_grid(x for iv in ivs for x in (iv.lo, iv.hi))
+        return d, [2 * n + k % 2 for k, n in enumerate(ends)]
 
-    monkeypatch.setattr(intervals, "_atom_span", closed_span)
+    monkeypatch.setattr(intervals, "_ends_on_grid", closed_cuts)
     case = find(shared_endpoint_intervals_st(), lambda c: bool(kernel_mismatches(*c)),
                 settings=settings(max_examples=400, database=None))
     assert kernel_mismatches(*case)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from limitlab import randomness
-from limitlab.constructions import _tent_vertices, build_schnorr_poisson, tent
+from limitlab.constructions import build_schnorr_poisson, tent
 from limitlab.functions import PiecewiseLinear, StepFunction
 from limitlab.intervals import IntervalUnion, RationalInterval, normalize
 from limitlab.randomness import (TestFamily, covering_test,
@@ -111,6 +111,21 @@ class TestNestTail:
         assert tails.stages == tuple(unions) == fam.stages
         assert tails.nested and tails.bound_exponent == 0
 
+    def test_nested_input_is_validated_once(self, monkeypatch):
+        """covering_test checks its measures and nesting; nest_tail of that
+        nested family does not check them again, since they imply its
+        weaker bound.  A non-nested input's tails are checked."""
+        checks = []
+        validate = TestFamily.__post_init__
+        monkeypatch.setattr(TestFamily, "__post_init__",
+                            lambda family: (checks.append(family), validate(family))[1])
+        fam = covering_test(0, 22)
+        tails = nest_tail(fam)
+        assert checks == [fam]
+        assert tails.stages == fam.stages and tails.nested and tails.bound_exponent == 1
+        nest_tail(TestFamily(fam.stages, bound_exponent=2))
+        assert len(checks) == 3
+
 
 class TestEnumerateIntervals:
     def test_containment_exact(self):
@@ -209,15 +224,13 @@ def test_grid_enumeration_matches_fraction_form(case):
             with pytest.raises(ValueError, match="tent needs a non-degenerate interval"):
                 tent(iv)
             continue
-        assert _tent_vertices(iv) == tent(iv).vertices == tent_vertices(iv)
+        assert tent(iv).vertices == tent_vertices(iv)
 
 
 def test_enumeration_shifted_by_one_eighth_cell_is_caught(monkeypatch):
     """Negative control: ends one eighth-cell step to the right (eighths 3
     and 7 of the cell) differ from the oracle on a drawn case."""
-    grid_points = randomness._grid_points
-    monkeypatch.setattr(randomness, "_grid_points", lambda base, step, d, counts: grid_points(
-        base, step, d, [c + 1 for c in counts]))
+    monkeypatch.setattr(randomness, "EIGHTHS", (3, 7))
     fam, _ = find(enumeration_cases(), enumeration_mismatch,
                   settings=settings(max_examples=400, database=None))
     assert any(not part.is_point for part in fam.stage(0).parts)
