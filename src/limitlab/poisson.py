@@ -1,19 +1,24 @@
 """Poisson integrals of step and piecewise-linear boundary data.
 
 Both kinds of data have one float form: _rows rounds the exact rows of
-functions (one (interval, f(lo), f(hi)) per nonzero piece, a step piece
-being the zero-slope row) to (a, b, f(a), f(b), alpha, beta), with f(t) =
-alpha + beta t on [a, b].  All integrals here are closed-form, summed in
-row order: an arctangent term for every row, and an extra logarithmic term
-for a row of nonzero slope.  The rows are evaluated in blocks, as many to a
-numpy pass as fit in EVAL_CHUNK elements of the (heights x points) grid, so
-a value at a single point costs one pass, while a grid too large for
-BLOCK_MIN_ROWS rows a pass, such as a scan block, goes row by row; the
-terms are added one after another in row order either way, so every value
-is bitwise the row-by-row sum.  The arctangent
-differences are computed through the cancellation-free identity so radial
-traces stay accurate down to y around 2^-30.  Everything evaluates on
-scalars or numpy arrays of x.
+functions (one (interval, f(lo), f(hi)) per nonzero piece) once each to
+(a, b, f(a), f(b), m_hi, m_lo, h, fm, beta): the ends and end values, and
+for a piecewise-linear row its local data, the midpoint as a two-float
+sum, the half-width, the mid value and the slope.  All integrals here are
+closed-form, one term a row summed in row order: an arctangent difference
+on the float ends times f(a) for a step piece, and for a piecewise-linear
+row the local form about its midpoint (_local), or its midpoint expansion
+where the row is narrow against its distance to (x, y).  The rows are
+evaluated in blocks, as many to a numpy pass as fit in EVAL_CHUNK elements
+of the (heights x points) grid, so a value at a single point costs one
+pass, while a grid too large for BLOCK_MIN_ROWS rows a pass, such as a
+scan block, goes row by row; the terms are added one after another in row
+order either way, so every value is bitwise the row-by-row sum.  The
+arctangent differences are computed through the cancellation-free
+identity so radial traces stay accurate down to y around 2^-30.
+poisson_eval_error is the one error budget: a constant per row plus one
+position term in 1/y.  Everything evaluates on scalars or numpy arrays of
+x.
 
 The maximal operator max over a height grid of P[|f|](x, y) has one
 evaluator: the pieces of |f| are converted to float rows once, and every
@@ -29,22 +34,23 @@ narrower ones scale the widest one's mass.  It has one superlevel-set
 routine, superlevel_set: envelope pruning, a windowed sign scan, edge
 bisection with all edges of a set bisected together, and outward dyadic
 rounding.  The scan spends evaluations only where a value can come out
-on either side of alpha.  _span_error bounds poisson_eval_error by one
-number E over the scanned range and the whole height grid, once per set.
-A set with sup |g| <= alpha - 2E is empty, since P[|g|] <= sup |g|, and
-is not scanned.  The scan points of all windows form one sorted array.
-Off the hull of the pieces the max over heights rises toward the hull, so
-one monotone search, a few dozen probes a pass, decides the points on
-either side from the probes over or under alpha by 2E, and leaves only
-the points within 3E of alpha open.  The open points and those inside the
-hull go to one pass that takes as few heights as they need: every point
-at the tallest height, the points not over alpha there at the lowest
-height, and the points still undecided at the remaining heights.  A scan
-of more than SCAN_LIMIT points is refused.  The bisection takes every
-height in one pass, and a tree of BISECT_DEPTH rounds of midpoints a
-pass, replayed round by round.  Every decision is the one the full max
-at that point gives.  The weak-type (1,1) measurement here and the
-maximal-operator test stages in randomness both read their sets from it.
+on either side of alpha.  One number E, poisson_eval_error at the ends of
+the scanned range and the lowest height, bounds the error at every
+scanned point and height, once per set.  A set with sup |g| <= alpha - 2E
+is empty, since P[|g|] <= sup |g|, and is not scanned.  The scan points of
+all windows form one sorted array.  Off the hull of the pieces the max
+over heights rises toward the hull, so one monotone search, a few dozen
+probes a pass, decides the points on either side from the probes over or
+under alpha by 2E, and leaves only the points within 3E of alpha open.
+The open points and those inside the hull go to one pass that takes as
+few heights as they need: every point at the tallest height, the points
+not over alpha there at the lowest height, and the points still undecided
+at the remaining heights.  A scan of more than SCAN_LIMIT points is
+refused.  The bisection takes every height in one pass, and a tree of
+BISECT_DEPTH rounds of midpoints a pass, replayed round by round.  Every
+decision is the one the full max at that point gives.  The weak-type
+(1,1) measurement here and the maximal-operator test stages in randomness
+both read their sets from it.
 """
 
 from __future__ import annotations
@@ -67,254 +73,198 @@ DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 
 def _rows(f) -> list:
     """The exact rows of f (functions: one (interval, f(lo), f(hi)) per
-    nonzero piece) as float rows (a, b, f(a), f(b), alpha, beta), with
-    f(t) = alpha + beta t on [a, b].  The ends and values are read off f's
-    grid as p / D, which rounds correctly, so each is bitwise the float of
-    its Fraction.  A row whose exact ends are equal (a step piece, a
-    plateau) takes beta = 0.0, so alpha = f(a); any other row takes
-    beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a in floats.
-    Rows come in increasing order and overlap at most in an endpoint."""
+    nonzero piece) as float rows (a, b, f(a), f(b), m_hi, m_lo, h, fm,
+    beta).  A piecewise-linear row carries its local data: the midpoint m =
+    (a + b)/2 as the unevaluated sum m_hi + m_lo, the half-width h = (b -
+    a)/2 > 0, the mid value fm = (f(a) + f(b))/2 and the slope beta = (f(b)
+    - f(a))/(b - a), so that f(t) = fm + beta (t - m) on the row.  A step
+    piece (a point piece included) is evaluated on its float ends, and its
+    local columns are 0.0: h = 0 marks it.  Each value is read
+    off f's grid as one int/int division, which rounds correctly, so each
+    is the float of its exact value (m_lo that of m - m_hi); no float width
+    b - a is formed.  Rows come in increasing order and overlap at most in
+    an endpoint."""
     if not isinstance(f, (StepFunction, PiecewiseLinear)):
         raise TypeError(f"no Poisson integral for {type(f).__name__}")
     grid, dx, dy = f._grid_rows()
+    if isinstance(f, StepFunction):
+        values = [v / dy for _, _, v, _ in grid]
+        return [(x0 / dx, x1 / dx, v, v, 0.0, 0.0, 0.0, 0.0, 0.0)
+                for (x0, x1, _, _), v in zip(grid, values)]
     rows = []
     for x0, x1, y0, y1 in grid:
-        a, b = x0 / dx, x1 / dx
-        fa = fb = y0 / dy
-        beta = 0.0
-        if y0 != y1:
-            fb = y1 / dy
-            beta = (fb - fa) / (b - a)
-        rows.append((a, b, fa, fb, fa - beta * a, beta))
+        m_hi = (x0 + x1) / (2 * dx)
+        p, q = m_hi.as_integer_ratio()
+        rows.append((x0 / dx, x1 / dx, y0 / dy, y1 / dy, m_hi,
+                     ((x0 + x1) * q - 2 * dx * p) / (2 * dx * q), (x1 - x0) / (2 * dx),
+                     (y0 + y1) / (2 * dy), (y1 - y0) * dx / ((x1 - x0) * dy)))
     return rows
 
 
+EXPAND_CUT = 2.0 ** -27     # h^2/d^2 under which a row takes its midpoint expansion
+
+
 def _closed_form(rows, xs, y):
-    """P[f](x, y) summed term by term in the rows' order; xs and y broadcast
-    against each other, so one call can cover many heights.  On a row where
-    f(t) = alpha + beta t the antiderivative contributes (alpha + beta x) *
-    atan-term + (beta y / 2) * log-ratio term; a zero-slope row contributes
-    alpha * atan-term, and no log-ratio term forms.
+    """P[f](x, y) summed term by term in the rows' order, one term a row;
+    xs and y broadcast against each other, so one call can cover many
+    heights.  A step piece (h = 0) contributes f(a) (atan U - atan W) with
+    U = (b - x)/y and W = (a - x)/y, through stable_atan_diff; a
+    piecewise-linear row its local form (_local).
 
     The rows go in blocks, as many to a numpy pass as fit in EVAL_CHUNK
     elements of the broadcast grid: every row in one pass at a single
     point.  Where fewer than BLOCK_MIN_ROWS rows fit (a grid of more than
     EVAL_CHUNK / BLOCK_MIN_ROWS elements, such as a scan block), the
     element work outweighs the numpy calls a block saves, and the rows go
-    one at a time.  A block's zero-slope and sloped rows are evaluated
-    apart, its terms are placed in the slots _term_slots gives, after the
-    sum so far, and one sequential accumulation adds them in that order, so
-    every value is bitwise the one of adding row by row.
+    one at a time.  A block's step pieces and piecewise-linear rows are
+    evaluated apart, each term placed in its row's slot after the sum so
+    far, and one sequential accumulation adds them in that order, so every
+    value is bitwise the one of adding row by row.
     """
     shape = np.broadcast_shapes(np.shape(xs), np.shape(y))
     out = np.zeros(shape)
     per_pass = EVAL_CHUNK // max(math.prod(shape), 1)
     if per_pass < BLOCK_MIN_ROWS:
-        for a, b, _, _, alpha, beta in rows:
-            u = (b - xs) / y
-            w = (a - xs) / y
-            if not beta:
-                out += alpha * stable_atan_diff(u, w)
-                continue
-            out += (alpha + beta * xs) * stable_atan_diff(u, w)
-            out += 0.5 * beta * y * _log_ratio(u, w)
+        for a, b, fa, _, m_hi, m_lo, h, fm, beta in rows:
+            if h:
+                out += _local(m_hi, m_lo, h, fm, beta, xs, y)
+            else:
+                out += fa * stable_atan_diff((b - xs) / y, (a - xs) / y)
         return out / math.pi
-    table = np.array(rows, dtype=float).reshape(-1, 6)
+    table = np.array(rows, dtype=float).reshape(-1, 9)
     column = (-1,) + (1,) * len(shape)
     for s in range(0, len(table), per_pass):
-        block = table[s:s + per_pass]
-        a, b, alpha, beta = (block[:, j].reshape(column) for j in (0, 1, 4, 5))
-        sloped = block[:, 5] != 0
-        flat = ~sloped
-        u = (b - xs) / y
-        w = (a - xs) / y
-        atan = stable_atan_diff(u, w)
-        atan_slot, log_slot = _term_slots(sloped)
-        terms = np.empty((1 + len(block) + len(log_slot),) + shape)
+        a, b, fa, _, m_hi, m_lo, h, fm, beta = (c.reshape(column) for c in table[s:s + per_pass].T)
+        local = h.reshape(-1) != 0
+        step = ~local
+        terms = np.empty((1 + local.size,) + shape)
         terms[0] = out
-        terms[atan_slot[flat]] = alpha[flat] * atan[flat]
-        if log_slot.size:
-            lift = beta[sloped]
-            terms[atan_slot[sloped]] = (alpha[sloped] + lift * xs) * atan[sloped]
-            terms[log_slot] = 0.5 * lift * y * _log_ratio(u[sloped], w[sloped])
-        # slot after slot; accumulate walks the grid element by element,
-        # which stays cheap on these small grids
+        if step.any():
+            terms[1:][step] = fa[step] * stable_atan_diff((b[step] - xs) / y, (a[step] - xs) / y)
+        if local.any():
+            terms[1:][local] = _local(m_hi[local], m_lo[local], h[local], fm[local], beta[local],
+                                      xs, y)
+        # accumulate walks the grid element by element, which stays cheap
+        # on these small grids
         out = np.add.accumulate(terms, axis=0)[-1]
     return out / math.pi
 
 
-def _term_slots(sloped: np.ndarray):
-    """Where a block's terms go in its running sum, given which of its rows
-    are sloped: slot 0 holds the sum of the earlier blocks, then each row's
-    arctangent term in row order, a sloped row's log-ratio term in the slot
-    right after it.  Returns the arctangent slots of all rows and the
-    log-ratio slots of the sloped ones."""
-    atan_slot = np.arange(1, sloped.size + 1) + np.cumsum(sloped) - sloped
-    return atan_slot, atan_slot[sloped] + 1
+def _local(m_hi, m_lo, h, fm, beta, xs, y):
+    """pi times the Poisson integral of the row f(t) = fm + beta (t - m) on
+    [m - h, m + h] at every (x, y), broadcast; m = m_hi + m_lo.
+
+    With e = (x - m_hi) - m_lo and K(s) = y / ((s - e)^2 + y^2), the row
+    gives (fm + beta e) S + (beta y/2) L, where S = int K = atan2(2 h y, y^2
+    + (e - h)(e + h)) and L = log(N/D), N = (h - e)^2 + y^2, D = (h + e)^2 +
+    y^2.  L is log1p(-4 h e / D), or log(N / D) where that argument is
+    under -1/2 (x next to the right end at heights far below h, where it
+    can round to -1).  No term grows with |x| or 1/h: |e S| <= 2 pi h and
+    |(y/2) L| <= 3 pi h.
+
+    Where h^2 < EXPAND_CUT d^2, d^2 = e^2 + y^2, the row takes instead its
+    midpoint expansion fm (2h K0 + (h^3/3) K2) + beta (2h^3/3) K1, with K0
+    = y/d^2, K1 = 2 e y/d^4 and K2 = 2 y (3 e^2 - y^2)/d^6 the derivatives
+    of K at s = 0, written (2 h y/d^2)(fm + (h^2/(3 d^2))(fm (3 e^2 - y^2)
+    / d^2 + 2 beta e)); its remainder is in poisson_eval_error.  Where
+    every point and height takes one form, only that form is evaluated, and
+    the logarithm of N/D only where it is taken.
+    """
+    e = (xs - m_hi) - m_lo
+    ee, yy = e * e, y * y
+    d2 = ee + yy
+    far = d2 > h * h / EXPAND_CUT   # h^2 < EXPAND_CUT d^2, exactly: the cut is a power of 2
+    some_far = far.any()
+    if some_far and far.all():
+        return _expansion(e, ee, h, fm, beta, y, yy, d2)
+    s = np.arctan2(2 * h * y, yy + (e - h) * (e + h))
+    if np.any(beta):
+        den = (h + e) ** 2 + yy
+        r = -4 * h * e / den
+        swamped = r < -0.5
+        if swamped.any():  # log1p is taken on the other points, N/D on these alone
+            log = np.log1p(np.maximum(r, -0.5))
+            n = (np.broadcast_to((h - e) ** 2, den.shape)[swamped]
+                 + np.broadcast_to(yy, den.shape)[swamped])
+            log[swamped] = np.log(n / den[swamped])
+        else:
+            log = np.log1p(r)
+        near = (fm + beta * e) * s + 0.5 * beta * y * log
+    else:  # plateaus only: the slope terms add zeros
+        near = fm * s
+    return np.where(far, _expansion(e, ee, h, fm, beta, y, yy, d2), near) if some_far else near
 
 
-UNDERFLOW = 2.0 ** -1000    # per-row allowance for intermediates that underflow
-REACH_LIMIT = 2.0 ** 500    # largest |t - x| / y the budget admits
+def _expansion(e, ee, h, fm, beta, y, yy, d2):
+    """_local's midpoint expansion (2 h y/d^2)(fm + (h^2/(3 d^2))(fm (3 e^2
+    - y^2)/d^2 + 2 beta e)), d2 = e^2 + y^2."""
+    return 2 * h * y / d2 * (fm + h * h / (3 * d2) * (fm * (3 * ee - yy) / d2 + 2 * beta * e))
 
 
 def poisson_eval_error(rows, xs, y) -> np.ndarray:
-    """Bound on |_closed_form(rows, x, y) - P[f](x, y)| at every x of xs
-    (broadcast against y), P[f] the exact Poisson integral of the function
-    the float rows stand for: on each row, the straight line through
-    (a, f(a)) and (b, f(b)).  It is +inf where no finite bound is derived.
+    """Bound on |_closed_form(rows, x, y) - P[f](x, y)| at every x of xs,
+    broadcast against y, for f the exact function whose rows _rows rounded
+    (a step piece taken on its float ends, which are its exact ends on any
+    dyadic grid of at most 53 bits).  One formula serves every caller: the
+    verify rows read it at their probes, and superlevel_set takes it once a
+    set.
 
-    u is the unit roundoff, n the number of rows, U = (b - x)/y and
-    W = (a - x)/y; np.arctan and np.log1p are taken to be within 4 ulp.
-    * U and W are formed with two roundings each, and atan has slope
-      1/(1 + U^2) <= 1/(2|U|), so the two atans move by 2.2u at most.  The
-      identity branch of stable_atan_diff rounds its quotient by 4.1u
-      relative, which moves its arctan by 2.1u; each arctan is within
-      8u; the other branch's difference rounds by 2u.  So the computed
-      S = atan U - atan W is within 20.2u of the exact one, and |S| <= pi.
-    * A row contributes (alpha + beta x) S, plus (beta y/2) L with
-      L = log((1 + U^2)/(1 + W^2)) where beta != 0.  beta = (f(b) -
-      f(a))/(b - a) rounds by 3.01u relative and alpha = f(a) - beta a then
-      carries 5.03u |beta a|, so alpha + beta x is within 6.1u A, where
-      A = |f(a)| + |beta|(|a| + |x|); the |beta||x| part is the cancellation.
-      With S's error the first term is within 42.6u A, and it is at most
-      pi A.  At slope 0 (a step piece or a plateau) alpha = f(a) exactly,
-      A = |f(a)|, and no log term forms.
-    * For L: the squares, difference and quotient that give the log1p
-      argument r are within rho (1 + r), with rho = 6u (U^2 + W^2) /
-      (U^2 + 1); where rho <= 1/4, log1p is within 2 rho plus its 8u
-      relative rounding, and the rounding of U and W moves L by 8.1u.
-      |L| <= Lb = |U^2 - W^2| / (min(U^2, W^2) + 1), since |log(A/B)| <=
-      |A - B| / min(A, B).  So the second term is within (|beta| y/2)
-      (9u + 13.5u Lb + 2.02 rho) and is at most (|beta| y/2)(1 + Lb).
-    * At most 2n terms sum with (2n - 1)u of their total, and the division
-      by pi adds 2.1u.  Per row the budget is
-      (u (48 + 8n) A + (|beta| y/2) (u (16 + 3n)(1 + Lb) + 3 rho)) / pi,
-      which at slope 0 is the scalar u (48 + 8n) |f(a)| / pi; it is +inf
-      where rho > 1/4 on a sloped row: that covers the branch of _log_ratio
-      that takes the two logarithms apart, which runs only where rho >= 1.
-    * The constants above hold to first order in u; the slack in them
-      covers the second-order terms and the rounding of this formula.  An
-      intermediate that underflows is covered by UNDERFLOW per row, and
-      the budget is +inf wherever some |t - x|/y exceeds REACH_LIMIT, past
-      which squares and products may overflow.
+    u is the unit roundoff and n the number of rows; np.arctan, np.arctan2,
+    np.log1p and np.log are taken to be within 4 ulp, and no intermediate to
+    overflow or underflow (|x - m|, h and y between 2^-250 and 2^250).
+    * A step piece, f(a) (atan U - atan W), is within u (48 + 8n) |f(a)| of
+      pi times its exact integral, the sum's share included (the scalar
+      budget of the stable_atan_diff form, unchanged).
+    * A piecewise-linear row evaluates R(e, h) = (fm + beta e) S + (beta
+      y/2) L at the rounded e and h.  With p = 2 h y and q = y^2 + (e -
+      h)(e + h), p^2 + q^2 = N D, and |e^2 - h^2|, y^2 and |p| are at most
+      sqrt(N D); so q's 4u relative rounding moves S by 8.5u, and atan2
+      adds 8u S: S is within 34u, and within 13u S where |e| >= h.  As |e|
+      S <= 2 pi h and fm + beta e rounds by u (|fm| + 2 |beta e|), the
+      first term is within 40u |fm| + 101u |beta| h.  The log1p argument r
+      rounds by 6u relative, which moves (y/2) L by 3u min(y, y r) <= 24u h
+      (r >= 0) or by 6u y|r| <= 12u h (-1/2 <= r < 0); on the log branch y
+      < 4.83 h, N/D rounds by 9u and moves (y/2) L by 22u h; the
+      logarithm's own rounding adds 8u |(y/2) L| <= 76u h; so the second
+      term is within 119u |beta| h.  With the last sum, and the rounding of
+      fm, beta and h from the exact data, such a row is within u (50 |fm| +
+      248 |beta| h) of pi times the integral of its exact line over [e - h,
+      e + h] about x.  The expansion truncates the Taylor series of K after
+      the terms that integrate to nonzero: its remainder is at most (2
+      h^5/5)(|fm|/(d - h)^5 + |beta|/(d - h)^4) <= 0.41 h (h/d)^4 (|fm|/d +
+      |beta|) < u (|fm| + |beta| h)/4 under the cut, and its own rounding is
+      2h y/d^2 <= 2^-12 times a few u; so the same bound holds.  The row
+      terms sum to at most int |f| K <= pi ||f||_inf in size, so adding n of
+      them and dividing by pi add (n + 1)u ||f||_inf: for piecewise-linear
+      rows u (50 |fm| + 248 |beta| h)/pi each and u (n + 1) ||f||_inf once.
+    * Position: e is x - m rounded, |e~ - e| <= 2.01u (|x - m_hi| + u
+      |m_hi|), and the rounded h moves each end by u h more.  As |x - m| +
+      h = max(|x - a|, |x - b|), every point of every such row meets the
+      kernel shifted by at most D = 2.01u R, R = max(|x - a0|, |x - b1|) +
+      4u max(|a0|, |b1|), [a0, b1] the hull of these rows.  Since
+      |P_y(s + t) - P_y(s)| <= int over [s - D, s + D] of |P_y'| for |t| <=
+      D, int |P_y'| = 2/(pi y) and the rows are disjoint, together they move
+      by at most 4D ||f||_inf/(pi y), ||f||_inf the largest |f(a)| or |f(b)|
+      over these rows: 9u R ||f||_inf/(pi y) with this formula's own
+      rounding.
+    Every part but the last is one number per row set; the last is largest
+    at the lowest height and, over an interval of x, at one of its ends.
     """
     u = UNIT_ROUNDOFF
+    n = len(rows)
     xs = np.asarray(xs, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = np.broadcast_shapes(xs.shape, y.shape)
-    n = len(rows)
-    if not n:
-        return np.zeros(shape)
-    lo = min(r[0] for r in rows)
-    hi = max(r[1] for r in rows)
-    flat = sum(abs(fa) for _, _, fa, _, _, beta in rows if not beta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) / y
-        bad = ~(reach <= REACH_LIMIT)
-        out = np.full(shape, (u * (48 + 8 * n) + UNDERFLOW) * flat)
-        for a, b, fa, _, _, beta in rows:
-            if not beta:
-                continue
-            big_u = (b - xs) / y
-            big_w = (a - xs) / y
-            u2, w2 = big_u * big_u, big_w * big_w
-            rho = 6 * u * (u2 + w2) / (u2 + 1.0)
-            bound_l = np.abs(u2 - w2) / (np.minimum(u2, w2) + 1.0)
-            size = abs(fa) + abs(beta) * (abs(a) + np.abs(xs))
-            half_slope = 0.5 * abs(beta) * y
-            out += (u * (48 + 8 * n) * size
-                    + half_slope * (u * (16 + 3 * n) * (1.0 + bound_l) + 3 * rho)
-                    + UNDERFLOW * (size + half_slope))
-            bad |= ~(rho <= 0.25)
-        out /= math.pi
-        out[bad | np.isnan(out)] = np.inf
+    step = sum(abs(fa) for _, _, fa, _, _, _, h, _, _ in rows if not h)
+    local = np.array([row for row in rows if row[6]]).reshape(-1, 9)
+    size = float((50 * np.abs(local[:, 7]) + 248 * np.abs(local[:, 8]) * local[:, 6]).sum())
+    out = np.full(shape, u * ((48 + 8 * n) * step + size) / math.pi)
+    if local.size:
+        lo, hi = local[:, 0].min(), local[:, 1].max()
+        sup = float(np.abs(local[:, 2:4]).max())
+        reach = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) + 4 * u * max(abs(lo), abs(hi))
+        out += u * sup * ((n + 1) + 9 / math.pi * reach / y)
     return out
-
-
-def _span_error(rows, lo: float, hi: float, ys: np.ndarray) -> float:
-    """One bound on poisson_eval_error(rows, x, y) for every x of [lo, hi]
-    and every height y of ys (a column); +inf where none is derived.
-    superlevel_set takes it once a set, over the scanned range, and that
-    one number serves the sup cut and both stretches of the search.
-
-    Term by term, in the names of poisson_eval_error:
-    * The zero-slope rows' part (u (48 + 8n) + UNDERFLOW) |f(a)| is the same
-      at every x and y.
-    * A sloped row's A = |f(a)| + |beta| (|a| + |x|) is largest at the end
-      of [lo, hi] farther from 0.
-    * Its half-slope |beta| y/2 multiplies Lb, so the two are bounded
-      together, height by height.  With w = b - a and d the distance from
-      x to the row, |U^2 - W^2| = w |a + b - 2x| / y^2, which is w (2d + w)
-      / y^2 outside the row and at most w^2 / y^2 inside it, while
-      min(U^2, W^2) >= d^2 / y^2; so Lb <= w (2d + w) / (d^2 + y^2).  That
-      grows with d up to d* = 2 y^2 / (w + sqrt(w^2 + 4 y^2)) and falls
-      past it, so over the distances [d_lo, d_hi] that [lo, hi] spans its
-      sup is its value at d* clipped to them (_log_ratio_sup).
-    * rho = 6u (U^2 + W^2) / (U^2 + 1) <= 6u (2 + Lb): the ratio is at most
-      2 where |U| >= |W|, and 1 + W^2 / (U^2 + 1) <= 2 + Lb otherwise.  So
-      3 rho <= 18u (2 + Lb).  The bound is +inf where 6u (2 + Lb) passes
-      1/8 (poisson_eval_error gives up past 1/4), and where some |t - x| / y
-      may pass REACH_LIMIT / 2.
-    * Every term is nonnegative.  The float evaluation of both formulas
-      rounds each term and each sum by (2n + 20)u relative at most, and the
-      cancellation in U^2 - W^2 moves the computed Lb by at most 6u (2 +
-      Lb); a factor 1 + (8n + 64)u on the total covers all three.
-    """
-    u = UNIT_ROUNDOFF
-    n = len(rows)
-    if not n:
-        return 0.0
-    y = ys.reshape(-1)
-    y_min = float(y.min())
-    row_lo = min(r[0] for r in rows)
-    row_hi = max(r[1] for r in rows)
-    reach = max(abs(lo - row_lo), abs(hi - row_lo), abs(lo - row_hi), abs(hi - row_hi)) / y_min
-    if not reach <= REACH_LIMIT / 2:
-        return math.inf
-    flat = sum(abs(fa) for _, _, fa, _, _, beta in rows if not beta)
-    total = (u * (48 + 8 * n) + UNDERFLOW) * flat
-    sloped = [(a, b, fa, beta) for a, b, fa, _, _, beta in rows if beta]
-    if sloped:
-        a, b, fa, beta = np.array(sloped).T
-        slope = np.abs(beta)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            d_lo = np.maximum(0.0, np.maximum(a - hi, lo - b))
-            d_hi = np.maximum(0.0, np.maximum(a - lo, hi - b))
-            bound_l = _log_ratio_sup((b - a)[:, None], d_lo[:, None], d_hi[:, None], y)
-            if not 6 * u * (2.0 + float(bound_l.max())) <= 0.125:
-                return math.inf
-            # the size terms at every height, then per height the half-slope
-            # terms: (|beta| y/2)(u (52 + 3n) + UNDERFLOW + u (34 + 3n) Lb)
-            size = np.abs(fa) + slope * (np.abs(a) + max(abs(lo), abs(hi)))
-            total += (u * (48 + 8 * n) + UNDERFLOW) * float(size.sum())
-            total += float((0.5 * y * (float(slope.sum()) * (u * (52 + 3 * n) + UNDERFLOW)
-                                       + u * (34 + 3 * n) * (slope @ bound_l))).max())
-    out = total / math.pi * (1 + (8 * n + 64) * u)
-    return out if math.isfinite(out) else math.inf
-
-
-def _log_ratio_sup(w, d_lo, d_hi, y):
-    """sup of w (2d + w) / (d^2 + y^2) over the distances d of [d_lo, d_hi],
-    broadcast over rows and heights: the value at the maximiser d* = 2 y^2
-    / (w + sqrt(w^2 + 4 y^2)) clipped to the interval (_span_error)."""
-    d = np.minimum(np.maximum(2 * y * y / (w + np.sqrt(w * w + 4 * y * y)), d_lo), d_hi)
-    return w * (2 * d + w) / (d * d + y * y)
-
-
-def _log_ratio(u, w):
-    """log((u^2+1)/(w^2+1)), via log1p to survive u ~ w.
-
-    Where w^2 swamps the +1 and u^2 is small beside it (x at or next to an
-    end of the piece, at heights near 2^-27 and below), the log1p argument
-    rounds to exactly -1; there the two logarithms are taken apart, in place
-    of log1p's -inf.
-    """
-    ratio = (u * u - w * w) / (w * w + 1.0)
-    swamped = ratio == -1.0
-    if not swamped.any():
-        return np.log1p(ratio)
-    return np.where(swamped, np.log1p(u * u) - np.log1p(w * w),
-                    np.log1p(np.where(swamped, 0.0, ratio)))
 
 
 def poisson_integral_step(f: StepFunction, x, y: float):
@@ -326,7 +276,7 @@ def poisson_integral_step(f: StepFunction, x, y: float):
 
 def poisson_integral_pl(f: PiecewiseLinear, x, y: float):
     """P[f](x, y) for a piecewise-linear function, by the arctangent and
-    log-ratio closed form of each linear piece."""
+    local closed form of each linear piece."""
     if y <= 0:
         raise ValueError("height y must be positive")
     return _scalar_or_array(x, _closed_form(_rows(f), _as_xs(x), y))
@@ -612,8 +562,8 @@ def _monotone_split(rows, ys: np.ndarray, alpha: float, budget: float, stretches
     over heights M of P[rows] is nondecreasing, returns (lo, hi): every
     point before lo has computed max at most alpha, and every point from hi
     on over alpha.  budget is one bound E on the evaluation error at every
-    point of every stretch and every height (_span_error over the scanned
-    range).
+    point of every stretch and every height (poisson_eval_error at the
+    scanned range's ends and lowest height).
 
     The computed max M~ is within E of M.  A point with M~ <= alpha - 2E
     has M <= alpha - E, so every point before it has M~ <= alpha; a point
@@ -663,7 +613,7 @@ def _scan_hits(rows, xs: np.ndarray, ys: np.ndarray, alpha: float, budget: float
     """_exceeds(rows, xs, ys, alpha) for xs, the scan points of every window
     as one sorted array.  Its stretches left and right of the hull of the
     rows (_exterior) go to one _monotone_split with budget, one bound E over
-    the scanned range (_span_error), and the points it leaves open, with the
+    the scanned range (poisson_eval_error), and the points it leaves open, with the
     points inside the hull, to one _exceeds call."""
     sides = _exterior(xs, min(r[0] for r in rows), max(r[1] for r in rows))
     hit = np.zeros(xs.size, dtype=bool)
@@ -696,9 +646,10 @@ def superlevel_set(g, alpha: float,
     at most alpha, EVAL_CHUNK cells a block, so that only the mask of kept
     cells spans them all.  The remaining windows hold scan points at
     spacing about 1/SCAN_DENSITY.  E, one bound on the evaluation error at
-    every point of the scanned range and every height (_span_error), is
-    taken once.  If sup |g| <= alpha - 2E, no point can exceed alpha, since
-    P[|g|] <= sup |g|, and none is evaluated.  Else windows that hold more
+    every point of the scanned range and every height, is taken once:
+    poisson_eval_error at the range's ends and at the lowest height.  If
+    sup |g| <= alpha - 2E, no point can exceed alpha, since P[|g|] <= sup
+    |g|, and none is evaluated.  Else windows that hold more
     than SCAN_LIMIT points in all (alpha tiny against the mass of g) raise
     a ValueError naming alpha, their range and the count, before any scan
     is built.  Else the scan points of every window, as one sorted array,
@@ -733,7 +684,7 @@ def superlevel_set(g, alpha: float,
     # prune: a cell whose envelope sum stays at or under alpha holds no point
     # of the set, whatever the height; EVAL_CHUNK cells a block, so only the
     # mask spans every cell
-    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, _, _ in rows]
+    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows]
     radius = sum(masses) / (math.pi * alpha) + PRUNE_CELL
     lo = min(r[0] for r in rows) - radius
     n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
@@ -741,7 +692,7 @@ def superlevel_set(g, alpha: float,
     for s in range(0, n_cells, EVAL_CHUNK):
         edges = lo + PRUNE_CELL * np.arange(s, min(s + EVAL_CHUNK, n_cells) + 1)
         envelope = np.zeros(edges.size - 1)
-        for (a, b, fa, fb, _, _), mass in zip(rows, masses):
+        for (a, b, fa, fb, *_), mass in zip(rows, masses):
             dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
             with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
                 far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
@@ -751,7 +702,8 @@ def superlevel_set(g, alpha: float,
     sizes = [max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
              for w_lo, w_hi in windows]
     if windows:  # P[|g|] <= sup |g|: no computed value reaches alpha
-        budget = _span_error(rows, windows[0][0], windows[-1][1], ys)
+        budget = float(np.max(poisson_eval_error(
+            rows, np.array([windows[0][0], windows[-1][1]]), ys.min())))
         if max(max(r[2], r[3]) for r in rows) <= np.nextafter(alpha - 2 * budget, -np.inf):
             sizes = []
     if sum(sizes) > SCAN_LIMIT:

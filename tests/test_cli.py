@@ -201,13 +201,13 @@ PINNED_TRACES = {
     },
     ("ml-poisson", "--point=12345/65537", "--s-max", "41"): {
         "poisson_trace.csv":
-            "6b4f407ddfc9088d9ade987d8f8478ea435ba22da66e283b4782d50bc13893ce",
+            "d99d3f7a921997cdc3ebd9c896c9173b9ae0f31b18a76af60c766d55ffdc7a32",
         "tent_construction.json":
             "8395c04dd4cee7db949e0e38feca4cb38ee8782ccd9e7edf2531dff32f5e6648",
         "tent_stages.csv":
             "565fceb096af9df36881e78a96da8e3d9552c4196f141d6f5942ffee29a27e4a",
         "verification_report.json":
-            "31deb984e4f56a9d9f451e8d619b179747b1924b8252e78575449cb1f51f7937",
+            "d411b432fdab825b5441a984b8f47b6d5518b6501a73beba3b3dd3ef670d6132",
     },
 }
 
@@ -248,20 +248,20 @@ PINNED_MAXIMAL = {
     },
     ("verify-all",): {
         "verification_report.json":
-            "28ba11df81551931e9e1a1e01838607823dbb763d589dadb6a3cd7aa359c171b",
+            "84914e2b6d275a454d19fa5ab307e30554ad71f1db4e87849d912d6f3e079dab",
     },
     ("verify-all", "--n-max", "7", "--m-max", "60", "--s-max", "51", "--k-max", "6",
      "--weak-type-count", "20", "--samples", "1000"): {
         "verification_report.json":
-            "bdaa0198e42923e35d125e402e49096d00d9ba78a1d8663c05967a2f69e1accc",
+            "c3c3465b2180dc2f37c5dda3fdcaed8f7d8a9b3c4b36014d1ede823e4e68df03",
     },
     ("verify-all", "--seed", "425055", *VERIFY_CAPS): {
         "verification_report.json":
-            "bed16514cdc12648f2e591f5410a2cabfdc39ae8c7fcf17846e1f3c0c11bb5a6",
+            "cfffc9c87f4d2a8b32209e8996a4bb07ec99231f855fe5bae93b54b0580d274f",
     },
     ("verify-all", "--seed", "345762", *VERIFY_CAPS): {
         "verification_report.json":
-            "403b8fa741e58c073d19fb872b13c890d1c190da0049cc668e4b161568979e1b",
+            "a3815db52b20a6339715b3e26598bae9ff607a79c7277bb09453304439d430e3",
     },
 }
 

@@ -422,7 +422,7 @@ def test_dropping_undecided_points_is_caught(monkeypatch):
     assert exceeds_mismatches(first_height_only, f, 1.0, DEFAULT_Y_GRID).size > 0
     want = located(superlevel_set(f, 1.0))
     assert want[1] == 1
-    monkeypatch.setattr(poisson, "_span_error", lambda rows, lo, hi, ys: math.inf)
+    monkeypatch.setattr(poisson, "poisson_eval_error", lambda rows, xs, y: math.inf)
     assert located(superlevel_set(f, 1.0)) == want
     monkeypatch.setattr(poisson, "_exceeds", first_height_only)
     assert superlevel_set(f, 1.0).components == 0
@@ -480,13 +480,13 @@ def one_midpoint_a_round(exceeds, outside, inside):
 def pruned_windows(rows, alpha):
     """The windows superlevel_set's envelope pruning leaves."""
     cell = poisson.PRUNE_CELL
-    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, _, _ in rows]
+    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows]
     radius = sum(masses) / (math.pi * alpha) + cell
     lo = min(r[0] for r in rows) - radius
     n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / cell))
     edges = lo + cell * np.arange(n_cells + 1)
     envelope = np.zeros(n_cells)
-    for (a, b, fa, fb, _, _), mass in zip(rows, masses):
+    for (a, b, fa, fb, *_), mass in zip(rows, masses):
         dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
         with np.errstate(divide="ignore", invalid="ignore"):
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
@@ -624,7 +624,7 @@ def test_runaway_scan_is_refused_in_bounded_memory():
 
 
 def test_each_stage_runs_once_a_set(monkeypatch):
-    """Over the README weak-type battery: one _span_error at most a
+    """Over the README weak-type battery: one poisson_eval_error at most a
     superlevel_set call, one _monotone_split and one _exceeds call a
     _scan_hits call, whatever the number of windows, and no _scan_hits
     call for a set that scans nothing: neither one without a window nor
@@ -638,7 +638,8 @@ def test_each_stage_runs_once_a_set(monkeypatch):
             calls.append((name, args))
             return real(*args)
         monkeypatch.setattr(poisson, name, wrapped)
-    for name in ("superlevel_set", "_span_error", "_scan_hits", "_monotone_split", "_exceeds"):
+    for name in ("superlevel_set", "poisson_eval_error", "_scan_hits", "_monotone_split",
+                 "_exceeds"):
         counted(name)
     reports = verify.weak_type_battery(0, 20)
     starts = [k for k, (name, _) in enumerate(calls) if name == "superlevel_set"]
@@ -647,10 +648,10 @@ def test_each_stage_runs_once_a_set(monkeypatch):
     for report, s, e in zip(reports, starts, starts[1:] + [len(calls)]):
         names = [name for name, _ in calls[s:e]]
         scanned = names.count("_scan_hits")
-        assert names.count("_span_error") <= 1
+        assert names.count("poisson_eval_error") <= 1
         assert names.count("_monotone_split") == names.count("_exceeds") == scanned <= 1
         if report.scan_hi == report.scan_lo:  # no window
-            assert not scanned and "_span_error" not in names
+            assert not scanned and "poisson_eval_error" not in names
             windowless += 1
         elif not scanned:  # the sup cut
             cut += 1
@@ -664,14 +665,21 @@ SPIKE = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
 
 
 def test_search_without_its_margin_is_caught(monkeypatch):
-    """Negative control: on a needle, where the computed values off the tent
-    are rounding noise, a search that certifies with no 2E margin (budget
-    0) decides points that the full scan finds the other way."""
+    """Negative control: with every computed value moved by a wobble of a
+    quarter of the budget's constant part, the values off a needle are no
+    longer monotone (the local form alone keeps them so); the search with
+    its 2E margin still finds the full scan's set, and one that certifies
+    with no margin (budget 0) decides points the full scan finds the other
+    way."""
     f = tent(RationalInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 2 ** 44)))
+    size = float(poisson.poisson_eval_error(poisson._rows(f), 0.0, math.inf)) / 4
+    closed_form = poisson._closed_form
+    monkeypatch.setattr(poisson, "_closed_form",
+                        lambda rows, xs, y: closed_form(rows, xs, y) + size * np.sin(1e9 * xs))
     alpha = exterior_value(f, float(f.l1_norm()) / math.pi, DEFAULT_Y_GRID, 0.3)
     want = full_scan(f, alpha)
     assert located(superlevel_set(f, alpha)) == want
-    monkeypatch.setattr(poisson, "_span_error", lambda rows, lo, hi, ys: 0.0)
+    monkeypatch.setattr(poisson, "poisson_eval_error", lambda rows, xs, y: 0.0)
     assert located(superlevel_set(f, alpha)) != want
 
 
@@ -726,33 +734,16 @@ def span_cases(draw):
     return rows, draw(height_grids()), lo, hi, np.array(xs)
 
 
-def span_error_holds(case) -> bool:
-    rows, grid, lo, hi, xs = case
-    ys = poisson._heights(grid)
-    xs = np.clip(xs, lo, hi)
-    return bool(np.all(poisson.poisson_eval_error(rows, xs, ys)
-                       <= poisson._span_error(rows, lo, hi, ys)))
-
-
 @given(span_cases())
 @settings(max_examples=150, deadline=None)
-def test_span_error_bounds_the_eval_error(case):
-    """The one budget of a stretch is at least poisson_eval_error at every
-    point of it and every height of the grid."""
-    assert span_error_holds(case)
-
-
-def test_span_error_without_the_log_ratio_term_is_caught(monkeypatch):
-    """Negative control: a budget that drops the sloped rows' log-ratio
-    bound falls under poisson_eval_error next to a sloped row at low
-    heights."""
-    monkeypatch.setattr(poisson, "_log_ratio_sup",
-                        lambda w, d_lo, d_hi, y: np.zeros(np.broadcast_shapes(
-                            np.shape(w), np.shape(y))))
-    rows, _, _, _, _ = find(span_cases(), lambda case: not span_error_holds(case),
-                            settings=settings(max_examples=3000, database=None,
-                                              phases=[Phase.generate]))
-    assert any(row[5] for row in rows)
+def test_set_budget_bounds_the_eval_error(case):
+    """superlevel_set's one budget E, poisson_eval_error at the ends of the
+    stretch and its lowest height, is at least poisson_eval_error at every
+    point of the stretch and every height of the grid."""
+    rows, grid, lo, hi, xs = case
+    ys = poisson._heights(grid)
+    budget = np.max(poisson.poisson_eval_error(rows, np.array([lo, hi]), ys.min()))
+    assert np.all(poisson.poisson_eval_error(rows, np.clip(xs, lo, hi), ys) <= budget)
 
 
 def test_sup_cut_skips_the_scan(monkeypatch):
@@ -785,11 +776,25 @@ def test_narrow_spike_component_is_found():
 # one float-row form against a two-branch reference
 
 
+def local_row(x0, x1, y0, y1):
+    """The float row of the segment from (x0, y0) to (x1, y1): every value
+    the float of its exact Fraction, m_lo that of m - m_hi."""
+    m = (x0 + x1) / 2
+    return (float(x0), float(x1), float(y0), float(y1), float(m),
+            float(m - Fraction(float(m))), float((x1 - x0) / 2), float((y0 + y1) / 2),
+            float((y1 - y0) / (x1 - x0)))
+
+
+def step_row(lo, hi, v):
+    """The float row of a step piece: its float ends and value, no local data."""
+    return (float(lo), float(hi), float(v), float(v), 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def reference_closed_form(f, xs, y):
     """A closed form with two row formats: rows (a, b, v) of a step
-    function summed as v * atan-term, and on every nonzero
-    piecewise-linear segment, plateaus included, the alpha/beta rows with
-    the log-ratio term added."""
+    function summed as v * atan-term on the float ends, and every nonzero
+    piecewise-linear segment, plateaus included, in its local form from its
+    own Fraction data."""
     out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
     if isinstance(f, StepFunction):
         for iv, v in f.pieces:
@@ -797,16 +802,8 @@ def reference_closed_form(f, xs, y):
             out += float(v) * stable_atan_diff((b - xs) / y, (a - xs) / y)
         return out / math.pi
     for (x0, y0), (x1, y1) in f.segments():
-        if y0 == 0 and y1 == 0:
-            continue
-        a, b = float(x0), float(x1)
-        fa, fb = float(y0), float(y1)
-        beta = (fb - fa) / (b - a)
-        alpha = fa - beta * a
-        u = (b - xs) / y
-        w = (a - xs) / y
-        out += (alpha + beta * xs) * stable_atan_diff(u, w)
-        out += 0.5 * beta * y * poisson._log_ratio(u, w)
+        if y0 or y1:
+            out += poisson._local(*local_row(x0, x1, y0, y1)[4:], xs, y)
     return out / math.pi
 
 
@@ -844,9 +841,10 @@ def row_form_inputs(draw):
 @given(row_form_inputs())
 @settings(max_examples=80, deadline=None)
 def test_rows_match_the_two_branch_closed_form(inputs):
-    """A step piece as the zero-slope row (a, b, v, v, v, 0.0), and a
-    plateau without its log-ratio term, give every value bitwise as the
-    two-branch reference does, at several heights in one call."""
+    """A step piece as the zero-slope row on its float ends, and every
+    piecewise-linear segment, plateaus included, in its local form, give
+    every value bitwise as the two-branch reference does, at several
+    heights in one call."""
     f, xs, ys = inputs
     got = poisson._closed_form(poisson._rows(f), xs, ys)
     want = reference_closed_form(f, xs, ys)
@@ -854,24 +852,12 @@ def test_rows_match_the_two_branch_closed_form(inputs):
 
 
 def two_branch_rows(f):
-    """The float rows as _rows formed them per kind, before both kinds read
-    the exact rows: a step piece as (a, b, v, v, v, 0.0), every nonzero
-    piecewise-linear segment, plateaus included, with beta = (f(b) -
-    f(a))/(b - a) and alpha = f(a) - beta a in floats."""
-    rows = []
+    """The float rows formed per kind from Fractions: a step piece as its
+    float ends and value with no local data, every nonzero
+    piecewise-linear segment, plateaus included, with its local data."""
     if isinstance(f, StepFunction):
-        for iv, v in f.pieces:
-            v = float(v)
-            rows.append((float(iv.lo), float(iv.hi), v, v, v, 0.0))
-        return rows
-    for (x0, y0), (x1, y1) in f.segments():
-        if y0 == 0 and y1 == 0:
-            continue
-        a, b = float(x0), float(x1)
-        fa, fb = float(y0), float(y1)
-        beta = (fb - fa) / (b - a)
-        rows.append((a, b, fa, fb, fa - beta * a, beta))
-    return rows
+        return [step_row(iv.lo, iv.hi, v) for iv, v in f.pieces]
+    return [local_row(x0, x1, y0, y1) for (x0, y0), (x1, y1) in f.segments() if y0 or y1]
 
 
 @given(row_data_st)
@@ -894,17 +880,14 @@ def test_rows_refuse_other_data():
 
 
 def per_row_closed_form(rows, xs, y):
-    """_closed_form as it was before rows went in blocks: one row at a time,
-    each term added to the sum as it forms."""
+    """_closed_form as the per-row loop: one row at a time, each term added
+    to the sum as it forms."""
     out = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(y)))
-    for a, b, _, _, alpha, beta in rows:
-        u = (b - xs) / y
-        w = (a - xs) / y
-        if not beta:
-            out += alpha * stable_atan_diff(u, w)
-            continue
-        out += (alpha + beta * xs) * stable_atan_diff(u, w)
-        out += 0.5 * beta * y * poisson._log_ratio(u, w)
+    for a, b, fa, _, m_hi, m_lo, h, fm, beta in rows:
+        if h:
+            out += poisson._local(m_hi, m_lo, h, fm, beta, xs, y)
+        else:
+            out += fa * stable_atan_diff((b - xs) / y, (a - xs) / y)
     return out / math.pi
 
 
@@ -923,16 +906,18 @@ BLOCK_GRIDS = [((0, 1), "all"), ((24, 1), "all"), ((4, 8), "all"),
 @st.composite
 def float_rows(draw):
     """12 to MAX_ROWS float rows as _rows forms them, each on a dyadic
-    interval: zero-slope rows (a step piece or a plateau) and sloped rows
-    side by side."""
+    interval 2^-40 .. 4 wide: step pieces and piecewise-linear rows (sloped
+    or plateaus) side by side."""
     rows = []
     for _ in range(draw(st.integers(12, MAX_ROWS))):
         lo = draw(dyadic)
-        a, b = float(lo), float(lo + Fraction(draw(st.integers(1, 32)), 8))
-        fa = draw(st.integers(-32, 32)) / 4
-        fb = fa if draw(st.booleans()) else draw(st.integers(-32, 32)) / 4
-        beta = (fb - fa) / (b - a)
-        rows.append((a, b, fa, fb, fa - beta * a, beta))
+        hi = lo + Fraction(draw(st.integers(1, 32)), 8 * 2 ** draw(st.sampled_from([0, 0, 40])))
+        fa = Fraction(draw(st.integers(-32, 32)), 4)
+        if draw(st.booleans()):
+            rows.append(step_row(lo, hi, fa))
+        else:
+            fb = fa if draw(st.booleans()) else Fraction(draw(st.integers(-32, 32)), 4)
+            rows.append(local_row(lo, hi, fa, fb))
     return rows
 
 
@@ -952,9 +937,11 @@ def blocked_cases(draw, heights, points):
     return rows, xs, (2.0 ** -np.linspace(top, bottom, heights)).reshape(-1, 1)
 
 
-def bitwise_equal(case) -> bool:
+def bitwise_equal(case, order=lambda rows: rows) -> bool:
+    """_closed_form on the rows bitwise the per-row loop on the rows in
+    order(rows)."""
     rows, xs, y = case
-    got, want = poisson._closed_form(rows, xs, y), per_row_closed_form(rows, xs, y)
+    got, want = poisson._closed_form(rows, xs, y), per_row_closed_form(order(rows), xs, y)
     return got.shape == want.shape and all(
         a.hex() == b.hex() for a, b in zip(got.ravel(), want.ravel()))
 
@@ -965,7 +952,8 @@ def bitwise_equal(case) -> bool:
 @settings(max_examples=25, deadline=None)
 def test_blocked_rows_match_the_per_row_loop(grid, per_pass, data):
     """Every row in one pass, several blocks of rows, or row by row: each
-    value bitwise the per-row loop's, on mixed zero-slope and sloped rows."""
+    value bitwise the per-row loop's, on mixed step and piecewise-linear
+    rows."""
     heights, points = grid
     rows_a_pass = EVAL_CHUNK // (max(heights, 1) * points)
     assert {"row by row": rows_a_pass < poisson.BLOCK_MIN_ROWS,
@@ -974,40 +962,68 @@ def test_blocked_rows_match_the_per_row_loop(grid, per_pass, data):
     assert bitwise_equal(data.draw(blocked_cases(heights, points)))
 
 
-def test_log_terms_before_arctan_terms_break_the_bits(monkeypatch):
-    """Negative control: a blocked form that adds a block's log-ratio terms
-    before its arctangent terms no longer gives the per-row loop's bits."""
-    def logs_first(sloped):
-        n_log = int(np.count_nonzero(sloped))
-        return n_log + 1 + np.arange(sloped.size), 1 + np.arange(n_log)
-    monkeypatch.setattr(poisson, "_term_slots", logs_first)
+def test_local_rows_before_step_rows_break_the_bits():
+    """Negative control: a loop that adds the piecewise-linear rows before
+    the step pieces no longer gives the blocked form's bits, so the
+    bitwise property tells row orders apart."""
+    def locals_first(rows):
+        return [r for r in rows if r[6]] + [r for r in rows if not r[6]]
     # any counterexample will do, so it is not shrunk
-    rows, _, _ = find(blocked_cases(0, 1), lambda case: not bitwise_equal(case),
+    rows, _, _ = find(blocked_cases(0, 1), lambda case: not bitwise_equal(case, locals_first),
                       settings=settings(max_examples=2000, database=None,
                                         phases=[Phase.generate]))
-    assert any(row[5] for row in rows)
+    assert any(row[6] for row in rows) and not all(row[6] for row in rows)
 
 
 # ----------------------------------------------------------------------
-# the evaluation budget against a 50-digit oracle on the same float rows
+# the evaluation budget against 50-digit oracles: on the float rows, and
+# on the exact data
+
+
+def mp_frac(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def mp_local(m, h, fm, beta, x, y):
+    """pi times the Poisson integral of fm + beta (t - m) on [m - h, m + h]
+    at (x, y), every argument an mpf."""
+    e = x - m
+    big_s = mpmath.atan2(2 * h * y, y * y + (e - h) * (e + h))
+    return fm * big_s + beta * (e * big_s + y / 2 * mpmath.log(
+        ((h - e) ** 2 + y * y) / ((h + e) ** 2 + y * y)))
 
 
 def mp_poisson(rows, x, y):
     """The Poisson integral of the function the float rows stand for, at
-    50 digits: on each row the line through (a, f(a)) and (b, f(b)), in
-    local coordinates; where f(a) = f(b), the constant f(a), which also
-    covers the point rows a = b of a step function."""
+    50 digits: on a step piece the constant f(a) on [a, b], on a
+    piecewise-linear row the line fm + beta (t - m) on [m - h, m + h], m =
+    m_hi + m_lo."""
     with mpmath.workdps(50):
         x, y = mpmath.mpf(x), mpmath.mpf(y)
         total = mpmath.mpf(0)
-        for row in rows:
-            a, b = mpmath.mpf(row[0]), mpmath.mpf(row[1])
-            big_u, big_w = (b - x) / y, (a - x) / y
-            atan_term = mpmath.atan(big_u) - mpmath.atan(big_w)
-            fa, fb = mpmath.mpf(row[2]), mpmath.mpf(row[3])
-            slope = (fb - fa) / (b - a) if fb != fa else 0
-            total += ((fa + slope * (x - a)) * atan_term
-                      + slope * y / 2 * mpmath.log((1 + big_u ** 2) / (1 + big_w ** 2)))
+        for a, b, fa, _, m_hi, m_lo, h, fm, beta in rows:
+            if h:
+                total += mp_local(mpmath.mpf(m_hi) + m_lo, mpmath.mpf(h), mpmath.mpf(fm),
+                                  mpmath.mpf(beta), x, y)
+            else:
+                total += fa * (mpmath.atan((b - x) / y) - mpmath.atan((a - x) / y))
+        return total / mpmath.pi
+
+
+def mp_exact(f, x, y):
+    """The Poisson integral of the exact data of f at 50 digits, each piece
+    or segment in local coordinates about its exact midpoint."""
+    with mpmath.workdps(50):
+        x, y = mp_frac(Fraction(x)), mpmath.mpf(y)
+        total = mpmath.mpf(0)
+        if isinstance(f, StepFunction):
+            segments = [((iv.lo, v), (iv.hi, v)) for iv, v in f.pieces]
+        else:
+            segments = [seg for seg in f.segments() if seg[0][1] or seg[1][1]]
+        for (x0, y0), (x1, y1) in segments:
+            slope = (y1 - y0) / (x1 - x0) if y1 != y0 else Fraction(0)
+            total += mp_local(mp_frac((x0 + x1) / 2), mp_frac((x1 - x0) / 2),
+                              mp_frac((y0 + y1) / 2), mp_frac(slope), x, y)
         return total / mpmath.pi
 
 
@@ -1051,22 +1067,128 @@ def test_eval_error_bounds_the_closed_form(inputs):
     assert gap <= budget
 
 
+@st.composite
+def tent_inputs(draw, at_zero=False):
+    """A tent 2^-60 .. 2^-1 wide and 2^-30 .. 2^2 high, its left end k
+    quarter-widths from 0: |k| <= 2^20, or where its quarter points are
+    one ulp apart (2^52 <= |k| < 2^53), or off the float grid (up to 2^60);
+    a point at a vertex, up to 2^-20 widths off one, or up to 2^20 from the
+    midpoint; a height in 2^-40 .. 2^10.  One draw in four, and every draw
+    with at_zero, is a tent 2^-20 .. 2^-1 wide with an inner vertex at 0, a
+    point within 2^-56 .. 2^-50 widths of it and a height at least 2^10
+    times under the width: there x - m rounds onto different grids on the
+    two rows that meet at 0."""
+    f_height = Fraction(2) ** draw(st.integers(-30, 2))
+    if at_zero or draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(1, 20))
+        width = Fraction(1, 2 ** j)
+        lo = -draw(st.sampled_from([1, 3])) * width / 4
+        x = draw(st.floats(-1, 1)) * 2.0 ** -draw(st.integers(50, 56)) * float(width)
+        y = 2.0 ** draw(st.floats(-40, -10 - j))
+        return tent(RationalInterval(lo, lo + width)).scale(f_height), x, y
+    width = Fraction(1, 2 ** draw(st.integers(1, 60)))
+    y = 2.0 ** draw(st.floats(-40, 10))
+    k = draw(st.integers(-2 ** 20, 2 ** 20) | st.integers(2 ** 52, 2 ** 53 - 8)
+             | st.integers(2 ** 53, 2 ** 60)) * draw(st.sampled_from([1, -1]))
+    lo = k * width / 4
+    vertex = float(lo + draw(st.integers(0, 4)) * width / 4)
+    x = draw(st.sampled_from([
+        vertex, vertex + draw(st.floats(-1, 1)) * 2.0 ** -draw(st.integers(20, 80)) * float(width),
+        float(lo + width / 2) + draw(st.sampled_from([1, -1])) * 2.0 ** draw(st.floats(-70, 20))]))
+    return tent(RationalInterval(lo, lo + width)).scale(f_height), x, y
+
+
+def exact_gap(f, x, y):
+    """(|value - exact|, poisson_eval_error, its constant part) at one point
+    and height, the exact value that of f's exact data; the constant part
+    is the budget as y grows without bound, where its position term
+    vanishes."""
+    rows = poisson._rows(f)
+    got = poisson_integral(f, x, y)
+    return (abs(mpmath.mpf(got) - mp_exact(f, x, y)),
+            float(poisson.poisson_eval_error(rows, x, y)),
+            float(poisson.poisson_eval_error(rows, x, math.inf)))
+
+
+@given(tent_inputs())
+@settings(max_examples=200, deadline=None)
+def test_eval_error_bounds_the_closed_form_on_exact_tents(inputs):
+    """|poisson_integral - P[f]| <= poisson_eval_error for P[f] the integral
+    of the tent's exact data at 50 digits: the rounding of the rows' local
+    data from the exact Fractions included."""
+    gap, budget, _ = exact_gap(*inputs)
+    assert gap <= budget
+
+
+def test_eval_error_without_its_position_term_is_caught():
+    """Negative control: the budget's constant part alone falls under the
+    error next to a vertex at 0, at heights far below the width."""
+    def over_constant(case):
+        gap, _, constant = exact_gap(*case)
+        return gap > constant
+    find(tent_inputs(at_zero=True), over_constant,
+         settings=settings(max_examples=500, database=None, phases=[Phase.generate]))
+
+
+@given(st.lists(st.tuples(st.integers(1, 2 ** 12), st.integers(0, 64)), min_size=1, max_size=8),
+       dyadic, st.floats(-3, 3), st.floats(-30, 4))
+@settings(max_examples=150, deadline=None)
+def test_nonnegative_data_stays_in_its_bounds(parts, start, offset, exp):
+    """On random nonnegative piecewise-linear data, vertices 2^-40 .. 2^-28
+    apart or up to 8 wide, the computed value is at least 0 and at most
+    ||f||_1/(pi y) plus the budget."""
+    xs, ys = [start], [Fraction(0)]
+    for gap, height in parts:
+        xs.append(xs[-1] + Fraction(gap, 2 ** (40 if gap % 2 else 9)))
+        ys.append(Fraction(height, 16))
+    f = PiecewiseLinear(tuple(zip(xs + [xs[-1] + 1], ys + [0])))
+    x, y = float(start) + offset, 2.0 ** exp
+    value = poisson_integral(f, x, y)
+    assert 0 <= value <= float(f.l1_norm()) / (math.pi * y) + float(
+        poisson.poisson_eval_error(poisson._rows(f), x, y))
+
+
+def test_log_argument_rounding_to_minus_one_stays_finite():
+    """At the right end of a row 1/4 wide and y = 2^-30, the log1p argument
+    -4 h e / ((h + e)^2 + y^2) rounds to -1 (log1p would give -inf); the
+    value is finite and within its budget of the exact integral."""
+    f = tent(RationalInterval(0, 1))
+    h = e = 0.125    # the row [0, 1/4]: midpoint 1/8, half-width 1/8; x = 1/4
+    y = 2.0 ** -30
+    assert -4 * h * e / ((h + e) ** 2 + y * y) == -1.0
+    gap, budget, _ = exact_gap(f, 0.25, y)
+    assert math.isfinite(poisson_integral(f, 0.25, y)) and gap <= budget
+
+
+def alpha_beta_closed_form(f, x, y):
+    """The form the float rows had before they carried local data: on each
+    nonzero segment, beta = (f(b) - f(a))/(b - a) and alpha = f(a) - beta a
+    in floats, summed as (alpha + beta x)(atan U - atan W) + (beta y/2)
+    log((1 + U^2)/(1 + W^2)), U = (b - x)/y and W = (a - x)/y."""
+    total = 0.0
+    for (x0, y0), (x1, y1) in f.segments():
+        if y0 or y1:
+            a, b, fa, fb = float(x0), float(x1), float(y0), float(y1)
+            beta = (fb - fa) / (b - a)
+            u, w = (b - x) / y, (a - x) / y
+            total += (fa - beta * a + beta * x) * float(stable_atan_diff(u, w))
+            total += 0.5 * beta * y * math.log1p((u * u - w * w) / (w * w + 1.0))
+    return total / math.pi
+
+
 def test_eval_error_covers_the_cancelling_tent_form():
     """Stage 73 of the ml-poisson construction at s_max 81 (point 0), at the
-    probe where tents.poisson_decay fails: tents as narrow as 7.1e-15 with
-    slopes near 6e14, where the alpha/beta form gives -6.9e-4 for a value of
-    1.7e-12.  The budget covers that error; scaled by 2^-20 it does not
-    (negative control)."""
+    probe where tents.poisson_decay failed: tents as narrow as 7.1e-15 with
+    slopes near 6e14.  Negative control: the alpha/beta form gives -6.9e-4
+    for a value of 1.7e-12; the local form is within its budget."""
     stage = build_ml_poisson(covering_test(0, 40), s_max=81).stages[73]
-    gap, budget = budget_gap(stage.f, -0.7660727035922625, 0.8666469551621341)
-    assert gap > 6.9e-4
-    assert gap <= budget
-    assert gap > budget * 2.0 ** -20
+    x, y = -0.7660727035922625, 0.8666469551621341
+    exact = mp_exact(stage.f, x, y)
+    assert abs(alpha_beta_closed_form(stage.f, x, y) - exact) > 6.9e-4
+    gap, budget, _ = exact_gap(stage.f, x, y)
+    assert 1.7e-12 < exact < 1.8e-12 and gap <= budget < 1e-11
 
 
-@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                   reason="a PL segment narrower than a float ulp at its position "
-                          "makes b - a zero in the float rows")
 def test_tent_narrower_than_an_ulp_at_its_position():
     f = tent(RationalInterval(Fraction(1), 1 + Fraction(1, 2 ** 60)))
     # at distance 0 and height 1/2 the tent acts as its mass at its midpoint
