@@ -18,7 +18,7 @@ from .poisson import (ContractionGap, RadialTrace, WeakTypeReport,
                       contraction_gap, contraction_gaps, maximal_estimate,
                       poisson_integral, poisson_integral_pl,
                       poisson_integral_step, radial_trace, superlevel_set,
-                      weak_type_check)
+                      superlevel_sets, weak_type_check, weak_type_reports)
 from .randomness import (PoissonTestStage, TestFamily, covering_test,
                          enumerate_intervals, integral_test_partial,
                          nest_tail, schnorr_test_from_poisson,

@@ -25,46 +25,46 @@ evaluator: the pieces of |f| are converted to float rows once, and every
 height of the grid is evaluated in one (heights x points) array pass
 through the same closed form as poisson_integral, in blocks of EVAL_CHUNK
 points, so each value is bitwise the one a per-height call gives.  A
-radial trace evaluates all its heights the same way, at its one point.
-Its exact window masses come from the function's cumulative table, built
-once per function, for the windows that reach past the linear piece of f
-holding the point (a row, or a gap where f is 0) and for the widest one
-inside it; a window inside that piece has the mass f(x) y, so the
-narrower ones scale the widest one's mass.  It has one superlevel-set
-routine, superlevel_set: envelope pruning, a windowed sign scan, edge
-bisection with all edges of a set bisected together, and outward dyadic
-rounding.  The scan spends evaluations only where a value can come out
-on either side of alpha.  One number E, poisson_eval_error at the ends of
-the scanned range and the lowest height, bounds the error at every
-scanned point and height, once per set.  A set with sup |g| <= alpha - 2E
-is empty, since P[|g|] <= sup |g|, and is not scanned.  The scan points of
-all windows form one sorted array.  Off the hull of the pieces the max
-over heights rises toward the hull, so one monotone search, a few dozen
-probes a pass, decides the points on either side from the probes over or
-under alpha by 2E, and leaves only the points within 3E of alpha open.
-The open points and those inside the hull go to one pass that takes as
-few heights as they need: every point at the tallest height, the points
-not over alpha there at the lowest height, and the points still undecided
-at the remaining heights.  A scan of more than SCAN_LIMIT points is
-refused.  The bisection takes every height in one pass, and a tree of
-BISECT_DEPTH rounds of midpoints a pass, replayed round by round.  Every
-decision is the one the full max at that point gives.  The weak-type
-(1,1) measurement here and the maximal-operator test stages in randomness
-both read their sets from it.
+radial trace evaluates all its heights the same way, at its one point,
+and keeps its heights, values and floors as float arrays.  Its exact
+window masses come from the function's cumulative table, built once per
+function, for the windows that reach past the linear piece of f holding
+the point (a row, or a gap where f is 0) and for the widest one inside
+it; a window inside that piece has the mass f(x) y, so the narrower ones
+scale the widest one's mass.
+
+The superlevel sets {x : max over the grid of P[|g|](x, y) > alpha} are
+decided on dyadic cells, not points (superlevel_sets).  One refinement
+takes a batch of (g, alphas) problems: a weak-type battery, whose alphas
+share each function's cells, or a family of maximal-operator test levels.
+Each problem starts from the PRUNE_CELL cells its envelope keeps and its
+grid cap opens (_first_cells); each pass encloses P[|g|] over every live
+(cell, height) pair of every problem at once, from the centre value, its
+derivative in closed form and bounds on the first two derivatives over
+the cell, with E, the set's poisson_eval_error, for the centre value's
+rounding, and a cap from the rows' masses that needs no E.  A cell is in
+for alpha, out for it, or split SPLIT ways with only its open alphas and
+live heights, down to FLOOR; the in cells form the inner set, and the
+cells still open join them in the outer set, so inner is inside the set
+and the set inside outer.  A range of more than CELL_LIMIT first cells,
+or a pass of more than PAIR_LIMIT pairs of one problem, is refused.  The
+weak-type (1,1) measurement here and the maximal-operator test stages in
+randomness both read their sets from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .functions import PiecewiseLinear, StepFunction
-from .intervals import IntervalUnion, RationalInterval, normalize
+from .intervals import IntervalUnion, _union
 from .kernels import UNIT_ROUNDOFF, _as_xs, _scalar_or_array, stable_atan_diff
 
 DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
@@ -206,8 +206,8 @@ def poisson_eval_error(rows, xs, y) -> np.ndarray:
     broadcast against y, for f the exact function whose rows _rows rounded
     (a step piece taken on its float ends, which are its exact ends on any
     dyadic grid of at most 53 bits).  One formula serves every caller: the
-    verify rows read it at their probes, and superlevel_set takes it once a
-    set.
+    verify rows read it at their probes, and superlevel_sets takes it once
+    a set.
 
     u is the unit roundoff and n the number of rows; np.arctan, np.arctan2,
     np.log1p and np.log are taken to be within 4 ulp, and no intermediate to
@@ -295,13 +295,15 @@ def poisson_evaluator(f) -> Callable:
     once for every call.  At a scalar point the value is a float; arrays of
     points x and heights y of one shape give the array of values at the
     pairs (x_j, y_j), in one pass of the closed form.  Each value is
-    bitwise the one poisson_integral(f, x_j, y_j) gives."""
+    bitwise the one poisson_integral(f, x_j, y_j) gives.  The rows are the
+    evaluator's `rows`, for poisson_eval_error."""
     rows = _rows(f)
 
     def at(x, y):
         if np.any(np.asarray(y) <= 0):
             raise ValueError("height y must be positive")
         return _scalar_or_array(x, _closed_form(rows, _as_xs(x), y))
+    at.rows = rows
     return at
 
 
@@ -309,7 +311,7 @@ def poisson_evaluator(f) -> Callable:
 # radial traces
 
 
-@dataclass(slots=True)  # a trace holds one per height, so no per-entry dict
+@dataclass(slots=True)  # formed one per height when a trace's entries are read
 class RadialEntry:
     y: float
     value: float
@@ -317,17 +319,37 @@ class RadialEntry:
     bound_active: bool
 
 
-@dataclass
 class RadialTrace:
-    """Samples of y -> P[f](x, y) along a decreasing height sequence."""
+    """Samples of y -> P[f](x, y) along a decreasing height sequence, held
+    as float arrays: the heights (one array per distinct sequence, shared by
+    every trace along it), the values and, for nonnegative data, the
+    floors.  The entries are formed when read."""
 
-    x: float
-    entries: list = field(default_factory=list)
+    __slots__ = ("x", "heights", "values", "floors")
 
-    def __post_init__(self):
-        ys = [e.y for e in self.entries]
-        if any(b >= a for a, b in zip(ys, ys[1:])):
+    def __init__(self, x: float, heights: np.ndarray, values: np.ndarray,
+                 floors: np.ndarray | None = None):
+        if np.any(heights[1:] >= heights[:-1]):
             raise ValueError("heights must be strictly decreasing")
+        self.x, self.heights, self.values, self.floors = x, heights, values, floors
+
+    @property
+    def entries(self) -> list:
+        floors = [None] * self.values.size if self.floors is None else self.floors.tolist()
+        return [RadialEntry(y, value, lower, self.floors is not None)
+                for y, value, lower in zip(self.heights.tolist(), self.values.tolist(), floors)]
+
+    def __repr__(self):
+        return f"RadialTrace(x={self.x!r}, entries={self.entries!r})"
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_heights(y_seq: tuple) -> np.ndarray:
+    """The heights of y_seq as one read-only float array, shared by every
+    trace along that sequence."""
+    ys = _heights(y_seq).ravel()
+    ys.setflags(write=False)
+    return ys
 
 
 def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialTrace:
@@ -346,22 +368,19 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
     scale the widest one's mass, and only that one and the windows past the
     piece read f.cumulative (_window_masses).
     """
-    values = _closed_form(_rows(f), _as_xs(x), _heights(y_seq))[:, 0]
-    nonneg = f.is_nonnegative()
-    if nonneg:
-        masses = _window_masses(f, Fraction(x), [Fraction(y) for y in y_seq])
-    entries = []
-    for j, y in enumerate(y_seq):
-        value = float(values[j])
-        lower = None
-        if nonneg:
-            lower = 4.0 / (5.0 * math.pi * y) * masses[j]
-            if value < lower - 1e-9 * max(1.0, abs(lower)):
-                raise AssertionError(
-                    f"Poisson value {value} under its certified floor {lower} at y={y}"
-                )
-        entries.append(RadialEntry(float(y), value, lower, nonneg))
-    return RadialTrace(float(x), entries)
+    y_seq = tuple(y_seq)
+    ys = _shared_heights(y_seq)
+    values = _closed_form(_rows(f), _as_xs(x), ys[:, None])[:, 0]
+    floors = None
+    if f.is_nonnegative():
+        masses = np.array(_window_masses(f, Fraction(x), [Fraction(y) for y in y_seq]))
+        floors = 4.0 / (5.0 * math.pi * ys) * masses
+        under = np.flatnonzero(values < floors - 1e-9 * np.maximum(1.0, np.abs(floors)))
+        if under.size:
+            j = under[0]
+            raise AssertionError(f"Poisson value {float(values[j])} under its certified floor "
+                                 f"{float(floors[j])} at y={y_seq[j]}")
+    return RadialTrace(float(x), ys, values, floors)
 
 
 def _window_masses(f, at: Fraction, heights: list[Fraction]) -> list[float]:
@@ -406,19 +425,18 @@ def _window_masses(f, at: Fraction, heights: list[Fraction]) -> list[float]:
 # ----------------------------------------------------------------------
 # maximal operator machinery
 
-PRUNE_CELL = 1.0 / 16       # width of the envelope-pruning cells
-SCAN_DENSITY = 4096         # scan points per unit length inside a window
-MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
-SCAN_LIMIT = 2 ** 22        # most scan points one superlevel_set call builds
+PRUNE_CELL = 2.0 ** -4      # width of the first cells, those the envelope keeps
+SPLIT = 8                   # children of a cell still open for some alpha
+DEPTH = 10                  # splits from PRUNE_CELL to the floor
+FLOOR = PRUNE_CELL / SPLIT ** DEPTH   # 2^-34: open cells this wide join the outer set
+CELL_LIMIT = 2 ** 22        # most first cells one problem's range may hold
+PAIR_LIMIT = 2 ** 16        # most live (cell, height) pairs of one problem in a pass
+REACH_LIMIT = 2.0 ** 18     # cells stay inside +-REACH_LIMIT, where every end is a float
+PASS_CHUNK = 2 ** 15        # (pair, row) elements evaluated per block of a pass
 EVAL_CHUNK = 2048           # points per (heights x points) block of the evaluator,
                             # and (rows x grid elements) per pass of _closed_form
 BLOCK_MIN_ROWS = 8          # fewest rows a blocked pass takes, else row by row
-BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
-BISECT_MAX_ITER = 80
-BISECT_DEPTH = 4            # bisection rounds a pass of _bisect_edges evaluates ahead
-SEARCH_PROBES = 32          # probes a pass in each open gap of _monotone_split
-ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
-EDGE_SLACK = 2 * (BISECT_TOL + 1.0 / ROUND_DEN)  # per component: two edges
+TERM_OPS = 16               # rounded operations in one term of an enclosure sum
 
 
 def _heights(y_grid: Sequence[float]) -> np.ndarray:
@@ -435,7 +453,7 @@ def _max_over_heights(rows, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Each block of EVAL_CHUNK points is evaluated at all heights at once, in
     one (heights x points) pass, so peak memory stays at a few (heights x
-    EVAL_CHUNK) arrays however long the scan.  Every value is the one
+    EVAL_CHUNK) arrays however many points.  Every value is the one
     poisson_integral gives at that height.
     """
     flat = xs.reshape(-1)
@@ -443,25 +461,6 @@ def _max_over_heights(rows, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     for s in range(0, flat.size, EVAL_CHUNK):
         out[s:s + EVAL_CHUNK] = np.max(_closed_form(rows, flat[s:s + EVAL_CHUNK], ys), axis=0)
     return out.reshape(xs.shape)
-
-
-def _exceeds(rows, xs: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
-    """_max_over_heights(rows, xs, ys) > alpha, point for point, with as
-    few heights evaluated as the point needs: every point at the tallest
-    height, the points not over alpha there at the lowest height (if it
-    differs), and the points still undecided at the remaining heights in
-    one (heights x points) pass.  A point over alpha at some height is
-    over it in the max, so every answer is the one of the full max.
-    """
-    top, bottom = int(np.argmax(ys)), int(np.argmin(ys))
-    rest = [j for j in range(len(ys)) if j not in (top, bottom)]
-    flat, open_ = xs.reshape(-1), np.arange(xs.size)
-    hit = np.zeros(xs.size, dtype=bool)
-    for group in ([top], [bottom] if bottom != top else [], rest):
-        if group and open_.size:
-            hit[open_] = _max_over_heights(rows, flat[open_], ys[group]) > alpha
-            open_ = open_[~hit[open_]]
-    return hit.reshape(xs.shape)
 
 
 def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
@@ -473,263 +472,415 @@ def maximal_estimate(f, x, y_grid: Sequence[float] = DEFAULT_Y_GRID):
     return _scalar_or_array(x, out)
 
 
-def _runs(mask: np.ndarray):
-    """(start, stop) index pairs of the maximal runs of True in mask."""
-    flips = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
-    return zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1))
+def _kernel(d, y):
+    """The Poisson kernel y / (pi (d^2 + y^2)) at the offset d."""
+    return y / (math.pi * (d * d + y * y))
 
 
-def _bisect_edges(exceeds, outside: np.ndarray, inside: np.ndarray):
-    """Bisect every bracket (outside, inside) of a superlevel-set edge at once.
-
-    Each round closes the brackets no wider than BISECT_TOL, then moves one
-    end of every open bracket to its midpoint.  The rounds go BISECT_DEPTH
-    at a time: one exceeds call takes, for every open bracket, the
-    midpoints of every bracket the next rounds can reach (_tree), and
-    _replay walks them round by round, closing test included, so the ends
-    are bitwise those of one midpoint a round.  Returns the outer ends and
-    the number of brackets still open after BISECT_MAX_ITER rounds (each a
-    failed bisection).
-    """
-    open_ = np.arange(outside.size)
-    rounds = BISECT_MAX_ITER
-    while rounds:
-        open_ = open_[np.abs(inside[open_] - outside[open_]) > BISECT_TOL]
-        if not open_.size:
-            break
-        depth = min(BISECT_DEPTH, rounds)
-        mids, wide = _tree(outside[open_], inside[open_], depth)
-        hits = np.zeros(mids.shape, dtype=bool)
-        hits[wide] = exceeds(mids[wide])
-        open_ = _replay(outside, inside, open_, mids, hits)
-        rounds -= depth
-    return outside, open_.size
+def _kernel_slope(d, y):
+    """sup of |K'(s)| = 2 y s / (pi (s^2 + y^2)^2) over s >= d >= 0: |K'|
+    rises up to s = y/sqrt 3 and falls after it."""
+    s = np.maximum(d, y / math.sqrt(3.0))
+    q = s * s + y * y
+    return 2 * y * s / (math.pi * q * q)
 
 
-def _tree(outside: np.ndarray, inside: np.ndarray, depth: int):
-    """The midpoints of every bracket that depth rounds of bisection can pass
-    through from (outside, inside), one row a bracket in heap order (node k
-    has the children 2k + 1, after an exceeding midpoint, and 2k + 2), each
-    formed as the bisection forms it, and which of those brackets are wider
-    than BISECT_TOL: only their midpoints can be used."""
-    lo = np.empty((outside.size, 2 ** depth - 1))
-    hi = np.empty_like(lo)
-    mids = np.empty_like(lo)
-    lo[:, 0], hi[:, 0] = outside, inside
-    for level in range(depth):
-        s, e = 2 ** level - 1, 2 ** (level + 1) - 1
-        mids[:, s:e] = 0.5 * (lo[:, s:e] + hi[:, s:e])
-        if level + 1 < depth:
-            lo[:, 2 * s + 1:2 * e + 1:2], hi[:, 2 * s + 1:2 * e + 1:2] = lo[:, s:e], mids[:, s:e]
-            lo[:, 2 * s + 2:2 * e + 1:2], hi[:, 2 * s + 2:2 * e + 1:2] = mids[:, s:e], hi[:, s:e]
-    return mids, np.abs(hi - lo) > BISECT_TOL
+def _row_cap(top, width, mass, d, y_mass, y_kernel):
+    """A row's cap on P over a cell at the offset d (lowered) from it: min(max
+    f M, mu sup K), with the kernel mass share M at height y_mass and the
+    kernel K(d) at height y_kernel.  At d > 0 the share is atan(y W/(y^2 + d
+    (d + W)))/pi <= min(1/2, y W/(pi (y^2 + d (d + W)))), W the row's width;
+    on the row it is at most 1."""
+    share = np.where(d > 0, np.minimum(
+        0.5, y_mass * width / (math.pi * (y_mass * y_mass + d * (d + width)))), 1.0)
+    return np.minimum(top * share, mass * _kernel(d, y_kernel))
 
 
-def _replay(outside: np.ndarray, inside: np.ndarray, open_: np.ndarray,
-            mids: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """Run the rounds of _tree's midpoints on the brackets open_ (all open
-    at the first round), moving their ends in place: each later round first
-    closes the brackets no wider than BISECT_TOL.  Returns the brackets
-    moved in the last round."""
-    width = mids.shape[1]
-    at = np.arange(open_.size) * width  # each bracket's root in the flat tree
-    node = np.zeros(open_.size, dtype=int)
-    mids, hits = mids.ravel(), hits.ravel()
-    for level in range((width + 1).bit_length() - 1):
-        if level:
-            keep = np.abs(inside[open_] - outside[open_]) > BISECT_TOL
-            open_, at, node = open_[keep], at[keep], node[keep]
-        mid, hit = mids[at + node], hits[at + node]
-        inside[open_[hit]] = mid[hit]
-        outside[open_[~hit]] = mid[~hit]
-        node = 2 * node + 2 - hit
-    return open_
+def _cap_terms(rows, x, hw, y, slack):
+    """Each row's cap on sup P over the cell [x - hw, x + hw] at height y
+    (the upper end that needs no E): min(max f_r M_r, mu_r sup K), M_r the
+    kernel mass of the row at the cell point nearest its midpoint, mu_r its
+    mass and sup K over the offsets from the row to the cell, each offset
+    lowered by slack (_row_cap).  rows are table columns (_first_cells)."""
+    a, b, width, mass, top = rows[0], rows[1], rows[9], rows[10], rows[11]
+    d = np.maximum(np.maximum(a - x, x - b) - hw - slack, 0.0)
+    return (_row_cap(top, width, mass, d, y, y),)
 
 
-def _exterior(xs: np.ndarray, lo: float, hi: float):
-    """Slices of the sorted points xs: those at or left of lo, in increasing
-    order, and those at or right of hi (and right of lo), in decreasing
-    order.  Off [lo, hi], the hull of the rows, the exact max over heights
-    of P[f] (f >= 0) rises along each: the kernel P_y(t - x) grows as x
-    nears t."""
-    k_left = int(np.searchsorted(xs, lo, side="right"))
-    k_right = max(int(np.searchsorted(xs, hi, side="left")), k_left)
-    return slice(0, k_left), slice(xs.size - 1, k_right - 1 if k_right else None, -1)
+def _cell_terms(rows, x, hw, y, slack):
+    """Each row's share of five sums at the centre x of the cell [x - hw, x
+    + hw] and the height y: pi P (the closed form's own term), P', the size
+    of the terms of P' (for its rounding), and bounds on |P'| and |P''| over
+    the cell, the offsets to the row's ends lowered by slack.
+
+    A row f(t) = f(a) + beta (t - a) on [a, b] has P_r' = f(a) K(x - a) -
+    f(b) K(x - b) + beta M_r(x), M_r the kernel mass of the row, and P_r'' =
+    f(a) K'(x - a) - f(b) K'(x - b) + beta (K(x - a) - K(x - b)); with f(a),
+    f(b) >= 0 and K >= 0, |P_r'| <= max(f(a) sup K_a, f(b) sup K_b) + |beta|
+    min(1, W sup K_r), and also |P_r'| <= mu_r sup |K'_r| (P_r' is the
+    integral of K'(x - t) f(t) over the row, mu_r its mass, W its width),
+    which keeps a narrow tall row's bound at its size where the end terms
+    cancel; |P_r''| <= f(a) sup |K'_a| + f(b) sup |K'_b| + |beta| max(sup
+    K_a, sup K_b).  The sups are over the cell, K_r over the offsets to the
+    row; rows are table columns (_first_cells)."""
+    a, b, fa, fb, m_hi, m_lo, h, fm, beta, width, mass, _ = rows
+    local = h != 0
+    atans = stable_atan_diff((b - x) / y, (a - x) / y)
+    value = fa * atans
+    if local.any():
+        value[local] = _local(m_hi[local], m_lo[local], h[local], fm[local], beta[local],
+                              x[local], y[local])
+    ka, kb = _kernel(x - a, y), _kernel(x - b, y)
+    near_a = np.maximum(np.abs(x - a) - hw - slack, 0.0)
+    near_b = np.maximum(np.abs(x - b) - hw - slack, 0.0)
+    near = np.maximum(np.maximum(a - x, x - b) - hw - slack, 0.0)
+    sup_a, sup_b = _kernel(near_a, y), _kernel(near_b, y)
+    slope = np.abs(beta)
+    return (value,
+            fa * ka - fb * kb + beta * atans / math.pi,
+            fa * ka + fb * kb + slope,
+            np.minimum(np.maximum(fa * sup_a, fb * sup_b)
+                       + slope * np.minimum(1.0, width * _kernel(near, y)),
+                       mass * _kernel_slope(near, y)),
+            fa * _kernel_slope(near_a, y) + fb * _kernel_slope(near_b, y)
+            + slope * np.maximum(sup_a, sup_b))
 
 
-def _monotone_split(rows, ys: np.ndarray, alpha: float, budget: float, stretches) -> list:
-    """For each array of points of stretches, along which the exact max
-    over heights M of P[rows] is nondecreasing, returns (lo, hi): every
-    point before lo has computed max at most alpha, and every point from hi
-    on over alpha.  budget is one bound E on the evaluation error at every
-    point of every stretch and every height (poisson_eval_error at the
-    scanned range's ends and lowest height).
-
-    The computed max M~ is within E of M.  A point with M~ <= alpha - 2E
-    has M <= alpha - E, so every point before it has M~ <= alpha; a point
-    with M~ > alpha + 2E has M > alpha + E, so every point after it has
-    M~ > alpha.  Each pass probes every open gap (_probes), all stretches
-    and every height in one pass of _max_over_heights.  When no gap is
-    left, points[lo:hi] lie between two probes whose M is within 3E of
-    alpha.  With E = +inf nothing is searched.
-    """
-    searches = [[0, points.size, []] for points in stretches]
-    under = np.nextafter(alpha - 2 * budget, -np.inf)
-    over = np.nextafter(alpha + 2 * budget, np.inf)
-    while math.isfinite(budget):
-        probes = [_probes(*search) for search in searches]
-        if not any(probes):
-            break
-        got = _max_over_heights(
-            rows, np.concatenate([points[p] for points, p in zip(stretches, probes)]), ys)
-        at = 0
-        for search, picked in zip(searches, probes):
-            values, at = got[at:at + len(picked)], at + len(picked)
-            picked = np.array(picked, dtype=int)
-            search[0] = max(search[0], int(picked[values <= under].max(initial=-1)) + 1)
-            search[1] = min(search[1], int(picked[values > over].min(initial=search[1])))
-            search[2] = sorted(search[2] + picked.tolist())
-    return [(lo, hi) for lo, hi, _ in searches]
-
-
-def _probes(lo: int, hi: int, seen: list) -> list:
-    """The next probes of a monotone search whose certified ends are lo and
-    hi and which has probed the sorted indices seen: up to SEARCH_PROBES
-    evenly in each open gap, from lo to the first probe after it and from
-    the last probe before hi to hi (one gap while no probe lies between)."""
-    k, j = bisect_left(seen, lo), bisect_left(seen, hi)
-    first = min(seen[k], hi) if k < len(seen) else hi
-    last = max(seen[j - 1], lo - 1) if j else lo - 1
-    picks = set()
-    for s, e in ((lo, first), (last + 1, hi)):
-        if e - s > SEARCH_PROBES:
-            picks.update(s + t * (e - s) // (SEARCH_PROBES + 1) for t in range(1, SEARCH_PROBES + 1))
-        else:
-            picks.update(range(s, e))
-    return sorted(picks)
-
-
-def _scan_hits(rows, xs: np.ndarray, ys: np.ndarray, alpha: float, budget: float) -> np.ndarray:
-    """_exceeds(rows, xs, ys, alpha) for xs, the scan points of every window
-    as one sorted array.  Its stretches left and right of the hull of the
-    rows (_exterior) go to one _monotone_split with budget, one bound E over
-    the scanned range (poisson_eval_error), and the points it leaves open, with the
-    points inside the hull, to one _exceeds call."""
-    sides = _exterior(xs, min(r[0] for r in rows), max(r[1] for r in rows))
-    hit = np.zeros(xs.size, dtype=bool)
-    open_ = np.ones(xs.size, dtype=bool)
-    for side, (lo, hi) in zip(sides, _monotone_split(rows, ys, alpha, budget,
-                                                     [xs[side] for side in sides])):
-        hit[side][hi:] = True
-        open_[side] = False
-        open_[side][lo:hi] = True
-    hit[open_] = _exceeds(rows, xs[open_], ys, alpha)
-    return hit
+def _row_sums(terms, table, first, count, pick, x, hw, y, slack):
+    """For the pairs pick (problem index, cell centre x, height y, offset
+    slack per pair; hw the cells' half-width), the sums over each pair's rows
+    of every array terms(rows, x, hw, y, slack) gives per (pair, row)
+    element, the rows of problem p being the columns table[:, first[p]:
+    first[p] + count[p]].  Pairs go in blocks of about PASS_CHUNK
+    elements, so memory stays at a few such blocks."""
+    n = count[pick]
+    ends = np.cumsum(n)
+    out = None
+    lo = 0
+    while lo < pick.size:
+        hi = max(int(np.searchsorted(ends, ends[lo] - n[lo] + PASS_CHUNK, side="right")), lo + 1)
+        sizes = n[lo:hi]
+        starts = np.cumsum(sizes) - sizes
+        pair = np.repeat(np.arange(hi - lo), sizes)
+        row = first[pick[lo:hi]][pair] + np.arange(pair.size) - starts[pair]
+        parts = terms(table[:, row], x[lo:hi][pair], hw, y[lo:hi][pair], slack[lo:hi][pair])
+        sums = [np.add.reduceat(part, starts) for part in parts]
+        if out is None:
+            out = [np.empty(pick.size) for _ in sums]
+        for o, s in zip(out, sums):
+            o[lo:hi] = s
+        lo = hi
+    return out
 
 
 class SuperlevelSet(NamedTuple):
-    region: IntervalUnion     # located components, edges rounded outward
-    components: int
-    bisection_failures: int
-    scan_lo: float            # outer edges of the scanned windows (0 if none)
+    outer: IntervalUnion      # holds every point of the set
+    inner: IntervalUnion      # held in the set
+    components: int           # parts of outer
+    scan_lo: float            # outer ends of the first cells (0 if none)
     scan_hi: float
+
+
+class _Problem(NamedTuple):
+    table: np.ndarray         # a column a row: _rows' nine values, W, mu, max f
+    alphas: np.ndarray
+    cells: np.ndarray         # first cells, by index k: [k, k + 1] PRUNE_CELL
+    open_: np.ndarray         # (cells x alphas): the alphas each first cell is open for
+    windows: list             # per alpha: (scan_lo, scan_hi)
+    budget: float             # E over the open first cells and every height
+    slack: float              # offset slack: 8u times the largest |x| of a cell
+
+
+def _first_cells(g, alphas: np.ndarray, ys: np.ndarray) -> _Problem:
+    """The first cells of one problem: the PRUNE_CELL cells of its range
+    (the hull of the rows widened by the mass radius sum mu_r / (pi alpha)
+    at the least alpha) that open some alpha.  A range of more than
+    CELL_LIMIT cells is refused with a ValueError naming the least alpha,
+    the count and the range, before any cell is evaluated.
+
+    A cell is kept for alpha where the envelope sum_r min(max f_r, mu_r /
+    (2 pi d_r)) exceeds it, d_r the distance from the row less the offset
+    slack: P_r <= max f_r, and P_r <= mu_r sup K <= mu_r y / (pi (d_r^2 +
+    y^2)) <= mu_r / (2 pi d_r) at every height, so past the mass radius the
+    envelope is under alpha/2; the kept cells give the windows reported.  A
+    kept cell opens alpha only under its cap over every height of the grid,
+    sum_r _row_cap at the heights in [min y, max y] nearest the maximizers
+    of the row's mass share (sqrt(d (d + W))) and of its kernel (d); an
+    alpha at or over sup |g| (the sup cut; P[|g|] <= sup |g|) opens no
+    cell.  Cells go about PASS_CHUNK / n a block (n rows), and only the
+    open ones are held.
+
+    The problem's table has a column a row: the row's nine values (_rows),
+    its width W (2h, or b - a for a step piece), its mass mu (its mid value,
+    or f(a), times W) and its largest value max f."""
+    rows_list = _rows(g.abs())
+    a, b, fa, fb, _, _, h, fm, _ = rows = np.array(rows_list, dtype=float).reshape(-1, 9).T
+    width = np.where(h != 0, 2 * h, b - a)
+    mass = np.where(h != 0, fm, fa) * width
+    top = np.maximum(fa, fb)
+    table = np.vstack([rows, width, mass, top])
+    windows = [(0.0, 0.0)] * alphas.size
+    if not rows_list:
+        return _Problem(table, alphas, np.zeros(0, dtype=np.int64),
+                        np.zeros((0, alphas.size), dtype=bool), windows, 0.0, 0.0)
+    u = UNIT_ROUNDOFF
+    rho = 1 + 2 * (len(rows_list) + TERM_OPS) * u
+    radius = float(mass.sum()) / (math.pi * float(alphas.min())) + PRUNE_CELL
+    k_lo = math.floor((float(a.min()) - radius) / PRUNE_CELL)
+    k_hi = math.ceil((float(b.max()) + radius) / PRUNE_CELL)
+    if k_hi - k_lo > CELL_LIMIT:
+        raise ValueError(f"alpha = {float(alphas.min())!r} asks for {k_hi - k_lo} cells over "
+                         f"[{k_lo * PRUNE_CELL!r}, {k_hi * PRUNE_CELL!r}], "
+                         f"over CELL_LIMIT {CELL_LIMIT}")
+    reach = max(-k_lo, k_hi) * PRUNE_CELL
+    if reach >= REACH_LIMIT:
+        raise ValueError(f"alpha = {float(alphas.min())!r} asks for cells out to {reach!r}, "
+                         f"past REACH_LIMIT {REACH_LIMIT!r}")
+    slack = 8 * u * reach
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    cut = alphas >= float(top.max()) * (1 + 2 * u)
+    first, last = np.full(alphas.size, k_hi), np.full(alphas.size, k_lo - 1)
+    cells, opened = [], []
+    block = max(PASS_CHUNK // a.size, 1)
+    for s in range(k_lo, k_hi, block):
+        k = np.arange(s, min(s + block, k_hi), dtype=np.int64)
+        lo, hi = k[:, None] * PRUNE_CELL, (k[:, None] + 1) * PRUNE_CELL
+        d = np.maximum(np.maximum(a - hi, lo - b) - slack, 0.0)  # (cells x rows)
+        far = np.divide(mass, 2 * math.pi * d, out=np.full(d.shape, np.inf), where=d > 0)
+        envelope = np.minimum(top, far).sum(axis=1)
+        cap = _row_cap(top, width, mass, d, np.clip(np.sqrt(d * (d + width)), y_lo, y_hi),
+                       np.clip(d, y_lo, y_hi)).sum(axis=1)
+        keep = envelope[:, None] * rho > alphas
+        held = keep.any(axis=0)
+        first[held] = np.minimum(first[held], k[keep[:, held].argmax(axis=0)])
+        last[held] = np.maximum(last[held], k[k.size - 1 - keep[::-1, held].argmax(axis=0)])
+        open_ = keep & (cap[:, None] * rho > alphas) & ~cut
+        hit = open_.any(axis=1)
+        cells.append(k[hit])
+        opened.append(open_[hit])
+    windows = [(float(lo * PRUNE_CELL), float((hi + 1) * PRUNE_CELL)) if lo <= hi else (0.0, 0.0)
+               for lo, hi in zip(first.tolist(), last.tolist())]
+    cells, open_ = np.concatenate(cells), np.concatenate(opened)
+    budget = 0.0
+    if cells.size:
+        ends = np.array([cells[0] * PRUNE_CELL, (cells[-1] + 1) * PRUNE_CELL])
+        budget = float(np.max(poisson_eval_error(rows_list, ends, ys.min())))
+    return _Problem(table, alphas, cells, open_, windows, budget, slack)
+
+
+def _check_pairs(pairs: np.ndarray, prob: np.ndarray, cells: np.ndarray, w: float,
+                 alphas: np.ndarray, open_: np.ndarray) -> None:
+    """Refuse a pass where a problem holds more than PAIR_LIMIT (cell,
+    height) pairs, pairs[i] on the cell [cells[i], cells[i] + 1] w of
+    problem prob[i], before any of it is built: a ValueError names the
+    problem with the most pairs, its least open alpha, its pair count and
+    the span of its cells."""
+    counts = np.bincount(prob, weights=pairs)
+    if not counts.size or counts.max() <= PAIR_LIMIT:
+        return
+    worst = int(np.argmax(counts))
+    mine = prob == worst
+    raise ValueError(f"alpha = {float(alphas[worst][open_[mine].any(axis=0)].min())!r} asks for "
+                     f"{int(pairs[mine].sum())} (cell, height) pairs of cells {w!r} wide over "
+                     f"[{float(cells[mine].min() * w)!r}, {float((cells[mine].max() + 1) * w)!r}], "
+                     f"over PAIR_LIMIT {PAIR_LIMIT}")
+
+
+def _least_open(open_: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The least of each cell's open alphas (inf where none is open): a
+    height whose upper end is at most it is at most every open alpha, so it
+    needs no other term (the cap decides it) and is not live on any child."""
+    return np.where(open_, alpha, np.inf).min(axis=1)
+
+
+def _cells_union(levels: np.ndarray, cells: np.ndarray):
+    """The union of the closed cells [k, k + 1] PRUNE_CELL / SPLIT^level,
+    disjoint as refinements of one grid, on the FLOOR grid: adjacent cells
+    fuse.  Returns the union and its number of parts."""
+    if not cells.size:
+        return IntervalUnion.empty(), 0
+    scale = np.int64(SPLIT) ** (DEPTH - levels)
+    lo, hi = cells * scale, (cells + 1) * scale
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    new = np.flatnonzero(lo[1:] != hi[:-1]) + 1
+    starts, stops = lo[np.concatenate(([0], new))], hi[np.concatenate((new, [lo.size])) - 1]
+    cuts = np.stack([2 * starts, 2 * stops + 1], axis=1).ravel().tolist()
+    return _union(round(1 / FLOOR), cuts), starts.size
+
+
+def superlevel_sets(problems, y_grid: Sequence[float] = DEFAULT_Y_GRID) -> list:
+    """For each (g, alphas) of problems, the list of SuperlevelSet of {x :
+    max over y_grid of P[|g|](x, y) > alpha}, one per alpha, located by
+    dyadic cell refinement.
+
+    Every alpha must be positive and y_grid nonempty, else ValueError.  A
+    problem's first cells are the PRUNE_CELL cells its envelope keeps and
+    its grid cap opens (_first_cells), and consecutive problems share one
+    refinement while their first (cell, height) pairs number at most
+    PAIR_LIMIT (so a weak-type battery or a family of test levels is one
+    refinement).  Each pass takes every live pair of every problem at once
+    and encloses P[|g|] over the cell at that height; a cell is *in* for
+    alpha when some height's lower end is over alpha, and *out* when every
+    height's upper end is at most alpha.  A cell still open for some alpha
+    splits into SPLIT children, each taking only the open alphas and the
+    live heights: those whose upper end is over the least of them (a
+    height whose upper end is at most every open alpha stays so on every
+    child; _least_open).  A cell stays open as it is, and joins the outer
+    set, at FLOOR, or where the spread of every live height is at most E:
+    its children's ends could then come in by at most a factor 2, since E
+    stays.  The in cells form the inner set, so inner is inside the set
+    and the set inside outer.  A pass where one problem holds more than
+    PAIR_LIMIT pairs is refused before it is built (_check_pairs).
+
+    The enclosure at the pair of a cell of width w, centre c, and height
+    y.  Let E be the set's poisson_eval_error (over its first cells and at
+    the lowest height), u the unit roundoff, n the number of rows and D =
+    8u max |x| over the cells, which bounds each computed offset's rounding
+    and a piecewise-linear row's move to its exact ends; sups over the cell
+    take every offset lowered by D.
+    * P(c) is the closed form's value, its terms bitwise those of
+      _closed_form summed in another order, and is within E of the exact
+      value: any order of summing n terms is within (n - 1) u of their
+      absolute sum, the share E takes for the sum.
+    * Over the cell, |P(x) - P(c)| <= min(w/2 Lip, w/2 (|P'(c)| + d) +
+      (w^2/8 + w D/2) Curv), Lip and Curv bounds on |P'| and |P''| over
+      it, and P'(c) = sum_r f(a) K(c - a) - f(b) K(c - b) + beta_r M_r(c),
+      K the Poisson kernel and M_r the kernel mass over row r (_cell_terms).
+      d = 2 (n + TERM_OPS) u S bounds the rounding of P'(c), S the sum of
+      f(a) K(c - a) + f(b) K(c - b) + |beta_r| (M_r is within 17u, and the
+      sum of n terms adds (n - 1) u S); D Curv bounds the move of P'(c) to
+      the exact ends.
+    * The upper end is also capped, with no E, by sum_r min(max f_r M_r
+      over the row and the cell, mu_r sup K over the row-to-cell offsets),
+      mu_r the row's mass (_cap_terms).  A pair whose cap is at most every
+      open alpha of its cell takes no other term.
+    * Lip, Curv and the cap are sums of n nonnegative terms, each of at
+      most TERM_OPS rounded operations (within 1.01 TERM_OPS u), so the
+      computed sums times rho = 1 + 2 (n + TERM_OPS) u bound them; the
+      spread's own few operations are covered by a factor 1 + 8u, and the
+      ends P(c) -+ (E + spread) widen by 4u (|P(c)| + E + spread) for their
+      rounding.  The largest |K'| is taken at y/sqrt 3 rounded, which moves
+      it by a relative O(u^2).
+    """
+    ys = _heights(y_grid).ravel()
+    if not ys.size:
+        raise ValueError("y_grid must be nonempty")
+    problems = list(problems)
+    alphas = [np.array([float(a) for a in alphas]) for _, alphas in problems]
+    if not all(np.all(a > 0) for a in alphas):
+        raise ValueError("alpha must be positive")
+    sets = [_first_cells(g, a, ys) for (g, _), a in zip(problems, alphas)]
+    located, group, pairs = [], [], 0
+    for s in sets:  # consecutive problems share a refinement while it stays in budget
+        size = s.cells.size * ys.size
+        if group and pairs + size > PAIR_LIMIT:
+            located += _refine(group, ys)
+            group, pairs = [], 0
+        group.append(s)
+        pairs += size
+    if group:
+        located += _refine(group, ys)
+    return [[SuperlevelSet(outer, inner, parts, *window)
+             for (outer, parts, inner), window in zip(levels, s.windows)]
+            for levels, s in zip(located, sets)]
+
+
+def _refine(sets: list, ys: np.ndarray) -> list:
+    """The refinement of superlevel_sets on the problems sets at once: for
+    each, per alpha, (outer, parts of outer, inner)."""
+    u = UNIT_ROUNDOFF
+    n_alphas = max(s.alphas.size for s in sets)
+    count = np.array([s.table.shape[1] for s in sets], dtype=np.int64)
+    first = np.cumsum(count) - count
+    table = np.concatenate([s.table for s in sets], axis=1)
+    budget = np.array([s.budget for s in sets])
+    slack = np.array([s.slack for s in sets])
+    rho = 1 + 2 * (count + TERM_OPS) * u
+    bars = np.full((len(sets), n_alphas), np.inf)  # absent alphas are decided out
+    for p, s in enumerate(sets):
+        bars[p, :s.alphas.size] = s.alphas
+
+    prob = np.repeat(np.arange(len(sets)), [s.cells.size for s in sets])
+    cells = np.concatenate([s.cells for s in sets])
+    open_ = np.concatenate([np.pad(s.open_, ((0, 0), (0, n_alphas - s.alphas.size)))
+                            for s in sets])
+    _check_pairs(np.full(cells.size, ys.size), prob, cells, PRUNE_CELL, bars, open_)
+    live = np.ones((cells.size, ys.size), dtype=bool)
+    found = []  # per pass: (problem, alpha, level, cell, in) of every decided cell
+    for level in range(DEPTH + 1):
+        if not cells.size:
+            break
+        w = PRUNE_CELL / SPLIT ** level
+        cell_of, height_of = np.nonzero(live)
+        pick, y = prob[cell_of], ys[height_of]
+        x = (cells[cell_of] + 0.5) * w
+        margin = slack[pick]
+        alpha = bars[prob]
+        least = _least_open(open_, alpha)
+        (cap,) = _row_sums(_cap_terms, table, first, count, pick, x, w / 2, y, margin)
+        upper = cap * rho[pick]
+        lower = np.full(cell_of.size, -np.inf)
+        spread = np.full(cell_of.size, np.inf)
+        hot = np.flatnonzero(upper > least[cell_of])
+        if hot.size:
+            value, slope, size, lip, curv = _row_sums(
+                _cell_terms, table, first, count, pick[hot], x[hot], w / 2, y[hot], margin[hot])
+            n, q = count[pick[hot]], rho[pick[hot]]
+            spread[hot] = np.minimum(w / 2 * lip * q,
+                                     w / 2 * (np.abs(slope) + 2 * (n + TERM_OPS) * u * size)
+                                     + (w * w / 8 + w / 2 * margin[hot]) * curv * q) * (1 + 8 * u)
+            centre = value / math.pi
+            half = (budget[pick[hot]] + spread[hot]) * (1 + 4 * u) + 4 * u * np.abs(centre)
+            lower[hot] = centre - half
+            upper[hot] = np.minimum(upper[hot], centre + half)
+        starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+        over = np.maximum.reduceat(lower, starts)[:, None] > alpha
+        under = np.maximum.reduceat(upper, starts)[:, None] <= alpha
+        inside = open_ & over
+        still = open_ & ~over & ~under
+        least = _least_open(still, alpha)
+        reach = upper > least[cell_of]
+        # a cell whose live heights all spread less than E gains at most a
+        # factor 2 in its ends from splitting: it stays open as it is
+        settled = np.logical_and.reduceat(~reach | (spread <= budget[pick]), starts)
+        done = still & (settled[:, None] | (level == DEPTH))
+        c, j = np.nonzero(inside | done)
+        found.append((prob[c], j, np.full(c.size, level), cells[c], inside[c, j]))
+        still &= ~done
+        live = np.zeros(live.shape, dtype=bool)
+        live[cell_of, height_of] = reach
+        parents = np.flatnonzero(still.any(axis=1))
+        _check_pairs(SPLIT * live[parents].sum(axis=1), prob[parents], cells[parents] * SPLIT,
+                     w / SPLIT, bars, still[parents])
+        cells = (cells[parents, None] * SPLIT + np.arange(SPLIT)).ravel()
+        prob = np.repeat(prob[parents], SPLIT)
+        open_ = np.repeat(still[parents], SPLIT, axis=0)
+        live = np.repeat(live[parents], SPLIT, axis=0)
+
+    empty = (IntervalUnion.empty(), 0, IntervalUnion.empty())
+    located = [[empty] * s.alphas.size for s in sets]
+    if not found:
+        return located
+    p, j, lv, k, inner = (np.concatenate(col) for col in zip(*found))
+    key = p * n_alphas + j
+    order = np.argsort(key, kind="stable")
+    key, lv, k, inner = key[order], lv[order], k[order], inner[order]
+    cut = np.flatnonzero(np.diff(key)) + 1
+    for s, e in zip(np.concatenate(([0], cut)), np.concatenate((cut, [key.size]))):
+        if s < e:
+            held = inner[s:e]
+            p, j = divmod(int(key[s]), n_alphas)
+            located[p][j] = (*_cells_union(lv[s:e], k[s:e]),
+                             _cells_union(lv[s:e][held], k[s:e][held])[0])
+    return located
 
 
 def superlevel_set(g, alpha: float,
                    y_grid: Sequence[float] = DEFAULT_Y_GRID) -> SuperlevelSet:
-    """Locate { x : max over y_grid of P[|g|](x, y) > alpha }.
-
-    alpha must be positive and y_grid nonempty, else ValueError.  The
-    pieces of |g| are converted to float rows once.  Cells of width
-    PRUNE_CELL are pruned where the per-piece envelope min(sup, mass /
-    (2 pi d)), valid at every height (d the distance to the piece), sums to
-    at most alpha, EVAL_CHUNK cells a block, so that only the mask of kept
-    cells spans them all.  The remaining windows hold scan points at
-    spacing about 1/SCAN_DENSITY.  E, one bound on the evaluation error at
-    every point of the scanned range and every height, is taken once:
-    poisson_eval_error at the range's ends and at the lowest height.  If
-    sup |g| <= alpha - 2E, no point can exceed alpha, since P[|g|] <= sup
-    |g|, and none is evaluated.  Else windows that hold more
-    than SCAN_LIMIT points in all (alpha tiny against the mass of g) raise
-    a ValueError naming alpha, their range and the count, before any scan
-    is built.  Else the scan points of every window, as one sorted array,
-    go to _scan_hits: the points left and right of the hull of the pieces,
-    where the max over heights rises toward the hull, to one monotone
-    search with a margin of 2E (_monotone_split), and the points it leaves
-    open, with the points inside the hull, to one _exceeds call: every
-    point at the tallest height of y_grid, the points not yet over alpha at
-    the lowest height, and the points still undecided at the remaining
-    heights in one pass.  A set that scans no point makes neither call.
-    Both edges of every run of exceeding scan points in a window are
-    bisected to BISECT_TOL, all edges of the set together,
-    BISECT_DEPTH rounds a pass over every height (_bisect_edges), keeping
-    the outer end of each bracket; the edges are then rounded outward to
-    multiples of 1/ROUND_DEN.  Every comparison with alpha is made on the
-    value poisson_integral gives at that point and height, or certified by
-    the budget to come out as that comparison would.  Each component thus
-    carries at most EDGE_SLACK of endpoint uncertainty.  A component
-    narrower than the scan spacing can be missed.  A bisection that does
-    not reach BISECT_TOL within BISECT_MAX_ITER steps is counted in
-    `bisection_failures`.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    ys = _heights(y_grid)
-    if not ys.size:
-        raise ValueError("y_grid must be nonempty")
-    rows = _rows(g.abs())
-    if not rows:
-        return SuperlevelSet(IntervalUnion.empty(), 0, 0, 0.0, 0.0)
-
-    # prune: a cell whose envelope sum stays at or under alpha holds no point
-    # of the set, whatever the height; EVAL_CHUNK cells a block, so only the
-    # mask spans every cell
-    masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows]
-    radius = sum(masses) / (math.pi * alpha) + PRUNE_CELL
-    lo = min(r[0] for r in rows) - radius
-    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / PRUNE_CELL))
-    kept = np.empty(n_cells, dtype=bool)
-    for s in range(0, n_cells, EVAL_CHUNK):
-        edges = lo + PRUNE_CELL * np.arange(s, min(s + EVAL_CHUNK, n_cells) + 1)
-        envelope = np.zeros(edges.size - 1)
-        for (a, b, fa, fb, *_), mass in zip(rows, masses):
-            dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
-            with np.errstate(divide="ignore", invalid="ignore"):  # point pieces: 0/0
-                far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
-            envelope += np.minimum(max(fa, fb), far)
-        kept[s:s + EVAL_CHUNK] = envelope > alpha
-    windows = [(lo + PRUNE_CELL * int(s), lo + PRUNE_CELL * int(e)) for s, e in _runs(kept)]
-    sizes = [max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
-             for w_lo, w_hi in windows]
-    if windows:  # P[|g|] <= sup |g|: no computed value reaches alpha
-        budget = float(np.max(poisson_eval_error(
-            rows, np.array([windows[0][0], windows[-1][1]]), ys.min())))
-        if max(max(r[2], r[3]) for r in rows) <= np.nextafter(alpha - 2 * budget, -np.inf):
-            sizes = []
-    if sum(sizes) > SCAN_LIMIT:
-        raise ValueError(f"alpha = {alpha!r} asks for {sum(sizes)} scan points over "
-                         f"[{windows[0][0]!r}, {windows[-1][1]!r}], over SCAN_LIMIT {SCAN_LIMIT}")
-    # one bracket per edge, left then right edge of each run in a window; a
-    # run that reaches the end of its window gets the zero-width bracket there
-    outside, inside = [], []
-    if sizes:  # the scan points of every window as one sorted array
-        xs = np.concatenate([np.linspace(w_lo, w_hi, size)
-                             for (w_lo, w_hi), size in zip(windows, sizes)])
-        cuts = np.cumsum(sizes[:-1], dtype=int)
-        hits = np.split(_scan_hits(rows, xs, ys, alpha, budget), cuts)
-        for scan, hit in zip(np.split(xs, cuts), hits):
-            for s, stop in _runs(hit):
-                outside += [scan[max(s - 1, 0)], scan[min(stop, scan.size - 1)]]
-                inside += [scan[s], scan[stop - 1]]
-    # a bisection round has only a few midpoints: a tree of them a pass
-    ends, failures = _bisect_edges(lambda mid: _max_over_heights(rows, mid, ys) > alpha,
-                                   np.array(outside), np.array(inside))
-    parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
-                              Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN))
-             for left, right in zip(ends[0::2], ends[1::2])]
-    return SuperlevelSet(normalize(parts), len(parts), failures,
-                         windows[0][0] if windows else 0.0,
-                         windows[-1][1] if windows else 0.0)
+    """{ x : max over y_grid of P[|g|](x, y) > alpha }: the one-set case of
+    superlevel_sets."""
+    return superlevel_sets([(g, [alpha])], y_grid)[0][0]
 
 
 @dataclass
@@ -737,34 +888,43 @@ class WeakTypeReport:
     alpha: float
     l1_norm: float
     bound: float            # (3/alpha) * ||f||_1
-    grid_measure: float     # exact measure of the located superlevel set
-    uncertainty: float      # EDGE_SLACK per located component
+    grid_measure: float     # exact measure of the outer set
+    uncertainty: float      # outer measure minus inner measure
     components: int
-    violation: bool         # measure over bound + uncertainty, or a failed bisection
-    scan_lo: float          # outer edges of the scanned windows (0 if none)
+    violation: bool         # outer measure over bound
+    scan_lo: float          # outer ends of the first cells (0 if none)
     scan_hi: float
-    spacing: float          # scan spacing 1/SCAN_DENSITY (0 if nothing scanned)
+    spacing: float          # width of the first cells, PRUNE_CELL (0 if none)
+
+
+def weak_type_reports(problems) -> list:
+    """For each (f, alphas) of problems, the WeakTypeReport of every alpha,
+    all sets located by one superlevel_sets call: the outer measure,
+    certified to hold the set, against (3/alpha)*||f||_1.
+
+    A reported violation falsifies this implementation, not the underlying
+    inequality.
+    """
+    problems = [(f, list(alphas)) for f, alphas in problems]
+    out = []
+    for (f, alphas), levels in zip(problems, superlevel_sets(problems)):
+        l1 = float(f.l1_norm())
+        for alpha, level in zip(alphas, levels):
+            measure, held = level.outer.measure(), level.inner.measure()
+            bound = 3.0 * l1 / alpha
+            out.append(WeakTypeReport(
+                alpha=float(alpha), l1_norm=l1, bound=bound, grid_measure=float(measure),
+                uncertainty=float(measure - held), components=level.components,
+                violation=float(measure) > bound, scan_lo=level.scan_lo,
+                scan_hi=level.scan_hi,
+                spacing=PRUNE_CELL if level.scan_hi > level.scan_lo else 0.0))
+    return out
 
 
 def weak_type_check(f, alpha: float) -> WeakTypeReport:
-    """Measure the superlevel set of the maximal operator at alpha, located
-    by superlevel_set, and compare with (3/alpha)*||f||_1.
-
-    A reported violation falsifies this implementation, not the underlying
-    inequality; so does an edge bisection that ran out of steps.
-    """
-    l1 = float(f.l1_norm())
-    level = superlevel_set(f, alpha)
-    measure = float(level.region.measure())
-    uncertainty = level.components * EDGE_SLACK
-    bound = 3.0 * l1 / alpha
-    return WeakTypeReport(
-        alpha=float(alpha), l1_norm=l1, bound=bound,
-        grid_measure=measure, uncertainty=uncertainty, components=level.components,
-        violation=level.bisection_failures > 0 or measure > bound + uncertainty,
-        scan_lo=level.scan_lo, scan_hi=level.scan_hi,
-        spacing=1.0 / SCAN_DENSITY if level.scan_hi > level.scan_lo else 0.0,
-    )
+    """The weak-type report of f at alpha: the one-set case of
+    weak_type_reports."""
+    return weak_type_reports([(f, [alpha])])[0]
 
 
 @dataclass

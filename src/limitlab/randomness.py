@@ -11,11 +11,11 @@ absolute values (functions: one (interval, f(lo), f(hi)) per nonzero
 piece, a step piece being the zero-slope row), with crossings at
 irrational thresholds rounded outward and certified exactly, and by
 superlevel sets of the Poisson maximal operator applied to consecutive
-differences, which poisson.superlevel_set locates.  Both kinds of stage
+differences, which poisson.superlevel_sets locates.  Both kinds of stage
 for several k share their work: simple_tests_from_approx forms each
 consecutive difference and its exceedance parts once, and
-schnorr_tests_from_poisson locates each superlevel set once, and each
-builds every stage from that one list.
+schnorr_tests_from_poisson locates every superlevel set in one cell
+refinement, and each builds every stage from that one list.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .intervals import IntervalUnion, RationalInterval, _union, frac, normalize
 from .functions import PiecewiseLinear, StepFunction
-from .poisson import DEFAULT_Y_GRID, EDGE_SLACK, superlevel_set
+from .poisson import DEFAULT_Y_GRID, superlevel_sets
 
 SQRT2 = math.sqrt(2.0)
 
@@ -279,13 +279,13 @@ def simple_test_from_approx(fs: Sequence, k: int) -> IntervalUnion:
 class PoissonTestStage:
     """Superlevel-set stage U_k with its measurement bookkeeping."""
 
-    stage: IntervalUnion
+    stage: IntervalUnion      # the union of the outer sets
     measure: Fraction
     bound: float              # 3 (sqrt 2 + 2) / 2^k
-    slack: float              # EDGE_SLACK per located component
-    within_bound: bool
+    slack: float              # outer minus inner measure, summed over the sets
+    within_bound: bool        # measure <= bound
     components: int
-    bisection_failures: int
+    bisection_failures: int   # 0: no set is bisected
     stage_range: tuple[int, int]
 
 
@@ -300,13 +300,13 @@ def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int], y_grid=DEFAULT_Y
 
     U_k is the union over i >= 2k of { x : max over y_grid of
     P[|f_i - f_{i+1}|](x, y) > 2^{-i/2} }, so the stages share their sets:
-    each i from 2 min(ks) up is located once, by poisson.superlevel_set, and
-    every stage takes the sets with i >= 2k (each difference read from
-    `diffs`, the differences of fs formed once for every reader, when
-    given).  The components are rounded outward to dyadic rationals; `slack`
-    adds the per-component endpoint uncertainty EDGE_SLACK over all
-    components of the stage.  The geometric bound 3(sqrt 2 + 2)/2^k is
-    checked against the exact measure of each returned stage.
+    the sets of every i from 2 min(ks) up are located by one
+    poisson.superlevel_sets call, and every stage takes the sets with i >=
+    2k (each difference read from `diffs`, the differences of fs formed
+    once for every reader, when given).  A stage is the union of the outer
+    sets, which hold every point of their sets, so its exact measure is
+    checked against the geometric bound 3(sqrt 2 + 2)/2^k as it stands;
+    `slack` reports how much of it the inner sets leave undecided.
     """
     ks = list(ks)
     if any(k < 0 for k in ks):
@@ -317,21 +317,21 @@ def schnorr_tests_from_poisson(fs: Sequence, ks: Sequence[int], y_grid=DEFAULT_Y
         return []
     limit = len(fs) - 1
     first = 2 * min(ks)
-    levels = [superlevel_set(_difference(fs, diffs, i), 2.0 ** (-i / 2), y_grid)
-              for i in range(first, limit)]
+    levels = [sets[0] for sets in superlevel_sets(
+        [(_difference(fs, diffs, i), [2.0 ** (-i / 2)]) for i in range(first, limit)], y_grid)]
     stages = []
     for k in ks:
         used = levels[2 * k - first:]
-        stage = normalize([part for level in used for part in level.region.parts])
+        stage = normalize([part for level in used for part in level.outer.parts])
         measured = stage.measure()
         bound = 3.0 * (SQRT2 + 2.0) / 2.0 ** k
-        n_components = sum(level.components for level in used)
-        slack = n_components * EDGE_SLACK
         stages.append(PoissonTestStage(
-            stage=stage, measure=measured, bound=bound, slack=slack,
-            within_bound=float(measured) <= bound + slack,
-            components=n_components,
-            bisection_failures=sum(level.bisection_failures for level in used),
+            stage=stage, measure=measured, bound=bound,
+            slack=float(sum((level.outer.measure() - level.inner.measure() for level in used),
+                            Fraction(0))),
+            within_bound=float(measured) <= bound,
+            components=sum(level.components for level in used),
+            bisection_failures=0,
             stage_range=(2 * k, limit),
         ))
     return stages

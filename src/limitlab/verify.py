@@ -38,8 +38,8 @@ from .constructions import (build_fourier_divergent, build_ml_poisson,
                             build_schnorr_poisson, stage_cutoff, tent)
 from .functions import StepFunction
 from .intervals import IntervalUnion, RationalInterval, _lcm, _sweep
-from .poisson import (_rows, contraction_gaps, poisson_eval_error, poisson_evaluator,
-                      poisson_integral, weak_type_check)
+from .poisson import (contraction_gaps, poisson_eval_error, poisson_evaluator,
+                      poisson_integral, weak_type_reports)
 from .randomness import (covering_test, nest_tail, schnorr_tests_from_poisson,
                          simple_tests_from_approx)
 from .trig import TrigPoly, convergence_trace
@@ -335,9 +335,10 @@ def _check_dirichlet_convolution(ctx: VerifyContext):
 
 
 def weak_type_battery(seed: int, count: int) -> list:
-    """weak_type_check of each battery function at alpha = 2^-3 .. 2^3."""
-    return [weak_type_check(f, 2.0 ** exp)
-            for f in random_test_functions(seed, count) for exp in range(-3, 4)]
+    """The weak-type report of each battery function at alpha = 2^-3 ..
+    2^3, every set located by one cell refinement."""
+    alphas = [2.0 ** exp for exp in range(-3, 4)]
+    return weak_type_reports([(f, alphas) for f in random_test_functions(seed, count)])
 
 
 def _check_weak_type(ctx: VerifyContext):
@@ -593,10 +594,15 @@ def _check_integral_test_majorant(ctx: VerifyContext):
     exact = sum(2 * math.pi * fc.c_mult * len(st.centers) / (st.cutoff + 1)
                 for st in stages)
     majorant = math.sqrt(2 * math.pi) * sum(st.g.l2_norm() for st in stages)
-    ok = integral <= majorant + tol and abs(integral - exact) <= tol
-    return ok, {"integral": integral, "exact_integral": exact,
-                "holder_majorant": majorant, "p": 2.0,
-                "stages_integrated": 2 * len(stages) - 1}
+    details = {"integral": integral, "exact_integral": exact,
+               "holder_majorant": majorant, "p": 2.0,
+               "stages_integrated": 2 * len(stages) - 1}
+    # a failure names its clause: the Hoelder inequality or the exact mean
+    if not integral <= majorant + tol:
+        return False, details | {"clause": "holder"}
+    if not abs(integral - exact) <= tol:
+        return False, details | {"clause": "exact"}
+    return True, details
 
 
 # ----------------------------------------------------------------------
@@ -805,8 +811,8 @@ def _check_lemma_poisson_measure(ctx: VerifyContext):
     for k, stage in enumerate(ctx.poisson_stages, start=1):
         rows[k] = {"measure": float(stage.measure), "bound": stage.bound,
                    "slack": stage.slack}
-        if not stage.within_bound or stage.bisection_failures:
-            return False, rows[k] | {"k": k, "failures": stage.bisection_failures}
+        if not stage.within_bound:
+            return False, rows[k] | {"k": k}
     return True, {"stages": rows}
 
 
@@ -916,15 +922,17 @@ def _check_tents_poisson_decay(ctx: VerifyContext):
         probes.append((st, x + rng.uniform(-2, 2), 2.0 ** rng.uniform(-10, 2)))
     # every odd stage at the point, at the largest trace height
     probes += [(st, x, max(ctx.heights)) for st in odd]
-    # one evaluator per distinct stage, its probes read as arrays
+    # one evaluator per distinct stage, its probes read as arrays, and its
+    # rows budgeted as they were evaluated
     xs = np.array([px for _, px, _ in probes])
     ys = np.array([y for _, _, y in probes])
     stage_of = np.array([st.s for st, _, _ in probes])
     values, budgets = np.empty(len(probes)), np.empty(len(probes))
     for st in {st.s: st for st, _, _ in probes}.values():
         mine = stage_of == st.s
-        values[mine] = poisson_evaluator(st.f)(xs[mine], ys[mine])
-        budgets[mine] = poisson_eval_error(_rows(st.f), xs[mine], ys[mine])
+        at = poisson_evaluator(st.f)
+        values[mine] = at(xs[mine], ys[mine])
+        budgets[mine] = poisson_eval_error(at.rows, xs[mine], ys[mine])
     for (st, px, y), value, budget in zip(probes, values.tolist(), budgets.tolist()):
         bound = float(st.l1) / (math.pi * y)
         if not -budget <= value <= bound + budget:

@@ -162,16 +162,15 @@ def test_contraction_violation_fails_ml_contraction(tmp_path, monkeypatch):
     assert details["tolerance"] == 1e-9
 
 
-@pytest.mark.parametrize("fault", ["oversized", "bisection"])
+@pytest.mark.parametrize("fault", ["oversized"])
 def test_weak_type_fault_is_caught_and_named(monkeypatch, fault):
-    """A located set far over (3/alpha)||f||_1, or one with a failed edge
-    bisection, makes weak_type_check report a violation and pmt.weak_type fail."""
-    def faulty(g, alpha, y_grid=poisson.DEFAULT_Y_GRID):
-        if fault == "oversized":
-            huge = IntervalUnion.single(-10 ** 6, 10 ** 6)
-            return poisson.SuperlevelSet(huge, 1, 0, -1.0, 1.0)
-        return poisson.SuperlevelSet(IntervalUnion.empty(), 0, 1, -1.0, 1.0)
-    monkeypatch.setattr(poisson, "superlevel_set", faulty)
+    """A located set far over (3/alpha)||f||_1 (an oversized outer set)
+    makes weak_type_check report a violation and pmt.weak_type fail."""
+    def oversized(problems, y_grid=poisson.DEFAULT_Y_GRID):
+        huge = IntervalUnion.single(-10 ** 6, 10 ** 6)
+        return [[poisson.SuperlevelSet(huge, huge, 1, -1.0, 1.0) for _ in alphas]
+                for _, alphas in problems]
+    monkeypatch.setattr(poisson, "superlevel_sets", oversized)
     f = verify.random_test_functions(0, 1)[0]
     assert poisson.weak_type_check(f, 1.0).violation
     # every other check skipped or off the maximal operator
@@ -184,16 +183,17 @@ def test_weak_type_fault_is_caught_and_named(monkeypatch, fault):
 
 def test_verify_all_locates_each_superlevel_set_once(monkeypatch):
     """The maximal-operator stages of one verify run share their superlevel
-    sets: at default caps (m_max 12, so i = 2..11) that is 10 calls."""
+    sets, all located by one superlevel_sets call: at default caps (m_max
+    12, so i = 2..11) that is 10 sets."""
     calls = []
-    locate = randomness.superlevel_set
+    locate = randomness.superlevel_sets
 
-    def counted(g, alpha, y_grid=poisson.DEFAULT_Y_GRID):
-        calls.append(alpha)
-        return locate(g, alpha, y_grid)
-    monkeypatch.setattr(randomness, "superlevel_set", counted)
+    def counted(problems, y_grid=poisson.DEFAULT_Y_GRID):
+        calls.append([alpha for _, alphas in problems for alpha in alphas])
+        return locate(problems, y_grid)
+    monkeypatch.setattr(randomness, "superlevel_sets", counted)
     results = {r.check_id: r for r in verify.verify_all()}
-    assert len(calls) == len(set(calls)) == 10
+    assert len(calls) == 1 and len(calls[0]) == len(set(calls[0])) == 10
 
     # the same checks fed by one schnorr_test_from_poisson call per k
     ctx = verify.VerifyContext()
@@ -663,14 +663,27 @@ def _first_jump_a_tenth(monkeypatch):
     monkeypatch.setattr(verify, "convergence_trace", traced)
 
 
-def _one_bisection_failure(monkeypatch):
-    real = randomness.superlevel_set
-    levels = []
+def _first_set_oversized(monkeypatch):
+    """The first superlevel set of the Poisson test stages (i = 2, read by
+    stage 1 alone) gains [1000, 1006], far from the point and longer than
+    stage 1's bound 3 (sqrt 2 + 2)/2."""
+    real = randomness.superlevel_sets
+    far = IntervalUnion.single(1000, 1006)
 
-    def located(*args):
-        levels.append(real(*args))
-        return levels[-1]._replace(bisection_failures=int(len(levels) == 1))
-    monkeypatch.setattr(randomness, "superlevel_set", located)
+    def located(problems, y_grid=poisson.DEFAULT_Y_GRID):
+        levels = real(problems, y_grid)
+        first = levels[0][0]
+        levels[0][0] = first._replace(outer=first.outer.union(far),
+                                      components=first.components + 1)
+        return levels
+    monkeypatch.setattr(randomness, "superlevel_sets", located)
+
+
+def _norms_read_as_zero(fc):
+    """Every stage norm the Hoelder majorant reads is 0; the build's own
+    norms, read before, stay."""
+    for st in fc.stages:
+        object.__setattr__(st.g, "l2_norm", lambda: 0.0)
 
 
 def _tent_values_moved(move):
@@ -679,7 +692,13 @@ def _tent_values_moved(move):
 
         def moved(f):
             at = real(f)
-            return (lambda x, y: move(at(x, y))) if isinstance(f, PiecewiseLinear) else at
+            if not isinstance(f, PiecewiseLinear):
+                return at
+
+            def shifted(x, y):
+                return move(at(x, y))
+            shifted.rows = at.rows
+            return shifted
         monkeypatch.setattr(verify, "poisson_evaluator", moved)
     return fault
 
@@ -721,8 +740,10 @@ FAULTS = {
                                           lambda: two_integral_convolution_worst(0)["order"]),
     "fourier.trace_jumps": (["fourier-trace", "--n-max", "2"], _first_jump_a_tenth,
                             "qualifying_cutoffs", [1]),
-    # pmt.weak_type reads poisson's own superlevel_set, and stays green
-    "lemma_poisson.measure": (VERIFY_FAST, _one_bisection_failure, "k", 1),
+    # pmt.weak_type reads poisson's own superlevel_sets, and stays green
+    "lemma_poisson.measure": (VERIFY_FAST, _first_set_oversized, "k", 1),
+    "integral_test.holder_majorant/holder": (VERIFY_FAST, _build_fault(
+        "build_fourier_divergent", _norms_read_as_zero), "clause", "holder"),
     # the chain evaluates step stages only, and stays green
     "tents.poisson_decay": (VERIFY_FAST, _tent_values_moved(lambda v: v + 1e3), "stage", 2),
     "tents.poisson_decay/sign": (VERIFY_FAST, _tent_values_moved(np.negative), "stage", 1),
@@ -781,6 +802,14 @@ NAN_ROWS = ["fourier.spectrum", "fourier.stage_floor", "step.radial_floor",
             "ml.contraction", "chain.schnorr_convergence", "tents.poisson_decay"]
 
 
+def nan_evaluator(f):
+    """An evaluator of f whose every value is NaN; its rows are f's own."""
+    def at(x, y):
+        return x * math.nan
+    at.rows = poisson._rows(f)
+    return at
+
+
 @pytest.fixture(scope="module")
 def nan_verify_all():
     """verify-all with every Poisson value and every FejerSum value NaN, at
@@ -789,7 +818,7 @@ def nan_verify_all():
     real = FejerSum.eval
     with pytest.MonkeyPatch.context() as mp:
         for module in (poisson, verify):
-            mp.setattr(module, "poisson_evaluator", lambda f: lambda x, y: x * math.nan)
+            mp.setattr(module, "poisson_evaluator", nan_evaluator)
         mp.setattr(verify, "poisson_integral", lambda f, x, y: math.nan)
         mp.setattr(FejerSum, "eval", lambda self, t: real(self, t) * math.nan)
         caps = verify.Caps(kernel_n_max=6, lower_bound_n_max=8, grid_points=64, n_max=1,

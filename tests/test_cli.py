@@ -220,48 +220,48 @@ def test_poisson_trace_artifacts_are_pinned(tmp_path, args):
 
 
 # The maximal operator's reports: the README weak-type battery, the battery
-# of seed 12 (six sets scanned in two windows, the most among seeds 0-59,
-# against two at seed 0), the cheapest and the costliest three-function
-# battery of the poisson-scan benchmark's seed-15485863 pool, and verify-all
-# at default caps, at direction 5's caps and at the verify-all benchmark's
-# caps (VERIFY_CAPS) for the first job seeds of its seed-0 and
-# seed-15485863 pools, whose reports carry pmt.weak_type and
+# of seed 12 (six sets in two windows of first cells, the most among seeds
+# 0-59, against two at seed 0), the cheapest and the costliest
+# three-function battery of the poisson-scan benchmark's seed-15485863
+# pool, and verify-all at default caps, at direction 5's caps and at the
+# verify-all benchmark's caps (VERIFY_CAPS) for the first job seeds of its
+# seed-0 and seed-15485863 pools, whose reports carry pmt.weak_type and
 # lemma_poisson.measure.  Every superlevel set they read must keep every
-# bit of its edges, and every value the step checks read.  The verify-all
-# reports carry the Fourier rows too.
+# cell of its outer and inner sets, and every value the step checks read.
+# The verify-all reports carry the Fourier rows too.
 PINNED_MAXIMAL = {
     ("weak-type-check", "--count", "20", "--seed", "0"): {
         "weak_type_report.json":
-            "b2b3c08d6f3fe7c465610c1b83d6cec8f6fe5e8ae7e4f45ecb7d7d8affb9e890",
+            "28f4cd5a8d8d279098b7c2131873e2c364c1d070e364a2234d40176786c27631",
     },
     ("weak-type-check", "--count", "20", "--seed", "12"): {
         "weak_type_report.json":
-            "0247ddc88ddcca676106a05c26713b874b883aa3d00d7c0af79295e38ca14ac7",
+            "f833ec3f400d06d6fc1ebc7cab89b7df4d4f4e3e0b5e307598401a4637a1c305",
     },
     ("weak-type-check", "--count", "3", "--seed", "789373"): {
         "weak_type_report.json":
-            "0a9b30120441ed89950bff3192ce9f9098da75f8dba7fc28a4485c5c11ccca69",
+            "f4ed9102f1effad22b104900a45458447f80fbef6cfcb354d55313d0945601d6",
     },
     ("weak-type-check", "--count", "3", "--seed", "623416"): {
         "weak_type_report.json":
-            "e489d3c3970f0b62b15412c5066b9b09cccf44c989fd49269859033a1aef8ee6",
+            "5c51956a64a19a30e8080e861fab509a4432edc0bf737511fe9773bc64548f28",
     },
     ("verify-all",): {
         "verification_report.json":
-            "84914e2b6d275a454d19fa5ab307e30554ad71f1db4e87849d912d6f3e079dab",
+            "1721469ed9b309dcd659dec030fd532664c780027d9d5bcdc5e9a373703bc95c",
     },
     ("verify-all", "--n-max", "7", "--m-max", "60", "--s-max", "51", "--k-max", "6",
      "--weak-type-count", "20", "--samples", "1000"): {
         "verification_report.json":
-            "c3c3465b2180dc2f37c5dda3fdcaed8f7d8a9b3c4b36014d1ede823e4e68df03",
+            "3faee6f602aaaeac9fbb8bc172e08d5751c9d88d42aba087ae182b92d1e043be",
     },
     ("verify-all", "--seed", "425055", *VERIFY_CAPS): {
         "verification_report.json":
-            "cfffc9c87f4d2a8b32209e8996a4bb07ec99231f855fe5bae93b54b0580d274f",
+            "089e0eb9a3eb5558f34658f47ddc7e2286c1c2eea363091c303afb19bff95810",
     },
     ("verify-all", "--seed", "345762", *VERIFY_CAPS): {
         "verification_report.json":
-            "a3815db52b20a6339715b3e26598bae9ff607a79c7277bb09453304439d430e3",
+            "d3ad9e59c0e1af5144389dd4f0f17d41fe20617c105fca20e4444c6122da98f1",
     },
 }
 

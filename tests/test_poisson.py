@@ -245,15 +245,13 @@ class TestSuperlevelSet:
         for f in random_test_functions(11, 4):
             level = superlevel_set(f, alpha)
             report = weak_type_check(f, alpha)
-            assert level.bisection_failures == 0 and not report.violation
-            assert report.components == level.components == len(level.region.parts)
-            assert report.grid_measure == float(level.region.measure())
+            assert not report.violation and level.inner.subset_of(level.outer)
+            assert report.components == level.components == len(level.outer.parts)
+            assert report.grid_measure == float(level.outer.measure())
+            assert report.uncertainty == float(level.outer.measure() - level.inner.measure())
             points, measure, cells = grid_count_reference(f, alpha, 2.0 ** -10)
-            # every exceeding grid point lies in the located set
-            los = np.array([float(p.lo) for p in level.region.parts])
-            his = np.array([float(p.hi) for p in level.region.parts])
-            idx = np.searchsorted(los, points, side="right") - 1
-            assert np.all((idx >= 0) & (points <= his[np.maximum(idx, 0)]))
+            # every exceeding grid point lies in the outer set
+            assert np.all(members(level.outer, points))
             assert abs(report.grid_measure - measure) <= cells + report.uncertainty
 
 
@@ -276,7 +274,7 @@ def test_superlevel_set_checks_its_inputs(alpha, grid, match):
 
 
 # ----------------------------------------------------------------------
-# the one evaluator and the batched bisection against per-height references
+# the one evaluator against per-height references
 
 
 def reference_maximal(f_abs, xs):
@@ -285,34 +283,6 @@ def reference_maximal(f_abs, xs):
     for y in DEFAULT_Y_GRID:
         best = np.maximum(best, poisson_integral(f_abs, xs, float(y)))
     return best
-
-
-def per_edge_bisection(g, alpha):
-    """Reference for poisson._bisect_edges: every edge bisected alone, one
-    point at a time, through reference_maximal."""
-    g_abs = g.abs()
-
-    def bisect(exceeds, outside, inside):
-        ends, failures = [], 0
-        for out, ins in zip(outside, inside):
-            for _ in range(poisson.BISECT_MAX_ITER):
-                if abs(ins - out) <= poisson.BISECT_TOL:
-                    break
-                mid = 0.5 * (out + ins)
-                if reference_maximal(g_abs, np.array([mid]))[0] > alpha:
-                    ins = mid
-                else:
-                    out = mid
-            else:
-                failures += 1
-            ends.append(out)
-        return np.array(ends), failures
-    return bisect
-
-
-def located(level):
-    return (level.region, level.components, level.bisection_failures,
-            level.scan_lo, level.scan_hi)
 
 
 dyadic = st.integers(-48, 48).map(lambda k: Fraction(k, 8))
@@ -351,14 +321,69 @@ def test_evaluator_matches_per_height_calls(inputs):
     assert np.array_equal(got > alpha, want > alpha)
 
 
+# ----------------------------------------------------------------------
+# the cell refinement against maximal_estimate and the full scan
+
+
 SCAN = np.linspace(-32, 32, 4 * EVAL_CHUNK + 5)  # five blocks, far points at both ends
+# the pair budget may refuse a set only where alpha is within this many E:
+# a cell stops splitting once its spread is at most E, so cells multiply
+# only where P stays near alpha over a wide band, as where alpha is near E
+REFUSAL_FACTOR = 2.0 ** 20
 
 
-def exceeds_mismatches(exceeds, f, alpha, grid):
-    """Points of a five-block scan out to +-32 where exceeds(rows of |f|,
-    xs, heights, alpha) differs from maximal_estimate(f, xs, grid) > alpha."""
-    got = exceeds(poisson._rows(f.abs()), SCAN, poisson._heights(grid), alpha)
-    return np.flatnonzero(got != (maximal_estimate(f, SCAN, grid) > alpha))
+def members(union, xs):
+    """Which points of the float array xs lie in the union (closed parts,
+    whose ends are floats on the cells' grid)."""
+    los = np.array([float(p.lo) for p in union.parts])
+    his = np.array([float(p.hi) for p in union.parts])
+    if not los.size:
+        return np.zeros(xs.shape, dtype=bool)
+    idx = np.searchsorted(los, xs, side="right") - 1
+    return (idx >= 0) & (xs <= his[np.maximum(idx, 0)])
+
+
+def set_budget(f, alpha, grid):
+    """A bound on the set's E: poisson_eval_error at the ends of the hull
+    of |f|'s rows widened by its mass radius, at the lowest height."""
+    rows = poisson._rows(f.abs())
+    radius = sum(0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows) / (math.pi * alpha)
+    ends = np.array([min(r[0] for r in rows) - radius - 1, max(r[1] for r in rows) + radius + 1])
+    return float(np.max(poisson.poisson_eval_error(rows, ends, min(map(float, grid)))))
+
+
+def refinement(f, alpha, grid=DEFAULT_Y_GRID):
+    """superlevel_set(f, alpha, grid), or None where a budget refuses it:
+    the first-cell budget only where the mass radius spans more than
+    CELL_LIMIT cells, the pair budget only where alpha is within
+    REFUSAL_FACTOR times E."""
+    try:
+        return superlevel_set(f, alpha, grid)
+    except ValueError as refused:
+        rows = poisson._rows(f.abs())
+        mass = sum(0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows)
+        if "CELL_LIMIT" in str(refused):
+            assert 2 * mass / (math.pi * alpha) > poisson.CELL_LIMIT * poisson.PRUNE_CELL
+        else:
+            assert "PAIR_LIMIT" in str(refused)
+            assert alpha <= REFUSAL_FACTOR * set_budget(f, alpha, grid)
+        return None
+
+
+def verdict_mismatches(f, alpha, grid):
+    """Points of a five-block scan out to +-32 where the located sets
+    disagree with maximal_estimate(f, xs, grid) beyond its error: a point of
+    the inner set whose estimate is at most alpha - E, or a point off the
+    outer set whose estimate is over alpha + E, E the point's
+    poisson_eval_error at the lowest height (the largest over the grid)."""
+    level = refinement(f, alpha, grid)
+    if level is None:
+        return np.zeros(0, dtype=int)
+    estimate = maximal_estimate(f, SCAN, grid)
+    budget = poisson.poisson_eval_error(poisson._rows(f.abs()), SCAN, min(map(float, grid)))
+    wrong = ((members(level.inner, SCAN) & (estimate <= alpha - budget))
+             | (~members(level.outer, SCAN) & (estimate > alpha + budget)))
+    return np.flatnonzero(wrong)
 
 
 @st.composite
@@ -395,79 +420,60 @@ TWO_BUMPS = StepFunction.from_weighted_regions(
 @example((TWO_BUMPS, 0.125), list(DEFAULT_Y_GRID), 0.5)
 @settings(max_examples=60, deadline=None)
 def test_exceeds_matches_maximal_estimate(inputs, grid, pick):
-    """The tallest height, the lowest height and the pass over the still
-    undecided points give the answer of the full max, point for point, for
-    any grid and order.  With pick set, alpha is a scan point's own value at
-    the tallest height, so that point ties there and goes through every
-    height."""
+    """The cells' verdicts agree with maximal_estimate > alpha at every
+    point of the scan, for any grid and order, up to the estimate's own
+    error: the inner set's points exceed alpha - E, and the points off the
+    outer set stay at or under alpha + E.  With pick set, alpha is a scan
+    point's own value at the tallest height, so that point ties there."""
     f, alpha = inputs
     if pick is not None:
         alpha = top_value(f, grid, pick)
-    assert exceeds_mismatches(poisson._exceeds, f, alpha, grid).size == 0
-
-
-def first_height_only(rows, xs, ys, alpha):
-    """_exceeds with the undecided points dropped after the first height."""
-    return poisson._max_over_heights(rows, xs, ys[:1]) > alpha
+    if alpha > 0:
+        assert verdict_mismatches(f, alpha, grid).size == 0
 
 
 def test_dropping_undecided_points_is_caught(monkeypatch):
-    """Negative control: a spike of mass 1/8 and width 2^-10 stays under
-    alpha = 1 at height 1 but exceeds it at the lower heights, so an _exceeds
-    that stops after the first height misses those points, and the located
-    set loses its component.  The set lies off the spike's hull, where the
-    monotone search, not _exceeds, decides points; with the search given no
-    finite budget every point goes to _exceeds, and the set is unchanged."""
-    f = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
-    assert exceeds_mismatches(first_height_only, f, 1.0, DEFAULT_Y_GRID).size > 0
-    want = located(superlevel_set(f, 1.0))
-    assert want[1] == 1
-    monkeypatch.setattr(poisson, "poisson_eval_error", lambda rows, xs, y: math.inf)
-    assert located(superlevel_set(f, 1.0)) == want
-    monkeypatch.setattr(poisson, "_exceeds", first_height_only)
-    assert superlevel_set(f, 1.0).components == 0
+    """Negative control: a refinement whose children keep the heights over
+    the largest open alpha, not the least, drops heights still undecided
+    for the smaller alphas, and at alpha = 1/8 the outer set of the third
+    README battery function loses points its inner set certified."""
+    f = random_test_functions(0, 3)[2]
+    alphas = [2.0 ** exp for exp in range(-3, 4)]
+    honest = poisson.superlevel_sets([(f, alphas)])[0]
+    assert all(level.inner.subset_of(level.outer) for level in honest)
+    monkeypatch.setattr(poisson, "_least_open",
+                        lambda open_, alpha: np.where(open_, alpha, -np.inf).max(axis=1))
+    faulty = poisson.superlevel_sets([(f, alphas)])[0]
+    assert not honest[0].inner.subset_of(faulty[0].outer)
 
 
-@given(maximal_inputs(), st.sampled_from([poisson.BISECT_MAX_ITER, 6]))
-@settings(max_examples=25, deadline=None)
-def test_superlevel_set_matches_per_edge_bisection(inputs, max_iter):
-    """Equal sets, components and scan edges; with a 6-step budget the same
-    edges also fail."""
-    f, alpha = inputs
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poisson, "BISECT_MAX_ITER", max_iter)
-        got = superlevel_set(f, alpha)
-        mp.setattr(poisson, "_bisect_edges", per_edge_bisection(f, alpha))
-        want = superlevel_set(f, alpha)
-    assert located(got) == located(want)
+# The scan that located the sets before the cell refinement, kept as the
+# reference: windows of scan points where the envelope exceeds alpha, every
+# point through the full max over heights, every edge of a run of
+# exceeding points bisected one midpoint a round, rounded outward.
+SCAN_CELL = 1.0 / 16        # width of the envelope-pruning cells
+SCAN_DENSITY = 4096         # scan points per unit length inside a window
+MIN_WINDOW_POINTS = 512     # scan points in the narrowest window
+SCAN_LIMIT = 2 ** 22        # most scan points the reference builds
+BISECT_TOL = 1e-9           # bracket width at which an edge bisection stops
+BISECT_MAX_ITER = 80
+ROUND_DEN = 2 ** 36         # component edges are rounded outward to this grid
+EDGE_SLACK = 2 * (BISECT_TOL + 1.0 / ROUND_DEN)  # per component: two edges
 
 
-def test_swapped_bisection_update_is_caught(monkeypatch):
-    """Negative control: a batched bisection that moves the outside end on an
-    exceeding midpoint (inside and outside swapped) no longer matches the
-    per-edge reference."""
-    bisect = poisson._bisect_edges
-    f = random_test_functions(11, 4)[0]
-    monkeypatch.setattr(poisson, "_bisect_edges", per_edge_bisection(f, 1.0))
-    want = located(superlevel_set(f, 1.0))
-    assert want[1] > 0
-    monkeypatch.setattr(poisson, "_bisect_edges",
-                        lambda exceeds, o, i: bisect(lambda xs: ~exceeds(xs), o, i))
-    assert located(superlevel_set(f, 1.0)) != want
-
-
-# ----------------------------------------------------------------------
-# the exterior search, the sup cut and the tree bisection against the
-# full scan
+def runs(mask: np.ndarray):
+    """(start, stop) index pairs of the maximal runs of True in mask."""
+    flips = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    return zip(np.flatnonzero(flips == 1), np.flatnonzero(flips == -1))
 
 
 def one_midpoint_a_round(exceeds, outside, inside):
-    """The bisection before trees: each round closes the brackets no wider
-    than BISECT_TOL and moves every open one to its midpoint, all midpoints
-    of the round in one exceeds call."""
+    """Each round closes the brackets no wider than BISECT_TOL and moves
+    every open one to its midpoint, all midpoints of the round in one
+    exceeds call."""
     open_ = np.arange(outside.size)
-    for _ in range(poisson.BISECT_MAX_ITER):
-        open_ = open_[np.abs(inside[open_] - outside[open_]) > poisson.BISECT_TOL]
+    for _ in range(BISECT_MAX_ITER):
+        open_ = open_[np.abs(inside[open_] - outside[open_]) > BISECT_TOL]
         if not open_.size:
             break
         mid = 0.5 * (outside[open_] + inside[open_])
@@ -478,25 +484,24 @@ def one_midpoint_a_round(exceeds, outside, inside):
 
 
 def pruned_windows(rows, alpha):
-    """The windows superlevel_set's envelope pruning leaves."""
-    cell = poisson.PRUNE_CELL
+    """The windows the reference's envelope pruning leaves."""
     masses = [0.5 * (fa + fb) * (b - a) for a, b, fa, fb, *_ in rows]
-    radius = sum(masses) / (math.pi * alpha) + cell
+    radius = sum(masses) / (math.pi * alpha) + SCAN_CELL
     lo = min(r[0] for r in rows) - radius
-    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / cell))
-    edges = lo + cell * np.arange(n_cells + 1)
+    n_cells = int(math.ceil((max(r[1] for r in rows) + radius - lo) / SCAN_CELL))
+    edges = lo + SCAN_CELL * np.arange(n_cells + 1)
     envelope = np.zeros(n_cells)
     for (a, b, fa, fb, *_), mass in zip(rows, masses):
         dist = np.maximum(0.0, np.maximum(a - edges[1:], edges[:-1] - b))
         with np.errstate(divide="ignore", invalid="ignore"):
             far = np.where(dist > 0, mass / (2 * math.pi * dist), np.inf)
         envelope += np.minimum(max(fa, fb), far)
-    return [(float(edges[s]), float(edges[e])) for s, e in poisson._runs(envelope > alpha)]
+    return [(float(edges[s]), float(edges[e])) for s, e in runs(envelope > alpha)]
 
 
 def scan_size(window):
     w_lo, w_hi = window
-    return max(int((w_hi - w_lo) * poisson.SCAN_DENSITY), poisson.MIN_WINDOW_POINTS) + 1
+    return max(int((w_hi - w_lo) * SCAN_DENSITY), MIN_WINDOW_POINTS) + 1
 
 
 def scan_of(window):
@@ -504,8 +509,9 @@ def scan_of(window):
 
 
 def full_scan(g, alpha, grid=DEFAULT_Y_GRID):
-    """The located set of superlevel_set as a full scan: every point of every
-    window through _exceeds, and one midpoint a bisection round."""
+    """The reference's located set: every point of every window through the
+    full max over heights, and one midpoint a bisection round.  Returns
+    the set, its components, its failed bisections and the windows' ends."""
     rows, ys = poisson._rows(g.abs()), poisson._heights(grid)
     if not rows:
         return (IntervalUnion.empty(), 0, 0, 0.0, 0.0)
@@ -513,15 +519,14 @@ def full_scan(g, alpha, grid=DEFAULT_Y_GRID):
     outside, inside = [], []
     for window in windows:
         xs = scan_of(window)
-        for s, stop in poisson._runs(poisson._exceeds(rows, xs, ys, alpha)):
+        for s, stop in runs(poisson._max_over_heights(rows, xs, ys) > alpha):
             outside += [xs[max(s - 1, 0)], xs[min(stop, xs.size - 1)]]
             inside += [xs[s], xs[stop - 1]]
     ends, failures = one_midpoint_a_round(
         lambda mid: poisson._max_over_heights(rows, mid, ys) > alpha,
         np.array(outside), np.array(inside))
-    den = poisson.ROUND_DEN
-    parts = [RationalInterval(Fraction(math.floor(left * den), den),
-                              Fraction(math.ceil(right * den), den))
+    parts = [RationalInterval(Fraction(math.floor(left * ROUND_DEN), ROUND_DEN),
+                              Fraction(math.ceil(right * ROUND_DEN), ROUND_DEN))
              for left, right in zip(ends[0::2], ends[1::2])]
     return (normalize(parts), len(parts), failures,
             windows[0][0] if windows else 0.0, windows[-1][1] if windows else 0.0)
@@ -542,8 +547,8 @@ def search_inputs(draw):
 
 def exterior_value(f, alpha, grid, pick):
     """The computed max at a scan point off the hull of |f|'s rows, of the
-    windows at alpha, chosen by pick in [0, 1); None if there is none or it
-    is not positive."""
+    reference's windows at alpha, chosen by pick in [0, 1); None if there is
+    none or it is not positive."""
     rows, ys = poisson._rows(f.abs()), poisson._heights(grid)
     if not rows:
         return None
@@ -556,39 +561,64 @@ def exterior_value(f, alpha, grid, pick):
     return value if value > 0 else None
 
 
+def scan_misses(f, alpha, grid, level):
+    """The parts of the full scan's components, each less its own endpoint
+    uncertainty EDGE_SLACK / 2 at both ends, that the outer set misses,
+    with maximal_estimate and the point's E at each part's midpoint; None
+    where the reference would pass SCAN_LIMIT scan points."""
+    rows = poisson._rows(f.abs())
+    if rows and sum(map(scan_size, pruned_windows(rows, alpha))) > SCAN_LIMIT:
+        return None
+    slack = Fraction(EDGE_SLACK / 2)
+    scanned = full_scan(f, alpha, grid)[0]
+    cores = normalize([RationalInterval(p.lo + slack, p.hi - slack)
+                       for p in scanned.parts if p.hi - p.lo > 2 * slack])
+    missed = cores.difference(level.outer)
+    mids = np.array([float(p.midpoint) for p in missed.parts])
+    if not mids.size:
+        return []
+    estimate = maximal_estimate(f, mids, grid)
+    budget = poisson.poisson_eval_error(rows, mids, min(map(float, grid)))
+    return list(zip(missed.parts, estimate.tolist(), budget.tolist()))
+
+
 @given(search_inputs(), height_grids(), st.none() | st.floats(0, 1, exclude_max=True))
 @example((TWO_BUMPS, 0.125), list(DEFAULT_Y_GRID), None)
 @example((StepFunction.indicator(IntervalUnion.single(Fraction(-43, 8), 0), 6), 0.125),
          [0.005301919242253761, 0.005301918776592474], 0.0)
 @settings(max_examples=60, deadline=None)
 def test_superlevel_set_matches_the_full_scan(inputs, grid, pick):
-    """The sup cut, the monotone search off the hull and the tree bisection
-    locate the set the full scan does, for any grid.  With pick set, alpha
-    is the computed max of a point off the hull, so points near it sit
-    within the search's margin.  Such an alpha can be tiny (2.85e-5 in the
-    second example, over 1.4e9 scan points): past SCAN_LIMIT scan points the
-    call raises a ValueError that names the count."""
+    """The inner set lies in the outer one, and every component the full
+    scan locates lies in the outer set, less the scan's own endpoint
+    uncertainty, but where the estimate there is within E of alpha: a
+    point off the outer set has an exact max at most alpha.  With pick
+    set, alpha is the computed max of a point off the hull, so points near
+    it sit at the edge of the set; such an alpha can be tiny (2.85e-5 in
+    the second example, whose mass radius spans 11.5M first cells, which
+    the cell budget refuses)."""
     f, alpha = inputs
     value = None if pick is None else exterior_value(f, alpha, grid, pick)
     if value is not None:
         alpha = value
-    rows = poisson._rows(f.abs())
-    points = sum(map(scan_size, pruned_windows(rows, alpha))) if rows else 0
-    if points > poisson.SCAN_LIMIT:
-        with pytest.raises(ValueError, match=f"asks for {points} scan points"):
-            superlevel_set(f, alpha, grid)
+    level = refinement(f, alpha, grid)
+    if level is None:
         return
-    assert located(superlevel_set(f, alpha, grid)) == full_scan(f, alpha, grid)
+    assert level.inner.subset_of(level.outer)
+    misses = scan_misses(f, alpha, grid, level)
+    for part, estimate, budget in misses or []:
+        assert estimate <= alpha + budget, (part, estimate, alpha, budget)
 
 
 def test_runaway_scan_is_refused(monkeypatch):
-    """At alpha 2.85e-5 the windows of a height-6 indicator on [-43/8, 0]
-    would hold 1,477,309,185 scan points (11 GiB): superlevel_set raises
-    before it builds any scan."""
+    """At alpha 2.85e-5 the mass radius of a height-6 indicator on [-43/8,
+    0] spans 11,541,392 first cells (the full scan would have taken
+    1,477,309,185 points, 11 GiB): superlevel_set raises before it
+    evaluates any cell."""
     f = StepFunction.indicator(IntervalUnion.single(Fraction(-43, 8), 0), 6)
-    monkeypatch.setattr(np, "linspace", None)
+    monkeypatch.setattr(poisson, "_row_cap", None)
+    monkeypatch.setattr(poisson, "_row_sums", None)
     with pytest.raises(ValueError, match=r"alpha = 2.846262605340067e-05 asks for "
-                                         r"1477309185 scan points over \[-180338"):
+                                         r"11541392 cells over \[-360671.1875, "):
         superlevel_set(f, 2.846262605340067e-05, [0.005301919242253761, 0.005301918776592474])
 
 
@@ -609,115 +639,73 @@ with open("/proc/self/status") as status:
 
 def test_runaway_scan_is_refused_in_bounded_memory():
     """The same refusal in a child process, whose peak RSS stays under 100
-    MB: the envelope prune over the example's 5.77M cells holds one mask
-    and EVAL_CHUNK cells of floats at a time (about ten float arrays over
-    every cell took it to 471 MB).  The child reports the high-water mark
-    of its own memory map (VmHWM): its ru_maxrss, and so RUSAGE_CHILDREN,
-    starts at the peak of the process that started it."""
+    MB: the budget reads the size of the range, so no cell of it is held.
+    The child reports the high-water mark of its own memory map (VmHWM):
+    its ru_maxrss, and so RUSAGE_CHILDREN, starts at the peak of the
+    process that started it."""
     src = str(Path(poisson.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", RUNAWAY], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     message, peak_mb = done.stdout.splitlines()
-    assert message == ("alpha = 2.846262605340067e-05 asks for 1477309185 scan points over "
-                       "[-180338.29341911682, 180332.89408088318], over SCAN_LIMIT 4194304")
+    assert message == ("alpha = 2.846262605340067e-05 asks for 11541392 cells over "
+                       "[-360671.1875, 360665.8125], over CELL_LIMIT 4194304")
     assert float(peak_mb) < 100
 
 
 def test_each_stage_runs_once_a_set(monkeypatch):
-    """Over the README weak-type battery: one poisson_eval_error at most a
-    superlevel_set call, one _monotone_split and one _exceeds call a
-    _scan_hits call, whatever the number of windows, and no _scan_hits
-    call for a set that scans nothing: neither one without a window nor
-    one the sup cut empties."""
+    """Over the README weak-type battery: one superlevel_sets call locates
+    all 140 sets, poisson_eval_error runs at most once a function (only for
+    one with an open first cell), and each kind of pass, the caps and the
+    cell terms, runs once a level, DEPTH + 1 times at most, for all twenty
+    functions at once."""
     calls = []
 
     def counted(name):
         real = getattr(poisson, name)
 
         def wrapped(*args):
-            calls.append((name, args))
+            calls.append((name, args[0]))
             return real(*args)
         monkeypatch.setattr(poisson, name, wrapped)
-    for name in ("superlevel_set", "poisson_eval_error", "_scan_hits", "_monotone_split",
-                 "_exceeds"):
+    for name in ("superlevel_sets", "poisson_eval_error", "_row_sums"):
         counted(name)
     reports = verify.weak_type_battery(0, 20)
-    starts = [k for k, (name, _) in enumerate(calls) if name == "superlevel_set"]
-    assert len(starts) == len(reports) == 140
-    windows, windowless, cut = [], 0, 0
-    for report, s, e in zip(reports, starts, starts[1:] + [len(calls)]):
-        names = [name for name, _ in calls[s:e]]
-        scanned = names.count("_scan_hits")
-        assert names.count("poisson_eval_error") <= 1
-        assert names.count("_monotone_split") == names.count("_exceeds") == scanned <= 1
-        if report.scan_hi == report.scan_lo:  # no window
-            assert not scanned and "poisson_eval_error" not in names
-            windowless += 1
-        elif not scanned:  # the sup cut
-            cut += 1
-        else:
-            g, alpha = calls[s][1]
-            windows.append(len(pruned_windows(poisson._rows(g.abs()), alpha)))
-    assert (windows.count(1), windows.count(2), windowless, cut) == (80, 2, 44, 14)
+    assert len(reports) == 140
+    names = [name for name, _ in calls]
+    assert names.count("superlevel_sets") == 1
+    assert 1 <= names.count("poisson_eval_error") <= 20
+    passes = [arg for name, arg in calls if name == "_row_sums"]
+    levels = passes.count(poisson._cap_terms)
+    assert 1 <= levels <= poisson.DEPTH + 1
+    assert passes.count(poisson._cell_terms) <= levels == len(passes) - passes.count(
+        poisson._cell_terms)
 
 
 SPIKE = StepFunction.indicator(IntervalUnion.single(0, Fraction(1, 1024)), 128)
 
 
 def test_search_without_its_margin_is_caught(monkeypatch):
-    """Negative control: with every computed value moved by a wobble of a
-    quarter of the budget's constant part, the values off a needle are no
-    longer monotone (the local form alone keeps them so); the search with
-    its 2E margin still finds the full scan's set, and one that certifies
-    with no margin (budget 0) decides points the full scan finds the other
-    way."""
-    f = tent(RationalInterval(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 2 ** 44)))
-    size = float(poisson.poisson_eval_error(poisson._rows(f), 0.0, math.inf)) / 4
-    closed_form = poisson._closed_form
-    monkeypatch.setattr(poisson, "_closed_form",
-                        lambda rows, xs, y: closed_form(rows, xs, y) + size * np.sin(1e9 * xs))
-    alpha = exterior_value(f, float(f.l1_norm()) / math.pi, DEFAULT_Y_GRID, 0.3)
-    want = full_scan(f, alpha)
-    assert located(superlevel_set(f, alpha)) == want
-    monkeypatch.setattr(poisson, "poisson_eval_error", lambda rows, xs, y: 0.0)
-    assert located(superlevel_set(f, alpha)) != want
+    """Negative control: with every row term moved down by E/8 (the tent's
+    two rows move its value by E/4), the refinement with its margin E still
+    holds a point just past the edge of the faulty set, whose exact max (at
+    50 digits) is over alpha; one that takes E = 0 leaves it out.  alpha is
+    the tent's computed max at x = 30, where the max falls slowly enough
+    that the band the fault cuts off is wider than the cells."""
+    f = tent(RationalInterval(0, 1))
+    alpha = float(maximal_estimate(f, 30.0))
+    budget = set_budget(f, alpha, DEFAULT_Y_GRID)
+    terms = poisson._cell_terms
 
-
-def test_nondecreasing_right_exterior_is_caught(monkeypatch):
-    """Negative control: a search that takes the points right of the hull in
-    increasing order, as if the max rose away from the spike, calls the
-    points next to it "no" and loses the right part of its set."""
-    want = full_scan(SPIKE, 1.0)
-    assert located(superlevel_set(SPIKE, 1.0)) == want
-    exterior = poisson._exterior
-
-    def forward(xs, lo, hi):
-        left, right = exterior(xs, lo, hi)
-        ahead = range(xs.size)[right][::-1]
-        return left, slice(ahead.start, ahead.stop, ahead.step)
-    monkeypatch.setattr(poisson, "_exterior", forward)
-    assert located(superlevel_set(SPIKE, 1.0)) != want
-
-
-def replay_without_inner_closing(outside, inside, open_, mids, hits):
-    """poisson._replay with no closing test after the first round."""
-    row, node = np.arange(open_.size), np.zeros(open_.size, dtype=int)
-    for _ in range((mids.shape[1] + 1).bit_length() - 1):
-        mid, hit = mids[row, node], hits[row, node]
-        inside[open_[hit]] = mid[hit]
-        outside[open_[~hit]] = mid[~hit]
-        node = 2 * node + 2 - hit
-    return open_
-
-
-def test_replay_without_inner_closing_test_is_caught(monkeypatch):
-    """Negative control: the spike's brackets close inside a tree (after 17
-    or 18 rounds, not a multiple of BISECT_DEPTH), so a replay that skips
-    the closing test there moves their ends on."""
-    want = full_scan(SPIKE, 1.0)
-    assert located(superlevel_set(SPIKE, 1.0)) == want
-    monkeypatch.setattr(poisson, "_replay", replay_without_inner_closing)
-    assert located(superlevel_set(SPIKE, 1.0)) != want
+    def moved(*args):
+        value, *rest = terms(*args)
+        return (value - math.pi * budget / 8, *rest)
+    monkeypatch.setattr(poisson, "_cell_terms", moved)
+    honest = superlevel_set(f, alpha)
+    monkeypatch.setattr(poisson, "poisson_eval_error", lambda rows, xs, y: np.zeros(np.shape(xs)))
+    faulty = superlevel_set(f, alpha)
+    point = faulty.outer.parts[-1].hi + Fraction(1, 2 ** 24)
+    assert max(mp_exact(f, point, float(y)) for y in DEFAULT_Y_GRID) > alpha
+    assert honest.outer.contains(point) and not faulty.outer.contains(point)
 
 
 @st.composite
@@ -737,8 +725,8 @@ def span_cases(draw):
 @given(span_cases())
 @settings(max_examples=150, deadline=None)
 def test_set_budget_bounds_the_eval_error(case):
-    """superlevel_set's one budget E, poisson_eval_error at the ends of the
-    stretch and its lowest height, is at least poisson_eval_error at every
+    """A set's one budget E, poisson_eval_error at the ends of its first
+    cells and its lowest height, is at least poisson_eval_error at every
     point of the stretch and every height of the grid."""
     rows, grid, lo, hi, xs = case
     ys = poisson._heights(grid)
@@ -747,29 +735,67 @@ def test_set_budget_bounds_the_eval_error(case):
 
 
 def test_sup_cut_skips_the_scan(monkeypatch):
-    """Where sup |g| <= alpha - 2E no point is evaluated, though the
-    envelope leaves windows: the set is empty and the windows reported."""
+    """Where alpha is at least sup |g| no cell is evaluated, though the
+    envelope keeps cells: the set is empty, as the full scan finds it, and
+    the windows are reported."""
     f = StepFunction.from_weighted_regions(
         [(Fraction(3, 4), IntervalUnion.single(0, 1)),
          (Fraction(3, 4), IntervalUnion.single(Fraction(65, 64), 2))])
     want = full_scan(f, 1.0)
     assert want[1] == 0 and want[4] > want[3]
-    monkeypatch.setattr(poisson, "_closed_form", None)
-    assert located(superlevel_set(f, 1.0)) == want
+    monkeypatch.setattr(poisson, "_row_sums", None)
+    level = superlevel_set(f, 1.0)
+    assert level.outer.is_empty and level.components == 0
+    assert level.scan_hi > level.scan_lo
 
 
-@pytest.mark.xfail(strict=True, reason="a component narrower than the scan spacing "
-                                       "is missed (ROADMAP direction 2)")
-def test_narrow_spike_component_is_found():
+def narrow_spike(at, exp, height):
+    """height on [at, at + 2^-exp], at on the 2^-19 grid."""
+    a = Fraction(at, 2 ** 19)
+    return StepFunction.indicator(IntervalUnion.single(a, a + Fraction(1, 2 ** exp)), height)
+
+
+@given(st.integers(-2 ** 20, 2 ** 20), st.integers(13, 24), st.integers(1, 1000))
+@example(0, 14, 1000)
+@settings(max_examples=40, deadline=None)
+def test_narrow_spike_component_is_found(at, exp, height):
+    """A spike 2^-13 .. 2^-24 wide (narrower than the old scan's spacing of
+    about 2^-12) at any placement, with alpha a millionth under the
+    computed max at its midpoint: the midpoint is in the set, so the outer
+    set holds it, and the inner set certifies it."""
+    f = narrow_spike(at, exp, height)
+    mid = f.pieces[0][0].midpoint
+    peak = maximal_estimate(f, float(mid))
+    level = superlevel_set(f, peak * (1 - 1e-6))
+    assert level.components >= 1
+    assert level.outer.contains(mid) and level.inner.contains(mid)
+
+
+def test_narrow_spike_at_ten_placements():
     """v = 1000 on [a, a + 2^-14] at 10 seeded placements, alpha a millionth
-    under the peak of its computed max: the set is not empty, but the scan
-    at spacing about 2^-12 steps over it."""
+    under the peak of its computed max: every set is found, where the scan
+    at spacing about 2^-12 stepped over each of them."""
     rng = random.Random(2)
     for _ in range(10):
-        a = Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 19)
-        f = StepFunction.indicator(IntervalUnion.single(a, a + Fraction(1, 2 ** 14)), 1000)
-        peak = maximal_estimate(f, float(a + Fraction(1, 2 ** 15)))
-        assert superlevel_set(f, peak * (1 - 1e-6)).components >= 1
+        f = narrow_spike(rng.randint(-2 ** 20, 2 ** 20), 14, 1000)
+        mid = f.pieces[0][0].midpoint
+        level = superlevel_set(f, maximal_estimate(f, float(mid)) * (1 - 1e-6))
+        assert level.components == 1 and level.inner.contains(mid)
+        assert full_scan(f, maximal_estimate(f, float(mid)) * (1 - 1e-6))[1] == 0
+
+
+def test_enclosure_without_its_spread_loses_the_spike(monkeypatch):
+    """Negative control: an enclosure with no spread term (P' and the
+    bounds on |P'| and |P''| zeroed) reads only the cell centres, whose
+    values miss the spike, and finds no component."""
+    f = narrow_spike(0, 14, 1000)
+    mid = f.pieces[0][0].midpoint
+    alpha = maximal_estimate(f, float(mid)) * (1 - 1e-6)
+    assert superlevel_set(f, alpha).components == 1
+    terms = poisson._cell_terms
+    monkeypatch.setattr(poisson, "_cell_terms", lambda *args: (
+        lambda got: (got[0], *(0 * part for part in got[1:])))(terms(*args)))
+    assert superlevel_set(f, alpha).components == 0
 
 
 # ----------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_enumeration_shifted_by_one_eighth_cell_is_caught(monkeypatch):
     and 7 of the cell) differ from the oracle on a drawn case."""
     monkeypatch.setattr(randomness, "EIGHTHS", (3, 7))
     fam, _ = find(enumeration_cases(), enumeration_mismatch,
-                  settings=settings(max_examples=400, database=None))
+                  settings=settings(max_examples=400, database=None, deadline=None))
     assert any(not part.is_point for part in fam.stage(0).parts)
 
 
