@@ -7,9 +7,11 @@ equality and hashing are structural.  A step function is its sorted cuts
 over Dx (closedness respected pointwise) with the value on each cut range;
 a piecewise-linear function is continuous, its vertex xs over Dx and ys
 over Dy.  Integrals, L1 norms, and pointwise evaluations at rational
-arguments are exact and run on the ints; each result is one Fraction, and
-floats only enter downstream, in kernel integration.  Step-function merges
-run on the merge kernel of `intervals`.
+arguments are exact and run on the ints; a public result is one Fraction,
+and the cumulative table also reads as integer (numerator, denominator)
+pairs (_cumulative_ratios), for readers that round each value once by
+int/int division.  Floats only enter downstream, in kernel integration.
+Step-function merges run on the merge kernel of `intervals`.
 
 The Fraction views (`pieces`, `vertices`, `rows`, `segments()`,
 `breakpoints()`) are formed from the grid when first read, and the public
@@ -55,33 +57,39 @@ def _prefix_table(f) -> tuple:
     return [row[0] for row in rows], prefix, rows, dx, dy
 
 
-def _cumulative(f, ts) -> list[Fraction]:
-    """Exact integral of f over (-inf, t] for each t of ts, f a step or
-    piecewise-linear function.
+def _cumulative_ratios(f, points) -> list[tuple[int, int]]:
+    """Exact integral of f over (-inf, p/q] for each (p, q) of points (q >
+    0, the ratio not necessarily reduced), f a step or piecewise-linear
+    function, as an integer pair (numerator, denominator > 0).
 
     The prefix table over the grid rows is built once per function
-    (_prefix_table, cached as f._prefix); each t = p/q is located by
-    bisection over the rows' starts and adds one partial row [x0, t], its
-    trapezoid on the grid, so each value is one Fraction (closedness is
-    measure-irrelevant).
+    (_prefix_table, cached as f._prefix); each p/q is located by bisection
+    over the rows' starts and adds one partial row [x0, p/q], its trapezoid
+    on the grid (closedness is measure-irrelevant).
     """
     starts, prefix, rows, dx, dy = f._prefix
     den = 2 * dx * dy
     out = []
-    for t in map(_point, ts):
-        p, q = t.as_integer_ratio()
+    for p, q in points:
         k = bisect_right(starts, p * dx // q)
         if k == 0:
-            out.append(Fraction(0))
+            out.append((0, 1))
             continue
         x0, x1, y0, y1 = rows[k - 1]
-        width, u = x1 - x0, p * dx - x0 * q   # t - x0 is u / (Dx q)
+        width, u = x1 - x0, p * dx - x0 * q   # p/q - x0 is u / (Dx q)
         if u >= width * q:
-            out.append(Fraction(prefix[k], den))
+            out.append((prefix[k], den))
             continue
-        out.append(Fraction(prefix[k - 1] * width * q * q
-                            + u * (2 * y0 * width * q + (y1 - y0) * u), den * width * q * q))
+        out.append((prefix[k - 1] * width * q * q + u * (2 * y0 * width * q + (y1 - y0) * u),
+                    den * width * q * q))
     return out
+
+
+def _cumulative(f, ts) -> list[Fraction]:
+    """Exact integral of f over (-inf, t] for each t of ts, one Fraction
+    each (_cumulative_ratios)."""
+    return [Fraction(n, d) for n, d in
+            _cumulative_ratios(f, [_point(t).as_integer_ratio() for t in ts])]
 
 
 def _widths(cuts) -> list[int]:

@@ -1,10 +1,11 @@
 """Poisson integrals of step and piecewise-linear boundary data.
 
 Both kinds of data have one float form: _rows rounds the exact rows of
-functions (one (interval, f(lo), f(hi)) per nonzero piece) once each to
-(a, b, f(a), f(b), m_hi, m_lo, h, fm, beta): the ends and end values, and
-for a piecewise-linear row its local data, the midpoint as a two-float
-sum, the half-width, the mid value and the slope.  All integrals here are
+functions (one (interval, f(lo), f(hi)) per nonzero piece) once each,
+once per function, to (a, b, f(a), f(b), m_hi, m_lo, h, fm, beta): the
+ends and end values, and for a piecewise-linear row its local data, the
+midpoint as a two-float sum, the half-width, the mid value and the
+slope.  All integrals here are
 closed-form, one term a row summed in row order: an arctangent difference
 on the float ends times f(a) for a step piece, and for a piecewise-linear
 row the local form about its midpoint (_local), or its midpoint expansion
@@ -27,11 +28,15 @@ through the same closed form as poisson_integral, in blocks of EVAL_CHUNK
 points, so each value is bitwise the one a per-height call gives.  A
 radial trace evaluates all its heights the same way, at its one point,
 and keeps its heights, values and floors as float arrays.  Its exact
-window masses come from the function's cumulative table, built once per
-function, for the windows that reach past the linear piece of f holding
-the point (a row, or a gap where f is 0) and for the widest one inside
-it; a window inside that piece has the mass f(x) y, so the narrower ones
-scale the widest one's mass.
+window masses are integer pairs on f's grid, each rounded once by int/int
+division, so a trace at a float point forms no Fraction: the point and
+each height are read at their exact ratios, the linear piece of f holding
+the point (a row, or a gap where f is 0) is located once, a window inside
+it has the mass f(x) y (the widest one reads the cumulative table and the
+narrower ones scale its mass), and the windows past it read the table as
+(numerator, denominator) pairs.  A value under its floor fails the trace
+only past the stated budget, the floor's own roundings plus
+poisson_eval_error at that height.
 
 The superlevel sets {x : max over the grid of P[|g|](x, y) > alpha} are
 decided on dyadic cells, not points (superlevel_sets).  One refinement
@@ -63,7 +68,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .functions import PiecewiseLinear, StepFunction
+from .functions import PiecewiseLinear, StepFunction, _cumulative_ratios
 from .intervals import IntervalUnion, _union
 from .kernels import UNIT_ROUNDOFF, _as_xs, _scalar_or_array, stable_atan_diff
 
@@ -71,7 +76,7 @@ DEFAULT_Y_SEQ = tuple(2.0 ** -j for j in range(31))
 DEFAULT_Y_GRID = tuple(Fraction(1, 2 ** j) for j in range(13))
 
 
-def _rows(f) -> list:
+def _rows(f) -> tuple:
     """The exact rows of f (functions: one (interval, f(lo), f(hi)) per
     nonzero piece) as float rows (a, b, f(a), f(b), m_hi, m_lo, h, fm,
     beta).  A piecewise-linear row carries its local data: the midpoint m =
@@ -83,21 +88,27 @@ def _rows(f) -> list:
     off f's grid as one int/int division, which rounds correctly, so each
     is the float of its exact value (m_lo that of m - m_hi); no float width
     b - a is formed.  Rows come in increasing order and overlap at most in
-    an endpoint."""
+    an endpoint.  They are formed once per function and cached on it as
+    f._float_rows, a tuple, the way functions caches its prefix table."""
     if not isinstance(f, (StepFunction, PiecewiseLinear)):
         raise TypeError(f"no Poisson integral for {type(f).__name__}")
+    rows = vars(f).get("_float_rows")
+    if rows is not None:
+        return rows
     grid, dx, dy = f._grid_rows()
     if isinstance(f, StepFunction):
         values = [v / dy for _, _, v, _ in grid]
-        return [(x0 / dx, x1 / dx, v, v, 0.0, 0.0, 0.0, 0.0, 0.0)
+        rows = [(x0 / dx, x1 / dx, v, v, 0.0, 0.0, 0.0, 0.0, 0.0)
                 for (x0, x1, _, _), v in zip(grid, values)]
-    rows = []
-    for x0, x1, y0, y1 in grid:
-        m_hi = (x0 + x1) / (2 * dx)
-        p, q = m_hi.as_integer_ratio()
-        rows.append((x0 / dx, x1 / dx, y0 / dy, y1 / dy, m_hi,
-                     ((x0 + x1) * q - 2 * dx * p) / (2 * dx * q), (x1 - x0) / (2 * dx),
-                     (y0 + y1) / (2 * dy), (y1 - y0) * dx / ((x1 - x0) * dy)))
+    else:
+        rows = []
+        for x0, x1, y0, y1 in grid:
+            m_hi = (x0 + x1) / (2 * dx)
+            p, q = m_hi.as_integer_ratio()
+            rows.append((x0 / dx, x1 / dx, y0 / dy, y1 / dy, m_hi,
+                         ((x0 + x1) * q - 2 * dx * p) / (2 * dx * q), (x1 - x0) / (2 * dx),
+                         (y0 + y1) / (2 * dy), (y1 - y0) * dx / ((x1 - x0) * dy)))
+    f._float_rows = rows = tuple(rows)
     return rows
 
 
@@ -357,68 +368,85 @@ def radial_trace(f, x: float, y_seq: Sequence[float] = DEFAULT_Y_SEQ) -> RadialT
 
     For nonnegative data the kernel satisfies P_y(s) >= 4/(5 pi y) on
     |s| <= y/2 (with equality at |s| = y/2; the registry check
-    poisson.window_floor covers it), so P[f](x,y) is at least 4/(5 pi y)
-    times the mass of f on the central window [x - y/2, x + y/2].  The
-    floor is attached, and enforced, whenever f >= 0.
+    poisson.window_floor covers it), so P[f](x,y) is at least F = 4 m/(5 pi
+    y), m the exact mass of f on the central window [x - y/2, x + y/2].
+    The floor is attached, and enforced, whenever f >= 0.
 
-    The pieces are converted to float rows once and every height is
-    evaluated in one (heights x 1) pass of the closed form, so each value is
-    bitwise the one poisson_integral gives.  The window masses are exact:
-    the piece of f that holds x is located once, the windows inside it
-    scale the widest one's mass, and only that one and the windows past the
-    piece read f.cumulative (_window_masses).
+    The pieces are converted to float rows once per function (_rows) and
+    every height is evaluated in one (heights x 1) pass of the closed form,
+    so each value is bitwise the one poisson_integral gives.  The window
+    masses are exact, read in integers on f's grid and rounded once each
+    (_window_masses).
+
+    The check's budget.  The floor is computed as fl(fl(4 / fl(fl(5 pi~)
+    y)) m~), m~ the mass rounded once and pi~ = math.pi; fl(5 pi~) = 5 pi
+    (1 - 0.351u), and the other four roundings are each within a factor 1
+    +- u, so the computed floor is at most F (1 + u)^3 / ((1 - u)(1 -
+    0.351u)) < F (1 + 4.4u), and (1 - 5u) times it is under F.  The value
+    is within E = poisson_eval_error(rows, x, y) of P[f](x, y) >= F, so
+    the trace raises only where the value is under floor (1 - 5u) - E,
+    which no exact mass allows.  E is formed only at the heights whose
+    value is under its floor, so a passing trace pays nothing for it.
     """
     y_seq = tuple(y_seq)
     ys = _shared_heights(y_seq)
-    values = _closed_form(_rows(f), _as_xs(x), ys[:, None])[:, 0]
+    rows = _rows(f)
+    values = _closed_form(rows, _as_xs(x), ys[:, None])[:, 0]
     floors = None
     if f.is_nonnegative():
-        masses = np.array(_window_masses(f, Fraction(x), [Fraction(y) for y in y_seq]))
-        floors = 4.0 / (5.0 * math.pi * ys) * masses
-        under = np.flatnonzero(values < floors - 1e-9 * np.maximum(1.0, np.abs(floors)))
+        floors = 4.0 / (5.0 * math.pi * ys) * np.array(_window_masses(f, x, y_seq))
+        under = np.flatnonzero(values < floors)
         if under.size:
-            j = under[0]
-            raise AssertionError(f"Poisson value {float(values[j])} under its certified floor "
-                                 f"{float(floors[j])} at y={y_seq[j]}")
+            bar = floors[under] * (1 - 5 * UNIT_ROUNDOFF) - poisson_eval_error(rows, x, ys[under])
+            broken = under[values[under] < bar]
+            if broken.size:
+                j = broken[0]
+                raise AssertionError(f"Poisson value {float(values[j])} under its certified "
+                                     f"floor {float(floors[j])} at y={y_seq[j]}")
     return RadialTrace(float(x), ys, values, floors)
 
 
-def _window_masses(f, at: Fraction, heights: list[Fraction]) -> list[float]:
-    """The exact mass of f on each window [at - y/2, at + y/2], rounded once
+def _window_masses(f, x, heights) -> list[float]:
+    """The exact mass of f on each window [x - y/2, x + y/2], rounded once
     to a float.
 
-    The windows nest as y falls.  On the linear piece of f that holds `at`,
-    a row or a gap between rows (where f is 0), a window centred at `at` has
-    the mass f(at) y, so the windows inside that piece scale the mass of the
-    first of them (the widest, as y falls) by y; every mass thus still
-    comes from the cumulative table.  The piece is located once, and only
-    the windows past it and that first one read f.cumulative, in one call.
-    A point on a row end lies in no one piece, and every window reads
-    f.cumulative.
+    x and each height y are read at their exact ratios (as_integer_ratio),
+    and every mass is one integer pair on f's grid, rounded by one int/int
+    true division, which rounds correctly as float(Fraction) does.  The
+    piece of f that holds x, a grid row or a gap between rows (where f is
+    0), is located once.  A window inside that piece has the mass f(x) y:
+    the first such window (the widest, as y falls) reads the cumulative
+    table, and the others scale its mass by y.  Every other window reads
+    the table (_cumulative_ratios), all in one call.  A point on a row end
+    lies in no one piece, and every window reads the table.
     """
-    rows = f.rows
-    k = bisect_right(rows, at, key=lambda row: row[0].lo)  # rows starting at or before at
-    if k and at < rows[k - 1][0].hi:
-        lo, hi = rows[k - 1][0].lo, rows[k - 1][0].hi
+    p, q = x.as_integer_ratio()
+    starts, _, rows, dx, _ = f._prefix
+    at = p * dx  # x is at / (Dx q)
+    k = bisect_right(starts, at // q)  # rows starting at or before x
+    if k and at < rows[k - 1][1] * q:
+        ends = rows[k - 1][:2]
     else:
-        lo = rows[k - 1][0].hi if k else -math.inf
-        hi = rows[k][0].lo if k < len(rows) else math.inf
-    widest = 2 * min(at - lo, hi - at)  # 0 on a row end, where no window fits
-    fits = [y <= widest for y in heights]
-    inner = [y for y, fit in zip(heights, fits) if fit][:1]
-    read = [y for y, fit in zip(heights, fits) if not fit] + inner
-    ends = f.cumulative([at + side * y / 2 for y in read for side in (-1, 1)])
-    exact = [above - below for below, above in zip(ends[::2], ends[1::2])]
+        ends = rows[k - 1][1] if k else None, rows[k][0] if k < len(rows) else None
+    # y/2 fits on each side where a Dx q <= 2 b (room over Dx q), y = a/b
+    room = min((abs(at - e * q) for e in ends if e is not None), default=None)
+    ratios = [y.as_integer_ratio() for y in heights]
+    fits = [room is None or a * dx * q <= 2 * b * room for a, b in ratios]
+    inner = [r for r, fit in zip(ratios, fits) if fit][:1]
+    read = [r for r, fit in zip(ratios, fits) if not fit] + inner
+    table = _cumulative_ratios(f, [(2 * p * b + side * a * q, 2 * q * b)
+                                   for a, b in read for side in (-1, 1)])
+    exact = [(n1 * d0 - n0 * d1, d0 * d1) for (n0, d0), (n1, d1) in zip(table[::2], table[1::2])]
     if inner:
-        (p, q), (c, d) = exact.pop().as_integer_ratio(), inner[0].as_integer_ratio()
+        (m, n), (c, d) = exact.pop(), inner[0]
     exact = iter(exact)
     masses = []
-    for y, fit in zip(heights, fits):
+    for (a, b), fit in zip(ratios, fits):
         if fit:
-            a, b = y.as_integer_ratio()
-            masses.append(p * a * d / (q * b * c))  # one rounding, as float(Fraction)
+            masses.append(m * a * d / (n * b * c))  # f(x) y = (m/n) y / (c/d)
         else:
-            masses.append(float(next(exact)))
+            num, den = next(exact)
+            masses.append(num / den)
     return masses
 
 
@@ -803,8 +831,11 @@ def _refine(sets: list, ys: np.ndarray) -> list:
 
     prob = np.repeat(np.arange(len(sets)), [s.cells.size for s in sets])
     cells = np.concatenate([s.cells for s in sets])
-    open_ = np.concatenate([np.pad(s.open_, ((0, 0), (0, n_alphas - s.alphas.size)))
-                            for s in sets])
+    open_ = np.zeros((cells.size, n_alphas), dtype=bool)  # absent alphas are shut
+    row = 0
+    for s in sets:
+        open_[row:row + s.cells.size, :s.alphas.size] = s.open_
+        row += s.cells.size
     _check_pairs(np.full(cells.size, ys.size), prob, cells, PRUNE_CELL, bars, open_)
     live = np.ones((cells.size, ys.size), dtype=bool)
     found = []  # per pass: (problem, alpha, level, cell, in) of every decided cell

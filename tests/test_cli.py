@@ -188,8 +188,10 @@ def test_fourier_artifacts_are_pinned(tmp_path, args):
 
 
 # The README's two poisson-trace commands at a point with an odd
-# denominator: the radial trace's exact window masses (lower_bound column)
-# and every stage function they read must keep every byte.
+# denominator, and the ml-poisson trace at s_max 161, the largest grid the
+# integer window masses meet in CI: the radial trace's exact window masses
+# (lower_bound column) and every stage function they read must keep every
+# byte.
 PINNED_TRACES = {
     ("schnorr-poisson", "--point=12345/65537", "--m-max", "24"): {
         "poisson_trace.csv":
@@ -208,6 +210,16 @@ PINNED_TRACES = {
             "565fceb096af9df36881e78a96da8e3d9552c4196f141d6f5942ffee29a27e4a",
         "verification_report.json":
             "d411b432fdab825b5441a984b8f47b6d5518b6501a73beba3b3dd3ef670d6132",
+    },
+    ("ml-poisson", "--point=12345/65537", "--s-max", "161"): {
+        "poisson_trace.csv":
+            "ad97982d4904cbb3e3f52bc8a2b11633914a1ac9d3c547d8c0008f5e904a4b60",
+        "tent_construction.json":
+            "5cc5e40dc7110e78a2a4a05d6632e017e6b0d84637897e1d87f059306f8231c0",
+        "tent_stages.csv":
+            "23720e489d2265eb93327cfa941071c72cd14ddcdf7e7100307dec2358cfef1b",
+        "verification_report.json":
+            "d2233d9d8088466132a0fb8ac1fc12487b301ce9ca1bf21dc5adec0964344460",
     },
 }
 

@@ -890,10 +890,13 @@ def two_branch_rows(f):
 @settings(max_examples=300, deadline=None)
 def test_float_rows_from_exact_rows_match_two_branch_rows(f):
     """Step data with point pieces and open ends, PL data with plateaus
-    and with ends equal only as floats: every row bitwise the same."""
+    and with ends equal only as floats: every row bitwise the same, and
+    formed once per function."""
     def hexed(rows):
         return [[v.hex() for v in row] for row in rows]
-    assert hexed(poisson._rows(f)) == hexed(two_branch_rows(f))
+    rows = poisson._rows(f)
+    assert hexed(rows) == hexed(two_branch_rows(f))
+    assert poisson._rows(f) is rows
 
 
 def test_rows_refuse_other_data():
@@ -1284,41 +1287,63 @@ def test_radial_trace_matches_per_height_calls(inputs):
 @st.composite
 def window_mass_inputs(draw):
     """Step or piecewise-linear data, signed or not; x on a breakpoint,
-    within 2^-40 .. 2^-1 of one, or off the support; heights in any order."""
+    within 2^-40 .. 2^-1 of one, off the support, or a point p/q near one
+    with odd q up to 2^20; heights in any order, 2^-e for e in -3 .. 30
+    or any float in 2^-40 .. 4."""
     f = draw(row_data_st)
     if draw(st.booleans()):
         f = f.abs()
     points = f.breakpoints() or [Fraction(0)]
-    where = draw(st.sampled_from(["on", "near", "off"]))
+    where = draw(st.sampled_from(["on", "near", "off", "odd"]))
     x = float(draw(st.sampled_from(points)))
     if where == "near":
         x += draw(st.sampled_from([1.0, -1.0])) * 2.0 ** -draw(st.integers(1, 40))
     elif where == "off":
         x = float(draw(st.sampled_from([points[0] - 1, points[-1] + 1])))
         x += draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-20, 4))
-    exps = draw(st.lists(st.floats(-3, 30), min_size=1, max_size=8))
-    return f, x, [2.0 ** -e for e in exps]
+    elif where == "odd":
+        q = 2 * draw(st.integers(0, 2 ** 19 - 1)) + 1
+        x = Fraction(round(x * q) + draw(st.integers(-2, 2)), q)
+    heights = st.one_of(st.floats(-3, 30).map(lambda e: 2.0 ** -e),
+                        st.floats(2.0 ** -40, 4.0))
+    return f, x, draw(st.lists(heights, min_size=1, max_size=8))
+
+
+def fraction_window_masses(f, at, ys):
+    """float of each window's f.cumulative difference, in Fractions."""
+    out = []
+    for y in ys:
+        below, above = f.cumulative((at - Fraction(y) / 2, at + Fraction(y) / 2))
+        out.append(float(above - below))
+    return out
 
 
 @given(window_mass_inputs())
 @settings(max_examples=150, deadline=None)
 def test_window_masses_match_cumulative_differences(inputs):
-    """Every window mass is the float of its f.cumulative difference, signed
-    data included; the trace attaches those masses' floors to nonnegative
-    data and no floor to signed data."""
+    """Every window mass is bitwise the float of its f.cumulative
+    difference, signed data included; the trace at the float point
+    attaches those masses' floors to nonnegative data and no floor to
+    signed data."""
     f, x, ys = inputs
-    at = Fraction(x)
-    want = []
-    for y in ys:
-        below, above = f.cumulative((at - Fraction(y) / 2, at + Fraction(y) / 2))
-        want.append(float(above - below))
-    assert poisson._window_masses(f, at, [Fraction(y) for y in ys]) == want
+    assert list(map(float.hex, poisson._window_masses(f, x, ys))) == list(
+        map(float.hex, fraction_window_masses(f, Fraction(x), ys)))
     heights = sorted(set(ys), reverse=True)
-    for e in radial_trace(f, x, heights).entries:
+    want = fraction_window_masses(f, Fraction(float(x)), heights)
+    for e, mass in zip(radial_trace(f, float(x), heights).entries, want):
         if f.is_nonnegative():
-            assert e.lower_bound == 4.0 / (5.0 * math.pi * e.y) * want[ys.index(e.y)]
+            assert e.lower_bound == 4.0 / (5.0 * math.pi * e.y) * mass
         else:
             assert e.lower_bound is None
+
+
+def test_window_masses_property_catches_a_doubled_window():
+    """Negative control: masses over [x - y, x + y], a half-width of y in
+    place of y/2, differ from the Fraction differences on a drawn case."""
+    find(window_mass_inputs(),
+         lambda inputs: poisson._window_masses(inputs[0], inputs[1], [2 * y for y in inputs[2]])
+         != fraction_window_masses(inputs[0], Fraction(inputs[1]), inputs[2]),
+         settings=settings(max_examples=400, database=None, deadline=None))
 
 
 @pytest.mark.parametrize("x,reads", [(0.25, 2), (0.0, 31), (1.0, 31), (3.0, 1), (-0.5, 1)])
@@ -1328,9 +1353,9 @@ def test_only_windows_past_the_piece_read_the_cumulative_table(monkeypatch, x, r
     row end every window reads the table; off the support one window does."""
     f = StepFunction.indicator(IntervalUnion.single(0, 1))
     seen = []
-    cumulative = StepFunction.cumulative
-    monkeypatch.setattr(StepFunction, "cumulative",
-                        lambda self, ts: seen.append(len(ts)) or cumulative(self, ts))
+    ratios = poisson._cumulative_ratios
+    monkeypatch.setattr(poisson, "_cumulative_ratios",
+                        lambda self, points: seen.append(len(points)) or ratios(self, points))
     radial_trace(f, x)
     assert seen == [2 * reads]
 
@@ -1340,11 +1365,54 @@ def test_only_windows_past_the_piece_read_the_cumulative_table(monkeypatch, x, r
 def test_overstated_window_mass_breaks_the_floor(monkeypatch, f):
     """Negative control: a cumulative table that adds mass 8 to every window
     lifts the floor over 2 >= sup f >= the Poisson value, and the trace raises."""
-    cumulative = type(f).cumulative
-    monkeypatch.setattr(type(f), "cumulative",
-                        lambda self, ts: [c + 8 * k for k, c in enumerate(cumulative(self, ts))])
+    ratios = poisson._cumulative_ratios
+    monkeypatch.setattr(poisson, "_cumulative_ratios", lambda self, points: [
+        (n + 8 * k * d, d) for k, (n, d) in enumerate(ratios(self, points))])
     with pytest.raises(AssertionError, match="under its certified floor"):
         radial_trace(f, 0.0, [1.0, 0.5])
+
+
+def test_doubled_tiny_window_mass_breaks_the_floor(monkeypatch):
+    """Negative control under any flat epsilon of 1e-9: a table that
+    doubles the mass 2^-40 of a narrow spike lifts the floor 1.6 times over
+    the value, by 1.7e-13, and the trace raises."""
+    f = StepFunction.indicator(IntervalUnion.single(-Fraction(1, 2 ** 41), Fraction(1, 2 ** 41)))
+    radial_trace(f, 0.0, [1.0])
+    ratios = poisson._cumulative_ratios
+    monkeypatch.setattr(poisson, "_cumulative_ratios",
+                        lambda self, points: [(2 * n, d) for n, d in ratios(self, points)])
+    with pytest.raises(AssertionError, match="under its certified floor"):
+        radial_trace(f, 0.0, [1.0])
+
+
+def test_radial_floor_budget_admits_a_value_rounded_under_its_floor(monkeypatch):
+    """A true case under its computed floor: mass 3 * 2^-28 at the edge of
+    the window y = 3/4, where the kernel is 4/(5 pi y) to a relative 2^-28
+    or so, and the value rounds about 1.6e7 u under the floor.  The stated
+    budget admits it; the same budget times 2^-20 does not."""
+    f = StepFunction.indicator(IntervalUnion.single(Fraction(3, 8) - Fraction(1, 2 ** 28),
+                                                    Fraction(3, 8)), 3)
+    trace = radial_trace(f, 0.0, [0.75])
+    assert trace.values[0] < trace.floors[0]
+    budget = poisson.poisson_eval_error
+    monkeypatch.setattr(poisson, "poisson_eval_error",
+                        lambda rows, x, y: budget(rows, x, y) * 2.0 ** -20)
+    with pytest.raises(AssertionError, match="under its certified floor"):
+        radial_trace(f, 0.0, [0.75])
+
+
+@pytest.mark.parametrize("f", [StepFunction.indicator(IntervalUnion.single(Fraction(-1, 3), 1), 2),
+                               tent(RationalInterval(Fraction(-2, 7), Fraction(5, 3)))])
+def test_radial_trace_forms_no_fraction(monkeypatch, f):
+    """At a float point and float heights the trace reads its window masses
+    in integers: no Fraction is formed, on a row end or inside a row."""
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+    for x in (0.0, -0.25, 1.0, 5.5):
+        radial_trace(f, x)
+    assert made == []
 
 
 @st.composite
